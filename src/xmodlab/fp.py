@@ -169,14 +169,13 @@ class CosetTable:
     """Collapsed coset table; row 0 is the coset of the subgroup.
 
     ``table[i]`` has one entry per column, columns alternating g, g^-1 per
-    generator.  ``complete`` means every entry is filled and every relator
-    scan closes at every coset.
+    generator.  An entry of -1 is undefined; ``todd_coxeter`` returns only
+    tables with every entry filled and every relator scan closed.
     """
 
     presentation: Presentation
     subgroup: tuple[Word, ...]
     table: tuple[tuple[int, ...], ...]
-    complete: bool
 
     @property
     def ncosets(self) -> int:
@@ -337,7 +336,6 @@ def todd_coxeter(
         presentation=presentation,
         subgroup=tuple(subgroup_words),
         table=table,
-        complete=True,
     )
 
 
@@ -347,7 +345,7 @@ def perm_rep(ct: CosetTable) -> tuple[PermGroup, tuple[Permutation, ...]]:
     Over the trivial subgroup this is the regular representation, so the group
     of the returned permutations is the presented group itself.
     """
-    if not ct.complete:
+    if any(-1 in row for row in ct.table):
         raise IncompleteTable("cannot read permutations off a partial table")
     n = ct.ncosets
     perms = tuple(

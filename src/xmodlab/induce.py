@@ -30,10 +30,13 @@ from .errors import (
 )
 from .fp import DEFAULT_MAX_COSETS, Presentation, Word, perm_rep, todd_coxeter
 from .perm import (
+    ISO_SEARCH_BOUND,
     Fingerprint,
     GroupHom,
     PermGroup,
     Permutation,
+    _iter_isomorphisms,
+    _right_cosets,
     abelian_invariants,
     cyclic,
     dihedral,
@@ -42,7 +45,6 @@ from .perm import (
     gl23,
     hom,
     image,
-    isomorphic,
     normal_closure,
     parse_generator_list,
     right_coset_representatives,
@@ -131,19 +133,19 @@ def induced_presentation(
     melems = list(M.elements())
     midx = M.element_index()
     if transversal is None:
-        T = coset_transversal(Q, H)
+        T, coset_of = _right_cosets(Q, H)
     else:
         T = list(transversal)
+        coset_of = {}
+        for ti, t in enumerate(T):
+            for h in H.elements():
+                e = h * t
+                if e in coset_of:
+                    raise ValueError("transversal elements share a coset")
+                coset_of[e] = ti
+        if len(coset_of) != Q.order():
+            raise ValueError("transversal does not cover every coset")
     nT = len(T)
-    coset_of = {}
-    for ti, t in enumerate(T):
-        for h in H.elements():
-            e = h * t
-            if e in coset_of:
-                raise ValueError("transversal elements share a coset")
-            coset_of[e] = ti
-    if len(coset_of) != Q.order():
-        raise ValueError("transversal does not cover every coset")
     iota_inv = {iota.apply(p): p for p in X.Q.elements()}
 
     def gen(mi, ti):
@@ -176,26 +178,9 @@ def induced_presentation(
                         [(gen(a, ti), 1), (gen(b, ti), 1), (gen(c, ti), -1)]
                     )
                 )
-    ngens = nM * nT
-    for x in range(ngens):
-        dx = boundary_images[x]
-        for y in range(ngens):
-            z = act_gen(y, dx)
-            relators.append(
-                Word.of([(x, -1), (y, 1), (x, 1), (z, -1)])
-            )
-
-    pres = Presentation(ngens, _dedupe_relators(relators), tuple(labels))
-    ip = InducedPresentation(
-        presentation=pres,
-        base=Q,
-        boundary_images=tuple(boundary_images),
-        gen_pairs=tuple(gen_pairs),
-        _act=act_gen,
+    return _with_peiffer_relators(
+        Q, relators, boundary_images, gen_pairs, labels, act_gen
     )
-    if not ip.boundary_kills_relators():
-        raise ValidationFailed("boundary assignment does not kill a relator")
-    return ip
 
 
 def free_crossed_module_presentation(P: PermGroup, relations) -> InducedPresentation:
@@ -236,17 +221,26 @@ def free_crossed_module_presentation(P: PermGroup, relations) -> InducedPresenta
         r, pi = divmod(k, nP)
         return gen(r, pidx[pelems[pi] * q])
 
-    relators = []
+    return _with_peiffer_relators(
+        P, [], boundary_images, gen_pairs, labels, act_gen
+    )
+
+
+def _with_peiffer_relators(
+    base, relators, boundary_images, gen_pairs, labels, act_gen
+) -> InducedPresentation:
+    """Add the Peiffer relators x^-1 y x = y^(dx) on every generator pair to
+    ``relators`` and return the presentation, checked against the boundary."""
+    ngens = len(boundary_images)
     for x in range(ngens):
         dx = boundary_images[x]
         for y in range(ngens):
             z = act_gen(y, dx)
             relators.append(Word.of([(x, -1), (y, 1), (x, 1), (z, -1)]))
-
     pres = Presentation(ngens, _dedupe_relators(relators), tuple(labels))
     ip = InducedPresentation(
         presentation=pres,
-        base=P,
+        base=base,
         boundary_images=tuple(boundary_images),
         gen_pairs=tuple(gen_pairs),
         _act=act_gen,
@@ -315,49 +309,56 @@ class Report:
         )
 
 
-_CATALOGUE_CACHE = {}
+# Named groups in matching order: (name, order, constructor, whether
+# ``match_catalogue`` names it rather than ``small_group_name``).  An entry is
+# built, with its fingerprint, the first time a group of its order is named.
+_NAMED_GROUPS = (
+    ("S3", 6, lambda: symmetric(3), False),
+    ("D8", 8, lambda: dihedral(8), False),
+    ("A4", 12, lambda: PermGroup(4, parse_generator_list("(1,2,3),(2,3,4)", 4)),
+     False),
+    ("D12", 12, lambda: dihedral(12), False),
+    ("S4", 24, lambda: symmetric(4), False),
+    ("GL(2,3)", 48, gl23, True),
+    ("SL(2,3)", 24, sl23, True),
+    ("S4xC2", 48, lambda: direct_product(symmetric(4), cyclic(2)), True),
+    ("C3xSL(2,3)", 72, lambda: direct_product(cyclic(3), sl23()), True),
+)
+_BUILT = {}  # name -> (group, fingerprint)
 
 
-def _catalogue():
-    """Named groups the induced module is matched against."""
-    if not _CATALOGUE_CACHE:
-        _CATALOGUE_CACHE["GL(2,3)"] = gl23()
-        _CATALOGUE_CACHE["SL(2,3)"] = sl23()
-        _CATALOGUE_CACHE["S4xC2"] = direct_product(symmetric(4), cyclic(2))
-        _CATALOGUE_CACHE["C3xSL(2,3)"] = direct_product(cyclic(3), sl23())
-    return _CATALOGUE_CACHE
-
-
-_SMALL_NONABELIAN = None
+def _named(G: PermGroup, catalogue: bool) -> str | None:
+    """First entry of the given part of ``_NAMED_GROUPS`` isomorphic to G."""
+    fp = None
+    for name, order, build, in_catalogue in _NAMED_GROUPS:
+        if in_catalogue is not catalogue or order != G.order():
+            continue
+        if name not in _BUILT:
+            H = build()
+            _BUILT[name] = (H, fingerprint(H))
+        H, fp_h = _BUILT[name]
+        if fp is None:
+            fp = fingerprint(G)
+        # isomorphic(G, H), minus recomputing the entry's fingerprint
+        if fp == fp_h and next(
+            _iter_isomorphisms(G, H, ISO_SEARCH_BOUND), None
+        ) is not None:
+            return name
+    return None
 
 
 def small_group_name(G: PermGroup) -> str | None:
     """Canonical name for small groups: invariant factors if abelian, else a
     match against a short list of standard groups."""
-    global _SMALL_NONABELIAN
     if G.order() == 1:
         return "1"
     if G.is_abelian():
         return "x".join(f"C{d}" for d in abelian_invariants(G))
-    if _SMALL_NONABELIAN is None:
-        _SMALL_NONABELIAN = [
-            ("S3", symmetric(3)),
-            ("D8", dihedral(8)),
-            ("A4", PermGroup(4, parse_generator_list("(1,2,3),(2,3,4)", 4))),
-            ("D12", dihedral(12)),
-            ("S4", symmetric(4)),
-        ]
-    for name, H in _SMALL_NONABELIAN:
-        if H.order() == G.order() and isomorphic(G, H) is not None:
-            return name
-    return None
+    return _named(G, catalogue=False)
 
 
 def match_catalogue(G: PermGroup) -> str | None:
-    for name, H in _catalogue().items():
-        if H.order() == G.order() and isomorphic(G, H) is not None:
-            return name
-    return None
+    return _named(G, catalogue=True)
 
 
 def induce(

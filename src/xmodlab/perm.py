@@ -7,7 +7,10 @@ actions in the package are right actions.
 Every group builds a stabilizer chain on construction, so order and membership
 are exact from the start.  Groups of order at most ``ENUMERATION_BOUND`` may be
 fully enumerated (homomorphism verification, fingerprints, quotients); larger
-ones raise ``EnumerationBoundExceeded`` instead of sampling.
+ones raise ``EnumerationBoundExceeded`` instead of sampling.  A group walks its
+Cayley graph once, on first need, and keeps the walk; ``elements()`` sorts it,
+and every homomorphism or action out of the group replays it rather than
+walking again.
 """
 
 from __future__ import annotations
@@ -259,6 +262,7 @@ class PermGroup:
         self._order = 1
         for level in self._levels:
             self._order *= len(level["transversal"])
+        self._walk = None
         self._elements = None
         self._index = None
         self._ctx = None
@@ -288,25 +292,38 @@ class PermGroup:
                 raise NotInGroup(f"{g} is not in the group")
         return PermGroup(self.degree, gens)
 
-    def elements(self) -> tuple:
-        """All elements, sorted by image tuple (identity first)."""
-        if self._elements is None:
+    def _cayley_walk(self) -> tuple[tuple, tuple]:
+        """Breadth-first walk of the Cayley graph from the identity.
+
+        Returns the elements in discovery order and, for each of them, the
+        discovery indices of its products with the generators in list order.
+        Walked once per group and kept.
+        """
+        if self._walk is None:
             if self._order > ENUMERATION_BOUND:
                 raise EnumerationBoundExceeded(
                     f"order {self._order} exceeds {ENUMERATION_BOUND}"
                 )
-            seen = {self.identity}
-            frontier = [self.identity]
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for g in self.generators:
-                        y = x * g
-                        if y not in seen:
-                            seen.add(y)
-                            nxt.append(y)
-                frontier = nxt
-            self._elements = tuple(sorted(seen))
+            found = [self.identity]
+            index = {self.identity: 0}
+            successors = []
+            for x in found:  # grows while it is read: a FIFO queue
+                row = []
+                for g in self.generators:
+                    y = x * g
+                    j = index.get(y)
+                    if j is None:
+                        j = index[y] = len(found)
+                        found.append(y)
+                    row.append(j)
+                successors.append(tuple(row))
+            self._walk = (tuple(found), tuple(successors))
+        return self._walk
+
+    def elements(self) -> tuple:
+        """All elements, sorted by image tuple (identity first)."""
+        if self._elements is None:
+            self._elements = tuple(sorted(self._cayley_walk()[0]))
         return self._elements
 
     def element_index(self) -> dict:
@@ -436,11 +453,6 @@ def _strip(levels, g):
     return residue
 
 
-def group_from_generators(generators, degree: int) -> PermGroup:
-    """Group generated by the given permutations of the given degree."""
-    return PermGroup(degree, generators)
-
-
 # ---------------------------------------------------------------------------
 # homomorphisms
 
@@ -448,12 +460,13 @@ def group_from_generators(generators, degree: int) -> PermGroup:
 class GroupHom:
     """Homomorphism given by images of the source generators.
 
-    Construction walks the full Cayley graph of the source, assigning an image
-    to every element and checking every edge ``f(x*s) == f(x)*f(s)``; a
-    conflict means the assignment violates some relation of the source and
-    raises ``RelationViolated`` with a witness word endpoint.  The walk needs
-    the source fully enumerable, which is the only verification mode offered:
-    sources above ``ENUMERATION_BOUND`` are rejected outright.
+    Construction replays the source's Cayley walk (done once per group, not
+    once per homomorphism), assigning an image to every element and checking
+    every edge ``f(x*s) == f(x)*f(s)``; a conflict means the assignment
+    violates some relation of the source and raises ``RelationViolated`` with
+    a witness word endpoint.  The walk needs the source fully enumerable,
+    which is the only verification mode offered: sources above
+    ``ENUMERATION_BOUND`` are rejected outright.
     """
 
     def __init__(self, source: PermGroup, target: PermGroup, images):
@@ -476,7 +489,10 @@ class GroupHom:
         self.source = source
         self.target = target
         self.images = images
-        self.element_map = _verified_element_map(source, target, images)
+        self.element_map = _replay_walk(
+            source, target.identity, images, Permutation.__mul__,
+            "generator images do not respect the relations of the source",
+        )
 
     def apply(self, p: Permutation) -> Permutation:
         try:
@@ -509,29 +525,28 @@ class GroupHom:
         return f"GroupHom({pairs or 'trivial'})"
 
 
-def _verified_element_map(source, target, images):
-    mapping = {source.identity: target.identity}
-    frontier = [source.identity]
-    gens = source.generators
-    while frontier:
-        nxt = []
-        for x in frontier:
-            fx = mapping[x]
-            for g, fg in zip(gens, images):
-                y = x * g
-                fy = fx * fg
-                known = mapping.get(y)
-                if known is None:
-                    mapping[y] = fy
-                    nxt.append(y)
-                elif known != fy:
-                    raise RelationViolated(
-                        "generator images do not respect the relations "
-                        f"of the source (conflict at {y})",
-                        witness=y,
-                    )
-        frontier = nxt
-    return mapping
+def _replay_walk(G: PermGroup, start, images, step, violation: str) -> dict:
+    """Extend values given on G's generators to all of G along its Cayley walk.
+
+    The identity gets ``start`` and each edge x -> x*g gives ``step(value(x),
+    image(g))``.  Edges are visited in walk order (elements in discovery order,
+    generators in list order); the first edge that disagrees with the value
+    already assigned raises ``RelationViolated`` naming its endpoint.
+    """
+    found, successors = G._cayley_walk()
+    values = [start] + [None] * (len(found) - 1)
+    # each element is reached before its own edges are read
+    for value, row in zip(values, successors):
+        for j, im in zip(row, images):
+            v = step(value, im)
+            known = values[j]
+            if known is None:
+                values[j] = v
+            elif known != v:
+                raise RelationViolated(
+                    f"{violation} (conflict at {found[j]})", witness=found[j]
+                )
+    return dict(zip(found, values))
 
 
 def hom(source: PermGroup, target: PermGroup, images) -> GroupHom:
@@ -595,16 +610,22 @@ def right_coset_representatives(G: PermGroup, H: PermGroup) -> list[Permutation]
     """
     if not H.is_subgroup_of(G):
         raise NotASubgroup("H is not a subgroup of G")
+    return _right_cosets(G, H)[0]
+
+
+def _right_cosets(G: PermGroup, H: PermGroup) -> tuple[list, dict]:
+    """Least element of each right coset Hg, ascending, and the number of
+    the coset of every element of G."""
     helems = H.elements()
     reps = []
-    seen = set()
+    coset_of = {}
     for e in G.elements():
-        if e in seen:
+        if e in coset_of:
             continue
-        reps.append(e)
         for h in helems:
-            seen.add(h * e)
-    return reps
+            coset_of[h * e] = len(reps)
+        reps.append(e)
+    return reps, coset_of
 
 
 def quotient(G: PermGroup, N: PermGroup) -> tuple[PermGroup, GroupHom]:
@@ -624,11 +645,7 @@ def quotient(G: PermGroup, N: PermGroup) -> tuple[PermGroup, GroupHom]:
                     f"subgroup is not normal: {n} conjugated by {g} escapes",
                     witness=(n, g),
                 )
-    reps = right_coset_representatives(G, N)
-    coset_of = {}
-    for i, r in enumerate(reps):
-        for h in N.elements():
-            coset_of[h * r] = i
+    reps, coset_of = _right_cosets(G, N)
     perms = []
     for g in G.generators:
         perms.append(
@@ -727,9 +744,8 @@ class _GroupContext:
 
     def __init__(self, G: PermGroup):
         self.group = G
-        self.elements = list(G.elements())
-        self.index = {p: i for i, p in enumerate(self.elements)}
-        n = len(self.elements)
+        self.elements = G.elements()
+        self.index = G.element_index()
         self.orders = [p.order() for p in self.elements]
         self.inverse = [self.index[p.inverse()] for p in self.elements]
         self.mult = [

@@ -7,7 +7,8 @@ right action of Q on M by automorphisms, written m^q, subject to
     CM2:  m^(dm') = m'^-1 m m'   (Peiffer identity)
 
 The action is supplied on the generators of Q only and extended to all of Q by
-walking Q's Cayley graph; a conflicting extension means the generator
+replaying Q's Cayley walk (done once per group and shared with every
+homomorphism out of Q); a conflicting extension means the generator
 assignment violates a relation of Q and is rejected at construction.  CM1 and
 CM2 themselves are *not* assumed: ``validate`` checks them exhaustively and
 reports the first counterexample instead of raising.
@@ -22,7 +23,6 @@ from .errors import (
     EnumerationBoundExceeded,
     NonNormal,
     ParseError,
-    RelationViolated,
     SearchBoundExceeded,
 )
 from .perm import (
@@ -31,9 +31,11 @@ from .perm import (
     GroupHom,
     PermGroup,
     Permutation,
+    _closure,
     _context,
     _iter_isomorphisms,
     _propagate,
+    _replay_walk,
     abelian_invariants,
     fingerprint,
     hom,
@@ -72,9 +74,10 @@ class CrossedModule:
     def _action_table(self) -> dict:
         """Index array over M.elements() for every element of Q.
 
-        Built by a breadth-first walk of Q's Cayley graph, composing the
-        generator automorphisms; two walks reaching the same element must
-        agree or the assignment does not factor through Q.
+        Built by replaying Q's Cayley walk (walked once per group, not per
+        module), composing the generator automorphisms; two paths reaching
+        the same element must agree or the assignment does not factor
+        through Q.
         """
         if self._table is not None:
             return self._table
@@ -87,29 +90,12 @@ class CrossedModule:
         gen_arrays = [
             tuple(index[a.apply(m)] for m in elems) for a in self.action
         ]
-        identity_array = tuple(range(len(elems)))
-        table = {self.Q.identity: identity_array}
-        frontier = [self.Q.identity]
-        while frontier:
-            nxt = []
-            for q in frontier:
-                arr = table[q]
-                for g, garr in zip(self.Q.generators, gen_arrays):
-                    qg = q * g
-                    composed = tuple(garr[i] for i in arr)
-                    known = table.get(qg)
-                    if known is None:
-                        table[qg] = composed
-                        nxt.append(qg)
-                    elif known != composed:
-                        raise RelationViolated(
-                            "action assignment does not respect the "
-                            f"relations of Q (conflict at {qg})",
-                            witness=qg,
-                        )
-            frontier = nxt
-        self._table = table
-        return table
+        self._table = _replay_walk(
+            self.Q, tuple(range(len(elems))), gen_arrays,
+            lambda arr, garr: tuple(garr[i] for i in arr),
+            "action assignment does not respect the relations of Q",
+        )
+        return self._table
 
     def act(self, m: Permutation, q: Permutation) -> Permutation:
         """m^q for any q in Q."""
@@ -270,26 +256,12 @@ class XModMorphism:
 def _crossed_generating_sequence(ctx, act_arrays) -> list[int]:
     """Greedy sequence generating M under both products and the Q-action."""
 
-    def subgroup_closure(gens):
-        closed = {0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for i in frontier:
-                for s in gens:
-                    j = ctx.mult[i][s]
-                    if j not in closed:
-                        closed.add(j)
-                        nxt.append(j)
-            frontier = nxt
-        return closed
-
     def crossed_closure(seeds):
         # a subgroup invariant under each generator automorphism is invariant
         # under all of Q, and invariance can be checked on subgroup generators
         gens = list(seeds)
         while True:
-            closed = subgroup_closure(gens)
+            closed = _closure(ctx, gens)
             new = []
             for arr in act_arrays:
                 for g in gens:

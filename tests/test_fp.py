@@ -101,7 +101,7 @@ class TestToddCoxeter:
         p = Presentation(1, (W([(0, 1)] * 5),))
         ct = todd_coxeter(p)
         assert ct.ncosets == 5
-        assert ct.complete
+        assert all(entry != -1 for row in ct.table for entry in row)
         assert ct.scans_close()
 
     def test_klein(self):
@@ -211,7 +211,14 @@ class TestPermRep:
 
     def test_incomplete_table_rejected(self):
         p = Presentation(1, (W([(0, 1)] * 2),))
-        bad = CosetTable(p, (), ((1, 1), (-1, -1)), False)
+        bad = CosetTable(p, (), ((1, 1), (-1, -1)))
+        with pytest.raises(IncompleteTable):
+            perm_rep(bad)
+
+    def test_undefined_forward_entry_rejected(self):
+        # a -1 among the columns perm_rep reads once gave "not a bijection"
+        p = Presentation(1, (W([(0, 1)] * 2),))
+        bad = CosetTable(p, (), ((1, 1), (-1, 0)))
         with pytest.raises(IncompleteTable):
             perm_rep(bad)
 

@@ -16,10 +16,12 @@ from xmodlab.fp import abelianization, todd_coxeter
 from xmodlab.induce import (
     TABLE_ISO_PAIRS,
     TABLE_SUBGROUPS,
+    _NAMED_GROUPS,
     coset_transversal,
     free_crossed_module_presentation,
     induce,
     induced_presentation,
+    match_catalogue,
     run_table,
     run_table_full,
     small_group_name,
@@ -264,3 +266,15 @@ class TestNaming:
         assert small_group_name(direct_product(cyclic(2), cyclic(4))) == "C2xC4"
         # unrecognized nonabelian groups stay anonymous
         assert small_group_name(gl23()) is None
+
+    def test_each_named_group_has_exactly_one_namer(self, table_results):
+        for name, order, build, in_catalogue in _NAMED_GROUPS:
+            G = build()
+            assert G.order() == order
+            expected = (None, name) if in_catalogue else (name, None)
+            assert (small_group_name(G), match_catalogue(G)) == expected
+        # the answers the set-up probes of the benchmark expect
+        S4 = symmetric(4)
+        assert (small_group_name(S4), match_catalogue(S4)) == ("S4", None)
+        M6 = table_results[5][0].M
+        assert (small_group_name(M6), match_catalogue(M6)) == (None, "C3xSL(2,3)")

@@ -266,6 +266,16 @@ class TestHoms:
         assert image(sgn).order() == 2
         assert S4.order() == K.order() * image(sgn).order()
 
+    def test_sign_hom_element_map_against_closure_oracle(self):
+        # the map replays the source's Cayley walk; the oracle walks raw tuples
+        S4, C2 = symmetric(4), cyclic(2)
+        flip = P("(1,2)", 2)
+        sgn = hom(S4, C2, [flip, flip])
+        truth = closure(4, [g.images for g in S4.generators])
+        assert {p.images for p in sgn.element_map} == truth
+        for p, v in sgn.element_map.items():
+            assert v.images == ((1, 2) if parity(p.images) == 1 else (2, 1))
+
     def test_relation_violation(self):
         C2, C3 = cyclic(2), cyclic(3)
         with pytest.raises(RelationViolated) as e:

@@ -5,10 +5,11 @@ import random
 
 import pytest
 
-from support import tcompose, tinverse
+from support import closure, tcompose, tinverse
 from xmodlab.errors import NonNormal, ParseError, RelationViolated
 from xmodlab.perm import (
     PermGroup,
+    Permutation,
     cyclic,
     hom,
     normal_closure,
@@ -82,6 +83,17 @@ class TestConstruction:
         with pytest.raises(RelationViolated):
             CrossedModule(M, C2, bnd, [rot])
 
+    def test_relation_violation_witness_lies_in_q(self):
+        # s -> 1, r -> order-3 automorphism breaks s r s = r^-1 in S3
+        M = PermGroup(4, parse_generator_list("(1,2),(3,4)", 4))
+        S3 = PermGroup(3, parse_generator_list("(1,2),(1,2,3)", 3))
+        bnd = hom(M, S3, [S3.identity, S3.identity])
+        rot = hom(M, M, [P("(3,4)", 4), P("(1,2)(3,4)", 4)])
+        with pytest.raises(RelationViolated) as e:
+            CrossedModule(M, S3, bnd, [hom(M, M, M.generators), rot])
+        assert e.value.witness in S3
+        assert e.value.witness == P("(1,3,2)", 3)
+
     def test_action_arity_checked(self):
         S3 = symmetric(3)
         with pytest.raises(ValueError):
@@ -128,6 +140,25 @@ class TestValidation:
             m = rng.choice(melems)
             q1, q2 = rng.choice(qelems), rng.choice(qelems)
             assert X.act(m, q1 * q2) == X.act(X.act(m, q1), q2)
+
+    def test_conjugation_action_against_closure_oracle(self):
+        # act and the action homs replay walks; the oracle walks raw tuples
+        X = v_in_s4()
+        qs = closure(4, [q.images for q in X.Q.generators])
+        ms = closure(4, [m.images for m in X.M.generators])
+        assert (len(qs), len(ms)) == (24, 4)
+        for q in qs:
+            for m in ms:
+                m_q = tcompose(tcompose(tinverse(q), m), q)
+                assert X.act(Permutation(m), Permutation(q)).images == m_q
+        for a, q in zip(X.action, X.Q.generators):
+            assert {p.images: v.images for p, v in a.element_map.items()} == {
+                m: tcompose(tcompose(tinverse(q.images), m), q.images)
+                for m in ms
+            }
+        assert {p.images: v.images for p, v in X.boundary.element_map.items()} == {
+            m: m for m in ms
+        }
 
 
 class TestInvariants:
