@@ -4,7 +4,8 @@ Commands: ``induce``, ``table``, ``check``, ``identify``, ``iso``.  Group
 and subgroup flags take inline cycle notation; crossed modules travel as
 JSON files.  Exit codes: 0 success, 1 failed verification or a negative
 isomorphism answer, 2 malformed input, 3 coset limit exceeded, 4 internal
-validation failure.  ``XMODLAB_LIMIT`` overrides the default coset limit.
+validation failure.  ``XMODLAB_LIMIT`` overrides the default coset limit;
+a limit below 1 is malformed input.
 """
 
 from __future__ import annotations
@@ -47,15 +48,21 @@ from .xmod import (
 
 
 def _resolve_limit(args) -> int:
+    """Coset limit from ``--limit``, else ``XMODLAB_LIMIT``, else the default;
+    a limit below 1 is malformed input."""
     if args.limit is not None:
-        return args.limit
-    env = os.environ.get("XMODLAB_LIMIT")
-    if env is not None:
+        limit, source = args.limit, "--limit"
+    else:
+        env = os.environ.get("XMODLAB_LIMIT")
+        if env is None:
+            return DEFAULT_MAX_COSETS
         try:
-            return int(env)
+            limit, source = int(env), "XMODLAB_LIMIT"
         except ValueError:
             raise ParseError(f"XMODLAB_LIMIT must be an integer, got {env!r}")
-    return DEFAULT_MAX_COSETS
+    if limit < 1:
+        raise ParseError(f"{source} must be at least 1, got {limit}")
+    return limit
 
 
 def _subgroup(args, sub_text: str) -> tuple[PermGroup, PermGroup]:

@@ -11,7 +11,7 @@ of M and every coset representative t of iota(P) in Q, with
 
 Coset enumeration of the presented group over the trivial subgroup yields its
 regular permutation representation, from which boundary and action are read
-off as verified homomorphisms and the axioms re-checked exhaustively.
+off as verified homomorphisms and the axioms re-checked by ``validate``.
 
 ``run_table`` reproduces the bundled reference table for the seven standard
 subgroups of S4 with M = P and the identity boundary.
@@ -371,7 +371,7 @@ def induce(
 
     The construction enumerates the presented top group over the trivial
     subgroup, so the resulting M is given by its regular representation.
-    The returned module has passed the exhaustive axiom check; a failure
+    The returned module has passed the axiom check; a failure
     there raises ``ValidationFailed`` (it would mean an internal error, not
     bad input).
     """

@@ -37,7 +37,14 @@ ISO_SEARCH_BOUND = 512
 
 
 class Permutation:
-    """Bijection of {1..degree}; ``images[i]`` is the image of point ``i + 1``."""
+    """Bijection of {1..degree}; ``images[i]`` is the image of point ``i + 1``.
+
+    The constructor checks that ``images`` is a bijection, so every
+    permutation built from raw images (parsed text, JSON, a coset table, a
+    quotient's coset action, the named-group constructors) is checked once,
+    where it enters.  Products, inverses and identities are bijections by
+    construction and are stored through ``_trusted`` without the check.
+    """
 
     __slots__ = ("images",)
 
@@ -48,7 +55,7 @@ class Permutation:
             raise ValueError("degree must be at least 1")
         if sorted(images) != list(range(1, n + 1)):
             raise ValueError(f"not a bijection of 1..{n}: {images}")
-        object.__setattr__(self, "images", images)
+        _set_images(self, images)
 
     def __setattr__(self, name, value):
         raise AttributeError("Permutation is immutable")
@@ -59,25 +66,26 @@ class Permutation:
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
-        return cls(range(1, degree + 1))
+        if degree < 1:
+            raise ValueError("degree must be at least 1")
+        return _trusted(_identity_images(degree))
 
     def apply(self, point: int) -> int:
         return self.images[point - 1]
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         """self then other."""
-        if len(self.images) != len(other.images):
-            raise DegreeMismatch(
-                f"degree {len(self.images)} vs {len(other.images)}"
-            )
+        si = self.images
         oi = other.images
-        return Permutation(tuple(oi[x - 1] for x in self.images))
+        if len(si) != len(oi):
+            raise DegreeMismatch(f"degree {len(si)} vs {len(oi)}")
+        return _trusted(tuple([oi[x - 1] for x in si]))
 
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.images)
-        for i, x in enumerate(self.images):
-            inv[x - 1] = i + 1
-        return Permutation(inv)
+        for i, x in enumerate(self.images, 1):
+            inv[x - 1] = i
+        return _trusted(tuple(inv))
 
     def conj(self, q: "Permutation") -> "Permutation":
         """q^-1 * self * q."""
@@ -100,7 +108,7 @@ class Permutation:
         return result
 
     def is_identity(self) -> bool:
-        return all(x == i + 1 for i, x in enumerate(self.images))
+        return self.images == _identity_images(len(self.images))
 
     def moved_points(self):
         return [i + 1 for i, x in enumerate(self.images) if x != i + 1]
@@ -146,6 +154,25 @@ class Permutation:
 
     def __le__(self, other: "Permutation") -> bool:
         return self.images <= other.images
+
+
+_set_images = Permutation.images.__set__  # the slot, past __setattr__
+_IDENTITY_IMAGES: dict[int, tuple[int, ...]] = {}
+
+
+def _identity_images(degree: int) -> tuple[int, ...]:
+    """``(1, ..., degree)``, built once per degree."""
+    images = _IDENTITY_IMAGES.get(degree)
+    if images is None:
+        images = _IDENTITY_IMAGES[degree] = tuple(range(1, degree + 1))
+    return images
+
+
+def _trusted(images: tuple) -> Permutation:
+    """Permutation on an image tuple already known to be a bijection."""
+    p = object.__new__(Permutation)
+    _set_images(p, images)
+    return p
 
 
 def parse_permutation(text: str, degree: int) -> Permutation:
@@ -266,6 +293,7 @@ class PermGroup:
         self._elements = None
         self._index = None
         self._ctx = None
+        self._fingerprint = None
 
     @property
     def identity(self) -> Permutation:
@@ -718,6 +746,13 @@ class Fingerprint:
 
 
 def fingerprint(G: PermGroup) -> Fingerprint:
+    """Invariants of G, computed once per group and kept on it."""
+    if G._fingerprint is None:
+        G._fingerprint = _compute_fingerprint(G)
+    return G._fingerprint
+
+
+def _compute_fingerprint(G: PermGroup) -> Fingerprint:
     if G.order() > ENUMERATION_BOUND:
         raise EnumerationBoundExceeded(
             f"fingerprint needs full enumeration; order {G.order()} is too big"

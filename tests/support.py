@@ -141,3 +141,67 @@ def abelian_order_census(invariants):
     for o in orders:
         census[o] = census.get(o, 0) + 1
     return census
+
+
+
+def extend_along(gens, gen_values, identity, start, step):
+    """Values on the closure of ``gens``, from ``start`` at ``identity``.
+
+    Walks breadth first; the edge x -> x*g gives ``step(value(x), value of
+    g)``.  Relations are not checked, so the result is only meaningful for
+    generator values already known to define a homomorphism or action.
+    """
+    values = {identity: start}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g, v in zip(gens, gen_values):
+                y = tcompose(x, g)
+                if y not in values:
+                    values[y] = step(values[x], v)
+                    nxt.append(y)
+        frontier = nxt
+    return values
+
+
+def crossed_module_witnesses(mdeg, mgens, qdeg, qgens, boundary, action):
+    """First CM1 and CM2 counterexamples of a crossed module, or None each.
+
+    The module is given as in its JSON form, on image tuples: generators of
+    M and Q, the boundary images of M's generators, and for each generator
+    of Q the images of M's generators under its automorphism.  Every
+    element pair is scanned in sorted order (the order of
+    ``PermGroup.elements()``): CM1 ``d(m^q) = q^-1 dm q`` over q, then m,
+    giving (m, q); CM2 ``m^(dm') = m'^-1 m m'`` over m', then m, giving
+    (m, m').
+    """
+    mgens = [tuple(g) for g in mgens]
+    one_m, one_q = tidentity(mdeg), tidentity(qdeg)
+    d = extend_along(mgens, [tuple(b) for b in boundary], one_m, one_q,
+                     tcompose)
+    autos = [
+        extend_along(mgens, [tuple(im) for im in row], one_m, one_m, tcompose)
+        for row in action
+    ]
+    # m^q for every q: the generator automorphisms composed along Q
+    act = extend_along(
+        [tuple(g) for g in qgens], autos, one_q, {m: m for m in d},
+        lambda a, auto: {m: auto[v] for m, v in a.items()},
+    )
+
+    def conj(x, y):
+        return tcompose(tcompose(tinverse(y), x), y)
+
+    melems, qelems = sorted(d), sorted(act)
+    cm1 = next(
+        ((m, q) for q in qelems for m in melems
+         if d[act[q][m]] != conj(d[m], q)),
+        None,
+    )
+    cm2 = next(
+        ((m, mp) for mp in melems for m in melems
+         if act[d[mp]][m] != conj(m, mp)),
+        None,
+    )
+    return cm1, cm2

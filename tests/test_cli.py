@@ -108,6 +108,21 @@ class TestInduce:
         assert rc == 0
         assert json.loads(out)["induced_order"] == 128
 
+    @pytest.mark.parametrize("limit", ["0", "-3"])
+    def test_nonpositive_limit_flag(self, capsys, limit):
+        rc, out, err = run(capsys, "table", "--row", "1", "--limit", limit)
+        assert rc == 2
+        assert out == ""
+        assert f"--limit must be at least 1, got {limit}" in err
+
+    @pytest.mark.parametrize("limit", ["0", "-3"])
+    def test_nonpositive_limit_env(self, capsys, monkeypatch, limit):
+        monkeypatch.setenv("XMODLAB_LIMIT", limit)
+        rc, out, err = run(capsys, "table", "--row", "1")
+        assert rc == 2
+        assert out == ""
+        assert f"XMODLAB_LIMIT must be at least 1, got {limit}" in err
+
     def test_env_limit_not_integer(self, capsys, monkeypatch):
         monkeypatch.setenv("XMODLAB_LIMIT", "many")
         rc, _, err = run(capsys, "induce", "--sub", "(1,2)")

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from support import conjugation_closure
+from xmodlab import perm
 from xmodlab.errors import (
     BudgetExceeded,
     CosetLimitExceeded,
@@ -278,3 +279,19 @@ class TestNaming:
         assert (small_group_name(S4), match_catalogue(S4)) == ("S4", None)
         M6 = table_results[5][0].M
         assert (small_group_name(M6), match_catalogue(M6)) == (None, "C3xSL(2,3)")
+
+    def test_induced_group_fingerprinted_once(self, monkeypatch):
+        # naming, the report and any later isomorphism test share one
+        # fingerprint per group
+        computed = []
+        compute = perm._compute_fingerprint
+
+        def counting(G):
+            computed.append(G)
+            return compute(G)
+
+        monkeypatch.setattr(perm, "_compute_fingerprint", counting)
+        results = run_table_full(rows=[1, 6, 7])
+        for Xi, report in results:
+            assert sum(1 for G in computed if G is Xi.M) == 1
+            assert perm.fingerprint(Xi.M) is report.induced_fingerprint

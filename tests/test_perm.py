@@ -12,6 +12,7 @@ from support import (
     conjugation_closure,
     parity,
     tcompose,
+    tidentity,
     tinverse,
     torder,
 )
@@ -101,6 +102,46 @@ class TestPermutation:
         assert g ** 5 == Permutation.identity(5)
         assert g ** -1 == g.inverse()
         assert g ** 7 == g * g
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_trusted_products_match_tuple_oracle(self, data):
+        # products, inverses and powers skip the bijection check, so their
+        # images are compared with the raw-tuple oracle and checked here
+        n = data.draw(st.integers(1, 9))
+        a, b = (
+            tuple(data.draw(st.permutations(list(range(1, n + 1)))))
+            for _ in range(2)
+        )
+        k = data.draw(st.integers(-12, 12))
+        pa, pb = Permutation(a), Permutation(b)
+        power = tidentity(n)
+        for _ in range(abs(k)):
+            power = tcompose(power, a if k >= 0 else tinverse(a))
+        cases = [
+            (pa * pb, tcompose(a, b)),
+            (pa.inverse(), tinverse(a)),
+            (pa ** k, power),
+            (pa.conj(pb), tcompose(tcompose(tinverse(b), a), b)),
+            (Permutation.identity(n), tidentity(n)),
+        ]
+        for p, expected in cases:
+            assert p.images == expected
+            assert sorted(p.images) == list(range(1, n + 1))
+            assert p.is_identity() == (expected == tidentity(n))
+            assert p == Permutation(expected)
+            assert hash(p) == hash(Permutation(expected))
+
+    def test_raw_images_still_checked(self):
+        for bad in [(1, 1), (2, 3), (0, 1), (1, 2, 2), ()]:
+            with pytest.raises(ValueError):
+                Permutation(bad)
+        with pytest.raises(ValueError):
+            Permutation.identity(0)
+        with pytest.raises(ParseError):
+            parse_permutation("(1,2)(2,3)", 3)
+        with pytest.raises(DegreeMismatch):
+            P("(1,2)", 2) * P("(1,2)", 3)
 
     def test_cycles_and_str(self):
         g = P("(2,5)(1,4,3)", 5)

@@ -2,15 +2,18 @@
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 
-from support import closure, tcompose, tinverse
+from support import closure, crossed_module_witnesses, tcompose, tinverse
+from xmodlab import xmod
 from xmodlab.errors import NonNormal, ParseError, RelationViolated
 from xmodlab.perm import (
     PermGroup,
     Permutation,
     cyclic,
+    dihedral,
     hom,
     normal_closure,
     parse_generator_list,
@@ -286,3 +289,81 @@ class TestJson:
         del good["boundary"]
         with pytest.raises(ParseError):
             xmod_from_json(json.dumps(good))
+
+    def test_non_bijection_rejected(self):
+        bad = json.loads(xmod_to_json(v_in_s4()))
+        bad["Q"]["generators"][0] = "(1,2)(2,3)"
+        with pytest.raises(ParseError):
+            xmod_from_json(json.dumps(bad))
+
+
+ROW6 = Path(__file__).parent.parent / "perfbench" / "fixtures" / "row6.json"
+
+
+def cm1_only():
+    # C3 -> S3 by inclusion with the trivial action: d is not equivariant,
+    # but C3 is abelian so CM2 holds
+    M = PermGroup(3, [P("(1,2,3)", 3)])
+    S3 = symmetric(3)
+    ident = hom(M, M, list(M.generators))
+    return CrossedModule(M, S3, hom(M, S3, list(M.generators)),
+                         [ident, ident])
+
+
+def cm1_and_cm2():
+    S3 = symmetric(3)
+    ident = hom(S3, S3, list(S3.generators))
+    return CrossedModule(S3, S3, ident, [ident, ident])
+
+
+class TestGeneratorProof:
+    """``validate`` checks generator pairs first; it must agree with the
+    raw-tuple element scan of ``support.crossed_module_witnesses``."""
+
+    @staticmethod
+    def oracle(X):
+        return crossed_module_witnesses(
+            X.M.degree, [m.images for m in X.M.generators],
+            X.Q.degree, [q.images for q in X.Q.generators],
+            [b.images for b in X.boundary.images],
+            [[im.images for im in a.images] for a in X.action],
+        )
+
+    def assert_agrees(self, X):
+        report = validate(X)
+        cm1, cm2 = self.oracle(X)
+        assert report.cm1_ok == (cm1 is None)
+        assert report.cm2_ok == (cm2 is None)
+        for witness, expected in ((report.cm1_witness, cm1),
+                                  (report.cm2_witness, cm2)):
+            got = None if witness is None else tuple(p.images for p in witness)
+            assert got == expected
+        return report
+
+    def valid_modules(self):
+        return [v_in_s4(), a4_in_s4(), identity_xmod(dihedral(8)),
+                xmod_from_json(ROW6.read_text())]
+
+    def test_valid_modules(self):
+        for X in self.valid_modules():
+            assert self.assert_agrees(X).ok
+
+    def test_valid_modules_skip_element_scan(self, monkeypatch):
+        def refuse(X):
+            raise AssertionError("element scan run on a valid module")
+
+        monkeypatch.setattr(xmod, "_element_scan", refuse)
+        for X in self.valid_modules():
+            assert validate(X) == xmod.ValidationReport(True, True)
+
+    def test_cm1_only(self):
+        report = self.assert_agrees(cm1_only())
+        assert not report.cm1_ok and report.cm2_ok
+
+    def test_cm2_only(self):
+        report = self.assert_agrees(broken_cm2())
+        assert report.cm1_ok and not report.cm2_ok
+
+    def test_cm1_and_cm2(self):
+        report = self.assert_agrees(cm1_and_cm2())
+        assert not report.cm1_ok and not report.cm2_ok
