@@ -3,6 +3,13 @@
 Words are stored freely reduced (letters are (generator index, +1 or -1); no cyclic
 reduction).  Coset enumeration is relator-driven with immediate coincidence
 handling; numbering follows first definition, so results are reproducible.
+
+``todd_coxeter`` traces each relator scan read-only first and runs the full
+scan-and-fill only when the trace does not close.  This fast path is exact:
+the same cosets are defined in the same order, coincidences are processed in
+the same order, and tables and refusals are those of the plain
+relator-driven scan (the tests hold it to a reference copy of that scan).
+Each table carries counters of the work done (cosets defined, peak live).
 """
 
 from __future__ import annotations
@@ -171,11 +178,18 @@ class CosetTable:
     ``table[i]`` has one entry per column, columns alternating g, g^-1 per
     generator.  An entry of -1 is undefined; ``todd_coxeter`` returns only
     tables with every entry filled and every relator scan closed.
+
+    ``defined`` (every coset the enumeration defined, kept or merged away)
+    and ``peak_live`` (the most cosets alive at once) say how much work the
+    table took; they are 0 on a table not built by ``todd_coxeter`` and take
+    no part in comparisons.
     """
 
     presentation: Presentation
     subgroup: tuple[Word, ...]
     table: tuple[tuple[int, ...], ...]
+    defined: int = field(compare=False, default=0)
+    peak_live: int = field(compare=False, default=0)
 
     @property
     def ncosets(self) -> int:
@@ -206,19 +220,34 @@ def todd_coxeter(
     Coincidences are processed immediately with a union-find merge.  Raises
     ``CosetLimitExceeded`` when more than ``max_cosets`` cosets would be
     defined in total.
+
+    Most relator scans at a live coset close without changing the table, so
+    each is first traced inline, reading entries only.  Only a scan that
+    meets an undefined entry or ends at another coset goes to the full
+    scan-and-fill, which starts over from the same coset.  The inline trace
+    writes nothing the full scan would not (path compression aside, which
+    changes no representative), so the fast path defines the same cosets in
+    the same order, processes coincidences in the same order, and returns
+    the same table and the same refusals as the plain relator-driven scan.
     """
-    ngens = presentation.ngens
-    ncols = 2 * ngens
+    ncols = 2 * presentation.ngens
 
-    def columns(word):
-        return [2 * g + (0 if e == 1 else 1) for g, e in word.letters]
+    def columns(words):
+        # an empty word scans closed everywhere, so it is dropped
+        return [
+            tuple(2 * g + (0 if e == 1 else 1) for g, e in w.letters)
+            for w in words
+            if w.letters
+        ]
 
-    rel_cols = [columns(w) for w in presentation.relators]
-    sub_cols = [columns(w) for w in subgroup_words]
+    rel_cols = columns(presentation.relators)
+    sub_cols = columns(subgroup_words)
 
+    # a coset x is live exactly when parent[x] == x; a dead row is None
     rows = [[-1] * ncols]
     parent = [0]
-    defined = 1
+    merged = 0
+    peak_live = 1
 
     def rep(x):
         root = x
@@ -229,23 +258,22 @@ def todd_coxeter(
         return root
 
     def new_coset():
-        nonlocal defined
-        if defined >= max_cosets:
+        nonlocal peak_live
+        n = len(rows)  # every coset defined so far, live or not
+        if n >= max_cosets:
             raise CosetLimitExceeded(
                 f"needed more than {max_cosets} cosets", limit=max_cosets
             )
         rows.append([-1] * ncols)
-        parent.append(len(rows) - 1)
-        defined += 1
-        return len(rows) - 1
-
-    def set_entry(a, col, b):
-        rows[a][col] = b
-        rows[b][col ^ 1] = a
+        parent.append(n)
+        if n + 1 - merged > peak_live:
+            peak_live = n + 1 - merged
+        return n
 
     def merge(a, b):
         # union by smaller representative, then transfer the dead row,
         # queueing any induced coincidences
+        nonlocal merged
         queue = [(a, b)]
         while queue:
             x, y = queue.pop()
@@ -255,36 +283,40 @@ def todd_coxeter(
             if y < x:
                 x, y = y, x
             parent[y] = x
+            merged += 1
             dead = rows[y]
+            kept = rows[x]
             for col in range(ncols):
                 d = dead[col]
                 if d == -1:
                     continue
-                d = rep(d)
-                if rows[d][col ^ 1] == y:
-                    rows[d][col ^ 1] = -1
-                e = rows[x][col]
-                if e == -1 or rep(e) == d:
-                    set_entry(x, col, d)
+                if parent[d] != d:
+                    d = rep(d)
+                back = rows[d]
+                if back[col ^ 1] == y:
+                    back[col ^ 1] = -1
+                e = kept[col]
+                if e != -1 and parent[e] != e:
+                    e = rep(e)
+                if e == -1 or e == d:
+                    kept[col] = d
+                    back[col ^ 1] = x
                 else:
-                    queue.append((rep(e), d))
+                    queue.append((e, d))
             rows[y] = None
 
     def scan_and_fill(start, cols):
-        if not cols:
-            return
         while True:
-            start = rep(start)
+            if parent[start] != start:
+                start = rep(start)
             # forward
             f = start
-            fi = 0
-            while fi < len(cols):
-                nxt = rows[f][cols[fi]]
+            for fi, col in enumerate(cols):
+                nxt = rows[f][col]
                 if nxt == -1:
                     break
-                f = rep(nxt)
-                fi += 1
-            if fi == len(cols):
+                f = nxt if parent[nxt] == nxt else rep(nxt)
+            else:
                 if f != start:
                     merge(f, start)
                 return
@@ -295,47 +327,75 @@ def todd_coxeter(
                 prv = rows[b][cols[bi - 1] ^ 1]
                 if prv == -1:
                     break
-                b = rep(prv)
+                b = prv if parent[prv] == prv else rep(prv)
                 bi -= 1
             if bi == fi:
                 merge(f, b)
                 return
+            col = cols[fi]
             if bi == fi + 1:
-                set_entry(f, cols[fi], b)
+                rows[f][col] = b
+                rows[b][col ^ 1] = f
                 return
-            set_entry(f, cols[fi], new_coset())
+            n = new_coset()
+            rows[f][col] = n
+            rows[n][col ^ 1] = f
 
     for cols in sub_cols:
         scan_and_fill(0, cols)
     current = 0
     while current < len(rows):
-        if rows[current] is None or rep(current) != current:
-            current += 1
-            continue
-        for cols in rel_cols:
-            scan_and_fill(current, cols)
-            if rows[current] is None or rep(current) != current:
-                break
-        if rows[current] is None or rep(current) != current:
-            current += 1
-            continue
-        for col in range(ncols):
-            if rows[current][col] == -1:
-                set_entry(current, col, new_coset())
+        if parent[current] == current:
+            for cols in rel_cols:
+                # fast path: trace the relator without writing
+                f = current
+                for col in cols:
+                    f = rows[f][col]
+                    if f == -1:
+                        break
+                    if parent[f] != f:
+                        f = rep(f)
+                else:
+                    if f == current:
+                        continue
+                scan_and_fill(current, cols)
+                if parent[current] != current:
+                    break
+            else:
+                row = rows[current]
+                for col in range(ncols):
+                    if row[col] == -1:
+                        n = new_coset()
+                        row[col] = n
+                        rows[n][col ^ 1] = current
         current += 1
 
-    live = [i for i in range(len(rows)) if rows[i] is not None and rep(i) == i]
+    live = [i for i in range(len(rows)) if parent[i] == i]
     for i in live:
-        if any(entry == -1 for entry in rows[i]):
+        if -1 in rows[i]:
             raise AssertionError("enumeration left an undefined entry")
     renumber = {old: new for new, old in enumerate(live)}
-    table = tuple(
-        tuple(renumber[rep(rows[i][col])] for col in range(ncols)) for i in live
-    )
+    table = tuple(tuple(renumber[rep(e)] for e in rows[i]) for i in live)
     return CosetTable(
         presentation=presentation,
         subgroup=tuple(subgroup_words),
         table=table,
+        defined=len(rows),
+        peak_live=peak_live,
+    )
+
+
+def _coset_action(ct: CosetTable) -> tuple[Permutation, ...]:
+    """Each presentation generator's permutation of the cosets, checked.
+
+    Raises ``IncompleteTable`` on a table with an undefined entry; every
+    permutation goes through ``Permutation``'s bijection check.
+    """
+    if any(-1 in row for row in ct.table):
+        raise IncompleteTable("cannot read permutations off a partial table")
+    return tuple(
+        Permutation(tuple(row[2 * g] + 1 for row in ct.table))
+        for g in range(ct.presentation.ngens)
     )
 
 
@@ -345,14 +405,8 @@ def perm_rep(ct: CosetTable) -> tuple[PermGroup, tuple[Permutation, ...]]:
     Over the trivial subgroup this is the regular representation, so the group
     of the returned permutations is the presented group itself.
     """
-    if any(-1 in row for row in ct.table):
-        raise IncompleteTable("cannot read permutations off a partial table")
-    n = ct.ncosets
-    perms = tuple(
-        Permutation(tuple(ct.table[i][2 * g] + 1 for i in range(n)))
-        for g in range(ct.presentation.ngens)
-    )
-    return PermGroup(n, perms), perms
+    perms = _coset_action(ct)
+    return PermGroup(ct.ncosets, perms), perms
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,13 @@ from .errors import (
     TableMismatch,
     ValidationFailed,
 )
-from .fp import DEFAULT_MAX_COSETS, Presentation, Word, perm_rep, todd_coxeter
+from .fp import (
+    DEFAULT_MAX_COSETS,
+    Presentation,
+    Word,
+    _coset_action,
+    todd_coxeter,
+)
 from .perm import (
     ISO_SEARCH_BOUND,
     Fingerprint,
@@ -85,11 +91,12 @@ class InducedPresentation:
 
     def boundary_kills_relators(self) -> bool:
         """Check symbolically in the base group that every relator dies."""
+        images = self.boundary_images
+        inverses = [im.inverse() for im in images]
         for w in self.presentation.relators:
             prod = self.base.identity
             for g, e in w.letters:
-                im = self.boundary_images[g]
-                prod = prod * (im if e == 1 else im.inverse())
+                prod = prod * (images[g] if e == 1 else inverses[g])
             if not prod.is_identity():
                 return False
         return True
@@ -378,7 +385,7 @@ def induce(
     t0 = time.perf_counter()
     ip = induced_presentation(X, iota, transversal)
     ct = todd_coxeter(ip.presentation, (), max_cosets)
-    Mfull, gen_perms = perm_rep(ct)
+    gen_perms = _coset_action(ct)
     Q = iota.target
     # generators that die in the presented group (the (1, t) copower pairs)
     # only clutter the generator list; the rest still generate everything
@@ -386,7 +393,7 @@ def induce(
         k for k in range(ip.presentation.ngens)
         if not gen_perms[k].is_identity()
     ]
-    Mstar = PermGroup(Mfull.degree, [gen_perms[k] for k in keep])
+    Mstar = PermGroup(ct.ncosets, [gen_perms[k] for k in keep])
     boundary = hom(Mstar, Q, [ip.boundary_images[k] for k in keep])
     action = []
     for qg in Q.generators:

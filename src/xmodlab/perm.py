@@ -396,7 +396,9 @@ def _build_chain(degree: int, generators) -> list:
     """Deterministic Schreier-Sims.
 
     Each level holds a base point, the strong generators fixing all earlier
-    base points, and a transversal mapping the base point across its orbit.
+    base points, a transversal mapping the base point across its orbit, and
+    the inverses of transversal elements, each computed when first needed
+    and dropped whenever the orbit is rebuilt.
     The loop re-checks a level whenever a deeper one gains a generator, so on
     return every level's generators generate the stabilizer of the earlier
     base points.
@@ -412,16 +414,16 @@ def _build_chain(degree: int, generators) -> list:
     def rebuild_orbit(level):
         b = level["point"]
         tr = {b: Permutation.identity(degree)}
-        queue = [b]
-        while queue:
-            a = queue.pop(0)
+        orbit = [b]
+        for a in orbit:  # grows while it is read: a FIFO queue
             ua = tr[a]
             for g in level["gens"]:
                 c = g.apply(a)
                 if c not in tr:
                     tr[c] = ua * g
-                    queue.append(c)
+                    orbit.append(c)
         level["transversal"] = tr
+        level["inverses"] = {}
 
     def add_at(j, h):
         if j == len(levels):
@@ -447,7 +449,7 @@ def _build_chain(degree: int, generators) -> list:
             ua = level["transversal"][a]
             for g in level["gens"]:
                 c = g.apply(a)
-                sg = ua * g * level["transversal"][c].inverse()
+                sg = ua * g * _transversal_inverse(level, c)
                 if sg.is_identity():
                     continue
                 residue, j = _strip_at(levels, sg, i + 1)
@@ -468,12 +470,19 @@ def _strip_at(levels, g, start):
     while i < len(levels) and not g.is_identity():
         level = levels[i]
         c = g.apply(level["point"])
-        u = level["transversal"].get(c)
-        if u is None:
+        if c not in level["transversal"]:
             return g, i
-        g = g * u.inverse()
+        g = g * _transversal_inverse(level, c)
         i += 1
     return g, i
+
+
+def _transversal_inverse(level, c):
+    """Inverse of the level's transversal element at ``c``, computed once."""
+    inv = level["inverses"].get(c)
+    if inv is None:
+        inv = level["inverses"][c] = level["transversal"][c].inverse()
+    return inv
 
 
 def _strip(levels, g):

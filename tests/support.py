@@ -205,3 +205,153 @@ def crossed_module_witnesses(mdeg, mgens, qdeg, qgens, boundary, action):
         None,
     )
     return cm1, cm2
+
+
+def reference_todd_coxeter(presentation, subgroup_words=(), max_cosets=1 << 16):
+    """The relator-driven enumeration as first written, kept as an oracle.
+
+    ``xmodlab.fp.todd_coxeter`` must define the same cosets in the same
+    order, merge them in the same order, and so return the same table (or
+    the same refusal).  Besides the table this copy counts the cosets
+    defined and the most live at once, for the library's counters.
+    """
+    from xmodlab.errors import CosetLimitExceeded
+    from xmodlab.fp import CosetTable
+
+    ngens = presentation.ngens
+    ncols = 2 * ngens
+
+    def columns(word):
+        return [2 * g + (0 if e == 1 else 1) for g, e in word.letters]
+
+    rel_cols = [columns(w) for w in presentation.relators]
+    sub_cols = [columns(w) for w in subgroup_words]
+
+    rows = [[-1] * ncols]
+    parent = [0]
+    defined = 1
+    merged = 0
+    peak_live = 1
+
+    def rep(x):
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    def new_coset():
+        nonlocal defined, peak_live
+        if defined >= max_cosets:
+            raise CosetLimitExceeded(
+                f"needed more than {max_cosets} cosets", limit=max_cosets
+            )
+        rows.append([-1] * ncols)
+        parent.append(len(rows) - 1)
+        defined += 1
+        peak_live = max(peak_live, defined - merged)
+        return len(rows) - 1
+
+    def set_entry(a, col, b):
+        rows[a][col] = b
+        rows[b][col ^ 1] = a
+
+    def merge(a, b):
+        nonlocal merged
+        # union by smaller representative, then transfer the dead row,
+        # queueing any induced coincidences
+        queue = [(a, b)]
+        while queue:
+            x, y = queue.pop()
+            x, y = rep(x), rep(y)
+            if x == y:
+                continue
+            if y < x:
+                x, y = y, x
+            parent[y] = x
+            merged += 1
+            dead = rows[y]
+            for col in range(ncols):
+                d = dead[col]
+                if d == -1:
+                    continue
+                d = rep(d)
+                if rows[d][col ^ 1] == y:
+                    rows[d][col ^ 1] = -1
+                e = rows[x][col]
+                if e == -1 or rep(e) == d:
+                    set_entry(x, col, d)
+                else:
+                    queue.append((rep(e), d))
+            rows[y] = None
+
+    def scan_and_fill(start, cols):
+        if not cols:
+            return
+        while True:
+            start = rep(start)
+            # forward
+            f = start
+            fi = 0
+            while fi < len(cols):
+                nxt = rows[f][cols[fi]]
+                if nxt == -1:
+                    break
+                f = rep(nxt)
+                fi += 1
+            if fi == len(cols):
+                if f != start:
+                    merge(f, start)
+                return
+            # backward
+            b = start
+            bi = len(cols)
+            while bi > fi:
+                prv = rows[b][cols[bi - 1] ^ 1]
+                if prv == -1:
+                    break
+                b = rep(prv)
+                bi -= 1
+            if bi == fi:
+                merge(f, b)
+                return
+            if bi == fi + 1:
+                set_entry(f, cols[fi], b)
+                return
+            set_entry(f, cols[fi], new_coset())
+
+    for cols in sub_cols:
+        scan_and_fill(0, cols)
+    current = 0
+    while current < len(rows):
+        if rows[current] is None or rep(current) != current:
+            current += 1
+            continue
+        for cols in rel_cols:
+            scan_and_fill(current, cols)
+            if rows[current] is None or rep(current) != current:
+                break
+        if rows[current] is None or rep(current) != current:
+            current += 1
+            continue
+        for col in range(ncols):
+            if rows[current][col] == -1:
+                set_entry(current, col, new_coset())
+        current += 1
+
+    live = [i for i in range(len(rows)) if rows[i] is not None and rep(i) == i]
+    for i in live:
+        if any(entry == -1 for entry in rows[i]):
+            raise AssertionError("enumeration left an undefined entry")
+    renumber = {old: new for new, old in enumerate(live)}
+    table = tuple(
+        tuple(renumber[rep(rows[i][col])] for col in range(ncols)) for i in live
+    )
+    return CosetTable(
+        presentation=presentation,
+        subgroup=tuple(subgroup_words),
+        table=table,
+        defined=defined,
+        peak_live=peak_live,
+    )

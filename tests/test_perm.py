@@ -291,6 +291,24 @@ class TestPermGroup:
         draws = {G.random_element(rng) for _ in range(300)}
         assert len(draws) == 6
 
+    @pytest.mark.parametrize("gens, degree, orbits, draws", [
+        ("(1,2,3,4,5),(1,2)", 5,
+         [(1, [1, 2, 3, 4, 5]), (2, [2, 5, 4, 3]), (4, [4, 5, 3]),
+          (3, [3, 5])],
+         ["(1,3,5,2)", "(2,4,3,5)", "(1,4,5,2,3)", "(1,4)(3,5)"]),
+        ("(1,2,3,4,5,6),(1,3)(4,6)", 6,
+         [(1, [1, 2, 3, 4, 5, 6]), (2, [2, 6])],
+         ["(1,3,5)(2,4,6)", "(1,3,5)(2,4,6)", "(1,6,5,4,3,2)", "(2,6)(3,5)"]),
+    ])
+    def test_chain_and_draws_pinned(self, gens, degree, orbits, draws):
+        # base points, orbit discovery order and seeded draws are fixed;
+        # the values were taken before transversal inverses were cached
+        G = PermGroup(degree, parse_generator_list(gens, degree))
+        assert [(lv["point"], list(lv["transversal"]))
+                for lv in G._levels] == orbits
+        rng = random.Random(17)
+        assert [str(G.random_element(rng)) for _ in range(4)] == draws
+
 
 class TestHoms:
     def test_sign_hom(self):
