@@ -272,6 +272,10 @@ class PermGroup:
 
     The stabilizer chain (base points preferred in natural order 1, 2, ...)
     is built eagerly, so ``order`` and ``contains`` never guess.
+    ``contains`` sifts through the chain until the group's Cayley walk
+    exists; from then on it looks the permutation up in
+    ``element_index()``, which holds every element, so the answer is the
+    same.
     """
 
     def __init__(self, degree: int, generators):
@@ -308,8 +312,9 @@ class PermGroup:
     def contains(self, p: Permutation) -> bool:
         if not isinstance(p, Permutation) or p.degree != self.degree:
             return False
-        residue = _strip(self._levels, p)
-        return residue.is_identity()
+        if self._walk is not None:
+            return p in self.element_index()
+        return _strip(self._levels, p).is_identity()
 
     __contains__ = contains
 

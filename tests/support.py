@@ -165,17 +165,9 @@ def extend_along(gens, gen_values, identity, start, step):
     return values
 
 
-def crossed_module_witnesses(mdeg, mgens, qdeg, qgens, boundary, action):
-    """First CM1 and CM2 counterexamples of a crossed module, or None each.
-
-    The module is given as in its JSON form, on image tuples: generators of
-    M and Q, the boundary images of M's generators, and for each generator
-    of Q the images of M's generators under its automorphism.  Every
-    element pair is scanned in sorted order (the order of
-    ``PermGroup.elements()``): CM1 ``d(m^q) = q^-1 dm q`` over q, then m,
-    giving (m, q); CM2 ``m^(dm') = m'^-1 m m'`` over m', then m, giving
-    (m, m').
-    """
+def _module_tables(mdeg, mgens, qdeg, qgens, boundary, action):
+    """Boundary ``d[m]`` and action ``act[q][m]`` on every element, from a
+    crossed module's JSON-form data on image tuples."""
     mgens = [tuple(g) for g in mgens]
     one_m, one_q = tidentity(mdeg), tidentity(qdeg)
     d = extend_along(mgens, [tuple(b) for b in boundary], one_m, one_q,
@@ -189,6 +181,21 @@ def crossed_module_witnesses(mdeg, mgens, qdeg, qgens, boundary, action):
         [tuple(g) for g in qgens], autos, one_q, {m: m for m in d},
         lambda a, auto: {m: auto[v] for m, v in a.items()},
     )
+    return d, act
+
+
+def crossed_module_witnesses(mdeg, mgens, qdeg, qgens, boundary, action):
+    """First CM1 and CM2 counterexamples of a crossed module, or None each.
+
+    The module is given as in its JSON form, on image tuples: generators of
+    M and Q, the boundary images of M's generators, and for each generator
+    of Q the images of M's generators under its automorphism.  Every
+    element pair is scanned in sorted order (the order of
+    ``PermGroup.elements()``): CM1 ``d(m^q) = q^-1 dm q`` over q, then m,
+    giving (m, q); CM2 ``m^(dm') = m'^-1 m m'`` over m', then m, giving
+    (m, m').
+    """
+    d, act = _module_tables(mdeg, mgens, qdeg, qgens, boundary, action)
 
     def conj(x, y):
         return tcompose(tcompose(tinverse(y), x), y)
@@ -205,6 +212,25 @@ def crossed_module_witnesses(mdeg, mgens, qdeg, qgens, boundary, action):
         None,
     )
     return cm1, cm2
+
+
+def interchange_witness(mdeg, mgens, qdeg, qgens, boundary, action):
+    """First triple (ma, md, u) whose 2x2 block fails interchange, or None.
+
+    Same input as ``crossed_module_witnesses``.  The block built from the
+    triple interchanges exactly when ``md * ma^(u dmd) = ma^u * md``
+    (products read left to right); triples are scanned over ma, then md,
+    then u, each in sorted order, the order of
+    ``squares.interchange_exhaustive``'s scan.
+    """
+    d, act = _module_tables(mdeg, mgens, qdeg, qgens, boundary, action)
+    melems, qelems = sorted(d), sorted(act)
+    return next(
+        ((ma, md, u) for ma in melems for md in melems for u in qelems
+         if tcompose(md, act[tcompose(u, d[md])][ma])
+         != tcompose(act[u][ma], md)),
+        None,
+    )
 
 
 def reference_todd_coxeter(presentation, subgroup_words=(), max_cosets=1 << 16):

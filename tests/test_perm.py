@@ -246,6 +246,30 @@ class TestPermGroup:
         )
         assert (probe in G) == (probe.images in truth)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_membership_same_before_and_after_walk(self, data):
+        # before elements() the chain sifts; after it the element index
+        # answers, and both must match the closure oracle
+        five = list(range(1, 6))
+        gens = [
+            Permutation(data.draw(st.permutations(five)))
+            for _ in range(data.draw(st.integers(0, 3)))
+        ]
+        probes = [
+            Permutation(data.draw(st.permutations(five))) for _ in range(8)
+        ]
+        G = PermGroup(5, gens)
+        truth = closure(5, [g.images for g in gens])
+        before = [p in G for p in probes]
+        G.elements()
+        after = [p in G for p in probes]
+        assert before == after == [p.images in truth for p in probes]
+        for outsider in (P("(1,2)", 4), P("(1,2)", 6), (2, 1, 3, 4, 5),
+                         "(1,2)", None):
+            assert outsider not in G
+            assert not G.contains(outsider)
+
     def test_elements_sorted_identity_first(self):
         G = symmetric(3)
         elems = G.elements()

@@ -4,6 +4,9 @@ import random
 
 import pytest
 
+from support import interchange_witness
+from test_xmod import ROW6, cm1_and_cm2, cm1_only
+from xmodlab import squares
 from xmodlab.errors import (
     EdgeMismatch,
     MaterializationBoundExceeded,
@@ -11,6 +14,7 @@ from xmodlab.errors import (
 )
 from xmodlab.perm import (
     cyclic,
+    dihedral,
     hom,
     normal_closure,
     parse_generator_list,
@@ -39,6 +43,7 @@ from xmodlab.xmod import (
     identity_xmod,
     normal_inclusion_xmod,
     validate,
+    xmod_from_json,
     xmod_isomorphic,
 )
 
@@ -219,6 +224,13 @@ class TestInterchange:
     def test_sampled(self):
         assert interchange_sampled(a4_in_s4(), 500, random.Random(7)) is None
 
+    def test_sampled_draws_pinned(self):
+        # the state after the search was recorded before the law was proved
+        # on generators: sampling consumes the same draws as it did then
+        rng = random.Random(7)
+        assert interchange_sampled(a4_in_s4(), 500, rng) is None
+        assert rng.random() == 0.24848973260623386
+
     def test_sampled_finds_break(self):
         assert interchange_sampled(broken_cm2(), 500, random.Random(8)) is not None
 
@@ -231,6 +243,52 @@ class TestInterchange:
             assert a.s == c.n and b.s == d.n
             for sq in (a, b, c, d):
                 assert sq.boundary_holds()
+
+
+class TestInterchangeOracle:
+    """``interchange_exhaustive`` proves the law on generator pairs; it must
+    agree with the raw-tuple triple scan of ``support.interchange_witness``
+    on the block it returns, or on there being none."""
+
+    @staticmethod
+    def oracle(X):
+        return interchange_witness(
+            X.M.degree, [m.images for m in X.M.generators],
+            X.Q.degree, [q.images for q in X.Q.generators],
+            [b.images for b in X.boundary.images],
+            [[im.images for im in a.images] for a in X.action],
+        )
+
+    def valid_modules(self):
+        return [identity_xmod(symmetric(3)), v_in_s4(), a4_in_s4(),
+                identity_xmod(dihedral(8)), xmod_from_json(ROW6.read_text())]
+
+    @pytest.mark.parametrize("make, holds", [
+        (cm1_only, True),  # CM1 fails, CM2 and so the law hold
+        (broken_cm2, False),
+        (cm1_and_cm2, False),
+    ])
+    def test_invalid_modules(self, make, holds):
+        X = make()
+        block = interchange_exhaustive(X)
+        expected = self.oracle(X)
+        assert (block is None) == (expected is None) == holds
+        if block is not None:
+            a, b, c, d = block
+            assert (a.m.images, d.m.images, c.e.images) == expected
+
+    def test_valid_modules(self):
+        for X in self.valid_modules():
+            assert interchange_exhaustive(X) is None
+            assert self.oracle(X) is None
+
+    def test_valid_modules_skip_triple_scan(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("triple scan run on a valid module")
+
+        monkeypatch.setattr(squares, "_block_from_triple", refuse)
+        for X in self.valid_modules():
+            assert interchange_exhaustive(X) is None
 
 
 class TestView:
