@@ -36,12 +36,10 @@ from .fp import (
     todd_coxeter,
 )
 from .perm import (
-    ISO_SEARCH_BOUND,
     Fingerprint,
     GroupHom,
     PermGroup,
     Permutation,
-    _iter_isomorphisms,
     _right_cosets,
     abelian_invariants,
     cyclic,
@@ -51,6 +49,7 @@ from .perm import (
     gl23,
     hom,
     image,
+    isomorphic,
     normal_closure,
     parse_generator_list,
     right_coset_representatives,
@@ -168,12 +167,18 @@ def induced_presentation(
             gen_pairs.append((m, t))
             labels.append(f"m{mi}t{ti}")
 
+    moves = {}  # (ti, q) -> (tj, action array of p) where T[ti] q = p T[tj]
+
     def act_gen(k, q):
         mi, ti = divmod(k, nT)
-        z = T[ti] * q
-        tj = coset_of[z]
-        p = iota_inv[z * T[tj].inverse()]
-        return gen(midx[X.act(melems[mi], p)], tj)
+        move = moves.get((ti, q))
+        if move is None:
+            z = T[ti] * q
+            tj = coset_of[z]
+            p = iota_inv[z * T[tj].inverse()]
+            move = moves[ti, q] = (tj, X.act_array(p))
+        tj, arr = move
+        return gen(arr[mi], tj)
 
     relators = []
     for ti in range(nT):
@@ -318,7 +323,8 @@ class Report:
 
 # Named groups in matching order: (name, order, constructor, whether
 # ``match_catalogue`` names it rather than ``small_group_name``).  An entry is
-# built, with its fingerprint, the first time a group of its order is named.
+# built the first time a group of its order is named; its fingerprint is
+# cached on the group.
 _NAMED_GROUPS = (
     ("S3", 6, lambda: symmetric(3), False),
     ("D8", 8, lambda: dihedral(8), False),
@@ -331,25 +337,17 @@ _NAMED_GROUPS = (
     ("S4xC2", 48, lambda: direct_product(symmetric(4), cyclic(2)), True),
     ("C3xSL(2,3)", 72, lambda: direct_product(cyclic(3), sl23()), True),
 )
-_BUILT = {}  # name -> (group, fingerprint)
+_BUILT = {}  # name -> group
 
 
 def _named(G: PermGroup, catalogue: bool) -> str | None:
     """First entry of the given part of ``_NAMED_GROUPS`` isomorphic to G."""
-    fp = None
     for name, order, build, in_catalogue in _NAMED_GROUPS:
         if in_catalogue is not catalogue or order != G.order():
             continue
         if name not in _BUILT:
-            H = build()
-            _BUILT[name] = (H, fingerprint(H))
-        H, fp_h = _BUILT[name]
-        if fp is None:
-            fp = fingerprint(G)
-        # isomorphic(G, H), minus recomputing the entry's fingerprint
-        if fp == fp_h and next(
-            _iter_isomorphisms(G, H, ISO_SEARCH_BOUND), None
-        ) is not None:
+            _BUILT[name] = build()
+        if isomorphic(G, _BUILT[name]) is not None:
             return name
     return None
 

@@ -11,6 +11,10 @@ ones raise ``EnumerationBoundExceeded`` instead of sampling.  A group walks its
 Cayley graph once, on first need, and keeps the walk; ``elements()`` sorts it,
 and every homomorphism or action out of the group replays it rather than
 walking again.
+
+Isomorphisms are found by one backtrack, ``_extensions``, over a greedy
+generating sequence; ``isomorphic`` and ``xmod.xmod_isomorphic`` differ
+only in the candidates they offer and the checks they add.
 """
 
 from __future__ import annotations
@@ -815,16 +819,24 @@ def _context(G: PermGroup, bound: int) -> _GroupContext:
     return G._ctx
 
 
-def _closure(ctx: _GroupContext, seeds) -> set[int]:
-    """Subgroup (as an index set) generated by the seed indices."""
+def _closure(ctx: _GroupContext, seeds, act_arrays=()) -> set[int]:
+    """Subgroup (as an index set) generated by the seed indices and, given
+    ``act_arrays`` (index arrays of automorphisms), invariant under them.
+
+    The search steps right by a seed or along an automorphism.  The set it
+    reaches is closed under each automorphism and, as automorphisms of a
+    finite group have finite order, under its inverse; so it holds
+    ``x * a(s) = a(a^-1(x) * s)`` for each x in it, and is the smallest
+    invariant subgroup holding the seeds.
+    """
     closed = {0}
     frontier = [0]
     seeds = list(seeds)
     while frontier:
         nxt = []
         for i in frontier:
-            for s in seeds:
-                j = ctx.mult[i][s]
+            row = ctx.mult[i]
+            for j in [row[s] for s in seeds] + [a[i] for a in act_arrays]:
                 if j not in closed:
                     closed.add(j)
                     nxt.append(j)
@@ -832,8 +844,9 @@ def _closure(ctx: _GroupContext, seeds) -> set[int]:
     return closed
 
 
-def _generating_sequence(ctx: _GroupContext) -> list[int]:
-    """Greedy generating sequence, preferring high element orders."""
+def _generating_sequence(ctx: _GroupContext, act_arrays=()) -> list[int]:
+    """Greedy generating sequence, preferring high element orders; with
+    ``act_arrays`` it generates the group under those automorphisms too."""
     n = len(ctx.elements)
     ranked = sorted(range(n), key=lambda i: (-ctx.orders[i], i))
     seq = []
@@ -841,7 +854,7 @@ def _generating_sequence(ctx: _GroupContext) -> list[int]:
     for i in ranked:
         if i not in closed:
             seq.append(i)
-            closed = _closure(ctx, seq)
+            closed = _closure(ctx, seq, act_arrays)
             if len(closed) == n:
                 break
     return seq
@@ -884,19 +897,45 @@ def _propagate(ctx1, ctx2, map12, map21, domain, pairs, pair_check, action_edges
     return True
 
 
+def _extensions(ctx1, ctx2, seq, candidates, pair_check=None,
+                action_edges=None):
+    """Yield every bijection ``map12`` that ``_propagate`` grows from the
+    identity pair by assigning each index of ``seq`` in turn.
+
+    ``candidates(i, map21)`` lists the targets to try for ``i``; the search
+    is depth-first, so their order fixes the order of the results.
+    """
+    n = len(ctx1.elements)
+
+    def backtrack(k, map12, map21, domain):
+        if k == len(seq):
+            if len(domain) == n:
+                yield map12
+            return
+        i = seq[k]
+        for j in candidates(i, map21):
+            m12, m21, dom = list(map12), list(map21), list(domain)
+            if _propagate(ctx1, ctx2, m12, m21, dom, [(i, j)], pair_check,
+                          action_edges):
+                yield from backtrack(k + 1, m12, m21, dom)
+
+    map12, map21, domain = [-1] * n, [-1] * n, []
+    if _propagate(ctx1, ctx2, map12, map21, domain, [(0, 0)], pair_check,
+                  action_edges):
+        yield from backtrack(0, map12, map21, domain)
+
+
 def _iter_isomorphisms(G: PermGroup, H: PermGroup, bound: int):
     """Yield every isomorphism G -> H as a verified GroupHom.
 
-    Backtracks over a greedy generating sequence; candidates matching the
-    source element itself are tried first so that identity-like maps surface
-    early when source and target share a degree.
+    Candidates are the unused elements of the right order; those equal to
+    the source element itself are tried first, so that identity-like maps
+    surface early when source and target share a degree.
     """
     if G.order() != H.order():
         return
     ctx1 = _context(G, bound)
     ctx2 = _context(H, bound)
-    seq = _generating_sequence(ctx1)
-    n = len(ctx1.elements)
     same_degree = G.degree == H.degree
 
     def candidates(i, map21):
@@ -911,29 +950,10 @@ def _iter_isomorphisms(G: PermGroup, H: PermGroup, bound: int):
             )
         return cands
 
-    def backtrack(k, map12, map21, domain):
-        if k == len(seq):
-            if len(domain) != n:
-                return
-            images = [
-                ctx2.elements[map12[ctx1.index[g]]] for g in G.generators
-            ]
-            yield GroupHom(G, H, images)
-            return
-        i = seq[k]
-        for j in candidates(i, map21):
-            m12 = list(map12)
-            m21 = list(map21)
-            dom = list(domain)
-            if _propagate(ctx1, ctx2, m12, m21, dom, [(i, j)], None, None):
-                yield from backtrack(k + 1, m12, m21, dom)
-
-    map12 = [-1] * n
-    map21 = [-1] * n
-    domain = []
-    if not _propagate(ctx1, ctx2, map12, map21, domain, [(0, 0)], None, None):
-        return
-    yield from backtrack(0, map12, map21, domain)
+    seq = _generating_sequence(ctx1)
+    for map12 in _extensions(ctx1, ctx2, seq, candidates):
+        images = [ctx2.elements[map12[ctx1.index[g]]] for g in G.generators]
+        yield GroupHom(G, H, images)
 
 
 def isomorphic(G: PermGroup, H: PermGroup, max_order: int = ISO_SEARCH_BOUND):

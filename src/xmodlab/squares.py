@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 from .errors import EdgeMismatch, MaterializationBoundExceeded, NotInGroup
 from .perm import GroupHom, PermGroup, Permutation
-from .xmod import CrossedModule, _cm2_holds_on_generators
+from .xmod import CrossedModule, _cm2_failure
 
 MATERIALIZATION_BOUND = 1 << 20
 
@@ -222,12 +222,14 @@ class DoubleGroupoidView:
 def gamma(view: DoubleGroupoidView) -> CrossedModule:
     """Rebuild a crossed module from squares alone.
 
-    Elements of M are represented by squares sigma(m) with trivial west, east and
-    south edges; horizontal composition multiplies them, and the recovered
-    group is their right-regular action.  The boundary reads the north edge
-    of sigma(m); the action conjugates by sandwiching between thin squares.  The
-    result is isomorphic to ``view.xmod`` (the round-trip test), and nothing
-    here enumerates the square universe.
+    Elements of M are represented by squares sigma(m) with trivial west,
+    east and south edges, built once per call.  Horizontal composition
+    multiplies them, and the recovered group is their right-regular action;
+    ``regular`` composes the squares on purpose, as the round-trip witness.
+    The boundary reads the north edge of sigma(m); the action conjugates by
+    sandwiching between thin squares.  The result is isomorphic to
+    ``view.xmod`` (the round-trip test), and nothing here enumerates the
+    square universe.
     """
     X = view.xmod
     P = X.Q
@@ -235,15 +237,18 @@ def gamma(view: DoubleGroupoidView) -> CrossedModule:
     melems = list(X.M.elements())
     midx = X.M.element_index()
 
+    # the |M| squares sigma(m), in the order of melems
+    sigmas = [
+        square(X, X.boundary.apply(m), idq, idq, m) for m in melems
+    ]
+
     def sigma(m):
-        return square(X, X.boundary.apply(m), idq, idq, m)
+        return sigmas[midx[m]]
 
     def regular(x):
         # right multiplication by x, computed through compose_h
-        images = []
-        for m in melems:
-            composed = compose_h(sigma(m), sigma(x))
-            images.append(midx[composed.m] + 1)
+        sx = sigma(x)
+        images = [midx[compose_h(sm, sx).m] + 1 for sm in sigmas]
         return Permutation(tuple(images))
 
     gens = [regular(g) for g in X.M.generators]
@@ -257,7 +262,7 @@ def gamma(view: DoubleGroupoidView) -> CrossedModule:
         # sigma(m) sandwiched vertically between thin squares carrying p
         top = square(X, p.inverse() * X.boundary.apply(m) * p,
                      p.inverse(), p.inverse(), X.M.identity)
-        mid = square(X, X.boundary.apply(m), idq, idq, m)
+        mid = sigma(m)
         bot = square(X, mid.s, p, p, X.M.identity)
         return compose_v(top, compose_v(mid, bot)).m
 
@@ -320,7 +325,8 @@ def interchange_exhaustive(X: CrossedModule):
     CM1.  When a generator pair fails, the triples are scanned in element
     order and the first violating block is returned.
     """
-    if _cm2_holds_on_generators(X):
+    gens = X.M.generators
+    if _cm2_failure(X, gens, gens) is None:
         return None
     for ma in X.M.elements():
         for md in X.M.elements():

@@ -13,7 +13,11 @@ assignment violates a relation of Q and is rejected at construction.  CM1 and
 CM2 themselves are *not* assumed: ``validate`` proves them on generator pairs,
 which is enough once the boundary and the action are verified, and on failure
 scans every element pair to report the first counterexample instead of
-raising.
+raising.  One loop per axiom (``_cm1_failure``, ``_cm2_failure``) serves
+both passes, and ``squares.interchange_exhaustive`` too.
+
+``xmod_isomorphic`` runs the backtrack of the group isomorphism search
+(``perm._extensions``) over M, once for each isomorphism of the bases.
 """
 
 from __future__ import annotations
@@ -33,10 +37,10 @@ from .perm import (
     GroupHom,
     PermGroup,
     Permutation,
-    _closure,
     _context,
+    _extensions,
+    _generating_sequence,
     _iter_isomorphisms,
-    _propagate,
     _replay_walk,
     abelian_invariants,
     fingerprint,
@@ -46,9 +50,6 @@ from .perm import (
     parse_generator_list,
     quotient,
 )
-
-VALIDATION_BOUND = 10_000
-
 
 class CrossedModule:
     """Boundary d: M -> Q plus a Q-action on M given on Q's generators."""
@@ -175,74 +176,53 @@ def validate(X: CrossedModule) -> ValidationReport:
       the m' that satisfy CM2 for every m are closed under products.
 
     If any generator pair fails, every element pair is scanned, so the
-    witnesses are the first counterexamples in element order.  Both orders
-    must lie within ``VALIDATION_BOUND``.
+    witnesses are the first counterexamples in element order.  The scan
+    needs no bound of its own: construction already enumerates M and Q,
+    so both lie within ``ENUMERATION_BOUND``.
     """
-    if X.M.order() > VALIDATION_BOUND or X.Q.order() > VALIDATION_BOUND:
-        raise EnumerationBoundExceeded(
-            "validation is exhaustive and needs both orders within "
-            f"{VALIDATION_BOUND}"
-        )
-    if _cm1_holds_on_generators(X) and _cm2_holds_on_generators(X):
+    gens_m = X.M.generators
+    if (_cm1_failure(X, X.Q.generators, gens_m) is None
+            and _cm2_failure(X, gens_m, gens_m) is None):
         return ValidationReport(True, True)
     return _element_scan(X)
 
 
-def _cm1_holds_on_generators(X: CrossedModule) -> bool:
-    """CM1 on gens(Q) x gens(M)."""
+def _cm1_failure(X: CrossedModule, qs, ms):
+    """First ``(m, q)`` with ``d(m^q) != q^-1 (dm) q``, q outer, or None."""
     melems = X.M.elements()
     index = X.M.element_index()
     bmap = X.boundary.element_map
-    mgens = [(index[m], bmap[m]) for m in X.M.generators]
-    for q in X.Q.generators:
+    mdata = [(m, index[m], bmap[m]) for m in ms]
+    for q in qs:
         arr = X.act_array(q)
         qi = q.inverse()
-        for i, dm in mgens:
+        for m, i, dm in mdata:
             if bmap[melems[arr[i]]] != qi * dm * q:
-                return False
-    return True
+                return m, q
+    return None
 
 
-def _cm2_holds_on_generators(X: CrossedModule) -> bool:
-    """CM2 on gens(M) x gens(M); by ``validate``'s argument, on all of M."""
+def _cm2_failure(X: CrossedModule, mps, ms):
+    """First ``(m, m')`` with ``m^(dm') != m'^-1 m m'``, m' outer, or None."""
     melems = X.M.elements()
     index = X.M.element_index()
     bmap = X.boundary.element_map
-    mgens = [(index[m], m) for m in X.M.generators]
-    for mp in X.M.generators:
+    mdata = [(m, index[m]) for m in ms]
+    for mp in mps:
         arr = X.act_array(bmap[mp])
         mpi = mp.inverse()
-        for i, m in mgens:
+        for m, i in mdata:
             if melems[arr[i]] != mpi * m * mp:
-                return False
-    return True
+                return m, mp
+    return None
 
 
 def _element_scan(X: CrossedModule) -> ValidationReport:
     """CM1 and CM2 over every element pair; first failures are kept."""
     melems = X.M.elements()
-    bmap = X.boundary.element_map
-    cm1_ok, cm1_witness = True, None
-    for q in X.Q.elements():
-        arr = X.act_array(q)
-        qi = q.inverse()
-        for i, m in enumerate(melems):
-            if bmap[melems[arr[i]]] != qi * bmap[m] * q:
-                cm1_ok, cm1_witness = False, (m, q)
-                break
-        if not cm1_ok:
-            break
-    cm2_ok, cm2_witness = True, None
-    for mp in melems:
-        arr = X.act_array(bmap[mp])
-        mpi = mp.inverse()
-        for i, m in enumerate(melems):
-            if melems[arr[i]] != mpi * m * mp:
-                cm2_ok, cm2_witness = False, (m, mp)
-                break
-        if not cm2_ok:
-            break
-    return ValidationReport(cm1_ok, cm2_ok, cm1_witness, cm2_witness)
+    cm1 = _cm1_failure(X, X.Q.elements(), melems)
+    cm2 = _cm2_failure(X, melems, melems)
+    return ValidationReport(cm1 is None, cm2 is None, cm1, cm2)
 
 
 def _conjugation_action(M: PermGroup, Q: PermGroup) -> list[GroupHom]:
@@ -315,48 +295,18 @@ class XModMorphism:
         return self.f.is_bijective() and self.g.is_bijective()
 
 
-def _crossed_generating_sequence(ctx, act_arrays) -> list[int]:
-    """Greedy sequence generating M under both products and the Q-action."""
-
-    def crossed_closure(seeds):
-        # a subgroup invariant under each generator automorphism is invariant
-        # under all of Q, and invariance can be checked on subgroup generators
-        gens = list(seeds)
-        while True:
-            closed = _closure(ctx, gens)
-            new = []
-            for arr in act_arrays:
-                for g in gens:
-                    j = arr[g]
-                    if j not in closed and j not in new:
-                        new.append(j)
-            if not new:
-                return closed
-            gens.extend(new)
-
-    n = len(ctx.elements)
-    ranked = sorted(range(n), key=lambda i: (-ctx.orders[i], i))
-    seq = []
-    closed = {0}
-    for i in ranked:
-        if i not in closed:
-            seq.append(i)
-            closed = crossed_closure(seq)
-            if len(closed) == n:
-                break
-    return seq
-
-
 def xmod_isomorphic(
     X: CrossedModule, Y: CrossedModule, max_order: int = ISO_SEARCH_BOUND
 ):
     """First crossed-module isomorphism (f, g) found, or None.
 
-    Iterates over the isomorphisms g: Q -> Q' and for each backtracks over
-    images of a short sequence that generates M under products *and* the
-    Q-action; partial maps are closed under both, checked against d-fibers on
-    every assignment, so a completed propagation certifies the morphism.
-    The search is exhaustive: None is a definitive negative within the bound.
+    Iterates over the isomorphisms g: Q -> Q' and for each takes the first
+    extension (``perm._extensions``) over a short sequence that generates M
+    under products *and* the Q-action.  Candidates for m are the d-fiber
+    over g(dm); partial maps are closed under both, checked against the
+    fibers on every assignment, so a completed propagation certifies the
+    morphism.  The search is exhaustive: None is a definitive negative
+    within the bound.
     """
     for G in (X.M, X.Q, Y.M, Y.Q):
         if G.order() > max_order:
@@ -379,71 +329,39 @@ def xmod_isomorphic(
     ctx2 = _context(Y.M, max_order)
     ctxq1 = _context(X.Q, max_order)
     ctxq2 = _context(Y.Q, max_order)
-    n = len(ctx1.elements)
 
     d1 = [ctxq1.index[X.boundary.apply(m)] for m in ctx1.elements]
     d2 = [ctxq2.index[Y.boundary.apply(m)] for m in ctx2.elements]
-    act1 = [
-        [ctx1.index[X.act(m, q)] for m in ctx1.elements]
-        for q in X.Q.generators
-    ]
     fibers2 = {}
     for j, qidx in enumerate(d2):
         fibers2.setdefault(qidx, []).append(j)
-
-    seq = _crossed_generating_sequence(ctx1, act1)
+    act1 = [X.act_array(q) for q in X.Q.generators]
+    seq = _generating_sequence(ctx1, act1)
 
     for g in _iter_isomorphisms(X.Q, Y.Q, max_order):
-        gmap = [
-            ctxq2.index[g.element_map[q]] for q in ctxq1.elements
-        ]
-        act2 = [
-            [
-                ctx2.index[Y.act(m, g.apply(q))] for m in ctx2.elements
-            ]
-            for q in X.Q.generators
-        ]
-        action_edges = list(zip(act1, act2))
+        gmap = [ctxq2.index[g.element_map[q]] for q in ctxq1.elements]
+        act2 = [Y.act_array(g.apply(q)) for q in X.Q.generators]
 
         def pair_check(i, j):
             return gmap[d1[i]] == d2[j]
 
-        def backtrack(k, map12, map21, domain):
-            if k == len(seq):
-                if len(domain) != n:
-                    return None
-                images = [
-                    ctx2.elements[map12[ctx1.index[m]]]
-                    for m in X.M.generators
-                ]
-                return GroupHom(X.M, Y.M, images)
-            i = seq[k]
-            base = fibers2.get(gmap[d1[i]], [])
-            for j in base:
-                if ctx2.orders[j] != ctx1.orders[i] or map21[j] != -1:
-                    continue
-                m12, m21, dom = list(map12), list(map21), list(domain)
-                if _propagate(
-                    ctx1, ctx2, m12, m21, dom, [(i, j)], pair_check,
-                    action_edges,
-                ):
-                    found = backtrack(k + 1, m12, m21, dom)
-                    if found is not None:
-                        return found
-            return None
+        def candidates(i, map21):
+            # the d-fiber over g(d(m)), in element order
+            return [
+                j for j in fibers2.get(gmap[d1[i]], [])
+                if ctx2.orders[j] == ctx1.orders[i] and map21[j] == -1
+            ]
 
-        map12, map21 = [-1] * n, [-1] * n
-        domain = []
-        if not _propagate(
-            ctx1, ctx2, map12, map21, domain, [(0, 0)], pair_check,
-            action_edges,
-        ):
+        map12 = next(_extensions(
+            ctx1, ctx2, seq, candidates, pair_check, list(zip(act1, act2))
+        ), None)
+        if map12 is None:
             continue
-        f = backtrack(0, map12, map21, domain)
-        if f is not None:
-            morphism = XModMorphism(f, g)
-            if not morphism.verify(X, Y):
-                continue
+        f = GroupHom(X.M, Y.M, [
+            ctx2.elements[map12[ctx1.index[m]]] for m in X.M.generators
+        ])
+        morphism = XModMorphism(f, g)
+        if morphism.verify(X, Y):
             return morphism
     return None
 

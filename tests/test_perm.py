@@ -29,6 +29,8 @@ from xmodlab.perm import (
     Fingerprint,
     PermGroup,
     Permutation,
+    _closure,
+    _context,
     abelian_invariants,
     center,
     cyclic,
@@ -547,3 +549,43 @@ class TestIsomorphism:
 
     def test_fingerprint_type(self):
         assert isinstance(fingerprint(cyclic(2)), Fingerprint)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_invariant_closure_matches_oracle(self, data):
+        # _closure under conjugations of S4 is the subgroup generated by
+        # every conjugate of the seeds by the group the conjugators generate
+        ctx = _context(symmetric(4), 512)
+        elems = ctx.elements
+        index = st.integers(0, len(elems) - 1)
+        seeds = data.draw(st.lists(index, max_size=3))
+        conjugators = [elems[k] for k in data.draw(st.lists(index, max_size=2))]
+        acts = [tuple(ctx.index[e.conj(c)] for e in elems) for c in conjugators]
+        H = closure(4, [c.images for c in conjugators])
+        truth = closure(4, [
+            tcompose(tcompose(tinverse(h), elems[s].images), h)
+            for s in seeds for h in H
+        ])
+        got = _closure(ctx, seeds, acts)
+        assert {elems[j].images for j in got} == truth
+
+    @pytest.mark.parametrize("G, H, images", [
+        (lambda: dihedral(8),
+         lambda: PermGroup(4, parse_generator_list("(1,3,2,4),(1,2)", 4)),
+         ["(1,3,2,4)", "(3,4)"]),
+        (lambda: symmetric(4), lambda: symmetric(4),
+         ["(1,2)", "(1,2,3,4)"]),
+        (gl23, gl23,
+         ["(3,4,5)(6,8,7)", "(1,3,2,6)(4,5,8,7)", "(3,6)(4,7)(5,8)"]),
+        (lambda: direct_product(symmetric(4), cyclic(2)),
+         lambda: direct_product(cyclic(2), symmetric(4)),
+         ["(3,4)", "(3,4,5,6)", "(1,2)"]),
+        (lambda: cyclic(12), lambda: direct_product(cyclic(3), cyclic(4)),
+         ["(1,2,3)(4,5,6,7)"]),
+    ], ids=["D8", "S4", "GL23", "S4xC2", "C12"])
+    def test_witnesses_pinned(self, G, H, images):
+        # the search's first witness, recorded before the backtrack was
+        # shared with xmod_isomorphic; a reordered search changes it
+        target = H()
+        f = isomorphic(G(), target)
+        assert list(f.images) == [P(s, target.degree) for s in images]

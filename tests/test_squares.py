@@ -1,5 +1,6 @@
 """Squares over a crossed module: compositions, connections, interchange."""
 
+import hashlib
 import random
 
 import pytest
@@ -45,6 +46,7 @@ from xmodlab.xmod import (
     validate,
     xmod_from_json,
     xmod_isomorphic,
+    xmod_to_json,
 )
 
 
@@ -332,3 +334,23 @@ class TestGamma:
         X7, _ = table_results[6]
         R = gamma(DoubleGroupoidView(X7))
         assert xmod_isomorphic(R, X7) is not None
+
+    def test_row6_builds_each_sigma_square_once(self, monkeypatch):
+        X = xmod_from_json(ROW6.read_text())
+        calls = []
+        real = squares.square
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(squares, "square", counting)
+        R = gamma(DoubleGroupoidView(X))
+        gm, gq = len(X.M.generators), len(X.Q.generators)
+        assert len(calls) <= X.M.order() + 3 * gm * gq + gm
+        # generator, boundary and action images as recorded when every
+        # regular() call rebuilt all |M| sigma squares (7024 square calls)
+        digest = hashlib.sha256(xmod_to_json(R).encode()).hexdigest()
+        assert digest == (
+            "c2a662305ab10566387e4585b6508c3d0188ee19d4f9e279233a16c86aea10bb"
+        )

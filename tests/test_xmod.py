@@ -1,5 +1,6 @@
 """Crossed modules: construction, axiom checking, invariants, morphisms."""
 
+import hashlib
 import json
 import random
 from pathlib import Path
@@ -8,8 +9,14 @@ import pytest
 
 from support import closure, crossed_module_witnesses, tcompose, tinverse
 from xmodlab import xmod
-from xmodlab.errors import NonNormal, ParseError, RelationViolated
+from xmodlab.errors import (
+    EnumerationBoundExceeded,
+    NonNormal,
+    ParseError,
+    RelationViolated,
+)
 from xmodlab.perm import (
+    GroupHom,
     PermGroup,
     Permutation,
     cyclic,
@@ -20,6 +27,7 @@ from xmodlab.perm import (
     parse_permutation,
     symmetric,
 )
+from xmodlab.squares import DoubleGroupoidView, gamma
 from xmodlab.xmod import (
     CrossedModule,
     XModMorphism,
@@ -101,6 +109,18 @@ class TestConstruction:
         S3 = symmetric(3)
         with pytest.raises(ValueError):
             CrossedModule(S3, S3, hom(S3, S3, S3.generators), [])
+
+    def test_groups_beyond_enumeration_bound_refused(self):
+        # construction enumerates M and Q, so no module outgrows validate
+        S8 = symmetric(8)
+        with pytest.raises(EnumerationBoundExceeded) as e:
+            identity_xmod(S8)
+        assert "order 40320" in str(e.value)
+        triv = cyclic(1)
+        with pytest.raises(EnumerationBoundExceeded) as e:
+            CrossedModule(triv, S8, hom(triv, S8, []),
+                          [GroupHom(triv, triv, []) for _ in S8.generators])
+        assert str(e.value) == "cannot extend action over group of order 40320"
 
 
 class TestValidation:
@@ -263,6 +283,36 @@ class TestIsomorphism:
         Y = normal_inclusion_xmod(V2, S4)
         mor = xmod_isomorphic(X, Y)
         assert mor is not None and mor.verify(X, Y)
+
+    # sha256 of the repr of (f images, g images) as image tuples, recorded
+    # before the backtrack was shared with the group search
+    PINNED = {
+        (1, 2): "a17ddfa3f3db3c58380e3221ae129139bf361287be3c101ff0ca81215d779da2",
+        (3, 4): "dfe43ee68f587d27137e44f3ac0b167c334fe3f03f915233d0ae57be6355979f",
+        (6, 6): "b59bbaf9216fff5cda304f2dd33dd79402e78f5dca1631f18e3f25a70a4603a1",
+        (7, 7): "ea847f3fd3e28890306e71487615819dc2ad0f66bb0b2486d077f9ad187a5ffd",
+    }
+
+    @staticmethod
+    def digest(mor):
+        return hashlib.sha256(repr((
+            [p.images for p in mor.f.images],
+            [p.images for p in mor.g.images],
+        )).encode()).hexdigest()
+
+    @pytest.mark.parametrize("rows", sorted(PINNED), ids=str)
+    def test_table_witnesses_pinned(self, table_results, rows):
+        a, b = rows
+        mor = xmod_isomorphic(table_results[a - 1][0], table_results[b - 1][0])
+        assert self.digest(mor) == self.PINNED[rows]
+        assert [str(q) for q in mor.g.images] == ["(1,2)", "(1,2,3,4)"]
+
+    def test_gamma_witness_pinned(self):
+        X = xmod_from_json(ROW6.read_text())
+        mor = xmod_isomorphic(gamma(DoubleGroupoidView(X)), X)
+        # the same pair as row 6 against itself: gamma lists M in the
+        # fixture's element order
+        assert self.digest(mor) == self.PINNED[(6, 6)]
 
 
 class TestJson:
