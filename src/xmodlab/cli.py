@@ -27,9 +27,8 @@ from .induce import (
     TABLE_SUBGROUPS,
     induce,
     match_catalogue,
-    run_table_full,
+    run_table,
     small_group_name,
-    verify_table,
 )
 from .perm import (
     PermGroup,
@@ -65,8 +64,15 @@ def _resolve_limit(args) -> int:
     return limit
 
 
+def _group(args, text: str) -> PermGroup:
+    """Group generated by ``text``; a ``--degree`` below 1 is malformed."""
+    if args.degree < 1:
+        raise ParseError(f"--degree must be at least 1, got {args.degree}")
+    return PermGroup(args.degree, parse_generator_list(text, args.degree))
+
+
 def _subgroup(args, sub_text: str) -> tuple[PermGroup, PermGroup]:
-    Q = PermGroup(args.degree, parse_generator_list(args.group, args.degree))
+    Q = _group(args, args.group)
     P = Q.subgroup(parse_generator_list(sub_text, args.degree))
     return Q, P
 
@@ -91,10 +97,7 @@ def cmd_table(args) -> int:
         if not 1 <= args.row <= len(TABLE_SUBGROUPS):
             raise ParseError(f"--row must be in 1..{len(TABLE_SUBGROUPS)}")
         rows = [args.row]
-    results = run_table_full(_resolve_limit(args), rows)
-    if args.verify:
-        verify_table(results)
-    reports = [rep for _, rep in results]
+    reports = run_table(_resolve_limit(args), args.verify, rows)
     if args.json:
         print(json.dumps([r.to_json_dict() for r in reports], indent=2))
     else:
@@ -118,7 +121,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_identify(args) -> int:
-    G = PermGroup(args.degree, parse_generator_list(args.group, args.degree))
+    G = _group(args, args.group)
     fp = fingerprint(G)
     name = small_group_name(G) or match_catalogue(G)
     if args.json:
@@ -141,8 +144,7 @@ def cmd_identify(args) -> int:
 
 def _iso_groups(args) -> int:
     ga, gb = args.group_pair
-    G = PermGroup(args.degree, parse_generator_list(ga, args.degree))
-    H = PermGroup(args.degree, parse_generator_list(gb, args.degree))
+    G, H = _group(args, ga), _group(args, gb)
     witness = isomorphic(G, H)
     if witness is None:
         print("not isomorphic")

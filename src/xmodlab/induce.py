@@ -25,6 +25,7 @@ from dataclasses import dataclass, field, replace
 from .errors import (
     BudgetExceeded,
     NonInjective,
+    NotInGroup,
     TableMismatch,
     ValidationFailed,
 )
@@ -61,13 +62,7 @@ from .xmod import CrossedModule, identity_xmod, pi1, pi2, validate, xmod_isomorp
 GENERATOR_BUDGET = 4096
 
 
-def coset_transversal(Q: PermGroup, H: PermGroup) -> list[Permutation]:
-    """Right-coset representatives of H in Q, each the least of its coset.
-
-    Representatives come back ascending, so the identity (representing H
-    itself) is always first.
-    """
-    return right_coset_representatives(Q, H)
+coset_transversal = right_coset_representatives
 
 
 @dataclass
@@ -119,8 +114,10 @@ def induced_presentation(
 
     ``transversal`` may supply explicit right-coset representatives of
     iota(P) in Q (any full transversal works; the resulting modules are
-    isomorphic).  Raises ``NonInjective`` if iota is not injective and
-    ``BudgetExceeded`` if |M|*[Q:iota(P)] generators would exceed the budget.
+    isomorphic); an element outside Q raises ``NotInGroup``, and two in one
+    coset or a coset left out raise ``ValueError``.  Raises
+    ``NonInjective`` if iota is not injective and ``BudgetExceeded`` if
+    |M|*[Q:iota(P)] generators would exceed the budget.
     """
     if iota.source is not X.Q:
         raise ValueError("iota must start at the base group of X")
@@ -130,28 +127,28 @@ def induced_presentation(
     M = X.M
     H = image(iota)
     nM = M.order()
+    T = None if transversal is None else list(transversal)
     # arithmetic first: refuse the job before enumerating anything big
-    nT = Q.order() // H.order() if transversal is None else len(list(transversal))
+    nT = Q.order() // H.order() if T is None else len(T)
     if nM * nT > GENERATOR_BUDGET:
         raise BudgetExceeded(
             f"{nM * nT} generators exceed the budget of {GENERATOR_BUDGET}"
         )
     melems = list(M.elements())
     midx = M.element_index()
-    if transversal is None:
-        T, coset_of = _right_cosets(Q, H)
+    reps, coset_of = _right_cosets(Q, H)
+    if T is None:
+        T = reps
     else:
-        T = list(transversal)
-        coset_of = {}
-        for ti, t in enumerate(T):
-            for h in H.elements():
-                e = h * t
-                if e in coset_of:
-                    raise ValueError("transversal elements share a coset")
-                coset_of[e] = ti
-        if len(coset_of) != Q.order():
+        for t in T:
+            if t not in coset_of:
+                raise NotInGroup(f"transversal element {t} is not in Q")
+        position = {coset_of[t]: ti for ti, t in enumerate(T)}
+        if len(position) != len(T):
+            raise ValueError("transversal elements share a coset")
+        if len(position) != len(reps):
             raise ValueError("transversal does not cover every coset")
-    nT = len(T)
+        coset_of = {e: position[c] for e, c in coset_of.items()}
     iota_inv = {iota.apply(p): p for p in X.Q.elements()}
 
     def gen(mi, ti):

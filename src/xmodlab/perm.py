@@ -12,6 +12,10 @@ Cayley graph once, on first need, and keeps the walk; ``elements()`` sorts it,
 and every homomorphism or action out of the group replays it rather than
 walking again.
 
+Kernels, images, centres, normal closures and derived subgroups are grown by
+one loop, ``_sifted``, which keeps a candidate generator only if it enlarges
+the group so far; generators passed to ``PermGroup`` are kept as given.
+
 Isomorphisms are found by one backtrack, ``_extensions``, over a greedy
 generating sequence; ``isomorphic`` and ``xmod.xmod_isomorphic`` differ
 only in the candidates they offer and the checks they add.
@@ -323,11 +327,7 @@ class PermGroup:
     __contains__ = contains
 
     def subgroup(self, generators) -> "PermGroup":
-        gens = list(generators)
-        for g in gens:
-            if g not in self:
-                raise NotInGroup(f"{g} is not in the group")
-        return PermGroup(self.degree, gens)
+        return PermGroup(self.degree, _members(self, generators))
 
     def _cayley_walk(self) -> tuple[tuple, tuple]:
         """Breadth-first walk of the Cayley graph from the identity.
@@ -374,19 +374,11 @@ class PermGroup:
         )
 
     def is_normal_in(self, other: "PermGroup") -> bool:
-        if not self.is_subgroup_of(other):
-            return False
-        return all(
-            n.conj(g) in self
-            for n in self.generators
-            for g in other.generators
-        )
+        return (self.is_subgroup_of(other)
+                and _normality_witness(self, other) is None)
 
     def is_abelian(self) -> bool:
-        return all(
-            a * b == b * a
-            for a, b in itertools.combinations(self.generators, 2)
-        )
+        return _noncommuting_pair(self) is None
 
     def random_element(self, rng) -> Permutation:
         """Uniformly random element drawn through the stabilizer chain."""
@@ -605,48 +597,62 @@ def identity_hom(G: PermGroup) -> GroupHom:
 
 
 def kernel(h: GroupHom) -> PermGroup:
-    """Kernel as a subgroup of the source, with a reduced generator list."""
+    """Kernel in the source, its members sifted in ascending order."""
     idt = h.target.identity
-    members = [p for p, v in h.element_map.items() if v == idt]
-    members.sort()
-    gens = []
-    known = PermGroup(h.source.degree, [])
-    for p in members:
-        if not p.is_identity() and p not in known:
-            gens.append(p)
-            known = PermGroup(h.source.degree, gens)
-    return known
+    members = sorted(p for p, v in h.element_map.items() if v == idt)
+    return _sifted(h.source.degree, members)
 
 
 def image(h: GroupHom) -> PermGroup:
-    return PermGroup(h.target.degree, h.images)
+    return _sifted(h.target.degree, h.images)
 
 
 # ---------------------------------------------------------------------------
 # closures, quotients, invariants
 
 
-def normal_closure(G: PermGroup, elements) -> PermGroup:
-    """Smallest normal subgroup of G containing the given elements."""
+def _members(G: PermGroup, elements) -> list:
+    """The elements as a list; one outside G raises ``NotInGroup``."""
+    elements = list(elements)
     for s in elements:
         if s not in G:
             raise NotInGroup(f"{s} is not in the group")
+    return elements
+
+
+def _sifted(degree: int, candidates, conjugators=()) -> PermGroup:
+    """Group generated by ``candidates``, keeping, in order, each one outside
+    the group kept so far.  With ``conjugators``, each kept generator's
+    conjugates by them are queued too, so the result is normal in the group
+    they generate (Seress, *Permutation Group Algorithms*)."""
     gens = []
-    for s in elements:
-        if not s.is_identity() and s not in gens:
-            gens.append(s)
-    N = PermGroup(G.degree, gens)
-    changed = True
-    while changed:
-        changed = False
-        for n in list(gens):
-            for g in G.generators:
-                c = n.conj(g)
-                if c not in N:
-                    gens.append(c)
-                    N = PermGroup(G.degree, gens)
-                    changed = True
-    return N
+    group = PermGroup(degree, gens)
+    queue = list(candidates)
+    for c in queue:  # grows while it is read: a FIFO queue
+        if c not in group:
+            gens.append(c)
+            group = PermGroup(degree, gens)
+            queue.extend(c.conj(g) for g in conjugators)
+    return group
+
+
+def normal_closure(G: PermGroup, elements) -> PermGroup:
+    """Smallest normal subgroup of G containing the given elements: they
+    are sifted in order, then their conjugates breadth first."""
+    return _sifted(G.degree, _members(G, elements), G.generators)
+
+
+def _normality_witness(N: PermGroup, G: PermGroup):
+    """First ``(n, g)`` over the generators with ``n^g`` outside N, or None;
+    None proves a subgroup N normal in G."""
+    pairs = itertools.product(N.generators, G.generators)
+    return next(((n, g) for n, g in pairs if n.conj(g) not in N), None)
+
+
+def _noncommuting_pair(G: PermGroup):
+    """First pair of generators that do not commute, or None (G abelian)."""
+    pairs = itertools.combinations(G.generators, 2)
+    return next(((a, b) for a, b in pairs if a * b != b * a), None)
 
 
 def right_coset_representatives(G: PermGroup, H: PermGroup) -> list[Permutation]:
@@ -683,14 +689,12 @@ def quotient(G: PermGroup, N: PermGroup) -> tuple[PermGroup, GroupHom]:
     """
     if not N.is_subgroup_of(G):
         raise NotASubgroup("N is not a subgroup of G")
-    for n in N.generators:
-        for g in G.generators:
-            c = n.conj(g)
-            if c not in N:
-                raise NonNormal(
-                    f"subgroup is not normal: {n} conjugated by {g} escapes",
-                    witness=(n, g),
-                )
+    bad = _normality_witness(N, G)
+    if bad is not None:
+        raise NonNormal(
+            "subgroup is not normal: {} conjugated by {} escapes".format(*bad),
+            witness=bad,
+        )
     reps, coset_of = _right_cosets(G, N)
     perms = []
     for g in G.generators:
@@ -707,12 +711,8 @@ def abelian_invariants(G: PermGroup) -> list[int]:
 
     Ascending divisibility: C4 x C2 x C2 x C2 comes back as [2, 2, 2, 4].
     """
-    if not G.is_abelian():
-        bad = next(
-            (a, b)
-            for a, b in itertools.combinations(G.generators, 2)
-            if a * b != b * a
-        )
+    bad = _noncommuting_pair(G)
+    if bad is not None:
         raise NonAbelian("group is not abelian", witness=bad)
     invariants = []
     H = G
@@ -727,19 +727,21 @@ def abelian_invariants(G: PermGroup) -> list[int]:
 
 
 def center(G: PermGroup) -> PermGroup:
-    zs = [
-        z
-        for z in G.elements()
-        if all(z * g == g * z for g in G.generators)
-    ]
-    return PermGroup(G.degree, [z for z in zs if not z.is_identity()])
+    return _sifted(G.degree, [
+        z for z in G.elements() if all(z * g == g * z for g in G.generators)
+    ])
 
 
 def derived_subgroup(G: PermGroup) -> PermGroup:
-    comms = [
-        a.commutator(b) for a, b in itertools.combinations(G.generators, 2)
-    ]
-    return normal_closure(G, [c for c in comms if not c.is_identity()])
+    """G', the normal closure of the commutators of any generating set of G
+    (modulo it those generators commute); the set used is G's generators
+    sifted, so that redundant generators do not square the commutators."""
+    gens = _sifted(G.degree, G.generators).generators
+    return _sifted(
+        G.degree,
+        [a.commutator(b) for a, b in itertools.combinations(gens, 2)],
+        gens,
+    )
 
 
 @dataclass(frozen=True)
@@ -792,15 +794,13 @@ def _compute_fingerprint(G: PermGroup) -> Fingerprint:
 
 
 class _GroupContext:
-    """Indexed view of a small group: elements, inverse/order arrays and the
+    """Indexed view of a small group: elements, element orders and the
     full multiplication table, all over element indices."""
 
     def __init__(self, G: PermGroup):
-        self.group = G
         self.elements = G.elements()
         self.index = G.element_index()
         self.orders = [p.order() for p in self.elements]
-        self.inverse = [self.index[p.inverse()] for p in self.elements]
         self.mult = [
             [self.index[a * b] for b in self.elements] for a in self.elements
         ]
@@ -809,11 +809,8 @@ class _GroupContext:
             self.by_order.setdefault(o, []).append(i)
 
 
-def _context(G: PermGroup, bound: int) -> _GroupContext:
-    if G.order() > bound:
-        raise SearchBoundExceeded(
-            f"group order {G.order()} exceeds search bound {bound}"
-        )
+def _context(G: PermGroup) -> _GroupContext:
+    """The group's indexed view, built once; callers check the search bound."""
     if G._ctx is None:
         G._ctx = _GroupContext(G)
     return G._ctx
@@ -925,7 +922,7 @@ def _extensions(ctx1, ctx2, seq, candidates, pair_check=None,
         yield from backtrack(0, map12, map21, domain)
 
 
-def _iter_isomorphisms(G: PermGroup, H: PermGroup, bound: int):
+def _iter_isomorphisms(G: PermGroup, H: PermGroup):
     """Yield every isomorphism G -> H as a verified GroupHom.
 
     Candidates are the unused elements of the right order; those equal to
@@ -934,8 +931,8 @@ def _iter_isomorphisms(G: PermGroup, H: PermGroup, bound: int):
     """
     if G.order() != H.order():
         return
-    ctx1 = _context(G, bound)
-    ctx2 = _context(H, bound)
+    ctx1 = _context(G)
+    ctx2 = _context(H)
     same_degree = G.degree == H.degree
 
     def candidates(i, map21):
@@ -956,21 +953,22 @@ def _iter_isomorphisms(G: PermGroup, H: PermGroup, bound: int):
         yield GroupHom(G, H, images)
 
 
-def isomorphic(G: PermGroup, H: PermGroup, max_order: int = ISO_SEARCH_BOUND):
+def isomorphic(G: PermGroup, H: PermGroup):
     """First isomorphism G -> H found, or None after an exhausted search.
 
     The search is complete, so None is a definitive negative for groups
-    within ``max_order``; larger groups raise ``SearchBoundExceeded``.
+    within ``ISO_SEARCH_BOUND``; larger groups raise ``SearchBoundExceeded``.
     """
-    if G.order() > max_order or H.order() > max_order:
+    if G.order() > ISO_SEARCH_BOUND or H.order() > ISO_SEARCH_BOUND:
         raise SearchBoundExceeded(
-            f"orders {G.order()}, {H.order()} exceed search bound {max_order}"
+            f"orders {G.order()}, {H.order()} exceed search bound "
+            f"{ISO_SEARCH_BOUND}"
         )
     if G.order() != H.order():
         return None
     if fingerprint(G) != fingerprint(H):
         return None
-    for iso in _iter_isomorphisms(G, H, max_order):
+    for iso in _iter_isomorphisms(G, H):
         return iso
     return None
 

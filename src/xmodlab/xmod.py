@@ -30,6 +30,7 @@ from .errors import (
     NonNormal,
     ParseError,
     SearchBoundExceeded,
+    XmodlabError,
 )
 from .perm import (
     ENUMERATION_BOUND,
@@ -295,9 +296,7 @@ class XModMorphism:
         return self.f.is_bijective() and self.g.is_bijective()
 
 
-def xmod_isomorphic(
-    X: CrossedModule, Y: CrossedModule, max_order: int = ISO_SEARCH_BOUND
-):
+def xmod_isomorphic(X: CrossedModule, Y: CrossedModule):
     """First crossed-module isomorphism (f, g) found, or None.
 
     Iterates over the isomorphisms g: Q -> Q' and for each takes the first
@@ -306,12 +305,13 @@ def xmod_isomorphic(
     over g(dm); partial maps are closed under both, checked against the
     fibers on every assignment, so a completed propagation certifies the
     morphism.  The search is exhaustive: None is a definitive negative
-    within the bound.
+    within ``ISO_SEARCH_BOUND``, which every one of the four groups must
+    meet or ``SearchBoundExceeded`` is raised.
     """
     for G in (X.M, X.Q, Y.M, Y.Q):
-        if G.order() > max_order:
+        if G.order() > ISO_SEARCH_BOUND:
             raise SearchBoundExceeded(
-                f"order {G.order()} exceeds search bound {max_order}"
+                f"order {G.order()} exceeds search bound {ISO_SEARCH_BOUND}"
             )
     if X.M.order() != Y.M.order() or X.Q.order() != Y.Q.order():
         return None
@@ -325,10 +325,10 @@ def xmod_isomorphic(
     if fingerprint(image(X.boundary)) != fingerprint(image(Y.boundary)):
         return None
 
-    ctx1 = _context(X.M, max_order)
-    ctx2 = _context(Y.M, max_order)
-    ctxq1 = _context(X.Q, max_order)
-    ctxq2 = _context(Y.Q, max_order)
+    ctx1 = _context(X.M)
+    ctx2 = _context(Y.M)
+    ctxq1 = _context(X.Q)
+    ctxq2 = _context(Y.Q)
 
     d1 = [ctxq1.index[X.boundary.apply(m)] for m in ctx1.elements]
     d2 = [ctxq2.index[Y.boundary.apply(m)] for m in ctx2.elements]
@@ -338,7 +338,7 @@ def xmod_isomorphic(
     act1 = [X.act_array(q) for q in X.Q.generators]
     seq = _generating_sequence(ctx1, act1)
 
-    for g in _iter_isomorphisms(X.Q, Y.Q, max_order):
+    for g in _iter_isomorphisms(X.Q, Y.Q):
         gmap = [ctxq2.index[g.element_map[q]] for q in ctxq1.elements]
         act2 = [Y.act_array(g.apply(q)) for q in X.Q.generators]
 
@@ -393,9 +393,9 @@ def xmod_to_json(X: CrossedModule) -> str:
 
 def xmod_from_json_dict(data: dict) -> CrossedModule:
     try:
-        mdeg = int(data["M"]["degree"])
+        mdeg = _degree(data["M"]["degree"])
         mgens = list(data["M"]["generators"])
-        qdeg = int(data["Q"]["degree"])
+        qdeg = _degree(data["Q"]["degree"])
         qgens = list(data["Q"]["generators"])
         braw = list(data["boundary"])
         araw = list(data["action"])
@@ -413,7 +413,12 @@ def xmod_from_json_dict(data: dict) -> CrossedModule:
         if len(row) != len(M.generators):
             raise ParseError("action row must list one image per M generator")
         action.append(GroupHom(M, M, [_parse_one(s, mdeg) for s in row]))
-    return CrossedModule(M, Q, boundary, action)
+    try:
+        return CrossedModule(M, Q, boundary, action)
+    except XmodlabError:
+        raise
+    except ValueError as exc:  # e.g. an action row that is not bijective
+        raise ParseError(f"not a crossed module: {exc}") from None
 
 
 def xmod_from_json(text: str) -> CrossedModule:
@@ -424,7 +429,16 @@ def xmod_from_json(text: str) -> CrossedModule:
     return xmod_from_json_dict(data)
 
 
+def _degree(value) -> int:
+    """A JSON degree: an integer of at least 1 (not a float or a bool)."""
+    if type(value) is not int or value < 1:
+        raise ParseError(f"degree must be an integer of at least 1, got {value!r}")
+    return value
+
+
 def _parse_one(s: str, degree: int) -> Permutation:
+    if not isinstance(s, str):
+        raise ParseError(f"expected a permutation in cycle notation, got {s!r}")
     perms = parse_generator_list(s, degree)
     if len(perms) != 1:
         raise ParseError(f"expected a single permutation, got {s!r}")

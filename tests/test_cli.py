@@ -6,7 +6,12 @@ import pytest
 
 from xmodlab.cli import main
 from xmodlab.perm import cyclic, hom, symmetric
-from xmodlab.xmod import CrossedModule, xmod_to_json
+from xmodlab.xmod import (
+    CrossedModule,
+    identity_xmod,
+    xmod_to_json,
+    xmod_to_json_dict,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -46,6 +51,18 @@ class TestParsing:
         rc, _, err = run(capsys, "table", "--row", "8")
         assert rc == 2
         assert "1..7" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("identify", "--group", "()"),
+        ("induce", "--group", "()", "--sub", "()"),
+        ("iso", "--group-pair", "()", "--group-pair", "()"),
+    ], ids=["identify", "induce", "iso"])
+    @pytest.mark.parametrize("degree", ["0", "-1"])
+    def test_nonpositive_degree(self, capsys, argv, degree):
+        rc, out, err = run(capsys, *argv, "--degree", degree)
+        assert rc == 2
+        assert out == ""
+        assert f"--degree must be at least 1, got {degree}" in err
 
 
 class TestTable:
@@ -166,6 +183,43 @@ class TestCheck:
         rc, _, err = run(capsys, "check", str(path))
         assert rc == 2
         assert "parse error" in err
+
+    @pytest.mark.parametrize("degree", ["x", 0, 2.5, True])
+    def test_degree_not_a_positive_integer(self, capsys, tmp_path, degree):
+        # every generator fits the truncated degree, so reading 2.5 as 2 or
+        # true as 1 would pass silently
+        data = xmod_to_json_dict(identity_xmod(cyclic(2)))
+        data["M"]["degree"] = degree
+        data["M"]["generators"] = ["()"]
+        data["boundary"] = ["()"]
+        data["action"] = [["()"]]
+        path = tmp_path / "deg.json"
+        path.write_text(json.dumps(data))
+        rc, out, err = run(capsys, "check", str(path))
+        assert rc == 2
+        assert out == ""
+        assert f"degree must be an integer of at least 1, got {degree!r}" in err
+
+    def test_generator_not_a_string(self, capsys, tmp_path):
+        data = xmod_to_json_dict(identity_xmod(cyclic(2)))
+        data["M"]["generators"] = [5]
+        path = tmp_path / "gen.json"
+        path.write_text(json.dumps(data))
+        rc, out, err = run(capsys, "check", str(path))
+        assert rc == 2
+        assert out == ""
+        assert "expected a permutation in cycle notation, got 5" in err
+
+    def test_action_not_an_automorphism(self, capsys, tmp_path):
+        data = xmod_to_json_dict(identity_xmod(symmetric(3)))
+        data["action"][0] = ["()", "()"]
+        path = tmp_path / "act.json"
+        path.write_text(json.dumps(data))
+        rc, out, err = run(capsys, "check", str(path))
+        assert rc == 2
+        assert out == ""
+        assert "parse error: not a crossed module" in err
+        assert "automorphisms of M" in err
 
 
 class TestIdentify:

@@ -11,6 +11,7 @@ from xmodlab.errors import (
     BudgetExceeded,
     CosetLimitExceeded,
     NonInjective,
+    NotInGroup,
     TableMismatch,
 )
 from xmodlab.fp import abelianization, todd_coxeter
@@ -30,6 +31,7 @@ from xmodlab.induce import (
     verify_table,
 )
 from xmodlab.perm import (
+    PermGroup,
     cyclic,
     dihedral,
     direct_product,
@@ -37,6 +39,7 @@ from xmodlab.perm import (
     hom,
     image,
     normal_closure,
+    parse_generator_list,
     parse_permutation,
     symmetric,
 )
@@ -117,6 +120,28 @@ class TestPresentation:
             induced_presentation(X, iota, transversal=T[:-1])
         with pytest.raises(ValueError):
             induced_presentation(X, iota, transversal=T[:-1] + [T[0]])
+
+    def test_transversal_element_outside_base_rejected(self):
+        # (1,2) is odd, so outside A4, but its coset of <(1,2)(3,4)> in S4
+        # neither overlaps another supplied coset nor leaves the count short
+        A4 = PermGroup(4, parse_generator_list("(1,2,3),(2,3,4)", 4))
+        H = A4.subgroup([P("(1,2)(3,4)", 4)])
+        iota = hom(H, A4, H.generators)
+        T = coset_transversal(A4, image(iota))
+        T[1] = P("(1,2)", 4)
+        with pytest.raises(NotInGroup, match=r"\(1,2\) is not in Q"):
+            induced_presentation(identity_xmod(H), iota, transversal=T)
+
+    def test_explicit_transversal_labels_its_own_cosets(self):
+        # a reversed transversal lists the same cosets in another order
+        X, iota = include(["(1,2,3)"])
+        T = coset_transversal(iota.target, image(iota))
+        ip = induced_presentation(X, iota, transversal=T[::-1])
+        assert [t for _, t in ip.gen_pairs[:len(T)]] == T[::-1]
+        assert ip.boundary_kills_relators()
+        X1, _ = induce(X, iota)
+        X2, _ = induce(X, iota, transversal=T[::-1])
+        assert xmod_isomorphic(X1, X2) is not None
 
 
 class TestFreeCrossedModule:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import random
 from pathlib import Path
 
@@ -14,14 +15,18 @@ from xmodlab.errors import (
     NonNormal,
     ParseError,
     RelationViolated,
+    SearchBoundExceeded,
 )
 from xmodlab.perm import (
     GroupHom,
     PermGroup,
     Permutation,
+    center,
     cyclic,
+    derived_subgroup,
     dihedral,
     hom,
+    image,
     normal_closure,
     parse_generator_list,
     parse_permutation,
@@ -233,6 +238,52 @@ class TestInvariants:
                     assert conj in im_set
 
 
+class TestTableInvariants:
+    # sha256 of the repr of pi2's generators as image tuples, recorded
+    # before every derived subgroup was grown by one sifting loop
+    PI2 = (
+        "4aa164ac26078c951521489d653a4b4dc5d44bb3c75c5a5bdda43629189951bb",
+        "4955000e4fabbc97ef7705f71baea910acbddb434ea8b91e5f6a3e2d0fdaf434",
+        "9ebaf07396506345463c162d41781d91c287a61a15226c44d1630ef544ee96eb",
+        "c142d1c629a0e2dcd0e9a6fd5296b1dcf0739bc7dbc5adeef0606d695a5423cc",
+        "c41ceedaee27f0a149de6b405a398e8ab62846c58f9a9a0633a796e51f7c164d",
+        "8d32464e35e88d8fba32766d81c1f53d72db00c7b99ab6e96e1f7f4be65e62d2",
+        "0c40053a2c2e51eb056d79ddd0f66145637d07a79875788c568005704f3f686c",
+    )
+    PI1 = 5 * [["()", "()"]] + [
+        ["(1,2)", "(1,2)"], ["(1,2)(3,5)(4,6)", "(1,6)(2,5)(3,4)"],
+    ]
+
+    @pytest.mark.parametrize("row", range(1, 8))
+    def test_pi_generators_pinned(self, table_results, row):
+        X = table_results[row - 1][0]
+        K, _ = pi2(X)
+        digest = hashlib.sha256(
+            repr([g.images for g in K.generators]).encode()
+        ).hexdigest()
+        assert digest == self.PI2[row - 1]
+        assert [str(q) for q in pi1(X).generators] == self.PI1[row - 1]
+
+    @pytest.mark.parametrize("row", range(1, 8))
+    def test_derived_subgroups_sifted(self, table_results, row, monkeypatch):
+        # each kept generator at least doubles the group, so a sifted list
+        # has at most log2 of its order; the commutators come from at most
+        # that many sifted generators of M
+        X = table_results[row - 1][0]
+        made = []
+        commutator = Permutation.commutator
+
+        def counting(a, b):
+            made.append((a, b))
+            return commutator(a, b)
+
+        monkeypatch.setattr(Permutation, "commutator", counting)
+        for G in (derived_subgroup(X.M), center(X.M), image(X.boundary)):
+            assert 2 ** len(G.generators) <= G.order()
+        log2_order = X.M.order().bit_length() - 1
+        assert len(made) <= math.comb(log2_order, 2)
+
+
 class TestMorphisms:
     def test_identity_morphism_verifies(self):
         X = v_in_s4()
@@ -259,6 +310,15 @@ class TestIsomorphism:
 
     def test_different_kernels(self):
         assert xmod_isomorphic(v_in_s4(), a4_in_s4()) is None
+
+    def test_search_bound(self):
+        # the trivial module over S6: construction enumerates S6, the
+        # search refuses it (720 > 512)
+        S6 = symmetric(6)
+        M = PermGroup(6, [])
+        X = CrossedModule(M, S6, hom(M, S6, []), [hom(M, M, [])] * 2)
+        with pytest.raises(SearchBoundExceeded, match="720 exceeds"):
+            xmod_isomorphic(X, X)
 
     def test_action_matters(self):
         # same groups and boundary, different actions: not isomorphic
