@@ -12,9 +12,20 @@ Cayley graph once, on first need, and keeps the walk; ``elements()`` sorts it,
 and every homomorphism or action out of the group replays it rather than
 walking again.
 
+The chain is complete, so an element of the group is fixed by where it sends
+the base points (Seress, *Permutation Group Algorithms*): two elements with the
+same base images differ by an element fixing every base point, and the last
+stabilizer of a complete chain is trivial.  The walk, homomorphism
+verification and the multiplication table of the isomorphism search look
+elements up and compare them by their base images, ``|base|`` lookups where a
+product costs ``degree``; the regular representation of a group has a base of
+one point.  Each element is multiplied out once, on the edge that first
+reaches it.
+
 Kernels, images, centres, normal closures and derived subgroups are grown by
 one loop, ``_sifted``, which keeps a candidate generator only if it enlarges
-the group so far; generators passed to ``PermGroup`` are kept as given.
+the group so far and extends one chain with each generator it keeps;
+generators passed to ``PermGroup`` are kept as given.
 
 Isomorphisms are found by one backtrack, ``_extensions``, over a greedy
 generating sequence; ``isomorphic`` and ``xmod.xmod_isomorphic`` differ
@@ -295,11 +306,22 @@ class PermGroup:
                 raise DegreeMismatch(
                     f"generator degree {g.degree}, group degree {degree}"
                 )
+        self._adopt(degree, generators, _build_chain(degree, generators))
+
+    @classmethod
+    def _on_chain(cls, degree: int, generators, levels) -> "PermGroup":
+        """The group generated by ``generators``, on a complete chain for it
+        built already."""
+        group = object.__new__(cls)
+        group._adopt(degree, tuple(generators), levels)
+        return group
+
+    def _adopt(self, degree: int, generators: tuple, levels: list) -> None:
         self.degree = degree
         self.generators = generators
-        self._levels = _build_chain(degree, generators)
+        self._levels = levels
         self._order = 1
-        for level in self._levels:
+        for level in levels:
             self._order *= len(level["transversal"])
         self._walk = None
         self._elements = None
@@ -329,29 +351,48 @@ class PermGroup:
     def subgroup(self, generators) -> "PermGroup":
         return PermGroup(self.degree, _members(self, generators))
 
+    def _base(self) -> tuple:
+        """The chain's base points, level by level; ``()`` when trivial.
+
+        The chain is complete, so an element of the group is fixed by its
+        base images ``tuple(p.images[b - 1] for b in base)``: two elements
+        with the same base images differ by one fixing every base point,
+        which is the identity.  Only for elements of the group: a
+        permutation outside it may share the base images of one inside.
+        """
+        return tuple(level["point"] for level in self._levels)
+
     def _cayley_walk(self) -> tuple[tuple, tuple]:
         """Breadth-first walk of the Cayley graph from the identity.
 
         Returns the elements in discovery order and, for each of them, the
         discovery indices of its products with the generators in list order.
-        Walked once per group and kept.
+        Elements are indexed by their base images (``_base``): an edge
+        ``x -> x*g`` is looked up by the images of ``x``'s base images
+        under ``g``, and ``x * g`` is formed only when that finds a new
+        element.  Walked once per group and kept.
         """
         if self._walk is None:
             if self._order > ENUMERATION_BOUND:
                 raise EnumerationBoundExceeded(
                     f"order {self._order} exceeds {ENUMERATION_BOUND}"
                 )
+            base = self._base()
             found = [self.identity]
-            index = {self.identity: 0}
+            keys = [base]
+            index = {base: 0}
             successors = []
-            for x in found:  # grows while it is read: a FIFO queue
+            # both grow while they are read, in step: a FIFO queue
+            for x, key in zip(found, keys):
                 row = []
                 for g in self.generators:
-                    y = x * g
+                    gi = g.images
+                    y = tuple([gi[k - 1] for k in key])
                     j = index.get(y)
                     if j is None:
                         j = index[y] = len(found)
-                        found.append(y)
+                        found.append(x * g)
+                        keys.append(y)
                     row.append(j)
                 successors.append(tuple(row))
             self._walk = (tuple(found), tuple(successors))
@@ -399,60 +440,89 @@ def _build_chain(degree: int, generators) -> list:
     Each level holds a base point, the strong generators fixing all earlier
     base points, a transversal mapping the base point across its orbit, and
     the inverses of transversal elements, each computed when first needed
-    and dropped whenever the orbit is rebuilt.
-    The loop re-checks a level whenever a deeper one gains a generator, so on
-    return every level's generators generate the stabilizer of the earlier
-    base points.
+    and dropped whenever the orbit is rebuilt.  The first base point is the
+    least point any generator moves; ``_complete_chain`` does the rest.
     """
     levels = []
+    seed = [g for g in generators if not g.is_identity()]
+    if seed:
+        levels.append({"point": min(_min_moved(g) for g in seed),
+                       "gens": list(seed)})
+        _rebuild_orbit(levels[0], degree)
+        _complete_chain(levels, degree)
+    return levels
 
-    def min_moved(g):
-        for i, x in enumerate(g.images):
-            if x != i + 1:
-                return i + 1
-        raise AssertionError("identity has no moved point")
 
-    def rebuild_orbit(level):
-        b = level["point"]
-        tr = {b: Permutation.identity(degree)}
-        orbit = [b]
-        for a in orbit:  # grows while it is read: a FIFO queue
-            ua = tr[a]
-            for g in level["gens"]:
-                c = g.apply(a)
-                if c not in tr:
-                    tr[c] = ua * g
-                    orbit.append(c)
-        level["transversal"] = tr
-        level["inverses"] = {}
+def _extend_chain(levels: list, degree: int, g: Permutation) -> None:
+    """Extend a complete chain, in place, to one of the group with ``g``,
+    which lies outside it, as one more generator.
 
+    ``g`` joins level 0's generators (a first level is opened at its least
+    moved point if there is none) and the check loop resumes from level 0;
+    the deeper levels are complete already and are re-checked only when
+    they gain a generator.
+    """
+    if not levels:
+        levels.append({"point": _min_moved(g), "gens": []})
+    levels[0]["gens"].append(g)
+    _rebuild_orbit(levels[0], degree)
+    _complete_chain(levels, degree)
+
+
+def _min_moved(g: Permutation) -> int:
+    for i, x in enumerate(g.images):
+        if x != i + 1:
+            return i + 1
+    raise AssertionError("identity has no moved point")
+
+
+def _rebuild_orbit(level: dict, degree: int) -> None:
+    b = level["point"]
+    tr = {b: Permutation.identity(degree)}
+    orbit = [b]
+    for a in orbit:  # grows while it is read: a FIFO queue
+        ua = tr[a]
+        for g in level["gens"]:
+            c = g.apply(a)
+            if c not in tr:
+                tr[c] = ua * g
+                orbit.append(c)
+    level["transversal"] = tr
+    level["inverses"] = {}
+
+
+def _complete_chain(levels: list, degree: int) -> None:
+    """The Schreier-Sims check loop, from level 0, with every deeper level
+    complete on entry.
+
+    A Schreier generator ``u_a g u_c^-1`` (``c = a^g``) is the identity
+    exactly when ``u_a g`` is the transversal element ``u_c``, so it is
+    formed only when that test fails.  The loop re-checks a level whenever a
+    deeper one gains a generator, so on return every level's generators
+    generate the stabilizer of the earlier base points.
+    """
     def add_at(j, h):
         if j == len(levels):
-            levels.append({"point": min_moved(h), "gens": [], "transversal": {}})
+            levels.append({"point": _min_moved(h), "gens": []})
         # h fixes the base points of levels 0..j-1, so it is a strong
         # generator for every level from 1 to j, not only the stuck one.
         for l in range(1, j + 1):
             levels[l]["gens"].append(h)
-            rebuild_orbit(levels[l])
-
-    seed = [g for g in generators if not g.is_identity()]
-    if not seed:
-        return levels
-    levels.append({"point": min(min_moved(g) for g in seed),
-                   "gens": list(seed), "transversal": {}})
-    rebuild_orbit(levels[0])
+            _rebuild_orbit(levels[l], degree)
 
     i = 0
     while i >= 0:
         level = levels[i]
+        tr = level["transversal"]
         clean = True
-        for a in sorted(level["transversal"]):
-            ua = level["transversal"][a]
+        for a in sorted(tr):
+            ua = tr[a]
             for g in level["gens"]:
                 c = g.apply(a)
-                sg = ua * g * _transversal_inverse(level, c)
-                if sg.is_identity():
+                ug = ua * g
+                if ug == tr[c]:
                     continue
+                sg = ug * _transversal_inverse(level, c)
                 residue, j = _strip_at(levels, sg, i + 1)
                 if not residue.is_identity():
                     add_at(j, residue)
@@ -463,7 +533,6 @@ def _build_chain(degree: int, generators) -> list:
                 break
         if clean:
             i -= 1
-    return levels
 
 
 def _strip_at(levels, g, start):
@@ -502,9 +571,14 @@ class GroupHom:
     once per homomorphism), assigning an image to every element and checking
     every edge ``f(x*s) == f(x)*f(s)``; a conflict means the assignment
     violates some relation of the source and raises ``RelationViolated`` with
-    a witness word endpoint.  The walk needs the source fully enumerable,
-    which is the only verification mode offered: sources above
-    ``ENUMERATION_BOUND`` are rejected outright.
+    a witness word endpoint.  The check runs on the target's base images
+    (``PermGroup._base``): every value is an element of the target, whose
+    chain is complete, so two values are equal exactly when their base
+    images are, and the first conflict is the one a check on whole products
+    would meet.  ``element_map`` is then multiplied out with one product per
+    source element, along the edge that first reached it.  The walk needs
+    the source fully enumerable, which is the only verification mode
+    offered: sources above ``ENUMERATION_BOUND`` are rejected outright.
     """
 
     def __init__(self, source: PermGroup, target: PermGroup, images):
@@ -527,10 +601,18 @@ class GroupHom:
         self.source = source
         self.target = target
         self.images = images
-        self.element_map = _replay_walk(
-            source, target.identity, images, Permutation.__mul__,
+        _replay_walk(
+            source, target._base(), [im.images for im in images],
+            lambda key, im: tuple([im[b - 1] for b in key]),
             "generator images do not respect the relations of the source",
         )
+        found, successors = source._cayley_walk()
+        values = [target.identity] + [None] * (len(found) - 1)
+        for value, row in zip(values, successors):
+            for j, im in zip(row, images):
+                if values[j] is None:
+                    values[j] = value * im
+        self.element_map = dict(zip(found, values))
 
     def apply(self, p: Permutation) -> Permutation:
         try:
@@ -563,13 +645,14 @@ class GroupHom:
         return f"GroupHom({pairs or 'trivial'})"
 
 
-def _replay_walk(G: PermGroup, start, images, step, violation: str) -> dict:
+def _replay_walk(G: PermGroup, start, images, step, violation: str) -> list:
     """Extend values given on G's generators to all of G along its Cayley walk.
 
     The identity gets ``start`` and each edge x -> x*g gives ``step(value(x),
     image(g))``.  Edges are visited in walk order (elements in discovery order,
     generators in list order); the first edge that disagrees with the value
     already assigned raises ``RelationViolated`` naming its endpoint.
+    Returns the values in discovery order.
     """
     found, successors = G._cayley_walk()
     values = [start] + [None] * (len(found) - 1)
@@ -584,7 +667,7 @@ def _replay_walk(G: PermGroup, start, images, step, violation: str) -> dict:
                 raise RelationViolated(
                     f"{violation} (conflict at {found[j]})", witness=found[j]
                 )
-    return dict(zip(found, values))
+    return values
 
 
 def hom(source: PermGroup, target: PermGroup, images) -> GroupHom:
@@ -624,16 +707,17 @@ def _sifted(degree: int, candidates, conjugators=()) -> PermGroup:
     """Group generated by ``candidates``, keeping, in order, each one outside
     the group kept so far.  With ``conjugators``, each kept generator's
     conjugates by them are queued too, so the result is normal in the group
-    they generate (Seress, *Permutation Group Algorithms*)."""
+    they generate (Seress, *Permutation Group Algorithms*).  One chain is
+    kept and extended with each kept generator, never rebuilt."""
     gens = []
-    group = PermGroup(degree, gens)
+    levels = []
     queue = list(candidates)
     for c in queue:  # grows while it is read: a FIFO queue
-        if c not in group:
+        if not _strip(levels, c).is_identity():
             gens.append(c)
-            group = PermGroup(degree, gens)
+            _extend_chain(levels, degree, c)
             queue.extend(c.conj(g) for g in conjugators)
-    return group
+    return PermGroup._on_chain(degree, gens, levels)
 
 
 def normal_closure(G: PermGroup, elements) -> PermGroup:
@@ -795,14 +879,23 @@ def _compute_fingerprint(G: PermGroup) -> Fingerprint:
 
 class _GroupContext:
     """Indexed view of a small group: elements, element orders and the
-    full multiplication table, all over element indices."""
+    full multiplication table, all over element indices.
+
+    Entry ``(a, b)`` is looked up by the base images of ``a * b``, which are
+    those of ``a`` mapped by ``b``; no product is formed (``PermGroup._base``).
+    """
 
     def __init__(self, G: PermGroup):
         self.elements = G.elements()
         self.index = G.element_index()
         self.orders = [p.order() for p in self.elements]
+        base = G._base()
+        images = [p.images for p in self.elements]
+        keys = [tuple([a[b - 1] for b in base]) for a in images]
+        by_key = {key: i for i, key in enumerate(keys)}
         self.mult = [
-            [self.index[a * b] for b in self.elements] for a in self.elements
+            [by_key[tuple([b[k - 1] for k in key])] for b in images]
+            for key in keys
         ]
         self.by_order = {}
         for i, o in enumerate(self.orders):

@@ -94,11 +94,12 @@ class CrossedModule:
         gen_arrays = [
             tuple(index[a.apply(m)] for m in elems) for a in self.action
         ]
-        self._table = _replay_walk(
+        arrays = _replay_walk(
             self.Q, tuple(range(len(elems))), gen_arrays,
             lambda arr, garr: tuple(garr[i] for i in arr),
             "action assignment does not respect the relations of Q",
         )
+        self._table = dict(zip(self.Q._cayley_walk()[0], arrays))
         return self._table
 
     def act(self, m: Permutation, q: Permutation) -> Permutation:
@@ -394,11 +395,11 @@ def xmod_to_json(X: CrossedModule) -> str:
 def xmod_from_json_dict(data: dict) -> CrossedModule:
     try:
         mdeg = _degree(data["M"]["degree"])
-        mgens = list(data["M"]["generators"])
+        mgens = _array(data["M"]["generators"], "M.generators")
         qdeg = _degree(data["Q"]["degree"])
-        qgens = list(data["Q"]["generators"])
-        braw = list(data["boundary"])
-        araw = list(data["action"])
+        qgens = _array(data["Q"]["generators"], "Q.generators")
+        braw = _array(data["boundary"], "boundary")
+        araw = _array(data["action"], "action")
     except (KeyError, TypeError) as exc:
         raise ParseError(f"crossed module JSON missing field: {exc}") from None
     M = PermGroup(mdeg, [_parse_one(s, mdeg) for s in mgens])
@@ -409,7 +410,8 @@ def xmod_from_json_dict(data: dict) -> CrossedModule:
     if len(araw) != len(Q.generators):
         raise ParseError("action must list one row per Q generator")
     action = []
-    for row in araw:
+    for k, row in enumerate(araw):
+        row = _array(row, f"action[{k}]")
         if len(row) != len(M.generators):
             raise ParseError("action row must list one image per M generator")
         action.append(GroupHom(M, M, [_parse_one(s, mdeg) for s in row]))
@@ -433,6 +435,14 @@ def _degree(value) -> int:
     """A JSON degree: an integer of at least 1 (not a float or a bool)."""
     if type(value) is not int or value < 1:
         raise ParseError(f"degree must be an integer of at least 1, got {value!r}")
+    return value
+
+
+def _array(value, field: str) -> list:
+    """A JSON array; a string, which ``list()`` would split into characters,
+    or any other value is a ``ParseError`` naming the field."""
+    if type(value) is not list:
+        raise ParseError(f"{field} must be a JSON array, got {value!r}")
     return value
 
 

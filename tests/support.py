@@ -165,6 +165,58 @@ def extend_along(gens, gen_values, identity, start, step):
     return values
 
 
+def product_walk(degree, gens):
+    """Breadth-first Cayley walk from the identity, keyed by products.
+
+    Returns the element tuples in discovery order and, for each, the
+    discovery indices of its products with ``gens`` in list order: the walk
+    as first written, which formed and looked up every edge's product.
+    """
+    gens = [tuple(g) for g in gens]
+    found = [tidentity(degree)]
+    index = {found[0]: 0}
+    successors = []
+    for x in found:  # grows while it is read: a FIFO queue
+        row = []
+        for g in gens:
+            y = tcompose(x, g)
+            j = index.get(y)
+            if j is None:
+                j = index[y] = len(found)
+                found.append(y)
+            row.append(j)
+        successors.append(tuple(row))
+    return tuple(found), tuple(successors)
+
+
+def product_replay(degree, gens, target_degree, images):
+    """Homomorphism check by products along ``product_walk``.
+
+    Every edge ``x -> x*g`` gives ``value(x) * image(g)``; edges are read in
+    walk order.  Returns ``(element_map, None)`` on image tuples, or
+    ``(None, w)`` where ``w`` is the endpoint of the first edge whose product
+    disagrees with the value already assigned.
+    """
+    found, successors = product_walk(degree, gens)
+    images = [tuple(im) for im in images]
+    values = [tidentity(target_degree)] + [None] * (len(found) - 1)
+    for value, row in zip(values, successors):
+        for j, im in zip(row, images):
+            v = tcompose(value, im)
+            if values[j] is None:
+                values[j] = v
+            elif values[j] != v:
+                return None, found[j]
+    return dict(zip(found, values)), None
+
+
+def product_mult_table(elements):
+    """``table[a][b]``: the index of ``elements[a] * elements[b]``."""
+    elements = [tuple(e) for e in elements]
+    index = {e: i for i, e in enumerate(elements)}
+    return [[index[tcompose(a, b)] for b in elements] for a in elements]
+
+
 def _module_tables(mdeg, mgens, qdeg, qgens, boundary, action):
     """Boundary ``d[m]`` and action ``act[q][m]`` on every element, from a
     crossed module's JSON-form data on image tuples."""

@@ -210,6 +210,28 @@ class TestCheck:
         assert out == ""
         assert "expected a permutation in cycle notation, got 5" in err
 
+    @pytest.mark.parametrize("field", [
+        "M.generators", "Q.generators", "boundary", "action", "action[0]",
+    ])
+    def test_list_field_not_an_array(self, capsys, tmp_path, field):
+        # a string here was once split into characters, and the error named
+        # a parenthesis instead of the field
+        data = xmod_to_json_dict(identity_xmod(cyclic(2)))
+        if field == "action[0]":
+            data["action"][0] = "(1,2)"
+        elif "." in field:
+            group, key = field.split(".")
+            data[group][key] = "(1,2)"
+        else:
+            data[field] = "(1,2)"
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps(data))
+        rc, out, err = run(capsys, "check", str(path))
+        assert rc == 2
+        assert out == ""
+        assert f"{field} must be a JSON array, got '(1,2)'" in err
+        assert "unbalanced" not in err
+
     def test_action_not_an_automorphism(self, capsys, tmp_path):
         data = xmod_to_json_dict(identity_xmod(symmetric(3)))
         data["action"][0] = ["()", "()"]

@@ -16,6 +16,7 @@ from support import (
     tinverse,
     torder,
 )
+from xmodlab import perm
 from xmodlab.errors import (
     DegreeMismatch,
     EnumerationBoundExceeded,
@@ -468,6 +469,41 @@ class TestCosetsAndClosures:
         assert {g.images for g in N.elements()} == truth
         for k, g in enumerate(N.generators):
             assert g not in PermGroup(5, N.generators[:k])
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_sifted_extends_one_chain(self, data):
+        # one chain is extended per kept generator; the kept generators,
+        # the order and membership are those of rebuilding from scratch
+        degree = data.draw(st.integers(1, 6))
+        perms = st.permutations(list(range(1, degree + 1))).map(Permutation)
+        candidates = data.draw(st.lists(perms, max_size=5))
+        candidates += candidates[:1] + [Permutation.identity(degree)]
+        candidates = data.draw(st.permutations(candidates))
+        conjugators = data.draw(st.lists(perms, max_size=2))
+
+        kept, group, queue = [], PermGroup(degree, []), list(candidates)
+        for c in queue:  # the loop as first written, rebuilding each time
+            if c not in group:
+                kept.append(c)
+                group = PermGroup(degree, kept)
+                queue.extend(c.conj(g) for g in conjugators)
+
+        built = []
+        build_chain = perm._build_chain
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(perm, "_build_chain",
+                       lambda *args: built.append(args) or build_chain(*args))
+            G = perm._sifted(degree, candidates, conjugators)
+        assert len(built) <= 1
+        assert list(G.generators) == kept
+        assert G.order() == group.order() == len(
+            closure(degree, [g.images for g in kept]))
+        probes = data.draw(st.lists(perms, min_size=1, max_size=6))
+        assert [p in G for p in probes] == [p in group for p in probes]
+        G.elements()  # membership from the element index agrees too
+        assert [p in G for p in probes] == [p in group for p in probes]
 
 
 class TestInvariants:
