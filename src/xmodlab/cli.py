@@ -2,10 +2,11 @@
 
 Commands: ``induce``, ``table``, ``check``, ``identify``, ``iso``.  Group
 and subgroup flags take inline cycle notation; crossed modules travel as
-JSON files.  Exit codes: 0 success, 1 failed verification or a negative
-isomorphism answer, 2 malformed input, 3 coset limit exceeded, 4 internal
-validation failure.  ``XMODLAB_LIMIT`` overrides the default coset limit;
-a limit below 1 is malformed input.
+JSON files.  Exit codes: 0 success, 1 failed verification, a negative
+isomorphism answer or standard output closed early by its reader (as by
+``| head``; the command then stops without a traceback), 2 malformed input,
+3 coset limit exceeded, 4 internal validation failure.  ``XMODLAB_LIMIT``
+overrides the default coset limit; a limit below 1 is malformed input.
 """
 
 from __future__ import annotations
@@ -280,6 +281,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _discard_stdout() -> None:
+    """Point standard output's descriptor at the null device, so that the
+    flush at interpreter exit does not meet the closed pipe again (the
+    Python documentation's note on SIGPIPE).  A stream without a descriptor
+    is left alone."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -287,7 +302,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        status = args.func(args)
+        # a reader that stopped early shows here, not at exit
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        _discard_stdout()
+        return 1
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

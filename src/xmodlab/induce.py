@@ -13,6 +13,18 @@ Coset enumeration of the presented group over the trivial subgroup yields its
 regular permutation representation, from which boundary and action are read
 off as verified homomorphisms and the axioms re-checked by ``validate``.
 
+M's stabilizer chain has one level and is built without Schreier-Sims
+(``PermGroup._regular``).  A complete coset table over the trivial subgroup
+is the group's right action on its own elements, which is regular: every
+coset is reached from coset 1 and only the identity fixes it.  So the orbit
+of point 1 under the generators is the whole transversal, the stabilizer of
+point 1 is trivial, and ``|M|`` is the coset count.  It is the level
+Schreier-Sims would build, with the same base, so M's walk and element
+order are those of a full chain.
+
+Relators are checked against the boundary by index arithmetic in the base
+group, not by products (``InducedPresentation.boundary_kills_relators``).
+
 ``run_table`` reproduces the bundled reference table for the seven standard
 subgroups of S4 with M = P and the identity boundary.
 """
@@ -42,6 +54,7 @@ from .perm import (
     PermGroup,
     Permutation,
     _right_cosets,
+    _right_multiplications,
     abelian_invariants,
     cyclic,
     dihedral,
@@ -84,14 +97,29 @@ class InducedPresentation:
         return self._act(k, q)
 
     def boundary_kills_relators(self) -> bool:
-        """Check symbolically in the base group that every relator dies."""
+        """Check symbolically in the base group that every relator dies.
+
+        Each relator is multiplied out over element indices of the base
+        group: a letter steps the running index along the array of right
+        multiplication by its boundary image (``perm._right_multiplications``,
+        one array per distinct image), and the relator dies when the walk
+        ends at the identity, index 0.
+        """
+        base = self.base
         images = self.boundary_images
+        for im in images:
+            if im not in base:
+                raise NotInGroup(f"boundary image {im} is not in the base group")
         inverses = [im.inverse() for im in images]
+        letters = list(dict.fromkeys([*images, *inverses]))
+        arrays = dict(zip(letters, _right_multiplications(base, letters)))
+        steps = [{1: arrays[im], -1: arrays[inv]}
+                 for im, inv in zip(images, inverses)]
         for w in self.presentation.relators:
-            prod = self.base.identity
+            i = 0
             for g, e in w.letters:
-                prod = prod * (images[g] if e == 1 else inverses[g])
-            if not prod.is_identity():
+                i = steps[g][e][i]
+            if i:
                 return False
         return True
 
@@ -135,15 +163,19 @@ def induced_presentation(
             f"{nM * nT} generators exceed the budget of {GENERATOR_BUDGET}"
         )
     melems = list(M.elements())
-    midx = M.element_index()
     reps, coset_of = _right_cosets(Q, H)
+    qbase = Q._base()
+
+    def coset(z):  # of an element of Q, by its base images
+        return coset_of[tuple([z.images[b - 1] for b in qbase])]
+
     if T is None:
         T = reps
     else:
         for t in T:
-            if t not in coset_of:
+            if t not in Q:
                 raise NotInGroup(f"transversal element {t} is not in Q")
-        position = {coset_of[t]: ti for ti, t in enumerate(T)}
+        position = {coset(t): ti for ti, t in enumerate(T)}
         if len(position) != len(T):
             raise ValueError("transversal elements share a coset")
         if len(position) != len(reps):
@@ -171,17 +203,19 @@ def induced_presentation(
         move = moves.get((ti, q))
         if move is None:
             z = T[ti] * q
-            tj = coset_of[z]
+            tj = coset(z)
             p = iota_inv[z * T[tj].inverse()]
             move = moves[ti, q] = (tj, X.act_array(p))
         tj, arr = move
         return gen(arr[mi], tj)
 
     relators = []
+    # column b: the index of melems[a] * melems[b], for every a
+    columns = _right_multiplications(M, melems)
     for ti in range(nT):
         for a in range(nM):
             for b in range(nM):
-                c = midx[melems[a] * melems[b]]
+                c = columns[b][a]
                 relators.append(
                     Word.of(
                         [(gen(a, ti), 1), (gen(b, ti), 1), (gen(c, ti), -1)]
@@ -265,7 +299,14 @@ def _with_peiffer_relators(
 
 @dataclass
 class Report:
-    """Everything the table prints about one induced crossed module."""
+    """Everything the table prints about one induced crossed module.
+
+    ``phases`` gives the seconds of each stage of ``induce``, in order:
+    ``presentation``, ``todd_coxeter``, ``chain`` (M read off the coset
+    table), ``homs`` (boundary, action and the module), ``validate``,
+    ``pi1_pi2`` (with the order law's closure) and ``naming`` (names and
+    fingerprints); they sum to ``seconds``.
+    """
 
     row: int | None
     subgroup: str
@@ -281,10 +322,11 @@ class Report:
     boundary_image_order: int
     order_law_ok: bool
     seconds: float
+    phases: dict[str, float] = field(default_factory=dict, compare=False)
 
     def to_json_dict(self) -> dict:
-        """Stable field order; timing is deliberately omitted so identical
-        inputs give identical bytes."""
+        """Stable field order; timing (``seconds``, ``phases``) is
+        deliberately omitted so identical inputs give identical bytes."""
         return {
             "row": self.row,
             "subgroup": self.subgroup,
@@ -377,9 +419,15 @@ def induce(
     there raises ``ValidationFailed`` (it would mean an internal error, not
     bad input).
     """
-    t0 = time.perf_counter()
+    marks = [(None, time.perf_counter())]
+
+    def lap(stage):
+        marks.append((stage, time.perf_counter()))
+
     ip = induced_presentation(X, iota, transversal)
+    lap("presentation")
     ct = todd_coxeter(ip.presentation, (), max_cosets)
+    lap("todd_coxeter")
     gen_perms = _coset_action(ct)
     Q = iota.target
     # generators that die in the presented group (the (1, t) copower pairs)
@@ -388,23 +436,34 @@ def induce(
         k for k in range(ip.presentation.ngens)
         if not gen_perms[k].is_identity()
     ]
-    Mstar = PermGroup(ct.ncosets, [gen_perms[k] for k in keep])
+    # a complete table over the trivial subgroup: M acts regularly
+    Mstar = PermGroup._regular(ct.ncosets, [gen_perms[k] for k in keep])
+    lap("chain")
     boundary = hom(Mstar, Q, [ip.boundary_images[k] for k in keep])
     action = []
     for qg in Q.generators:
         images = [gen_perms[ip.act_gen(k, qg)] for k in keep]
         action.append(GroupHom(Mstar, Mstar, images))
     Xi = CrossedModule(Mstar, Q, boundary, action)
+    lap("homs")
     report_check = validate(Xi)
     if not report_check.ok:
         raise ValidationFailed(
             f"induced module failed axioms: {report_check.describe()}"
         )
+    lap("validate")
     K, invariants = pi2(Xi)
     P1 = pi1(Xi)
     closure = normal_closure(
         Q, [iota.apply(X.boundary.apply(m)) for m in X.M.generators]
     )
+    boundary_image_order = image(boundary).order()
+    lap("pi1_pi2")
+    pi1_name = small_group_name(P1)
+    pi1_fingerprint = fingerprint(P1)
+    induced_name = match_catalogue(Mstar) or small_group_name(Mstar)
+    induced_fingerprint = fingerprint(Mstar)
+    lap("naming")
     report = Report(
         row=None,
         subgroup=", ".join(str(g) for g in X.Q.generators) or "1",
@@ -413,13 +472,15 @@ def induce(
         pi2_invariants=tuple(invariants),
         pi2_order=K.order(),
         pi1_order=P1.order(),
-        pi1_name=small_group_name(P1),
-        pi1_fingerprint=fingerprint(P1),
-        induced_name=match_catalogue(Mstar) or small_group_name(Mstar),
-        induced_fingerprint=fingerprint(Mstar),
-        boundary_image_order=image(boundary).order(),
+        pi1_name=pi1_name,
+        pi1_fingerprint=pi1_fingerprint,
+        induced_name=induced_name,
+        induced_fingerprint=induced_fingerprint,
+        boundary_image_order=boundary_image_order,
         order_law_ok=Mstar.order() == K.order() * closure.order(),
-        seconds=time.perf_counter() - t0,
+        seconds=marks[-1][1] - marks[0][1],
+        phases={stage: t - before
+                for (_, before), (stage, t) in zip(marks, marks[1:])},
     )
     return Xi, report
 

@@ -20,7 +20,13 @@ verification and the multiplication table of the isomorphism search look
 elements up and compare them by their base images, ``|base|`` lookups where a
 product costs ``degree``; the regular representation of a group has a base of
 one point.  Each element is multiplied out once, on the edge that first
-reaches it.
+reaches it.  Base images also decide commutation (``_commute``), coset
+membership (``_right_cosets``, ``quotient``) and element order, which is the
+lcm of the lengths of the cycles through the base points
+(``PermGroup._element_orders``).  A group known to act regularly (a quotient
+on the cosets of its normal subgroup, the induced M on its coset table) is
+built on its one-level chain without the Schreier-Sims check
+(``PermGroup._regular``).
 
 Kernels, images, centres, normal closures and derived subgroups are grown by
 one loop, ``_sifted``, which keeps a candidate generator only if it enlarges
@@ -316,6 +322,26 @@ class PermGroup:
         group._adopt(degree, tuple(generators), levels)
         return group
 
+    @classmethod
+    def _regular(cls, degree: int, generators) -> "PermGroup":
+        """The group generated by ``generators``, which the caller knows to
+        act regularly: transitively, with trivial point stabilizers.
+
+        Every nonidentity element of a regular group moves every point, so
+        Schreier-Sims would open its first level at point 1, with the
+        nonidentity generators and the orbit of point 1, all of it, as the
+        transversal.  The stabilizer of point 1 is trivial, so that level
+        alone is a complete chain and the Schreier generator check is
+        skipped.  Without a nonidentity generator the chain is empty.
+        """
+        generators = tuple(generators)
+        seed = [g for g in generators if not g.is_identity()]
+        levels = []
+        if seed:
+            levels.append({"point": 1, "gens": seed})
+            _rebuild_orbit(levels[0], degree)
+        return cls._on_chain(degree, generators, levels)
+
     def _adopt(self, degree: int, generators: tuple, levels: list) -> None:
         self.degree = degree
         self.generators = generators
@@ -361,6 +387,29 @@ class PermGroup:
         permutation outside it may share the base images of one inside.
         """
         return tuple(level["point"] for level in self._levels)
+
+    def _element_orders(self) -> list[int]:
+        """The order of each element, in ``elements()`` order.
+
+        ``p^k`` is the identity exactly when it fixes every base point, that
+        is when k is a multiple of the length of the cycle of p through each
+        base point; so the order of p is the lcm of those lengths, and
+        cycles missing the base are never followed.
+        """
+        base = self._base()
+        orders = []
+        for p in self.elements():
+            images = p.images
+            order = 1
+            for b in base:
+                length = 1
+                x = images[b - 1]
+                while x != b:
+                    x = images[x - 1]
+                    length += 1
+                order = lcm(order, length)
+            orders.append(order)
+        return orders
 
     def _cayley_walk(self) -> tuple[tuple, tuple]:
         """Breadth-first walk of the Cayley graph from the identity.
@@ -733,10 +782,20 @@ def _normality_witness(N: PermGroup, G: PermGroup):
     return next(((n, g) for n, g in pairs if n.conj(g) not in N), None)
 
 
+def _commute(base, a, b) -> bool:
+    """Whether ``a b == b a``, for the image tuples of two elements of a
+    group with base ``base``: both products lie in the group, so they are
+    equal exactly when they agree on the base, where they give ``b(a(x))``
+    and ``a(b(x))``."""
+    return all(b[a[x - 1] - 1] == a[b[x - 1] - 1] for x in base)
+
+
 def _noncommuting_pair(G: PermGroup):
     """First pair of generators that do not commute, or None (G abelian)."""
+    base = G._base()
     pairs = itertools.combinations(G.generators, 2)
-    return next(((a, b) for a, b in pairs if a * b != b * a), None)
+    return next(((a, b) for a, b in pairs
+                 if not _commute(base, a.images, b.images)), None)
 
 
 def right_coset_representatives(G: PermGroup, H: PermGroup) -> list[Permutation]:
@@ -751,15 +810,23 @@ def right_coset_representatives(G: PermGroup, H: PermGroup) -> list[Permutation]
 
 def _right_cosets(G: PermGroup, H: PermGroup) -> tuple[list, dict]:
     """Least element of each right coset Hg, ascending, and the number of
-    the coset of every element of G."""
-    helems = H.elements()
+    the coset of every element of G, keyed by its base images in G
+    (``PermGroup._base``).
+
+    The base images of ``h * e`` are those of h mapped by e, so no product
+    is formed.  Keys are only for elements of G: a caller holding a
+    permutation from outside must check membership first.
+    """
+    base = G._base()
+    hkeys = [tuple([h.images[b - 1] for b in base]) for h in H.elements()]
     reps = []
     coset_of = {}
     for e in G.elements():
-        if e in coset_of:
+        ei = e.images
+        if tuple([ei[b - 1] for b in base]) in coset_of:
             continue
-        for h in helems:
-            coset_of[h * e] = len(reps)
+        for key in hkeys:
+            coset_of[tuple([ei[k - 1] for k in key])] = len(reps)
         reps.append(e)
     return reps, coset_of
 
@@ -780,12 +847,17 @@ def quotient(G: PermGroup, N: PermGroup) -> tuple[PermGroup, GroupHom]:
             witness=bad,
         )
     reps, coset_of = _right_cosets(G, N)
+    base = G._base()
+    rkeys = [tuple([r.images[b - 1] for b in base]) for r in reps]
     perms = []
     for g in G.generators:
-        perms.append(
-            Permutation(tuple(coset_of[r * g] + 1 for r in reps))
-        )
-    Q = PermGroup(len(reps), perms)
+        # the coset of r * g, by r's base images mapped by g
+        gi = g.images
+        perms.append(Permutation(tuple(
+            coset_of[tuple([gi[k - 1] for k in key])] + 1 for key in rkeys
+        )))
+    # G/N acts on the cosets of the normal N as on itself: regularly
+    Q = PermGroup._regular(len(reps), perms)
     proj = GroupHom(G, Q, perms)
     return Q, proj
 
@@ -801,9 +873,9 @@ def abelian_invariants(G: PermGroup) -> list[int]:
     invariants = []
     H = G
     while H.order() > 1:
-        elems = H.elements()
-        exponent = max(p.order() for p in elems)
-        g = next(p for p in elems if p.order() == exponent)
+        orders = H._element_orders()
+        exponent = max(orders)
+        g = H.elements()[orders.index(exponent)]
         invariants.append(exponent)
         H, _ = quotient(H, H.subgroup([g]))
     invariants.reverse()
@@ -811,8 +883,13 @@ def abelian_invariants(G: PermGroup) -> list[int]:
 
 
 def center(G: PermGroup) -> PermGroup:
+    """Elements commuting with every generator (``_commute``, on base
+    images), sifted in ascending order."""
+    base = G._base()
+    gens = [g.images for g in G.generators]
     return _sifted(G.degree, [
-        z for z in G.elements() if all(z * g == g * z for g in G.generators)
+        z for z in G.elements()
+        if all(_commute(base, z.images, gi) for gi in gens)
     ])
 
 
@@ -863,7 +940,7 @@ def _compute_fingerprint(G: PermGroup) -> Fingerprint:
         )
     derived = derived_subgroup(G)
     ab, _ = quotient(G, derived)
-    hist = Counter(p.order() for p in G.elements())
+    hist = Counter(G._element_orders())
     return Fingerprint(
         order=G.order(),
         abelianization=tuple(abelian_invariants(ab)),
@@ -881,25 +958,36 @@ class _GroupContext:
     """Indexed view of a small group: elements, element orders and the
     full multiplication table, all over element indices.
 
-    Entry ``(a, b)`` is looked up by the base images of ``a * b``, which are
-    those of ``a`` mapped by ``b``; no product is formed (``PermGroup._base``).
+    Entry ``(a, b)`` is the index of ``a * b``; column b is
+    ``_right_multiplications`` by b, read off base images.
     """
 
     def __init__(self, G: PermGroup):
         self.elements = G.elements()
         self.index = G.element_index()
-        self.orders = [p.order() for p in self.elements]
-        base = G._base()
-        images = [p.images for p in self.elements]
-        keys = [tuple([a[b - 1] for b in base]) for a in images]
-        by_key = {key: i for i, key in enumerate(keys)}
-        self.mult = [
-            [by_key[tuple([b[k - 1] for k in key])] for b in images]
-            for key in keys
-        ]
+        self.orders = G._element_orders()
+        columns = _right_multiplications(G, self.elements)
+        self.mult = [list(row) for row in zip(*columns)]
         self.by_order = {}
         for i, o in enumerate(self.orders):
             self.by_order.setdefault(o, []).append(i)
+
+
+def _right_multiplications(G: PermGroup, xs) -> list[list[int]]:
+    """For each element x of G in ``xs``, the array taking the index of each
+    a in ``G.elements()`` to the index of ``a * x``.
+
+    The base images of ``a * x`` are those of a mapped by x
+    (``PermGroup._base``), so an entry costs ``|base|`` lookups and no
+    product is formed.
+    """
+    base = G._base()
+    keys = [tuple([p.images[b - 1] for b in base]) for p in G.elements()]
+    by_key = {key: i for i, key in enumerate(keys)}
+    return [
+        [by_key[tuple([xi[k - 1] for k in key])] for key in keys]
+        for xi in (x.images for x in xs)
+    ]
 
 
 def _context(G: PermGroup) -> _GroupContext:

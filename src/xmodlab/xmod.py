@@ -205,16 +205,24 @@ def _cm1_failure(X: CrossedModule, qs, ms):
 
 
 def _cm2_failure(X: CrossedModule, mps, ms):
-    """First ``(m, m')`` with ``m^(dm') != m'^-1 m m'``, m' outer, or None."""
+    """First ``(m, m')`` with ``m^(dm') != m'^-1 m m'``, m' outer, or None.
+
+    Both sides lie in M, so they are compared by their base images
+    (``PermGroup._base``): at base point b, ``m'^-1 m m'`` gives
+    ``m'(m(c))`` where c is the point m' sends to b.
+    """
     melems = X.M.elements()
     index = X.M.element_index()
     bmap = X.boundary.element_map
-    mdata = [(m, index[m]) for m in ms]
+    base = X.M._base()
+    mdata = [(m, index[m], m.images) for m in ms]
     for mp in mps:
         arr = X.act_array(bmap[mp])
-        mpi = mp.inverse()
-        for m, i in mdata:
-            if melems[arr[i]] != mpi * m * mp:
+        mpi = mp.images
+        pairs = [(b - 1, mpi.index(b)) for b in base]
+        for m, i, mi in mdata:
+            lhs = melems[arr[i]].images
+            if any(lhs[b] != mpi[mi[c] - 1] for b, c in pairs):
                 return m, mp
     return None
 

@@ -433,3 +433,100 @@ def reference_todd_coxeter(presentation, subgroup_words=(), max_cosets=1 << 16):
         defined=defined,
         peak_live=peak_live,
     )
+
+
+def chain_levels(levels):
+    """A stabilizer chain as comparable data: per level its base point, its
+    generators' image tuples and its transversal as point -> image tuple."""
+    return [
+        (level["point"], [g.images for g in level["gens"]],
+         {a: u.images for a, u in level["transversal"].items()})
+        for level in levels
+    ]
+
+
+def schreier_sims_levels(degree, gens):
+    """``chain_levels`` of the full Schreier-Sims chain on the generator
+    tuples, the check loop included: the chain every group was built on
+    before a regular group got its one level directly."""
+    from xmodlab.perm import Permutation, _build_chain
+
+    return chain_levels(_build_chain(degree, [Permutation(g) for g in gens]))
+
+
+def cycles_order(t):
+    """Order as the lcm of the lengths of every cycle, as
+    ``Permutation.order`` computes it."""
+    from math import lcm
+
+    t = tuple(t)
+    seen = set()
+    order = 1
+    for start in range(1, len(t) + 1):
+        length = 0
+        x = start
+        while x not in seen:
+            seen.add(x)
+            x = t[x - 1]
+            length += 1
+        if length:
+            order = lcm(order, length)
+    return order
+
+
+def product_center(elements, gens):
+    """The elements z with ``z g == g z`` for every generator, by products."""
+    return {
+        tuple(z) for z in elements
+        if all(tcompose(z, g) == tcompose(g, z) for g in gens)
+    }
+
+
+def product_noncommuting_pair(gens):
+    """First pair of generator tuples, in ``combinations`` order, whose two
+    products differ, or None."""
+    return next(((tuple(a), tuple(b)) for a, b in combinations(gens, 2)
+                 if tcompose(a, b) != tcompose(b, a)), None)
+
+
+def product_right_cosets(elements, subgroup):
+    """Least element of each right coset Hg (``elements`` sorted) and the
+    coset number of every element, filled in by the products ``h * e``."""
+    reps = []
+    coset_of = {}
+    for e in elements:
+        e = tuple(e)
+        if e in coset_of:
+            continue
+        for h in subgroup:
+            coset_of[tcompose(h, e)] = len(reps)
+        reps.append(e)
+    return reps, coset_of
+
+
+def product_relators_die(degree, images, relators):
+    """Whether every relator (letters ``(generator, +1 or -1)``) multiplies
+    out to the identity when each generator stands for its image tuple,
+    one product per letter."""
+    images = [tuple(im) for im in images]
+    inverses = [tinverse(im) for im in images]
+    for letters in relators:
+        prod = tidentity(degree)
+        for g, e in letters:
+            prod = tcompose(prod, images[g] if e == 1 else inverses[g])
+        if prod != tidentity(degree):
+            return False
+    return True
+
+
+def product_cm2_failure(mdeg, mgens, qdeg, qgens, boundary, action, mps, ms):
+    """First ``(m, m')`` over ``mps`` (outer), then ``ms``, with
+    ``m^(dm') != m'^-1 m m'`` by products, or None; the module is given as
+    in ``crossed_module_witnesses``."""
+    d, act = _module_tables(mdeg, mgens, qdeg, qgens, boundary, action)
+    return next(
+        ((tuple(m), tuple(mp)) for mp in mps for m in ms
+         if act[d[tuple(mp)]][tuple(m)]
+         != tcompose(tcompose(tinverse(mp), m), mp)),
+        None,
+    )

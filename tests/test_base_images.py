@@ -1,35 +1,69 @@
-"""Walks, homomorphisms and multiplication tables keyed by base images.
+"""Walks, homomorphisms, multiplication tables, element orders, centres,
+cosets, CM2 and relator checks decided by base images or indices.
 
 A complete stabilizer chain fixes each element of its group by the images
 of the base points, so the library looks elements up by those images rather
 than by whole products.  These checks hold it to the product oracles of
 ``support``: the same walk, the same element maps and the same first
-conflict, and the same multiplication table.  A tripwire counts products on
-a degree-128 regular representation, so that a return to one product per
-edge or per table entry fails.
+conflict, the same multiplication table, the same orders, centre, cosets,
+CM2 witness and relator verdict.  The induced M and quotients, which act
+regularly, get their one-level chains without Schreier-Sims; each must
+equal the full chain.  Tripwires count
+products on a degree-128 regular representation, so that a return to one
+product per edge or per table entry fails, and Schreier-Sims check-loop
+runs on the induced M.
 """
+
+import dataclasses
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from support import (
+    chain_levels,
+    crossed_module_witnesses,
+    cycles_order,
+    product_center,
+    product_cm2_failure,
     product_mult_table,
+    product_noncommuting_pair,
+    product_relators_die,
     product_replay,
+    product_right_cosets,
     product_walk,
+    schreier_sims_levels,
+    tcompose,
     tidentity,
+    torder,
 )
-from xmodlab.errors import RelationViolated
+from xmodlab import perm
+from xmodlab.errors import CosetLimitExceeded, NotInGroup, RelationViolated
+from xmodlab.fp import Presentation, Word, _coset_action, todd_coxeter
+from xmodlab.induce import (
+    induce,
+    induced_presentation,
+    table_subgroup,
+)
 from xmodlab.perm import (
     GroupHom,
     PermGroup,
     Permutation,
     _context,
+    _noncommuting_pair,
+    _right_cosets,
+    center,
     cyclic,
+    hom,
+    identity_hom,
+    kernel,
+    image,
     normal_closure,
+    parse_generator_list,
     quotient,
     symmetric,
 )
+from xmodlab.xmod import CrossedModule, _cm2_failure, identity_xmod, validate
 
 
 @st.composite
@@ -189,3 +223,259 @@ def test_product_tripwire(table_results, monkeypatch):
         calls.clear()
         step()
         assert len(calls) <= M.order()
+
+
+# ---------------------------------------------------------------------------
+# orders, centres, cosets, CM2 and relators against the product oracles
+
+
+def images(perms):
+    return [p.images for p in perms]
+
+
+def check_orders(G):
+    elements = images(G.elements())
+    orders = G._element_orders()
+    assert orders == [cycles_order(p) for p in elements]
+    assert orders == [torder(p) for p in elements]
+
+
+def check_commutation(G):
+    """The centre and the first noncommuting pair of generators."""
+    got = {z.images for z in center(G).elements()}
+    assert got == product_center(images(G.elements()), images(G.generators))
+    pair = _noncommuting_pair(G)
+    assert (None if pair is None else tuple(images(pair))) == (
+        product_noncommuting_pair(images(G.generators)))
+
+
+def check_cosets(G, N, normal=False):
+    """``_right_cosets`` (and with ``normal`` the quotient's generator
+    images and chain) against the product and Schreier-Sims oracles."""
+    reps, coset_of = _right_cosets(G, N)
+    want_reps, want_of = product_right_cosets(images(G.elements()),
+                                              images(N.elements()))
+    assert images(reps) == want_reps
+    base = G._base()
+    assert coset_of == {tuple(p.images[b - 1] for b in base): want_of[p.images]
+                        for p in G.elements()}
+    if normal:
+        quotient_group, _ = quotient(G, N)
+        assert images(quotient_group.generators) == [
+            tuple(want_of[tcompose(r, g.images)] + 1 for r in want_reps)
+            for g in G.generators
+        ]
+        # G/N acts regularly on the cosets: its one level is the full chain
+        assert chain_levels(quotient_group._levels) == schreier_sims_levels(
+            quotient_group.degree, images(quotient_group.generators))
+
+
+def module_data(X):
+    return (X.M.degree, images(X.M.generators), X.Q.degree,
+            images(X.Q.generators), images(X.boundary.images),
+            [images(a.images) for a in X.action])
+
+
+def check_cm2(X, scan=True):
+    """``_cm2_failure`` on generator pairs (and with ``scan`` on element
+    pairs, with ``validate``'s witness) against the product check."""
+    data = module_data(X)
+    pairs = [(X.M.generators, X.M.generators)]
+    if scan:
+        pairs.append((X.M.elements(), X.M.elements()))
+    for mps, ms in pairs:
+        got = _cm2_failure(X, mps, ms)
+        assert (None if got is None else tuple(images(got))) == (
+            product_cm2_failure(*data, images(mps), images(ms)))
+    if scan:
+        witness = validate(X).cm2_witness
+        assert (None if witness is None else tuple(images(witness))) == (
+            crossed_module_witnesses(*data)[1])
+
+
+def trivially_acted(X):
+    """X with every generator of Q acting as the identity: CM2 fails
+    unless M is abelian."""
+    return CrossedModule(X.M, X.Q, X.boundary,
+                         [identity_hom(X.M)] * len(X.Q.generators))
+
+
+def check_relators(ip, boundary_images):
+    """``boundary_kills_relators`` with the given boundary images against
+    the per-letter product check; returns the verdict."""
+    ip = dataclasses.replace(ip, boundary_images=tuple(boundary_images))
+    want = product_relators_die(
+        ip.base.degree, images(boundary_images),
+        [w.letters for w in ip.presentation.relators])
+    assert ip.boundary_kills_relators() == want
+    return want
+
+
+class TestRandomGroups:
+    @settings(max_examples=60, deadline=None)
+    @given(generator_lists(max_degree=7), st.data())
+    def test_orders_centre_and_cosets(self, spec, data):
+        G = group(*spec)
+        check_orders(G)
+        check_commutation(G)
+        x = data.draw(st.sampled_from(G.elements()))
+        check_cosets(G, G.subgroup([x]))
+        check_cosets(G, normal_closure(G, [x]), normal=True)
+
+    def test_trivial_group(self):
+        T = PermGroup(3, [])
+        check_orders(T)
+        check_commutation(T)
+        check_cosets(T, T, normal=True)
+        check_cm2(trivially_acted(identity_xmod(T)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(generator_lists(max_degree=5))
+    def test_cm2_under_trivial_action(self, spec):
+        check_cm2(trivially_acted(identity_xmod(group(*spec))))
+
+
+S5 = "(1,2,3,4,5),(1,2)"
+S5_JOBS = ("(1,2,3,4),(1,2)", "(1,2)")  # the two that finish
+
+
+def s5_inclusion(sub):
+    Q = PermGroup(5, parse_generator_list(S5, 5))
+    P = Q.subgroup(parse_generator_list(sub, 5))
+    return P, hom(P, Q, P.generators)
+
+
+def row_inclusion(row):
+    P = table_subgroup(row)
+    return P, hom(P, symmetric(4), P.generators)
+
+
+INCLUSIONS = ([("row", row) for row in range(1, 8)]
+              + [("S5", sub) for sub in S5_JOBS])
+
+
+def inclusion(case):
+    kind, arg = case
+    return row_inclusion(arg) if kind == "row" else s5_inclusion(arg)
+
+
+@pytest.fixture(scope="module")
+def s5_modules():
+    return {sub: induce(identity_xmod(P), iota)[0]
+            for sub, (P, iota) in ((s, s5_inclusion(s)) for s in S5_JOBS)}
+
+
+@pytest.fixture
+def induced(request, table_results, s5_modules):
+    kind, arg = request.param
+    return table_results[arg - 1][0] if kind == "row" else s5_modules[arg]
+
+
+@pytest.mark.parametrize("induced", INCLUSIONS, indirect=True,
+                         ids=[f"{k}-{a}" for k, a in INCLUSIONS])
+class TestInducedModules:
+    def test_regular_level_is_the_full_chain(self, induced):
+        M = induced.M
+        assert M._base() == (1,) and M.order() == M.degree
+        assert chain_levels(M._levels) == schreier_sims_levels(
+            M.degree, images(M.generators))
+
+    def test_orders_centres_and_cosets(self, induced):
+        K, D = kernel(induced.boundary), image(induced.boundary)
+        for G in (induced.M, induced.Q, K):
+            check_orders(G)
+            check_commutation(G)
+        check_cosets(induced.M, K, normal=True)
+        check_cosets(induced.Q, D, normal=True)
+
+    def test_cm2(self, induced):
+        # element pairs only on the S4 rows: the S5 scans take seconds
+        scan = induced.Q.degree == 4
+        check_cm2(induced, scan)
+        check_cm2(trivially_acted(induced), scan)
+
+
+@pytest.mark.parametrize("case", INCLUSIONS,
+                         ids=[f"{k}-{a}" for k, a in INCLUSIONS])
+def test_relator_check(case):
+    P, iota = inclusion(case)
+    ip = induced_presentation(identity_xmod(P), iota)
+    assert check_relators(ip, ip.boundary_images)
+    # the boundary turned by one place kills some relator no longer
+    turned = ip.boundary_images[1:] + ip.boundary_images[:1]
+    assert not check_relators(ip, turned)
+
+
+def test_relator_check_needs_images_in_the_base():
+    P, iota = row_inclusion(7)
+    ip = induced_presentation(identity_xmod(P), iota)
+    with pytest.raises(NotInGroup):
+        dataclasses.replace(ip, base=P).boundary_kills_relators()
+
+
+# ---------------------------------------------------------------------------
+# the regular M, read off a coset table over the trivial subgroup
+
+
+@st.composite
+def finite_presentations(draw):
+    """1-3 generators, each of an order 2-6, and for each pair of them
+    either a commutator or a power of their product: finite groups of up
+    to about 120 elements, and some infinite ones."""
+    ngens = draw(st.integers(1, 3))
+    relators = [Word.of([(g, 1)] * draw(st.integers(2, 6)))
+                for g in range(ngens)]
+    for g in range(ngens):
+        for h in range(g + 1, ngens):
+            if draw(st.booleans()):
+                letters = [(g, -1), (h, -1), (g, 1), (h, 1)]
+            else:
+                letters = [(g, 1), (h, 1)] * draw(st.integers(2, 5))
+            relators.append(Word.of(letters))
+    return Presentation(ngens, tuple(relators))
+
+
+def regular_group(ct):
+    """The group of a table over the trivial subgroup, as ``induce`` reads
+    it: the nonidentity generators on one chain level."""
+    perms = [p for p in _coset_action(ct) if not p.is_identity()]
+    return PermGroup._regular(ct.ncosets, perms)
+
+
+class TestRegularChain:
+    @settings(max_examples=150, deadline=None)
+    @given(finite_presentations())
+    def test_one_level_is_the_full_chain(self, presentation):
+        try:
+            ct = todd_coxeter(presentation, (), 200)
+        except CosetLimitExceeded:
+            return  # infinite, or too big for a quick oracle
+        G = regular_group(ct)
+        assert G.order() == ct.ncosets
+        assert chain_levels(G._levels) == schreier_sims_levels(
+            G.degree, images(G.generators))
+        check_orders(G)
+
+    def test_trivial_m_has_the_empty_chain(self):
+        T = PermGroup(4, [])
+        X, report = induce(identity_xmod(T), hom(T, symmetric(4), []))
+        assert X.M.generators == () and X.M._levels == []
+        assert X.M._base() == () and X.M._element_orders() == [1]
+        assert report.induced_order == 1
+
+    def test_row_7_m_skips_the_check_loop(self, monkeypatch):
+        # M's chain never enters the Schreier-Sims check loop, which the
+        # chains of kernels, images and closures still do
+        checked = []
+        complete = perm._complete_chain
+
+        def spy(levels, degree):
+            checked.append(levels)
+            return complete(levels, degree)
+
+        monkeypatch.setattr(perm, "_complete_chain", spy)
+        P, iota = row_inclusion(7)
+        X, _ = induce(identity_xmod(P), iota)
+        assert X.M.order() == X.M.degree == 128
+        assert checked
+        assert all(levels is not X.M._levels for levels in checked)

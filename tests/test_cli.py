@@ -1,6 +1,9 @@
 """Command line interface, driven in-process through main()."""
 
+import io
 import json
+import os
+import sys
 
 import pytest
 
@@ -23,6 +26,31 @@ def run(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+class TestClosedPipe:
+    """A reader that stops early (``xmodlab table --json | head -1``) ends
+    the command with status 1 and nothing on stderr."""
+
+    def test_stream_without_descriptor(self, capsys, monkeypatch):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["identify", "--json"]) == 1
+        assert capsys.readouterr().err == ""
+
+    def test_pipe_closed_by_its_reader(self, capsys, monkeypatch):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        stream = open(write_end, "w")
+        monkeypatch.setattr(sys, "stdout", stream)
+        assert main(["identify", "--json"]) == 1
+        # the descriptor now points at the null device, so the flush at
+        # exit (here: at close) no longer meets the closed pipe
+        stream.close()
+        assert capsys.readouterr().err == ""
 
 
 class TestParsing:

@@ -242,6 +242,18 @@ class TestInduce:
         assert d["row"] == 1
         assert d["induced_order"] == 48
 
+    def test_report_phases(self, table_results):
+        # stage timings ride on the report but stay out of its JSON, which
+        # tests/test_goldens.py holds to perfbench/golden/table_verify.json
+        for _, rep in table_results:
+            assert list(rep.phases) == [
+                "presentation", "todd_coxeter", "chain", "homs", "validate",
+                "pi1_pi2", "naming",
+            ]
+            assert all(s >= 0 for s in rep.phases.values())
+            assert sum(rep.phases.values()) == pytest.approx(rep.seconds)
+            assert "phases" not in rep.to_json_dict()
+
     def test_coset_limit_propagates(self):
         X, iota = include(["(1,2)"])
         with pytest.raises(CosetLimitExceeded):
