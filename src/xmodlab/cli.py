@@ -7,6 +7,8 @@ isomorphism answer or standard output closed early by its reader (as by
 ``| head``; the command then stops without a traceback), 2 malformed input,
 3 coset limit exceeded, 4 internal validation failure.  ``XMODLAB_LIMIT``
 overrides the default coset limit; a limit below 1 is malformed input.
+``--stats`` on ``induce`` and ``table`` prints one line per induction on
+stderr (``Report.stats`` and ``Report.phases``) and leaves stdout as it is.
 """
 
 from __future__ import annotations
@@ -78,10 +80,23 @@ def _subgroup(args, sub_text: str) -> tuple[PermGroup, PermGroup]:
     return Q, P
 
 
+def _print_stats(report) -> None:
+    """One line on stderr: the path ``induce`` took, its coset table's
+    counters, the presentation's size, M's degree and the phase seconds."""
+    head = f"row {report.row}: " if report.row is not None else ""
+    counts = " ".join(f"{k}={v}" for k, v in report.stats.items()
+                      if k != "path")
+    phases = " ".join(f"{k}={v:.4f}s" for k, v in report.phases.items())
+    print(f"stats: {head}{report.stats['path']}; {counts}; phases {phases}",
+          file=sys.stderr)
+
+
 def cmd_induce(args) -> int:
     Q, P = _subgroup(args, args.sub)
     iota = hom(P, Q, P.generators)
     Xi, report = induce(identity_xmod(P), iota, _resolve_limit(args))
+    if args.stats:
+        _print_stats(report)
     if args.dump_xmod:
         with open(args.dump_xmod, "w") as fh:
             fh.write(xmod_to_json(Xi) + "\n")
@@ -99,6 +114,9 @@ def cmd_table(args) -> int:
             raise ParseError(f"--row must be in 1..{len(TABLE_SUBGROUPS)}")
         rows = [args.row]
     reports = run_table(_resolve_limit(args), args.verify, rows)
+    if args.stats:
+        for r in reports:
+            _print_stats(r)
     if args.json:
         print(json.dumps([r.to_json_dict() for r in reports], indent=2))
     else:
@@ -242,12 +260,18 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seed for sampled checks (current commands are "
                             "deterministic and ignore it)")
 
+    def stats_flag(p):
+        p.add_argument("--stats", action="store_true",
+                       help="print each induction's path, coset counts, "
+                            "presentation size and phase seconds to stderr")
+
     p = sub.add_parser("induce", help="induce a crossed module along P <= Q")
     common(p)
     p.add_argument("--sub", required=True,
                    help="subgroup generators in cycle notation")
     p.add_argument("--dump-xmod", metavar="PATH",
                    help="also write the induced crossed module as JSON")
+    stats_flag(p)
     p.set_defaults(func=cmd_induce)
 
     p = sub.add_parser("table", help="compute the bundled S4 reference table")
@@ -256,6 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="compute a single 1-based row")
     p.add_argument("--verify", action="store_true",
                    help="assert the computed values match the stored ones")
+    stats_flag(p)
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("check", help="validate a crossed module JSON file")

@@ -84,7 +84,12 @@ class IncompleteTable(XmodlabError):
 
 
 class BudgetExceeded(XmodlabError):
-    """A presentation would need more generators than the configured budget."""
+    """A presentation would need more relator letters than its budget;
+    ``limit`` is the budget."""
+
+    def __init__(self, message: str, limit: int | None = None):
+        self.limit = limit
+        super().__init__(message)
 
 
 class EdgeMismatch(XmodlabError):

@@ -1,26 +1,29 @@
 """Induced crossed modules along a subgroup inclusion.
 
 Given a crossed module d: M -> P and an injective iota: P -> Q, the induced
-crossed module over Q is presented on generators (m, t) for every element m
-of M and every coset representative t of iota(P) in Q, with
+crossed module over Q is generated by one copy of M for every coset
+representative t of iota(P) in Q, written (m, t), with
 
     copower relators   (m, t)(m', t) = (mm', t)
     Peiffer relators   x^-1 y x = y^(dx)
     boundary           d(m, t) = t^-1 iota(dm) t
     action             (m, t)^q = (m^p, t')  where t q = iota(p) t'
 
-Coset enumeration of the presented group over the trivial subgroup yields its
-regular permutation representation, from which boundary and action are read
-off as verified homomorphisms and the axioms re-checked by ``validate``.
+``induced_presentation`` keeps this small: each copy is generated by the
+P-invariant closure S of M's generators and presented by M's Schreier
+relators on S, and the Peiffer relators run over generator pairs only.
+The letters are counted before a word is built, and a presentation of more
+than ``RELATOR_LETTER_BUDGET`` letters is refused.
 
-M's stabilizer chain has one level and is built without Schreier-Sims
-(``PermGroup._regular``).  A complete coset table over the trivial subgroup
-is the group's right action on its own elements, which is regular: every
-coset is reached from coset 1 and only the identity fixes it.  So the orbit
-of point 1 under the generators is the whole transversal, the stabilizer of
-point 1 is trivial, and ``|M|`` is the coset count.  It is the level
-Schreier-Sims would build, with the same base, so M's walk and element
-order are those of a full chain.
+``induce`` enumerates the presented group G over H, the copy of M at the
+identity coset, and reads M off G's action on the cosets of H.  That action
+is proved faithful when a stabilizer chain stopped at the known order
+``[G:H]·|M|`` reaches it (the proof is in ``induce``).  Otherwise, as for
+``P = Q`` or a boundary that is not injective, G is enumerated over the
+trivial subgroup of the same presentation, on which it acts regularly
+(``PermGroup._regular``: one chain level, no Schreier-Sims check).  Either
+way boundary and action are read off as verified homomorphisms and the
+axioms re-checked by ``validate``.
 
 Relators are checked against the boundary by index arithmetic in the base
 group, not by products (``InducedPresentation.boundary_kills_relators``).
@@ -72,7 +75,7 @@ from .perm import (
 )
 from .xmod import CrossedModule, identity_xmod, pi1, pi2, validate, xmod_isomorphic
 
-GENERATOR_BUDGET = 4096
+RELATOR_LETTER_BUDGET = 1 << 20
 
 
 coset_transversal = right_coset_representatives
@@ -85,12 +88,15 @@ class InducedPresentation:
     ``gen_pairs[k]`` records which (m, t) pair generator ``k`` stands for,
     ``boundary_images[k]`` its boundary in the base group, and ``act_gen``
     implements the generator permutation induced by any base group element.
+    ``subgroup_words`` generate the copy of M at the coset of the subgroup,
+    for an induced module; they are empty for a free one.
     """
 
     presentation: Presentation
     base: PermGroup
     boundary_images: tuple[Permutation, ...]
     gen_pairs: tuple[tuple[Permutation, Permutation], ...]
+    subgroup_words: tuple[Word, ...] = ()
     _act: object = field(repr=False, compare=False, default=None)
 
     def act_gen(self, k: int, q: Permutation) -> int:
@@ -135,17 +141,100 @@ def _dedupe_relators(words):
     return tuple(out)
 
 
+def _check_letters(letters: int) -> None:
+    """Refuse a presentation of more than ``RELATOR_LETTER_BUDGET`` relator
+    letters, counted before any word is built."""
+    if letters > RELATOR_LETTER_BUDGET:
+        raise BudgetExceeded(
+            f"{letters} relator letters exceed the budget of "
+            f"{RELATOR_LETTER_BUDGET}",
+            limit=RELATOR_LETTER_BUDGET,
+        )
+
+
+def _invariant_generators(X: CrossedModule) -> list[int]:
+    """Indices in ``X.M.elements()`` of S, the closure of M's nonidentity
+    generators under the action of X.Q: those generators first, then each
+    new image in breadth-first order."""
+    M = X.M
+    index = M.element_index()
+    arrays = [X.act_array(p) for p in X.Q.generators]
+    S = list(dict.fromkeys(
+        index[m] for m in M.generators if not m.is_identity()))
+    seen = set(S)
+    for s in S:  # grows while it is read: a FIFO queue
+        for arr in arrays:
+            if arr[s] not in seen:
+                seen.add(arr[s])
+                S.append(arr[s])
+    return S
+
+
+def _schreier_relators(M: PermGroup, S: list[int]):
+    """Schreier relators of M on the generators S (indices in
+    ``M.elements()``), as words over positions in S, and their letter count.
+
+    A breadth-first spanning tree of M's Cayley graph on S gives each
+    element a word ``w_a``; the relators ``w_a s w_(as)^-1`` for the edges
+    off the tree generate the kernel of the free group on S onto M
+    (Schreier's lemma), so they present M.  The edges come from index
+    arrays (``perm._right_multiplications``), and the letters are counted
+    from the tree depths before any relator is spelled out.
+    """
+    columns = _right_multiplications(M, [M.elements()[s] for s in S])
+    parent = {0: None}  # element index -> (element index, position in S)
+    order = [0]
+    for a in order:  # grows while it is read: a FIFO queue
+        for j, col in enumerate(columns):
+            c = col[a]
+            if c not in parent:
+                parent[c] = (a, j)
+                order.append(c)
+    depth = {0: 0}
+    for a in order[1:]:
+        depth[a] = depth[parent[a][0]] + 1
+    edges = [(a, j, col[a]) for a in order for j, col in enumerate(columns)
+             if parent[col[a]] != (a, j)]
+    letters = sum(depth[a] + 1 + depth[c] for a, _, c in edges)
+
+    def spell():
+        word = {0: ()}
+        for a in order[1:]:
+            b, j = parent[a]
+            word[a] = word[b] + (j,)
+        return [
+            [(k, 1) for k in word[a]] + [(j, 1)]
+            + [(k, -1) for k in reversed(word[c])]
+            for a, j, c in edges
+        ]
+
+    return spell, letters
+
+
 def induced_presentation(
     X: CrossedModule, iota: GroupHom, transversal=None
 ) -> InducedPresentation:
-    """Copower-plus-Peiffer presentation of the crossed module induced by iota.
+    """Presentation of the top group of the crossed module induced by iota.
+
+    It has one copy of M per right coset of iota(P) in Q, each on the
+    generators ``(s, t)`` for s in S, the closure of M's generators under
+    P's action (``_invariant_generators``), and t the coset's transversal
+    element.  Each copy has M's Schreier relators (``_schreier_relators``,
+    built once and shifted per copy), and the Peiffer relators run over
+    generator pairs (``_with_peiffer_relators``).  The copower relators
+    ``(m, t)(m', t) = (mm', t)`` on all of M follow: S generates M.  The
+    Peiffer identity on a generating set gives it on all of the group,
+    since for a fixed x the elements y with ``x^-1 y x = y^(dx)`` form a
+    subgroup, and so do the x that satisfy it for every y.  S is
+    P-invariant, so the action permutes the generators.
+    ``subgroup_words`` generate H, the copy at the coset of iota(P).
 
     ``transversal`` may supply explicit right-coset representatives of
     iota(P) in Q (any full transversal works; the resulting modules are
     isomorphic); an element outside Q raises ``NotInGroup``, and two in one
     coset or a coset left out raise ``ValueError``.  Raises
-    ``NonInjective`` if iota is not injective and ``BudgetExceeded`` if
-    |M|*[Q:iota(P)] generators would exceed the budget.
+    ``NonInjective`` if iota is not injective and ``BudgetExceeded`` if the
+    relators would have more than ``RELATOR_LETTER_BUDGET`` letters.
     """
     if iota.source is not X.Q:
         raise ValueError("iota must start at the base group of X")
@@ -154,15 +243,15 @@ def induced_presentation(
     Q = iota.target
     M = X.M
     H = image(iota)
-    nM = M.order()
     T = None if transversal is None else list(transversal)
-    # arithmetic first: refuse the job before enumerating anything big
     nT = Q.order() // H.order() if T is None else len(T)
-    if nM * nT > GENERATOR_BUDGET:
-        raise BudgetExceeded(
-            f"{nM * nT} generators exceed the budget of {GENERATOR_BUDGET}"
-        )
-    melems = list(M.elements())
+    S = _invariant_generators(X)
+    nS = len(S)
+    ngens = nS * nT
+    spell, schreier_letters = _schreier_relators(M, S)
+    # arithmetic first: refuse the job before building any word
+    _check_letters(nT * schreier_letters + 4 * ngens * ngens)
+    melems = M.elements()
     reps, coset_of = _right_cosets(Q, H)
     qbase = Q._base()
 
@@ -182,24 +271,26 @@ def induced_presentation(
             raise ValueError("transversal does not cover every coset")
         coset_of = {e: position[c] for e, c in coset_of.items()}
     iota_inv = {iota.apply(p): p for p in X.Q.elements()}
+    position_in_S = {s: si for si, s in enumerate(S)}
 
-    def gen(mi, ti):
-        return mi * nT + ti
+    def gen(si, ti):
+        return si * nT + ti
 
     boundary_images = []
     gen_pairs = []
     labels = []
-    for mi, m in enumerate(melems):
+    for si, s in enumerate(S):
+        m = melems[s]
         dm = iota.apply(X.boundary.apply(m))
         for ti, t in enumerate(T):
             boundary_images.append(t.inverse() * dm * t)
             gen_pairs.append((m, t))
-            labels.append(f"m{mi}t{ti}")
+            labels.append(f"s{si}t{ti}")
 
     moves = {}  # (ti, q) -> (tj, action array of p) where T[ti] q = p T[tj]
 
     def act_gen(k, q):
-        mi, ti = divmod(k, nT)
+        si, ti = divmod(k, nT)
         move = moves.get((ti, q))
         if move is None:
             z = T[ti] * q
@@ -207,22 +298,19 @@ def induced_presentation(
             p = iota_inv[z * T[tj].inverse()]
             move = moves[ti, q] = (tj, X.act_array(p))
         tj, arr = move
-        return gen(arr[mi], tj)
+        return gen(position_in_S[arr[S[si]]], tj)
 
-    relators = []
-    # column b: the index of melems[a] * melems[b], for every a
-    columns = _right_multiplications(M, melems)
-    for ti in range(nT):
-        for a in range(nM):
-            for b in range(nM):
-                c = columns[b][a]
-                relators.append(
-                    Word.of(
-                        [(gen(a, ti), 1), (gen(b, ti), 1), (gen(c, ti), -1)]
-                    )
-                )
+    # spanning-tree words are reduced: the one letter that could cancel
+    # is the tree edge itself
+    relators = [
+        Word(tuple([(gen(si, ti), e) for si, e in word]))
+        for word in spell() for ti in range(nT)
+    ]
+    t0 = coset(Q.identity)  # the transversal element in iota(P)
+    subgroup_words = tuple(Word(((gen(si, t0), 1),)) for si in range(nS))
     return _with_peiffer_relators(
-        Q, relators, boundary_images, gen_pairs, labels, act_gen
+        Q, relators, boundary_images, gen_pairs, labels, act_gen,
+        subgroup_words,
     )
 
 
@@ -243,10 +331,7 @@ def free_crossed_module_presentation(P: PermGroup, relations) -> InducedPresenta
         if w not in P:
             raise ValueError(f"relation value {w} is not in P")
     ngens = len(rels) * nP
-    if ngens > GENERATOR_BUDGET:
-        raise BudgetExceeded(
-            f"{ngens} generators exceed the budget of {GENERATOR_BUDGET}"
-        )
+    _check_letters(4 * ngens * ngens)
 
     def gen(r, pi):
         return r * nP + pi
@@ -270,10 +355,12 @@ def free_crossed_module_presentation(P: PermGroup, relations) -> InducedPresenta
 
 
 def _with_peiffer_relators(
-    base, relators, boundary_images, gen_pairs, labels, act_gen
+    base, relators, boundary_images, gen_pairs, labels, act_gen,
+    subgroup_words=(),
 ) -> InducedPresentation:
     """Add the Peiffer relators x^-1 y x = y^(dx) on every generator pair to
-    ``relators`` and return the presentation, checked against the boundary."""
+    ``relators`` and return the presentation, checked against the boundary.
+    Each has at most four letters."""
     ngens = len(boundary_images)
     for x in range(ngens):
         dx = boundary_images[x]
@@ -286,6 +373,7 @@ def _with_peiffer_relators(
         base=base,
         boundary_images=tuple(boundary_images),
         gen_pairs=tuple(gen_pairs),
+        subgroup_words=subgroup_words,
         _act=act_gen,
     )
     if not ip.boundary_kills_relators():
@@ -297,15 +385,25 @@ def _with_peiffer_relators(
 # reports
 
 
+PHASES = ("presentation", "todd_coxeter", "chain", "homs", "validate",
+          "pi1_pi2", "naming")
+
+
 @dataclass
 class Report:
     """Everything the table prints about one induced crossed module.
 
-    ``phases`` gives the seconds of each stage of ``induce``, in order:
-    ``presentation``, ``todd_coxeter``, ``chain`` (M read off the coset
-    table), ``homs`` (boundary, action and the module), ``validate``,
-    ``pi1_pi2`` (with the order law's closure) and ``naming`` (names and
-    fingerprints); they sum to ``seconds``.
+    ``phases`` gives the seconds of each stage of ``induce``, in the order
+    of ``PHASES``: ``presentation``, ``todd_coxeter``, ``chain`` (M read off
+    the coset table), ``homs`` (boundary, action and the module),
+    ``validate``, ``pi1_pi2`` (with the order law's closure) and ``naming``
+    (names and fingerprints); they sum to ``seconds``.  When the regular
+    enumeration follows the one over H, both count in ``todd_coxeter`` and
+    ``chain``.  ``stats`` gives the path taken (``"over H"`` or
+    ``"regular"``), the counters of the coset table M was read off
+    (``ncosets``, ``defined``, ``peak_live``), the presentation's size
+    (``generators``, ``relators``, ``relator_letters``) and M's ``degree``.
+    Neither is part of the JSON or of comparisons.
     """
 
     row: int | None
@@ -323,10 +421,12 @@ class Report:
     order_law_ok: bool
     seconds: float
     phases: dict[str, float] = field(default_factory=dict, compare=False)
+    stats: dict = field(default_factory=dict, compare=False)
 
     def to_json_dict(self) -> dict:
-        """Stable field order; timing (``seconds``, ``phases``) is
-        deliberately omitted so identical inputs give identical bytes."""
+        """Stable field order; timing (``seconds``, ``phases``) and
+        ``stats`` are deliberately omitted so identical inputs give
+        identical bytes."""
         return {
             "row": self.row,
             "subgroup": self.subgroup,
@@ -413,32 +513,73 @@ def induce(
 ) -> tuple[CrossedModule, Report]:
     """Induced crossed module along iota, with a report of its invariants.
 
-    The construction enumerates the presented top group over the trivial
-    subgroup, so the resulting M is given by its regular representation.
-    The returned module has passed the axiom check; a failure
-    there raises ``ValidationFailed`` (it would mean an internal error, not
-    bad input).
-    """
-    marks = [(None, time.perf_counter())]
+    The top group G of ``induced_presentation`` is enumerated over H, the
+    copy of M at the coset of iota(P), whose generators are the words
+    ``(s, t0)`` with t0 the transversal element in iota(P).  Why the action
+    of G on the cosets of H gives G itself, when it does:
 
-    def lap(stage):
-        marks.append((stage, time.perf_counter()))
+    - ``phi: M -> G``, ``m -> (m, t0)``, is a homomorphism onto H, by the
+      copy's relators; so ``|G| = [G:H]·|H| <= [G:H]·|M|``.
+    - Its boundary is ``d phi = c iota d``, with c conjugation by t0.  So
+      when ``iota d`` is injective, so is phi, and ``|G| = [G:H]·|M|``.
+    - The group of the permutations G induces on the cosets of H is a
+      quotient of G.  Its chain is built to stop at ``[G:H]·|M|``
+      (``PermGroup._bounded``): a chain never has a larger product of
+      transversal lengths than the order of its group, so reaching that
+      bound proves the quotient has order ``|G|``, the action faithful and
+      the chain complete.
+
+    When ``iota d`` is not injective, the bound is never reached: a
+    nontrivial k in ker d has ``phi(k) = 1``, so ``|H| < |M|``, or
+    ``phi(k)`` is a nontrivial element of H in the kernel of G's boundary,
+    central in G by CM2, so it fixes every coset ``Hg`` and the action is
+    not faithful.  Then, and whenever the chain falls short (as for
+    ``P = Q``), G is enumerated over the trivial subgroup of the same
+    presentation instead, where it acts regularly (``PermGroup._regular``).
+
+    ``Report.stats`` names the path taken, ``"over H"`` or ``"regular"``.
+    The returned module has passed the axiom check; a failure there raises
+    ``ValidationFailed`` (it would mean an internal error, not bad input).
+    """
+    phases = dict.fromkeys(PHASES, 0.0)
+    clock = time.perf_counter()
+
+    def lap(stage):  # the time since the last lap goes to ``stage``
+        nonlocal clock
+        now = time.perf_counter()
+        phases[stage] += now - clock
+        clock = now
 
     ip = induced_presentation(X, iota, transversal)
+    pres = ip.presentation
+    injective = X.boundary.is_injective()
     lap("presentation")
-    ct = todd_coxeter(ip.presentation, (), max_cosets)
-    lap("todd_coxeter")
-    gen_perms = _coset_action(ct)
+
+    def enumerate_over(words):
+        ct = todd_coxeter(pres, words, max_cosets)
+        lap("todd_coxeter")
+        gen_perms = _coset_action(ct)
+        # generators that act trivially (as those of the identity of M
+        # do) only clutter the generator list; the rest still generate
+        keep = [k for k in range(pres.ngens) if not gen_perms[k].is_identity()]
+        return ct, gen_perms, keep
+
+    Mstar = None
+    if injective:
+        path = "over H"
+        ct, gen_perms, keep = enumerate_over(ip.subgroup_words)
+        bound = ct.ncosets * X.M.order()
+        Mstar = PermGroup._bounded(
+            ct.ncosets, [gen_perms[k] for k in keep], bound)
+        lap("chain")
+        if Mstar.order() != bound:
+            Mstar = None
+    if Mstar is None:
+        path = "regular"
+        ct, gen_perms, keep = enumerate_over(())
+        Mstar = PermGroup._regular(ct.ncosets, [gen_perms[k] for k in keep])
+        lap("chain")
     Q = iota.target
-    # generators that die in the presented group (the (1, t) copower pairs)
-    # only clutter the generator list; the rest still generate everything
-    keep = [
-        k for k in range(ip.presentation.ngens)
-        if not gen_perms[k].is_identity()
-    ]
-    # a complete table over the trivial subgroup: M acts regularly
-    Mstar = PermGroup._regular(ct.ncosets, [gen_perms[k] for k in keep])
-    lap("chain")
     boundary = hom(Mstar, Q, [ip.boundary_images[k] for k in keep])
     action = []
     for qg in Q.generators:
@@ -478,9 +619,18 @@ def induce(
         induced_fingerprint=induced_fingerprint,
         boundary_image_order=boundary_image_order,
         order_law_ok=Mstar.order() == K.order() * closure.order(),
-        seconds=marks[-1][1] - marks[0][1],
-        phases={stage: t - before
-                for (_, before), (stage, t) in zip(marks, marks[1:])},
+        seconds=sum(phases.values()),
+        phases=phases,
+        stats={
+            "path": path,
+            "ncosets": ct.ncosets,
+            "defined": ct.defined,
+            "peak_live": ct.peak_live,
+            "generators": pres.ngens,
+            "relators": len(pres.relators),
+            "relator_letters": sum(len(w) for w in pres.relators),
+            "degree": Mstar.degree,
+        },
     )
     return Xi, report
 

@@ -23,15 +23,23 @@ one point.  Each element is multiplied out once, on the edge that first
 reaches it.  Base images also decide commutation (``_commute``), coset
 membership (``_right_cosets``, ``quotient``) and element order, which is the
 lcm of the lengths of the cycles through the base points
-(``PermGroup._element_orders``).  A group known to act regularly (a quotient
-on the cosets of its normal subgroup, the induced M on its coset table) is
-built on its one-level chain without the Schreier-Sims check
-(``PermGroup._regular``).
+(``PermGroup._element_orders``).
+
+A caller that knows an upper bound for a group's order builds its chain
+with ``PermGroup._bounded``: the Schreier-Sims check loop stops once the
+chain reaches the bound, which proves the chain complete.  A group known to
+act regularly (a quotient on the cosets of its normal subgroup, the induced
+M on a coset table over the trivial subgroup) has its degree as that bound
+and gets its one-level chain without a single Schreier generator
+(``PermGroup._regular``); the induced M on the cosets of a subgroup has the
+order of the presented group as its bound.
 
 Kernels, images, centres, normal closures and derived subgroups are grown by
 one loop, ``_sifted``, which keeps a candidate generator only if it enlarges
-the group so far and extends one chain with each generator it keeps;
-generators passed to ``PermGroup`` are kept as given.
+the group so far and extends one chain with each generator it keeps, and
+stops at a known order if it is given one; generators passed to
+``PermGroup`` are kept as given.  Normality is decided on base images
+(``_normality_witness``).
 
 Isomorphisms are found by one backtrack, ``_extensions``, over a greedy
 generating sequence; ``isomorphic`` and ``xmod.xmod_isomorphic`` differ
@@ -43,7 +51,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from math import lcm
+from math import lcm, prod
 
 from .errors import (
     DegreeMismatch,
@@ -323,32 +331,38 @@ class PermGroup:
         return group
 
     @classmethod
+    def _bounded(cls, degree: int, generators, order: int) -> "PermGroup":
+        """The group generated by ``generators``, whose order the caller
+        knows to be at most ``order``.
+
+        The Schreier-Sims check loop stops as soon as the product of the
+        chain's transversal lengths reaches ``order`` (``_complete_chain``).
+        A group smaller than the bound gets its full check loop, so the
+        chain is complete either way, and ``order()`` equals the bound
+        exactly when the group is that large.
+        """
+        generators = tuple(generators)
+        return cls._on_chain(degree, generators,
+                             _build_chain(degree, generators, order))
+
+    @classmethod
     def _regular(cls, degree: int, generators) -> "PermGroup":
         """The group generated by ``generators``, which the caller knows to
         act regularly: transitively, with trivial point stabilizers.
 
-        Every nonidentity element of a regular group moves every point, so
-        Schreier-Sims would open its first level at point 1, with the
-        nonidentity generators and the orbit of point 1, all of it, as the
-        transversal.  The stabilizer of point 1 is trivial, so that level
-        alone is a complete chain and the Schreier generator check is
-        skipped.  Without a nonidentity generator the chain is empty.
+        A regular group has order ``degree`` and every nonidentity element
+        moves every point, so ``_bounded`` opens the first level at point 1
+        with the whole orbit as its transversal, reaches the bound there
+        and never forms a Schreier generator.  Without a nonidentity
+        generator the chain is empty.
         """
-        generators = tuple(generators)
-        seed = [g for g in generators if not g.is_identity()]
-        levels = []
-        if seed:
-            levels.append({"point": 1, "gens": seed})
-            _rebuild_orbit(levels[0], degree)
-        return cls._on_chain(degree, generators, levels)
+        return cls._bounded(degree, generators, degree)
 
     def _adopt(self, degree: int, generators: tuple, levels: list) -> None:
         self.degree = degree
         self.generators = generators
         self._levels = levels
-        self._order = 1
-        for level in levels:
-            self._order *= len(level["transversal"])
+        self._order = _chain_order(levels)
         self._walk = None
         self._elements = None
         self._index = None
@@ -483,14 +497,15 @@ class PermGroup:
         return f"PermGroup(degree={self.degree}, order={self._order}, <{gens}>)"
 
 
-def _build_chain(degree: int, generators) -> list:
+def _build_chain(degree: int, generators, order: int | None = None) -> list:
     """Deterministic Schreier-Sims.
 
     Each level holds a base point, the strong generators fixing all earlier
     base points, a transversal mapping the base point across its orbit, and
     the inverses of transversal elements, each computed when first needed
     and dropped whenever the orbit is rebuilt.  The first base point is the
-    least point any generator moves; ``_complete_chain`` does the rest.
+    least point any generator moves; ``_complete_chain`` does the rest,
+    stopping at ``order`` if one is given.
     """
     levels = []
     seed = [g for g in generators if not g.is_identity()]
@@ -498,24 +513,32 @@ def _build_chain(degree: int, generators) -> list:
         levels.append({"point": min(_min_moved(g) for g in seed),
                        "gens": list(seed)})
         _rebuild_orbit(levels[0], degree)
-        _complete_chain(levels, degree)
+        _complete_chain(levels, degree, order)
     return levels
 
 
-def _extend_chain(levels: list, degree: int, g: Permutation) -> None:
+def _extend_chain(levels: list, degree: int, g: Permutation,
+                  order: int | None = None) -> None:
     """Extend a complete chain, in place, to one of the group with ``g``,
     which lies outside it, as one more generator.
 
     ``g`` joins level 0's generators (a first level is opened at its least
     moved point if there is none) and the check loop resumes from level 0;
     the deeper levels are complete already and are re-checked only when
-    they gain a generator.
+    they gain a generator.  ``order`` is passed on to ``_complete_chain``.
     """
     if not levels:
         levels.append({"point": _min_moved(g), "gens": []})
     levels[0]["gens"].append(g)
     _rebuild_orbit(levels[0], degree)
-    _complete_chain(levels, degree)
+    _complete_chain(levels, degree, order)
+
+
+def _chain_order(levels: list) -> int:
+    """The product of the transversal lengths: the order of the group a
+    complete chain is for, and at most the order of the group its
+    generators generate for any chain."""
+    return prod(len(level["transversal"]) for level in levels)
 
 
 def _min_moved(g: Permutation) -> int:
@@ -540,7 +563,8 @@ def _rebuild_orbit(level: dict, degree: int) -> None:
     level["inverses"] = {}
 
 
-def _complete_chain(levels: list, degree: int) -> None:
+def _complete_chain(levels: list, degree: int,
+                    order: int | None = None) -> None:
     """The Schreier-Sims check loop, from level 0, with every deeper level
     complete on entry.
 
@@ -549,6 +573,16 @@ def _complete_chain(levels: list, degree: int) -> None:
     formed only when that test fails.  The loop re-checks a level whenever a
     deeper one gains a generator, so on return every level's generators
     generate the stabilizer of the earlier base points.
+
+    ``order``, if given, is an upper bound the caller knows for the order
+    of the group.  Level i's transversal is an orbit of a subgroup of the
+    stabilizer of the earlier base points, so its length is at most the
+    index of the next stabilizer in that one, and the product of the
+    lengths (``_chain_order``) never exceeds the group's order.  Once the
+    product reaches the bound, the group has exactly that order, every
+    orbit is a full one and the last stabilizer is trivial: the chain is
+    complete, and the loop stops (Seress, *Permutation Group Algorithms*,
+    on Schreier-Sims with a known order).
     """
     def add_at(j, h):
         if j == len(levels):
@@ -561,6 +595,8 @@ def _complete_chain(levels: list, degree: int) -> None:
 
     i = 0
     while i >= 0:
+        if order is not None and _chain_order(levels) >= order:
+            return
         level = levels[i]
         tr = level["transversal"]
         clean = True
@@ -752,19 +788,26 @@ def _members(G: PermGroup, elements) -> list:
     return elements
 
 
-def _sifted(degree: int, candidates, conjugators=()) -> PermGroup:
+def _sifted(degree: int, candidates, conjugators=(), order=None) -> PermGroup:
     """Group generated by ``candidates``, keeping, in order, each one outside
     the group kept so far.  With ``conjugators``, each kept generator's
     conjugates by them are queued too, so the result is normal in the group
     they generate (Seress, *Permutation Group Algorithms*).  One chain is
-    kept and extended with each kept generator, never rebuilt."""
+    kept and extended with each kept generator, never rebuilt.
+
+    ``order``, if given, is the order of the group the candidates generate.
+    The chain stops its check loop on reaching it (``_complete_chain``), and
+    the remaining candidates, which all lie in the group, are not sifted:
+    the kept generators are the same."""
     gens = []
     levels = []
     queue = list(candidates)
     for c in queue:  # grows while it is read: a FIFO queue
+        if order is not None and _chain_order(levels) >= order:
+            break
         if not _strip(levels, c).is_identity():
             gens.append(c)
-            _extend_chain(levels, degree, c)
+            _extend_chain(levels, degree, c, order)
             queue.extend(c.conj(g) for g in conjugators)
     return PermGroup._on_chain(degree, gens, levels)
 
@@ -777,9 +820,26 @@ def normal_closure(G: PermGroup, elements) -> PermGroup:
 
 def _normality_witness(N: PermGroup, G: PermGroup):
     """First ``(n, g)`` over the generators with ``n^g`` outside N, or None;
-    None proves a subgroup N normal in G."""
-    pairs = itertools.product(N.generators, G.generators)
-    return next(((n, g) for n, g in pairs if n.conj(g) not in N), None)
+    None proves a subgroup N normal in G.
+
+    ``n^g = g^-1 n g`` lies in G, so it is fixed by its base images in G
+    (``PermGroup._base``), ``g(n(g^-1(b)))`` at each base point b, and it
+    lies in N exactly when an element of N has the same ones.  No product
+    is formed; each generator of G is inverted once.  An N too large to
+    enumerate sifts each conjugate through its chain instead.
+    """
+    if N.order() > ENUMERATION_BOUND:
+        pairs = itertools.product(N.generators, G.generators)
+        return next(((n, g) for n, g in pairs if n.conj(g) not in N), None)
+    base = G._base()
+    keys = {tuple([p.images[b - 1] for b in base]) for p in N.elements()}
+    gens = [(g, g.images, g.inverse().images) for g in G.generators]
+    for n in N.generators:
+        ni = n.images
+        for g, gi, ginv in gens:
+            if tuple([gi[ni[ginv[b - 1] - 1] - 1] for b in base]) not in keys:
+                return n, g
+    return None
 
 
 def _commute(base, a, b) -> bool:
@@ -896,8 +956,9 @@ def center(G: PermGroup) -> PermGroup:
 def derived_subgroup(G: PermGroup) -> PermGroup:
     """G', the normal closure of the commutators of any generating set of G
     (modulo it those generators commute); the set used is G's generators
-    sifted, so that redundant generators do not square the commutators."""
-    gens = _sifted(G.degree, G.generators).generators
+    sifted, so that redundant generators do not square the commutators.
+    They generate G, so the sifting stops at ``G.order()``."""
+    gens = _sifted(G.degree, G.generators, order=G.order()).generators
     return _sifted(
         G.degree,
         [a.commutator(b) for a, b in itertools.combinations(gens, 2)],

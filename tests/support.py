@@ -530,3 +530,146 @@ def product_cm2_failure(mdeg, mgens, qdeg, qgens, boundary, action, mps, ms):
          != tcompose(tcompose(tinverse(mp), m), mp)),
         None,
     )
+
+
+# ---------------------------------------------------------------------------
+# the induced module as first presented: every element of M in every copy,
+# enumerated over the trivial subgroup
+
+
+GENERATOR_BUDGET = 4096
+
+
+def reference_induced_presentation(
+    X, iota, transversal=None
+):
+    """Copower-plus-Peiffer presentation of the crossed module induced by iota.
+
+    ``transversal`` may supply explicit right-coset representatives of
+    iota(P) in Q (any full transversal works; the resulting modules are
+    isomorphic); an element outside Q raises ``NotInGroup``, and two in one
+    coset or a coset left out raise ``ValueError``.  Raises
+    ``NonInjective`` if iota is not injective and ``BudgetExceeded`` if
+    |M|*[Q:iota(P)] generators would exceed the budget.
+    """
+    from xmodlab.errors import BudgetExceeded, NonInjective, NotInGroup
+    from xmodlab.fp import Word
+    from xmodlab.induce import _with_peiffer_relators
+    from xmodlab.perm import _right_cosets, _right_multiplications, image
+
+    if iota.source is not X.Q:
+        raise ValueError("iota must start at the base group of X")
+    if not iota.is_injective():
+        raise NonInjective("induction requires an injective inclusion")
+    Q = iota.target
+    M = X.M
+    H = image(iota)
+    nM = M.order()
+    T = None if transversal is None else list(transversal)
+    # arithmetic first: refuse the job before enumerating anything big
+    nT = Q.order() // H.order() if T is None else len(T)
+    if nM * nT > GENERATOR_BUDGET:
+        raise BudgetExceeded(
+            f"{nM * nT} generators exceed the budget of {GENERATOR_BUDGET}"
+        )
+    melems = list(M.elements())
+    reps, coset_of = _right_cosets(Q, H)
+    qbase = Q._base()
+
+    def coset(z):  # of an element of Q, by its base images
+        return coset_of[tuple([z.images[b - 1] for b in qbase])]
+
+    if T is None:
+        T = reps
+    else:
+        for t in T:
+            if t not in Q:
+                raise NotInGroup(f"transversal element {t} is not in Q")
+        position = {coset(t): ti for ti, t in enumerate(T)}
+        if len(position) != len(T):
+            raise ValueError("transversal elements share a coset")
+        if len(position) != len(reps):
+            raise ValueError("transversal does not cover every coset")
+        coset_of = {e: position[c] for e, c in coset_of.items()}
+    iota_inv = {iota.apply(p): p for p in X.Q.elements()}
+
+    def gen(mi, ti):
+        return mi * nT + ti
+
+    boundary_images = []
+    gen_pairs = []
+    labels = []
+    for mi, m in enumerate(melems):
+        dm = iota.apply(X.boundary.apply(m))
+        for ti, t in enumerate(T):
+            boundary_images.append(t.inverse() * dm * t)
+            gen_pairs.append((m, t))
+            labels.append(f"m{mi}t{ti}")
+
+    moves = {}  # (ti, q) -> (tj, action array of p) where T[ti] q = p T[tj]
+
+    def act_gen(k, q):
+        mi, ti = divmod(k, nT)
+        move = moves.get((ti, q))
+        if move is None:
+            z = T[ti] * q
+            tj = coset(z)
+            p = iota_inv[z * T[tj].inverse()]
+            move = moves[ti, q] = (tj, X.act_array(p))
+        tj, arr = move
+        return gen(arr[mi], tj)
+
+    relators = []
+    # column b: the index of melems[a] * melems[b], for every a
+    columns = _right_multiplications(M, melems)
+    for ti in range(nT):
+        for a in range(nM):
+            for b in range(nM):
+                c = columns[b][a]
+                relators.append(
+                    Word.of(
+                        [(gen(a, ti), 1), (gen(b, ti), 1), (gen(c, ti), -1)]
+                    )
+                )
+    return _with_peiffer_relators(
+        Q, relators, boundary_images, gen_pairs, labels, act_gen
+    )
+
+
+def reference_induced_module(X, iota, transversal=None):
+    """The induced crossed module read off ``reference_induced_presentation``
+    enumerated over the trivial subgroup, as a regular permutation group
+    on the full Schreier-Sims chain."""
+    from xmodlab.fp import _coset_action, todd_coxeter
+    from xmodlab.perm import GroupHom, PermGroup, hom
+    from xmodlab.xmod import CrossedModule
+
+    ip = reference_induced_presentation(X, iota, transversal)
+    ct = todd_coxeter(ip.presentation, ())
+    perms = _coset_action(ct)
+    keep = [k for k, p in enumerate(perms) if not p.is_identity()]
+    M = PermGroup(ct.ncosets, [perms[k] for k in keep])
+    Q = iota.target
+    boundary = hom(M, Q, [ip.boundary_images[k] for k in keep])
+    action = [GroupHom(M, M, [perms[ip.act_gen(k, q)] for k in keep])
+              for q in Q.generators]
+    return CrossedModule(M, Q, boundary, action)
+
+
+def order_law_inclusions():
+    """The twenty random inclusions ``(Q, P)`` of the order-law acceptance
+    test: cyclic and two-generator subgroups of S4, then cyclic ones of S3,
+    drawn with seed 17."""
+    import random
+
+    from xmodlab.perm import symmetric
+
+    S4, S3 = symmetric(4), symmetric(3)
+    rng = random.Random(17)
+    out = []
+    for i in range(20):
+        Q = S4 if i < 16 else S3
+        count = 2 if 12 <= i < 16 else 1
+        gens = [Q.random_element(rng) for _ in range(count)]
+        out.append((Q, Q.subgroup(gens)))
+    return out

@@ -9,7 +9,13 @@ import time
 
 import pytest
 
-from support import conjugation_closure, minors_gcd_invariants, tcompose, tinverse
+from support import (
+    conjugation_closure,
+    minors_gcd_invariants,
+    order_law_inclusions,
+    tcompose,
+    tinverse,
+)
 from xmodlab.fp import Presentation, parse_word, smith_normal_form, todd_coxeter
 from xmodlab.induce import coset_transversal, induce, run_table_full, table_subgroup
 from xmodlab.perm import (
@@ -204,18 +210,8 @@ def test_criterion_05_order_law(table_results):
     for i, (Xi, report) in enumerate(table_results):
         check(S4, s4_tuples, table_subgroup(i + 1), Xi, report)
 
-    rng = random.Random(17)
-    for i in range(20):
-        if i < 12:
-            Q, qtuples = S4, s4_tuples
-            gens = [Q.random_element(rng)]
-        elif i < 16:
-            Q, qtuples = S4, s4_tuples
-            gens = [Q.random_element(rng), Q.random_element(rng)]
-        else:
-            Q, qtuples = S3, s3_tuples
-            gens = [Q.random_element(rng)]
-        P = Q.subgroup(gens)
+    for Q, P in order_law_inclusions():
+        qtuples = s4_tuples if Q.degree == 4 else s3_tuples
         iota = hom(P, Q, P.generators)
         Xi, _ = induce(identity_xmod(P), iota)
         check(Q, qtuples, P, Xi)

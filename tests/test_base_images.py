@@ -6,12 +6,12 @@ of the base points, so the library looks elements up by those images rather
 than by whole products.  These checks hold it to the product oracles of
 ``support``: the same walk, the same element maps and the same first
 conflict, the same multiplication table, the same orders, centre, cosets,
-CM2 witness and relator verdict.  The induced M and quotients, which act
-regularly, get their one-level chains without Schreier-Sims; each must
-equal the full chain.  Tripwires count
-products on a degree-128 regular representation, so that a return to one
-product per edge or per table entry fails, and Schreier-Sims check-loop
-runs on the induced M.
+CM2 witness and relator verdict.  The fallback's M, read off a coset
+table over the trivial subgroup, and quotients act regularly and get their
+one-level chains without Schreier-Sims; each must equal the full chain.
+Tripwires count products on row 7's M (128 elements), so that a return to
+one product per edge or per table entry fails, and on building the
+fallback's chain, so that a return to the check loop fails.
 """
 
 import dataclasses
@@ -37,7 +37,6 @@ from support import (
     tidentity,
     torder,
 )
-from xmodlab import perm
 from xmodlab.errors import CosetLimitExceeded, NotInGroup, RelationViolated
 from xmodlab.fp import Presentation, Word, _coset_action, todd_coxeter
 from xmodlab.induce import (
@@ -193,21 +192,36 @@ class TestTableModules:
         turned = X.boundary.images[1:] + X.boundary.images[:1]
         check_hom(X.M, X.Q, turned)
 
-    def test_regular_m_has_a_one_point_base(self, table_results):
-        # M acts regularly on its cosets, so one point fixes each element
-        for X, _ in table_results:
-            base = X.M._base()
+    def test_regular_m_has_a_one_point_base(self):
+        # the fallback's M acts regularly on the cosets of the trivial
+        # subgroup, so one point fixes each element
+        for row in range(1, 8):
+            M = regular_m(row_inclusion(row))
+            base = M._base()
             assert len(base) == 1
             keys = {tuple(p.images[b - 1] for b in base)
-                    for p in X.M.elements()}
-            assert len(keys) == X.M.order() == X.M.degree
+                    for p in M.elements()}
+            assert len(keys) == M.order() == M.degree
+
+    def test_m_acts_faithfully_on_the_cosets_of_h(self, table_results):
+        # induce reads M off the cosets of the copy of P at the identity
+        # coset; a full Schreier-Sims chain on its generators, which never
+        # stops at a known order, finds the same order
+        for row, (X, report) in enumerate(table_results, 1):
+            assert report.stats["path"] == "over H"
+            assert X.M.degree * table_subgroup(row).order() == X.M.order()
+            assert len(schreier_sims_levels(
+                X.M.degree, images(X.M.generators))) == len(X.M._levels)
+            assert PermGroup(X.M.degree, X.M.generators).order() == (
+                X.M.order())
 
 
 def test_product_tripwire(table_results, monkeypatch):
-    # row 7: |M| = 128 on 128 points; the walk, one action hom and the
-    # multiplication table each multiply out at most one product per element
+    # row 7: |M| = 128 on the 64 cosets of H; the walk, one action hom and
+    # the multiplication table each multiply out at most one product per
+    # element
     X = table_results[6][0]
-    assert X.M.order() == X.M.degree == 128
+    assert X.M.order() == 128 and X.M.degree == 64
     M = PermGroup(X.M.degree, X.M.generators)
     calls = []
     mul = Permutation.__mul__
@@ -374,9 +388,12 @@ def induced(request, table_results, s5_modules):
 @pytest.mark.parametrize("induced", INCLUSIONS, indirect=True,
                          ids=[f"{k}-{a}" for k, a in INCLUSIONS])
 class TestInducedModules:
-    def test_regular_level_is_the_full_chain(self, induced):
-        M = induced.M
+    def test_regular_level_is_the_full_chain(self, induced, request):
+        # the fallback's M, read off the same presentation over the trivial
+        # subgroup: a regular group of the order induce finds
+        M = regular_m(inclusion(request.node.callspec.params["induced"]))
         assert M._base() == (1,) and M.order() == M.degree
+        assert M.order() == induced.M.order()
         assert chain_levels(M._levels) == schreier_sims_levels(
             M.degree, images(M.generators))
 
@@ -436,10 +453,32 @@ def finite_presentations(draw):
 
 
 def regular_group(ct):
-    """The group of a table over the trivial subgroup, as ``induce`` reads
-    it: the nonidentity generators on one chain level."""
+    """The group of a table over the trivial subgroup, as ``induce``'s
+    fallback reads it: the nonidentity generators on one chain level."""
     perms = [p for p in _coset_action(ct) if not p.is_identity()]
     return PermGroup._regular(ct.ncosets, perms)
+
+
+def regular_m(inclusion_pair):
+    """The fallback's M for an inclusion: its presentation enumerated over
+    the trivial subgroup."""
+    P, iota = inclusion_pair
+    ip = induced_presentation(identity_xmod(P), iota)
+    return regular_group(todd_coxeter(ip.presentation, ()))
+
+
+def counted_products(monkeypatch, build):
+    """``build()`` and the number of products it formed."""
+    calls = []
+    mul = Permutation.__mul__
+
+    def counting(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    with monkeypatch.context() as m:
+        m.setattr(Permutation, "__mul__", counting)
+        return build(), len(calls)
 
 
 class TestRegularChain:
@@ -464,18 +503,20 @@ class TestRegularChain:
         assert report.induced_order == 1
 
     def test_row_7_m_skips_the_check_loop(self, monkeypatch):
-        # M's chain never enters the Schreier-Sims check loop, which the
-        # chains of kernels, images and closures still do
-        checked = []
-        complete = perm._complete_chain
-
-        def spy(levels, degree):
-            checked.append(levels)
-            return complete(levels, degree)
-
-        monkeypatch.setattr(perm, "_complete_chain", spy)
+        # the fallback's M for row 7 and a quotient of it get their one
+        # level without the check loop: building the chain forms the
+        # transversal, one product per point past the first, and not one
+        # Schreier generator, which would cost |M| products per generator
         P, iota = row_inclusion(7)
-        X, _ = induce(identity_xmod(P), iota)
-        assert X.M.order() == X.M.degree == 128
-        assert checked
-        assert all(levels is not X.M._levels for levels in checked)
+        ip = induced_presentation(identity_xmod(P), iota)
+        ct = todd_coxeter(ip.presentation, ())
+        perms = [p for p in _coset_action(ct) if not p.is_identity()]
+        M, made = counted_products(
+            monkeypatch, lambda: PermGroup._regular(ct.ncosets, perms))
+        assert M.order() == M.degree == 128
+        assert made == M.degree - 1
+        Q, _ = quotient(M, normal_closure(M, [M.generators[0]]))
+        G, made = counted_products(
+            monkeypatch, lambda: PermGroup._regular(Q.degree, Q.generators))
+        assert G.order() == Q.order() == Q.degree > 1
+        assert made == Q.degree - 1

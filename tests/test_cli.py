@@ -138,6 +138,19 @@ class TestInduce:
         assert "pi2=1" in out
         assert "law |M|=|pi2|*|im| ok" in out
 
+    def test_stats(self, capsys):
+        rc, out, err = run(capsys, "induce", "--sub", "(1,2)(3,4)", "--json",
+                           "--stats")
+        assert rc == 0
+        assert json.loads(out)["induced_order"] == 128
+        assert err.startswith("stats: over H; ncosets=64 ")
+        assert "degree=64;" in err
+        # P = Q: one coset of H, so the regular path
+        rc, _, err = run(capsys, "induce", "--sub", "(1,2),(1,2,3,4)",
+                         "--stats")
+        assert rc == 0
+        assert err.startswith("stats: regular; ncosets=24 ")
+
     def test_limit_exceeded(self, capsys):
         rc, _, err = run(capsys, "induce", "--sub", "(1,2)(3,4)", "--limit", "10")
         assert rc == 3

@@ -3,7 +3,8 @@
 ``todd_coxeter`` scans relators through a fast path, but it must define the
 same cosets in the same order and process the same coincidences, so every
 table, counter and refusal has to match ``reference_todd_coxeter``.  The S5
-inductions are too slow for the reference here; their tables are pinned by
+inductions of ``reference_induced_presentation`` (every element of M in
+every copy) are too slow for the reference here; their tables are pinned by
 a hash taken from the reference enumeration instead.
 """
 
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import reference_todd_coxeter
+from support import reference_induced_presentation, reference_todd_coxeter
 from xmodlab.errors import CosetLimitExceeded
 from xmodlab.fp import CosetTable, Presentation, Word, todd_coxeter
 from xmodlab.induce import (
@@ -105,10 +106,14 @@ class TestSmallPresentations:
         assert ct.defined >= ct.peak_live >= ct.ncosets == 12
 
 
-def s4_row_presentation(row):
+def s4_row_induced(row):
     P = table_subgroup(row)
     iota = hom(P, symmetric(4), P.generators)
-    return induced_presentation(identity_xmod(P), iota).presentation
+    return induced_presentation(identity_xmod(P), iota)
+
+
+def s4_row_presentation(row):
+    return s4_row_induced(row).presentation
 
 
 class TestInducedPresentations:
@@ -118,6 +123,16 @@ class TestInducedPresentations:
         assert kind == "table"
         # counters: every coset kept was defined and live at once
         assert defined >= peak_live >= len(table)
+
+    @pytest.mark.parametrize("row", range(1, 8))
+    def test_s4_row_over_h_matches_reference(self, row):
+        # the enumeration induce runs: over the copy of M at the identity
+        # coset, whose index is |M*| / |M|
+        ip = s4_row_induced(row)
+        kind, table, _, _ = assert_same(ip.presentation, ip.subgroup_words)
+        assert kind == "table"
+        order = (48, 48, 48, 48, 96, 72, 128)[row - 1]
+        assert len(table) * table_subgroup(row).order() == order
 
     @pytest.mark.parametrize("relation", ["identity", "generator"])
     def test_free_crossed_module_refusal_matches_reference(self, relation):
@@ -143,7 +158,8 @@ S5_TABLES = (
 def s5_presentation(sub):
     Q = PermGroup(5, parse_generator_list("(1,2,3,4,5),(1,2)", 5))
     P = Q.subgroup(parse_generator_list(sub, 5))
-    return induced_presentation(identity_xmod(P), hom(P, Q, P.generators))
+    return reference_induced_presentation(
+        identity_xmod(P), hom(P, Q, P.generators))
 
 
 class TestS5Pinned:

@@ -14,8 +14,9 @@ from xmodlab.errors import (
     NotInGroup,
     TableMismatch,
 )
-from xmodlab.fp import abelianization, todd_coxeter
+from xmodlab.fp import Word, abelianization, todd_coxeter
 from xmodlab.induce import (
+    RELATOR_LETTER_BUDGET,
     TABLE_ISO_PAIRS,
     TABLE_SUBGROUPS,
     _NAMED_GROUPS,
@@ -80,10 +81,25 @@ class TestPresentation:
     def test_generator_count(self):
         X, iota = include(["(1,2)"])
         ip = induced_presentation(X, iota)
-        # |M| * [Q : P] pairs
-        assert ip.presentation.ngens == 2 * 12
-        assert len(ip.gen_pairs) == 24
+        # |S| * [Q : P] pairs, S = {(1,2)} the P-invariant closure of M's
+        # generators
+        assert ip.presentation.ngens == 1 * 12
+        assert len(ip.gen_pairs) == 12
         assert ip.boundary_kills_relators()
+        # H, the copy at the coset of P, is generated by (s, 1)
+        [word] = ip.subgroup_words
+        [(k, e)] = word.letters
+        assert e == 1 and ip.gen_pairs[k] == (P("(1,2)", 4), P("()", 4))
+
+    def test_generators_are_the_invariant_closure(self):
+        # M = D8 with generators (1,2,3,4) and (1,3): S adds their
+        # conjugates (1,4,3,2) and (2,4) under D8 and nothing else
+        X, iota = include(["(1,2,3,4)", "(1,3)"])
+        ip = induced_presentation(X, iota)
+        S = {m for m, _ in ip.gen_pairs}
+        assert S == {P(c, 4) for c in ("(1,2,3,4)", "(1,3)", "(1,4,3,2)",
+                                       "(2,4)")}
+        assert ip.presentation.ngens == 4 * 3
 
     def test_boundary_images_formula(self):
         X, iota = include(["(1,2)"])
@@ -107,11 +123,33 @@ class TestPresentation:
         with pytest.raises(NonInjective):
             induced_presentation(identity_xmod(S3), collapse)
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
+        # 2520 generators (s, t): 4 * 2520^2 letters of Peiffer relators and
+        # 2 for s^2 in each of the 2520 copies, refused by arithmetic
+        # before a word is built
+        built = []
+        monkeypatch.setattr(Word, "__init__", lambda *a: built.append(a))
         S7 = symmetric(7)
         H = S7.subgroup([P("(1,2)", 7)])
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded) as info:
             induced_presentation(identity_xmod(H), hom(H, S7, H.generators))
+        assert info.value.limit == RELATOR_LETTER_BUDGET == 1 << 20
+        assert str(info.value).startswith(
+            f"{4 * 2520 ** 2 + 2 * 2520} relator letters")
+        assert not built
+
+    def test_budget_of_free_crossed_modules(self):
+        S7 = symmetric(7)
+        with pytest.raises(BudgetExceeded) as info:
+            free_crossed_module_presentation(S7, [("r", P("(1,2)", 7))])
+        assert info.value.limit == RELATOR_LETTER_BUDGET
+
+    def test_s5_in_s6_fits_the_budget(self):
+        S6 = symmetric(6)
+        H = S6.subgroup(parse_generator_list("(1,2,3,4,5),(1,2)", 6))
+        ip = induced_presentation(identity_xmod(H), hom(H, S6, H.generators))
+        letters = sum(len(w) for w in ip.presentation.relators)
+        assert 250_000 < letters < RELATOR_LETTER_BUDGET
 
     def test_bad_transversal_rejected(self):
         X, iota = include(["(1,2)"])

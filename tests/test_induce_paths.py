@@ -1,0 +1,166 @@
+"""The two paths of ``induce``: over H, the copy of M at the identity coset,
+and the regular fallback, against the module first presented.
+
+``support.reference_induced_module`` builds the induced module the way it
+was first built: every element of M in every copy, enumerated over the
+trivial subgroup, on a full Schreier-Sims chain.  Where ``|M| <= 512``
+(the isomorphism search bound) the module ``induce`` returns must be
+isomorphic to it as a crossed module.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from support import (
+    conjugation_closure,
+    order_law_inclusions,
+    reference_induced_module,
+    tcompose,
+)
+from xmodlab.induce import coset_transversal, induce, table_subgroup
+from xmodlab.perm import (
+    ISO_SEARCH_BOUND,
+    PermGroup,
+    abelian_invariants,
+    cyclic,
+    hom,
+    image,
+    parse_generator_list,
+    symmetric,
+)
+from xmodlab.xmod import (
+    CrossedModule,
+    identity_xmod,
+    pi2,
+    validate,
+    xmod_isomorphic,
+)
+
+S5 = "(1,2,3,4,5),(1,2)"
+
+
+def assert_matches_oracle(P, Q, transversal=None):
+    """Induce ``identity_xmod(P)`` along P <= Q; where |M| fits the search
+    bound, the result is isomorphic to the reference module.  Returns the
+    report."""
+    X, iota = identity_xmod(P), hom(P, Q, P.generators)
+    Xi, report = induce(X, iota, transversal=transversal)
+    assert validate(Xi).ok
+    if Xi.M.order() <= ISO_SEARCH_BOUND:
+        reference = reference_induced_module(X, iota, transversal)
+        assert reference.M.order() == Xi.M.order()
+        assert xmod_isomorphic(Xi, reference) is not None
+    return report
+
+
+class TestAgainstOracle:
+    @pytest.mark.parametrize("row", range(1, 8))
+    def test_table_rows(self, table_results, row):
+        Xi, report = table_results[row - 1]
+        assert report.stats["path"] == "over H"
+        P = table_subgroup(row)
+        X, iota = identity_xmod(P), hom(P, symmetric(4), P.generators)
+        assert xmod_isomorphic(Xi, reference_induced_module(X, iota))
+
+    @pytest.mark.parametrize("case", range(20))
+    def test_order_law_instances(self, case):
+        Q, P = order_law_inclusions()[case]
+        assert_matches_oracle(P, Q)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_random_subgroups_and_transversals(self, data):
+        # S4 mostly; S5 only for the subgroups generated by a transposition,
+        # whose reference enumeration finishes in about a second
+        if data.draw(st.integers(0, 4)):
+            Q = symmetric(4)
+            P = Q.subgroup([data.draw(st.sampled_from(Q.elements()))
+                            for _ in range(data.draw(st.integers(1, 2)))])
+        else:
+            Q = PermGroup(5, parse_generator_list(S5, 5))
+            transpositions = [g for g in Q.elements()
+                              if len(g.moved_points()) == 2]
+            P = Q.subgroup([data.draw(st.sampled_from(transpositions))])
+        # each representative moved within its coset by an element of P
+        T = [data.draw(st.sampled_from(P.elements())) * t
+             for t in coset_transversal(Q, P)]
+        T = data.draw(st.permutations(T))
+        assert_matches_oracle(P, Q, T)
+
+
+class TestFallback:
+    def test_p_equal_to_q_gives_back_m(self):
+        # H is all of G: one coset, so the chain stops short of |M| and
+        # the regular path runs
+        S4 = symmetric(4)
+        X = identity_xmod(S4)
+        Xi, report = induce(X, hom(S4, S4, S4.generators))
+        assert report.stats["path"] == "regular"
+        assert report.stats["degree"] == Xi.M.order() == 24
+        assert xmod_isomorphic(Xi, X) is not None
+
+    # M = C3, inverted by the generator of P = <(1,2)> <= S3, or
+    # M = C2 x C2, its factors swapped by it; [S3:P] = 3 copies
+    @pytest.mark.parametrize("m", ["C3", "C2xC2"])
+    def test_trivial_boundary_gives_a_direct_sum(self, m):
+        # Closed form: with d trivial the Peiffer relators read
+        # x^-1 y x = y, so G is abelian, and each copy of M is a quotient
+        # of M; so G is a quotient of the direct sum of the [Q:P] copies.
+        # That direct sum, with trivial boundary and Q permuting the copies
+        # as it permutes the cosets, is itself a crossed module receiving
+        # M at the identity coset, so the universal property of the
+        # induced module gives the map back: G is the direct sum (the
+        # induced module of a Q-module, Brown-Higgins-Sivera, *Nonabelian
+        # Algebraic Topology*).  The boundary is not injective, so the
+        # regular path runs.
+        S3 = symmetric(3)
+        P = S3.subgroup(parse_generator_list("(1,2)", 3))
+        if m == "C3":
+            M = cyclic(3)
+            auto = [M.generators[0].inverse()]
+        else:
+            M = PermGroup(4, parse_generator_list("(1,2),(3,4)", 4))
+            auto = [M.generators[1], M.generators[0]]
+        X = CrossedModule(M, P, hom(M, P, [P.identity] * len(M.generators)),
+                          [hom(M, M, auto)])
+        assert validate(X).ok
+        Xi, report = induce(X, hom(P, S3, P.generators))
+        assert report.stats["path"] == "regular"
+        assert Xi.M.order() == M.order() ** 3
+        assert abelian_invariants(Xi.M) == sorted(abelian_invariants(M) * 3)
+        assert image(Xi.boundary).order() == 1
+
+
+def test_s5_c5_pinned():
+    # the job refused at 65536 cosets by the enumeration over the trivial
+    # subgroup, now |M| = 3000 on the 600 cosets of H
+    Q = PermGroup(5, parse_generator_list(S5, 5))
+    P = Q.subgroup(parse_generator_list("(1,2,3,4,5)", 5))
+    Xi, report = induce(identity_xmod(P), hom(P, Q, P.generators))
+    assert report.stats["path"] == "over H"
+    assert (report.induced_order, list(report.pi2_invariants),
+            report.pi1_name) == (3000, [5, 10], "C2")
+    assert Xi.M.degree == 600
+    # independent checks: the axioms, the order law on raw tuples, and
+    # pi2 central
+    assert validate(Xi).ok
+    K, _ = pi2(Xi)
+    closure = conjugation_closure(
+        5, [q.images for q in Q.elements()], [p.images for p in P.generators])
+    assert Xi.M.order() == K.order() * len(closure) == 50 * 60
+    for k in K.generators:
+        for m in Xi.M.generators:
+            assert tcompose(k.images, m.images) == tcompose(m.images, k.images)
+
+
+def test_s5_in_s6_finishes():
+    # refused by the enumeration over the trivial subgroup (720 generators,
+    # 603 366 relators); over H there are 6 cosets
+    S6 = symmetric(6)
+    P = S6.subgroup(parse_generator_list(S5, 6))
+    Xi, report = induce(identity_xmod(P), hom(P, S6, P.generators))
+    assert report.stats["path"] == "over H"
+    assert Xi.M.order() == 720 and Xi.M.degree == 6
+    assert report.order_law_ok
+    assert report.pi2_invariants == () and report.pi1_order == 1

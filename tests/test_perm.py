@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from support import (
     abelian_order_census,
     closure,
+    closure_from,
     conjugation_closure,
     parity,
     tcompose,
@@ -335,6 +336,119 @@ class TestPermGroup:
                 for lv in G._levels] == orbits
         rng = random.Random(17)
         assert [str(G.random_element(rng)) for _ in range(4)] == draws
+
+
+def random_groups(max_degree=6, max_gens=3):
+    """A degree and 0-3 random generators, with repeats and the identity
+    allowed."""
+    @st.composite
+    def build(draw):
+        degree = draw(st.integers(1, max_degree))
+        perms = st.permutations(list(range(1, degree + 1))).map(Permutation)
+        return degree, draw(st.lists(perms, max_size=max_gens))
+    return build()
+
+
+class TestKnownOrder:
+    @settings(max_examples=80, deadline=None)
+    @given(random_groups(), st.integers(0, 3))
+    def test_bounded_chain_is_complete(self, spec, slack):
+        # at the true order the loop may stop early, above it it runs in
+        # full; either way order and membership are those of the full chain
+        degree, gens = spec
+        full = PermGroup(degree, gens)
+        G = PermGroup._bounded(degree, gens, full.order() + slack)
+        assert G.order() == full.order()
+        assert G._base() == full._base()
+        truth = closure(degree, [g.images for g in gens])
+        assert {p.images for p in G.elements()} == truth
+        probes = [Permutation(p) for p in
+                  sorted(closure(degree, [g.images for g in gens]))[:6]]
+        assert all(p in G for p in probes)
+
+    def test_stop_saves_the_check_loop(self, monkeypatch):
+        # S5 on its own generators reaches 120 before the check loop has
+        # tested every Schreier generator
+        gens = parse_generator_list("(1,2,3,4,5),(1,2)", 5)
+        calls = []
+        strip_at = perm._strip_at
+        monkeypatch.setattr(perm, "_strip_at",
+                            lambda *a: calls.append(1) or strip_at(*a))
+        PermGroup(5, gens)
+        full = len(calls)
+        calls.clear()
+        assert PermGroup._bounded(5, gens, 120).order() == 120
+        assert len(calls) < full
+
+    def test_sifting_stops_at_the_order(self, monkeypatch):
+        # (1,2,3,4) and (1,2) generate S4: the rest are never sifted, and
+        # the kept generators are those of the full pass
+        gens = parse_generator_list("(1,2,3,4),(1,2),(1,3),(2,4),(3,4)", 4)
+        sifted = []
+        strip = perm._strip
+        monkeypatch.setattr(perm, "_strip",
+                            lambda levels, g: sifted.append(g) or strip(levels, g))
+        G = perm._sifted(4, gens, order=24)
+        assert sifted == gens[:2]
+        assert G.generators == perm._sifted(4, gens).generators == tuple(gens[:2])
+        assert G.order() == 24
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_groups(max_degree=5))
+    def test_derived_subgroup_keeps_its_generators(self, spec):
+        degree, gens = spec
+        G = PermGroup(degree, gens)
+        assert (perm._sifted(degree, gens, order=G.order()).generators
+                == perm._sifted(degree, gens).generators)
+        elems = [g.images for g in G.elements()]
+        comms = {tcompose(tcompose(tinverse(a), tinverse(b)), tcompose(a, b))
+                 for a in elems for b in elems}
+        assert {g.images for g in derived_subgroup(G).elements()} == (
+            closure_from(degree, comms))
+
+
+class TestNormalityWitness:
+    @settings(max_examples=80, deadline=None)
+    @given(random_groups(), st.data())
+    def test_first_witness_matches_the_conj_oracle(self, spec, data):
+        # the witness read off base images is the first pair whose
+        # conjugate, formed as a product, lies outside N
+        degree, gens = spec
+        G = PermGroup(degree, gens)
+        seeds = data.draw(st.lists(st.sampled_from(G.elements()), max_size=2))
+        N = G.subgroup(seeds)
+        members = {p.images for p in N.elements()}
+        want = next(((n, g) for n in N.generators for g in G.generators
+                     if n.conj(g).images not in members), None)
+        assert perm._normality_witness(N, G) == want
+        assert N.is_normal_in(G) is (want is None)
+
+    def test_witness_in_s4(self):
+        # N = S3 on {1,2,3}, and c = (1,2,3,4): (1,2)^c = (2,3) lies in N
+        # but (1,2)^(c^-1) = (1,4) does not, so conjugating the wrong way
+        # round would name ((1,2), c); the first pair escaping N is
+        # ((2,3), c), with (2,3)^c = (3,4)
+        S4 = symmetric(4)
+        c = P("(1,2,3,4)", 4)
+        assert S4.generators == (P("(1,2)", 4), c)
+        N = S4.subgroup([P("(1,2)", 4), P("(2,3)", 4)])
+        assert perm._normality_witness(N, S4) == (P("(2,3)", 4), c)
+        H = S4.subgroup([P("(1,2)", 4), P("(3,4)", 4)])
+        assert perm._normality_witness(H, S4) == (P("(1,2)", 4), c)
+
+    def test_subgroups_too_large_to_enumerate(self):
+        # |A8| = 20160 is past ENUMERATION_BOUND: each conjugate is sifted
+        S8 = symmetric(8)
+        A8 = normal_closure(S8, [P("(1,2,3)", 8)])
+        assert A8.order() > perm.ENUMERATION_BOUND
+        assert A8.is_normal_in(S8)
+        # S8 fixing 9 in S9: (1,...,8) conjugated by (1,...,9) moves 9
+        S9 = symmetric(9)
+        c8 = P("(1,2,3,4,5,6,7,8)", 9)
+        S8_in_S9 = S9.subgroup([P("(1,2)", 9), c8])
+        assert S8_in_S9.order() == 40320
+        assert perm._normality_witness(S8_in_S9, S9) == (c8, S9.generators[1])
+        assert not S8_in_S9.is_normal_in(S9)
 
 
 class TestHoms:
