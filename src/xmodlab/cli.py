@@ -256,9 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="coset limit (default XMODLAB_LIMIT or 65536)")
         p.add_argument("--json", action="store_true",
                        help="machine-readable output")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for sampled checks (current commands are "
-                            "deterministic and ignore it)")
 
     def stats_flag(p):
         p.add_argument("--stats", action="store_true",

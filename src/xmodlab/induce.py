@@ -25,7 +25,7 @@ trivial subgroup of the same presentation, on which it acts regularly
 way boundary and action are read off as verified homomorphisms and the
 axioms re-checked by ``validate``.
 
-Relators are checked against the boundary by index arithmetic in the base
+Relators are checked against the boundary on the base points of the base
 group, not by products (``InducedPresentation.boundary_kills_relators``).
 
 ``run_table`` reproduces the bundled reference table for the seven standard
@@ -86,8 +86,9 @@ class InducedPresentation:
     """Presentation of an induced (or free) crossed module's top group.
 
     ``gen_pairs[k]`` records which (m, t) pair generator ``k`` stands for,
-    ``boundary_images[k]`` its boundary in the base group, and ``act_gen``
-    implements the generator permutation induced by any base group element.
+    ``boundary_images[k]`` its boundary in the base group, and
+    ``act_gen(k, q)`` is the generator that ``k`` goes to under any base
+    group element q.
     ``subgroup_words`` generate the copy of M at the coset of the subgroup,
     for an induced module; they are empty for a free one.
     """
@@ -97,36 +98,30 @@ class InducedPresentation:
     boundary_images: tuple[Permutation, ...]
     gen_pairs: tuple[tuple[Permutation, Permutation], ...]
     subgroup_words: tuple[Word, ...] = ()
-    _act: object = field(repr=False, compare=False, default=None)
-
-    def act_gen(self, k: int, q: Permutation) -> int:
-        return self._act(k, q)
+    act_gen: object = field(repr=False, compare=False, default=None)
 
     def boundary_kills_relators(self) -> bool:
-        """Check symbolically in the base group that every relator dies.
+        """Check in the base group that every relator dies.
 
-        Each relator is multiplied out over element indices of the base
-        group: a letter steps the running index along the array of right
-        multiplication by its boundary image (``perm._right_multiplications``,
-        one array per distinct image), and the relator dies when the walk
-        ends at the identity, index 0.
+        The boundary images lie in the base group (``NotInGroup`` if not),
+        so a relator's image does too, and it is the identity exactly when
+        it fixes every point of the base (``PermGroup._base``).  Each
+        relator is traced from each base point through the point maps of
+        its letters' images and their inverses: no product is formed.
         """
-        base = self.base
         images = self.boundary_images
         for im in images:
-            if im not in base:
+            if im not in self.base:
                 raise NotInGroup(f"boundary image {im} is not in the base group")
-        inverses = [im.inverse() for im in images]
-        letters = list(dict.fromkeys([*images, *inverses]))
-        arrays = dict(zip(letters, _right_multiplications(base, letters)))
-        steps = [{1: arrays[im], -1: arrays[inv]}
-                 for im, inv in zip(images, inverses)]
+        steps = [{1: im.images, -1: im.inverse().images} for im in images]
+        base = self.base._base()
         for w in self.presentation.relators:
-            i = 0
-            for g, e in w.letters:
-                i = steps[g][e][i]
-            if i:
-                return False
+            for b in base:
+                x = b
+                for g, e in w.letters:
+                    x = steps[g][e][x - 1]
+                if x != b:
+                    return False
         return True
 
 
@@ -374,7 +369,7 @@ def _with_peiffer_relators(
         boundary_images=tuple(boundary_images),
         gen_pairs=tuple(gen_pairs),
         subgroup_words=subgroup_words,
-        _act=act_gen,
+        act_gen=act_gen,
     )
     if not ip.boundary_kills_relators():
         raise ValidationFailed("boundary assignment does not kill a relator")

@@ -8,9 +8,12 @@ Every group builds a stabilizer chain on construction, so order and membership
 are exact from the start.  Groups of order at most ``ENUMERATION_BOUND`` may be
 fully enumerated (homomorphism verification, fingerprints, quotients); larger
 ones raise ``EnumerationBoundExceeded`` instead of sampling.  A group walks its
-Cayley graph once, on first need, and keeps the walk; ``elements()`` sorts it,
-and every homomorphism or action out of the group replays it rather than
-walking again.
+Cayley graph once, on first need, and keeps the walk; ``elements()`` sorts it.
+One rule, ``_replay_walk``, extends every homomorphism (``GroupHom``) and
+every action (``xmod.CrossedModule``) out of the group along that walk: each
+edge derives, from its tail's key, a key that fixes the map's value at its
+endpoint; two edges into one element must derive the same key, and only the
+edge that first reaches an element computes the value there.
 
 The chain is complete, so an element of the group is fixed by where it sends
 the base points (Seress, *Permutation Group Algorithms*): two elements with the
@@ -34,11 +37,13 @@ and gets its one-level chain without a single Schreier generator
 (``PermGroup._regular``); the induced M on the cosets of a subgroup has the
 order of the presented group as its bound.
 
-Kernels, images, centres, normal closures and derived subgroups are grown by
-one loop, ``_sifted``, which keeps a candidate generator only if it enlarges
-the group so far and extends one chain with each generator it keeps, and
-stops at a known order if it is given one; generators passed to
-``PermGroup`` are kept as given.  Normality is decided on base images
+One function, ``_extend_chain``, opens and extends every chain:
+``_build_chain`` hands it a group's generators at once.  Kernels, images,
+centres, normal closures and derived subgroups are grown by one loop,
+``_sifted``, which keeps a candidate generator only if it enlarges the group
+so far and hands each generator it keeps to ``_extend_chain``, and stops at
+a known order if it is given one; generators passed to ``PermGroup`` are
+kept as given.  Normality is decided on base images
 (``_normality_witness``).
 
 Isomorphisms are found by one backtrack, ``_extensions``, over a greedy
@@ -498,38 +503,35 @@ class PermGroup:
 
 
 def _build_chain(degree: int, generators, order: int | None = None) -> list:
-    """Deterministic Schreier-Sims.
+    """Deterministic Schreier-Sims: the chain ``_extend_chain`` opens on the
+    nonidentity generators; empty when there are none.
 
     Each level holds a base point, the strong generators fixing all earlier
     base points, a transversal mapping the base point across its orbit, and
     the inverses of transversal elements, each computed when first needed
-    and dropped whenever the orbit is rebuilt.  The first base point is the
-    least point any generator moves; ``_complete_chain`` does the rest,
-    stopping at ``order`` if one is given.
+    and dropped whenever the orbit is rebuilt.
     """
     levels = []
     seed = [g for g in generators if not g.is_identity()]
     if seed:
-        levels.append({"point": min(_min_moved(g) for g in seed),
-                       "gens": list(seed)})
-        _rebuild_orbit(levels[0], degree)
-        _complete_chain(levels, degree, order)
+        _extend_chain(levels, degree, seed, order)
     return levels
 
 
-def _extend_chain(levels: list, degree: int, g: Permutation,
+def _extend_chain(levels: list, degree: int, gens: list,
                   order: int | None = None) -> None:
-    """Extend a complete chain, in place, to one of the group with ``g``,
-    which lies outside it, as one more generator.
+    """Extend a complete chain, in place, to one of the group with the
+    nonidentity ``gens`` as more generators.
 
-    ``g`` joins level 0's generators (a first level is opened at its least
-    moved point if there is none) and the check loop resumes from level 0;
-    the deeper levels are complete already and are re-checked only when
-    they gain a generator.  ``order`` is passed on to ``_complete_chain``.
+    ``gens`` join level 0's generators (a first level is opened at the
+    least point any of them moves if there is none) and the check loop
+    resumes from level 0; the deeper levels are complete already and are
+    re-checked only when they gain a generator.  ``order`` is passed on to
+    ``_complete_chain``.
     """
     if not levels:
-        levels.append({"point": _min_moved(g), "gens": []})
-    levels[0]["gens"].append(g)
+        levels.append({"point": min(map(_min_moved, gens)), "gens": []})
+    levels[0]["gens"].extend(gens)
     _rebuild_orbit(levels[0], degree)
     _complete_chain(levels, degree, order)
 
@@ -652,18 +654,19 @@ def _strip(levels, g):
 class GroupHom:
     """Homomorphism given by images of the source generators.
 
-    Construction replays the source's Cayley walk (done once per group, not
-    once per homomorphism), assigning an image to every element and checking
+    Construction extends the images along the source's Cayley walk (done
+    once per group, not once per homomorphism) by ``_replay_walk``, checking
     every edge ``f(x*s) == f(x)*f(s)``; a conflict means the assignment
-    violates some relation of the source and raises ``RelationViolated`` with
-    a witness word endpoint.  The check runs on the target's base images
-    (``PermGroup._base``): every value is an element of the target, whose
-    chain is complete, so two values are equal exactly when their base
-    images are, and the first conflict is the one a check on whole products
-    would meet.  ``element_map`` is then multiplied out with one product per
-    source element, along the edge that first reached it.  The walk needs
-    the source fully enumerable, which is the only verification mode
-    offered: sources above ``ENUMERATION_BOUND`` are rejected outright.
+    violates some relation of the source and raises ``RelationViolated``
+    with a witness word endpoint.  An edge's key is the target's base images
+    (``PermGroup._base``) of its endpoint's value: every value is an element
+    of the target, whose chain is complete, so two values are equal exactly
+    when their keys are, and the first conflict is the one a check on whole
+    products would meet.  The value, the product, is formed on the edge that
+    first reaches an element, one product per source element.  The walk
+    needs the source fully enumerable, which is the only verification mode
+    offered: sources above ``ENUMERATION_BOUND`` raise
+    ``EnumerationBoundExceeded``.
     """
 
     def __init__(self, source: PermGroup, target: PermGroup, images):
@@ -679,25 +682,16 @@ class GroupHom:
                 )
             if im not in target:
                 raise NotInGroup(f"image {im} is not in the target group")
-        if source.order() > ENUMERATION_BOUND:
-            raise EnumerationBoundExceeded(
-                f"cannot verify homomorphism from group of order {source.order()}"
-            )
         self.source = source
         self.target = target
         self.images = images
-        _replay_walk(
-            source, target._base(), [im.images for im in images],
-            lambda key, im: tuple([im[b - 1] for b in key]),
+        values = _replay_walk(
+            source, target.identity, target._base(), images,
+            Permutation.__mul__,
+            lambda key, im: tuple([im.images[b - 1] for b in key]),
             "generator images do not respect the relations of the source",
         )
-        found, successors = source._cayley_walk()
-        values = [target.identity] + [None] * (len(found) - 1)
-        for value, row in zip(values, successors):
-            for j, im in zip(row, images):
-                if values[j] is None:
-                    values[j] = value * im
-        self.element_map = dict(zip(found, values))
+        self.element_map = dict(zip(source._cayley_walk()[0], values))
 
     def apply(self, p: Permutation) -> Permutation:
         try:
@@ -730,25 +724,31 @@ class GroupHom:
         return f"GroupHom({pairs or 'trivial'})"
 
 
-def _replay_walk(G: PermGroup, start, images, step, violation: str) -> list:
-    """Extend values given on G's generators to all of G along its Cayley walk.
+def _replay_walk(G: PermGroup, start, start_key, images, step, key_step,
+                 violation: str) -> list:
+    """Extend a map given on G's generators to all of G along its Cayley walk.
 
-    The identity gets ``start`` and each edge x -> x*g gives ``step(value(x),
-    image(g))``.  Edges are visited in walk order (elements in discovery order,
-    generators in list order); the first edge that disagrees with the value
-    already assigned raises ``RelationViolated`` naming its endpoint.
-    Returns the values in discovery order.
+    The identity gets the value ``start`` and the key ``start_key``; a key
+    fixes the value it belongs to.  Each edge x -> x*g derives the key
+    ``key_step(key(x), image(g))``, and the edge that first reaches an
+    element also computes its value, ``step(value(x), image(g))``.  Edges
+    are visited in walk order (elements in discovery order, generators in
+    list order); the first edge whose key disagrees with the one already
+    assigned raises ``RelationViolated`` naming its endpoint.  Returns the
+    values in discovery order.
     """
     found, successors = G._cayley_walk()
     values = [start] + [None] * (len(found) - 1)
+    keys = [start_key] + [None] * (len(found) - 1)
     # each element is reached before its own edges are read
-    for value, row in zip(values, successors):
+    for value, key, row in zip(values, keys, successors):
         for j, im in zip(row, images):
-            v = step(value, im)
-            known = values[j]
+            k = key_step(key, im)
+            known = keys[j]
             if known is None:
-                values[j] = v
-            elif known != v:
+                keys[j] = k
+                values[j] = step(value, im)
+            elif known != k:
                 raise RelationViolated(
                     f"{violation} (conflict at {found[j]})", witness=found[j]
                 )
@@ -807,7 +807,7 @@ def _sifted(degree: int, candidates, conjugators=(), order=None) -> PermGroup:
             break
         if not _strip(levels, c).is_identity():
             gens.append(c)
-            _extend_chain(levels, degree, c, order)
+            _extend_chain(levels, degree, [c], order)
             queue.extend(c.conj(g) for g in conjugators)
     return PermGroup._on_chain(degree, gens, levels)
 

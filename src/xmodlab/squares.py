@@ -317,13 +317,14 @@ def interchange_exhaustive(X: CrossedModule):
       interchanges exactly when the two labels agree.
 
     The action is a right action of Q by automorphisms (the action table
-    replays Q's Cayley walk), so ``ma^(u dmd) = (ma^u)^(dmd)`` and the
-    identity is CM2 at ``(ma^u, md)``.  For fixed u, ``ma -> ma^u`` is a
-    bijection of M, so the law holds on every triple exactly when CM2 holds
-    on all of ``M x M``, which ``validate``'s argument reduces to
-    ``gens(M) x gens(M)``; it uses the boundary and the action only, not
-    CM1.  When a generator pair fails, the triples are scanned in element
-    order and the first violating block is returned.
+    is extended along Q's Cayley walk by ``perm._replay_walk``, which
+    rejects an assignment that breaks a relation of Q), so ``ma^(u dmd) =
+    (ma^u)^(dmd)`` and the identity is CM2 at ``(ma^u, md)``.  For fixed
+    u, ``ma -> ma^u`` is a bijection of M, so the law holds on every triple
+    exactly when CM2 holds on all of ``M x M``, which ``validate``'s
+    argument reduces to ``gens(M) x gens(M)``; it uses the boundary and the
+    action only, not CM1.  When a generator pair fails, the triples are
+    scanned in element order and the first violating block is returned.
     """
     gens = X.M.generators
     if _cm2_failure(X, gens, gens) is None:

@@ -7,14 +7,17 @@ right action of Q on M by automorphisms, written m^q, subject to
     CM2:  m^(dm') = m'^-1 m m'   (Peiffer identity)
 
 The action is supplied on the generators of Q only and extended to all of Q by
-replaying Q's Cayley walk (done once per group and shared with every
-homomorphism out of Q); a conflicting extension means the generator
-assignment violates a relation of Q and is rejected at construction.  CM1 and
-CM2 themselves are *not* assumed: ``validate`` proves them on generator pairs,
-which is enough once the boundary and the action are verified, and on failure
-scans every element pair to report the first counterexample instead of
-raising.  One loop per axiom (``_cm1_failure``, ``_cm2_failure``) serves
-both passes, and ``squares.interchange_exhaustive`` too.
+the walk rule every homomorphism out of Q uses (``perm._replay_walk``, on Q's
+Cayley walk, done once per group): an automorphism of M is fixed by the
+images of M's generators, so an edge compares those and the edge that first
+reaches an element of Q composes its whole array.  A conflicting extension
+means the generator assignment violates a relation of Q and is rejected at
+construction.  CM1 and CM2 themselves are *not* assumed: ``validate`` proves
+them on generator pairs, which is enough once the boundary and the action
+are verified, and on failure scans every element pair to report the first
+counterexample instead of raising.  One loop per axiom (``_cm1_failure``,
+``_cm2_failure``) serves both passes, and ``squares.interchange_exhaustive``
+too.
 
 ``xmod_isomorphic`` runs the backtrack of the group isomorphism search
 (``perm._extensions``) over M, once for each isomorphism of the bases.
@@ -61,58 +64,61 @@ class CrossedModule:
             raise ValueError("boundary must map M into Q")
         if len(action) != len(Q.generators):
             raise ValueError("one automorphism of M per generator of Q required")
+        index = M.element_index()
+        arrays = []
         for a in action:
             if a.source is not M or a.target is not M:
                 raise ValueError("action entries must be endomorphisms of M")
-            if not a.is_bijective():
+            arr = tuple([index[a.apply(m)] for m in M.elements()])
+            if len(set(arr)) != len(arr):
                 raise ValueError("action entries must be automorphisms of M")
+            arrays.append(arr)
         self.M = M
         self.Q = Q
         self.boundary = boundary
         self.action = action
-        self._table = None
         # extend now so an assignment violating a relation of Q cannot
         # produce a half-usable object
-        self._action_table()
+        self._table = self._action_table(arrays)
 
-    def _action_table(self) -> dict:
+    def _action_table(self, arrays) -> dict:
         """Index array over M.elements() for every element of Q.
 
-        Built by replaying Q's Cayley walk (walked once per group, not per
-        module), composing the generator automorphisms; two paths reaching
-        the same element must agree or the assignment does not factor
-        through Q.
+        Extended from the generators' ``arrays`` along Q's Cayley walk by
+        ``perm._replay_walk`` (walked once per group, not per module).  The
+        arrays are automorphisms of M, so each is fixed by the indices of
+        the images of M's generators, its key: an edge composes only those,
+        two paths reaching the same element must agree on them or the
+        assignment does not factor through Q, and the edge that first
+        reaches an element composes its whole array.
         """
-        if self._table is not None:
-            return self._table
         if self.Q.order() > ENUMERATION_BOUND:
             raise EnumerationBoundExceeded(
                 f"cannot extend action over group of order {self.Q.order()}"
             )
-        elems = self.M.elements()
         index = self.M.element_index()
-        gen_arrays = [
-            tuple(index[a.apply(m)] for m in elems) for a in self.action
-        ]
-        arrays = _replay_walk(
-            self.Q, tuple(range(len(elems))), gen_arrays,
-            lambda arr, garr: tuple(garr[i] for i in arr),
+
+        def compose(arr, garr):
+            return tuple([garr[i] for i in arr])
+
+        values = _replay_walk(
+            self.Q, tuple(range(len(index))),
+            tuple([index[m] for m in self.M.generators]), arrays,
+            compose, compose,
             "action assignment does not respect the relations of Q",
         )
-        self._table = dict(zip(self.Q._cayley_walk()[0], arrays))
-        return self._table
+        return dict(zip(self.Q._cayley_walk()[0], values))
 
     def act(self, m: Permutation, q: Permutation) -> Permutation:
         """m^q for any q in Q."""
-        table = self._action_table()
         try:
-            arr = table[q]
+            arr = self._table[q]
         except KeyError:
             raise ValueError(f"{q} is not in Q") from None
         return self.M.elements()[arr[self.M.element_index()[m]]]
 
     def act_array(self, q: Permutation) -> tuple[int, ...]:
-        return self._action_table()[q]
+        return self._table[q]
 
     def boundary_of(self, m: Permutation) -> Permutation:
         return self.boundary.apply(m)
@@ -163,9 +169,11 @@ def validate(X: CrossedModule) -> ValidationReport:
     CM1 is checked on ``gens(Q) x gens(M)`` and CM2 on ``gens(M) x gens(M)``.
     That is a proof, not a sample:
 
-    - the boundary and the action entries are verified homomorphisms, and
-      the action table replays Q's Cayley walk, which proves that
-      ``q -> (m -> m^q)`` is a right action of Q by automorphisms of M;
+    - the boundary and the action entries are verified homomorphisms, the
+      action entries are bijective, and the action table extends them
+      along Q's Cayley walk by the walk rule of every homomorphism
+      (``perm._replay_walk``), which proves that ``q -> (m -> m^q)`` is a
+      right action of Q by automorphisms of M;
     - for a fixed q, both sides of CM1, ``m -> d(m^q)`` and
       ``m -> q^-1 (dm) q``, are homomorphisms M -> Q, so they agree on M
       once they agree on ``gens(M)``;

@@ -210,6 +210,35 @@ def product_replay(degree, gens, target_degree, images):
     return dict(zip(found, values)), None
 
 
+def product_action_replay(qdeg, qgens, mdeg, mgens, action):
+    """The action of Q on M extended by whole automorphisms along
+    ``product_walk``.
+
+    ``action`` holds, for each generator of Q, the images of ``mgens``
+    under its automorphism.  Every edge ``x -> x*g`` composes the whole
+    action of x, a dict on M's element tuples, with that of g; edges are
+    read in walk order.  Returns ``(table, None)`` with ``table[q][m]`` the
+    image tuple of ``m^q``, or ``(None, w)`` where ``w`` is the endpoint of
+    the first edge whose composite disagrees with the action already
+    assigned.
+    """
+    mgens = [tuple(g) for g in mgens]
+    one_m = tidentity(mdeg)
+    autos = [extend_along(mgens, [tuple(im) for im in row], one_m, one_m,
+                          tcompose)
+             for row in action]
+    found, successors = product_walk(qdeg, qgens)
+    values = [{m: m for m in closure(mdeg, mgens)}] + [None] * (len(found) - 1)
+    for value, row in zip(values, successors):
+        for j, auto in zip(row, autos):
+            v = {m: auto[x] for m, x in value.items()}
+            if values[j] is None:
+                values[j] = v
+            elif values[j] != v:
+                return None, found[j]
+    return dict(zip(found, values)), None
+
+
 def product_mult_table(elements):
     """``table[a][b]``: the index of ``elements[a] * elements[b]``."""
     elements = [tuple(e) for e in elements]

@@ -1,14 +1,16 @@
-"""Walks, homomorphisms, multiplication tables, element orders, centres,
-cosets, CM2 and relator checks decided by base images or indices.
+"""Walks, homomorphisms, actions, multiplication tables, element orders,
+centres, cosets, CM2 and relator checks decided by base images or indices.
 
 A complete stabilizer chain fixes each element of its group by the images
 of the base points, so the library looks elements up by those images rather
-than by whole products.  These checks hold it to the product oracles of
-``support``: the same walk, the same element maps and the same first
-conflict, the same multiplication table, the same orders, centre, cosets,
-CM2 witness and relator verdict.  The fallback's M, read off a coset
-table over the trivial subgroup, and quotients act regularly and get their
-one-level chains without Schreier-Sims; each must equal the full chain.
+than by whole products, and an automorphism of M is fixed by the images of
+M's generators, so the action walk compares only those.  These checks hold
+the library to the product oracles of ``support``: the same walk, the same
+element maps, actions and first conflicts, the same multiplication table,
+the same orders, centre, cosets, CM2 witness and relator verdict.  The
+fallback's M, read off a coset table over the trivial subgroup, and
+quotients act regularly and get their one-level chains without
+Schreier-Sims; each must equal the full chain.
 Tripwires count products on row 7's M (128 elements), so that a return to
 one product per edge or per table entry fails, and on building the
 fallback's chain, so that a return to the check loop fails.
@@ -24,6 +26,7 @@ from support import (
     chain_levels,
     crossed_module_witnesses,
     cycles_order,
+    product_action_replay,
     product_center,
     product_cm2_failure,
     product_mult_table,
@@ -40,6 +43,7 @@ from support import (
 from xmodlab.errors import CosetLimitExceeded, NotInGroup, RelationViolated
 from xmodlab.fp import Presentation, Word, _coset_action, todd_coxeter
 from xmodlab.induce import (
+    InducedPresentation,
     induce,
     induced_presentation,
     table_subgroup,
@@ -159,6 +163,86 @@ class TestAgainstProductOracle:
     def test_known_violation(self):
         C3 = cyclic(3)
         assert check_hom(cyclic(2), C3, C3.generators) is None
+
+
+def check_action(M, Q, action):
+    """CrossedModule, over a trivial boundary, agrees with the action
+    replayed by whole automorphisms: ``act`` on every pair, or
+    ``RelationViolated`` with the same witness.  Returns whether the
+    action respects Q's relations."""
+    table, conflict = product_action_replay(
+        Q.degree, images(Q.generators), M.degree, images(M.generators),
+        [images(a.images) for a in action])
+    boundary = hom(M, Q, [Q.identity] * len(M.generators))
+    try:
+        X = CrossedModule(M, Q, boundary, action)
+    except RelationViolated as exc:
+        assert conflict is not None
+        assert exc.witness.images == conflict
+        return False
+    assert conflict is None
+    assert {(q.images, m.images): X.act(m, q).images
+            for q in Q.elements() for m in M.elements()} == {
+        (q, m): v for q, row in table.items() for m, v in row.items()}
+    return True
+
+
+@st.composite
+def small_actions(draw):
+    """M, nontrivial on at most 4 points, Q and, for each generator of Q, an
+    automorphism of M: conjugation by a permutation normalizing M.  In a
+    ``natural`` draw, Q is generated by such permutations and each acts by
+    conjugation with itself, which respects Q's relations; with
+    ``identity`` every generator acts trivially; a ``random`` draw assigns
+    nontrivial automorphisms at random, which mostly breaks them."""
+    M = draw(generator_lists(max_degree=4).map(lambda spec: group(*spec))
+             .filter(lambda M: not M.is_trivial()))
+    normalizer = [c for c in symmetric(M.degree).elements()
+                  if all(g.conj(c) in M for g in M.generators)]
+    kind = draw(st.sampled_from(["natural", "identity", "random"]))
+    if kind == "natural":
+        Q = PermGroup(M.degree, draw(st.lists(st.sampled_from(normalizer),
+                                              min_size=1, max_size=3)))
+        conjugators = Q.generators
+    else:
+        Q = group(*draw(generator_lists(max_degree=4)
+                        .filter(lambda spec: spec[1])))
+        # one conjugator per nontrivial automorphism, keyed by the images
+        # of M's generators
+        autos = {tuple(g.conj(c) for g in M.generators): c
+                 for c in reversed(normalizer)}
+        autos.pop(M.generators, None)
+        choices = sorted(autos.values()) if kind == "random" else []
+        conjugators = [draw(st.sampled_from(choices)) if choices
+                       else M.identity for _ in Q.generators]
+    action = [hom(M, M, [g.conj(c) for g in M.generators])
+              for c in conjugators]
+    return M, Q, action
+
+
+class TestActionWalk:
+    @settings(max_examples=150, deadline=None)
+    @given(small_actions())
+    def test_against_whole_automorphisms(self, spec):
+        check_action(*spec)
+
+    @pytest.mark.parametrize("row", range(1, 8))
+    def test_table_modules(self, table_results, row):
+        X = table_results[row - 1][0]
+        assert check_action(X.M, X.Q, X.action)
+        # the automorphisms turned by one place: mostly not an action
+        check_action(X.M, X.Q, X.action[1:] + X.action[:1])
+
+    def test_non_bijective_entry_refused_before_q_is_walked(self):
+        # the automorphism check precedes the bound on Q (S8 is past it)
+        # and the walk over Q's relations
+        M, S8 = cyclic(2), symmetric(8)
+        collapse = hom(M, M, [M.identity])
+        with pytest.raises(ValueError) as e:
+            CrossedModule(M, S8, hom(M, S8, [S8.identity]),
+                          [collapse] * len(S8.generators))
+        assert type(e.value) is ValueError
+        assert str(e.value) == "action entries must be automorphisms of M"
 
 
 class TestTrivialGroup:
@@ -428,6 +512,48 @@ def test_relator_check_needs_images_in_the_base():
     ip = induced_presentation(identity_xmod(P), iota)
     with pytest.raises(NotInGroup):
         dataclasses.replace(ip, base=P).boundary_kills_relators()
+
+
+@st.composite
+def relator_checks(draw):
+    """A group of degree at most 6 whose chain has at least 2 base points,
+    1-4 images in it and 1-3 relators over them.  With ``dying``, each
+    relator is a power of an image to its order, conjugated by another, so
+    every relator dies; otherwise the relators are random words of 1-6
+    letters, among them one-letter relators on images that fix the first
+    base point and move a later one, which a check of the first base
+    point alone would pass."""
+    G = draw(generator_lists().map(lambda spec: group(*spec))
+             .filter(lambda G: len(G._base()) >= 2))
+    imgs = draw(st.lists(st.sampled_from(G.elements()), min_size=1,
+                         max_size=4))
+    gens = st.integers(0, len(imgs) - 1)
+    relators = []
+    dying = draw(st.booleans())
+    for _ in range(draw(st.integers(1, 3))):
+        if dying:
+            g, h = draw(gens), draw(gens)
+            relators.append(Word.of([(h, -1)] + [(g, 1)] * imgs[g].order()
+                                    + [(h, 1)]))
+        else:
+            relators.append(Word.of(draw(st.lists(
+                st.tuples(gens, st.sampled_from([1, -1])),
+                min_size=1, max_size=6))))
+    return G, imgs, relators, dying
+
+
+class TestRelatorsOnBasePoints:
+    @settings(max_examples=200, deadline=None)
+    @given(relator_checks())
+    def test_against_products(self, spec):
+        G, imgs, relators, dying = spec
+        ip = InducedPresentation(
+            presentation=Presentation(len(imgs), tuple(relators)),
+            base=G, boundary_images=tuple(imgs), gen_pairs=())
+        want = product_relators_die(G.degree, images(imgs),
+                                    [w.letters for w in relators])
+        assert ip.boundary_kills_relators() == want
+        assert want or not dying
 
 
 # ---------------------------------------------------------------------------
