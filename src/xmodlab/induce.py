@@ -22,11 +22,15 @@ is proved faithful when a stabilizer chain stopped at the known order
 ``P = Q`` or a boundary that is not injective, G is enumerated over the
 trivial subgroup of the same presentation, on which it acts regularly
 (``PermGroup._regular``: one chain level, no Schreier-Sims check).  Either
-way boundary and action are read off as verified homomorphisms and the
-axioms re-checked by ``validate``.
+way M is the presented group, so M carries the presentation's relators,
+and the boundary and the action are proved homomorphisms by them (von
+Dyck's theorem, in ``perm.GroupHom``), not by a walk over M's Cayley
+graph; the axioms are re-checked by ``validate``.
 
-Relators are checked against the boundary on the base points of the base
-group, not by products (``InducedPresentation.boundary_kills_relators``).
+One tracer, ``perm._kills_relators``, decides whether relators die on the
+base points of the group their images lie in, without products: for the
+boundary on the base group (``InducedPresentation.boundary_kills_relators``)
+and for every map out of M.
 
 ``run_table`` reproduces the bundled reference table for the seven standard
 subgroups of S4 with M = P and the identity boundary.
@@ -56,6 +60,7 @@ from .perm import (
     GroupHom,
     PermGroup,
     Permutation,
+    _kills_relators,
     _right_cosets,
     _right_multiplications,
     abelian_invariants,
@@ -113,16 +118,9 @@ class InducedPresentation:
         for im in images:
             if im not in self.base:
                 raise NotInGroup(f"boundary image {im} is not in the base group")
-        steps = [{1: im.images, -1: im.inverse().images} for im in images]
-        base = self.base._base()
-        for w in self.presentation.relators:
-            for b in base:
-                x = b
-                for g, e in w.letters:
-                    x = steps[g][e][x - 1]
-                if x != b:
-                    return False
-        return True
+        return _kills_relators(
+            (w.letters for w in self.presentation.relators), images,
+            self.base._base())
 
 
 def _dedupe_relators(words):
@@ -500,6 +498,23 @@ def match_catalogue(G: PermGroup) -> str | None:
     return _named(G, catalogue=True)
 
 
+def _attach_relators(M: PermGroup, pres: Presentation, keep) -> None:
+    """Give M the relators of ``pres`` on M's generators
+    (``PermGroup._relators``), by which ``GroupHom`` proves maps out of M.
+
+    The caller has proved that M, generated by the permutations of the
+    presentation generators listed in ``keep``, is the presented group
+    acting faithfully, and every generator left out acts trivially: it is
+    the identity of the group.  So deleting its letters from the relators
+    still presents the group (a Tietze move), and generator ``keep[i]``
+    becomes M's generator i.
+    """
+    rename = {(k, e): (i, e) for i, k in enumerate(keep) for e in (1, -1)}
+    M._relators = tuple(
+        tuple([rename[x] for x in w.letters if x in rename])
+        for w in pres.relators)
+
+
 def induce(
     X: CrossedModule,
     iota: GroupHom,
@@ -531,6 +546,15 @@ def induce(
     not faithful.  Then, and whenever the chain falls short (as for
     ``P = Q``), G is enumerated over the trivial subgroup of the same
     presentation instead, where it acts regularly (``PermGroup._regular``).
+
+    Either way M is G, acting faithfully, so ``_attach_relators`` gives M
+    the presentation's relators on its generators, and the boundary and
+    each action entry are proved homomorphisms by them (von Dyck's theorem;
+    ``perm.GroupHom``): each relator is traced from each base point of the
+    target, the keys are filled along M's spanning tree, and no edge of M's
+    Cayley graph is checked.  The action entries keep their keys only;
+    ``CrossedModule`` reads them as index arrays, and none multiplies out
+    its values.
 
     ``Report.stats`` names the path taken, ``"over H"`` or ``"regular"``.
     The returned module has passed the axiom check; a failure there raises
@@ -574,6 +598,7 @@ def induce(
         ct, gen_perms, keep = enumerate_over(())
         Mstar = PermGroup._regular(ct.ncosets, [gen_perms[k] for k in keep])
         lap("chain")
+    _attach_relators(Mstar, pres, keep)
     Q = iota.target
     boundary = hom(Mstar, Q, [ip.boundary_images[k] for k in keep])
     action = []

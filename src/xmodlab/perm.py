@@ -6,24 +6,30 @@ actions in the package are right actions.
 
 Every group builds a stabilizer chain on construction, so order and membership
 are exact from the start.  Groups of order at most ``ENUMERATION_BOUND`` may be
-fully enumerated (homomorphism verification, fingerprints, quotients); larger
-ones raise ``EnumerationBoundExceeded`` instead of sampling.  A group walks its
-Cayley graph once, on first need, and keeps the walk; ``elements()`` sorts it.
-One rule, ``_replay_walk``, extends every homomorphism (``GroupHom``) and
-every action (``xmod.CrossedModule``) out of the group along that walk: each
-edge derives, from its tail's key, a key that fixes the map's value at its
-endpoint; two edges into one element must derive the same key, and only the
-edge that first reaches an element computes the value there.
+fully enumerated (homomorphisms, fingerprints, quotients); larger ones raise
+``EnumerationBoundExceeded`` instead of sampling.  A group walks its Cayley
+graph once, on first need, and keeps the walk and its spanning tree, the
+edges that first reach each element; ``elements()`` sorts it.
+
+A homomorphism (``GroupHom``) keeps, for each element, a key that fixes its
+value, and multiplies values out only on request, along the spanning tree
+(``_tree_values``).  A group that carries a presentation on its generators
+(the induced M, see ``induce``) maps by a homomorphism exactly when every
+relator dies (von Dyck's theorem), which ``_kills_relators`` traces on base
+points.  Maps out of any other group, and every action
+(``xmod.CrossedModule``), are proved by one rule, ``_replay_walk``: each
+edge of the walk derives, from its tail's key, a key for its endpoint, and
+two edges into one element must derive the same key.
 
 The chain is complete, so an element of the group is fixed by where it sends
 the base points (Seress, *Permutation Group Algorithms*): two elements with the
 same base images differ by an element fixing every base point, and the last
-stabilizer of a complete chain is trivial.  The walk, homomorphism
-verification and the multiplication table of the isomorphism search look
-elements up and compare them by their base images, ``|base|`` lookups where a
-product costs ``degree``; the regular representation of a group has a base of
-one point.  Each element is multiplied out once, on the edge that first
-reaches it.  Base images also decide commutation (``_commute``), coset
+stabilizer of a complete chain is trivial.  The walk, homomorphisms and
+the multiplication table of the isomorphism search look elements up and
+compare them by their base images, ``|base|`` lookups where a product costs
+``degree``; the regular representation of a group has a base of one point.
+The walk multiplies each element out once, on the edge that first reaches
+it.  Base images also decide commutation (``_commute``), coset
 membership (``_right_cosets``, ``quotient``) and element order, which is the
 lcm of the lengths of the cycles through the base points
 (``PermGroup._element_orders``).
@@ -56,6 +62,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from math import lcm, prod
 
 from .errors import (
@@ -369,10 +376,16 @@ class PermGroup:
         self._levels = levels
         self._order = _chain_order(levels)
         self._walk = None
+        self._tree = None
         self._elements = None
+        self._ranks = None
         self._index = None
+        self._by_key = None
         self._ctx = None
         self._fingerprint = None
+        # relators presenting the group on ``generators``, as sequences of
+        # (generator, exponent) letters; set only by ``induce`` (``GroupHom``)
+        self._relators = None
 
     @property
     def identity(self) -> Permutation:
@@ -438,7 +451,8 @@ class PermGroup:
         Elements are indexed by their base images (``_base``): an edge
         ``x -> x*g`` is looked up by the images of ``x``'s base images
         under ``g``, and ``x * g`` is formed only when that finds a new
-        element.  Walked once per group and kept.
+        element.  Walked once per group and kept, with the edges that
+        first reach each element (``_spanning_tree``).
         """
         if self._walk is None:
             if self._order > ENUMERATION_BOUND:
@@ -450,10 +464,11 @@ class PermGroup:
             keys = [base]
             index = {base: 0}
             successors = []
-            # both grow while they are read, in step: a FIFO queue
-            for x, key in zip(found, keys):
+            tree = []
+            # all grow while they are read, in step: a FIFO queue
+            for i, (x, key) in enumerate(zip(found, keys)):
                 row = []
-                for g in self.generators:
+                for s, g in enumerate(self.generators):
                     gi = g.images
                     y = tuple([gi[k - 1] for k in key])
                     j = index.get(y)
@@ -461,21 +476,50 @@ class PermGroup:
                         j = index[y] = len(found)
                         found.append(x * g)
                         keys.append(y)
+                        tree.append((i, s))
                     row.append(j)
                 successors.append(tuple(row))
             self._walk = (tuple(found), tuple(successors))
+            self._tree = tuple(tree)
         return self._walk
+
+    def _spanning_tree(self) -> tuple:
+        """For each element after the identity, in discovery order, the
+        edge of the Cayley walk that first reaches it: the discovery index
+        of its tail, always smaller, and the position of its generator."""
+        self._cayley_walk()
+        return self._tree
 
     def elements(self) -> tuple:
         """All elements, sorted by image tuple (identity first)."""
         if self._elements is None:
-            self._elements = tuple(sorted(self._cayley_walk()[0]))
+            found = self._cayley_walk()[0]
+            order = sorted(range(len(found)), key=lambda i: found[i].images)
+            self._elements = tuple([found[i] for i in order])
+            self._ranks = [0] * len(order)
+            for r, i in enumerate(order):
+                self._ranks[i] = r
         return self._elements
+
+    def _walk_ranks(self) -> list[int]:
+        """For each element in discovery order, its index in
+        ``elements()``."""
+        self.elements()
+        return self._ranks
 
     def element_index(self) -> dict:
         if self._index is None:
             self._index = {p: i for i, p in enumerate(self.elements())}
         return self._index
+
+    def _key_index(self) -> dict:
+        """The index in ``elements()`` of each element, keyed by its base
+        images (``_base``), in ``elements()`` order; built once."""
+        if self._by_key is None:
+            base = self._base()
+            self._by_key = {tuple([p.images[b - 1] for b in base]): i
+                            for i, p in enumerate(self.elements())}
+        return self._by_key
 
     def is_subgroup_of(self, other: "PermGroup") -> bool:
         return self.degree == other.degree and all(
@@ -654,19 +698,29 @@ def _strip(levels, g):
 class GroupHom:
     """Homomorphism given by images of the source generators.
 
-    Construction extends the images along the source's Cayley walk (done
-    once per group, not once per homomorphism) by ``_replay_walk``, checking
-    every edge ``f(x*s) == f(x)*f(s)``; a conflict means the assignment
-    violates some relation of the source and raises ``RelationViolated``
-    with a witness word endpoint.  An edge's key is the target's base images
-    (``PermGroup._base``) of its endpoint's value: every value is an element
-    of the target, whose chain is complete, so two values are equal exactly
-    when their keys are, and the first conflict is the one a check on whole
-    products would meet.  The value, the product, is formed on the edge that
-    first reaches an element, one product per source element.  The walk
-    needs the source fully enumerable, which is the only verification mode
-    offered: sources above ``ENUMERATION_BOUND`` raise
-    ``EnumerationBoundExceeded``.
+    A homomorphism keeps, for each element of the source in walk order,
+    the target's base images (``PermGroup._base``) of its value, its key.
+    Every value lies in the target, whose chain is complete, so a key fixes
+    its value; ``is_injective``, ``is_surjective``, ``kernel`` and
+    ``_index_array`` read the keys.  The values themselves are multiplied
+    out only when ``element_map`` is first read, one product per element
+    along the source's spanning tree (``_tree_values``).
+
+    Construction proves the map a homomorphism in one of two ways:
+
+    - a source that carries a presentation on its generators
+      (``PermGroup._relators``, which ``induce`` sets on the group it has
+      proved presented) maps by a homomorphism exactly when every relator
+      dies (von Dyck's theorem); ``_kills_relators`` decides that on the
+      target's base points, and the keys are then filled along the tree;
+    - otherwise, or when a relator survives, ``_replay_walk`` derives the
+      key of ``f(x)*f(s)`` on every edge ``x -> x*s`` of the source's
+      Cayley walk (done once per group, not once per homomorphism) and
+      raises ``RelationViolated`` at the first edge whose key differs from
+      the one already assigned, with its endpoint as the witness.
+
+    Either way the source is walked, so sources above ``ENUMERATION_BOUND``
+    raise ``EnumerationBoundExceeded``.
     """
 
     def __init__(self, source: PermGroup, target: PermGroup, images):
@@ -685,13 +739,31 @@ class GroupHom:
         self.source = source
         self.target = target
         self.images = images
-        values = _replay_walk(
-            source, target.identity, target._base(), images,
-            Permutation.__mul__,
-            lambda key, im: tuple([im.images[b - 1] for b in key]),
-            "generator images do not respect the relations of the source",
-        )
-        self.element_map = dict(zip(source._cayley_walk()[0], values))
+        base = target._base()
+        relators = source._relators
+        if relators is not None and _kills_relators(relators, images, base):
+            self._keys = _tree_values(source, base, images, _image_key)
+        else:
+            self._keys = _replay_walk(
+                source, base, images, _image_key,
+                "generator images do not respect the relations of the source",
+            )
+
+    @cached_property
+    def element_map(self) -> dict:
+        """Each source element's value, multiplied out on first read."""
+        values = _tree_values(self.source, self.target.identity, self.images,
+                              Permutation.__mul__)
+        return dict(zip(self.source._cayley_walk()[0], values))
+
+    def _index_array(self) -> tuple[int, ...]:
+        """For each element of ``source.elements()``, the index of its
+        image in ``target.elements()``, read off the keys."""
+        by_key = self.target._key_index()
+        arr = [0] * len(self._keys)
+        for r, key in zip(self.source._walk_ranks(), self._keys):
+            arr[r] = by_key[key]
+        return tuple(arr)
 
     def apply(self, p: Permutation) -> Permutation:
         try:
@@ -700,11 +772,10 @@ class GroupHom:
             raise NotInGroup(f"{p} is not in the source group") from None
 
     def is_injective(self) -> bool:
-        idt = self.target.identity
-        return sum(1 for v in self.element_map.values() if v == idt) == 1
+        return self._keys.count(self.target._base()) == 1
 
     def is_surjective(self) -> bool:
-        return len(set(self.element_map.values())) == self.target.order()
+        return len(set(self._keys)) == self.target.order()
 
     def is_bijective(self) -> bool:
         return (
@@ -724,35 +795,73 @@ class GroupHom:
         return f"GroupHom({pairs or 'trivial'})"
 
 
-def _replay_walk(G: PermGroup, start, start_key, images, step, key_step,
-                 violation: str) -> list:
-    """Extend a map given on G's generators to all of G along its Cayley walk.
+def _image_key(key: tuple, im: Permutation) -> tuple:
+    """The base images of ``v * im``, from ``key``, those of v."""
+    return tuple([im.images[b - 1] for b in key])
 
-    The identity gets the value ``start`` and the key ``start_key``; a key
-    fixes the value it belongs to.  Each edge x -> x*g derives the key
-    ``key_step(key(x), image(g))``, and the edge that first reaches an
-    element also computes its value, ``step(value(x), image(g))``.  Edges
-    are visited in walk order (elements in discovery order, generators in
-    list order); the first edge whose key disagrees with the one already
-    assigned raises ``RelationViolated`` naming its endpoint.  Returns the
-    values in discovery order.
+
+def _replay_walk(G: PermGroup, start_key, images, key_step,
+                 violation: str) -> list:
+    """Prove that a map given on G's generators extends to all of G along
+    its Cayley walk, and return each element's key in discovery order.
+
+    A key fixes the value of the map at an element; the identity's is
+    ``start_key``.  Each edge x -> x*g derives the key ``key_step(key(x),
+    image(g))``.  Edges are visited in walk order (elements in discovery
+    order, generators in list order); the edge that first reaches an
+    element assigns its key, and the first edge whose key disagrees with
+    the one already assigned raises ``RelationViolated`` naming its
+    endpoint.  The edges that assign keys are the walk's spanning tree, so
+    ``_tree_values`` gives the same keys, and the values they fix.
     """
     found, successors = G._cayley_walk()
-    values = [start] + [None] * (len(found) - 1)
     keys = [start_key] + [None] * (len(found) - 1)
     # each element is reached before its own edges are read
-    for value, key, row in zip(values, keys, successors):
+    for key, row in zip(keys, successors):
         for j, im in zip(row, images):
             k = key_step(key, im)
             known = keys[j]
             if known is None:
                 keys[j] = k
-                values[j] = step(value, im)
             elif known != k:
                 raise RelationViolated(
                     f"{violation} (conflict at {found[j]})", witness=found[j]
                 )
+    return keys
+
+
+def _tree_values(G: PermGroup, start, images, step) -> list:
+    """Values of a map given on G's generators, in discovery order, along
+    the spanning tree of G's Cayley walk (``PermGroup._spanning_tree``):
+    ``start`` at the identity, and ``step(value(x), image(g))`` at the end
+    of the tree edge ``x -> x*g``.  Relations are not checked; the caller
+    has proved the map well defined."""
+    values = [start]
+    for i, s in G._spanning_tree():
+        values.append(step(values[i], images[s]))
     return values
+
+
+def _kills_relators(relators, images, base) -> bool:
+    """Whether every relator maps to the identity under ``images``.
+
+    A relator is a sequence of ``(generator, exponent)`` letters, exponent
+    1 or -1, and ``images`` lie in a group with base ``base``
+    (``PermGroup._base``).  So does a relator's image, which is the
+    identity exactly when it fixes every base point.  Each relator is
+    traced from each base point through the point maps of its letters'
+    images and their inverses: ``letters * |base|`` lookups, no product.
+    """
+    # indexed by the exponent: [1] the image, [-1] its inverse
+    steps = [(None, im.images, im.inverse().images) for im in images]
+    for w in relators:
+        for b in base:
+            x = b
+            for g, e in w:
+                x = steps[g][e][x - 1]
+            if x != b:
+                return False
+    return True
 
 
 def hom(source: PermGroup, target: PermGroup, images) -> GroupHom:
@@ -765,9 +874,11 @@ def identity_hom(G: PermGroup) -> GroupHom:
 
 
 def kernel(h: GroupHom) -> PermGroup:
-    """Kernel in the source, its members sifted in ascending order."""
-    idt = h.target.identity
-    members = sorted(p for p, v in h.element_map.items() if v == idt)
+    """Kernel in the source, its members (the elements whose key is the
+    target's base) sifted in ascending order."""
+    one = h.target._base()
+    found = h.source._cayley_walk()[0]
+    members = sorted(p for p, key in zip(found, h._keys) if key == one)
     return _sifted(h.source.degree, members)
 
 
@@ -1042,9 +1153,8 @@ def _right_multiplications(G: PermGroup, xs) -> list[list[int]]:
     (``PermGroup._base``), so an entry costs ``|base|`` lookups and no
     product is formed.
     """
-    base = G._base()
-    keys = [tuple([p.images[b - 1] for b in base]) for p in G.elements()]
-    by_key = {key: i for i, key in enumerate(keys)}
+    by_key = G._key_index()
+    keys = list(by_key)
     return [
         [by_key[tuple([xi[k - 1] for k in key])] for key in keys]
         for xi in (x.images for x in xs)

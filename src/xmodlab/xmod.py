@@ -6,15 +6,19 @@ right action of Q on M by automorphisms, written m^q, subject to
     CM1:  d(m^q) = q^-1 (dm) q
     CM2:  m^(dm') = m'^-1 m m'   (Peiffer identity)
 
-The action is supplied on the generators of Q only and extended to all of Q by
-the walk rule every homomorphism out of Q uses (``perm._replay_walk``, on Q's
-Cayley walk, done once per group): an automorphism of M is fixed by the
-images of M's generators, so an edge compares those and the edge that first
-reaches an element of Q composes its whole array.  A conflicting extension
-means the generator assignment violates a relation of Q and is rejected at
-construction.  CM1 and CM2 themselves are *not* assumed: ``validate`` proves
-them on generator pairs, which is enough once the boundary and the action
-are verified, and on failure scans every element pair to report the first
+The action is supplied on the generators of Q only, as homomorphisms M -> M
+that the module reads as index arrays over ``M.elements()``
+(``perm.GroupHom._index_array``, off their keys, with no product).  It is
+proved to extend to all of Q by the walk rule every homomorphism out of Q
+uses (``perm._replay_walk``, on Q's Cayley walk, done once per group): an
+automorphism of M is fixed by the images of M's generators, so an edge
+compares those.  A conflicting extension means the generator assignment
+violates a relation of Q and is rejected at construction.  Each element of
+Q then gets its whole array composed once, along Q's spanning tree.
+
+CM1 and CM2 themselves are *not* assumed: ``validate`` proves them on
+generator pairs, which is enough once the boundary and the action are
+verified, and on failure scans every element pair to report the first
 counterexample instead of raising.  One loop per axiom (``_cm1_failure``,
 ``_cm2_failure``) serves both passes, and ``squares.interchange_exhaustive``
 too.
@@ -46,6 +50,7 @@ from .perm import (
     _generating_sequence,
     _iter_isomorphisms,
     _replay_walk,
+    _tree_values,
     abelian_invariants,
     fingerprint,
     hom,
@@ -64,12 +69,11 @@ class CrossedModule:
             raise ValueError("boundary must map M into Q")
         if len(action) != len(Q.generators):
             raise ValueError("one automorphism of M per generator of Q required")
-        index = M.element_index()
         arrays = []
         for a in action:
             if a.source is not M or a.target is not M:
                 raise ValueError("action entries must be endomorphisms of M")
-            arr = tuple([index[a.apply(m)] for m in M.elements()])
+            arr = a._index_array()
             if len(set(arr)) != len(arr):
                 raise ValueError("action entries must be automorphisms of M")
             arrays.append(arr)
@@ -84,13 +88,14 @@ class CrossedModule:
     def _action_table(self, arrays) -> dict:
         """Index array over M.elements() for every element of Q.
 
-        Extended from the generators' ``arrays`` along Q's Cayley walk by
-        ``perm._replay_walk`` (walked once per group, not per module).  The
-        arrays are automorphisms of M, so each is fixed by the indices of
-        the images of M's generators, its key: an edge composes only those,
-        two paths reaching the same element must agree on them or the
-        assignment does not factor through Q, and the edge that first
-        reaches an element composes its whole array.
+        The generators' ``arrays`` are proved to extend over Q by
+        ``perm._replay_walk`` on Q's Cayley walk (walked once per group,
+        not per module).  The arrays are automorphisms of M, so each is
+        fixed by the indices of the images of M's generators, its key: an
+        edge composes only those, and two paths reaching the same element
+        must agree on them or the assignment does not factor through Q.
+        Each whole array is then composed once, along Q's spanning tree
+        (``perm._tree_values``).
         """
         if self.Q.order() > ENUMERATION_BOUND:
             raise EnumerationBoundExceeded(
@@ -101,12 +106,11 @@ class CrossedModule:
         def compose(arr, garr):
             return tuple([garr[i] for i in arr])
 
-        values = _replay_walk(
-            self.Q, tuple(range(len(index))),
-            tuple([index[m] for m in self.M.generators]), arrays,
-            compose, compose,
-            "action assignment does not respect the relations of Q",
+        _replay_walk(
+            self.Q, tuple([index[m] for m in self.M.generators]), arrays,
+            compose, "action assignment does not respect the relations of Q",
         )
+        values = _tree_values(self.Q, tuple(range(len(index))), arrays, compose)
         return dict(zip(self.Q._cayley_walk()[0], values))
 
     def act(self, m: Permutation, q: Permutation) -> Permutation:
@@ -169,11 +173,13 @@ def validate(X: CrossedModule) -> ValidationReport:
     CM1 is checked on ``gens(Q) x gens(M)`` and CM2 on ``gens(M) x gens(M)``.
     That is a proof, not a sample:
 
-    - the boundary and the action entries are verified homomorphisms, the
-      action entries are bijective, and the action table extends them
-      along Q's Cayley walk by the walk rule of every homomorphism
-      (``perm._replay_walk``), which proves that ``q -> (m -> m^q)`` is a
-      right action of Q by automorphisms of M;
+    - the boundary and the action entries are proved homomorphisms (by
+      ``perm.GroupHom``: on the relators of a presented M, as ``induce``
+      builds it, or along M's Cayley walk), the action entries are
+      bijective, and the action table is proved to extend them along Q's
+      Cayley walk by the walk rule (``perm._replay_walk``), which proves
+      that ``q -> (m -> m^q)`` is a right action of Q by automorphisms of
+      M;
     - for a fixed q, both sides of CM1, ``m -> d(m^q)`` and
       ``m -> q^-1 (dm) q``, are homomorphisms M -> Q, so they agree on M
       once they agree on ``gens(M)``;
@@ -198,16 +204,21 @@ def validate(X: CrossedModule) -> ValidationReport:
 
 
 def _cm1_failure(X: CrossedModule, qs, ms):
-    """First ``(m, q)`` with ``d(m^q) != q^-1 (dm) q``, q outer, or None."""
-    melems = X.M.elements()
+    """First ``(m, q)`` with ``d(m^q) != q^-1 (dm) q``, q outer, or None.
+
+    The boundary is read as an index array (``GroupHom._index_array``), so
+    ``d(m^q)`` is looked up, not multiplied out.
+    """
     index = X.M.element_index()
-    bmap = X.boundary.element_map
-    mdata = [(m, index[m], bmap[m]) for m in ms]
+    qelems = X.Q.elements()
+    qindex = X.Q.element_index()
+    d = X.boundary._index_array()
+    mdata = [(m, index[m], qelems[d[index[m]]]) for m in ms]
     for q in qs:
         arr = X.act_array(q)
         qi = q.inverse()
         for m, i, dm in mdata:
-            if bmap[melems[arr[i]]] != qi * dm * q:
+            if d[arr[i]] != qindex[qi * dm * q]:
                 return m, q
     return None
 
@@ -221,11 +232,12 @@ def _cm2_failure(X: CrossedModule, mps, ms):
     """
     melems = X.M.elements()
     index = X.M.element_index()
-    bmap = X.boundary.element_map
+    qelems = X.Q.elements()
+    d = X.boundary._index_array()
     base = X.M._base()
     mdata = [(m, index[m], m.images) for m in ms]
     for mp in mps:
-        arr = X.act_array(bmap[mp])
+        arr = X.act_array(qelems[d[index[mp]]])
         mpi = mp.images
         pairs = [(b - 1, mpi.index(b)) for b in base]
         for m, i, mi in mdata:
@@ -344,11 +356,9 @@ def xmod_isomorphic(X: CrossedModule, Y: CrossedModule):
 
     ctx1 = _context(X.M)
     ctx2 = _context(Y.M)
-    ctxq1 = _context(X.Q)
-    ctxq2 = _context(Y.Q)
 
-    d1 = [ctxq1.index[X.boundary.apply(m)] for m in ctx1.elements]
-    d2 = [ctxq2.index[Y.boundary.apply(m)] for m in ctx2.elements]
+    d1 = X.boundary._index_array()
+    d2 = Y.boundary._index_array()
     fibers2 = {}
     for j, qidx in enumerate(d2):
         fibers2.setdefault(qidx, []).append(j)
@@ -356,8 +366,8 @@ def xmod_isomorphic(X: CrossedModule, Y: CrossedModule):
     seq = _generating_sequence(ctx1, act1)
 
     for g in _iter_isomorphisms(X.Q, Y.Q):
-        gmap = [ctxq2.index[g.element_map[q]] for q in ctxq1.elements]
-        act2 = [Y.act_array(g.apply(q)) for q in X.Q.generators]
+        gmap = g._index_array()
+        act2 = [Y.act_array(im) for im in g.images]
 
         def pair_check(i, j):
             return gmap[d1[i]] == d2[j]
