@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import CosetLimitExceeded, IncompleteTable, ParseError
-from .perm import PermGroup, Permutation
+from .perm import PermGroup, Permutation, _array
 
 DEFAULT_MAX_COSETS = 1 << 16
 
@@ -114,10 +114,18 @@ class Presentation:
     @classmethod
     def from_json_dict(cls, data: dict) -> "Presentation":
         try:
-            labels = tuple(data["generators"])
-            raw = data["relators"]
+            labels = tuple(_array(data["generators"], "generators"))
+            raw = _array(data["relators"], "relators")
         except (KeyError, TypeError) as exc:
             raise ParseError(f"presentation JSON missing field: {exc}") from None
+        for k, label in enumerate(labels):
+            if not isinstance(label, str):
+                raise ParseError(f"generators[{k}] must be a string, got {label!r}")
+            if labels.index(label) != k:
+                raise ParseError(f"generators: label {label!r} repeated")
+        for k, text in enumerate(raw):
+            if not isinstance(text, str):
+                raise ParseError(f"relators[{k}] must be a string, got {text!r}")
         relators = tuple(parse_word(s, labels) for s in raw)
         return cls(len(labels), relators, labels)
 
@@ -143,11 +151,11 @@ def parse_word(text: str, labels) -> Word:
         return Word.identity()
     letters = []
     for tok in tokens:
-        name, _, exp = tok.partition("^")
+        name, caret, exp = tok.partition("^")
         if not name:
             raise ParseError(f"bad token {tok!r}")
         sign = 1
-        if exp:
+        if caret:
             try:
                 k = int(exp)
             except ValueError:

@@ -11,20 +11,23 @@ representative t of iota(P) in Q, written (m, t), with
 
 ``induced_presentation`` keeps this small: each copy is generated by the
 P-invariant closure S of M's generators and presented by M's Schreier
-relators on S, and the Peiffer relators run over generator pairs only.
-The letters are counted before a word is built, and a presentation of more
-than ``RELATOR_LETTER_BUDGET`` letters is refused.
+relators on S, read off M's Cayley walk on S (``PermGroup._cayley_walk``),
+and the Peiffer relators run over generator pairs only.  The letters are
+counted before a word is built, and a presentation of more than
+``RELATOR_LETTER_BUDGET`` letters is refused.
 
-``induce`` enumerates the presented group G over H, the copy of M at the
-identity coset, and reads M off G's action on the cosets of H.  That action
-is proved faithful when a stabilizer chain stopped at the known order
-``[G:H]·|M|`` reaches it (the proof is in ``induce``).  Otherwise, as for
-``P = Q`` or a boundary that is not injective, G is enumerated over the
-trivial subgroup of the same presentation, on which it acts regularly
-(``PermGroup._regular``: one chain level, no Schreier-Sims check).  Either
-way M is the presented group, so M carries the presentation's relators,
-and the boundary and the action are proved homomorphisms by them (von
-Dyck's theorem, in ``perm.GroupHom``), not by a walk over M's Cayley
+``induce`` reads M off the action of the presented group G on the cosets
+of a subgroup, in one loop over two attempts: over H, the copy of M at the
+identity coset, offered only when M's boundary is injective, then over the
+trivial subgroup.  Each attempt enumerates the cosets and builds a chain
+stopped at the number of cosets times a bound for the subgroup's order
+(``PermGroup._bounded``); reaching that bound proves the action faithful
+(the proof is in ``induce``).  Over H the bound is ``[G:H]·|M|``, which
+``P = Q`` falls short of; over the trivial subgroup G acts regularly and
+reaches the bound at the first chain level, with no Schreier generator.
+Either way M is the presented group, so M carries the presentation's
+relators, and the boundary and the action are proved homomorphisms by them
+(von Dyck's theorem, in ``perm.GroupHom``), not by a walk over M's Cayley
 graph; the axioms are re-checked by ``validate``.
 
 One tracer, ``perm._kills_relators``, decides whether relators die on the
@@ -62,7 +65,6 @@ from .perm import (
     Permutation,
     _kills_relators,
     _right_cosets,
-    _right_multiplications,
     abelian_invariants,
     cyclic,
     dihedral,
@@ -167,34 +169,30 @@ def _schreier_relators(M: PermGroup, S: list[int]):
     """Schreier relators of M on the generators S (indices in
     ``M.elements()``), as words over positions in S, and their letter count.
 
-    A breadth-first spanning tree of M's Cayley graph on S gives each
-    element a word ``w_a``; the relators ``w_a s w_(as)^-1`` for the edges
-    off the tree generate the kernel of the free group on S onto M
-    (Schreier's lemma), so they present M.  The edges come from index
-    arrays (``perm._right_multiplications``), and the letters are counted
-    from the tree depths before any relator is spelled out.
+    M's chain is complete for the group S generates, so the Cayley walk of
+    M on S (``PermGroup._cayley_walk``) is taken on it, with no new chain.
+    Its spanning tree (``PermGroup._spanning_tree``) gives each element a
+    word ``w_a``, and the relators ``w_a s w_(as)^-1`` for the edges off the
+    tree generate the kernel of the free group on S onto M (Schreier's
+    lemma), so they present M.  An edge ``(a, j, c)`` is off the tree when
+    it ends at the identity or is not the edge that first reached c.  The
+    letters are counted from the tree depths before any relator is spelled
+    out.
     """
-    columns = _right_multiplications(M, [M.elements()[s] for s in S])
-    parent = {0: None}  # element index -> (element index, position in S)
-    order = [0]
-    for a in order:  # grows while it is read: a FIFO queue
-        for j, col in enumerate(columns):
-            c = col[a]
-            if c not in parent:
-                parent[c] = (a, j)
-                order.append(c)
-    depth = {0: 0}
-    for a in order[1:]:
-        depth[a] = depth[parent[a][0]] + 1
-    edges = [(a, j, col[a]) for a in order for j, col in enumerate(columns)
-             if parent[col[a]] != (a, j)]
+    walk = PermGroup._on_chain(
+        M.degree, [M.elements()[s] for s in S], M._levels)
+    tree = walk._spanning_tree()
+    depth = [0]
+    for a, _ in tree:
+        depth.append(depth[a] + 1)
+    edges = [(a, j, c) for a, row in enumerate(walk._cayley_walk()[1])
+             for j, c in enumerate(row) if c == 0 or tree[c - 1] != (a, j)]
     letters = sum(depth[a] + 1 + depth[c] for a, _, c in edges)
 
     def spell():
-        word = {0: ()}
-        for a in order[1:]:
-            b, j = parent[a]
-            word[a] = word[b] + (j,)
+        word = [()]
+        for a, j in tree:
+            word.append(word[a] + (j,))
         return [
             [(k, 1) for k in word[a]] + [(j, 1)]
             + [(k, -1) for k in reversed(word[c])]
@@ -523,10 +521,16 @@ def induce(
 ) -> tuple[CrossedModule, Report]:
     """Induced crossed module along iota, with a report of its invariants.
 
-    The top group G of ``induced_presentation`` is enumerated over H, the
-    copy of M at the coset of iota(P), whose generators are the words
-    ``(s, t0)`` with t0 the transversal element in iota(P).  Why the action
-    of G on the cosets of H gives G itself, when it does:
+    The top group G of ``induced_presentation`` is read off its action on
+    the cosets of a subgroup K, in two attempts, each of which enumerates
+    the cosets of K and builds the chain of the permutations G induces on
+    them, stopped at ``[G:K]`` times a bound for ``|K|``
+    (``PermGroup._bounded``), and M is read off the first attempt that
+    reaches its bound.  The attempt over H comes first, offered only when
+    X's boundary is injective: H is the copy of M at the coset of iota(P),
+    generated by the words ``(s, t0)`` with t0 the transversal element in
+    iota(P), and the bound is ``[G:H]·|M|``.  Why the action of G on the
+    cosets of H gives G itself when the chain reaches that bound:
 
     - ``phi: M -> G``, ``m -> (m, t0)``, is a homomorphism onto H, by the
       copy's relators; so ``|G| = [G:H]·|H| <= [G:H]·|M|``.
@@ -543,9 +547,12 @@ def induce(
     nontrivial k in ker d has ``phi(k) = 1``, so ``|H| < |M|``, or
     ``phi(k)`` is a nontrivial element of H in the kernel of G's boundary,
     central in G by CM2, so it fixes every coset ``Hg`` and the action is
-    not faithful.  Then, and whenever the chain falls short (as for
-    ``P = Q``), G is enumerated over the trivial subgroup of the same
-    presentation instead, where it acts regularly (``PermGroup._regular``).
+    not faithful; so that attempt is not offered.  Then, and whenever the
+    chain falls short (as for ``P = Q``), the second attempt enumerates G
+    over the trivial subgroup of the same presentation, with bound 1 for
+    its order.  G acts regularly on those cosets, so the chain reaches the
+    bound, the number of cosets, at its first level without a single
+    Schreier generator.
 
     Either way M is G, acting faithfully, so ``_attach_relators`` gives M
     the presentation's relators on its generators, and the boundary and
@@ -571,33 +578,24 @@ def induce(
 
     ip = induced_presentation(X, iota, transversal)
     pres = ip.presentation
-    injective = X.boundary.is_injective()
+    # (path, subgroup words, a bound for the order of the subgroup)
+    attempts = [("regular", (), 1)]
+    if X.boundary.is_injective():
+        attempts.insert(0, ("over H", ip.subgroup_words, X.M.order()))
     lap("presentation")
-
-    def enumerate_over(words):
+    for path, words, order in attempts:
         ct = todd_coxeter(pres, words, max_cosets)
         lap("todd_coxeter")
         gen_perms = _coset_action(ct)
         # generators that act trivially (as those of the identity of M
         # do) only clutter the generator list; the rest still generate
         keep = [k for k in range(pres.ngens) if not gen_perms[k].is_identity()]
-        return ct, gen_perms, keep
-
-    Mstar = None
-    if injective:
-        path = "over H"
-        ct, gen_perms, keep = enumerate_over(ip.subgroup_words)
-        bound = ct.ncosets * X.M.order()
+        bound = ct.ncosets * order
         Mstar = PermGroup._bounded(
             ct.ncosets, [gen_perms[k] for k in keep], bound)
         lap("chain")
-        if Mstar.order() != bound:
-            Mstar = None
-    if Mstar is None:
-        path = "regular"
-        ct, gen_perms, keep = enumerate_over(())
-        Mstar = PermGroup._regular(ct.ncosets, [gen_perms[k] for k in keep])
-        lap("chain")
+        if Mstar.order() == bound:
+            break
     _attach_relators(Mstar, pres, keep)
     Q = iota.target
     boundary = hom(Mstar, Q, [ip.boundary_images[k] for k in keep])

@@ -9,7 +9,9 @@ are exact from the start.  Groups of order at most ``ENUMERATION_BOUND`` may be
 fully enumerated (homomorphisms, fingerprints, quotients); larger ones raise
 ``EnumerationBoundExceeded`` instead of sampling.  A group walks its Cayley
 graph once, on first need, and keeps the walk and its spanning tree, the
-edges that first reach each element; ``elements()`` sorts it.
+edges that first reach each element; ``elements()`` sorts it.  The tree
+and the edges off it also give the Schreier relators that present each
+copy of M in an induced module (``induce._schreier_relators``).
 
 A homomorphism (``GroupHom``) keeps, for each element, a key that fixes its
 value, and multiplies values out only on request, along the spanning tree
@@ -36,12 +38,13 @@ lcm of the lengths of the cycles through the base points
 
 A caller that knows an upper bound for a group's order builds its chain
 with ``PermGroup._bounded``: the Schreier-Sims check loop stops once the
-chain reaches the bound, which proves the chain complete.  A group known to
-act regularly (a quotient on the cosets of its normal subgroup, the induced
-M on a coset table over the trivial subgroup) has its degree as that bound
-and gets its one-level chain without a single Schreier generator
-(``PermGroup._regular``); the induced M on the cosets of a subgroup has the
-order of the presented group as its bound.
+chain reaches the bound, which proves the chain complete.  A group that
+acts regularly has its degree as the bound and reaches it at level 0,
+without a single Schreier generator: a quotient on the cosets of its normal
+subgroup, the induced M on a coset table over the trivial subgroup, and the
+right-regular M that ``squares.gamma`` rebuilds from squares.  The induced
+M on the cosets of a subgroup H has the order ``[G:H]·|M|`` of the
+presented group as its bound.
 
 One function, ``_extend_chain``, opens and extends every chain:
 ``_build_chain`` hands it a group's generators at once.  Kernels, images,
@@ -312,6 +315,15 @@ def parse_generator_list(text: str, degree: int) -> list[Permutation]:
     return [parse_permutation(part, degree) for part in parts]
 
 
+def _array(value, field: str) -> list:
+    """A JSON array; a string, which ``list()`` would split into characters,
+    or any other value is a ``ParseError`` naming the field.  Shared by the
+    JSON readers of presentations (``fp``) and crossed modules (``xmod``)."""
+    if type(value) is not list:
+        raise ParseError(f"{field} must be a JSON array, got {value!r}")
+    return value
+
+
 class PermGroup:
     """Group generated by permutations of a common degree.
 
@@ -352,23 +364,17 @@ class PermGroup:
         A group smaller than the bound gets its full check loop, so the
         chain is complete either way, and ``order()`` equals the bound
         exactly when the group is that large.
+
+        A group that acts regularly (transitively, with trivial point
+        stabilizers) has its degree as the bound: its order is the degree
+        and every nonidentity element moves every point, so the first
+        level opens at point 1 with the whole orbit as its transversal,
+        reaches the bound there, at level 0, and no Schreier generator is
+        ever formed.  Without a nonidentity generator the chain is empty.
         """
         generators = tuple(generators)
         return cls._on_chain(degree, generators,
                              _build_chain(degree, generators, order))
-
-    @classmethod
-    def _regular(cls, degree: int, generators) -> "PermGroup":
-        """The group generated by ``generators``, which the caller knows to
-        act regularly: transitively, with trivial point stabilizers.
-
-        A regular group has order ``degree`` and every nonidentity element
-        moves every point, so ``_bounded`` opens the first level at point 1
-        with the whole orbit as its transversal, reaches the bound there
-        and never forms a Schreier generator.  Without a nonidentity
-        generator the chain is empty.
-        """
-        return cls._bounded(degree, generators, degree)
 
     def _adopt(self, degree: int, generators: tuple, levels: list) -> None:
         self.degree = degree
@@ -1028,7 +1034,7 @@ def quotient(G: PermGroup, N: PermGroup) -> tuple[PermGroup, GroupHom]:
             coset_of[tuple([gi[k - 1] for k in key])] + 1 for key in rkeys
         )))
     # G/N acts on the cosets of the normal N as on itself: regularly
-    Q = PermGroup._regular(len(reps), perms)
+    Q = PermGroup._bounded(len(reps), perms, len(reps))
     proj = GroupHom(G, Q, perms)
     return Q, proj
 

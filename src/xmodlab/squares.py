@@ -224,8 +224,10 @@ def gamma(view: DoubleGroupoidView) -> CrossedModule:
 
     Elements of M are represented by squares sigma(m) with trivial west,
     east and south edges, built once per call.  Horizontal composition
-    multiplies them, and the recovered group is their right-regular action;
-    ``regular`` composes the squares on purpose, as the round-trip witness.
+    multiplies them, and the recovered group is their right-regular action,
+    whose degree bounds its order (``PermGroup._bounded``: one chain level,
+    no Schreier generator); ``regular`` composes the squares on purpose, as
+    the round-trip witness.
     The boundary reads the north edge of sigma(m); the action conjugates by
     sandwiching between thin squares.  The result is isomorphic to
     ``view.xmod`` (the round-trip test), and nothing here enumerates the
@@ -252,7 +254,7 @@ def gamma(view: DoubleGroupoidView) -> CrossedModule:
         return Permutation(tuple(images))
 
     gens = [regular(g) for g in X.M.generators]
-    M_rec = PermGroup(len(melems), gens)
+    M_rec = PermGroup._bounded(len(melems), gens, len(melems))
 
     boundary = GroupHom(
         M_rec, P, [sigma(g).n for g in X.M.generators]

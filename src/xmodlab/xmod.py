@@ -45,6 +45,7 @@ from .perm import (
     GroupHom,
     PermGroup,
     Permutation,
+    _array,
     _context,
     _extensions,
     _generating_sequence,
@@ -461,14 +462,6 @@ def _degree(value) -> int:
     """A JSON degree: an integer of at least 1 (not a float or a bool)."""
     if type(value) is not int or value < 1:
         raise ParseError(f"degree must be an integer of at least 1, got {value!r}")
-    return value
-
-
-def _array(value, field: str) -> list:
-    """A JSON array; a string, which ``list()`` would split into characters,
-    or any other value is a ``ParseError`` naming the field."""
-    if type(value) is not list:
-        raise ParseError(f"{field} must be a JSON array, got {value!r}")
     return value
 
 

@@ -582,7 +582,7 @@ def regular_group(ct):
     """The group of a table over the trivial subgroup, as ``induce``'s
     fallback reads it: the nonidentity generators on one chain level."""
     perms = [p for p in _coset_action(ct) if not p.is_identity()]
-    return PermGroup._regular(ct.ncosets, perms)
+    return PermGroup._bounded(ct.ncosets, perms, ct.ncosets)
 
 
 def regular_m(inclusion_pair):
@@ -638,11 +638,13 @@ class TestRegularChain:
         ct = todd_coxeter(ip.presentation, ())
         perms = [p for p in _coset_action(ct) if not p.is_identity()]
         M, made = counted_products(
-            monkeypatch, lambda: PermGroup._regular(ct.ncosets, perms))
+            monkeypatch,
+            lambda: PermGroup._bounded(ct.ncosets, perms, ct.ncosets))
         assert M.order() == M.degree == 128
         assert made == M.degree - 1
         Q, _ = quotient(M, normal_closure(M, [M.generators[0]]))
         G, made = counted_products(
-            monkeypatch, lambda: PermGroup._regular(Q.degree, Q.generators))
+            monkeypatch,
+            lambda: PermGroup._bounded(Q.degree, Q.generators, Q.degree))
         assert G.order() == Q.order() == Q.degree > 1
         assert made == Q.degree - 1

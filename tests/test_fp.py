@@ -72,6 +72,10 @@ class TestWordParsing:
         with pytest.raises(ParseError):
             parse_word("c", ("a", "b"))
 
+    def test_caret_without_exponent(self):
+        with pytest.raises(ParseError, match=r"'a\^'"):
+            parse_word("a^", ("a", "b"))
+
 
 class TestPresentation:
     def test_defaults_and_format(self):
@@ -88,6 +92,27 @@ class TestPresentation:
         assert q == p
         payload = json.loads(p.to_json())
         assert set(payload) == {"generators", "relators"}
+
+    def test_generators_string_rejected(self):
+        # a string is not split into the labels a, b
+        with pytest.raises(ParseError, match="generators"):
+            Presentation.from_json_dict({"generators": "ab", "relators": []})
+
+    def test_relators_string_rejected(self):
+        # "a a" is not read character by character into three relators
+        with pytest.raises(ParseError, match="relators"):
+            Presentation.from_json_dict(
+                {"generators": ["a"], "relators": "a a"})
+
+    def test_non_string_relator_rejected(self):
+        with pytest.raises(ParseError, match=r"relators\[1\]"):
+            Presentation.from_json_dict(
+                {"generators": ["a"], "relators": ["a a", 3]})
+
+    def test_duplicate_labels_rejected(self):
+        with pytest.raises(ParseError, match="generators.*'a'"):
+            Presentation.from_json_dict(
+                {"generators": ["a", "a"], "relators": []})
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -156,7 +156,7 @@ def free_quotient(P, relation, power):
     ct = todd_coxeter(pres, ())
     perms = _coset_action(ct)
     keep = [k for k in range(pres.ngens) if not perms[k].is_identity()]
-    M = PermGroup._regular(ct.ncosets, [perms[k] for k in keep])
+    M = PermGroup._bounded(ct.ncosets, [perms[k] for k in keep], ct.ncosets)
     _attach_relators(M, pres, keep)
     action = [[perms[ip.act_gen(k, q)] for k in keep] for q in P.generators]
     return M, action

@@ -14,6 +14,7 @@ from xmodlab.errors import (
     NotInGroup,
 )
 from xmodlab.perm import (
+    PermGroup,
     cyclic,
     dihedral,
     hom,
@@ -334,6 +335,24 @@ class TestGamma:
         X7, _ = table_results[6]
         R = gamma(DoubleGroupoidView(X7))
         assert xmod_isomorphic(R, X7) is not None
+
+    @pytest.mark.parametrize("which", ["row6", "S4"])
+    def test_regular_chain_matches_schreier_sims(self, which):
+        # M is built on the bound |M| = degree; its base points and
+        # transversal keys are those the full Schreier-Sims chain has
+        X = (xmod_from_json(ROW6.read_text()) if which == "row6"
+             else identity_xmod(symmetric(4)))
+        R = gamma(DoubleGroupoidView(X))
+        full = PermGroup(R.M.degree, R.M.generators)
+
+        def shape(G):
+            return [(level["point"], list(level["transversal"]))
+                    for level in G._levels]
+
+        assert R.M.order() == R.M.degree == X.M.order()
+        assert R.M._base() == full._base()
+        assert shape(R.M) == shape(full)
+        assert xmod_isomorphic(R, X) is not None
 
     def test_row6_builds_each_sigma_square_once(self, monkeypatch):
         X = xmod_from_json(ROW6.read_text())
