@@ -35,28 +35,25 @@ class NotASubgroup(XmodlabError):
     """A claimed subgroup has a generator outside the ambient group."""
 
 
-class NonNormal(XmodlabError):
+class _WithWitness(XmodlabError):
+    """An error that carries ``witness``, the first offending element or
+    pair (``None`` when there is none to show)."""
+
+    def __init__(self, message: str, witness=None):
+        self.witness = witness
+        super().__init__(message)
+
+
+class NonNormal(_WithWitness):
     """A subgroup required to be normal is not; carries a witness pair."""
 
-    def __init__(self, message: str, witness=None):
-        self.witness = witness
-        super().__init__(message)
 
-
-class NonAbelian(XmodlabError):
+class NonAbelian(_WithWitness):
     """Invariant factors were requested for a nonabelian group."""
 
-    def __init__(self, message: str, witness=None):
-        self.witness = witness
-        super().__init__(message)
 
-
-class RelationViolated(XmodlabError):
+class RelationViolated(_WithWitness):
     """A generator-image assignment does not extend to a homomorphism."""
-
-    def __init__(self, message: str, witness=None):
-        self.witness = witness
-        super().__init__(message)
 
 
 class NonInjective(XmodlabError):
@@ -71,25 +68,25 @@ class EnumerationBoundExceeded(XmodlabError):
     """Full element enumeration was requested beyond the supported order."""
 
 
-class CosetLimitExceeded(XmodlabError):
-    """Coset enumeration exceeded its table limit without completing."""
+class _WithLimit(XmodlabError):
+    """An error that carries ``limit``, the bound that was exceeded."""
 
     def __init__(self, message: str, limit: int | None = None):
         self.limit = limit
         super().__init__(message)
+
+
+class CosetLimitExceeded(_WithLimit):
+    """Coset enumeration exceeded its table limit without completing."""
 
 
 class IncompleteTable(XmodlabError):
     """A permutation representation was requested from a partial table."""
 
 
-class BudgetExceeded(XmodlabError):
+class BudgetExceeded(_WithLimit):
     """A presentation would need more relator letters than its budget;
     ``limit`` is the budget."""
-
-    def __init__(self, message: str, limit: int | None = None):
-        self.limit = limit
-        super().__init__(message)
 
 
 class EdgeMismatch(XmodlabError):

@@ -10,6 +10,11 @@ the same cosets are defined in the same order, coincidences are processed in
 the same order, and tables and refusals are those of the plain
 relator-driven scan (the tests hold it to a reference copy of that scan).
 Each table carries counters of the work done (cosets defined, peak live).
+
+Every presentation is held to ``RELATOR_LETTER_BUDGET`` relator letters
+(``_check_letters``): ``parse_word`` and ``Presentation.from_json_dict``
+count the letters of ``x^k`` tokens before building any, and ``induce``
+counts its relators by arithmetic.
 """
 
 from __future__ import annotations
@@ -17,10 +22,22 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .errors import CosetLimitExceeded, IncompleteTable, ParseError
-from .perm import PermGroup, Permutation, _array
+from .errors import BudgetExceeded, CosetLimitExceeded, IncompleteTable, ParseError
+from .perm import PermGroup, Permutation, _array, _object
 
 DEFAULT_MAX_COSETS = 1 << 16
+RELATOR_LETTER_BUDGET = 1 << 20
+
+
+def _check_letters(letters: int, where: str = "") -> None:
+    """Refuse more than ``RELATOR_LETTER_BUDGET`` relator letters, counted
+    before any word is built; ``where`` says what brought the count there."""
+    if letters > RELATOR_LETTER_BUDGET:
+        raise BudgetExceeded(
+            f"{letters} relator letters{where} exceed the budget of "
+            f"{RELATOR_LETTER_BUDGET}",
+            limit=RELATOR_LETTER_BUDGET,
+        )
 
 
 def _free_reduce(letters):
@@ -76,7 +93,12 @@ def _default_labels(ngens: int) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class Presentation:
-    """Generator count plus relators, with printable generator labels."""
+    """Generator count plus relators, with printable generator labels.
+
+    Each label reads back through ``parse_word``: a string, nonempty, with
+    no whitespace and no ``^``, not ``1``, and distinct from the others; any
+    other label is a ``ParseError`` naming ``generators[k]`` or the label.
+    """
 
     ngens: int
     relators: tuple[Word, ...]
@@ -87,8 +109,16 @@ class Presentation:
             object.__setattr__(self, "labels", _default_labels(self.ngens))
         if len(self.labels) != self.ngens:
             raise ValueError("one label per generator required")
-        if len(set(self.labels)) != self.ngens:
-            raise ValueError("labels must be distinct")
+        seen = set()
+        for k, label in enumerate(self.labels):
+            if not isinstance(label, str):
+                raise ParseError(f"generators[{k}] must be a string, got {label!r}")
+            if label in ("", "1") or "^" in label or any(c.isspace() for c in label):
+                raise ParseError(
+                    f"generators[{k}]: label {label!r} cannot be read in a word")
+            if label in seen:
+                raise ParseError(f"generators: label {label!r} repeated")
+            seen.add(label)
         for w in self.relators:
             for g, _ in w.letters:
                 if not 0 <= g < self.ngens:
@@ -113,21 +143,24 @@ class Presentation:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Presentation":
+        """Presentation of a JSON object; its labels are checked before any
+        relator is read, and its relators share one letter budget."""
+        data = _object(data, "presentation")
         try:
             labels = tuple(_array(data["generators"], "generators"))
             raw = _array(data["relators"], "relators")
-        except (KeyError, TypeError) as exc:
+        except KeyError as exc:
             raise ParseError(f"presentation JSON missing field: {exc}") from None
-        for k, label in enumerate(labels):
-            if not isinstance(label, str):
-                raise ParseError(f"generators[{k}] must be a string, got {label!r}")
-            if labels.index(label) != k:
-                raise ParseError(f"generators: label {label!r} repeated")
+        cls(len(labels), (), labels)  # checks the labels
+        index = {label: k for k, label in enumerate(labels)}
+        letters = 0
+        terms = []
         for k, text in enumerate(raw):
             if not isinstance(text, str):
                 raise ParseError(f"relators[{k}] must be a string, got {text!r}")
-        relators = tuple(parse_word(s, labels) for s in raw)
-        return cls(len(labels), relators, labels)
+            word, letters = _read_word(text, index, letters)
+            terms.append(word)
+        return cls(len(labels), tuple(_spell(t) for t in terms), labels)
 
     @classmethod
     def from_json(cls, text: str) -> "Presentation":
@@ -143,40 +176,44 @@ def parse_word(text: str, labels) -> Word:
 
     ``1`` (alone) denotes the empty word.  Tokens are whitespace-separated;
     ``x^-1``, ``x^1`` and bare ``x`` are accepted, as is ``X`` for ``x^-1``
-    when the label is a single lowercase letter.
+    when the label is a single lowercase letter.  A word of more than
+    ``RELATOR_LETTER_BUDGET`` letters is refused (``BudgetExceeded``, naming
+    the token that passes it) before any letter is built.
     """
-    index = {lab: i for i, lab in enumerate(labels)}
+    return _spell(_read_word(text, {lab: i for i, lab in enumerate(labels)})[0])
+
+
+def _read_word(text: str, index: dict, letters: int = 0) -> tuple:
+    """The tokens of ``text`` as ``(generator, sign, power)`` terms, with
+    ``index`` mapping each label to its generator, and the letter count
+    ``letters`` plus theirs, checked against the budget at each token."""
     tokens = text.split()
     if tokens == ["1"]:
-        return Word.identity()
-    letters = []
+        return [], letters
+    terms = []
     for tok in tokens:
         name, caret, exp = tok.partition("^")
         if not name:
             raise ParseError(f"bad token {tok!r}")
+        try:
+            k = int(exp) if caret else 1
+        except ValueError:
+            raise ParseError(f"bad exponent in {tok!r}") from None
         sign = 1
-        if caret:
-            try:
-                k = int(exp)
-            except ValueError:
-                raise ParseError(f"bad exponent in {tok!r}") from None
-        else:
-            k = 1
         if name not in index:
-            lowered = name.lower()
-            if (
-                len(name) == 1
-                and name.isupper()
-                and lowered in index
-            ):
-                name = lowered
-                sign = -1
-            else:
+            if not (len(name) == 1 and name.isupper() and name.lower() in index):
                 raise ParseError(f"unknown generator {name!r}")
+            name, sign = name.lower(), -1
         if k < 0:
             sign, k = -sign, -k
-        letters.extend([(index[name], sign)] * k)
-    return Word.of(letters)
+        letters += k
+        _check_letters(letters, f" at token {tok!r}")
+        terms.append((index[name], sign, k))
+    return terms, letters
+
+
+def _spell(terms) -> Word:
+    return Word.of([(g, sign) for g, sign, k in terms for _ in range(k)])
 
 
 @dataclass(frozen=True)

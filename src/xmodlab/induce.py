@@ -44,8 +44,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 
+from . import fp
 from .errors import (
-    BudgetExceeded,
     NonInjective,
     NotInGroup,
     TableMismatch,
@@ -55,6 +55,7 @@ from .fp import (
     DEFAULT_MAX_COSETS,
     Presentation,
     Word,
+    _check_letters,
     _coset_action,
     todd_coxeter,
 )
@@ -82,8 +83,9 @@ from .perm import (
 )
 from .xmod import CrossedModule, identity_xmod, pi1, pi2, validate, xmod_isomorphic
 
-RELATOR_LETTER_BUDGET = 1 << 20
-
+# the relator letter budget of every presentation (``fp._check_letters``),
+# under the name callers of induction read
+RELATOR_LETTER_BUDGET = fp.RELATOR_LETTER_BUDGET
 
 coset_transversal = right_coset_representatives
 
@@ -134,17 +136,6 @@ def _dedupe_relators(words):
         seen.add(w.letters)
         out.append(w)
     return tuple(out)
-
-
-def _check_letters(letters: int) -> None:
-    """Refuse a presentation of more than ``RELATOR_LETTER_BUDGET`` relator
-    letters, counted before any word is built."""
-    if letters > RELATOR_LETTER_BUDGET:
-        raise BudgetExceeded(
-            f"{letters} relator letters exceed the budget of "
-            f"{RELATOR_LETTER_BUDGET}",
-            limit=RELATOR_LETTER_BUDGET,
-        )
 
 
 def _invariant_generators(X: CrossedModule) -> list[int]:

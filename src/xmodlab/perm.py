@@ -223,41 +223,40 @@ def _trusted(images: tuple) -> Permutation:
     return p
 
 
-def parse_permutation(text: str, degree: int) -> Permutation:
-    """Parse cycle notation like ``(1,2)(3,4)``; ``()`` is the identity.
+def _skip_ws(text: str, i: int) -> int:
+    while i < len(text) and text[i].isspace():
+        i += 1
+    return i
 
-    Whitespace is ignored everywhere.  Points are 1-based and must not exceed
-    ``degree``; a point may appear in at most one cycle.
+
+def _scan_permutation(text: str, i: int, degree: int) -> tuple:
+    """Read the cycles of one permutation from position ``i``: the
+    permutation and the position after it and the whitespace that follows.
+
+    The scan stops at the first character that does not open a cycle, or
+    at the end of the text; there must be at least one cycle.  Points are
+    1-based and must not exceed ``degree``; a point may appear in at most
+    one cycle.  Every ``ParseError`` position indexes ``text`` as given.
     """
     images = list(range(1, degree + 1))
     used = set()
-    i = 0
     n = len(text)
-
-    def skip_ws(j):
-        while j < n and text[j].isspace():
-            j += 1
-        return j
-
-    i = skip_ws(i)
+    i = _skip_ws(text, i)
     if i == n:
         raise ParseError("empty permutation", i)
-    saw_cycle = False
-    while i < n:
-        i = skip_ws(i)
-        if i == n:
-            break
-        if text[i] != "(":
-            raise ParseError(f"expected '(' but found {text[i]!r}", i)
-        i = skip_ws(i + 1)
+    if text[i] != "(":
+        raise ParseError(f"expected '(' but found {text[i]!r}", i)
+    while i < n and text[i] == "(":
+        i = _skip_ws(text, i + 1)
         points = []
         if i < n and text[i] == ")":
-            i += 1  # () = identity cycle
-            saw_cycle = True
+            i = _skip_ws(text, i + 1)  # () = identity cycle
             continue
         while True:
             start = i
-            while i < n and text[i].isdigit():
+            # ASCII digits only: int() reads other digits, or refuses them
+            # with no position
+            while i < n and "0" <= text[i] <= "9":
                 i += 1
             if i == start:
                 raise ParseError("expected a point", i)
@@ -268,20 +267,29 @@ def parse_permutation(text: str, degree: int) -> Permutation:
                 raise ParseError(f"point {p} repeated", start)
             used.add(p)
             points.append(p)
-            i = skip_ws(i)
+            i = _skip_ws(text, i)
             if i < n and text[i] == ",":
-                i = skip_ws(i + 1)
+                i = _skip_ws(text, i + 1)
                 continue
             if i < n and text[i] == ")":
-                i += 1
+                i = _skip_ws(text, i + 1)
                 break
             raise ParseError("expected ',' or ')'", i)
-        saw_cycle = True
         for a, b in zip(points, points[1:] + points[:1]):
             images[a - 1] = b
-    if not saw_cycle:
-        raise ParseError("no cycles found", 0)
-    return Permutation(images)
+    return Permutation(images), i
+
+
+def parse_permutation(text: str, degree: int) -> Permutation:
+    """Parse cycle notation like ``(1,2)(3,4)``; ``()`` is the identity.
+
+    Whitespace is ignored everywhere.  The text is read by
+    ``_scan_permutation`` and must end where the permutation does.
+    """
+    g, i = _scan_permutation(text, 0, degree)
+    if i < len(text):
+        raise ParseError(f"expected '(' but found {text[i]!r}", i)
+    return g
 
 
 def parse_generator_list(text: str, degree: int) -> list[Permutation]:
@@ -289,30 +297,21 @@ def parse_generator_list(text: str, degree: int) -> list[Permutation]:
 
     Commas inside parentheses separate points; commas between a ``)`` and the
     next ``(`` separate permutations.  An empty string denotes no generators.
+    The list is read in one pass, one ``_scan_permutation`` per generator,
+    so an error's position indexes the whole text as given.
     """
     if not text.strip():
         return []
-    parts = []
-    depth = 0
-    current = []
-    for j, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-            current.append(ch)
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ParseError("unbalanced ')'", j)
-            current.append(ch)
-        elif ch == "," and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    if depth != 0:
-        raise ParseError("unbalanced '('", len(text) - 1)
-    parts.append("".join(current))
-    return [parse_permutation(part, degree) for part in parts]
+    gens = []
+    i = 0
+    while True:
+        g, i = _scan_permutation(text, i, degree)
+        gens.append(g)
+        if i == len(text):
+            return gens
+        if text[i] != ",":
+            raise ParseError(f"expected '(' or ',' but found {text[i]!r}", i)
+        i += 1
 
 
 def _array(value, field: str) -> list:
@@ -321,6 +320,14 @@ def _array(value, field: str) -> list:
     JSON readers of presentations (``fp``) and crossed modules (``xmod``)."""
     if type(value) is not list:
         raise ParseError(f"{field} must be a JSON array, got {value!r}")
+    return value
+
+
+def _object(value, field: str) -> dict:
+    """A JSON object; any other value is a ``ParseError`` naming the field.
+    Shared, like ``_array``, by the presentation and crossed-module readers."""
+    if type(value) is not dict:
+        raise ParseError(f"{field} must be a JSON object, got {value!r}")
     return value
 
 

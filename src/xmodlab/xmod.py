@@ -50,6 +50,7 @@ from .perm import (
     _extensions,
     _generating_sequence,
     _iter_isomorphisms,
+    _object,
     _replay_walk,
     _tree_values,
     abelian_invariants,
@@ -420,14 +421,16 @@ def xmod_to_json(X: CrossedModule) -> str:
 
 
 def xmod_from_json_dict(data: dict) -> CrossedModule:
+    data = _object(data, "crossed module")
     try:
-        mdeg = _degree(data["M"]["degree"])
-        mgens = _array(data["M"]["generators"], "M.generators")
-        qdeg = _degree(data["Q"]["degree"])
-        qgens = _array(data["Q"]["generators"], "Q.generators")
+        mdata, qdata = _object(data["M"], "M"), _object(data["Q"], "Q")
+        mdeg = _degree(mdata["degree"])
+        mgens = _array(mdata["generators"], "M.generators")
+        qdeg = _degree(qdata["degree"])
+        qgens = _array(qdata["generators"], "Q.generators")
         braw = _array(data["boundary"], "boundary")
         araw = _array(data["action"], "action")
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ParseError(f"crossed module JSON missing field: {exc}") from None
     M = PermGroup(mdeg, [_parse_one(s, mdeg) for s in mgens])
     Q = PermGroup(qdeg, [_parse_one(s, qdeg) for s in qgens])

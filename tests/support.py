@@ -702,3 +702,89 @@ def order_law_inclusions():
         gens = [Q.random_element(rng) for _ in range(count)]
         out.append((Q, Q.subgroup(gens)))
     return out
+
+
+def reference_parse_permutation(text, degree):
+    """Image tuple of the cycle notation ``text``: the two-pass reader's
+    permutation parser, kept as the oracle for ``perm._scan_permutation``.
+    Messages and positions are those ``perm.parse_permutation`` gives."""
+    from xmodlab.errors import ParseError
+
+    images = list(range(1, degree + 1))
+    used = set()
+    i = 0
+    n = len(text)
+
+    def skip_ws(j):
+        while j < n and text[j].isspace():
+            j += 1
+        return j
+
+    i = skip_ws(i)
+    if i == n:
+        raise ParseError("empty permutation", i)
+    while i < n:
+        i = skip_ws(i)
+        if i == n:
+            break
+        if text[i] != "(":
+            raise ParseError(f"expected '(' but found {text[i]!r}", i)
+        i = skip_ws(i + 1)
+        points = []
+        if i < n and text[i] == ")":
+            i += 1
+            continue
+        while True:
+            start = i
+            while i < n and text[i].isdigit():
+                i += 1
+            if i == start:
+                raise ParseError("expected a point", i)
+            p = int(text[start:i])
+            if not 1 <= p <= degree:
+                raise ParseError(f"point {p} out of range 1..{degree}", start)
+            if p in used:
+                raise ParseError(f"point {p} repeated", start)
+            used.add(p)
+            points.append(p)
+            i = skip_ws(i)
+            if i < n and text[i] == ",":
+                i = skip_ws(i + 1)
+                continue
+            if i < n and text[i] == ")":
+                i += 1
+                break
+            raise ParseError("expected ',' or ')'", i)
+        for a, b in zip(points, points[1:] + points[:1]):
+            images[a - 1] = b
+    return tuple(images)
+
+
+def reference_parse_generator_list(text, degree):
+    """Image tuples of a comma-separated generator list, read in two passes:
+    split at the commas outside parentheses, then parse each part with
+    ``reference_parse_permutation``.  Its positions count from the start of
+    the part, so only acceptance and results are compared with it."""
+    from xmodlab.errors import ParseError
+
+    if not text.strip():
+        return []
+    parts = []
+    depth = 0
+    current = []
+    for j, ch in enumerate(text):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth < 0:
+                raise ParseError("unbalanced ')'", j)
+        elif ch == "," and depth == 0:
+            parts.append("".join(current))
+            current = []
+            continue
+        current.append(ch)
+    if depth != 0:
+        raise ParseError("unbalanced '('", len(text) - 1)
+    parts.append("".join(current))
+    return [reference_parse_permutation(part, degree) for part in parts]

@@ -75,6 +75,19 @@ class TestParsing:
         assert rc == 2
         assert "parse error" in err
 
+    def test_position_in_the_list_as_typed(self, capsys):
+        rc, out, err = run(capsys, "identify", "--group", "(1,2),(1,9)")
+        assert rc == 2
+        assert out == ""
+        assert "point 9 out of range 1..4 (at position 9)" in err
+
+    def test_non_ascii_digit(self, capsys):
+        # once a ValueError traceback from int()
+        rc, out, err = run(capsys, "identify", "--group", "(1,\u00b2)")
+        assert rc == 2
+        assert out == ""
+        assert "expected a point (at position 3)" in err
+
     def test_row_out_of_range(self, capsys):
         rc, _, err = run(capsys, "table", "--row", "8")
         assert rc == 2
@@ -272,6 +285,20 @@ class TestCheck:
         assert out == ""
         assert f"{field} must be a JSON array, got '(1,2)'" in err
         assert "unbalanced" not in err
+
+    @pytest.mark.parametrize("field", ["crossed module", "M", "Q"])
+    def test_value_not_an_object(self, capsys, tmp_path, field):
+        data = xmod_to_json_dict(identity_xmod(cyclic(2)))
+        if field == "crossed module":
+            data = [1, 2]
+        else:
+            data[field] = [1, 2]
+        path = tmp_path / "object.json"
+        path.write_text(json.dumps(data))
+        rc, out, err = run(capsys, "check", str(path))
+        assert rc == 2
+        assert out == ""
+        assert f"{field} must be a JSON object, got [1, 2]" in err
 
     def test_action_not_an_automorphism(self, capsys, tmp_path):
         data = xmod_to_json_dict(identity_xmod(symmetric(3)))

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 import time
 
 import pytest
@@ -9,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from support import minors_gcd_invariants
-from xmodlab.errors import CosetLimitExceeded, IncompleteTable, ParseError
+from xmodlab import fp
+from xmodlab.errors import (
+    BudgetExceeded,
+    CosetLimitExceeded,
+    IncompleteTable,
+    ParseError,
+)
 from xmodlab.fp import (
     CosetTable,
     Presentation,
@@ -76,6 +83,16 @@ class TestWordParsing:
         with pytest.raises(ParseError, match=r"'a\^'"):
             parse_word("a^", ("a", "b"))
 
+    def test_letter_budget(self, monkeypatch):
+        # counted before a letter is built: this many cannot be allocated
+        built = []
+        monkeypatch.setattr(Word, "__init__", lambda *a: built.append(a))
+        token = "a^" + "9" * 20
+        with pytest.raises(BudgetExceeded, match=re.escape(repr(token))) as info:
+            parse_word(f"b {token} b", ("a", "b"))
+        assert info.value.limit == fp.RELATOR_LETTER_BUDGET == 1 << 20
+        assert not built
+
 
 class TestPresentation:
     def test_defaults_and_format(self):
@@ -113,6 +130,37 @@ class TestPresentation:
         with pytest.raises(ParseError, match="generators.*'a'"):
             Presentation.from_json_dict(
                 {"generators": ["a", "a"], "relators": []})
+
+    def test_letter_budget_over_all_relators(self, monkeypatch):
+        # 6 + 6 letters, under a budget of 10 one by one, over it together
+        monkeypatch.setattr(fp, "RELATOR_LETTER_BUDGET", 10)
+        built = []
+        monkeypatch.setattr(Word, "__init__", lambda *a: built.append(a))
+        with pytest.raises(BudgetExceeded) as info:
+            Presentation.from_json_dict(
+                {"generators": ["a"], "relators": ["a^6", "a^-6"]})
+        assert info.value.limit == 10
+        assert not built
+
+    def test_not_an_object(self):
+        with pytest.raises(ParseError,
+                           match=r"presentation must be a JSON object, got \[1, 2\]"):
+            Presentation.from_json_dict([1, 2])
+
+    @pytest.mark.parametrize("label", ["x^2", "", "a b", "1"],
+                             ids=["caret", "empty", "space", "one"])
+    def test_label_that_cannot_be_read_back(self, label):
+        with pytest.raises(ParseError, match=r"generators\[1\]"):
+            Presentation(2, (), ("a", label))
+        with pytest.raises(ParseError, match=r"generators\[1\]"):
+            Presentation.from_json_dict(
+                {"generators": ["a", label], "relators": []})
+
+    def test_label_not_a_string(self):
+        with pytest.raises(ParseError, match=r"generators\[0\] must be a string"):
+            Presentation(1, (), (3,))
+        with pytest.raises(ParseError, match=r"generators\[0\] must be a string"):
+            Presentation.from_json_dict({"generators": [3], "relators": ["a"]})
 
     def test_validation(self):
         with pytest.raises(ValueError):

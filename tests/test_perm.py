@@ -12,6 +12,8 @@ from support import (
     closure_from,
     conjugation_closure,
     parity,
+    reference_parse_generator_list,
+    reference_parse_permutation,
     tcompose,
     tidentity,
     tinverse,
@@ -62,6 +64,16 @@ def P(text, degree):
 
 perm_strategy = st.integers(1, 7).flatmap(
     lambda n: st.permutations(list(range(1, n + 1)))
+)
+
+# text near cycle notation: raw characters, or whole cycles and separators
+# run together, so that well-formed lists turn up as often as broken ones
+cycle_texts = st.one_of(
+    st.text(alphabet="(),0123456789 x\t\n", max_size=20),
+    st.lists(st.sampled_from([
+        "(", ")", ",", " ", "x", "1", "2", "3", "7", "(1,2)", "(3, 4,5)",
+        "()", " , ", "(6)",
+    ]), max_size=8).map("".join),
 )
 
 
@@ -198,6 +210,54 @@ class TestParsing:
         assert parse_generator_list("  ", 4) == []
         with pytest.raises(ParseError):
             parse_generator_list("(1,2),(1,", 4)
+
+    @pytest.mark.parametrize("text, position", [
+        ("(1,2),(1,9)", 9),     # point out of range, in the second part
+        ("(1,2),,(3,4)", 6),    # the second comma opens no permutation
+        ("(1,2),", 6),          # nothing after the last comma
+        ("(1,2)x(3,4)", 5),     # no comma between permutations
+        ("(1,2) , (3,3)", 11),  # point repeated, after whitespace
+        ("(1,2))", 5),
+    ])
+    def test_generator_list_positions(self, text, position):
+        # a position counts from the start of the text as given
+        with pytest.raises(ParseError) as e:
+            parse_generator_list(text, 4)
+        assert e.value.position == position
+
+    @pytest.mark.parametrize("text", ["(1,\u00b2)", "(1,\u0663)"],
+                             ids=["superscript-two", "arabic-indic-three"])
+    def test_point_in_ascii_digits_only(self, text):
+        # both are str.isdigit(); int() refuses the first and reads the
+        # second as 3
+        with pytest.raises(ParseError) as e:
+            parse_generator_list(text, 4)
+        assert str(e.value) == "expected a point (at position 3)"
+
+    @settings(max_examples=400, deadline=None)
+    @given(cycle_texts, st.integers(1, 9))
+    def test_parsers_agree_with_the_two_pass_reader(self, text, degree):
+        def outcome(parse):
+            try:
+                return parse(text, degree)
+            except ParseError as exc:
+                return exc
+
+        want = outcome(reference_parse_permutation)
+        got = outcome(parse_permutation)
+        if isinstance(want, ParseError):
+            assert isinstance(got, ParseError)
+            assert (str(got), got.position) == (str(want), want.position)
+        else:
+            assert got.images == want
+
+        want = outcome(reference_parse_generator_list)
+        got = outcome(parse_generator_list)
+        if isinstance(want, ParseError):
+            assert isinstance(got, ParseError)
+            assert 0 <= got.position <= len(text)
+        else:
+            assert [g.images for g in got] == want
 
 
 class TestPermGroup:
