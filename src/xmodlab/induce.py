@@ -9,11 +9,12 @@ representative t of iota(P) in Q, written (m, t), with
     boundary           d(m, t) = t^-1 iota(dm) t
     action             (m, t)^q = (m^p, t')  where t q = iota(p) t'
 
-``induced_presentation`` keeps this small: each copy is generated by the
-P-invariant closure S of M's generators and presented by M's Schreier
-relators on S, read off M's Cayley walk on S (``PermGroup._cayley_walk``),
-and the Peiffer relators run over generator pairs only.  The letters are
-counted before a word is built, and a presentation of more than
+``induced_presentation`` keeps this small: each copy is generated by M's
+own generators and presented by M's Schreier relators, read off M's Cayley
+walk (``PermGroup._cayley_walk``), and the Peiffer relators run over
+generator pairs only.  The action is spelled as words: ``(g, t)^q`` is the
+word of ``g^p`` along the walk's spanning tree, in copy t'.  The letters
+are counted before a word is built, and a presentation of more than
 ``RELATOR_LETTER_BUDGET`` letters is refused.
 
 ``induce`` reads M off the action of the presented group G on the cosets
@@ -42,7 +43,9 @@ subgroups of S4 with M = P and the identity boundary.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
+from functools import reduce
 
 from . import fp
 from .errors import (
@@ -96,8 +99,9 @@ class InducedPresentation:
 
     ``gen_pairs[k]`` records which (m, t) pair generator ``k`` stands for,
     ``boundary_images[k]`` its boundary in the base group, and
-    ``act_gen(k, q)`` is the generator that ``k`` goes to under any base
-    group element q.
+    ``act_gen(k, q)`` is a word for the image of generator ``k`` under any
+    base group element q: one letter for a free module, the spanning-tree
+    word of ``g^p`` in copy t' for an induced one.
     ``subgroup_words`` generate the copy of M at the coset of the subgroup,
     for an induced module; they are empty for a free one.
     """
@@ -127,6 +131,11 @@ class InducedPresentation:
             self.base._base())
 
 
+def _word_image(word: Word, perms) -> Permutation:
+    """The product of ``perms`` along a nonempty positive word."""
+    return reduce(Permutation.__mul__, [perms[g] for g, _ in word.letters])
+
+
 def _dedupe_relators(words):
     seen = set()
     out = []
@@ -138,45 +147,25 @@ def _dedupe_relators(words):
     return tuple(out)
 
 
-def _invariant_generators(X: CrossedModule) -> list[int]:
-    """Indices in ``X.M.elements()`` of S, the closure of M's nonidentity
-    generators under the action of X.Q: those generators first, then each
-    new image in breadth-first order."""
-    M = X.M
-    index = M.element_index()
-    arrays = [X.act_array(p) for p in X.Q.generators]
-    S = list(dict.fromkeys(
-        index[m] for m in M.generators if not m.is_identity()))
-    seen = set(S)
-    for s in S:  # grows while it is read: a FIFO queue
-        for arr in arrays:
-            if arr[s] not in seen:
-                seen.add(arr[s])
-                S.append(arr[s])
-    return S
+def _schreier_relators(G: PermGroup):
+    """Schreier relators of G on its generators, as words over generator
+    positions, read off G's Cayley walk (``PermGroup._cayley_walk``).
 
-
-def _schreier_relators(M: PermGroup, S: list[int]):
-    """Schreier relators of M on the generators S (indices in
-    ``M.elements()``), as words over positions in S, and their letter count.
-
-    M's chain is complete for the group S generates, so the Cayley walk of
-    M on S (``PermGroup._cayley_walk``) is taken on it, with no new chain.
     Its spanning tree (``PermGroup._spanning_tree``) gives each element a
     word ``w_a``, and the relators ``w_a s w_(as)^-1`` for the edges off the
-    tree generate the kernel of the free group on S onto M (Schreier's
-    lemma), so they present M.  An edge ``(a, j, c)`` is off the tree when
-    it ends at the identity or is not the edge that first reached c.  The
-    letters are counted from the tree depths before any relator is spelled
-    out.
+    tree generate the kernel of the free group on G's generators onto G
+    (Schreier's lemma), so they present G.  An edge ``(a, j, c)`` is off the
+    tree when it ends at the identity or is not the edge that first reached
+    c.  Returns the tree depth of each element in discovery order, the
+    relators' letter count, and ``spell``, which spells out the tree word of
+    every element, then the relators; the counts are read off the depths
+    before any word is spelled.
     """
-    walk = PermGroup._on_chain(
-        M.degree, [M.elements()[s] for s in S], M._levels)
-    tree = walk._spanning_tree()
+    tree = G._spanning_tree()
     depth = [0]
     for a, _ in tree:
         depth.append(depth[a] + 1)
-    edges = [(a, j, c) for a, row in enumerate(walk._cayley_walk()[1])
+    edges = [(a, j, c) for a, row in enumerate(G._cayley_walk()[1])
              for j, c in enumerate(row) if c == 0 or tree[c - 1] != (a, j)]
     letters = sum(depth[a] + 1 + depth[c] for a, _, c in edges)
 
@@ -184,13 +173,13 @@ def _schreier_relators(M: PermGroup, S: list[int]):
         word = [()]
         for a, j in tree:
             word.append(word[a] + (j,))
-        return [
+        return word, [
             [(k, 1) for k in word[a]] + [(j, 1)]
             + [(k, -1) for k in reversed(word[c])]
             for a, j, c in edges
         ]
 
-    return spell, letters
+    return depth, letters, spell
 
 
 def induced_presentation(
@@ -199,17 +188,27 @@ def induced_presentation(
     """Presentation of the top group of the crossed module induced by iota.
 
     It has one copy of M per right coset of iota(P) in Q, each on the
-    generators ``(s, t)`` for s in S, the closure of M's generators under
-    P's action (``_invariant_generators``), and t the coset's transversal
-    element.  Each copy has M's Schreier relators (``_schreier_relators``,
-    built once and shifted per copy), and the Peiffer relators run over
-    generator pairs (``_with_peiffer_relators``).  The copower relators
-    ``(m, t)(m', t) = (mm', t)`` on all of M follow: S generates M.  The
-    Peiffer identity on a generating set gives it on all of the group,
-    since for a fixed x the elements y with ``x^-1 y x = y^(dx)`` form a
-    subgroup, and so do the x that satisfy it for every y.  S is
-    P-invariant, so the action permutes the generators.
-    ``subgroup_words`` generate H, the copy at the coset of iota(P).
+    generators ``(g, t)`` for g among M's distinct nonidentity generators
+    and t the coset's transversal element.  Each copy has M's Schreier
+    relators (``_schreier_relators``, built once and shifted per copy), and
+    the Peiffer relators run over generator pairs (``_with_peiffer_relators``).
+    The copower relators ``(m, t)(m', t) = (mm', t)`` on all of M follow:
+    the generators generate M.  The Peiffer identity on a generating set
+    gives it on all of the group, since for a fixed x the elements y with
+    ``x^-1 y x = y^(dx)`` form a subgroup, and so do the x that satisfy it
+    for every y.  ``subgroup_words`` generate H, the copy at the coset of
+    iota(P).
+
+    The action ``(g, t)^q = (g^p, t')``, where ``t q = iota(p) t'``, is
+    spelled in copy t' by the word of ``g^p`` along the spanning tree of M's
+    Cayley walk, the tree the Schreier relators are spelled on
+    (``act_gen``).  p acts on M by an automorphism, so it maps each copy's
+    relators to consequences of those of copy t', and the relators as a
+    whole are Q-invariant up to consequences.  The Peiffer relator of the
+    pair (x, y) has ``3 + |w|`` letters, w the word of ``y^(dx)``: the
+    count is read off the tree depths, one pass over the generators y for
+    each distinct boundary image, before any word is built; a job over the
+    budget at 4 letters a pair is refused before the cosets are listed.
 
     ``transversal`` may supply explicit right-coset representatives of
     iota(P) in Q (any full transversal works; the resulting modules are
@@ -225,24 +224,24 @@ def induced_presentation(
     Q = iota.target
     M = X.M
     H = image(iota)
-    T = None if transversal is None else list(transversal)
-    nT = Q.order() // H.order() if T is None else len(T)
-    S = _invariant_generators(X)
-    nS = len(S)
-    ngens = nS * nT
-    spell, schreier_letters = _schreier_relators(M, S)
-    # arithmetic first: refuse the job before building any word
-    _check_letters(nT * schreier_letters + 4 * ngens * ngens)
-    melems = M.elements()
+    gens = list(dict.fromkeys(g for g in M.generators if not g.is_identity()))
+    ng = len(gens)
+    walk = PermGroup._on_chain(M.degree, gens, M._levels)
+    depth, schreier_letters, spell = _schreier_relators(walk)
+    nT = Q.order() // H.order()
+    # every Peiffer relator has at least 4 letters: refuse on that bound
+    # before the cosets are listed, then on the exact count below
+    _check_letters(nT * schreier_letters + 4 * (ng * nT) ** 2)
     reps, coset_of = _right_cosets(Q, H)
     qbase = Q._base()
 
     def coset(z):  # of an element of Q, by its base images
         return coset_of[tuple([z.images[b - 1] for b in qbase])]
 
-    if T is None:
+    if transversal is None:
         T = reps
     else:
+        T = list(transversal)
         for t in T:
             if t not in Q:
                 raise NotInGroup(f"transversal element {t} is not in Q")
@@ -252,44 +251,60 @@ def induced_presentation(
         if len(position) != len(reps):
             raise ValueError("transversal does not cover every coset")
         coset_of = {e: position[c] for e, c in coset_of.items()}
-    iota_inv = {iota.apply(p): p for p in X.Q.elements()}
-    position_in_S = {s: si for si, s in enumerate(S)}
 
-    def gen(si, ti):
-        return si * nT + ti
+    def gen(gi, ti):
+        return gi * nT + ti
 
     boundary_images = []
     gen_pairs = []
     labels = []
-    for si, s in enumerate(S):
-        m = melems[s]
-        dm = iota.apply(X.boundary.apply(m))
+    for gi, g in enumerate(gens):
+        dg = iota.apply(X.boundary.apply(g))
         for ti, t in enumerate(T):
-            boundary_images.append(t.inverse() * dm * t)
-            gen_pairs.append((m, t))
-            labels.append(f"s{si}t{ti}")
+            boundary_images.append(t.inverse() * dg * t)
+            gen_pairs.append((g, t))
+            labels.append(f"s{gi}t{ti}")
 
-    moves = {}  # (ti, q) -> (tj, action array of p) where T[ti] q = p T[tj]
+    ranks = walk._walk_ranks()
+    # the walk position of each element of M.elements()
+    at = sorted(range(len(ranks)), key=ranks.__getitem__)
+    # the walk position of each g^p, keyed by the Q-base images of p;
+    # generator gi is at walk position gi + 1
+    acts = {key: [at[X.act_array(p)[r]] for r in ranks[1:ng + 1]]
+            for key, p in zip(iota._keys, X.Q._cayley_walk()[0])}
+    tkeys = [tuple([t.images[b - 1] for b in qbase]) for t in T]
+    tinv = [t.inverse().images for t in T]
+    moves = {}  # q -> (tj, acts of p) for each ti, where T[ti] q = p T[tj]
+
+    def row(q):
+        got = moves.get(q)
+        if got is None:
+            got = moves[q] = []
+            for z in tkeys:
+                z = tuple([q.images[x - 1] for x in z])  # of T[ti] q
+                tj = coset_of[z]
+                got.append((tj, acts[tuple([tinv[tj][x - 1] for x in z])]))
+        return got
+
+    # arithmetic first: refuse the job before building any word
+    _check_letters(nT * schreier_letters + sum(
+        c * sum(3 + depth[i] for _, images in row(q) for i in images)
+        for q, c in Counter(boundary_images).items()))
+    words, schreier = spell()
 
     def act_gen(k, q):
-        si, ti = divmod(k, nT)
-        move = moves.get((ti, q))
-        if move is None:
-            z = T[ti] * q
-            tj = coset(z)
-            p = iota_inv[z * T[tj].inverse()]
-            move = moves[ti, q] = (tj, X.act_array(p))
-        tj, arr = move
-        return gen(position_in_S[arr[S[si]]], tj)
+        gi, ti = divmod(k, nT)
+        tj, images = row(q)[ti]
+        return Word(tuple([(gen(j, tj), 1) for j in words[images[gi]]]))
 
     # spanning-tree words are reduced: the one letter that could cancel
     # is the tree edge itself
     relators = [
-        Word(tuple([(gen(si, ti), e) for si, e in word]))
-        for word in spell() for ti in range(nT)
+        Word(tuple([(gen(gi, ti), e) for gi, e in word]))
+        for word in schreier for ti in range(nT)
     ]
     t0 = coset(Q.identity)  # the transversal element in iota(P)
-    subgroup_words = tuple(Word(((gen(si, t0), 1),)) for si in range(nS))
+    subgroup_words = tuple(Word(((gen(gi, t0), 1),)) for gi in range(ng))
     return _with_peiffer_relators(
         Q, relators, boundary_images, gen_pairs, labels, act_gen,
         subgroup_words,
@@ -329,7 +344,7 @@ def free_crossed_module_presentation(P: PermGroup, relations) -> InducedPresenta
 
     def act_gen(k, q):
         r, pi = divmod(k, nP)
-        return gen(r, pidx[pelems[pi] * q])
+        return Word(((gen(r, pidx[pelems[pi] * q]), 1),))
 
     return _with_peiffer_relators(
         P, [], boundary_images, gen_pairs, labels, act_gen
@@ -340,15 +355,16 @@ def _with_peiffer_relators(
     base, relators, boundary_images, gen_pairs, labels, act_gen,
     subgroup_words=(),
 ) -> InducedPresentation:
-    """Add the Peiffer relators x^-1 y x = y^(dx) on every generator pair to
+    """Add the Peiffer relators ``x^-1 y x w^-1`` on every generator pair to
     ``relators`` and return the presentation, checked against the boundary.
-    Each has at most four letters."""
+    w is the word ``act_gen(y, dx)`` of ``y^(dx)``, so the relator has
+    ``3 + |w|`` letters before free reduction."""
     ngens = len(boundary_images)
     for x in range(ngens):
         dx = boundary_images[x]
         for y in range(ngens):
-            z = act_gen(y, dx)
-            relators.append(Word.of([(x, -1), (y, 1), (x, 1), (z, -1)]))
+            w = act_gen(y, dx).inverse().letters
+            relators.append(Word.of(((x, -1), (y, 1), (x, 1)) + w))
     pres = Presentation(ngens, _dedupe_relators(relators), tuple(labels))
     ip = InducedPresentation(
         presentation=pres,
@@ -519,7 +535,7 @@ def induce(
     (``PermGroup._bounded``), and M is read off the first attempt that
     reaches its bound.  The attempt over H comes first, offered only when
     X's boundary is injective: H is the copy of M at the coset of iota(P),
-    generated by the words ``(s, t0)`` with t0 the transversal element in
+    generated by the words ``(g, t0)`` with t0 the transversal element in
     iota(P), and the bound is ``[G:H]·|M|``.  Why the action of G on the
     cosets of H gives G itself when the chain reaches that bound:
 
@@ -550,7 +566,9 @@ def induce(
     each action entry are proved homomorphisms by them (von Dyck's theorem;
     ``perm.GroupHom``): each relator is traced from each base point of the
     target, the keys are filled along M's spanning tree, and no edge of M's
-    Cayley graph is checked.  The action entries keep their keys only;
+    Cayley graph is checked.  Generator k's image under a generator q of
+    Q is the product of the coset permutations along its word
+    ``act_gen(k, q)``.  The action entries keep their keys only;
     ``CrossedModule`` reads them as index arrays, and none multiplies out
     its values.
 
@@ -592,7 +610,7 @@ def induce(
     boundary = hom(Mstar, Q, [ip.boundary_images[k] for k in keep])
     action = []
     for qg in Q.generators:
-        images = [gen_perms[ip.act_gen(k, qg)] for k in keep]
+        images = [_word_image(ip.act_gen(k, qg), gen_perms) for k in keep]
         action.append(GroupHom(Mstar, Mstar, images))
     Xi = CrossedModule(Mstar, Q, boundary, action)
     lap("homs")

@@ -308,19 +308,20 @@ class XModMorphism:
         """Check d'.f = g.d and f(m^q) = f(m)^g(q) on generator pairs.
 
         Both sides of each law are homomorphisms, so generator checks settle
-        the general case.
+        the general case.  Both read index arrays (``GroupHom._index_array``,
+        ``CrossedModule.act_array``): no value of f, g or a boundary is
+        multiplied out.
         """
-        for m in X.M.generators:
-            if Y.boundary.apply(self.f.apply(m)) != self.g.apply(
-                X.boundary.apply(m)
-            ):
+        f, g = self.f._index_array(), self.g._index_array()
+        dx, dy = X.boundary._index_array(), Y.boundary._index_array()
+        ms = [X.M.element_index()[m] for m in X.M.generators]
+        if any(dy[f[i]] != g[dx[i]] for i in ms):
+            return False
+        for q in X.Q.generators:
+            gq = Y.Q.elements()[g[X.Q.element_index()[q]]]
+            xq, yq = X.act_array(q), Y.act_array(gq)
+            if any(f[xq[i]] != yq[f[i]] for i in ms):
                 return False
-        for m in X.M.generators:
-            for q in X.Q.generators:
-                if self.f.apply(X.act(m, q)) != Y.act(
-                    self.f.apply(m), self.g.apply(q)
-                ):
-                    return False
         return True
 
     def is_isomorphism(self) -> bool:

@@ -646,7 +646,7 @@ def reference_induced_presentation(
             p = iota_inv[z * T[tj].inverse()]
             move = moves[ti, q] = (tj, X.act_array(p))
         tj, arr = move
-        return gen(arr[mi], tj)
+        return Word(((gen(arr[mi], tj), 1),))
 
     relators = []
     # column b: the index of melems[a] * melems[b], for every a
@@ -670,6 +670,7 @@ def reference_induced_module(X, iota, transversal=None):
     enumerated over the trivial subgroup, as a regular permutation group
     on the full Schreier-Sims chain."""
     from xmodlab.fp import _coset_action, todd_coxeter
+    from xmodlab.induce import _word_image
     from xmodlab.perm import GroupHom, PermGroup, hom
     from xmodlab.xmod import CrossedModule
 
@@ -680,7 +681,8 @@ def reference_induced_module(X, iota, transversal=None):
     M = PermGroup(ct.ncosets, [perms[k] for k in keep])
     Q = iota.target
     boundary = hom(M, Q, [ip.boundary_images[k] for k in keep])
-    action = [GroupHom(M, M, [perms[ip.act_gen(k, q)] for k in keep])
+    action = [GroupHom(M, M, [_word_image(ip.act_gen(k, q), perms)
+                              for k in keep])
               for q in Q.generators]
     return CrossedModule(M, Q, boundary, action)
 

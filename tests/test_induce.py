@@ -1,6 +1,7 @@
 """Induction along subgroup inclusions and the bundled reference table."""
 
 import dataclasses
+import importlib
 import random
 
 import pytest
@@ -20,6 +21,7 @@ from xmodlab.induce import (
     TABLE_ISO_PAIRS,
     TABLE_SUBGROUPS,
     _NAMED_GROUPS,
+    _schreier_relators,
     coset_transversal,
     free_crossed_module_presentation,
     induce,
@@ -81,8 +83,7 @@ class TestPresentation:
     def test_generator_count(self):
         X, iota = include(["(1,2)"])
         ip = induced_presentation(X, iota)
-        # |S| * [Q : P] pairs, S = {(1,2)} the P-invariant closure of M's
-        # generators
+        # one pair per generator of M, (1,2), and coset of P
         assert ip.presentation.ngens == 1 * 12
         assert len(ip.gen_pairs) == 12
         assert ip.boundary_kills_relators()
@@ -91,15 +92,23 @@ class TestPresentation:
         [(k, e)] = word.letters
         assert e == 1 and ip.gen_pairs[k] == (P("(1,2)", 4), P("()", 4))
 
-    def test_generators_are_the_invariant_closure(self):
-        # M = D8 with generators (1,2,3,4) and (1,3): S adds their
-        # conjugates (1,4,3,2) and (2,4) under D8 and nothing else
+    def test_generators_are_m_generators_times_t(self):
+        # M = D8 with generators (1,2,3,4) and (1,3): each of the 3 copies
+        # is generated by those two, though P's action also reaches
+        # (1,4,3,2) and (2,4)
         X, iota = include(["(1,2,3,4)", "(1,3)"])
         ip = induced_presentation(X, iota)
-        S = {m for m, _ in ip.gen_pairs}
-        assert S == {P(c, 4) for c in ("(1,2,3,4)", "(1,3)", "(1,4,3,2)",
-                                       "(2,4)")}
-        assert ip.presentation.ngens == 4 * 3
+        T = coset_transversal(iota.target, image(iota))
+        assert list(ip.gen_pairs) == [(g, t) for g in X.M.generators
+                                      for t in T]
+        assert ip.presentation.ngens == 2 * 3
+
+    def test_generators_skip_repeats_and_the_identity(self):
+        X, iota = include(["(1,2)", "()", "(1,2)"])
+        ip = induced_presentation(X, iota)
+        assert {g for g, _ in ip.gen_pairs} == {P("(1,2)", 4)}
+        assert ip.presentation.ngens == 12
+        assert induce(X, iota)[1].induced_order == 48
 
     def test_boundary_images_formula(self):
         X, iota = include(["(1,2)"])
@@ -109,12 +118,36 @@ class TestPresentation:
             assert ip.boundary_images[k] == expected
 
     def test_action_permutes_generators(self):
+        # {(1,2)} is closed under P's action: each word is one letter, and
+        # q permutes the generators
         X, iota = include(["(1,2)"])
         ip = induced_presentation(X, iota)
         n = ip.presentation.ngens
         for q in iota.target.generators:
-            images = [ip.act_gen(k, q) for k in range(n)]
-            assert sorted(images) == list(range(n))
+            words = [ip.act_gen(k, q).letters for k in range(n)]
+            assert all(len(w) == 1 and w[0][1] == 1 for w in words)
+            assert sorted(w[0][0] for w in words) == list(range(n))
+
+    @pytest.mark.parametrize("sub", [["(1,2)", "(1,2,3)"],
+                                     ["(1,2,3,4)", "(1,3)"]], ids=str)
+    def test_action_words_spell_the_image(self, sub):
+        # (m, t)^q = (m^p, t') with t q = p t': the word's letters all lie in
+        # copy t', and the product of their M-parts is m^p
+        X, iota = include(sub)
+        ip = induced_presentation(X, iota)
+        Q = iota.target
+        for k, (m, t) in enumerate(ip.gen_pairs):
+            for q in Q.elements():
+                word = ip.act_gen(k, q).letters
+                pairs = [ip.gen_pairs[j] for j, e in word]
+                assert all(e == 1 for _, e in word)
+                (t1,) = {u for _, u in pairs}
+                p = t * q * t1.inverse()
+                assert p in image(iota)
+                product = Q.identity
+                for g, _ in pairs:
+                    product = product * g
+                assert product == X.act(m, p)
 
     def test_requires_injective(self):
         S3 = symmetric(3)
@@ -138,6 +171,29 @@ class TestPresentation:
             f"{4 * 2520 ** 2 + 2 * 2520} relator letters")
         assert not built
 
+    @pytest.mark.parametrize("sub", [["(1,2)", "(1,2,3)"],
+                                     ["(1,2,3,4)", "(1,3)"]], ids=str)
+    def test_budget_counts_the_action_words(self, monkeypatch, sub):
+        # the counts checked against the budget are the copies' Schreier
+        # letters plus, for each Peiffer pair, first the lower bound 4 and
+        # then 3 + |w|, w the word of y^(dx) as built; some of those words
+        # are longer than one letter here
+        counted = []
+        # the package exports the function ``induce``, so the module is
+        # reached through importlib
+        monkeypatch.setattr(importlib.import_module("xmodlab.induce"),
+                            "_check_letters", counted.append)
+        X, iota = include(sub)
+        ip = induced_presentation(X, iota)
+        _, schreier, _ = _schreier_relators(X.M)
+        n = ip.presentation.ngens
+        words = [ip.act_gen(y, dx) for dx in ip.boundary_images
+                 for y in range(n)]
+        assert max(len(w) for w in words) > 1
+        copies = n // len(X.M.generators) * schreier
+        assert counted == [copies + 4 * n * n,
+                           copies + sum(3 + len(w) for w in words)]
+
     def test_budget_of_free_crossed_modules(self):
         S7 = symmetric(7)
         with pytest.raises(BudgetExceeded) as info:
@@ -148,8 +204,10 @@ class TestPresentation:
         S6 = symmetric(6)
         H = S6.subgroup(parse_generator_list("(1,2,3,4,5),(1,2)", 6))
         ip = induced_presentation(identity_xmod(H), hom(H, S6, H.generators))
+        # 2 generators per copy of S5, 6 copies
         letters = sum(len(w) for w in ip.presentation.relators)
-        assert 250_000 < letters < RELATOR_LETTER_BUDGET
+        assert ip.presentation.ngens == 12
+        assert letters == 12_236 < RELATOR_LETTER_BUDGET
 
     def test_bad_transversal_rejected(self):
         X, iota = include(["(1,2)"])

@@ -18,6 +18,7 @@ from support import (
     reference_induced_module,
     tcompose,
 )
+from xmodlab.errors import ValidationFailed
 from xmodlab.induce import coset_transversal, induce, table_subgroup
 from xmodlab.perm import (
     ISO_SEARCH_BOUND,
@@ -164,3 +165,52 @@ def test_s5_in_s6_finishes():
     assert Xi.M.order() == 720 and Xi.M.degree == 6
     assert report.order_law_ok
     assert report.pi2_invariants == () and report.pi1_order == 1
+
+
+# (P <= S5, |M|, pi2 invariants, |pi1|, path) for the classes whose
+# presentation changed when each copy of M came to be generated by M's own
+# generators rather than by the elements P's action reaches from them;
+# measured before that change
+S5_CLASSES = (
+    ("(1,2,3,4),(1,2)", 120, [], 1, "over H"),
+    ("(1,2,3),(1,2)", 240, [2], 1, "over H"),
+    ("(1,2,3,4),(1,3)", 240, [2], 1, "over H"),
+    ("(1,2,3),(1,2),(4,5)", 240, [2], 1, "over H"),
+    ("(1,2,3),(1,2)(4,5)", 480, [2, 4], 2, "over H"),
+    ("(1,2,3,4,5),(2,5)(3,4)", 480, [2, 4], 2, "over H"),
+    ("(1,2,3,4,5),(2,3,5,4)", 480, [4], 1, "over H"),
+    ("(1,2,3),(2,3,4)", 540, [3, 3], 2, "over H"),
+    ("(1,2,3),(3,4,5)", 60, [], 2, "regular"),
+    ("(1,2,3,4,5),(1,2)", 120, [], 1, "regular"),
+)
+
+
+@pytest.mark.parametrize("sub, order, invariants, pi1_order, path",
+                         S5_CLASSES, ids=[row[0] for row in S5_CLASSES])
+def test_s5_classes_pinned(sub, order, invariants, pi1_order, path):
+    Q = PermGroup(5, parse_generator_list(S5, 5))
+    P = Q.subgroup(parse_generator_list(sub, 5))
+    Xi, report = induce(identity_xmod(P), hom(P, Q, P.generators))
+    assert (report.induced_order, list(report.pi2_invariants),
+            report.pi1_order, report.stats["path"]) == (
+        order, invariants, pi1_order, path)
+    assert validate(Xi).ok
+    # the order law on raw tuples: |M| = |pi2| * |the normal closure of P|
+    K, _ = pi2(Xi)
+    closure = conjugation_closure(
+        5, [q.images for q in Q.elements()], [p.images for p in P.generators])
+    assert report.order_law_ok and order == K.order() * len(closure)
+
+
+@pytest.mark.parametrize("sub", ["(1,2),(1,2,3)", "(1,2,3,4),(1,3)"])
+def test_action_that_ignores_p_is_refused(monkeypatch, sub):
+    # a mutant of the action words: (g, t)^q spelled as g in copy t', as if
+    # p acted trivially on M.  S3 and D8 are not abelian, so some Peiffer
+    # relator then fails in the base group
+    Q = symmetric(4)
+    P = Q.subgroup(parse_generator_list(sub, 4))
+    X = identity_xmod(P)
+    unmoved = tuple(range(P.order()))
+    monkeypatch.setattr(X, "act_array", lambda p: unmoved)
+    with pytest.raises(ValidationFailed, match="does not kill a relator"):
+        induce(X, hom(P, Q, P.generators))

@@ -28,7 +28,11 @@ from support import closure, product_replay, tidentity
 from xmodlab import perm
 from xmodlab.errors import RelationViolated
 from xmodlab.fp import Presentation, Word, _coset_action, todd_coxeter
-from xmodlab.induce import _attach_relators, free_crossed_module_presentation
+from xmodlab.induce import (
+    _attach_relators,
+    _word_image,
+    free_crossed_module_presentation,
+)
 from xmodlab.perm import (
     GroupHom,
     PermGroup,
@@ -158,7 +162,8 @@ def free_quotient(P, relation, power):
     keep = [k for k in range(pres.ngens) if not perms[k].is_identity()]
     M = PermGroup._bounded(ct.ncosets, [perms[k] for k in keep], ct.ncosets)
     _attach_relators(M, pres, keep)
-    action = [[perms[ip.act_gen(k, q)] for k in keep] for q in P.generators]
+    action = [[_word_image(ip.act_gen(k, q), perms) for k in keep]
+              for q in P.generators]
     return M, action
 
 

@@ -32,6 +32,7 @@ from xmodlab.perm import (
     parse_permutation,
     symmetric,
 )
+from xmodlab.induce import run_table_full
 from xmodlab.squares import DoubleGroupoidView, gamma
 from xmodlab.xmod import (
     CrossedModule,
@@ -241,12 +242,13 @@ class TestInvariants:
 class TestTableInvariants:
     # sha256 of the repr of pi2's generators as image tuples, re-recorded
     # when M came to be read off the cosets of the copy of P at the
-    # identity coset
+    # identity coset, and for rows 2 and 4 when each copy of M came to be
+    # generated by M's own generators
     PI2 = (
         "d467d2fe897327f353ab55b01e4060657ef9f392b81585f2fb13c5b600cdb47f",
-        "8c475c35001e4b1ff1d1d96e0faab08c9f402b0092e3ca5612d8c48f14f59404",
+        "1e6e28ae285f3ea58a7fd6529a85f2d959019303b18ed968a6e92ce601474abf",
         "5c990830604d4bf4c7b40bbc08220f6494668c1c073048a93a54d3f2a7e9749c",
-        "b546cea68bd4533cd0607bad4d43a6cbd7f0f169c5841db33fdc885240b34e3f",
+        "24fa5963b7b91795632ce2c63320ecc0705a7a46512ac3326bb26ae5c7d79dcb",
         "7c09284e6503f147421ca7cb7387ab4f72d9450d4328ad09d472a04cdfc29148",
         "9a9f76f95519496c3b071478805a89ed28f84ba3be3ae6292e19014cf247f3f4",
         "0661266ca849e5f27496ac2fc75863cb918080f912d2bbdc395f8b0532fe8998",
@@ -302,6 +304,52 @@ class TestMorphisms:
         g = hom(X.Q, X.Q, list(X.Q.generators))
         assert not XModMorphism(f, g).verify(X, X)
 
+    def test_verify_reads_index_arrays(self):
+        # fresh rows, so no earlier test has read a map's values
+        (X, _), (Y, _) = run_table_full(rows=[1, 2])
+        mor = xmod_isomorphic(X, Y)
+        assert mor is not None
+        for h in (mor.f, mor.g, X.boundary, Y.boundary):
+            assert "element_map" not in vars(h)
+        # f followed by conjugation by y, whose boundary is a transposition:
+        # d(M) is all of S4, whose centre is trivial, so the boundary square
+        # fails at some generator, as the values multiplied out confirm
+        y = Y.M.generators[0]
+        f = hom(X.M, Y.M, [im.conj(y) for im in mor.f.images])
+        assert not XModMorphism(f, mor.g).verify(X, Y)
+        assert any(Y.boundary.apply(f.apply(m))
+                   != mor.g.apply(X.boundary.apply(m))
+                   for m in X.M.generators)
+
+    def test_conjugation_pair_verifies(self):
+        # f = g = conjugation by c on identity_xmod(S3): the action law
+        # compares f(m^q) with f(m)^(g q), and g moves q
+        X = identity_xmod(symmetric(3))
+        c = P("(1,2)", 3)
+        conj = hom(X.M, X.M, [m.conj(c) for m in X.M.generators])
+        assert [q.conj(c) for q in X.Q.generators] != list(X.Q.generators)
+        assert XModMorphism(conj, conj).verify(X, X)
+
+    def test_each_law_rejects_on_its_own(self):
+        C2, C3 = cyclic(2), cyclic(3)
+        ident2 = hom(C2, C2, list(C2.generators))
+        # identity maps from C2 -> C2 (identity boundary) to C2 -> C2
+        # (trivial boundary), both with trivial action: only the boundary
+        # square fails
+        X = identity_xmod(C2)
+        Y = CrossedModule(C2, C2, hom(C2, C2, [C2.identity]), [ident2])
+        assert validate(Y).ok
+        assert not XModMorphism(ident2, ident2).verify(X, Y)
+        # identity maps between two trivial-boundary C3 -> C2, acted on by
+        # inversion and trivially: only equivariance fails
+        trivial = hom(C3, C2, [C2.identity])
+        ident3 = hom(C3, C3, list(C3.generators))
+        X = CrossedModule(C3, C2, trivial,
+                          [hom(C3, C3, [C3.generators[0].inverse()])])
+        Y = CrossedModule(C3, C2, trivial, [ident3])
+        assert not XModMorphism(ident3, ident2).verify(X, Y)
+        assert XModMorphism(ident3, ident2).verify(Y, Y)
+
 
 class TestIsomorphism:
     def test_self(self):
@@ -347,10 +395,11 @@ class TestIsomorphism:
 
     # sha256 of the repr of (f images, g images) as image tuples, re-recorded
     # when M came to be read off the cosets of the copy of P at the
-    # identity coset
+    # identity coset, and for (1, 2) and (3, 4) when each copy of M came to
+    # be generated by M's own generators
     PINNED = {
-        (1, 2): "8597d2cab4bd28e479dc45f699ec994d11d7d8205db36f0552c34bb68e681a64",
-        (3, 4): "2ff371c64a48b003c1050be2f6221d99063c71045e58b2b5fc41598793daaad1",
+        (1, 2): "e2fcdca0f3cba8d08c66bb307c0dbc224b5d6b02fac00978edae4d34d626fc74",
+        (3, 4): "385aa7d43478641c1f467756312942c621981c75f4a04eefe16e9dac720755e3",
         (6, 6): "b1fbd0b40eb7ccf480a7f754aee069ba6e733b16d4fc1c47d82918d856432024",
         (7, 7): "2d4f553b106a0222a7542c38e77ba7523d7dd1b6dffabae4aa1cada93f9acddb",
     }
@@ -369,7 +418,9 @@ class TestIsomorphism:
     @pytest.mark.parametrize("rows", sorted(PINNED), ids=str)
     def test_table_witnesses_pinned(self, table_results, rows):
         a, b = rows
-        mor = xmod_isomorphic(table_results[a - 1][0], table_results[b - 1][0])
+        X, Y = table_results[a - 1][0], table_results[b - 1][0]
+        mor = xmod_isomorphic(X, Y)
+        assert mor.verify(X, Y) and mor.is_isomorphism()
         assert self.digest(mor) == self.PINNED[rows]
         assert [str(q) for q in mor.g.images] == ["(1,2)", "(1,2,3,4)"]
 
