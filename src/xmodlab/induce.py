@@ -68,7 +68,9 @@ from .perm import (
     PermGroup,
     Permutation,
     _kills_relators,
+    _off_tree_edges,
     _right_cosets,
+    _tree_values,
     abelian_invariants,
     cyclic,
     dihedral,
@@ -151,28 +153,24 @@ def _schreier_relators(G: PermGroup):
     """Schreier relators of G on its generators, as words over generator
     positions, read off G's Cayley walk (``PermGroup._cayley_walk``).
 
-    Its spanning tree (``PermGroup._spanning_tree``) gives each element a
-    word ``w_a``, and the relators ``w_a s w_(as)^-1`` for the edges off the
-    tree generate the kernel of the free group on G's generators onto G
-    (Schreier's lemma), so they present G.  An edge ``(a, j, c)`` is off the
-    tree when it ends at the identity or is not the edge that first reached
-    c.  Returns the tree depth of each element in discovery order, the
+    Its spanning tree gives each element a word ``w_a`` and its length,
+    the tree depth (both filled by ``perm._tree_values``), and the
+    relators ``w_a s w_(as)^-1`` for the edges off the tree generate the
+    kernel of the free group on G's generators onto G (Schreier's lemma),
+    so they present G.  The edges off the tree are
+    ``perm._off_tree_edges``, the Schreier edges the walk rule checks.
+    Returns the tree depth of each element in discovery order, the
     relators' letter count, and ``spell``, which spells out the tree word of
     every element, then the relators; the counts are read off the depths
     before any word is spelled.
     """
-    tree = G._spanning_tree()
-    depth = [0]
-    for a, _ in tree:
-        depth.append(depth[a] + 1)
-    edges = [(a, j, c) for a, row in enumerate(G._cayley_walk()[1])
-             for j, c in enumerate(row) if c == 0 or tree[c - 1] != (a, j)]
+    positions = range(len(G.generators))
+    depth = _tree_values(G, 0, positions, lambda d, _: d + 1)
+    edges = _off_tree_edges(G)
     letters = sum(depth[a] + 1 + depth[c] for a, _, c in edges)
 
     def spell():
-        word = [()]
-        for a, j in tree:
-            word.append(word[a] + (j,))
+        word = _tree_values(G, (), positions, lambda w, j: w + (j,))
         return word, [
             [(k, 1) for k in word[a]] + [(j, 1)]
             + [(k, -1) for k in reversed(word[c])]
@@ -596,8 +594,10 @@ def induce(
         ct = todd_coxeter(pres, words, max_cosets)
         lap("todd_coxeter")
         gen_perms = _coset_action(ct)
-        # generators that act trivially (as those of the identity of M
-        # do) only clutter the generator list; the rest still generate
+        # generators that act trivially only clutter the generator list;
+        # the rest still generate.  M's identity is not among them, so one
+        # acts trivially only when it dies in G, which needs a boundary
+        # that is not injective: with one, each copy of M embeds in G
         keep = [k for k in range(pres.ngens) if not gen_perms[k].is_identity()]
         bound = ct.ncosets * order
         Mstar = PermGroup._bounded(

@@ -5,23 +5,27 @@ q.apply(p.apply(x))``, so conjugation ``p.conj(q) == q^-1 p q`` and all group
 actions in the package are right actions.
 
 Every group builds a stabilizer chain on construction, so order and membership
-are exact from the start.  Groups of order at most ``ENUMERATION_BOUND`` may be
-fully enumerated (homomorphisms, fingerprints, quotients); larger ones raise
-``EnumerationBoundExceeded`` instead of sampling.  A group walks its Cayley
-graph once, on first need, and keeps the walk and its spanning tree, the
-edges that first reach each element; ``elements()`` sorts it.  The tree
-and the edges off it also give the Schreier relators that present each
-copy of M in an induced module (``induce._schreier_relators``).
+are exact from the start.  A group walks its Cayley graph once, on first
+need, and keeps the walk and its spanning tree, the edges that first reach
+each element; ``elements()`` sorts it.  The walk is the one place that
+refuses enumeration: a group of order above ``ENUMERATION_BOUND`` raises
+``EnumerationBoundExceeded``, naming its order and the bound, wherever its
+elements are first needed (homomorphisms, actions, fingerprints,
+quotients), instead of sampling.
 
-A homomorphism (``GroupHom``) keeps, for each element, a key that fixes its
-value, and multiplies values out only on request, along the spanning tree
-(``_tree_values``).  A group that carries a presentation on its generators
-(the induced M, see ``induce``) maps by a homomorphism exactly when every
-relator dies (von Dyck's theorem), which ``_kills_relators`` traces on base
-points.  Maps out of any other group, and every action
-(``xmod.CrossedModule``), are proved by one rule, ``_replay_walk``: each
-edge of the walk derives, from its tail's key, a key for its endpoint, and
-two edges into one element must derive the same key.
+One routine, ``_tree_values``, fills in the values of a map given on G's
+generators, one step per tree edge: the walk's own elements, a
+homomorphism's keys and values (``GroupHom``) and the action arrays of a
+crossed module (``xmod.CrossedModule``).  The walk has ``|G|·k`` edges for
+k generators and the tree ``|G| - 1`` of them; the other
+``|G|·(k-1) + 1`` are the Schreier edges (``_off_tree_edges``), whose
+relators present G on its generators (Schreier's lemma), and
+``induce._schreier_relators`` spells them.  So a map filled along the tree
+is a homomorphism exactly when each Schreier edge leads from its tail's
+value to its endpoint's (von Dyck's theorem), and that is all the walk
+rule, ``_replay_walk``, checks.  A group that carries a presentation on its
+generators (the induced M, see ``induce``) proves its maps by its own
+relators instead, which ``_kills_relators`` traces on base points.
 
 The chain is complete, so an element of the group is fixed by where it sends
 the base points (Seress, *Permutation Group Algorithms*): two elements with the
@@ -30,11 +34,11 @@ stabilizer of a complete chain is trivial.  The walk, homomorphisms and
 the multiplication table of the isomorphism search look elements up and
 compare them by their base images, ``|base|`` lookups where a product costs
 ``degree``; the regular representation of a group has a base of one point.
-The walk multiplies each element out once, on the edge that first reaches
-it.  Base images also decide commutation (``_commute``), coset
-membership (``_right_cosets``, ``quotient``) and element order, which is the
-lcm of the lengths of the cycles through the base points
-(``PermGroup._element_orders``).
+The walk discovers elements by their base images alone, then multiplies
+each out once, along its tree edge.  Base images also decide commutation
+(``_commute``), coset membership (``_right_cosets``, ``quotient``) and
+element order, which is the lcm of the lengths of the cycles through the
+base points (``PermGroup._element_orders``).
 
 A caller that knows an upper bound for a group's order builds its chain
 with ``PermGroup._bounded``: the Schreier-Sims check loop stops once the
@@ -461,11 +465,13 @@ class PermGroup:
 
         Returns the elements in discovery order and, for each of them, the
         discovery indices of its products with the generators in list order.
-        Elements are indexed by their base images (``_base``): an edge
-        ``x -> x*g`` is looked up by the images of ``x``'s base images
-        under ``g``, and ``x * g`` is formed only when that finds a new
-        element.  Walked once per group and kept, with the edges that
-        first reach each element (``_spanning_tree``).
+        Elements are discovered by their base images (``_base``) alone: an
+        edge ``x -> x*g`` is looked up by the images of ``x``'s base images
+        under ``g``, and no product is formed while the walk runs.  Once it
+        is complete, each element is multiplied out once along the edge
+        that first reached it (``_spanning_tree``, ``_tree_values``).
+        Walked once per group and kept; a group of order above
+        ``ENUMERATION_BOUND`` raises ``EnumerationBoundExceeded`` here.
         """
         if self._walk is None:
             if self._order > ENUMERATION_BOUND:
@@ -473,34 +479,35 @@ class PermGroup:
                     f"order {self._order} exceeds {ENUMERATION_BOUND}"
                 )
             base = self._base()
-            found = [self.identity]
             keys = [base]
             index = {base: 0}
             successors = []
             tree = []
-            # all grow while they are read, in step: a FIFO queue
-            for i, (x, key) in enumerate(zip(found, keys)):
+            # grows while it is read: a FIFO queue
+            for i, key in enumerate(keys):
                 row = []
                 for s, g in enumerate(self.generators):
                     gi = g.images
                     y = tuple([gi[k - 1] for k in key])
                     j = index.get(y)
                     if j is None:
-                        j = index[y] = len(found)
-                        found.append(x * g)
+                        j = index[y] = len(keys)
                         keys.append(y)
                         tree.append((i, s))
                     row.append(j)
                 successors.append(tuple(row))
-            self._walk = (tuple(found), tuple(successors))
             self._tree = tuple(tree)
+            found = _tree_values(self, self.identity, self.generators,
+                                 Permutation.__mul__)
+            self._walk = (tuple(found), tuple(successors))
         return self._walk
 
     def _spanning_tree(self) -> tuple:
         """For each element after the identity, in discovery order, the
         edge of the Cayley walk that first reaches it: the discovery index
         of its tail, always smaller, and the position of its generator."""
-        self._cayley_walk()
+        if self._tree is None:
+            self._cayley_walk()
         return self._tree
 
     def elements(self) -> tuple:
@@ -715,25 +722,25 @@ class GroupHom:
     the target's base images (``PermGroup._base``) of its value, its key.
     Every value lies in the target, whose chain is complete, so a key fixes
     its value; ``is_injective``, ``is_surjective``, ``kernel`` and
-    ``_index_array`` read the keys.  The values themselves are multiplied
-    out only when ``element_map`` is first read, one product per element
-    along the source's spanning tree (``_tree_values``).
-
-    Construction proves the map a homomorphism in one of two ways:
+    ``_index_array`` read the keys.  Construction fills the keys once,
+    along the source's spanning tree (``_tree_values``), and then proves
+    them in one of two ways:
 
     - a source that carries a presentation on its generators
       (``PermGroup._relators``, which ``induce`` sets on the group it has
       proved presented) maps by a homomorphism exactly when every relator
       dies (von Dyck's theorem); ``_kills_relators`` decides that on the
-      target's base points, and the keys are then filled along the tree;
-    - otherwise, or when a relator survives, ``_replay_walk`` derives the
-      key of ``f(x)*f(s)`` on every edge ``x -> x*s`` of the source's
-      Cayley walk (done once per group, not once per homomorphism) and
-      raises ``RelationViolated`` at the first edge whose key differs from
-      the one already assigned, with its endpoint as the witness.
+      target's base points, and no edge of the walk is checked;
+    - otherwise, or when a relator survives, ``_replay_walk`` checks the
+      Schreier edges of the source's Cayley walk (walked once per group,
+      not once per homomorphism) and raises ``RelationViolated`` at the
+      first one, in walk order, that does not lead to its endpoint's key,
+      with that endpoint as the witness.
 
-    Either way the source is walked, so sources above ``ENUMERATION_BOUND``
-    raise ``EnumerationBoundExceeded``.
+    The values themselves are multiplied out only when ``element_map`` is
+    first read, by the same fill with products in place of keys.  Either
+    way the source is walked, so sources above ``ENUMERATION_BOUND`` raise
+    ``EnumerationBoundExceeded``.
     """
 
     def __init__(self, source: PermGroup, target: PermGroup, images):
@@ -753,12 +760,11 @@ class GroupHom:
         self.target = target
         self.images = images
         base = target._base()
+        self._keys = _tree_values(source, base, images, _image_key)
         relators = source._relators
-        if relators is not None and _kills_relators(relators, images, base):
-            self._keys = _tree_values(source, base, images, _image_key)
-        else:
-            self._keys = _replay_walk(
-                source, base, images, _image_key,
+        if relators is None or not _kills_relators(relators, images, base):
+            _replay_walk(
+                source, self._keys, images, _image_key,
                 "generator images do not respect the relations of the source",
             )
 
@@ -813,42 +819,45 @@ def _image_key(key: tuple, im: Permutation) -> tuple:
     return tuple([im.images[b - 1] for b in key])
 
 
-def _replay_walk(G: PermGroup, start_key, images, key_step,
-                 violation: str) -> list:
-    """Prove that a map given on G's generators extends to all of G along
-    its Cayley walk, and return each element's key in discovery order.
+def _off_tree_edges(G: PermGroup) -> list:
+    """The Schreier edges of G's Cayley walk, in walk order (elements in
+    discovery order, generators in list order): each ``(a, s, c)``, the
+    discovery indices of tail and endpoint and the generator's position,
+    that is not the edge first reaching c (``PermGroup._spanning_tree``).
+    An edge into the identity is never a tree edge.  There are
+    ``|G|·(k-1) + 1`` of them for k generators."""
+    tree = G._spanning_tree()
+    return [(a, s, c) for a, row in enumerate(G._cayley_walk()[1])
+            for s, c in enumerate(row) if c == 0 or tree[c - 1] != (a, s)]
 
-    A key fixes the value of the map at an element; the identity's is
-    ``start_key``.  Each edge x -> x*g derives the key ``key_step(key(x),
-    image(g))``.  Edges are visited in walk order (elements in discovery
-    order, generators in list order); the edge that first reaches an
-    element assigns its key, and the first edge whose key disagrees with
-    the one already assigned raises ``RelationViolated`` naming its
-    endpoint.  The edges that assign keys are the walk's spanning tree, so
-    ``_tree_values`` gives the same keys, and the values they fix.
+
+def _replay_walk(G: PermGroup, values, images, step, violation: str) -> None:
+    """Prove that ``values``, filled along G's spanning tree from a map
+    given on G's generators (``_tree_values``), are those of a
+    homomorphism, or raise ``RelationViolated``.
+
+    The map is one exactly when each Schreier relator ``w_a s w_c^-1`` dies
+    (von Dyck's theorem), that is when each Schreier edge ``(a, s, c)``
+    (``_off_tree_edges``) derives ``step(values[a], images[s])`` equal to
+    ``values[c]``; the tree edges hold by construction and are not read.
+    The edges are checked in walk order, and the first that disagrees
+    raises, naming its endpoint.
     """
-    found, successors = G._cayley_walk()
-    keys = [start_key] + [None] * (len(found) - 1)
-    # each element is reached before its own edges are read
-    for key, row in zip(keys, successors):
-        for j, im in zip(row, images):
-            k = key_step(key, im)
-            known = keys[j]
-            if known is None:
-                keys[j] = k
-            elif known != k:
-                raise RelationViolated(
-                    f"{violation} (conflict at {found[j]})", witness=found[j]
-                )
-    return keys
+    found = G._cayley_walk()[0]
+    for a, s, c in _off_tree_edges(G):
+        if step(values[a], images[s]) != values[c]:
+            raise RelationViolated(
+                f"{violation} (conflict at {found[c]})", witness=found[c]
+            )
 
 
 def _tree_values(G: PermGroup, start, images, step) -> list:
     """Values of a map given on G's generators, in discovery order, along
     the spanning tree of G's Cayley walk (``PermGroup._spanning_tree``):
     ``start`` at the identity, and ``step(value(x), image(g))`` at the end
-    of the tree edge ``x -> x*g``.  Relations are not checked; the caller
-    has proved the map well defined."""
+    of the tree edge ``x -> x*g``.  The one routine that fills values along
+    a tree; relations are not checked (``_replay_walk``,
+    ``_kills_relators``)."""
     values = [start]
     for i, s in G._spanning_tree():
         values.append(step(values[i], images[s]))
@@ -1119,13 +1128,11 @@ def fingerprint(G: PermGroup) -> Fingerprint:
 
 
 def _compute_fingerprint(G: PermGroup) -> Fingerprint:
-    if G.order() > ENUMERATION_BOUND:
-        raise EnumerationBoundExceeded(
-            f"fingerprint needs full enumeration; order {G.order()} is too big"
-        )
+    # the histogram walks G first, so a G too large to enumerate is refused
+    # with its own order, not with that of a subgroup walked on the way
+    hist = Counter(G._element_orders())
     derived = derived_subgroup(G)
     ab, _ = quotient(G, derived)
-    hist = Counter(G._element_orders())
     return Fingerprint(
         order=G.order(),
         abelianization=tuple(abelian_invariants(ab)),

@@ -319,8 +319,9 @@ def interchange_exhaustive(X: CrossedModule):
       interchanges exactly when the two labels agree.
 
     The action is a right action of Q by automorphisms (the action table
-    is proved to extend along Q's Cayley walk by ``perm._replay_walk``,
-    which rejects an assignment that breaks a relation of Q), so ``ma^(u dmd) =
+    is filled along Q's spanning tree and proved on the Schreier edges of
+    Q's walk by ``perm._replay_walk``, which rejects an assignment that
+    breaks a relation of Q), so ``ma^(u dmd) =
     (ma^u)^(dmd)`` and the identity is CM2 at ``(ma^u, md)``.  For fixed
     u, ``ma -> ma^u`` is a bijection of M, so the law holds on every triple
     exactly when CM2 holds on all of ``M x M``, which ``validate``'s

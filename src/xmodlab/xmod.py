@@ -8,13 +8,16 @@ right action of Q on M by automorphisms, written m^q, subject to
 
 The action is supplied on the generators of Q only, as homomorphisms M -> M
 that the module reads as index arrays over ``M.elements()``
-(``perm.GroupHom._index_array``, off their keys, with no product).  It is
-proved to extend to all of Q by the walk rule every homomorphism out of Q
-uses (``perm._replay_walk``, on Q's Cayley walk, done once per group): an
-automorphism of M is fixed by the images of M's generators, so an edge
-compares those.  A conflicting extension means the generator assignment
-violates a relation of Q and is rejected at construction.  Each element of
-Q then gets its whole array composed once, along Q's spanning tree.
+(``perm.GroupHom._index_array``, off their keys, with no product).  Each
+element of Q gets its whole array composed once, along Q's spanning tree
+(``perm._tree_values``, the fill every map out of a group uses).  An
+automorphism of M is fixed by the images of M's generators, so the arrays
+are proved to extend to an action of Q by checking those images alone on
+the Schreier edges of Q's walk (``perm._replay_walk``, the walk rule every
+homomorphism out of Q uses).  A conflict means the generator assignment
+violates a relation of Q and is rejected at construction.  Q's walk is
+the one enumeration guard: a Q above ``perm.ENUMERATION_BOUND`` is refused
+there, naming its order and the bound.
 
 CM1 and CM2 themselves are *not* assumed: ``validate`` proves them on
 generator pairs, which is enough once the boundary and the action are
@@ -33,14 +36,12 @@ import json
 from dataclasses import dataclass
 
 from .errors import (
-    EnumerationBoundExceeded,
     NonNormal,
     ParseError,
     SearchBoundExceeded,
     XmodlabError,
 )
 from .perm import (
-    ENUMERATION_BOUND,
     ISO_SEARCH_BOUND,
     GroupHom,
     PermGroup,
@@ -90,29 +91,26 @@ class CrossedModule:
     def _action_table(self, arrays) -> dict:
         """Index array over M.elements() for every element of Q.
 
-        The generators' ``arrays`` are proved to extend over Q by
-        ``perm._replay_walk`` on Q's Cayley walk (walked once per group,
-        not per module).  The arrays are automorphisms of M, so each is
-        fixed by the indices of the images of M's generators, its key: an
-        edge composes only those, and two paths reaching the same element
-        must agree on them or the assignment does not factor through Q.
-        Each whole array is then composed once, along Q's spanning tree
-        (``perm._tree_values``).
+        The whole arrays are filled once along Q's spanning tree
+        (``perm._tree_values``; Q is walked once per group, not per
+        module, and the walk refuses a Q too large to enumerate).  Each
+        array is an automorphism of M, so it is fixed by its entries at
+        M's generators, its key; the walk rule (``perm._replay_walk``)
+        proves the keys on the Schreier edges of Q's walk, or the
+        assignment does not factor through Q and is refused.
         """
-        if self.Q.order() > ENUMERATION_BOUND:
-            raise EnumerationBoundExceeded(
-                f"cannot extend action over group of order {self.Q.order()}"
-            )
         index = self.M.element_index()
 
         def compose(arr, garr):
             return tuple([garr[i] for i in arr])
 
+        values = _tree_values(self.Q, tuple(range(len(index))), arrays,
+                              compose)
+        gens = [index[m] for m in self.M.generators]
         _replay_walk(
-            self.Q, tuple([index[m] for m in self.M.generators]), arrays,
+            self.Q, [tuple([arr[i] for i in gens]) for arr in values], arrays,
             compose, "action assignment does not respect the relations of Q",
         )
-        values = _tree_values(self.Q, tuple(range(len(index))), arrays, compose)
         return dict(zip(self.Q._cayley_walk()[0], values))
 
     def act(self, m: Permutation, q: Permutation) -> Permutation:
@@ -178,10 +176,10 @@ def validate(X: CrossedModule) -> ValidationReport:
     - the boundary and the action entries are proved homomorphisms (by
       ``perm.GroupHom``: on the relators of a presented M, as ``induce``
       builds it, or along M's Cayley walk), the action entries are
-      bijective, and the action table is proved to extend them along Q's
-      Cayley walk by the walk rule (``perm._replay_walk``), which proves
-      that ``q -> (m -> m^q)`` is a right action of Q by automorphisms of
-      M;
+      bijective, and the action table, filled along Q's spanning tree, is
+      proved by the walk rule on the Schreier edges of Q's walk
+      (``perm._replay_walk``), which proves that ``q -> (m -> m^q)`` is a
+      right action of Q by automorphisms of M;
     - for a fixed q, both sides of CM1, ``m -> d(m^q)`` and
       ``m -> q^-1 (dm) q``, are homomorphisms M -> Q, so they agree on M
       once they agree on ``gens(M)``;
@@ -195,8 +193,8 @@ def validate(X: CrossedModule) -> ValidationReport:
 
     If any generator pair fails, every element pair is scanned, so the
     witnesses are the first counterexamples in element order.  The scan
-    needs no bound of its own: construction already enumerates M and Q,
-    so both lie within ``ENUMERATION_BOUND``.
+    needs no bound of its own: construction already walked M and Q, and a
+    walk refuses a group above ``perm.ENUMERATION_BOUND``.
     """
     gens_m = X.M.generators
     if (_cm1_failure(X, X.Q.generators, gens_m) is None

@@ -40,6 +40,7 @@ from xmodlab.perm import (
     _image_key,
     _kills_relators,
     _replay_walk,
+    _tree_values,
     cyclic,
     kernel,
     normal_closure,
@@ -135,9 +136,11 @@ class TestAgainstProductReplay:
 
 def walk_witness(M, images):
     """The edge-checked walk's verdict on images of M's generators in M:
-    its keys, or the endpoint of its first conflict."""
+    the keys filled along the tree, or the endpoint of its first conflict."""
+    keys = _tree_values(M, M._base(), images, _image_key)
     try:
-        return _replay_walk(M, M._base(), images, _image_key, "walk"), None
+        _replay_walk(M, keys, images, _image_key, "walk")
+        return keys, None
     except RelationViolated as exc:
         return None, exc.witness
 

@@ -126,7 +126,7 @@ class TestConstruction:
         with pytest.raises(EnumerationBoundExceeded) as e:
             CrossedModule(triv, S8, hom(triv, S8, []),
                           [GroupHom(triv, triv, []) for _ in S8.generators])
-        assert str(e.value) == "cannot extend action over group of order 40320"
+        assert str(e.value) == "order 40320 exceeds 10000"
 
 
 class TestValidation:
