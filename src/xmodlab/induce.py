@@ -180,6 +180,16 @@ def _schreier_relators(G: PermGroup):
     return depth, letters, spell
 
 
+def _boundary_in_q(X: CrossedModule, iota: GroupHom) -> list:
+    """``iota(d g)`` for each generator g of M, in order: the boundary's
+    generator images looked up in iota's index array, so neither map
+    multiplies out its ``element_map``."""
+    values = iota._index_array()
+    index = X.Q.element_index()
+    qelems = iota.target.elements()
+    return [qelems[values[index[b]]] for b in X.boundary.images]
+
+
 def induced_presentation(
     X: CrossedModule, iota: GroupHom, transversal=None
 ) -> InducedPresentation:
@@ -256,8 +266,9 @@ def induced_presentation(
     boundary_images = []
     gen_pairs = []
     labels = []
+    d_in_q = dict(zip(M.generators, _boundary_in_q(X, iota)))
     for gi, g in enumerate(gens):
-        dg = iota.apply(X.boundary.apply(g))
+        dg = d_in_q[g]
         for ti, t in enumerate(T):
             boundary_images.append(t.inverse() * dg * t)
             gen_pairs.append((g, t))
@@ -622,9 +633,7 @@ def induce(
     lap("validate")
     K, invariants = pi2(Xi)
     P1 = pi1(Xi)
-    closure = normal_closure(
-        Q, [iota.apply(X.boundary.apply(m)) for m in X.M.generators]
-    )
+    closure = normal_closure(Q, _boundary_in_q(X, iota))
     boundary_image_order = image(boundary).order()
     lap("pi1_pi2")
     pi1_name = small_group_name(P1)

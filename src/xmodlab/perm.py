@@ -71,6 +71,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from math import lcm, prod
+from operator import itemgetter
 
 from .errors import (
     DegreeMismatch,
@@ -1165,20 +1166,34 @@ class _GroupContext:
             self.by_order.setdefault(o, []).append(i)
 
 
+def _product_rule(G: PermGroup):
+    """``mul(i, j)``, the index in ``G.elements()`` of ``a * b`` for the
+    elements a and b at indices i and j.
+
+    The base images of ``a * b`` are b's images at the base images of a
+    (``PermGroup._base``), so a product costs ``|base|`` lookups and no
+    permutation is formed.  The reads are kept per element, ``O(|G|·|base|)``
+    memory, not a ``|G|²`` table; the identity's read is the base itself.
+    """
+    if G.order() == 1:
+        return lambda i, j: 0
+    images = [p.images for p in G.elements()]
+    reads = [itemgetter(*[k - 1 for k in key]) for key in G._key_index()]
+    by_read = {reads[0](x): i for i, x in enumerate(images)}
+
+    def mul(i, j):
+        return by_read[reads[i](images[j])]
+
+    return mul
+
+
 def _right_multiplications(G: PermGroup, xs) -> list[list[int]]:
     """For each element x of G in ``xs``, the array taking the index of each
-    a in ``G.elements()`` to the index of ``a * x``.
-
-    The base images of ``a * x`` are those of a mapped by x
-    (``PermGroup._base``), so an entry costs ``|base|`` lookups and no
-    product is formed.
-    """
-    by_key = G._key_index()
-    keys = list(by_key)
-    return [
-        [by_key[tuple([xi[k - 1] for k in key])] for key in keys]
-        for xi in (x.images for x in xs)
-    ]
+    a in ``G.elements()`` to the index of ``a * x`` (``_product_rule``)."""
+    mul = _product_rule(G)
+    index = G.element_index()
+    rows = range(G.order())
+    return [[mul(a, j) for a in rows] for j in [index[x] for x in xs]]
 
 
 def _context(G: PermGroup) -> _GroupContext:

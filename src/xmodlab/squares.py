@@ -15,6 +15,26 @@ so s is determined: ``square(X, n, w, e, m)`` computes it.  Compositions:
 Thin squares are those with trivial label; the connections Gamma+ and
 Gamma- are the thin squares folding an edge around a corner.
 
+Every formula above is written once, in ``_Kernel``, on element indices: a
+square is the 5-tuple ``(n, w, e, s, m)`` of the indices of its edges in
+``Q.elements()`` and of its label in ``M.elements()``, where 0 is the
+identity (``elements()`` is sorted by image tuple).  The kernel is built
+on first need and kept on the module, like ``perm._context`` on a group.
+It holds the two groups' products as ``perm._product_rule``, which reads
+an element's base images in the other's image tuple, Q's and M's inverses,
+the boundary's index array and the action array of every element of Q.
+Its memory is ``O(|G|·|base|)`` per group plus the ``|Q|·|M|`` action
+arrays the module already keeps, with no ``|G|²`` table, so no bound is
+added: a module the library can build has a kernel.  The public functions
+translate ``Square`` objects to indices (an edge or label outside its
+group raises ``NotInGroup``), call the kernel and translate back; the bulk
+callers (the interchange searches, ``DoubleGroupoidView.squares`` and
+``gamma``) stay in indices and translate only what they return, so no
+square costs a permutation product or a membership test.  The random
+searches draw indices with ``rng.choice(range(n))``, which makes the same
+``_randbelow`` call as ``rng.choice`` on the n elements, so the draws, and
+the first failing block, are those of drawing elements.
+
 The interchange law for 2x2 blocks reduces to CM2.  The block that
 ``_block_from_triple`` builds from (ma, md, u) interchanges exactly when
 
@@ -34,7 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import EdgeMismatch, MaterializationBoundExceeded, NotInGroup
-from .perm import GroupHom, PermGroup, Permutation
+from .perm import GroupHom, PermGroup, Permutation, _product_rule
 from .xmod import CrossedModule, _cm2_failure
 
 MATERIALIZATION_BOUND = 1 << 20
@@ -62,8 +82,90 @@ class Square:
         return self.m.is_identity()
 
     def boundary_holds(self) -> bool:
-        bm = self.xmod.boundary.apply(self.m)
-        return bm == self.s.inverse() * self.w.inverse() * self.n * self.e
+        k = _kernel(self.xmod)
+        return k.boundary_holds(k.indices(self))
+
+
+class _Kernel:
+    """The square calculus of one crossed module on element indices.
+
+    A square is ``(n, w, e, s, m)``: the indices of its edges in
+    ``Q.elements()`` and of its label in ``M.elements()``.  Each formula of
+    the module docstring is written here once.
+    """
+
+    def __init__(self, X: CrossedModule):
+        Q, M = X.Q, X.M
+        self.xmod = X
+        self.qelems, self.melems = Q.elements(), M.elements()
+        self.qindex, self.mindex = Q.element_index(), M.element_index()
+        self.qmul, self.mmul = _product_rule(Q), _product_rule(M)
+        self.qinv = [self.qindex[q.inverse()] for q in self.qelems]
+        self.minv = [self.mindex[m.inverse()] for m in self.melems]
+        self.d = X.boundary._index_array()
+        self.act = [X.act_array(q) for q in self.qelems]
+
+    def edge(self, p: Permutation) -> int:
+        return _index_of(self.qindex, p, "edge", "the base group")
+
+    def label(self, m: Permutation) -> int:
+        return _index_of(self.mindex, m, "label", "M")
+
+    def indices(self, sq: Square) -> tuple:
+        edge = self.edge
+        return edge(sq.n), edge(sq.w), edge(sq.e), edge(sq.s), self.label(sq.m)
+
+    def to_square(self, t) -> Square:
+        q = self.qelems
+        return Square(q[t[0]], q[t[1]], q[t[2]], q[t[3]], self.melems[t[4]],
+                      self.xmod)
+
+    def square(self, n, w, e, m) -> tuple:
+        qmul, qinv = self.qmul, self.qinv
+        return n, w, e, qmul(qmul(qmul(qinv[w], n), e), qinv[self.d[m]]), m
+
+    def boundary_holds(self, t) -> bool:
+        n, w, e, s, m = t
+        qmul, qinv = self.qmul, self.qinv
+        return self.d[m] == qmul(qmul(qmul(qinv[s], qinv[w]), n), e)
+
+    def compose_h(self, a, b) -> tuple:
+        qmul = self.qmul
+        return (qmul(a[0], b[0]), a[1], b[2], qmul(a[3], b[3]),
+                self.mmul(self.act[b[3]][a[4]], b[4]))
+
+    def compose_v(self, a, b) -> tuple:
+        qmul = self.qmul
+        return (a[0], qmul(a[1], b[1]), qmul(a[2], b[2]), b[3],
+                self.mmul(b[4], self.act[b[2]][a[4]]))
+
+    def inverse_h(self, t) -> tuple:
+        n, w, e, s, m = t
+        si = self.qinv[s]
+        return self.qinv[n], e, w, si, self.act[si][self.minv[m]]
+
+    def inverse_v(self, t) -> tuple:
+        n, w, e, s, m = t
+        ei = self.qinv[e]
+        return s, self.qinv[w], ei, n, self.act[ei][self.minv[m]]
+
+    def interchanges(self, a, b, c, d) -> bool:
+        h, v = self.compose_h, self.compose_v
+        return v(h(a, b), h(c, d)) == h(v(a, c), v(b, d))
+
+
+def _kernel(X: CrossedModule) -> _Kernel:
+    """The module's index kernel, built once."""
+    if X._square_kernel is None:
+        X._square_kernel = _Kernel(X)
+    return X._square_kernel
+
+
+def _index_of(index: dict, p, what: str, where: str) -> int:
+    try:
+        return index[p]
+    except (KeyError, TypeError):
+        raise NotInGroup(f"{what} {p} is not in {where}") from None
 
 
 def square(
@@ -74,13 +176,8 @@ def square(
     m: Permutation,
 ) -> Square:
     """Square with the given north/west/east edges and label; south computed."""
-    for edge in (n, w, e):
-        if edge not in X.Q:
-            raise NotInGroup(f"edge {edge} is not in the base group")
-    if m not in X.M:
-        raise NotInGroup(f"label {m} is not in M")
-    s = w.inverse() * n * e * X.boundary.apply(m).inverse()
-    return Square(n=n, w=w, e=e, s=s, m=m, xmod=X)
+    k = _kernel(X)
+    return k.to_square(k.square(k.edge(n), k.edge(w), k.edge(e), k.label(m)))
 
 
 def _require_same(a: Square, b: Square):
@@ -96,15 +193,8 @@ def compose_h(left: Square, right: Square) -> Square:
             f"horizontal composition needs left.e == right.w "
             f"({left.e} vs {right.w})"
         )
-    X = left.xmod
-    return Square(
-        n=left.n * right.n,
-        w=left.w,
-        e=right.e,
-        s=left.s * right.s,
-        m=X.act(left.m, right.s) * right.m,
-        xmod=X,
-    )
+    k = _kernel(left.xmod)
+    return k.to_square(k.compose_h(k.indices(left), k.indices(right)))
 
 
 def compose_v(top: Square, bottom: Square) -> Square:
@@ -115,67 +205,48 @@ def compose_v(top: Square, bottom: Square) -> Square:
             f"vertical composition needs top.s == bottom.n "
             f"({top.s} vs {bottom.n})"
         )
-    X = top.xmod
-    return Square(
-        n=top.n,
-        w=top.w * bottom.w,
-        e=top.e * bottom.e,
-        s=bottom.s,
-        m=bottom.m * X.act(top.m, bottom.e),
-        xmod=X,
-    )
+    k = _kernel(top.xmod)
+    return k.to_square(k.compose_v(k.indices(top), k.indices(bottom)))
 
 
 def h_unit(X: CrossedModule, p: Permutation) -> Square:
     """Two-sided unit for horizontal composition at vertical edge p."""
-    idq = X.Q.identity
-    return Square(n=idq, w=p, e=p, s=idq, m=X.M.identity, xmod=X)
+    k = _kernel(X)
+    i = k.edge(p)
+    return k.to_square((0, i, i, 0, 0))
 
 
 def v_unit(X: CrossedModule, g: Permutation) -> Square:
     """Two-sided unit for vertical composition at horizontal edge g."""
-    idq = X.Q.identity
-    return Square(n=g, w=idq, e=idq, s=g, m=X.M.identity, xmod=X)
+    k = _kernel(X)
+    i = k.edge(g)
+    return k.to_square((i, 0, 0, i, 0))
 
 
 def inverse_h(sq: Square) -> Square:
     """Horizontal inverse: composes with sq to the unit at sq.w."""
-    X = sq.xmod
-    si = sq.s.inverse()
-    return Square(
-        n=sq.n.inverse(),
-        w=sq.e,
-        e=sq.w,
-        s=si,
-        m=X.act(sq.m.inverse(), si),
-        xmod=X,
-    )
+    k = _kernel(sq.xmod)
+    return k.to_square(k.inverse_h(k.indices(sq)))
 
 
 def inverse_v(sq: Square) -> Square:
     """Vertical inverse: composes with sq to the unit at sq.n."""
-    X = sq.xmod
-    ei = sq.e.inverse()
-    return Square(
-        n=sq.s,
-        w=sq.w.inverse(),
-        e=ei,
-        s=sq.n,
-        m=X.act(sq.m.inverse(), ei),
-        xmod=X,
-    )
+    k = _kernel(sq.xmod)
+    return k.to_square(k.inverse_v(k.indices(sq)))
 
 
 def connection_plus(X: CrossedModule, g: Permutation) -> Square:
     """Thin square folding g from the north edge onto the west edge."""
-    idq = X.Q.identity
-    return Square(n=g, w=g, e=idq, s=idq, m=X.M.identity, xmod=X)
+    k = _kernel(X)
+    i = k.edge(g)
+    return k.to_square((i, i, 0, 0, 0))
 
 
 def connection_minus(X: CrossedModule, g: Permutation) -> Square:
     """Thin square folding g from the east edge onto the south edge."""
-    idq = X.Q.identity
-    return Square(n=idq, w=idq, e=g, s=g, m=X.M.identity, xmod=X)
+    k = _kernel(X)
+    i = k.edge(g)
+    return k.to_square((0, 0, i, i, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +259,8 @@ class DoubleGroupoidView:
     The universe has |P|^3*|M| squares (n, w, e free, label free, s computed).
     Beyond ``MATERIALIZATION_BOUND`` the list is refused but element-wise
     operations (composition, gamma, the interchange searches) still work.
+    The list is built on indices, n, then w, then e, then the label, each in
+    element order, with no membership test: every index names an element.
     """
 
     def __init__(self, X: CrossedModule):
@@ -206,15 +279,11 @@ class DoubleGroupoidView:
                     f"{count} squares exceed the bound of "
                     f"{MATERIALIZATION_BOUND}"
                 )
-            X = self.xmod
-            qelems = X.Q.elements()
-            melems = X.M.elements()
+            k = _kernel(self.xmod)
+            qs, ms = range(len(k.qelems)), range(len(k.melems))
             self._squares = [
-                square(X, n, w, e, m)
-                for n in qelems
-                for w in qelems
-                for e in qelems
-                for m in melems
+                k.to_square(k.square(n, w, e, m))
+                for n in qs for w in qs for e in qs for m in ms
             ]
         return self._squares
 
@@ -223,8 +292,8 @@ def gamma(view: DoubleGroupoidView) -> CrossedModule:
     """Rebuild a crossed module from squares alone.
 
     Elements of M are represented by squares sigma(m) with trivial west,
-    east and south edges, built once per call.  Horizontal composition
-    multiplies them, and the recovered group is their right-regular action,
+    east and south edges, built once per call on the module's index kernel.
+    Horizontal composition multiplies them, and the recovered group is their right-regular action,
     whose degree bounds its order (``PermGroup._bounded``: one chain level,
     no Schreier generator); ``regular`` composes the squares on purpose, as
     the round-trip witness.
@@ -234,72 +303,52 @@ def gamma(view: DoubleGroupoidView) -> CrossedModule:
     square universe.
     """
     X = view.xmod
-    P = X.Q
-    idq = P.identity
-    melems = list(X.M.elements())
-    midx = X.M.element_index()
-
-    # the |M| squares sigma(m), in the order of melems
-    sigmas = [
-        square(X, X.boundary.apply(m), idq, idq, m) for m in melems
-    ]
-
-    def sigma(m):
-        return sigmas[midx[m]]
+    k = _kernel(X)
+    order = len(k.melems)
+    # the |M| squares sigma(m), in the order of M.elements()
+    sigmas = [k.square(k.d[m], 0, 0, m) for m in range(order)]
 
     def regular(x):
         # right multiplication by x, computed through compose_h
-        sx = sigma(x)
-        images = [midx[compose_h(sm, sx).m] + 1 for sm in sigmas]
-        return Permutation(tuple(images))
+        sx = sigmas[x]
+        return Permutation(tuple([k.compose_h(sm, sx)[4] + 1
+                                  for sm in sigmas]))
 
-    gens = [regular(g) for g in X.M.generators]
-    M_rec = PermGroup._bounded(len(melems), gens, len(melems))
-
-    boundary = GroupHom(
-        M_rec, P, [sigma(g).n for g in X.M.generators]
-    )
+    gens = [k.mindex[g] for g in X.M.generators]
+    M_rec = PermGroup._bounded(order, [regular(g) for g in gens], order)
+    boundary = GroupHom(M_rec, X.Q, [k.qelems[sigmas[g][0]] for g in gens])
 
     def conjugate_by_thin(m, p):
         # sigma(m) sandwiched vertically between thin squares carrying p
-        top = square(X, p.inverse() * X.boundary.apply(m) * p,
-                     p.inverse(), p.inverse(), X.M.identity)
-        mid = sigma(m)
-        bot = square(X, mid.s, p, p, X.M.identity)
-        return compose_v(top, compose_v(mid, bot)).m
+        pi = k.qinv[p]
+        mid = sigmas[m]
+        top = k.square(k.qmul(k.qmul(pi, mid[0]), p), pi, pi, 0)
+        bot = k.square(mid[3], p, p, 0)
+        return k.compose_v(top, k.compose_v(mid, bot))[4]
 
     action = []
-    for p in P.generators:
-        images = [regular(conjugate_by_thin(g, p)) for g in X.M.generators]
+    for p in X.Q.generators:
+        images = [regular(conjugate_by_thin(g, k.qindex[p])) for g in gens]
         action.append(GroupHom(M_rec, M_rec, images))
-    return CrossedModule(M_rec, P, boundary, action)
+    return CrossedModule(M_rec, X.Q, boundary, action)
 
 
 # ---------------------------------------------------------------------------
 # interchange law
 
 
-def _block_from_triple(X: CrossedModule, ma, md, u):
-    """A 2x2 composable block whose interchange identity reduces to the
-    Peiffer comparison of (ma, md) twisted by u.
+def _block_from_triple(k: _Kernel, ma: int, md: int, u: int):
+    """A 2x2 composable block, on indices, whose interchange identity
+    reduces to the Peiffer comparison of (ma, md) twisted by u.
 
     Every block reduces to such a triple once edges are cancelled, so
     exhausting triples exhausts the law.
     """
-    idq = X.Q.identity
-    da = X.boundary.apply(ma)
-    dd = X.boundary.apply(md)
-    a = square(X, idq, idq, idq, ma)
-    b = square(X, u * dd, idq, idq, X.M.identity)
-    c = square(X, a.s, idq, u, X.M.identity)
-    d = square(X, b.s, u, idq, md)
+    a = k.square(0, 0, 0, ma)
+    b = k.square(k.qmul(u, k.d[md]), 0, 0, 0)
+    c = k.square(a[3], 0, u, 0)
+    d = k.square(b[3], u, 0, md)
     return a, b, c, d
-
-
-def _block_interchanges(a, b, c, d) -> bool:
-    row_then_column = compose_v(compose_h(a, b), compose_h(c, d))
-    column_then_row = compose_h(compose_v(a, c), compose_v(b, d))
-    return row_then_column == column_then_row
 
 
 def interchange_exhaustive(X: CrossedModule):
@@ -332,38 +381,45 @@ def interchange_exhaustive(X: CrossedModule):
     gens = X.M.generators
     if _cm2_failure(X, gens, gens) is None:
         return None
-    for ma in X.M.elements():
-        for md in X.M.elements():
-            for u in X.Q.elements():
-                block = _block_from_triple(X, ma, md, u)
-                if not _block_interchanges(*block):
-                    return block
+    k = _kernel(X)
+    ms, qs = range(len(k.melems)), range(len(k.qelems))
+    for ma in ms:
+        for md in ms:
+            for u in qs:
+                block = _block_from_triple(k, ma, md, u)
+                if not k.interchanges(*block):
+                    return tuple(map(k.to_square, block))
     return None
+
+
+def _random_block(k: _Kernel, rng):
+    """Uniformly random composable 2x2 block (a b / c d), on indices."""
+    qs, ms = range(len(k.qelems)), range(len(k.melems))
+
+    def rq():
+        return rng.choice(qs)
+
+    def rm():
+        return rng.choice(ms)
+
+    a = k.square(rq(), rq(), rq(), rm())
+    b = k.square(rq(), a[2], rq(), rm())
+    c = k.square(a[3], rq(), rq(), rm())
+    d = k.square(b[3], c[2], rq(), rm())
+    return a, b, c, d
 
 
 def random_block(X: CrossedModule, rng):
     """Uniformly random composable 2x2 block (a b / c d)."""
-    qelems = X.Q.elements()
-    melems = X.M.elements()
-
-    def rq():
-        return rng.choice(qelems)
-
-    def rm():
-        return rng.choice(melems)
-
-    a = square(X, rq(), rq(), rq(), rm())
-    b = square(X, rq(), a.e, rq(), rm())
-    c = square(X, a.s, rq(), rq(), rm())
-    d_n = b.s
-    d = square(X, d_n, c.e, rq(), rm())
-    return a, b, c, d
+    k = _kernel(X)
+    return tuple(map(k.to_square, _random_block(k, rng)))
 
 
 def interchange_sampled(X: CrossedModule, samples: int, rng):
     """First violating block among ``samples`` random ones, or None."""
+    k = _kernel(X)
     for _ in range(samples):
-        block = random_block(X, rng)
-        if not _block_interchanges(*block):
-            return block
+        block = _random_block(k, rng)
+        if not k.interchanges(*block):
+            return tuple(map(k.to_square, block))
     return None

@@ -87,6 +87,8 @@ class CrossedModule:
         # extend now so an assignment violating a relation of Q cannot
         # produce a half-usable object
         self._table = self._action_table(arrays)
+        # the square calculus on indices (``squares._kernel``), on first need
+        self._square_kernel = None
 
     def _action_table(self, arrays) -> dict:
         """Index array over M.elements() for every element of Q.

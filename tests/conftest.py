@@ -2,8 +2,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# CI selects this profile (``--hypothesis-profile=ci``): the same examples on
+# every run, and a failure prints the blob that replays it locally.  Local
+# runs keep the default profile.
+settings.register_profile("ci", derandomize=True, print_blob=True)
 
 from xmodlab.induce import run_table_full
 

@@ -314,6 +314,74 @@ def interchange_witness(mdeg, mgens, qdeg, qgens, boundary, action):
     )
 
 
+class SquareOracle:
+    """The square calculus of ``squares`` on raw tuples, as the formulas of
+    its module docstring read.
+
+    Same input as ``crossed_module_witnesses``.  A square is the tuple
+    ``(n, w, e, s, m)`` of image tuples; products read left to right:
+
+    - ``square``: ``s = w^-1 n e (dm)^-1``;
+    - horizontal: ``(n1n2, w1, e2, s1s2, m1^(s2) m2)``;
+    - vertical: ``(n1, w1w2, e1e2, s2, m2 m1^(e2))``;
+    - inverses: ``(n^-1, e, w, s^-1, (m^-1)^(s^-1))`` horizontally and
+      ``(s, w^-1, e^-1, n, (m^-1)^(e^-1))`` vertically.
+
+    ``sampled`` draws its blocks as ``squares.random_block`` did when it
+    drew elements (``rng.choice`` on the sorted elements) and returns the
+    first that fails interchange.
+    """
+
+    def __init__(self, mdeg, mgens, qdeg, qgens, boundary, action):
+        self.d, self.act = _module_tables(mdeg, mgens, qdeg, qgens, boundary,
+                                          action)
+        self.melems, self.qelems = sorted(self.d), sorted(self.act)
+
+    def square(self, n, w, e, m):
+        s = tcompose(tcompose(tcompose(tinverse(w), n), e),
+                     tinverse(self.d[m]))
+        return n, w, e, s, m
+
+    def compose_h(self, a, b):
+        n1, w1, _, s1, m1 = a
+        n2, _, e2, s2, m2 = b
+        return (tcompose(n1, n2), w1, e2, tcompose(s1, s2),
+                tcompose(self.act[s2][m1], m2))
+
+    def compose_v(self, a, b):
+        n1, w1, e1, _, m1 = a
+        _, w2, e2, s2, m2 = b
+        return (n1, tcompose(w1, w2), tcompose(e1, e2), s2,
+                tcompose(m2, self.act[e2][m1]))
+
+    def inverse_h(self, a):
+        n, w, e, s, m = a
+        si = tinverse(s)
+        return tinverse(n), e, w, si, self.act[si][tinverse(m)]
+
+    def inverse_v(self, a):
+        n, w, e, s, m = a
+        ei = tinverse(e)
+        return s, tinverse(w), ei, n, self.act[ei][tinverse(m)]
+
+    def sampled(self, samples, rng):
+        h, v = self.compose_h, self.compose_v
+        for _ in range(samples):
+            def rq():
+                return rng.choice(self.qelems)
+
+            def rm():
+                return rng.choice(self.melems)
+
+            a = self.square(rq(), rq(), rq(), rm())
+            b = self.square(rq(), a[2], rq(), rm())
+            c = self.square(a[3], rq(), rq(), rm())
+            d = self.square(b[3], c[2], rq(), rm())
+            if v(h(a, b), h(c, d)) != h(v(a, c), v(b, d)):
+                return [a, b, c, d]
+        return None
+
+
 def reference_todd_coxeter(presentation, subgroup_words=(), max_cosets=1 << 16):
     """The relator-driven enumeration as first written, kept as an oracle.
 

@@ -279,3 +279,19 @@ def test_identity_module_has_no_relators():
     # only induce attaches relators
     X = identity_xmod(symmetric(3))
     assert X.M._relators is None
+
+
+def test_induce_reads_no_boundary_values():
+    # the boundary of X and the inclusion are read through their generator
+    # images and keys: neither multiplies out a value
+    from xmodlab.induce import induce
+    from xmodlab.perm import hom
+
+    S5 = symmetric(5)
+    P = S5.subgroup([parse_permutation(c, 5) for c in ("(1,2,3,4)", "(1,2)")])
+    X = identity_xmod(P)
+    iota = hom(P, S5, P.generators)
+    Xi, _ = induce(X, iota)
+    assert Xi.M.order() == 120
+    assert "element_map" not in vars(X.boundary)
+    assert "element_map" not in vars(iota)

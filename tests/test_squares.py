@@ -2,10 +2,13 @@
 
 import hashlib
 import random
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from support import interchange_witness
+from support import SquareOracle, interchange_witness
 from test_xmod import ROW6, cm1_and_cm2, cm1_only
 from xmodlab import squares
 from xmodlab.errors import (
@@ -15,6 +18,7 @@ from xmodlab.errors import (
 )
 from xmodlab.perm import (
     PermGroup,
+    Permutation,
     cyclic,
     dihedral,
     hom,
@@ -237,6 +241,30 @@ class TestInterchange:
     def test_sampled_finds_break(self):
         assert interchange_sampled(broken_cm2(), 500, random.Random(8)) is not None
 
+    @staticmethod
+    def image_tuples(squares_):
+        return [tuple(p.images for p in (sq.n, sq.w, sq.e, sq.s, sq.m))
+                for sq in squares_]
+
+    def test_first_failing_block_pinned(self):
+        # recorded while every square was still built from permutations:
+        # the draws and the first failing block are those of that build
+        rng = random.Random(8)
+        block = interchange_sampled(broken_cm2(), 500, rng)
+        one = ((1,),) * 4
+        assert self.image_tuples(block) == [
+            one + ((1, 3, 2),), one + ((1, 2, 3),),
+            one + ((3, 1, 2),), one + ((2, 3, 1),),
+        ]
+        assert rng.random() == 0.641868435072107
+
+    def test_row6_draws_pinned(self):
+        # recorded while every square was still built from permutations
+        rng = random.Random(3)
+        X = xmod_from_json(ROW6.read_text())
+        assert interchange_sampled(X, 2000, rng) is None
+        assert rng.random() == 0.5203452421686546
+
     def test_random_block_shape(self):
         X = v_in_s4()
         rng = random.Random(9)
@@ -307,6 +335,17 @@ class TestView:
         assert len(set(squares)) == 16
         assert all(sq.boundary_holds() for sq in squares)
 
+    def test_materialization_pinned(self):
+        # recorded while every square was still built from permutations:
+        # the same squares, in the same order
+        sqs = DoubleGroupoidView(identity_xmod(dihedral(8))).squares()
+        digest = hashlib.sha256(
+            repr(TestInterchange.image_tuples(sqs)).encode()).hexdigest()
+        assert len(sqs) == 4096
+        assert digest == (
+            "4222b213dd7a65db560494029ebec1a61c95e1353be85dc0717c0036049e9b77"
+        )
+
     def test_materialization_refused_when_too_big(self, table_results):
         X7, _ = table_results[6]
         view = DoubleGroupoidView(X7)
@@ -357,19 +396,122 @@ class TestGamma:
     def test_row6_builds_each_sigma_square_once(self, monkeypatch):
         X = xmod_from_json(ROW6.read_text())
         calls = []
-        real = squares.square
+        real = squares._Kernel.square
 
         def counting(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(squares, "square", counting)
+        # gamma builds its squares on the module's index kernel
+        monkeypatch.setattr(squares._Kernel, "square", counting)
         R = gamma(DoubleGroupoidView(X))
         gm, gq = len(X.M.generators), len(X.Q.generators)
-        assert len(calls) <= X.M.order() + 3 * gm * gq + gm
+        assert X.M.order() <= len(calls) <= X.M.order() + 3 * gm * gq + gm
         # generator, boundary and action images as recorded when every
         # regular() call rebuilt all |M| sigma squares (7024 square calls)
         digest = hashlib.sha256(xmod_to_json(R).encode()).hexdigest()
         assert digest == (
             "c2a662305ab10566387e4585b6508c3d0188ee19d4f9e279233a16c86aea10bb"
         )
+
+
+# ---------------------------------------------------------------------------
+# the index kernel against the raw-tuple oracle
+
+
+def json_form(X):
+    """The module's data as ``support`` takes it, on image tuples."""
+    return (X.M.degree, [m.images for m in X.M.generators],
+            X.Q.degree, [q.images for q in X.Q.generators],
+            [b.images for b in X.boundary.images],
+            [[im.images for im in a.images] for a in X.action])
+
+
+ORACLE_MODULES = {
+    "v_in_s4": v_in_s4,
+    "a4_in_s4": a4_in_s4,
+    "row6": lambda: xmod_from_json(ROW6.read_text()),
+    "cm1_only": cm1_only,
+    "broken_cm2": broken_cm2,
+    "cm1_and_cm2": cm1_and_cm2,
+}
+
+
+@cache
+def module_and_oracle(name):
+    X = ORACLE_MODULES[name]()
+    return X, SquareOracle(*json_form(X))
+
+
+def images(sq):
+    return sq.n.images, sq.w.images, sq.e.images, sq.s.images, sq.m.images
+
+
+class TestKernelOracle:
+    """Every public square function, run on the index kernel, must give the
+    oracle's square, and a sampled search the oracle's block and draws."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(sorted(ORACLE_MODULES)), data=st.data())
+    def test_kernel_matches_oracle(self, name, data):
+        X, oracle = module_and_oracle(name)
+        rq = st.sampled_from(X.Q.elements())
+        rm = st.sampled_from(X.M.elements())
+        a = square(X, data.draw(rq), data.draw(rq), data.draw(rq),
+                   data.draw(rm))
+        assert images(a) == oracle.square(*images(a)[:3], a.m.images)
+        b = square(X, data.draw(rq), a.e, data.draw(rq), data.draw(rm))
+        c = square(X, a.s, data.draw(rq), data.draw(rq), data.draw(rm))
+        assert images(compose_h(a, b)) == oracle.compose_h(images(a),
+                                                           images(b))
+        assert images(compose_v(a, c)) == oracle.compose_v(images(a),
+                                                           images(c))
+        assert images(inverse_h(a)) == oracle.inverse_h(images(a))
+        assert images(inverse_v(a)) == oracle.inverse_v(images(a))
+        assert a.boundary_holds()
+
+        seed = data.draw(st.integers(0, 2 ** 32 - 1))
+        mine, theirs = random.Random(seed), random.Random(seed)
+        block = interchange_sampled(X, 40, mine)
+        expected = oracle.sampled(40, theirs)
+        assert (block and [images(sq) for sq in block]) == expected
+        assert mine.random() == theirs.random()
+
+    def test_sampled_search_forms_no_product(self, monkeypatch):
+        # once the kernel is built the sampled search runs on indices alone:
+        # no permutation product, no membership test
+        X = xmod_from_json(ROW6.read_text())
+        squares._kernel(X)
+        calls = []
+
+        def spy(name, real):
+            def counting(*args):
+                calls.append(name)
+                return real(*args)
+            return counting
+
+        monkeypatch.setattr(Permutation, "__mul__",
+                            spy("mul", Permutation.__mul__))
+        for attr in ("contains", "__contains__"):
+            monkeypatch.setattr(PermGroup, attr,
+                                spy(attr, getattr(PermGroup, attr)))
+        assert interchange_sampled(X, 2000, random.Random(5)) is None
+        assert calls == []
+
+    def test_boundary_holds_fills_no_element_map(self):
+        X = v_in_s4()
+        rng = random.Random(11)
+        for _ in range(20):
+            assert random_square(X, rng).boundary_holds()
+        assert "element_map" not in vars(X.boundary)
+
+    def test_foreign_members_refused(self):
+        X = v_in_s4()
+        i = X.Q.identity
+        alien = squares.Square(i, i, i, i, P("(1,2)", 4), X)
+        with pytest.raises(NotInGroup):
+            alien.boundary_holds()
+        with pytest.raises(NotInGroup):
+            inverse_h(alien)
+        with pytest.raises(NotInGroup):
+            h_unit(X, P("(1,5)", 5))
