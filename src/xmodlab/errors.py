@@ -2,8 +2,9 @@
 
 Every error raised on bad input derives from ValueError so callers can catch
 broadly; the specific classes exist because several of them carry a witness
-(the first offending element or pair) and because the command line maps them
-to distinct exit codes.
+(the first offending element or pair), every refusal at a hard bound carries
+that bound as ``limit``, and the command line maps them to distinct exit
+codes.
 """
 
 from __future__ import annotations
@@ -60,20 +61,20 @@ class NonInjective(XmodlabError):
     """A homomorphism required to be injective has nontrivial kernel."""
 
 
-class SearchBoundExceeded(XmodlabError):
-    """An isomorphism search was asked about groups above its size bound."""
-
-
-class EnumerationBoundExceeded(XmodlabError):
-    """Full element enumeration was requested beyond the supported order."""
-
-
 class _WithLimit(XmodlabError):
     """An error that carries ``limit``, the bound that was exceeded."""
 
     def __init__(self, message: str, limit: int | None = None):
         self.limit = limit
         super().__init__(message)
+
+
+class SearchBoundExceeded(_WithLimit):
+    """An isomorphism search was asked about groups above its size bound."""
+
+
+class EnumerationBoundExceeded(_WithLimit):
+    """Full element enumeration was requested beyond the supported order."""
 
 
 class CosetLimitExceeded(_WithLimit):
@@ -93,7 +94,7 @@ class EdgeMismatch(XmodlabError):
     """Two squares were composed along edges that do not agree."""
 
 
-class MaterializationBoundExceeded(XmodlabError):
+class MaterializationBoundExceeded(_WithLimit):
     """The square universe is too large to hold in memory at once."""
 
 

@@ -56,8 +56,12 @@ centres, normal closures and derived subgroups are grown by one loop,
 ``_sifted``, which keeps a candidate generator only if it enlarges the group
 so far and hands each generator it keeps to ``_extend_chain``, and stops at
 a known order if it is given one; generators passed to ``PermGroup`` are
-kept as given.  Normality is decided on base images
-(``_normality_witness``).
+kept as given.  Normality is decided by sifting: each generator of N
+conjugated by each generator of G is sifted through N's chain
+(``_normality_witness``), so N is never walked for it.  ``quotient``
+returns G/N with its projection; the callers that read only the group
+(``abelian_invariants``, fingerprints, ``xmod.pi1``) build it with
+``_quotient_group`` and prove no homomorphism.
 
 Isomorphisms are found by one backtrack, ``_extensions``, over a greedy
 generating sequence; ``isomorphic`` and ``xmod.xmod_isomorphic`` differ
@@ -141,8 +145,15 @@ class Permutation:
         return _trusted(tuple(inv))
 
     def conj(self, q: "Permutation") -> "Permutation":
-        """q^-1 * self * q."""
-        return q.inverse() * self * q
+        """q^-1 * self * q, which takes ``q(x)`` to ``q(self(x))``: one
+        pass over the points, no inverse and no product."""
+        qi = q.images
+        if len(qi) != len(self.images):
+            raise DegreeMismatch(f"degree {len(qi)} vs {len(self.images)}")
+        images = [0] * len(qi)
+        for x, y in zip(qi, self.images):
+            images[x - 1] = qi[y - 1]
+        return _trusted(tuple(images))
 
     def commutator(self, other: "Permutation") -> "Permutation":
         return self.inverse() * other.inverse() * self * other
@@ -477,7 +488,8 @@ class PermGroup:
         if self._walk is None:
             if self._order > ENUMERATION_BOUND:
                 raise EnumerationBoundExceeded(
-                    f"order {self._order} exceeds {ENUMERATION_BOUND}"
+                    f"order {self._order} exceeds {ENUMERATION_BOUND}",
+                    limit=ENUMERATION_BOUND,
                 )
             base = self._base()
             keys = [base]
@@ -953,27 +965,18 @@ def normal_closure(G: PermGroup, elements) -> PermGroup:
 
 
 def _normality_witness(N: PermGroup, G: PermGroup):
-    """First ``(n, g)`` over the generators with ``n^g`` outside N, or None;
-    None proves a subgroup N normal in G.
+    """First ``(n, g)`` over the generators, N's before G's, with ``n^g``
+    outside N, or None; None proves a subgroup N normal in G.
 
-    ``n^g = g^-1 n g`` lies in G, so it is fixed by its base images in G
-    (``PermGroup._base``), ``g(n(g^-1(b)))`` at each base point b, and it
-    lies in N exactly when an element of N has the same ones.  No product
-    is formed; each generator of G is inverted once.  An N too large to
-    enumerate sifts each conjugate through its chain instead.
+    Each conjugate ``n^g = g^-1 n g`` is formed in one pass over the
+    points (``Permutation.conj``) and sifted through N's chain (Seress,
+    *Permutation Group Algorithms*), or looked up in N's element index
+    once N has been walked (``PermGroup.contains``).  N is never walked
+    here: the check costs ``|gens N|·|gens G|`` conjugates and sifts,
+    whatever the order of N.
     """
-    if N.order() > ENUMERATION_BOUND:
-        pairs = itertools.product(N.generators, G.generators)
-        return next(((n, g) for n, g in pairs if n.conj(g) not in N), None)
-    base = G._base()
-    keys = {tuple([p.images[b - 1] for b in base]) for p in N.elements()}
-    gens = [(g, g.images, g.inverse().images) for g in G.generators]
-    for n in N.generators:
-        ni = n.images
-        for g, gi, ginv in gens:
-            if tuple([gi[ni[ginv[b - 1] - 1] - 1] for b in base]) not in keys:
-                return n, g
-    return None
+    pairs = itertools.product(N.generators, G.generators)
+    return next(((n, g) for n, g in pairs if n.conj(g) not in N), None)
 
 
 def _commute(base, a, b) -> bool:
@@ -1025,13 +1028,12 @@ def _right_cosets(G: PermGroup, H: PermGroup) -> tuple[list, dict]:
     return reps, coset_of
 
 
-def quotient(G: PermGroup, N: PermGroup) -> tuple[PermGroup, GroupHom]:
-    """Quotient G/N via the action on right cosets, with the projection.
-
-    Coset ``i`` (point ``i + 1``) is the coset of the ``i``-th representative
-    in ``right_coset_representatives`` order, so the projection composed with
-    that section is the identity on representatives.
-    """
+def _quotient_group(G: PermGroup, N: PermGroup) -> PermGroup:
+    """G/N acting on the right cosets of N, coset ``i`` (point ``i + 1``)
+    that of the ``i``-th representative in ``right_coset_representatives``
+    order; its generators are the actions of G's, in order.  N must be a
+    normal subgroup of G (``NotASubgroup``, ``NonNormal`` with the first
+    escaping pair of ``_normality_witness``)."""
     if not N.is_subgroup_of(G):
         raise NotASubgroup("N is not a subgroup of G")
     bad = _normality_witness(N, G)
@@ -1051,9 +1053,19 @@ def quotient(G: PermGroup, N: PermGroup) -> tuple[PermGroup, GroupHom]:
             coset_of[tuple([gi[k - 1] for k in key])] + 1 for key in rkeys
         )))
     # G/N acts on the cosets of the normal N as on itself: regularly
-    Q = PermGroup._bounded(len(reps), perms, len(reps))
-    proj = GroupHom(G, Q, perms)
-    return Q, proj
+    return PermGroup._bounded(len(reps), perms, len(reps))
+
+
+def quotient(G: PermGroup, N: PermGroup) -> tuple[PermGroup, GroupHom]:
+    """Quotient G/N via the action on right cosets (``_quotient_group``),
+    with the projection, which takes each generator of G to its action.
+
+    The projection composed with the section of coset representatives is
+    the identity on representatives.  Callers that need only the group call
+    ``_quotient_group``, which builds and proves no homomorphism.
+    """
+    Q = _quotient_group(G, N)
+    return Q, GroupHom(G, Q, Q.generators)
 
 
 def abelian_invariants(G: PermGroup) -> list[int]:
@@ -1071,7 +1083,7 @@ def abelian_invariants(G: PermGroup) -> list[int]:
         exponent = max(orders)
         g = H.elements()[orders.index(exponent)]
         invariants.append(exponent)
-        H, _ = quotient(H, H.subgroup([g]))
+        H = _quotient_group(H, H.subgroup([g]))
     invariants.reverse()
     return invariants
 
@@ -1133,7 +1145,7 @@ def _compute_fingerprint(G: PermGroup) -> Fingerprint:
     # with its own order, not with that of a subgroup walked on the way
     hist = Counter(G._element_orders())
     derived = derived_subgroup(G)
-    ab, _ = quotient(G, derived)
+    ab = _quotient_group(G, derived)
     return Fingerprint(
         order=G.order(),
         abelianization=tuple(abelian_invariants(ab)),
@@ -1349,7 +1361,8 @@ def isomorphic(G: PermGroup, H: PermGroup):
     if G.order() > ISO_SEARCH_BOUND or H.order() > ISO_SEARCH_BOUND:
         raise SearchBoundExceeded(
             f"orders {G.order()}, {H.order()} exceed search bound "
-            f"{ISO_SEARCH_BOUND}"
+            f"{ISO_SEARCH_BOUND}",
+            limit=ISO_SEARCH_BOUND,
         )
     if G.order() != H.order():
         return None

@@ -277,7 +277,8 @@ class DoubleGroupoidView:
             if count > MATERIALIZATION_BOUND:
                 raise MaterializationBoundExceeded(
                     f"{count} squares exceed the bound of "
-                    f"{MATERIALIZATION_BOUND}"
+                    f"{MATERIALIZATION_BOUND}",
+                    limit=MATERIALIZATION_BOUND,
                 )
             k = _kernel(self.xmod)
             qs, ms = range(len(k.qelems)), range(len(k.melems))

@@ -52,6 +52,7 @@ from .perm import (
     _generating_sequence,
     _iter_isomorphisms,
     _object,
+    _quotient_group,
     _replay_walk,
     _tree_values,
     abelian_invariants,
@@ -60,7 +61,6 @@ from .perm import (
     image,
     kernel,
     parse_generator_list,
-    quotient,
 )
 
 class CrossedModule:
@@ -125,9 +125,6 @@ class CrossedModule:
 
     def act_array(self, q: Permutation) -> tuple[int, ...]:
         return self._table[q]
-
-    def boundary_of(self, m: Permutation) -> Permutation:
-        return self.boundary.apply(m)
 
     def __repr__(self) -> str:
         return (
@@ -281,9 +278,11 @@ def normal_inclusion_xmod(N: PermGroup, Q: PermGroup) -> CrossedModule:
 
 
 def pi1(X: CrossedModule) -> PermGroup:
-    """Cokernel Q / d(M) (d-image is normal for a valid crossed module)."""
-    G, _ = quotient(X.Q, image(X.boundary))
-    return G
+    """Cokernel Q / d(M), on the cosets of d(M) (``perm._quotient_group``,
+    which builds no projection).  d(M) is normal in Q for a valid crossed
+    module; otherwise ``NonNormal`` names the first generator pair whose
+    conjugate escapes it."""
+    return _quotient_group(X.Q, image(X.boundary))
 
 
 def pi2(X: CrossedModule) -> tuple[PermGroup, list[int]]:
@@ -343,7 +342,8 @@ def xmod_isomorphic(X: CrossedModule, Y: CrossedModule):
     for G in (X.M, X.Q, Y.M, Y.Q):
         if G.order() > ISO_SEARCH_BOUND:
             raise SearchBoundExceeded(
-                f"order {G.order()} exceeds search bound {ISO_SEARCH_BOUND}"
+                f"order {G.order()} exceeds search bound {ISO_SEARCH_BOUND}",
+                limit=ISO_SEARCH_BOUND,
             )
     if X.M.order() != Y.M.order() or X.Q.order() != Y.Q.order():
         return None

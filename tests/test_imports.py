@@ -1,11 +1,16 @@
-"""Every name a module imports is used in that module, and every module
-it imports from outside the package is in the standard library.
+"""Every name a module imports is used in that module, every module it
+imports from outside the package is in the standard library, and one
+place reads the enumeration bound.
 
 ``__init__.py`` re-exports names it does not use, so it is left out of the
 first check.  A name counts as used if it appears as a name or as the base
 of an attribute anywhere in the module, annotations included, or is listed
 in ``__all__``.  The package stays standard-library only, so each absolute
 import must name a top-level module in ``sys.stdlib_module_names``.
+``ENUMERATION_BOUND`` is read only by ``PermGroup._cayley_walk``, the
+one place that refuses enumeration: a load of the name, of an attribute
+of that name, or an import of it anywhere else in the package is a second
+reader.
 """
 
 import ast
@@ -85,3 +90,59 @@ def test_detects_non_stdlib_import():
 @pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")), ids=lambda p: p.name)
 def test_standard_library_only(path):
     assert non_stdlib_imports(path.read_text()) == []
+
+
+class _Readers(ast.NodeVisitor):
+    """(enclosing class and function names, line) of every read of
+    ``name``."""
+
+    def __init__(self, name):
+        self.name = name
+        self.scope = []
+        self.found = []
+
+    def _scoped(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = _scoped
+
+    def _read(self, node):
+        self.found.append((".".join(self.scope), node.lineno))
+
+    def visit_Name(self, node):
+        if node.id == self.name and isinstance(node.ctx, ast.Load):
+            self._read(node)
+
+    def visit_Attribute(self, node):
+        if node.attr == self.name and isinstance(node.ctx, ast.Load):
+            self._read(node)
+        self.generic_visit(node)
+
+    def visit_ImportFrom(self, node):
+        if any(alias.name == self.name for alias in node.names):
+            self._read(node)
+
+
+def readers(source, name="ENUMERATION_BOUND"):
+    visitor = _Readers(name)
+    visitor.visit(ast.parse(source))
+    return visitor.found
+
+
+def test_detects_enumeration_bound_readers():
+    source = ("from .perm import ENUMERATION_BOUND\n"
+              "ENUMERATION_BOUND = 1\n"
+              "class G:\n"
+              "    def walk(self):\n"
+              "        return ENUMERATION_BOUND\n"
+              "def witness(perm):\n"
+              "    return perm.ENUMERATION_BOUND\n")
+    assert readers(source) == [("", 1), ("G.walk", 5), ("witness", 7)]
+
+
+def test_enumeration_bound_read_only_by_the_walk():
+    found = {(path.name, scope) for path in sorted(SRC.rglob("*.py"))
+             for scope, _ in readers(path.read_text())}
+    assert found == {("perm.py", "PermGroup._cayley_walk")}

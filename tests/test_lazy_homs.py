@@ -41,14 +41,18 @@ from xmodlab.perm import (
     _kills_relators,
     _replay_walk,
     _tree_values,
+    abelian_invariants,
     cyclic,
+    direct_product,
+    fingerprint,
+    gl23,
     kernel,
     normal_closure,
     parse_permutation,
     quotient,
     symmetric,
 )
-from xmodlab.xmod import identity_xmod
+from xmodlab.xmod import identity_xmod, pi1
 
 WORKLOADS = Path(__file__).parent.parent / "perfbench" / "workloads.py"
 
@@ -295,3 +299,21 @@ def test_induce_reads_no_boundary_values():
     assert Xi.M.order() == 120
     assert "element_map" not in vars(X.boundary)
     assert "element_map" not in vars(iota)
+
+
+def test_invariants_build_no_projection(table_results, monkeypatch):
+    # pi1, fingerprints and invariant factors read only the quotient group,
+    # so no homomorphism is built and proved on the way
+    built = []
+    init = GroupHom.__init__
+
+    def counting(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    G, A, X6 = gl23(), direct_product(cyclic(4), cyclic(6)), table_results[5][0]
+    monkeypatch.setattr(GroupHom, "__init__", counting)
+    assert fingerprint(G).abelianization == (2,)
+    assert abelian_invariants(A) == [2, 12]
+    assert pi1(X6).order() == 2
+    assert built == []

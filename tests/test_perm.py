@@ -24,6 +24,7 @@ from xmodlab.errors import (
     DegreeMismatch,
     EnumerationBoundExceeded,
     NonAbelian,
+    NonNormal,
     NotInGroup,
     ParseError,
     RelationViolated,
@@ -158,6 +159,8 @@ class TestPermutation:
             parse_permutation("(1,2)(2,3)", 3)
         with pytest.raises(DegreeMismatch):
             P("(1,2)", 2) * P("(1,2)", 3)
+        with pytest.raises(DegreeMismatch):
+            P("(1,2)", 2).conj(P("(1,2)", 3))
 
     def test_cycles_and_str(self):
         g = P("(2,5)(1,4,3)", 5)
@@ -471,7 +474,7 @@ class TestNormalityWitness:
     @settings(max_examples=80, deadline=None)
     @given(random_groups(), st.data())
     def test_first_witness_matches_the_conj_oracle(self, spec, data):
-        # the witness read off base images is the first pair whose
+        # the witness found by sifting is the first pair whose
         # conjugate, formed as a product, lies outside N
         degree, gens = spec
         G = PermGroup(degree, gens)
@@ -509,6 +512,24 @@ class TestNormalityWitness:
         assert S8_in_S9.order() == 40320
         assert perm._normality_witness(S8_in_S9, S9) == (c8, S9.generators[1])
         assert not S8_in_S9.is_normal_in(S9)
+
+    def test_pinned_witnesses_leave_n_unwalked(self):
+        # the cases above, each on a fresh N, below the enumeration bound
+        # and above it
+        S4, S8, S9 = symmetric(4), symmetric(8), symmetric(9)
+        c, c8 = P("(1,2,3,4)", 4), P("(1,2,3,4,5,6,7,8)", 9)
+        cases = [
+            (S4.subgroup([P("(1,2)", 4), P("(2,3)", 4)]), S4,
+             (P("(2,3)", 4), c)),
+            (S4.subgroup([P("(1,2)", 4), P("(3,4)", 4)]), S4,
+             (P("(1,2)", 4), c)),
+            (normal_closure(S4, [P("(1,2)(3,4)", 4)]), S4, None),
+            (normal_closure(S8, [P("(1,2,3)", 8)]), S8, None),
+            (S9.subgroup([P("(1,2)", 9), c8]), S9, (c8, S9.generators[1])),
+        ]
+        for N, G, want in cases:
+            assert perm._normality_witness(N, G) == want
+            assert N._walk is None
 
 
 class TestHoms:
@@ -565,6 +586,19 @@ class TestHoms:
         for g in S4.generators:
             for h in S4.generators:
                 assert proj.apply(g * h) == proj.apply(g) * proj.apply(h)
+
+    def test_projection_maps_generators_to_quotient_generators(self):
+        S4 = symmetric(4)
+        for N in [normal_closure(S4, [P("(1,2)(3,4)", 4)]),
+                  derived_subgroup(S4), S4, S4.subgroup([])]:
+            Q, proj = quotient(S4, N)
+            assert proj.source is S4 and proj.target is Q
+            assert proj.images == Q.generators
+            assert Q.order() * N.order() == S4.order()
+        # the first escaping pair of _normality_witness, as before
+        with pytest.raises(NonNormal) as e:
+            quotient(S4, S4.subgroup([P("(1,2)", 4), P("(3,4)", 4)]))
+        assert e.value.witness == (P("(1,2)", 4), P("(1,2,3,4)", 4))
 
     def test_quotient_requires_normal(self):
         from xmodlab.errors import NonNormal

@@ -1,8 +1,9 @@
-"""Every typed bound refusal names the bound it met.
+"""Every typed bound refusal names the bound it met, and carries it.
 
 Each case runs one input past one hard bound of the package and requires
 the bound's value in the refusal's message (on stderr, for the command
-line, which exits 2).  Enumeration is refused by a group's Cayley walk
+line, which exits 2), and, for a refusal raised by the library, as its
+``limit``.  Enumeration is refused by a group's Cayley walk
 alone, so a crossed module, an action and a fingerprint over S8 all meet
 the same ``order 40320 exceeds 10000``.
 """
@@ -53,12 +54,12 @@ def trivial_module_over_s8():
 
 
 def refused(error, run):
-    """The message of the ``error`` that ``run()`` must raise."""
-    def message():
+    """The ``error`` that ``run()`` must raise."""
+    def raised():
         with pytest.raises(error) as info:
             run()
-        return str(info.value)
-    return message
+        return info.value
+    return raised
 
 
 def identify_s8():
@@ -71,7 +72,8 @@ def identify_s8():
     return err.getvalue()
 
 
-# the bound each case meets, and the message of its refusal
+# the bound each case meets, and its refusal: the library's error, or the
+# command line's stderr
 REFUSALS = {
     "identity_xmod(S8)": (ENUMERATION_BOUND, refused(
         EnumerationBoundExceeded, lambda: identity_xmod(symmetric(8)))),
@@ -95,5 +97,11 @@ REFUSALS = {
 
 @pytest.mark.parametrize("case", list(REFUSALS))
 def test_refusal_names_its_bound(case):
-    bound, message = REFUSALS[case]
-    assert str(bound) in message()
+    bound, refusal = REFUSALS[case]
+    assert str(bound) in str(refusal())
+
+
+@pytest.mark.parametrize("case", [c for c in REFUSALS if c != "identify S8"])
+def test_refusal_carries_its_bound(case):
+    bound, refusal = REFUSALS[case]
+    assert refusal().limit == bound
