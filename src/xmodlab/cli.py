@@ -1,12 +1,16 @@
 """Command line interface.
 
-Commands: ``induce``, ``table``, ``check``, ``identify``, ``iso``.  Group
-and subgroup flags take inline cycle notation; crossed modules travel as
-JSON files.  Exit codes: 0 success, 1 failed verification, a negative
-isomorphism answer or standard output closed early by its reader (as by
-``| head``; the command then stops without a traceback), 2 malformed input,
-3 coset limit exceeded, 4 internal validation failure.  ``XMODLAB_LIMIT``
-overrides the default coset limit; a limit below 1 is malformed input.
+Commands: ``induce``, ``table``, ``check``, ``identify``, ``iso``.  Each
+accepts only the options it reads: ``--degree`` and ``--group`` on
+``induce``, ``identify`` and ``iso``; ``--limit`` on ``induce``, ``table``
+and ``iso``; ``--json`` on ``induce``, ``table`` and ``identify``; any
+other option is malformed input.  Group and subgroup flags take inline
+cycle notation; crossed modules travel as JSON files.  Exit codes: 0
+success, 1 failed verification, a negative isomorphism answer or standard
+output closed early by its reader (as by ``| head``; the command then
+stops without a traceback), 2 malformed input, 3 coset limit exceeded, 4
+internal validation failure.  ``XMODLAB_LIMIT`` overrides the default
+coset limit; a limit below 1 is malformed input.
 ``--stats`` on ``induce`` and ``table`` prints one line per induction on
 stderr (``Report.stats`` and ``Report.phases``) and leaves stdout as it is.
 """
@@ -246,14 +250,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, group=True):
+    def group_flags(p):
         p.add_argument("--degree", type=int, default=4,
                        help="degree of the ambient group (default 4)")
-        if group:
-            p.add_argument("--group", default="(1,2),(1,2,3,4)",
-                           help="ambient group generators (default S4)")
+        p.add_argument("--group", default="(1,2),(1,2,3,4)",
+                       help="ambient group generators (default S4)")
+
+    def limit_flag(p):
         p.add_argument("--limit", type=int, default=None,
                        help="coset limit (default XMODLAB_LIMIT or 65536)")
+
+    def json_flag(p):
         p.add_argument("--json", action="store_true",
                        help="machine-readable output")
 
@@ -263,7 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "presentation size and phase seconds to stderr")
 
     p = sub.add_parser("induce", help="induce a crossed module along P <= Q")
-    common(p)
+    group_flags(p)
+    limit_flag(p)
+    json_flag(p)
     p.add_argument("--sub", required=True,
                    help="subgroup generators in cycle notation")
     p.add_argument("--dump-xmod", metavar="PATH",
@@ -272,7 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_induce)
 
     p = sub.add_parser("table", help="compute the bundled S4 reference table")
-    common(p, group=False)
+    limit_flag(p)
+    json_flag(p)
     p.add_argument("--row", type=int, default=None,
                    help="compute a single 1-based row")
     p.add_argument("--verify", action="store_true",
@@ -285,11 +295,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("identify", help="fingerprint and name a group")
-    common(p)
+    group_flags(p)
+    json_flag(p)
     p.set_defaults(func=cmd_identify)
 
     p = sub.add_parser("iso", help="isomorphism search with witness")
-    common(p)
+    group_flags(p)
+    limit_flag(p)
     p.add_argument("--xmod", dest="xmod_pair", action=_pair("--xmod"),
                    metavar="PATH", default=None,
                    help="crossed module JSON file (give twice)")

@@ -20,21 +20,21 @@ are counted before a word is built, and a presentation of more than
 ``induce`` reads M off the action of the presented group G on the cosets
 of a subgroup, in one loop over two attempts: over H, the copy of M at the
 identity coset, offered only when M's boundary is injective, then over the
-trivial subgroup.  Each attempt enumerates the cosets and builds a chain
-stopped at the number of cosets times a bound for the subgroup's order
-(``PermGroup._bounded``); reaching that bound proves the action faithful
-(the proof is in ``induce``).  Over H the bound is ``[G:H]·|M|``, which
-``P = Q`` falls short of; over the trivial subgroup G acts regularly and
-reaches the bound at the first chain level, with no Schreier generator.
-Either way M is the presented group, so M carries the presentation's
-relators, and the boundary and the action are proved homomorphisms by them
-(von Dyck's theorem, in ``perm.GroupHom``), not by a walk over M's Cayley
-graph; the axioms are re-checked by ``validate``.
+trivial subgroup.  Each attempt enumerates the cosets and sifts the
+permutations the generators induce on them (``perm._sifted``), keeping
+only those that enlarge the group so far, into a chain stopped at the
+number of cosets times a bound for the subgroup's order; reaching that
+bound proves the action faithful (the proof is in ``induce``).  Over H the
+bound is ``[G:H]·|M|``, which ``P = Q`` falls short of; over the trivial
+subgroup G acts regularly and reaches it.  So M is generated by an
+irredundant sublist of the coset permutations, and the boundary and the
+action are proved homomorphisms by the walk rule over M's Cayley graph
+(``perm._replay_walk``), like every map; the axioms are re-checked by
+``validate``.
 
-One tracer, ``perm._kills_relators``, decides whether relators die on the
-base points of the group their images lie in, without products: for the
-boundary on the base group (``InducedPresentation.boundary_kills_relators``)
-and for every map out of M.
+``InducedPresentation.boundary_kills_relators`` decides whether the
+relators die under the boundary, on the base points of the base group,
+without products.
 
 ``run_table`` reproduces the bundled reference table for the seven standard
 subgroups of S4 with M = P and the identity boundary.
@@ -67,9 +67,9 @@ from .perm import (
     GroupHom,
     PermGroup,
     Permutation,
-    _kills_relators,
     _off_tree_edges,
     _right_cosets,
+    _sifted,
     _tree_values,
     abelian_invariants,
     cyclic,
@@ -128,9 +128,17 @@ class InducedPresentation:
         for im in images:
             if im not in self.base:
                 raise NotInGroup(f"boundary image {im} is not in the base group")
-        return _kills_relators(
-            (w.letters for w in self.presentation.relators), images,
-            self.base._base())
+        base = self.base._base()
+        # indexed by the exponent: [1] the image, [-1] its inverse
+        steps = [(None, im.images, im.inverse().images) for im in images]
+        for w in self.presentation.relators:
+            for b in base:
+                x = b
+                for g, e in w.letters:
+                    x = steps[g][e][x - 1]
+                if x != b:
+                    return False
+        return True
 
 
 def _word_image(word: Word, perms) -> Permutation:
@@ -512,23 +520,6 @@ def match_catalogue(G: PermGroup) -> str | None:
     return _named(G, catalogue=True)
 
 
-def _attach_relators(M: PermGroup, pres: Presentation, keep) -> None:
-    """Give M the relators of ``pres`` on M's generators
-    (``PermGroup._relators``), by which ``GroupHom`` proves maps out of M.
-
-    The caller has proved that M, generated by the permutations of the
-    presentation generators listed in ``keep``, is the presented group
-    acting faithfully, and every generator left out acts trivially: it is
-    the identity of the group.  So deleting its letters from the relators
-    still presents the group (a Tietze move), and generator ``keep[i]``
-    becomes M's generator i.
-    """
-    rename = {(k, e): (i, e) for i, k in enumerate(keep) for e in (1, -1)}
-    M._relators = tuple(
-        tuple([rename[x] for x in w.letters if x in rename])
-        for w in pres.relators)
-
-
 def induce(
     X: CrossedModule,
     iota: GroupHom,
@@ -539,10 +530,10 @@ def induce(
 
     The top group G of ``induced_presentation`` is read off its action on
     the cosets of a subgroup K, in two attempts, each of which enumerates
-    the cosets of K and builds the chain of the permutations G induces on
-    them, stopped at ``[G:K]`` times a bound for ``|K|``
-    (``PermGroup._bounded``), and M is read off the first attempt that
-    reaches its bound.  The attempt over H comes first, offered only when
+    the cosets of K and sifts the permutations G's generators induce on
+    them into a chain stopped at ``[G:K]`` times a bound for ``|K|``
+    (``perm._sifted``), and M is read off the first attempt that reaches
+    its bound.  The attempt over H comes first, offered only when
     X's boundary is injective: H is the copy of M at the coset of iota(P),
     generated by the words ``(g, t0)`` with t0 the transversal element in
     iota(P), and the bound is ``[G:H]·|M|``.  Why the action of G on the
@@ -554,7 +545,7 @@ def induce(
       when ``iota d`` is injective, so is phi, and ``|G| = [G:H]·|M|``.
     - The group of the permutations G induces on the cosets of H is a
       quotient of G.  Its chain is built to stop at ``[G:H]·|M|``
-      (``PermGroup._bounded``): a chain never has a larger product of
+      (``perm._sifted``): a chain never has a larger product of
       transversal lengths than the order of its group, so reaching that
       bound proves the quotient has order ``|G|``, the action faithful and
       the chain complete.
@@ -567,17 +558,18 @@ def induce(
     chain falls short (as for ``P = Q``), the second attempt enumerates G
     over the trivial subgroup of the same presentation, with bound 1 for
     its order.  G acts regularly on those cosets, so the chain reaches the
-    bound, the number of cosets, at its first level without a single
-    Schreier generator.
+    bound, the number of cosets.
 
-    Either way M is G, acting faithfully, so ``_attach_relators`` gives M
-    the presentation's relators on its generators, and the boundary and
-    each action entry are proved homomorphisms by them (von Dyck's theorem;
-    ``perm.GroupHom``): each relator is traced from each base point of the
-    target, the keys are filled along M's spanning tree, and no edge of M's
-    Cayley graph is checked.  Generator k's image under a generator q of
-    Q is the product of the coset permutations along its word
-    ``act_gen(k, q)``.  The action entries keep their keys only;
+    Either way M is G, acting faithfully.  Sifting keeps a coset
+    permutation only when it lies outside the group generated by those
+    kept before it, so M's generators are an irredundant sublist of them,
+    and ``keep`` lists the presentation generators they belong to; the
+    rest lie in M and are not needed.  The boundary and each action entry
+    are given on the kept generators and proved homomorphisms by the walk
+    rule (``perm.GroupHom``), on the ``|M|·(k-1)+1`` Schreier edges of M's
+    Cayley walk for k kept generators.  Generator k's image under a
+    generator q of Q is the product of the coset permutations along its
+    word ``act_gen(k, q)``.  The action entries keep their keys only;
     ``CrossedModule`` reads them as index arrays, and none multiplies out
     its values.
 
@@ -605,18 +597,14 @@ def induce(
         ct = todd_coxeter(pres, words, max_cosets)
         lap("todd_coxeter")
         gen_perms = _coset_action(ct)
-        # generators that act trivially only clutter the generator list;
-        # the rest still generate.  M's identity is not among them, so one
-        # acts trivially only when it dies in G, which needs a boundary
-        # that is not injective: with one, each copy of M embeds in G
-        keep = [k for k in range(pres.ngens) if not gen_perms[k].is_identity()]
         bound = ct.ncosets * order
-        Mstar = PermGroup._bounded(
-            ct.ncosets, [gen_perms[k] for k in keep], bound)
+        Mstar = _sifted(ct.ncosets, gen_perms, order=bound)
         lap("chain")
         if Mstar.order() == bound:
             break
-    _attach_relators(Mstar, pres, keep)
+    # a kept permutation is the first of its value: a later equal one
+    # would have sifted to the identity
+    keep = [gen_perms.index(g) for g in Mstar.generators]
     Q = iota.target
     boundary = hom(Mstar, Q, [ip.boundary_images[k] for k in keep])
     action = []

@@ -23,9 +23,10 @@ relators present G on its generators (Schreier's lemma), and
 ``induce._schreier_relators`` spells them.  So a map filled along the tree
 is a homomorphism exactly when each Schreier edge leads from its tail's
 value to its endpoint's (von Dyck's theorem), and that is all the walk
-rule, ``_replay_walk``, checks.  A group that carries a presentation on its
-generators (the induced M, see ``induce``) proves its maps by its own
-relators instead, which ``_kills_relators`` traces on base points.
+rule, ``_replay_walk``, checks.  It proves every map out of every group,
+so its cost grows with the number of generators: the groups the package
+builds from many candidates (the induced M, kernels, closures) keep only
+the ones that enlarge the group (``_sifted``).
 
 The chain is complete, so an element of the group is fixed by where it sends
 the base points (Seress, *Permutation Group Algorithms*): two elements with the
@@ -45,20 +46,19 @@ with ``PermGroup._bounded``: the Schreier-Sims check loop stops once the
 chain reaches the bound, which proves the chain complete.  A group that
 acts regularly has its degree as the bound and reaches it at level 0,
 without a single Schreier generator: a quotient on the cosets of its normal
-subgroup, the induced M on a coset table over the trivial subgroup, and the
-right-regular M that ``squares.gamma`` rebuilds from squares.  The induced
-M on the cosets of a subgroup H has the order ``[G:H]·|M|`` of the
-presented group as its bound.
+subgroup and the right-regular M that ``squares.gamma`` rebuilds from
+squares.
 
 One function, ``_extend_chain``, opens and extends every chain:
 ``_build_chain`` hands it a group's generators at once.  Kernels, images,
 centres, normal closures and derived subgroups are grown by one loop,
 ``_sifted``, which keeps a candidate generator only if it enlarges the group
 so far and hands each generator it keeps to ``_extend_chain``, and stops at
-a known order if it is given one; generators passed to ``PermGroup`` are
-kept as given.  Normality is decided by sifting: each generator of N
-conjugated by each generator of G is sifted through N's chain
-(``_normality_witness``), so N is never walked for it.  ``quotient``
+a bound for the order if it is given one: the induced M is read off its
+coset permutations that way (``induce``).  Generators passed to
+``PermGroup`` are kept as given.  Normality is decided by sifting: each
+generator of N conjugated by each generator of G is sifted through N's
+chain (``_normality_witness``), so N is never walked for it.  ``quotient``
 returns G/N with its projection; the callers that read only the group
 (``abelian_invariants``, fingerprints, ``xmod.pi1``) build it with
 ``_quotient_group`` and prove no homomorphism.
@@ -412,9 +412,6 @@ class PermGroup:
         self._by_key = None
         self._ctx = None
         self._fingerprint = None
-        # relators presenting the group on ``generators``, as sequences of
-        # (generator, exponent) letters; set only by ``induce`` (``GroupHom``)
-        self._relators = None
 
     @property
     def identity(self) -> Permutation:
@@ -736,23 +733,15 @@ class GroupHom:
     Every value lies in the target, whose chain is complete, so a key fixes
     its value; ``is_injective``, ``is_surjective``, ``kernel`` and
     ``_index_array`` read the keys.  Construction fills the keys once,
-    along the source's spanning tree (``_tree_values``), and then proves
-    them in one of two ways:
-
-    - a source that carries a presentation on its generators
-      (``PermGroup._relators``, which ``induce`` sets on the group it has
-      proved presented) maps by a homomorphism exactly when every relator
-      dies (von Dyck's theorem); ``_kills_relators`` decides that on the
-      target's base points, and no edge of the walk is checked;
-    - otherwise, or when a relator survives, ``_replay_walk`` checks the
-      Schreier edges of the source's Cayley walk (walked once per group,
-      not once per homomorphism) and raises ``RelationViolated`` at the
-      first one, in walk order, that does not lead to its endpoint's key,
-      with that endpoint as the witness.
+    along the source's spanning tree (``_tree_values``), and proves them
+    with ``_replay_walk``, which checks the Schreier edges of the source's
+    Cayley walk (walked once per group, not once per homomorphism) and
+    raises ``RelationViolated`` at the first one, in walk order, that does
+    not lead to its endpoint's key, with that endpoint as the witness.
 
     The values themselves are multiplied out only when ``element_map`` is
-    first read, by the same fill with products in place of keys.  Either
-    way the source is walked, so sources above ``ENUMERATION_BOUND`` raise
+    first read, by the same fill with products in place of keys.  The
+    source is walked, so sources above ``ENUMERATION_BOUND`` raise
     ``EnumerationBoundExceeded``.
     """
 
@@ -772,14 +761,11 @@ class GroupHom:
         self.source = source
         self.target = target
         self.images = images
-        base = target._base()
-        self._keys = _tree_values(source, base, images, _image_key)
-        relators = source._relators
-        if relators is None or not _kills_relators(relators, images, base):
-            _replay_walk(
-                source, self._keys, images, _image_key,
-                "generator images do not respect the relations of the source",
-            )
+        self._keys = _tree_values(source, target._base(), images, _image_key)
+        _replay_walk(
+            source, self._keys, images, _image_key,
+            "generator images do not respect the relations of the source",
+        )
 
     @cached_property
     def element_map(self) -> dict:
@@ -869,34 +855,11 @@ def _tree_values(G: PermGroup, start, images, step) -> list:
     the spanning tree of G's Cayley walk (``PermGroup._spanning_tree``):
     ``start`` at the identity, and ``step(value(x), image(g))`` at the end
     of the tree edge ``x -> x*g``.  The one routine that fills values along
-    a tree; relations are not checked (``_replay_walk``,
-    ``_kills_relators``)."""
+    a tree; relations are not checked (``_replay_walk``)."""
     values = [start]
     for i, s in G._spanning_tree():
         values.append(step(values[i], images[s]))
     return values
-
-
-def _kills_relators(relators, images, base) -> bool:
-    """Whether every relator maps to the identity under ``images``.
-
-    A relator is a sequence of ``(generator, exponent)`` letters, exponent
-    1 or -1, and ``images`` lie in a group with base ``base``
-    (``PermGroup._base``).  So does a relator's image, which is the
-    identity exactly when it fixes every base point.  Each relator is
-    traced from each base point through the point maps of its letters'
-    images and their inverses: ``letters * |base|`` lookups, no product.
-    """
-    # indexed by the exponent: [1] the image, [-1] its inverse
-    steps = [(None, im.images, im.inverse().images) for im in images]
-    for w in relators:
-        for b in base:
-            x = b
-            for g, e in w:
-                x = steps[g][e][x - 1]
-            if x != b:
-                return False
-    return True
 
 
 def hom(source: PermGroup, target: PermGroup, images) -> GroupHom:
@@ -941,10 +904,14 @@ def _sifted(degree: int, candidates, conjugators=(), order=None) -> PermGroup:
     they generate (Seress, *Permutation Group Algorithms*).  One chain is
     kept and extended with each kept generator, never rebuilt.
 
-    ``order``, if given, is the order of the group the candidates generate.
-    The chain stops its check loop on reaching it (``_complete_chain``), and
-    the remaining candidates, which all lie in the group, are not sifted:
-    the kept generators are the same."""
+    ``order``, if given, is an upper bound for the order of the group the
+    candidates generate, and may be that order.  The chain stops its check
+    loop on reaching it (``_complete_chain``), and the remaining candidates,
+    which all lie in the group, are not sifted: the kept generators are the
+    same.  A chain never has a larger product of transversal lengths than
+    the order of its group, so reaching the bound proves the chain complete;
+    a group that falls short of it gets its full check loop at every kept
+    generator.  Either way the chain is complete."""
     gens = []
     levels = []
     queue = list(candidates)

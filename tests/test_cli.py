@@ -94,6 +94,19 @@ class TestParsing:
         assert "1..7" in err
 
     @pytest.mark.parametrize("argv", [
+        ("table", "--degree", "0"),
+        ("identify", "--limit", "0"),
+        ("iso", "--json", "--group-pair", "(1,2)", "--group-pair", "(1,2)"),
+    ], ids=["table-degree", "identify-limit", "iso-json"])
+    def test_option_the_command_does_not_read(self, capsys, argv):
+        # each of these once parsed and was ignored: table has no group,
+        # identify enumerates no cosets and iso prints text only
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2
+        assert out == ""
+        assert f"unrecognized arguments: {argv[1]}" in err
+
+    @pytest.mark.parametrize("argv", [
         ("identify", "--group", "()"),
         ("induce", "--group", "()", "--sub", "()"),
         ("iso", "--group-pair", "()", "--group-pair", "()"),

@@ -16,20 +16,22 @@ import pytest
 from xmodlab.cli import main
 from xmodlab.induce import induce, induced_presentation, table_subgroup
 from xmodlab.perm import PermGroup, cyclic, hom, parse_generator_list, symmetric
-from xmodlab.xmod import CrossedModule, identity_xmod
+from xmodlab.xmod import CrossedModule, identity_xmod, xmod_from_json
 
 ROOT = Path(__file__).parent.parent
 GOLDEN = ROOT / "perfbench" / "golden" / "table_verify.json"
 
 # sha256 of the --dump-xmod file, re-recorded when M came to be read off
 # the cosets of the copy of P at the identity coset (row 6's M on 24
-# points, row 7's on 64); perfbench/fixtures/row6.json keeps row 6 as
-# first written, on 72 points
+# points, row 7's on 64), and again when M came to keep only the coset
+# permutations that enlarge the group (row 6's 8 generators became 2, row
+# 7's 12 became 6; DUMP_CONTENTS below held across that change);
+# perfbench/fixtures/row6.json keeps row 6 as first written, on 72 points
 DUMPS = {
     "row6": ("(1,2,3)",
-             "44bee9dca43759a44bc052f444268b90f45c100f00d163c11034e35b1da79ea1"),
+             "229aca0ac04b160dfb4eb143d09b40b431ce4fe6a76c0810a239dba0cc82cad4"),
     "row7": ("(1,2)(3,4)",
-             "b449394fdbbd0d593705f8eaa5535a409f35f8a35574716e8fda218af8b2e8fd"),
+             "8730f6930ea7be96539184dffc08d23f1b989b480085834e2625faa4c1a4c43a"),
 }
 
 
@@ -62,6 +64,34 @@ def test_dump_xmod_bytes_pinned(capsys, tmp_path, row):
     path = tmp_path / "xmod.json"
     assert main(["induce", "--sub", sub, "--dump-xmod", str(path)]) == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+# sha256 of what a dump says about the module, whatever generators it
+# lists for M: M's elements in sorted order, and the boundary and each
+# action entry as sorted (m, image) pairs, read back with xmod_from_json.
+# The bytes above change with M's generating set; these must not
+DUMP_CONTENTS = {
+    "row6": "1f6aac34f34744496759709f40de692814e86a3fb863a15959755b0a0f8ce9f5",
+    "row7": "23c313f04337b0c032f1516d616a16e2f214f08593083374d8a052637f8480be",
+}
+
+
+def sorted_pairs(h):
+    return sorted((p.images, v.images) for p, v in h.element_map.items())
+
+
+@pytest.mark.parametrize("row", sorted(DUMP_CONTENTS))
+def test_dump_xmod_content_pinned(capsys, tmp_path, row):
+    sub, _ = DUMPS[row]
+    path = tmp_path / "xmod.json"
+    assert main(["induce", "--sub", sub, "--dump-xmod", str(path)]) == 0
+    X = xmod_from_json(path.read_text())
+    content = repr((
+        [p.images for p in X.M.elements()],
+        sorted_pairs(X.boundary),
+        [sorted_pairs(a) for a in X.action],
+    ))
+    assert hashlib.sha256(content.encode()).hexdigest() == DUMP_CONTENTS[row]
 
 
 # sha256 of ``induced_presentation(identity_xmod(P), P <= Q)``'s

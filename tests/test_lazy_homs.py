@@ -1,19 +1,18 @@
 """Homomorphisms that keep keys, and maps out of the induced M proved by
-relators.
+the walk rule.
 
 A ``GroupHom`` keeps the target's base images of each value and
 multiplies values out only when ``element_map`` is read.  These checks hold
 it to the product replay of ``support``: the same element map, the same
 injectivity and surjectivity, the same kernel generators (members sifted in
-ascending order) and the same ``RelationViolated`` witness.
+ascending order) and the same ``RelationViolated`` witness, on random
+groups and on the action entries of the S4 table's M and of finite
+quotients of free crossed modules, each also corrupted one image at a time.
 
-A group that ``induce`` has proved presented carries the relators, and a
-map out of it is a homomorphism exactly when each relator dies (von Dyck).
-The relator proof must reject exactly the assignments the edge-checked walk
-rejects, on the S4 table's M and on a finite quotient of a free crossed
-module, and ``GroupHom`` must then raise the walk's witness.  After
-``induce``, no action entry has multiplied out its values and the walk has
-never run over M.
+``induce`` reads M on an irredundant sublist of its coset permutations, and
+proves the boundary and the action on the ``|M|·(k-1)+1`` Schreier edges
+of M's Cayley walk for k generators.  After ``induce``, no action entry has
+multiplied out its values.
 """
 
 import importlib.util
@@ -28,19 +27,11 @@ from support import closure, product_replay, tidentity
 from xmodlab import perm
 from xmodlab.errors import RelationViolated
 from xmodlab.fp import Presentation, Word, _coset_action, todd_coxeter
-from xmodlab.induce import (
-    _attach_relators,
-    _word_image,
-    free_crossed_module_presentation,
-)
+from xmodlab.induce import _word_image, free_crossed_module_presentation
 from xmodlab.perm import (
     GroupHom,
     PermGroup,
     Permutation,
-    _image_key,
-    _kills_relators,
-    _replay_walk,
-    _tree_values,
     abelian_invariants,
     cyclic,
     direct_product,
@@ -135,25 +126,15 @@ class TestAgainstProductReplay:
 
 
 # ---------------------------------------------------------------------------
-# the relator proof against the edge-checked walk
-
-
-def walk_witness(M, images):
-    """The edge-checked walk's verdict on images of M's generators in M:
-    the keys filled along the tree, or the endpoint of its first conflict."""
-    keys = _tree_values(M, M._base(), images, _image_key)
-    try:
-        _replay_walk(M, keys, images, _image_key, "walk")
-        return keys, None
-    except RelationViolated as exc:
-        return None, exc.witness
+# the walk rule on the induced M and on free quotients
 
 
 def free_quotient(P, relation, power):
     """The free crossed module on one relation of P, made finite by the
     relators ``x^power`` on every generator: M regular on the cosets of the
-    trivial subgroup, with its relators, and each generator of P's action
-    as images of M's generators.
+    trivial subgroup, on the coset permutations that enlarge the group (as
+    ``induce`` reads M), and each generator of P's action as images of M's
+    generators.
 
     The action permutes the generators, and it maps each Peiffer relator
     ``x^-1 y x (y^(dx))^-1`` to the one at the images of x and y, and each
@@ -166,15 +147,14 @@ def free_quotient(P, relation, power):
     pres = Presentation(pres.ngens, pres.relators + powers)
     ct = todd_coxeter(pres, ())
     perms = _coset_action(ct)
-    keep = [k for k in range(pres.ngens) if not perms[k].is_identity()]
-    M = PermGroup._bounded(ct.ncosets, [perms[k] for k in keep], ct.ncosets)
-    _attach_relators(M, pres, keep)
+    M = perm._sifted(ct.ncosets, perms, order=ct.ncosets)
+    keep = [perms.index(g) for g in M.generators]
     action = [[_word_image(ip.act_gen(k, q), perms) for k in keep]
               for q in P.generators]
     return M, action
 
 
-def relator_cases(table_results):
+def walk_cases(table_results):
     """(M, images of M's generators for one generator of the base group)
     for every action entry of the S4 table and of three free quotients."""
     cases = [(X.M, list(a.images)) for X, _ in table_results
@@ -184,7 +164,7 @@ def relator_cases(table_results):
                                (cyclic(2), "(1,2)", 3)):
         M, action = free_quotient(P, parse_permutation(relation, P.degree),
                                   power)
-        assert M._relators is not None and M.order() > 1
+        assert M.order() > 1
         cases += [(M, images) for images in action]
     return cases
 
@@ -200,52 +180,52 @@ def corruptions(M, images):
         yield turned
 
 
-class TestRelatorProof:
-    def test_induced_and_free_modules_carry_relators(self, table_results):
-        for X, _ in table_results:
-            assert X.M._relators is not None
-            assert _kills_relators(X.M._relators, X.M.generators,
-                                   X.M._base())
-
-    def test_rejects_exactly_when_the_walk_does(self, table_results):
-        rejected = accepted = 0
-        for M, images in relator_cases(table_results):
-            for turned in [images] + list(corruptions(M, images)):
-                keys, witness = walk_witness(M, turned)
-                proved = _kills_relators(M._relators, turned, M._base())
-                assert proved == (witness is None)
-                if witness is None:
-                    accepted += 1
-                    assert GroupHom(M, M, turned)._keys == keys
-                else:
-                    rejected += 1
-                    with pytest.raises(RelationViolated) as exc:
-                        GroupHom(M, M, turned)
-                    assert exc.value.witness == witness
-        assert rejected and accepted
-
-    def test_homomorphisms_skip_the_walk(self, table_results, monkeypatch):
-        sources = record_walks(monkeypatch)
-        for M, images in relator_cases(table_results):
-            GroupHom(M, M, images)
-        assert sources == []
+def test_walk_rule_matches_product_replay_on_induced_and_free_modules(
+        table_results):
+    # each action entry and each of its corruptions: GroupHom accepts
+    # exactly when the product replay does, with the same values, and
+    # otherwise raises the replay's witness
+    rejected = accepted = 0
+    for M, images in walk_cases(table_results):
+        gens = [g.images for g in M.generators]
+        for turned in [images] + list(corruptions(M, images)):
+            expected, conflict = product_replay(
+                M.degree, gens, M.degree, [im.images for im in turned])
+            if conflict is None:
+                accepted += 1
+                h = GroupHom(M, M, turned)
+                assert {p.images: v.images
+                        for p, v in h.element_map.items()} == expected
+            else:
+                rejected += 1
+                with pytest.raises(RelationViolated) as exc:
+                    GroupHom(M, M, turned)
+                assert exc.value.witness.images == conflict
+    assert rejected and accepted
 
 
 # ---------------------------------------------------------------------------
-# tripwire: induce multiplies out no action entry and never walks over M
+# tripwire: induce keeps an irredundant generating set, proves each map out
+# of M on its Schreier edges and multiplies out no action entry
 
 
 def record_walks(monkeypatch):
-    """The source of every ``_replay_walk`` call from now on."""
-    sources = []
+    """(source, steps taken) of every ``_replay_walk`` call from now on."""
+    walks = []
     walk = perm._replay_walk
 
-    def recording(G, *args):
-        sources.append(G)
-        return walk(G, *args)
+    def recording(G, values, images, step, violation):
+        steps = [0]
+
+        def counted(*args):
+            steps[0] += 1
+            return step(*args)
+
+        walk(G, values, images, counted, violation)
+        walks.append((G, steps[0]))
 
     monkeypatch.setattr(perm, "_replay_walk", recording)
-    return sources
+    return walks
 
 
 def s5_jobs():
@@ -258,31 +238,32 @@ def s5_jobs():
     return [job for group in workloads.s5_groups(state) for job in group]
 
 
-def assert_lazy(X, sources):
+def assert_walk_rule_on_irredundant_m(X, walks):
+    M = X.M
+    gens = M.generators
+    for i, g in enumerate(gens):
+        assert g not in PermGroup(M.degree, gens[:i])
     assert all("element_map" not in vars(a) for a in X.action)
-    assert not any(G is X.M for G in sources)
+    steps = [n for G, n in walks if G is M]
+    # the boundary and one entry per generator of Q, at least
+    assert len(steps) >= 1 + len(X.action)
+    assert set(steps) == {M.order() * (len(gens) - 1) + 1}
 
 
-def test_table_rows_prove_maps_by_relators(monkeypatch):
+def test_table_rows_walk_irredundant_generators(monkeypatch):
     from xmodlab.induce import run_table_full
 
-    sources = record_walks(monkeypatch)
+    walks = record_walks(monkeypatch)
     for X, _ in run_table_full():
-        assert_lazy(X, sources)
+        assert_walk_rule_on_irredundant_m(X, walks)
 
 
-def test_s5_jobs_prove_maps_by_relators(monkeypatch):
-    sources = record_walks(monkeypatch)
+def test_s5_jobs_walk_irredundant_generators(monkeypatch):
+    walks = record_walks(monkeypatch)
     for job in s5_jobs():
         X, report = job.run({})
         assert job.check((X, report)) == "ok"
-        assert_lazy(X, sources)
-
-
-def test_identity_module_has_no_relators():
-    # only induce attaches relators
-    X = identity_xmod(symmetric(3))
-    assert X.M._relators is None
+        assert_walk_rule_on_irredundant_m(X, walks)
 
 
 def test_induce_reads_no_boundary_values():

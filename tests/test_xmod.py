@@ -395,13 +395,15 @@ class TestIsomorphism:
 
     # sha256 of the repr of (f images, g images) as image tuples, re-recorded
     # when M came to be read off the cosets of the copy of P at the
-    # identity coset, and for (1, 2) and (3, 4) when each copy of M came to
-    # be generated by M's own generators
+    # identity coset, for (1, 2) and (3, 4) when each copy of M came to be
+    # generated by M's own generators, and for all four when M came to keep
+    # only the coset permutations that enlarge the group: f is listed on
+    # M's generators, and PINNED_MAPS below held across that change
     PINNED = {
-        (1, 2): "e2fcdca0f3cba8d08c66bb307c0dbc224b5d6b02fac00978edae4d34d626fc74",
-        (3, 4): "385aa7d43478641c1f467756312942c621981c75f4a04eefe16e9dac720755e3",
-        (6, 6): "b1fbd0b40eb7ccf480a7f754aee069ba6e733b16d4fc1c47d82918d856432024",
-        (7, 7): "2d4f553b106a0222a7542c38e77ba7523d7dd1b6dffabae4aa1cada93f9acddb",
+        (1, 2): "39e3ecf9c4b228fd272c7369f8c0b89612151920be45c74c32201704f8859aa1",
+        (3, 4): "0ecad93354789e4a33a72b79bc0f5e957f806811d041b5cad67582843ee00ced",
+        (6, 6): "eeaf8998cf9266d5d89c0f605d5a38785ba55ac661f5bdb343c4a33608b567e7",
+        (7, 7): "b6111a7522f9fce7e4ec83b76f115a9c5a8937ff0780f037627761f507ab106a",
     }
     # the same for row 6 as first written (perfbench/fixtures/row6.json),
     # recorded before the backtrack was shared with the group search
@@ -423,6 +425,27 @@ class TestIsomorphism:
         assert mor.verify(X, Y) and mor.is_isomorphism()
         assert self.digest(mor) == self.PINNED[rows]
         assert [str(q) for q in mor.g.images] == ["(1,2)", "(1,2,3,4)"]
+
+    # sha256 of the repr of (f, g) as sorted (element, image) pairs: the
+    # same witnesses as PINNED, read as maps on elements, so they do not
+    # depend on the generators M is listed with
+    PINNED_MAPS = {
+        (1, 2): "6f6e8dd89894364d08a52fcb0f53d7213590bf87f4ba674012285be3e5f48403",
+        (3, 4): "268c28bcaaec6de8a170c9704bae13b343e45b62b64f5e2ecd41ca516c640678",
+        (6, 6): "16222c30b5dfaa5d77f93d68ce9dc11e4fc98e16cb02c8ce7b7d2c7f939b1436",
+        (7, 7): "a5dd7cb75195e20a54312df16663f5e3fb9b0edc7e59ba66d6195f348cd00cb3",
+    }
+
+    @pytest.mark.parametrize("rows", sorted(PINNED_MAPS), ids=str)
+    def test_table_witness_maps_pinned(self, table_results, rows):
+        a, b = rows
+        X, Y = table_results[a - 1][0], table_results[b - 1][0]
+        mor = xmod_isomorphic(X, Y)
+        maps = repr(tuple(
+            sorted((p.images, v.images) for p, v in h.element_map.items())
+            for h in (mor.f, mor.g)))
+        assert hashlib.sha256(maps.encode()).hexdigest() == (
+            self.PINNED_MAPS[rows])
 
     def test_gamma_witness_pinned(self):
         X = xmod_from_json(ROW6.read_text())
