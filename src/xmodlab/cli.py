@@ -4,8 +4,10 @@ Commands: ``induce``, ``table``, ``check``, ``identify``, ``iso``.  Each
 accepts only the options it reads: ``--degree`` and ``--group`` on
 ``induce``, ``identify`` and ``iso``; ``--limit`` on ``induce``, ``table``
 and ``iso``; ``--json`` on ``induce``, ``table`` and ``identify``; any
-other option is malformed input.  Group and subgroup flags take inline
-cycle notation; crossed modules travel as JSON files.  Exit codes: 0
+other option is malformed input.  So does each mode of ``iso``: ``--sub``
+reads ``--degree``, ``--group`` and ``--limit``, ``--group-pair`` only
+``--degree`` and ``--xmod`` none of them.  Group and subgroup flags take
+inline cycle notation; crossed modules travel as JSON files.  Exit codes: 0
 success, 1 failed verification, a negative isomorphism answer or standard
 output closed early by its reader (as by ``| head``; the command then
 stops without a traceback), 2 malformed input, 3 coset limit exceeded, 4
@@ -51,6 +53,17 @@ from .xmod import (
     xmod_isomorphic,
     xmod_to_json,
 )
+
+
+_DEFAULT_DEGREE = 4
+_DEFAULT_GROUP = "(1,2),(1,2,3,4)"  # S4
+
+# the options of ``iso`` that each of its modes never reads
+_ISO_UNREAD = {
+    "--sub": (),
+    "--group-pair": ("--group", "--limit"),
+    "--xmod": ("--degree", "--group", "--limit"),
+}
 
 
 def _resolve_limit(args) -> int:
@@ -205,8 +218,17 @@ def cmd_iso(args) -> int:
             "pass exactly one of: two --xmod files, two --sub subgroups, "
             "or two --group-pair generator lists"
         )
-    if len(pairs[given[0]]) != 2:
-        raise ParseError(f"{given[0]} must be given exactly twice")
+    mode = given[0]
+    if len(pairs[mode]) != 2:
+        raise ParseError(f"{mode} must be given exactly twice")
+    for option in _ISO_UNREAD[mode]:
+        if getattr(args, option[2:]) is not None:
+            raise ParseError(f"iso {mode} does not read {option}")
+    # iso leaves these unset, so that an unread one shows
+    if args.degree is None:
+        args.degree = _DEFAULT_DEGREE
+    if args.group is None:
+        args.group = _DEFAULT_GROUP
     if args.group_pair is not None:
         return _iso_groups(args)
     if args.xmod_pair is not None:
@@ -251,9 +273,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def group_flags(p):
-        p.add_argument("--degree", type=int, default=4,
+        p.add_argument("--degree", type=int, default=_DEFAULT_DEGREE,
                        help="degree of the ambient group (default 4)")
-        p.add_argument("--group", default="(1,2),(1,2,3,4)",
+        p.add_argument("--group", default=_DEFAULT_GROUP,
                        help="ambient group generators (default S4)")
 
     def limit_flag(p):
@@ -302,6 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("iso", help="isomorphism search with witness")
     group_flags(p)
     limit_flag(p)
+    p.set_defaults(degree=None, group=None)  # filled in by cmd_iso
     p.add_argument("--xmod", dest="xmod_pair", action=_pair("--xmod"),
                    metavar="PATH", default=None,
                    help="crossed module JSON file (give twice)")

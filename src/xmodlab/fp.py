@@ -23,7 +23,7 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import BudgetExceeded, CosetLimitExceeded, IncompleteTable, ParseError
-from .perm import PermGroup, Permutation, _array, _object
+from .perm import PermGroup, Permutation, _array, _gather, _object
 
 DEFAULT_MAX_COSETS = 1 << 16
 RELATOR_LETTER_BUDGET = 1 << 20
@@ -415,12 +415,19 @@ def todd_coxeter(
                         rows[n][col ^ 1] = current
         current += 1
 
-    live = [i for i in range(len(rows)) if parent[i] == i]
-    for i in live:
-        if -1 in rows[i]:
-            raise AssertionError("enumeration left an undefined entry")
-    renumber = {old: new for new, old in enumerate(live)}
-    table = tuple(tuple(renumber[rep(e)] for e in rows[i]) for i in live)
+    # each defined coset's live number: a merged coset points at a smaller
+    # one (union by smaller representative), numbered before it
+    live = []
+    number = []
+    for i, p in enumerate(parent):
+        if p == i:
+            if -1 in rows[i]:
+                raise AssertionError("enumeration left an undefined entry")
+            number.append(len(live))
+            live.append(i)
+        else:
+            number.append(number[p])
+    table = tuple(_gather(rows[i], number) for i in live)
     return CosetTable(
         presentation=presentation,
         subgroup=tuple(subgroup_words),

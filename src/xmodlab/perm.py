@@ -35,8 +35,11 @@ stabilizer of a complete chain is trivial.  The walk, homomorphisms and
 the multiplication table of the isomorphism search look elements up and
 compare them by their base images, ``|base|`` lookups where a product costs
 ``degree``; the regular representation of a group has a base of one point.
-The walk discovers elements by their base images alone, then multiplies
-each out once, along its tree edge.  Base images also decide commutation
+Those ``degree`` lookups are gathered in C (``_gather``, one
+``operator.itemgetter`` per product), as are the compositions of a crossed
+module's action arrays and the renumbering of a coset table.  The walk
+discovers elements by their base images alone, then multiplies each out
+once, along its tree edge.  Base images also decide commutation
 (``_commute``), coset membership (``_right_cosets``, ``quotient``) and
 element order, which is the lcm of the lengths of the cycles through the
 base points (``PermGroup._element_orders``).
@@ -136,7 +139,8 @@ class Permutation:
         oi = other.images
         if len(si) != len(oi):
             raise DegreeMismatch(f"degree {len(si)} vs {len(oi)}")
-        return _trusted(tuple([oi[x - 1] for x in si]))
+        # the images of ``self`` index ``other``'s from 1
+        return _trusted(_gather(si, (0,) + oi))
 
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.images)
@@ -230,6 +234,17 @@ def _identity_images(degree: int) -> tuple[int, ...]:
     if images is None:
         images = _IDENTITY_IMAGES[degree] = tuple(range(1, degree + 1))
     return images
+
+
+def _gather(indices, values) -> tuple:
+    """``tuple(values[i] for i in indices)``, read in C by one
+    ``operator.itemgetter``.  A tuple for no index and for one index too,
+    where ``itemgetter`` would refuse or return the bare value.  It forms
+    permutation products, the action arrays of a crossed module and a
+    coset table's renumbering."""
+    if len(indices) > 1:
+        return itemgetter(*indices)(values)
+    return tuple([values[i] for i in indices])
 
 
 def _trusted(images: tuple) -> Permutation:
@@ -404,6 +419,8 @@ class PermGroup:
         self.generators = generators
         self._levels = levels
         self._order = _chain_order(levels)
+        # set by ``_sifted``: no generator lies in the group of those before
+        self._irredundant = False
         self._walk = None
         self._tree = None
         self._elements = None
@@ -922,7 +939,9 @@ def _sifted(degree: int, candidates, conjugators=(), order=None) -> PermGroup:
             gens.append(c)
             _extend_chain(levels, degree, [c], order)
             queue.extend(c.conj(g) for g in conjugators)
-    return PermGroup._on_chain(degree, gens, levels)
+    group = PermGroup._on_chain(degree, gens, levels)
+    group._irredundant = True
+    return group
 
 
 def normal_closure(G: PermGroup, elements) -> PermGroup:
@@ -1070,8 +1089,15 @@ def derived_subgroup(G: PermGroup) -> PermGroup:
     """G', the normal closure of the commutators of any generating set of G
     (modulo it those generators commute); the set used is G's generators
     sifted, so that redundant generators do not square the commutators.
-    They generate G, so the sifting stops at ``G.order()``."""
-    gens = _sifted(G.degree, G.generators, order=G.order()).generators
+
+    A group built by ``_sifted`` is used as it is: each of its generators
+    lies outside the group of those before it, so sifting them again would
+    keep the same list in the same order, on a second chain.  Any other
+    group's generators are sifted, stopping at ``G.order()``, as they
+    generate G."""
+    gens = G.generators
+    if not G._irredundant:
+        gens = _sifted(G.degree, gens, order=G.order()).generators
     return _sifted(
         G.degree,
         [a.commutator(b) for a, b in itertools.combinations(gens, 2)],

@@ -49,6 +49,7 @@ from .perm import (
     _array,
     _context,
     _extensions,
+    _gather,
     _generating_sequence,
     _iter_isomorphisms,
     _object,
@@ -93,25 +94,22 @@ class CrossedModule:
     def _action_table(self, arrays) -> dict:
         """Index array over M.elements() for every element of Q.
 
-        The whole arrays are filled once along Q's spanning tree
-        (``perm._tree_values``; Q is walked once per group, not per
-        module, and the walk refuses a Q too large to enumerate).  Each
-        array is an automorphism of M, so it is fixed by its entries at
-        M's generators, its key; the walk rule (``perm._replay_walk``)
-        proves the keys on the Schreier edges of Q's walk, or the
-        assignment does not factor through Q and is refused.
+        The whole arrays are filled once along Q's spanning tree, one
+        gather in C per tree edge (``perm._tree_values``, ``perm._gather``;
+        Q is walked once per group, not per module, and the walk refuses a
+        Q too large to enumerate).  Each array is an automorphism of M, so
+        it is fixed by its entries at M's generators, its key; the walk
+        rule (``perm._replay_walk``) proves the keys on the Schreier edges
+        of Q's walk, or the assignment does not factor through Q and is
+        refused.
         """
         index = self.M.element_index()
-
-        def compose(arr, garr):
-            return tuple([garr[i] for i in arr])
-
         values = _tree_values(self.Q, tuple(range(len(index))), arrays,
-                              compose)
+                              _gather)
         gens = [index[m] for m in self.M.generators]
         _replay_walk(
-            self.Q, [tuple([arr[i] for i in gens]) for arr in values], arrays,
-            compose, "action assignment does not respect the relations of Q",
+            self.Q, [_gather(gens, arr) for arr in values], arrays,
+            _gather, "action assignment does not respect the relations of Q",
         )
         return dict(zip(self.Q._cayley_walk()[0], values))
 

@@ -118,6 +118,28 @@ class TestParsing:
         assert out == ""
         assert f"--degree must be at least 1, got {degree}" in err
 
+    @pytest.mark.parametrize("mode, option, value", [
+        ("--xmod", "--degree", "4"),
+        ("--xmod", "--group", "(1,2)"),
+        ("--xmod", "--limit", "5"),
+        ("--group-pair", "--group", "bogus"),
+        ("--group-pair", "--limit", "0"),
+    ])
+    def test_option_the_iso_mode_does_not_read(self, capsys, tmp_path,
+                                               mode, option, value):
+        # --group-pair reads only --degree and --xmod reads none of the
+        # three; each of these once exited 0
+        if mode == "--xmod":
+            path = tmp_path / "x.json"
+            path.write_text(xmod_to_json(identity_xmod(cyclic(2))))
+            pair = (mode, str(path), mode, str(path))
+        else:
+            pair = (mode, "(1,2)", mode, "(1,2)")
+        rc, out, err = run(capsys, "iso", *pair, option, value)
+        assert rc == 2
+        assert out == ""
+        assert f"iso {mode} does not read {option}" in err
+
 
 class TestTable:
     def test_single_row(self, capsys):

@@ -71,6 +71,11 @@ SMALL = {
     "trivial": Presentation(1, (W([(0, 1)]),)),
     "collapse": Presentation(
         2, (W([(0, 1)] * 2), W([(1, 1)] * 2), W([(0, 1), (1, -1)]))),
+    # rows of no entry, and one generator whose cosets all merge into the
+    # first (a^3 = a^2 = 1): the renumbering's smallest tables
+    "no_generators": Presentation(0, ()),
+    "one_generator_collapse": Presentation(
+        1, (W([(0, 1)] * 3), W([(0, -1)] * 2))),
 }
 rng = random.Random(5)
 for _k in range(6):
@@ -82,7 +87,8 @@ def subgroup_choices(ngens):
     """No subgroup, each generator alone, all generators, and a longer word."""
     out = [(), tuple(W([(g, 1)]) for g in range(ngens))]
     out += [(W([(g, 1)]),) for g in range(ngens)]
-    out.append((W([(g, -1) for g in range(ngens)] + [(0, -1)]),))
+    if ngens:
+        out.append((W([(g, -1) for g in range(ngens)] + [(0, -1)]),))
     return out
 
 

@@ -149,6 +149,40 @@ class TestPermutation:
             assert p == Permutation(expected)
             assert hash(p) == hash(Permutation(expected))
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_gathered_products_match_tuple_oracle(self, data):
+        # products are gathered in C (``perm._gather``): equal to the tuple
+        # oracle and to plain indexing at every degree, and a product of two
+        # degrees is still refused
+        n = data.draw(st.integers(1, 8))
+        a, b = (
+            tuple(data.draw(st.permutations(list(range(1, n + 1)))))
+            for _ in range(2)
+        )
+        assert (Permutation(a) * Permutation(b)).images == tcompose(a, b)
+        indices = data.draw(st.lists(st.integers(0, n - 1), max_size=n + 2))
+        gathered = perm._gather(indices, b)
+        assert type(gathered) is tuple
+        assert gathered == tuple([b[i] for i in indices])
+        m = data.draw(st.integers(1, 8).filter(lambda m: m != n))
+        with pytest.raises(DegreeMismatch):
+            Permutation(a) * Permutation.identity(m)
+
+    def test_gather_edge_cases(self):
+        # itemgetter refuses no index and returns one index's value bare
+        assert perm._gather((), (5, 6)) == ()
+        assert perm._gather([], ()) == ()
+        assert perm._gather((1,), (5, 6)) == (6,)
+        assert perm._gather([0], [7]) == (7,)
+        assert perm._gather((1, 1, 0), (5, 6)) == (6, 6, 5)
+        one = Permutation.identity(1)
+        assert (one * one).images == (1,) == tcompose((1,), (1,))
+        with pytest.raises(DegreeMismatch):
+            one * Permutation.identity(2)
+        with pytest.raises(DegreeMismatch):
+            Permutation.identity(2) * one
+
     def test_raw_images_still_checked(self):
         for bad in [(1, 1), (2, 3), (0, 1), (1, 2, 2), ()]:
             with pytest.raises(ValueError):
@@ -468,6 +502,86 @@ class TestKnownOrder:
                  for a in elems for b in elems}
         assert {g.images for g in derived_subgroup(G).elements()} == (
             closure_from(degree, comms))
+
+
+def extend_chain_calls(monkeypatch):
+    """The generators handed to each ``_extend_chain`` call: every chain is
+    opened and extended there, ``_build_chain``'s and ``_sifted``'s."""
+    calls = []
+    extend = perm._extend_chain
+
+    def recording(levels, degree, gens, order=None):
+        calls.append(list(gens))
+        return extend(levels, degree, gens, order)
+
+    monkeypatch.setattr(perm, "_extend_chain", recording)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def c5_induced_m():
+    """The induced M of S5 over ``<(1,2,3,4,5)>``, order 3000 on 600
+    points, read off its coset permutations by ``_sifted``."""
+    from xmodlab.induce import induce
+    from xmodlab.xmod import identity_xmod
+
+    S5 = symmetric(5)
+    C5 = S5.subgroup([P("(1,2,3,4,5)", 5)])
+    X, _ = induce(identity_xmod(C5), hom(C5, S5, C5.generators))
+    assert X.M.order() == 3000
+    return X.M
+
+
+class TestDerivedSubgroupOfSiftedGroups:
+    """``derived_subgroup`` sifts G's generators only when G was not built
+    by ``_sifted``: a sifted list sifts to itself, on a second chain."""
+
+    @pytest.mark.parametrize("which", ["c5_m", "sl23_kernel", "a4_kernel"])
+    def test_sifted_group_builds_one_chain(self, monkeypatch, c5_induced_m,
+                                           which):
+        if which == "c5_m":
+            G = c5_induced_m
+        elif which == "sl23_kernel":
+            G = sl23()
+        else:
+            S4, C2 = symmetric(4), cyclic(2)
+            sign = [C2.generators[0] if parity(g.images) else C2.identity
+                    for g in S4.generators]
+            G = kernel(hom(S4, C2, sign))
+        assert G._irredundant
+        calls = extend_chain_calls(monkeypatch)
+        D = derived_subgroup(G)
+        # one chain, opened and extended once per kept generator of G'
+        assert len(calls) == len(D.generators)
+        assert [c for (c,) in calls] == list(D.generators)
+        calls.clear()
+        monkeypatch.setattr(G, "_irredundant", False)
+        resifted = derived_subgroup(G)
+        assert len(calls) == len(G.generators) + len(D.generators)
+        assert resifted.generators == D.generators
+        assert resifted.order() == D.order()
+
+    def test_redundant_list_is_still_sifted(self, monkeypatch):
+        a, b = P("(1,2,3,4)", 4), P("(1,2)", 4)
+        G = PermGroup(4, [a, a, b])
+        assert not G._irredundant
+        made = []
+        commutator = Permutation.commutator
+        monkeypatch.setattr(
+            Permutation, "commutator",
+            lambda x, y: made.append((x, y)) or commutator(x, y))
+        D = derived_subgroup(G)
+        # the repeat is dropped: one pair, not three
+        assert made == [(a, b)]
+        elems = [g.images for g in G.elements()]
+        comms = [
+            tcompose(tcompose(tinverse(x.images), tinverse(y.images)),
+                     tcompose(x.images, y.images))
+            for x in G.generators for y in G.generators
+        ]
+        assert {g.images for g in D.elements()} == conjugation_closure(
+            4, elems, comms)
+        assert D.order() == 12
 
 
 class TestNormalityWitness:
