@@ -4,12 +4,12 @@ Words are stored freely reduced (letters are (generator index, +1 or -1); no cyc
 reduction).  Coset enumeration is relator-driven with immediate coincidence
 handling; numbering follows first definition, so results are reproducible.
 
-``todd_coxeter`` traces each relator scan read-only first and runs the full
-scan-and-fill only when the trace does not close.  This fast path is exact:
-the same cosets are defined in the same order, coincidences are processed in
-the same order, and tables and refusals are those of the plain
-relator-driven scan (the tests hold it to a reference copy of that scan).
-Each table carries counters of the work done (cosets defined, peak live).
+``todd_coxeter`` traces each relator scan read-only first: an undefined entry
+or a merged coset leads the trace into a shared all-undefined sentinel row,
+where it stays at -1, so the trace returns to its coset exactly when the plain
+scan closes, and only the other scans run the full scan-and-fill.  Tables,
+counters (cosets defined, peak live) and refusals are those of the plain scan,
+as the tests check against a reference copy of it.
 
 Every presentation is held to ``RELATOR_LETTER_BUDGET`` relator letters
 (``_check_letters``): ``parse_word`` and ``Presentation.from_json_dict``
@@ -120,9 +120,11 @@ class Presentation:
                 raise ParseError(f"generators: label {label!r} repeated")
             seen.add(label)
         for w in self.relators:
-            for g, _ in w.letters:
+            for g, e in w.letters:
                 if not 0 <= g < self.ngens:
                     raise ValueError(f"relator uses unknown generator {g}")
+                if e not in (1, -1):
+                    raise ValueError(f"letter exponent must be +1 or -1, got {e}")
 
     def format_word(self, w: Word) -> str:
         if not w.letters:
@@ -264,17 +266,18 @@ def todd_coxeter(
     defining cosets as needed) and finally has any remaining entries defined.
     Coincidences are processed immediately with a union-find merge.  Raises
     ``CosetLimitExceeded`` when more than ``max_cosets`` cosets would be
-    defined in total.
+    defined in total, and ``ValueError`` when ``max_cosets`` is below 1.
 
     Most relator scans at a live coset close without changing the table, so
-    each is first traced inline, reading entries only.  Only a scan that
-    meets an undefined entry or ends at another coset goes to the full
-    scan-and-fill, which starts over from the same coset.  The inline trace
-    writes nothing the full scan would not (path compression aside, which
-    changes no representative), so the fast path defines the same cosets in
-    the same order, processes coincidences in the same order, and returns
-    the same table and the same refusals as the plain relator-driven scan.
+    each is first traced with no check per letter: ``rows[-1]`` and every
+    merged coset's row are one all-undefined sentinel row, and an undefined
+    entry or a merged coset leads the trace there, to stay at -1.  So a trace
+    ends where it began exactly when the plain scan closes, writing nothing;
+    every other scan runs the full scan-and-fill from the same coset, and the
+    cosets are defined and merged in the same order as by the plain scan.
     """
+    if max_cosets < 1:
+        raise ValueError(f"max_cosets must be at least 1, got {max_cosets}")
     ncols = 2 * presentation.ngens
 
     def columns(words):
@@ -288,8 +291,10 @@ def todd_coxeter(
     rel_cols = columns(presentation.relators)
     sub_cols = columns(subgroup_words)
 
-    # a coset x is live exactly when parent[x] == x; a dead row is None
-    rows = [[-1] * ncols]
+    # a coset x is live exactly when parent[x] == x; rows[-1] and every dead
+    # row are the one sentinel row, which a write would refuse
+    sentinel = (-1,) * ncols
+    rows = [[-1] * ncols, sentinel]
     parent = [0]
     merged = 0
     peak_live = 1
@@ -304,12 +309,12 @@ def todd_coxeter(
 
     def new_coset():
         nonlocal peak_live
-        n = len(rows)  # every coset defined so far, live or not
+        n = len(parent)  # every coset defined so far, live or not
         if n >= max_cosets:
             raise CosetLimitExceeded(
                 f"needed more than {max_cosets} cosets", limit=max_cosets
             )
-        rows.append([-1] * ncols)
+        rows.insert(-1, [-1] * ncols)
         parent.append(n)
         if n + 1 - merged > peak_live:
             peak_live = n + 1 - merged
@@ -348,7 +353,7 @@ def todd_coxeter(
                     back[col ^ 1] = x
                 else:
                     queue.append((e, d))
-            rows[y] = None
+            rows[y] = sentinel
 
     def scan_and_fill(start, cols):
         while True:
@@ -389,20 +394,14 @@ def todd_coxeter(
     for cols in sub_cols:
         scan_and_fill(0, cols)
     current = 0
-    while current < len(rows):
+    while current < len(parent):
         if parent[current] == current:
             for cols in rel_cols:
-                # fast path: trace the relator without writing
                 f = current
                 for col in cols:
                     f = rows[f][col]
-                    if f == -1:
-                        break
-                    if parent[f] != f:
-                        f = rep(f)
-                else:
-                    if f == current:
-                        continue
+                if f == current:
+                    continue
                 scan_and_fill(current, cols)
                 if parent[current] != current:
                     break
@@ -432,7 +431,7 @@ def todd_coxeter(
         presentation=presentation,
         subgroup=tuple(subgroup_words),
         table=table,
-        defined=len(rows),
+        defined=len(parent),
         peak_live=peak_live,
     )
 

@@ -1,11 +1,15 @@
 """Coset enumeration against the reference copy in ``support``.
 
-``todd_coxeter`` scans relators through a fast path, but it must define the
-same cosets in the same order and process the same coincidences, so every
-table, counter and refusal has to match ``reference_todd_coxeter``.  The S5
-inductions of ``reference_induced_presentation`` (every element of M in
-every copy) are too slow for the reference here; their tables are pinned by
-a hash taken from the reference enumeration instead.
+``todd_coxeter`` traces each relator scan through a sentinel row before it
+runs the full scan-and-fill, but it must define the same cosets in the same
+order and process the same coincidences, so every table, counter and refusal
+has to match ``reference_todd_coxeter``.  That covers the small presentations
+of ``test_fp``, random presentations and limits, the S4 rows regular and over
+H, and the three enumerations over H that ``induce`` runs for P = S4,
+``<(1,2)>`` and C5 in S5, whose counters are pinned too.  The S5 inductions of
+``reference_induced_presentation`` (every element of M in every copy) are too
+slow for the reference here; their regular tables are pinned by a hash taken
+from the reference enumeration instead.
 """
 
 import hashlib
@@ -147,6 +151,26 @@ class TestInducedPresentations:
         pres = free_crossed_module_presentation(C2, [("r", w)]).presentation
         assert assert_same(pres, (), 500) == (
             "refused", 500, "needed more than 500 cosets")
+
+
+# (subgroup P of S5, cosets, cosets defined, peak live cosets) of the
+# enumeration over H that induce runs on identity_xmod(P)
+S5_OVER_H = (
+    ("(1,2,3,4),(1,2)", 5, 134, 117),
+    ("(1,2)", 120, 3902, 3152),
+    ("(1,2,3,4,5)", 600, 4714, 2353),
+)
+
+
+class TestS5OverH:
+    @pytest.mark.parametrize("sub, ncosets, defined, peak_live", S5_OVER_H)
+    def test_matches_reference(self, sub, ncosets, defined, peak_live):
+        Q = PermGroup(5, parse_generator_list("(1,2,3,4,5),(1,2)", 5))
+        P = Q.subgroup(parse_generator_list(sub, 5))
+        ip = induced_presentation(identity_xmod(P), hom(P, Q, P.generators))
+        got = assert_same(ip.presentation, ip.subgroup_words)
+        assert got[0] == "table"
+        assert (len(got[1]), got[2], got[3]) == (ncosets, defined, peak_live)
 
 
 # (subgroup of S5, coset count, sha256 of repr(table), cosets defined,

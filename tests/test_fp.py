@@ -168,6 +168,13 @@ class TestPresentation:
         with pytest.raises(ValueError):
             Presentation(1, (W([(3, 1)]),))
 
+    @pytest.mark.parametrize("e", [2, 0, -3])
+    def test_letter_exponent_other_than_one_rejected(self, e):
+        # a raw Word skips Word.of's check; todd_coxeter would read (0, 2)
+        # as a^-1 and abelianization as a^2, so the presentation is refused
+        with pytest.raises(ValueError, match=f"exponent must be \\+1 or -1, got {e}"):
+            Presentation(1, (Word(((0, e),)),))
+
 
 class TestToddCoxeter:
     def test_cyclic(self):
@@ -249,6 +256,12 @@ class TestToddCoxeter:
             todd_coxeter(Presentation(2, ()), max_cosets=50)
         except CosetLimitExceeded as e:
             assert e.limit == 50
+
+    @pytest.mark.parametrize("limit", [0, -5])
+    def test_coset_limit_below_one_rejected(self, limit):
+        # not even the subgroup's own coset fits under such a limit
+        with pytest.raises(ValueError, match=f"at least 1, got {limit}"):
+            todd_coxeter(Presentation(1, (W([(0, 1)]),)), max_cosets=limit)
 
     def test_trivial_group(self):
         p = Presentation(1, (W([(0, 1)]),))
