@@ -85,6 +85,17 @@ class Word:
         return vec
 
 
+def _check_word(w: Word, ngens: int, what: str) -> None:
+    """Refuse, with ``ValueError``, a letter that names no generator of
+    ``ngens`` or has an exponent other than +1 or -1; ``what`` names the
+    word's role (a relator or a subgroup word)."""
+    for g, e in w.letters:
+        if not 0 <= g < ngens:
+            raise ValueError(f"{what} uses unknown generator {g}")
+        if e not in (1, -1):
+            raise ValueError(f"letter exponent must be +1 or -1, got {e}")
+
+
 def _default_labels(ngens: int) -> tuple[str, ...]:
     if ngens <= 26:
         return tuple(chr(ord("a") + i) for i in range(ngens))
@@ -120,11 +131,7 @@ class Presentation:
                 raise ParseError(f"generators: label {label!r} repeated")
             seen.add(label)
         for w in self.relators:
-            for g, e in w.letters:
-                if not 0 <= g < self.ngens:
-                    raise ValueError(f"relator uses unknown generator {g}")
-                if e not in (1, -1):
-                    raise ValueError(f"letter exponent must be +1 or -1, got {e}")
+            _check_word(w, self.ngens, "relator")
 
     def format_word(self, w: Word) -> str:
         if not w.letters:
@@ -266,7 +273,8 @@ def todd_coxeter(
     defining cosets as needed) and finally has any remaining entries defined.
     Coincidences are processed immediately with a union-find merge.  Raises
     ``CosetLimitExceeded`` when more than ``max_cosets`` cosets would be
-    defined in total, and ``ValueError`` when ``max_cosets`` is below 1.
+    defined in total, and ``ValueError`` when ``max_cosets`` is below 1 or
+    a subgroup word has a letter that a relator could not have.
 
     Most relator scans at a live coset close without changing the table, so
     each is first traced with no check per letter: ``rows[-1]`` and every
@@ -278,6 +286,8 @@ def todd_coxeter(
     """
     if max_cosets < 1:
         raise ValueError(f"max_cosets must be at least 1, got {max_cosets}")
+    for w in subgroup_words:
+        _check_word(w, presentation.ngens, "subgroup word")
     ncols = 2 * presentation.ngens
 
     def columns(words):

@@ -32,10 +32,10 @@ The chain is complete, so an element of the group is fixed by where it sends
 the base points (Seress, *Permutation Group Algorithms*): two elements with the
 same base images differ by an element fixing every base point, and the last
 stabilizer of a complete chain is trivial.  The walk, homomorphisms and
-the multiplication table of the isomorphism search look elements up and
-compare them by their base images, ``|base|`` lookups where a product costs
-``degree``; the regular representation of a group has a base of one point.
-Those ``degree`` lookups are gathered in C (``_gather``, one
+the products of the isomorphism search (``_product_rule``) look elements up
+and compare them by their base images, ``|base|`` lookups where a product
+costs ``degree``; the regular representation of a group has a base of one
+point.  Those ``degree`` lookups are gathered in C (``_gather``, one
 ``operator.itemgetter`` per product), as are the compositions of a crossed
 module's action arrays and the renumbering of a coset table.  The walk
 discovers elements by their base images alone, then multiplies each out
@@ -68,7 +68,11 @@ returns G/N with its projection; the callers that read only the group
 
 Isomorphisms are found by one backtrack, ``_extensions``, over a greedy
 generating sequence; ``isomorphic`` and ``xmod.xmod_isomorphic`` differ
-only in the candidates they offer and the checks they add.
+only in the candidates they offer and the checks they add.  It proves its
+maps by the walk rule too: a partial map is grown along the Cayley edges
+``x -> x·s`` of the seeds assigned so far, one product each, and a map
+that agrees on every such edge is a homomorphism.  No multiplication table
+is built.
 """
 
 from __future__ import annotations
@@ -1153,19 +1157,19 @@ def _compute_fingerprint(G: PermGroup) -> Fingerprint:
 
 
 class _GroupContext:
-    """Indexed view of a small group: elements, element orders and the
-    full multiplication table, all over element indices.
+    """Indexed view of a small group for the isomorphism search: elements,
+    element orders and the product ``mul(i, j)``, all over element indices.
 
-    Entry ``(a, b)`` is the index of ``a * b``; column b is
-    ``_right_multiplications`` by b, read off base images.
+    ``mul`` is ``_product_rule``, which reads a product off base images
+    with ``O(|G|·|base|)`` memory; the search reads one product per Cayley
+    edge it steps along, so no multiplication table is built.
     """
 
     def __init__(self, G: PermGroup):
         self.elements = G.elements()
         self.index = G.element_index()
         self.orders = G._element_orders()
-        columns = _right_multiplications(G, self.elements)
-        self.mult = [list(row) for row in zip(*columns)]
+        self.mul = _product_rule(G)
         self.by_order = {}
         for i, o in enumerate(self.orders):
             self.by_order.setdefault(o, []).append(i)
@@ -1192,17 +1196,9 @@ def _product_rule(G: PermGroup):
     return mul
 
 
-def _right_multiplications(G: PermGroup, xs) -> list[list[int]]:
-    """For each element x of G in ``xs``, the array taking the index of each
-    a in ``G.elements()`` to the index of ``a * x`` (``_product_rule``)."""
-    mul = _product_rule(G)
-    index = G.element_index()
-    rows = range(G.order())
-    return [[mul(a, j) for a in rows] for j in [index[x] for x in xs]]
-
-
 def _context(G: PermGroup) -> _GroupContext:
-    """The group's indexed view, built once; callers check the search bound."""
+    """The group's indexed view, built once with no product formed;
+    callers check the search bound."""
     if G._ctx is None:
         G._ctx = _GroupContext(G)
     return G._ctx
@@ -1212,20 +1208,20 @@ def _closure(ctx: _GroupContext, seeds, act_arrays=()) -> set[int]:
     """Subgroup (as an index set) generated by the seed indices and, given
     ``act_arrays`` (index arrays of automorphisms), invariant under them.
 
-    The search steps right by a seed or along an automorphism.  The set it
-    reaches is closed under each automorphism and, as automorphisms of a
-    finite group have finite order, under its inverse; so it holds
-    ``x * a(s) = a(a^-1(x) * s)`` for each x in it, and is the smallest
-    invariant subgroup holding the seeds.
+    The search steps along the Cayley edges ``x -> x·s`` of the seeds and
+    along each automorphism.  The set it reaches is closed under each
+    automorphism a and, as automorphisms of a finite group have finite
+    order, under ``a^-1``; so it holds ``x · a(s) = a(a^-1(x) · s)`` for
+    each x in it, and is the smallest invariant subgroup holding the seeds.
     """
+    mul = ctx.mul
     closed = {0}
     frontier = [0]
     seeds = list(seeds)
     while frontier:
         nxt = []
         for i in frontier:
-            row = ctx.mult[i]
-            for j in [row[s] for s in seeds] + [a[i] for a in act_arrays]:
+            for j in [mul(i, s) for s in seeds] + [a[i] for a in act_arrays]:
                 if j not in closed:
                     closed.add(j)
                     nxt.append(j)
@@ -1249,15 +1245,19 @@ def _generating_sequence(ctx: _GroupContext, act_arrays=()) -> list[int]:
     return seq
 
 
-def _propagate(ctx1, ctx2, map12, map21, domain, pairs, pair_check, action_edges):
-    """Grow a partial isomorphism by closing under products (and optional
-    action edges); returns False on the first conflict.
+def _propagate(ctx1, ctx2, map12, map21, domain, seeds, pairs, pair_check,
+               action_edges):
+    """Grow a partial isomorphism along Cayley edges (and optional action
+    edges); returns False on the first conflict.
 
     ``map12``/``map21`` are index arrays with -1 for unassigned; ``domain``
-    lists assigned source indices in assignment order.  Every product of two
-    assigned elements is itself assigned and checked, so a propagation that
-    reaches the whole group certifies a bijective homomorphism.
+    lists the assigned source indices and ``seeds`` the assigned seed pairs
+    ``(s, f(s))``.  Each pair ``(x, f(x))`` assigned pushes the pairs
+    ``(x·s, f(x)·f(s))`` for every seed s and ``(a1(x), a2(f(x)))`` for
+    every action edge ``(a1, a2)``.  A pair is refused when it reassigns x,
+    reuses ``f(x)``, changes the element order or fails ``pair_check``.
     """
+    mul1, mul2 = ctx1.mul, ctx2.mul
     stack = list(pairs)
     while stack:
         i, j = stack.pop()
@@ -1272,31 +1272,42 @@ def _propagate(ctx1, ctx2, map12, map21, domain, pairs, pair_check, action_edges
             return False
         map12[i] = j
         map21[j] = i
-        m1 = ctx1.mult
-        m2 = ctx2.mult
-        for a in domain:
-            ja = map12[a]
-            stack.append((m1[i][a], m2[j][ja]))
-            stack.append((m1[a][i], m2[ja][j]))
-        stack.append((m1[i][i], m2[j][j]))
-        if action_edges is not None:
-            for act1, act2 in action_edges:
-                stack.append((act1[i], act2[j]))
+        for s, t in seeds:
+            stack.append((mul1(i, s), mul2(j, t)))
+        for act1, act2 in action_edges:
+            stack.append((act1[i], act2[j]))
         domain.append(i)
     return True
 
 
 def _extensions(ctx1, ctx2, seq, candidates, pair_check=None,
-                action_edges=None):
+                action_edges=()):
     """Yield every bijection ``map12`` that ``_propagate`` grows from the
     identity pair by assigning each index of ``seq`` in turn.
+
+    A new seed pair ``(i, j)`` pushes ``(a·i, f(a)·j)`` for every a already
+    in the domain, and every later pair pushes its edge along each seed, so
+    a propagation that ends without conflict has checked every Cayley edge
+    ``(x, s)`` of its domain, ``f(x·s) = f(x)·f(s)``, and every action edge,
+    ``f(a(x)) = a2(f(x))``.  The domain is then the subgroup S that the
+    seeds generate, invariant under the action (``_closure``), and f is a
+    homomorphism on S (the walk rule): it respects right products by each
+    seed, and if it respects them by y it does by ``a(y)``, as
+    ``f(x·a(y)) = f(a(a^-1(x)·y)) = a2(f(a^-1(x))·f(y)) = f(x)·f(a(y))``.
+    Conversely, when the seeds' assignment extends to an injective
+    homomorphism on S that passes ``pair_check`` and commutes with the
+    action, every pair pushed is one of its own, so it is never refused.
+    A propagation over the whole group therefore certifies a bijective
+    homomorphism, and prunes exactly the branches that closing under every
+    product of assigned elements would.
 
     ``candidates(i, map21)`` lists the targets to try for ``i``; the search
     is depth-first, so their order fixes the order of the results.
     """
     n = len(ctx1.elements)
+    mul1, mul2 = ctx1.mul, ctx2.mul
 
-    def backtrack(k, map12, map21, domain):
+    def backtrack(k, map12, map21, domain, seeds):
         if k == len(seq):
             if len(domain) == n:
                 yield map12
@@ -1304,14 +1315,17 @@ def _extensions(ctx1, ctx2, seq, candidates, pair_check=None,
         i = seq[k]
         for j in candidates(i, map21):
             m12, m21, dom = list(map12), list(map21), list(domain)
-            if _propagate(ctx1, ctx2, m12, m21, dom, [(i, j)], pair_check,
+            grown = seeds + [(i, j)]
+            # the identity's edge, (i, j) itself, is popped first
+            edges = [(mul1(a, i), mul2(map12[a], j)) for a in reversed(domain)]
+            if _propagate(ctx1, ctx2, m12, m21, dom, grown, edges, pair_check,
                           action_edges):
-                yield from backtrack(k + 1, m12, m21, dom)
+                yield from backtrack(k + 1, m12, m21, dom, grown)
 
     map12, map21, domain = [-1] * n, [-1] * n, []
-    if _propagate(ctx1, ctx2, map12, map21, domain, [(0, 0)], pair_check,
+    if _propagate(ctx1, ctx2, map12, map21, domain, [], [(0, 0)], pair_check,
                   action_edges):
-        yield from backtrack(0, map12, map21, domain)
+        yield from backtrack(0, map12, map21, domain, [])
 
 
 def _iter_isomorphisms(G: PermGroup, H: PermGroup):

@@ -19,13 +19,14 @@ Every formula above is written once, in ``_Kernel``, on element indices: a
 square is the 5-tuple ``(n, w, e, s, m)`` of the indices of its edges in
 ``Q.elements()`` and of its label in ``M.elements()``, where 0 is the
 identity (``elements()`` is sorted by image tuple).  The kernel is built
-on first need and kept on the module, like ``perm._context`` on a group.
-It holds the two groups' products as ``perm._product_rule``, which reads
-an element's base images in the other's image tuple, Q's and M's inverses,
-the boundary's index array and the action array of every element of Q.
-Its memory is ``O(|G|·|base|)`` per group plus the ``|Q|·|M|`` action
-arrays the module already keeps, with no ``|G|²`` table, so no bound is
-added: a module the library can build has a kernel.  The public functions
+on first need and kept on the module, like ``perm._context`` on a group,
+and like that context it reads products through ``perm._product_rule``,
+which looks an element's base images up in the other's image tuple.  It
+holds Q's and M's products and inverses, the boundary's index array and
+the action array of every element of Q.  Its memory is ``O(|G|·|base|)``
+per group plus the ``|Q|·|M|`` action arrays the module already keeps;
+neither it nor the isomorphism search builds a ``|G|²`` table, so no bound
+is added: a module the library can build has a kernel.  The public functions
 translate ``Square`` objects to indices (an edge or label outside its
 group raises ``NotInGroup``), call the kernel and translate back; the bulk
 callers (the interchange searches, ``DoubleGroupoidView.squares`` and

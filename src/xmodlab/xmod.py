@@ -331,11 +331,12 @@ def xmod_isomorphic(X: CrossedModule, Y: CrossedModule):
     Iterates over the isomorphisms g: Q -> Q' and for each takes the first
     extension (``perm._extensions``) over a short sequence that generates M
     under products *and* the Q-action.  Candidates for m are the d-fiber
-    over g(dm); partial maps are closed under both, checked against the
-    fibers on every assignment, so a completed propagation certifies the
-    morphism.  The search is exhaustive: None is a definitive negative
-    within ``ISO_SEARCH_BOUND``, which every one of the four groups must
-    meet or ``SearchBoundExceeded`` is raised.
+    over g(dm); partial maps are grown along the Cayley edges of the seeds
+    and along the action edges, checked against the fibers on every
+    assignment, so a completed propagation certifies the morphism (the
+    action step is in ``perm._extensions``).  The search is exhaustive:
+    None is a definitive negative within ``ISO_SEARCH_BOUND``, which every
+    one of the four groups must meet or ``SearchBoundExceeded`` is raised.
     """
     for G in (X.M, X.Q, Y.M, Y.Q):
         if G.order() > ISO_SEARCH_BOUND:

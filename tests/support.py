@@ -246,6 +246,61 @@ def product_mult_table(elements):
     return [[index[tcompose(a, b)] for b in elements] for a in elements]
 
 
+def table_extensions(ctx1, ctx2, seq, candidates, pair_check=None,
+                     action_edges=()):
+    """The isomorphism backtrack of ``perm._extensions`` (same arguments,
+    same results) on full multiplication tables: each pair assigned is
+    closed under its product with every assigned element, both ways, and
+    its square, then along the action edges.  The tables and element
+    orders are the product oracle's, read off the image tuples of
+    ``ctx.elements``; nothing else of the contexts is read."""
+    tables, orders = [], []
+    for ctx in (ctx1, ctx2):
+        elems = [p.images for p in ctx.elements]
+        tables.append(product_mult_table(elems))
+        orders.append([torder(e) for e in elems])
+    (m1, m2), (o1, o2) = tables, orders
+    n = len(m1)
+
+    def propagate(map12, map21, domain, pairs):
+        stack = list(pairs)
+        while stack:
+            i, j = stack.pop()
+            cur = map12[i]
+            if cur == j:
+                continue
+            if cur != -1 or map21[j] != -1 or o1[i] != o2[j]:
+                return False
+            if pair_check is not None and not pair_check(i, j):
+                return False
+            map12[i] = j
+            map21[j] = i
+            for a in domain:
+                ja = map12[a]
+                stack.append((m1[i][a], m2[j][ja]))
+                stack.append((m1[a][i], m2[ja][j]))
+            stack.append((m1[i][i], m2[j][j]))
+            for act1, act2 in action_edges:
+                stack.append((act1[i], act2[j]))
+            domain.append(i)
+        return True
+
+    def backtrack(k, map12, map21, domain):
+        if k == len(seq):
+            if len(domain) == n:
+                yield map12
+            return
+        i = seq[k]
+        for j in candidates(i, map21):
+            m12, m21, dom = list(map12), list(map21), list(domain)
+            if propagate(m12, m21, dom, [(i, j)]):
+                yield from backtrack(k + 1, m12, m21, dom)
+
+    map12, map21, domain = [-1] * n, [-1] * n, []
+    if propagate(map12, map21, domain, [(0, 0)]):
+        yield from backtrack(0, map12, map21, domain)
+
+
 def _module_tables(mdeg, mgens, qdeg, qgens, boundary, action):
     """Boundary ``d[m]`` and action ``act[q][m]`` on every element, from a
     crossed module's JSON-form data on image tuples."""
@@ -652,7 +707,7 @@ def reference_induced_presentation(
     from xmodlab.errors import BudgetExceeded, NonInjective, NotInGroup
     from xmodlab.fp import Word
     from xmodlab.induce import _with_peiffer_relators
-    from xmodlab.perm import _right_cosets, _right_multiplications, image
+    from xmodlab.perm import _right_cosets, image
 
     if iota.source is not X.Q:
         raise ValueError("iota must start at the base group of X")
@@ -717,12 +772,11 @@ def reference_induced_presentation(
         return Word(((gen(arr[mi], tj), 1),))
 
     relators = []
-    # column b: the index of melems[a] * melems[b], for every a
-    columns = _right_multiplications(M, melems)
+    table = product_mult_table([m.images for m in melems])
     for ti in range(nT):
         for a in range(nM):
             for b in range(nM):
-                c = columns[b][a]
+                c = table[a][b]
                 relators.append(
                     Word.of(
                         [(gen(a, ti), 1), (gen(b, ti), 1), (gen(c, ti), -1)]

@@ -263,6 +263,23 @@ class TestToddCoxeter:
         with pytest.raises(ValueError, match=f"at least 1, got {limit}"):
             todd_coxeter(Presentation(1, (W([(0, 1)]),)), max_cosets=limit)
 
+    @pytest.mark.parametrize("e", [2, 0, -3])
+    def test_subgroup_letter_exponent_other_than_one_rejected(self, e):
+        # a raw Word skips Word.of's check; the enumeration would read (0, 2)
+        # as a^-1 and give <a> (1 coset) for what was meant as <a^2> (2)
+        p = Presentation(1, (W([(0, 1)] * 4),))
+        with pytest.raises(ValueError, match=f"exponent must be \\+1 or -1, got {e}"):
+            todd_coxeter(p, (Word(((0, e),)),))
+        assert todd_coxeter(p, (W([(0, 1), (0, 1)]),)).ncosets == 2
+
+    @pytest.mark.parametrize("g", [1, 3, -1])
+    def test_subgroup_letter_naming_no_generator_rejected(self, g):
+        # the check the relators get, not an IndexError (or, for -1, a
+        # silent read of the last column)
+        p = Presentation(1, (W([(0, 1)] * 4),))
+        with pytest.raises(ValueError, match=f"subgroup word uses unknown generator {g}"):
+            todd_coxeter(p, (W([(0, 1), (g, 1)]),))
+
     def test_trivial_group(self):
         p = Presentation(1, (W([(0, 1)]),))
         assert todd_coxeter(p).ncosets == 1
