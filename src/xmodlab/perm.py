@@ -15,8 +15,8 @@ quotients), instead of sampling.
 
 One routine, ``_tree_values``, fills in the values of a map given on G's
 generators, one step per tree edge: the walk's own elements, a
-homomorphism's keys and values (``GroupHom``) and the action arrays of a
-crossed module (``xmod.CrossedModule``).  The walk has ``|G|·k`` edges for
+homomorphism's keys and values (``GroupHom``) and the keys of a crossed
+module's action (``xmod.CrossedModule``).  The walk has ``|G|·k`` edges for
 k generators and the tree ``|G| - 1`` of them; the other
 ``|G|·(k-1) + 1`` are the Schreier edges (``_off_tree_edges``), whose
 relators present G on its generators (Schreier's lemma), and

@@ -24,9 +24,10 @@ and like that context it reads products through ``perm._product_rule``,
 which looks an element's base images up in the other's image tuple.  It
 holds Q's and M's products and inverses, the boundary's index array and
 the action array of every element of Q.  Its memory is ``O(|G|·|base|)``
-per group plus the ``|Q|·|M|`` action arrays the module already keeps;
-neither it nor the isomorphism search builds a ``|G|²`` table, so no bound
-is added: a module the library can build has a kernel.  The public functions
+per group plus the ``|Q|·|M|`` action arrays, which the module composes
+on their first read (``CrossedModule.act_array``) and keeps; neither it
+nor the isomorphism search builds a ``|G|²`` table, so no bound is added:
+a module the library can build has a kernel.  The public functions
 translate ``Square`` objects to indices (an edge or label outside its
 group raises ``NotInGroup``), call the kernel and translate back; the bulk
 callers (the interchange searches, ``DoubleGroupoidView.squares`` and
@@ -44,8 +45,12 @@ The interchange law for 2x2 blocks reduces to CM2.  The block that
 which is CM2 at (ma^u, md).  For fixed u, ma -> ma^u is a bijection of M,
 so the law holds on every triple exactly when CM2 holds on every pair of M,
 and ``validate``'s argument shows that this holds exactly when CM2 holds on
-generator pairs.  ``interchange_exhaustive`` proves the law that way and
-scans the triples only when a generator pair fails.  ``gamma`` rebuilds a
+generator pairs.  Both searches prove the law that way first and build
+blocks only when a generator pair fails: ``interchange_exhaustive`` then
+scans the triples, and ``interchange_sampled`` draws and composes its
+random blocks.  When the law is proved, ``interchange_sampled`` builds no
+square and still makes every draw of its blocks (``_block_draws``), so the
+caller's rng ends where the search would have left it.  ``gamma`` rebuilds a
 crossed module from squares alone and is the round-trip witness for the
 whole encoding.
 """
@@ -369,16 +374,17 @@ def interchange_exhaustive(X: CrossedModule):
     - both ways the edges are ``(u dmd | 1 1 | dma^-1 u)``, so the block
       interchanges exactly when the two labels agree.
 
-    The action is a right action of Q by automorphisms (the action table
-    is filled along Q's spanning tree and proved on the Schreier edges of
-    Q's walk by ``perm._replay_walk``, which rejects an assignment that
-    breaks a relation of Q), so ``ma^(u dmd) =
-    (ma^u)^(dmd)`` and the identity is CM2 at ``(ma^u, md)``.  For fixed
-    u, ``ma -> ma^u`` is a bijection of M, so the law holds on every triple
-    exactly when CM2 holds on all of ``M x M``, which ``validate``'s
-    argument reduces to ``gens(M) x gens(M)``; it uses the boundary and the
-    action only, not CM1.  When a generator pair fails, the triples are
-    scanned in element order and the first violating block is returned.
+    The action is a right action of Q by automorphisms (its keys, the
+    images of M's generators, are filled along Q's spanning tree and
+    proved on the Schreier edges of Q's walk by ``perm._replay_walk``,
+    which rejects an assignment that breaks a relation of Q), so
+    ``ma^(u dmd) = (ma^u)^(dmd)`` and the identity is CM2 at
+    ``(ma^u, md)``.  For fixed u, ``ma -> ma^u`` is a bijection of M, so
+    the law holds on every triple exactly when CM2 holds on all of
+    ``M x M``, which ``validate``'s argument reduces to
+    ``gens(M) x gens(M)``; it uses the boundary and the action only, not
+    CM1.  When a generator pair fails, the triples are scanned in element
+    order and the first violating block is returned.
     """
     gens = X.M.generators
     if _cm2_failure(X, gens, gens) is None:
@@ -394,20 +400,24 @@ def interchange_exhaustive(X: CrossedModule):
     return None
 
 
+def _block_draws(nq: int, nm: int, rng) -> list[int]:
+    """The 12 indices one random block draws, in draw order: a's n, w, e
+    and label, b's n, e and label, c's w, e and label, d's e and label.
+    Edges are drawn below nq and labels below nm."""
+    qs, ms = range(nq), range(nm)
+    choice = rng.choice
+    return [choice(r) for r in (qs, qs, qs, ms, qs, qs, ms, qs, qs, ms,
+                                qs, ms)]
+
+
 def _random_block(k: _Kernel, rng):
     """Uniformly random composable 2x2 block (a b / c d), on indices."""
-    qs, ms = range(len(k.qelems)), range(len(k.melems))
-
-    def rq():
-        return rng.choice(qs)
-
-    def rm():
-        return rng.choice(ms)
-
-    a = k.square(rq(), rq(), rq(), rm())
-    b = k.square(rq(), a[2], rq(), rm())
-    c = k.square(a[3], rq(), rq(), rm())
-    d = k.square(b[3], c[2], rq(), rm())
+    an, aw, ae, am, bn, be, bm, cw, ce, cm, de, dm = _block_draws(
+        len(k.qelems), len(k.melems), rng)
+    a = k.square(an, aw, ae, am)
+    b = k.square(bn, a[2], be, bm)
+    c = k.square(a[3], cw, ce, cm)
+    d = k.square(b[3], c[2], de, dm)
     return a, b, c, d
 
 
@@ -418,7 +428,23 @@ def random_block(X: CrossedModule, rng):
 
 
 def interchange_sampled(X: CrossedModule, samples: int, rng):
-    """First violating block among ``samples`` random ones, or None."""
+    """First violating block among ``samples`` random ones, or None.
+
+    The law is proved first, as ``interchange_exhaustive`` proves it: when
+    CM2 holds on ``gens(M) x gens(M)`` no block violates it, so nothing is
+    searched, and neither the kernel nor any square is built.  The draws
+    are still made, ``_block_draws`` once per sample with the ranges and
+    in the order of the search, so the caller's rng ends where the search
+    would have left it and a seeded caller sees the same stream whether or
+    not the law was proved.  When a generator pair fails, the blocks are
+    drawn and composed, and the first violating one is returned.
+    """
+    gens = X.M.generators
+    if _cm2_failure(X, gens, gens) is None:
+        nq, nm = X.Q.order(), X.M.order()
+        for _ in range(samples):
+            _block_draws(nq, nm, rng)
+        return None
     k = _kernel(X)
     for _ in range(samples):
         block = _random_block(k, rng)

@@ -8,16 +8,20 @@ right action of Q on M by automorphisms, written m^q, subject to
 
 The action is supplied on the generators of Q only, as homomorphisms M -> M
 that the module reads as index arrays over ``M.elements()``
-(``perm.GroupHom._index_array``, off their keys, with no product).  Each
-element of Q gets its whole array composed once, along Q's spanning tree
-(``perm._tree_values``, the fill every map out of a group uses).  An
-automorphism of M is fixed by the images of M's generators, so the arrays
-are proved to extend to an action of Q by checking those images alone on
-the Schreier edges of Q's walk (``perm._replay_walk``, the walk rule every
+(``perm.GroupHom._index_array``, off their keys, with no product).  An
+automorphism of M is fixed by the images of M's generators, its key, so
+construction fills only each element's key along Q's spanning tree
+(``perm._tree_values``, the fill every map out of a group uses) and proves
+that the arrays extend to an action of Q by checking the keys on the
+Schreier edges of Q's walk (``perm._replay_walk``, the walk rule every
 homomorphism out of Q uses).  A conflict means the generator assignment
-violates a relation of Q and is rejected at construction.  Q's walk is
-the one enumeration guard: a Q above ``perm.ENUMERATION_BOUND`` is refused
-there, naming its order and the bound.
+violates a relation of Q and is rejected at construction.  The whole
+array of an element of Q is composed from its tree parent's when it is
+first read (``CrossedModule.act_array``) and kept, so a caller that reads
+a few elements' arrays, as ``validate`` and ``induce`` do, composes only
+those.  Q's walk is the one enumeration guard: a Q above
+``perm.ENUMERATION_BOUND`` is refused there, naming its order and the
+bound.
 
 CM1 and CM2 themselves are *not* assumed: ``validate`` proves them on
 generator pairs, which is enough once the boundary and the action are
@@ -37,6 +41,7 @@ from dataclasses import dataclass
 
 from .errors import (
     NonNormal,
+    NotInGroup,
     ParseError,
     SearchBoundExceeded,
     XmodlabError,
@@ -65,7 +70,13 @@ from .perm import (
 )
 
 class CrossedModule:
-    """Boundary d: M -> Q plus a Q-action on M given on Q's generators."""
+    """Boundary d: M -> Q plus a Q-action on M given on Q's generators.
+
+    Construction proves the action on keys, the images of M's generators
+    (``_action_table``), and keeps the index arrays of Q's generators; the
+    array of any other element of Q is composed on its first read
+    (``act_array``) and kept.
+    """
 
     def __init__(self, M: PermGroup, Q: PermGroup, boundary: GroupHom, action):
         action = tuple(action)
@@ -85,44 +96,67 @@ class CrossedModule:
         self.Q = Q
         self.boundary = boundary
         self.action = action
-        # extend now so an assignment violating a relation of Q cannot
+        # prove now so an assignment violating a relation of Q cannot
         # produce a half-usable object
-        self._table = self._action_table(arrays)
+        self._action_table(arrays)
         # the square calculus on indices (``squares._kernel``), on first need
         self._square_kernel = None
 
-    def _action_table(self, arrays) -> dict:
-        """Index array over M.elements() for every element of Q.
+    def _action_table(self, arrays) -> None:
+        """Prove the action on keys; keep the generators' index arrays.
 
-        The whole arrays are filled once along Q's spanning tree, one
-        gather in C per tree edge (``perm._tree_values``, ``perm._gather``;
-        Q is walked once per group, not per module, and the walk refuses a
-        Q too large to enumerate).  Each array is an automorphism of M, so
-        it is fixed by its entries at M's generators, its key; the walk
-        rule (``perm._replay_walk``) proves the keys on the Schreier edges
-        of Q's walk, or the assignment does not factor through Q and is
-        refused.
+        An automorphism of M is fixed by its entries at M's generators, its
+        key.  The keys alone are filled along Q's spanning tree, one gather
+        in C of a few entries per tree edge (``perm._tree_values``,
+        ``perm._gather``; Q is walked once per group, not per module, and
+        the walk refuses a Q too large to enumerate), and the walk rule
+        (``perm._replay_walk``) proves them on the Schreier edges of Q's
+        walk, or the assignment does not factor through Q and is refused.
+        The index array over M.elements() of any other element of Q is
+        composed from its tree parent's on first read (``act_array``).
         """
         index = self.M.element_index()
-        values = _tree_values(self.Q, tuple(range(len(index))), arrays,
-                              _gather)
-        gens = [index[m] for m in self.M.generators]
+        gens = tuple([index[m] for m in self.M.generators])
+        keys = _tree_values(self.Q, gens, arrays, _gather)
         _replay_walk(
-            self.Q, [_gather(gens, arr) for arr in values], arrays,
-            _gather, "action assignment does not respect the relations of Q",
+            self.Q, keys, arrays, _gather,
+            "action assignment does not respect the relations of Q",
         )
-        return dict(zip(self.Q._cayley_walk()[0], values))
+        self._generator_arrays = arrays
+        found = self.Q._cayley_walk()[0]
+        self._walk_index = dict(zip(found, range(len(found))))
+        # by discovery index; None until composed
+        self._arrays = [None] * len(found)
+        self._arrays[0] = tuple(range(len(index)))
 
     def act(self, m: Permutation, q: Permutation) -> Permutation:
         """m^q for any q in Q."""
+        arr = self.act_array(q)
         try:
-            arr = self._table[q]
+            i = self.M.element_index()[m]
         except KeyError:
-            raise ValueError(f"{q} is not in Q") from None
-        return self.M.elements()[arr[self.M.element_index()[m]]]
+            raise NotInGroup(f"{m} is not in M") from None
+        return self.M.elements()[arr[i]]
 
     def act_array(self, q: Permutation) -> tuple[int, ...]:
-        return self._table[q]
+        """The index array over M.elements() of ``m -> m^q``.
+
+        Composed on first read from the array of q's tree parent in Q's
+        walk, one gather per tree edge not yet composed, and kept.
+        """
+        try:
+            i = self._walk_index[q]
+        except KeyError:
+            raise NotInGroup(f"{q} is not in Q") from None
+        arrays, tree = self._arrays, self.Q._spanning_tree()
+        path = []
+        while arrays[i] is None:
+            path.append(i)
+            i = tree[i - 1][0]
+        arr, gens = arrays[i], self._generator_arrays
+        for j in reversed(path):
+            arr = arrays[j] = _gather(arr, gens[tree[j - 1][1]])
+        return arr
 
     def __repr__(self) -> str:
         return (
@@ -173,10 +207,12 @@ def validate(X: CrossedModule) -> ValidationReport:
     - the boundary and the action entries are proved homomorphisms (by
       ``perm.GroupHom``: on the relators of a presented M, as ``induce``
       builds it, or along M's Cayley walk), the action entries are
-      bijective, and the action table, filled along Q's spanning tree, is
-      proved by the walk rule on the Schreier edges of Q's walk
-      (``perm._replay_walk``), which proves that ``q -> (m -> m^q)`` is a
-      right action of Q by automorphisms of M;
+      bijective, and the action's keys (the images of M's generators),
+      filled along Q's spanning tree, are proved by the walk rule on the
+      Schreier edges of Q's walk (``perm._replay_walk``), which proves that
+      ``q -> (m -> m^q)`` is a right action of Q by automorphisms of M;
+      the arrays it reads (``act_array``) are composed from those of Q's
+      generators on demand, along the same tree;
     - for a fixed q, both sides of CM1, ``m -> d(m^q)`` and
       ``m -> q^-1 (dm) q``, are homomorphisms M -> Q, so they agree on M
       once they agree on ``gens(M)``;

@@ -265,6 +265,25 @@ class TestInterchange:
         assert interchange_sampled(X, 2000, rng) is None
         assert rng.random() == 0.5203452421686546
 
+    @pytest.mark.parametrize("make", [
+        a4_in_s4, lambda: xmod_from_json(ROW6.read_text()),
+    ], ids=["a4_in_s4", "row6"])
+    def test_sampled_builds_no_square_once_proved(self, monkeypatch, make):
+        # CM2 holds on generator pairs, so the law is proved and the search
+        # only replays its draws: no kernel, no square
+        calls = []
+        real = squares._Kernel.square
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(squares._Kernel, "square", counting)
+        X = make()
+        assert interchange_sampled(X, 2000, random.Random(4)) is None
+        assert len(calls) == 0
+        assert X._square_kernel is None
+
     def test_random_block_shape(self):
         X = v_in_s4()
         rng = random.Random(9)
@@ -428,6 +447,8 @@ def json_form(X):
 
 
 ORACLE_MODULES = {
+    "s3": lambda: identity_xmod(symmetric(3)),
+    "d8": lambda: identity_xmod(dihedral(8)),
     "v_in_s4": v_in_s4,
     "a4_in_s4": a4_in_s4,
     "row6": lambda: xmod_from_json(ROW6.read_text()),
@@ -475,6 +496,21 @@ class TestKernelOracle:
         block = interchange_sampled(X, 40, mine)
         expected = oracle.sampled(40, theirs)
         assert (block and [images(sq) for sq in block]) == expected
+        assert mine.random() == theirs.random()
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("name", sorted(ORACLE_MODULES))
+    def test_sampled_search_matches_oracle(self, name, seed):
+        # where CM2 holds on generators the search proves the law and only
+        # replays its draws; the oracle composes every block it draws, and
+        # both return the same block, or None, and leave the rng alike
+        X, oracle = module_and_oracle(name)
+        mine, theirs = random.Random(seed), random.Random(seed)
+        block = interchange_sampled(X, 2000, mine)
+        expected = oracle.sampled(2000, theirs)
+        assert (block and [images(sq) for sq in block]) == expected
+        assert (expected is None) == (name not in ("broken_cm2",
+                                                   "cm1_and_cm2"))
         assert mine.random() == theirs.random()
 
     def test_sampled_search_forms_no_product(self, monkeypatch):

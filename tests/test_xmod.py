@@ -8,11 +8,18 @@ from pathlib import Path
 
 import pytest
 
-from support import closure, crossed_module_witnesses, tcompose, tinverse
+from support import (
+    _module_tables,
+    closure,
+    crossed_module_witnesses,
+    tcompose,
+    tinverse,
+)
 from xmodlab import xmod
 from xmodlab.errors import (
     EnumerationBoundExceeded,
     NonNormal,
+    NotInGroup,
     ParseError,
     RelationViolated,
     SearchBoundExceeded,
@@ -32,7 +39,7 @@ from xmodlab.perm import (
     parse_permutation,
     symmetric,
 )
-from xmodlab.induce import run_table_full
+from xmodlab.induce import induce, run_table_full
 from xmodlab.squares import DoubleGroupoidView, gamma
 from xmodlab.xmod import (
     CrossedModule,
@@ -188,6 +195,58 @@ class TestValidation:
         assert {p.images: v.images for p, v in X.boundary.element_map.items()} == {
             m: m for m in ms
         }
+
+
+class TestActionArrays:
+    """``act_array`` composes each array on first read from its tree
+    parent's; every array must equal the raw-tuple tables of
+    ``support._module_tables``, read in any order."""
+
+    @staticmethod
+    def assert_matches_raw_tables(X):
+        _, act = _module_tables(
+            X.M.degree, [m.images for m in X.M.generators],
+            X.Q.degree, [q.images for q in X.Q.generators],
+            [b.images for b in X.boundary.images],
+            [[im.images for im in a.images] for a in X.action],
+        )
+        melems = [m.images for m in X.M.elements()]
+        qelems = list(X.Q.elements())
+        random.Random(len(melems)).shuffle(qelems)
+        for q in qelems:
+            arr = X.act_array(q)
+            assert [melems[j] for j in arr] == [act[q.images][m]
+                                                for m in melems]
+
+    @pytest.mark.parametrize("row", range(1, 8))
+    def test_table_rows(self, table_results, row):
+        self.assert_matches_raw_tables(table_results[row - 1][0])
+
+    def test_a4_in_s4_and_row6(self):
+        self.assert_matches_raw_tables(a4_in_s4())
+        self.assert_matches_raw_tables(xmod_from_json(ROW6.read_text()))
+
+    def test_s5_c5_induce_composes_few_arrays(self):
+        # induce and validate read the arrays of Q's generators and of the
+        # boundary images of M's generators, not all 120 arrays of 3000
+        S5 = symmetric(5)
+        C5 = S5.subgroup([P("(1,2,3,4,5)", 5)])
+        X, _ = induce(identity_xmod(C5), hom(C5, S5, C5.generators))
+        assert validate(X).ok
+        assert X.M.order() == 3000 and len(X._arrays) == 120
+        assert sum(arr is not None for arr in X._arrays) < 20
+
+    def test_act_on_element_outside_m(self):
+        X = v_in_s4()
+        with pytest.raises(NotInGroup, match=r"\(1,2\) is not in M"):
+            X.act(P("(1,2)", 4), X.Q.identity)
+
+    def test_act_array_on_element_outside_q(self):
+        X = v_in_s4()
+        with pytest.raises(NotInGroup, match=r"\(1,5\) is not in Q"):
+            X.act_array(P("(1,5)", 5))
+        with pytest.raises(ValueError, match="is not in Q"):
+            X.act(X.M.identity, P("(1,5)", 5))
 
 
 class TestInvariants:
