@@ -13,8 +13,12 @@ representative t of iota(P) in Q, written (m, t), with
 own generators and presented by M's Schreier relators, read off M's Cayley
 walk (``PermGroup._cayley_walk``), and the Peiffer relators run over
 generator pairs only.  The action is spelled as words: ``(g, t)^q`` is the
-word of ``g^p`` along the walk's spanning tree, in copy t'.  The letters
-are counted before a word is built, and a presentation of more than
+word of ``g^p`` along the walk's spanning tree, in copy t'.  Right
+multiplication by ``d = dx`` permutes the copies; for each of its cycles
+whose length is the order of g in M, x = (g, s), the Peiffer relators
+``(x, y)`` for y in one copy of the cycle follow from the rest and are not
+built (the proof is in ``_with_peiffer_relators``).  The letters are
+counted before a word is built, and a presentation of more than
 ``RELATOR_LETTER_BUDGET`` letters is refused.
 
 ``induce`` reads M off the action of the presented group G on the cosets
@@ -207,7 +211,8 @@ def induced_presentation(
     generators ``(g, t)`` for g among M's distinct nonidentity generators
     and t the coset's transversal element.  Each copy has M's Schreier
     relators (``_schreier_relators``, built once and shifted per copy), and
-    the Peiffer relators run over generator pairs (``_with_peiffer_relators``).
+    the Peiffer relators run over generator pairs (``_with_peiffer_relators``),
+    less those each cycle of copies implies (``partners``).
     The copower relators ``(m, t)(m', t) = (mm', t)`` on all of M follow:
     the generators generate M.  The Peiffer identity on a generating set
     gives it on all of the group, since for a fixed x the elements y with
@@ -222,9 +227,12 @@ def induced_presentation(
     relators to consequences of those of copy t', and the relators as a
     whole are Q-invariant up to consequences.  The Peiffer relator of the
     pair (x, y) has ``3 + |w|`` letters, w the word of ``y^(dx)``: the
-    count is read off the tree depths, one pass over the generators y for
-    each distinct boundary image, before any word is built; a job over the
-    budget at 4 letters a pair is refused before the cosets are listed.
+    count of the pairs kept is read off the tree depths, one pass over the
+    generators y for each distinct boundary image and order, before any
+    word is built.  Before the cosets are listed, a job is refused on a
+    lower bound: 4 letters a pair, for every pair but the most that can be
+    left out, ``(nT - 1) // ord(g)`` copies for x = (g, s) (copy s is fixed
+    by dx, and each cycle left out has ord(g) copies).
 
     ``transversal`` may supply explicit right-coset representatives of
     iota(P) in Q (any full transversal works; the resulting modules are
@@ -245,9 +253,12 @@ def induced_presentation(
     walk = PermGroup._on_chain(M.degree, gens, M._levels)
     depth, schreier_letters, spell = _schreier_relators(walk)
     nT = Q.order() // H.order()
-    # every Peiffer relator has at least 4 letters: refuse on that bound
+    orders = [g.order() for g in gens]
+    # every Peiffer relator has at least 4 letters, and for x = (g, s) at
+    # most (nT - 1) // ord(g) copies are left out: refuse on that bound
     # before the cosets are listed, then on the exact count below
-    _check_letters(nT * schreier_letters + 4 * (ng * nT) ** 2)
+    _check_letters(nT * schreier_letters + 4 * nT * ng * sum(
+        nT - (nT - 1) // n for n in orders))
     reps, coset_of = _right_cosets(Q, H)
     qbase = Q._base()
 
@@ -303,10 +314,27 @@ def induced_presentation(
                 got.append((tj, acts[tuple([tinv[tj][x - 1] for x in z])]))
         return got
 
+    implied = {}  # (q, n) -> the largest copy of each n-cycle under q
+
+    def implied_copies(q, n):
+        got = implied.get((q, n))
+        if got is None:
+            copies = Permutation(tuple([tj + 1 for tj, _ in row(q)]))
+            got = implied[q, n] = {
+                max(c) - 1 for c in copies.cycles() if len(c) == n}
+        return got
+
+    def partners(x):  # the y whose Peiffer relator with x is kept
+        skip = implied_copies(boundary_images[x], orders[x // nT])
+        return [y for y in range(ng * nT) if y % nT not in skip]
+
     # arithmetic first: refuse the job before building any word
     _check_letters(nT * schreier_letters + sum(
-        c * sum(3 + depth[i] for _, images in row(q) for i in images)
-        for q, c in Counter(boundary_images).items()))
+        c * sum(3 + depth[i] for tj, (_, images) in enumerate(row(q))
+                if tj not in implied_copies(q, n) for i in images)
+        for (q, n), c in Counter(
+            (d, orders[x // nT]) for x, d in enumerate(boundary_images)
+        ).items()))
     words, schreier = spell()
 
     def act_gen(k, q):
@@ -324,7 +352,7 @@ def induced_presentation(
     subgroup_words = tuple(Word(((gen(gi, t0), 1),)) for gi in range(ng))
     return _with_peiffer_relators(
         Q, relators, boundary_images, gen_pairs, labels, act_gen,
-        subgroup_words,
+        subgroup_words, partners,
     )
 
 
@@ -370,16 +398,44 @@ def free_crossed_module_presentation(P: PermGroup, relations) -> InducedPresenta
 
 def _with_peiffer_relators(
     base, relators, boundary_images, gen_pairs, labels, act_gen,
-    subgroup_words=(),
+    subgroup_words=(), partners=None,
 ) -> InducedPresentation:
-    """Add the Peiffer relators ``x^-1 y x w^-1`` on every generator pair to
-    ``relators`` and return the presentation, checked against the boundary.
-    w is the word ``act_gen(y, dx)`` of ``y^(dx)``, so the relator has
-    ``3 + |w|`` letters before free reduction."""
+    """Add the Peiffer relators ``x^-1 y x w^-1`` to ``relators`` and return
+    the presentation, checked against the boundary.  w is the word
+    ``act_gen(y, dx)`` of ``y^(dx)``, so the relator has ``3 + |w|``
+    letters before free reduction.  The pairs (x, y) run over every y in
+    ``partners(x)``, or over every generator when ``partners`` is None, as
+    for a free crossed module, whose generators have no finite order.
+
+    For an induced module, ``partners(x)`` leaves out the y in one copy
+    (the largest) of each cycle of length ``L = ord(g)`` in M of the
+    permutation of the copies by ``d = dx``, x = (g, s): copy t goes to t'
+    where ``t d = p t'``.  Those relators follow from the rest, so G is
+    unchanged.  Let ``alpha_d`` be the substitution ``act_gen(., d)``
+    letter by letter, an endomorphism of the free group F read into G.
+
+    - Modulo the copies' relators ``alpha_a alpha_b = alpha_ab``.  ord(d)
+      divides L, as d is a conjugate of ``iota(dg)``, and the cycle length
+      L divides ord(d), so ``d^L = 1`` and ``alpha_d^L`` is the identity
+      in G.
+    - For fixed x, the words z with ``x^-1 z x = alpha_d(z)`` in G form a
+      subgroup of F, both sides being homomorphisms F -> G.  So the
+      relators kept give ``x^-1 z x = alpha_d(z)`` for every word z in the
+      other L - 1 copies of the cycle.
+    - For y in the copy left out, put ``z = alpha_d(y)``.  Then
+      ``alpha_d^k(y)`` lies in the other copies for ``0 < k < L``, so
+      ``y = alpha_d^L(y) = x^-(L-1) z x^(L-1)``, and
+      ``x^-1 y x = x^-L z x^L = z = alpha_d(y)``, since ``x^L = 1`` by
+      copy s's relators.
+
+    Copy s itself is fixed by d (``t_s d = iota(dg) t_s``), and L >= 2, so
+    x's own copy is never left out, and each cycle is argued from relators
+    that are kept.
+    """
     ngens = len(boundary_images)
     for x in range(ngens):
         dx = boundary_images[x]
-        for y in range(ngens):
+        for y in range(ngens) if partners is None else partners(x):
             w = act_gen(y, dx).inverse().letters
             relators.append(Word.of(((x, -1), (y, 1), (x, 1)) + w))
     pres = Presentation(ngens, _dedupe_relators(relators), tuple(labels))

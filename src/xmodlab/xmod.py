@@ -134,7 +134,7 @@ class CrossedModule:
         arr = self.act_array(q)
         try:
             i = self.M.element_index()[m]
-        except KeyError:
+        except (KeyError, TypeError):
             raise NotInGroup(f"{m} is not in M") from None
         return self.M.elements()[arr[i]]
 
@@ -146,7 +146,7 @@ class CrossedModule:
         """
         try:
             i = self._walk_index[q]
-        except KeyError:
+        except (KeyError, TypeError):
             raise NotInGroup(f"{q} is not in Q") from None
         arrays, tree = self._arrays, self.Q._spanning_tree()
         path = []

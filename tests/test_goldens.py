@@ -25,13 +25,17 @@ GOLDEN = ROOT / "perfbench" / "golden" / "table_verify.json"
 # the cosets of the copy of P at the identity coset (row 6's M on 24
 # points, row 7's on 64), and again when M came to keep only the coset
 # permutations that enlarge the group (row 6's 8 generators became 2, row
-# 7's 12 became 6; DUMP_CONTENTS below held across that change);
-# perfbench/fixtures/row6.json keeps row 6 as first written, on 72 points
+# 7's 12 became 6; DUMP_CONTENTS below held across that change), and
+# with DUMP_CONTENTS when the Peiffer relators each cycle of copies implies
+# were left out (the enumeration defines cosets in another order, so M
+# comes back as a point-conjugate of the old M, with equal fingerprints and
+# an xmod_isomorphic witness to it); perfbench/fixtures/row6.json keeps
+# row 6 as first written, on 72 points
 DUMPS = {
     "row6": ("(1,2,3)",
-             "229aca0ac04b160dfb4eb143d09b40b431ce4fe6a76c0810a239dba0cc82cad4"),
+             "d3c74c5c171bab6dfc4b91adb80c83c848a00924aa2add71f9766213a56728c1"),
     "row7": ("(1,2)(3,4)",
-             "8730f6930ea7be96539184dffc08d23f1b989b480085834e2625faa4c1a4c43a"),
+             "9a0728afc58977f5eac0b4c6701c9d3e8bf010969fd3dc58859ef646140f1353"),
 }
 
 
@@ -71,8 +75,8 @@ def test_dump_xmod_bytes_pinned(capsys, tmp_path, row):
 # action entry as sorted (m, image) pairs, read back with xmod_from_json.
 # The bytes above change with M's generating set; these must not
 DUMP_CONTENTS = {
-    "row6": "1f6aac34f34744496759709f40de692814e86a3fb863a15959755b0a0f8ce9f5",
-    "row7": "23c313f04337b0c032f1516d616a16e2f214f08593083374d8a052637f8480be",
+    "row6": "b41855ca11585bf14b28aa547cbc2be98f98870c6d349543f86f99210c52044c",
+    "row7": "36b7b354847d96f6a8e49eac0dfc334b4c06bba28d29a0d3e268f07a5276ce45",
 }
 
 
@@ -100,32 +104,34 @@ def test_dump_xmod_content_pinned(capsys, tmp_path, row):
 # generated by M's own generators; where those are not closed under P's
 # action (S4 rows 2 and 4, S5 S4, the twisted S3 and D8) the pins were
 # re-recorded when the action came to be spelled as words, with the modules
-# backed by the reference module (tests/test_induce_paths.py)
+# backed by the reference module (tests/test_induce_paths.py), and all of
+# them when the Peiffer relators each cycle of copies implies were left out
+# (tests/test_induce.py::TestImpliedPeiffer)
 PRESENTATIONS = {
     ("S4", "row 1"):
-        "2440133b371a7e3c56985f9db634fd7b1b0d22120eed71ab9f9ebb3bb036b227",
+        "6f6c6d94d48a53cd1f4db4911cb0bdf52aa75f097d1e499c9ce91f10b1d53773",
     ("S4", "row 2"):
-        "2aefed68040a3fc7f9a9cb1aff02bf50dd27dce03486cf8ab3b835e3f2be5890",
+        "fb7470c1954abaf472ccbf5275903520b85864b5713f48ea5d391fa7bbe31053",
     ("S4", "row 3"):
-        "9b1b877f4a9f768aa8414ddc2f87a379cfaec834c786170950b204af618eb91e",
+        "c6f2fd4d252c671ea957f9a3bdb105cde2145845f53444fde508ccfae057262c",
     ("S4", "row 4"):
-        "d1ad604223a4a0a4233c1c6e98bf4a114cf6ecc65e73bc9a860871d7115e46a8",
+        "b46abecb21a9f6bdaed8f7db7284fe013117e9b9c48b85365005d0a05564c6cc",
     ("S4", "row 5"):
-        "e2c84afc8f4393510811f7bbf24f71faee3246e2107e2795c4adb17db833037c",
+        "428421bf95475ed068cadb9bb92c86757e6335bc8af7354cf843e9e05decb9b2",
     ("S4", "row 6"):
-        "6a8d92f241e65c0e8a8ced1169df98078358094553368d413e4e7201e9a41b05",
+        "050437a294e0eed183f29498541cd7164c526f9fdea513a4362044f074d795c3",
     ("S4", "row 7"):
-        "c038123040bf7ea235212705b5c2f055a31925819e9a2ed36122950ca6a2b196",
+        "65710a9a71356b8e116615817248f1ddff4ff030fa50142eb521490ad4a433e6",
     ("S5", "(1,2,3,4),(1,2)"):
-        "45add4c109bf108e6a9c5f0c3968d2e102128c016b07530e84e771d50257ff70",
+        "5d88cf9146e73343cf999ef7577fa89aaa0ad30f285bf3d00d18ceb8abf7d6f8",
     ("S5", "(1,2)"):
-        "0128efab95969dca21c5ae77869eab4364f0dff55ccaa4990378241f320c8c93",
+        "20bc17fe3a958eef046f2627b0722b8379819d1715f855b2cdbde4c2136a380c",
     ("S5", "(1,2,3,4,5)"):
-        "1111d7d4029593589453db30c6e43438edbaa1a0386aafc5280ee94bedcf4a87",
+        "7eb0e3cbdb8f4fdf340efcab6092a60a912b26f9ce081edaed0f6fb14c24a2cd",
     ("S5", "(1,2,3),(1,2)(4,5)"):
-        "f8d363536174defa91e7bc41535b240fbd1dd304bc0c108bd191cfe90e4299f7",
+        "9727d79117af7b186d759e56cabf4f77487d3ebe39883c0544059f81c94ade3d",
     ("S5", "(1,2,3,4),(1,3)"):
-        "30e1baa3c2a7d710a1d26cc4793828514aa81d3a9b5253fa1841b07ed797a7b1",
+        "58198f758b27aaf5373366fa8c01f51cf18dddef68f2ab1293d6a61cc3cf82e0",
 }
 
 
@@ -153,15 +159,16 @@ def _stats(path, ncosets, defined, peak_live, generators, relators,
 
 # Report.stats of the seven S4 rows; rows 2 and 4, whose M generators are
 # not closed under P's action, re-recorded when the action came to be
-# spelled as words
+# spelled as words, and all seven when the Peiffer relators each cycle of
+# copies implies were left out
 ROW_STATS = (
-    _stats("over H", 24, 112, 76, 12, 144, 552, 24),
-    _stats("over H", 8, 22, 20, 8, 84, 367, 8),
-    _stats("over H", 12, 62, 52, 12, 162, 624, 12),
-    _stats("over H", 6, 18, 18, 6, 57, 296, 6),
-    _stats("over H", 24, 67, 48, 6, 36, 144, 24),
-    _stats("over H", 24, 86, 67, 8, 64, 248, 24),
-    _stats("over H", 64, 232, 122, 12, 144, 552, 64),
+    _stats("over H", 24, 118, 75, 12, 84, 312, 24),
+    _stats("over H", 8, 26, 21, 8, 68, 296, 8),
+    _stats("over H", 12, 70, 56, 12, 114, 432, 12),
+    _stats("over H", 6, 25, 18, 6, 51, 262, 6),
+    _stats("over H", 24, 70, 44, 6, 30, 120, 24),
+    _stats("over H", 24, 87, 60, 8, 48, 184, 24),
+    _stats("over H", 64, 228, 114, 12, 96, 360, 64),
 )
 
 

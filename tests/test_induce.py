@@ -47,6 +47,7 @@ from xmodlab.perm import (
     symmetric,
 )
 from xmodlab.xmod import (
+    CrossedModule,
     identity_xmod,
     normal_inclusion_xmod,
     pi2,
@@ -63,6 +64,29 @@ def include(sub_texts, degree=4):
     Q = symmetric(degree)
     H = Q.subgroup([P(t, degree) for t in sub_texts])
     return identity_xmod(H), hom(H, Q, H.generators)
+
+
+def implied_pairs(X, iota, ip):
+    """The pairs (x, y) whose Peiffer relator follows from the others: for
+    x = (g, s) with d = dx, y in the largest copy of each cycle of length
+    ord(g) in M of the copies under right multiplication by d, copy t going
+    to the copy t' with ``t d t'^-1`` in iota(P)."""
+    H = image(iota)
+    nT = iota.target.order() // H.order()
+    T = [t for _, t in ip.gen_pairs[:nT]]
+    n = ip.presentation.ngens
+    pairs = set()
+    for x, (g, _) in enumerate(ip.gen_pairs):
+        d = ip.boundary_images[x]
+        to = [next(j for j, u in enumerate(T) if t * d * u.inverse() in H)
+              for t in T]
+        for ti in range(nT):
+            cycle = [ti]
+            while to[cycle[-1]] != ti:
+                cycle.append(to[cycle[-1]])
+            if min(cycle) == ti and len(cycle) == g.order():
+                pairs.update((x, y) for y in range(max(cycle), n, nT))
+    return pairs
 
 
 class TestTransversal:
@@ -157,9 +181,11 @@ class TestPresentation:
             induced_presentation(identity_xmod(S3), collapse)
 
     def test_budget(self, monkeypatch):
-        # 2520 generators (s, t): 4 * 2520^2 letters of Peiffer relators and
-        # 2 for s^2 in each of the 2520 copies, refused by arithmetic
-        # before a word is built
+        # 2520 generators (s, t): for each x = (s, t), at most 2519 // 2
+        # copies y have their Peiffer relator left out (TestImpliedPeiffer),
+        # so 4 * 2520 * 1261 letters of Peiffer relators, and 2 for s^2 in
+        # each of the 2520 copies, refused by arithmetic before a word is
+        # built
         built = []
         monkeypatch.setattr(Word, "__init__", lambda *a: built.append(a))
         S7 = symmetric(7)
@@ -168,16 +194,17 @@ class TestPresentation:
             induced_presentation(identity_xmod(H), hom(H, S7, H.generators))
         assert info.value.limit == RELATOR_LETTER_BUDGET == 1 << 20
         assert str(info.value).startswith(
-            f"{4 * 2520 ** 2 + 2 * 2520} relator letters")
+            f"{4 * 2520 * (2520 - 2519 // 2) + 2 * 2520} relator letters")
         assert not built
 
     @pytest.mark.parametrize("sub", [["(1,2)", "(1,2,3)"],
                                      ["(1,2,3,4)", "(1,3)"]], ids=str)
     def test_budget_counts_the_action_words(self, monkeypatch, sub):
         # the counts checked against the budget are the copies' Schreier
-        # letters plus, for each Peiffer pair, first the lower bound 4 and
-        # then 3 + |w|, w the word of y^(dx) as built; some of those words
-        # are longer than one letter here
+        # letters plus, first, the lower bound 4 for each Peiffer pair
+        # (x, y) but the most that can be left out, (nT - 1) // ord(g) copies
+        # y for x = (g, s), then 3 + |w| for each pair kept, w the word of
+        # y^(dx) as built; some of those words are longer than one letter
         counted = []
         # the package exports the function ``induce``, so the module is
         # reached through importlib
@@ -187,12 +214,17 @@ class TestPresentation:
         ip = induced_presentation(X, iota)
         _, schreier, _ = _schreier_relators(X.M)
         n = ip.presentation.ngens
-        words = [ip.act_gen(y, dx) for dx in ip.boundary_images
-                 for y in range(n)]
-        assert max(len(w) for w in words) > 1
-        copies = n // len(X.M.generators) * schreier
-        assert counted == [copies + 4 * n * n,
+        implied = implied_pairs(X, iota, ip)
+        words = [ip.act_gen(y, dx) for x, dx in enumerate(ip.boundary_images)
+                 for y in range(n) if (x, y) not in implied]
+        assert implied and max(len(w) for w in words) > 1
+        nT = n // len(X.M.generators)
+        copies = nT * schreier
+        kept_at_least = nT * len(X.M.generators) * sum(
+            nT - (nT - 1) // g.order() for g in X.M.generators)
+        assert counted == [copies + 4 * kept_at_least,
                            copies + sum(3 + len(w) for w in words)]
+        assert 4 * kept_at_least <= sum(3 + len(w) for w in words)
 
     def test_budget_of_free_crossed_modules(self):
         S7 = symmetric(7)
@@ -207,7 +239,7 @@ class TestPresentation:
         # 2 generators per copy of S5, 6 copies
         letters = sum(len(w) for w in ip.presentation.relators)
         assert ip.presentation.ngens == 12
-        assert letters == 12_236 < RELATOR_LETTER_BUDGET
+        assert letters == 12_076 < RELATOR_LETTER_BUDGET
 
     def test_bad_transversal_rejected(self):
         X, iota = include(["(1,2)"])
@@ -238,6 +270,79 @@ class TestPresentation:
         X1, _ = induce(X, iota)
         X2, _ = induce(X, iota, transversal=T[::-1])
         assert xmod_isomorphic(X1, X2) is not None
+
+
+def trivial_boundary():
+    """C3 inverted by P = <(1,2)> <= S3, with the trivial boundary."""
+    S3 = symmetric(3)
+    P2 = S3.subgroup([P("(1,2)", 3)])
+    M = cyclic(3)
+    X = CrossedModule(M, P2, hom(M, P2, [P2.identity]),
+                      [hom(M, M, [M.generators[0].inverse()])])
+    return X, hom(P2, S3, P2.generators)
+
+
+IMPLIED_CASES = {
+    **{f"S4 row {row}": (lambda row=row: include(TABLE_SUBGROUPS[row - 1][1]))
+       for row in range(1, 8)},
+    "S3 trivial boundary": trivial_boundary,
+    "S5 <(1,2)>": lambda: include(["(1,2)"], 5),
+}
+
+
+class TestImpliedPeiffer:
+    """``induced_presentation`` leaves out the Peiffer relators (x, y) for y
+    in one copy of each cycle of length ord(g) of the copies under dx,
+    x = (g, s); the proof that they follow from the rest is in
+    ``_with_peiffer_relators``.  Here each left-out relator is checked in G
+    itself: the pruned presentation is enumerated over the trivial
+    subgroup, and G acts faithfully (regularly) on those cosets, so a word
+    that closes at every coset is trivial in G."""
+
+    @pytest.mark.parametrize("case", list(IMPLIED_CASES))
+    def test_left_out_relators_hold(self, case):
+        X, iota = IMPLIED_CASES[case]()
+        ip = induced_presentation(X, iota)
+        pres = ip.presentation
+        built = {w.letters for w in pres.relators}
+        n = pres.ngens
+        left_out = []
+        for x, dx in enumerate(ip.boundary_images):
+            for y in range(n):
+                w = Word.of(((x, -1), (y, 1), (x, 1))
+                            + ip.act_gen(y, dx).inverse().letters)
+                if not w.is_identity() and w.letters not in built:
+                    left_out.append(w)
+        # nothing is left out where every copy is fixed
+        assert bool(left_out) == (case != "S3 trivial boundary")
+        ct = todd_coxeter(pres)
+        _, report = induce(X, iota)
+        assert ct.ncosets == report.induced_order
+        audit = dataclasses.replace(
+            ct, presentation=dataclasses.replace(pres, relators=tuple(left_out)))
+        assert audit.scans_close()
+
+    def test_left_out_relators_follow_the_rule(self):
+        # S5/<(1,2)>: M = C2 and one generator x = (g, s) per copy, 60
+        # copies.  d = dx is a transposition; it fixes the copies t with
+        # t d t^-1 = (1,2), |C(d)| / 2 = 6 of them, and swaps the other 54
+        # in 27 cycles of length 2 = ord(g), so 27 relators are left out
+        # for each x.  What is built is the rest, with x^-1 x x x^-1 reduced
+        # away, and each copy's Schreier relator x^2
+        X, iota = include(["(1,2)"], 5)
+        ip = induced_presentation(X, iota)
+        implied = implied_pairs(X, iota, ip)
+        n = ip.presentation.ngens
+        assert n == 60 and len(implied) == 60 * 27
+        kept = {
+            Word.of(((x, -1), (y, 1), (x, 1))
+                    + ip.act_gen(y, dx).inverse().letters).letters
+            for x, dx in enumerate(ip.boundary_images) for y in range(n)
+            if (x, y) not in implied}
+        built = [w.letters for w in ip.presentation.relators]
+        assert len(built) == 60 + 60 * (60 - 27) - 60 == 1980
+        assert set(built) == (kept - {()}) | {((x, 1), (x, 1))
+                                              for x in range(n)}
 
 
 class TestFreeCrossedModule:

@@ -248,6 +248,19 @@ class TestActionArrays:
         with pytest.raises(ValueError, match="is not in Q"):
             X.act(X.M.identity, P("(1,5)", 5))
 
+    def test_act_array_on_a_non_permutation(self):
+        # a list is unhashable: refused as outside Q, not a bare TypeError
+        X = identity_xmod(symmetric(3))
+        with pytest.raises(NotInGroup, match=r"\[1, 2, 3\] is not in Q"):
+            X.act_array([1, 2, 3])
+
+    def test_act_on_a_non_permutation(self):
+        X = identity_xmod(symmetric(3))
+        with pytest.raises(NotInGroup, match=r"\[1, 2, 3\] is not in M"):
+            X.act([1, 2, 3], X.Q.identity)
+        with pytest.raises(NotInGroup, match=r"\[1, 2, 3\] is not in Q"):
+            X.act(X.M.identity, [1, 2, 3])
+
 
 class TestInvariants:
     def test_identity_xmod(self):
@@ -301,16 +314,18 @@ class TestInvariants:
 class TestTableInvariants:
     # sha256 of the repr of pi2's generators as image tuples, re-recorded
     # when M came to be read off the cosets of the copy of P at the
-    # identity coset, and for rows 2 and 4 when each copy of M came to be
-    # generated by M's own generators
+    # identity coset, for rows 2 and 4 when each copy of M came to be
+    # generated by M's own generators, and for rows 6 and 7 when the
+    # Peiffer relators each cycle of copies implies were left out (M comes
+    # back as a point-conjugate of the old M)
     PI2 = (
         "d467d2fe897327f353ab55b01e4060657ef9f392b81585f2fb13c5b600cdb47f",
         "1e6e28ae285f3ea58a7fd6529a85f2d959019303b18ed968a6e92ce601474abf",
         "5c990830604d4bf4c7b40bbc08220f6494668c1c073048a93a54d3f2a7e9749c",
         "24fa5963b7b91795632ce2c63320ecc0705a7a46512ac3326bb26ae5c7d79dcb",
         "7c09284e6503f147421ca7cb7387ab4f72d9450d4328ad09d472a04cdfc29148",
-        "9a9f76f95519496c3b071478805a89ed28f84ba3be3ae6292e19014cf247f3f4",
-        "0661266ca849e5f27496ac2fc75863cb918080f912d2bbdc395f8b0532fe8998",
+        "708aaa6984d45cefaac0ca82858db62b56a77c60b31c8093a19200b83d1b0c68",
+        "8a8595061dedaa09e3fffa9651df6086be5d7f5ac437398091fb816fbb50119b",
     )
     PI1 = 5 * [["()", "()"]] + [
         ["(1,2)", "(1,2)"], ["(1,2)(3,5)(4,6)", "(1,6)(2,5)(3,4)"],
@@ -457,12 +472,14 @@ class TestIsomorphism:
     # identity coset, for (1, 2) and (3, 4) when each copy of M came to be
     # generated by M's own generators, and for all four when M came to keep
     # only the coset permutations that enlarge the group: f is listed on
-    # M's generators, and PINNED_MAPS below held across that change
+    # M's generators, and PINNED_MAPS below held across that change; (6, 6)
+    # and (7, 7) again when the Peiffer relators each cycle of copies
+    # implies were left out, which relabels the points of M
     PINNED = {
         (1, 2): "39e3ecf9c4b228fd272c7369f8c0b89612151920be45c74c32201704f8859aa1",
         (3, 4): "0ecad93354789e4a33a72b79bc0f5e957f806811d041b5cad67582843ee00ced",
-        (6, 6): "eeaf8998cf9266d5d89c0f605d5a38785ba55ac661f5bdb343c4a33608b567e7",
-        (7, 7): "b6111a7522f9fce7e4ec83b76f115a9c5a8937ff0780f037627761f507ab106a",
+        (6, 6): "d813254d27984679e2daee5d574cc9970920faf7f393892c2e990bf337fb81c5",
+        (7, 7): "e01acd24fa7d14e73bcaa38eb729ecaf14c1ced8f83ef6906b0d32e3f6d92e88",
     }
     # the same for row 6 as first written (perfbench/fixtures/row6.json),
     # recorded before the backtrack was shared with the group search
@@ -487,12 +504,14 @@ class TestIsomorphism:
 
     # sha256 of the repr of (f, g) as sorted (element, image) pairs: the
     # same witnesses as PINNED, read as maps on elements, so they do not
-    # depend on the generators M is listed with
+    # depend on the generators M is listed with; (1, 2), (6, 6) and (7, 7)
+    # re-recorded when the Peiffer relators each cycle of copies implies
+    # were left out, which relabels the points of rows 1, 6 and 7
     PINNED_MAPS = {
-        (1, 2): "6f6e8dd89894364d08a52fcb0f53d7213590bf87f4ba674012285be3e5f48403",
+        (1, 2): "2be3438f9eb106272e40c6664a28af6a40fbec931c452e7c9d0ba7b8b449e52f",
         (3, 4): "268c28bcaaec6de8a170c9704bae13b343e45b62b64f5e2ecd41ca516c640678",
-        (6, 6): "16222c30b5dfaa5d77f93d68ce9dc11e4fc98e16cb02c8ce7b7d2c7f939b1436",
-        (7, 7): "a5dd7cb75195e20a54312df16663f5e3fb9b0edc7e59ba66d6195f348cd00cb3",
+        (6, 6): "ff58c2d438cb4f9d015d785ca8433493c758608133cbeaf7fc35d5d3cf555cb1",
+        (7, 7): "7c2967b6641531c8e10cde8ab9181f2970ae7ee7181487b70678a095f45134b2",
     }
 
     @pytest.mark.parametrize("rows", sorted(PINNED_MAPS), ids=str)
