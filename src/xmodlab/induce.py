@@ -299,7 +299,7 @@ def induced_presentation(
     # the walk position of each g^p, keyed by the Q-base images of p;
     # generator gi is at walk position gi + 1
     acts = {key: [at[X.act_array(p)[r]] for r in ranks[1:ng + 1]]
-            for key, p in zip(iota._keys, X.Q._cayley_walk()[0])}
+            for key, p in zip(iota._keys, X.Q._walk_elements())}
     tkeys = [tuple([t.images[b - 1] for b in qbase]) for t in T]
     tinv = [t.inverse().images for t in T]
     moves = {}  # q -> (tj, acts of p) for each ti, where T[ti] q = p T[tj]

@@ -6,8 +6,8 @@ actions in the package are right actions.
 
 Every group builds a stabilizer chain on construction, so order and membership
 are exact from the start.  A group walks its Cayley graph once, on first
-need, and keeps the walk and its spanning tree, the edges that first reach
-each element; ``elements()`` sorts it.  The walk is the one place that
+need, on keys, and keeps the walk and its spanning tree, the edges that
+first reach each element.  The walk is the one place that
 refuses enumeration: a group of order above ``ENUMERATION_BOUND`` raises
 ``EnumerationBoundExceeded``, naming its order and the bound, wherever its
 elements are first needed (homomorphisms, actions, fingerprints,
@@ -15,8 +15,9 @@ quotients), instead of sampling.
 
 One routine, ``_tree_values``, fills in the values of a map given on G's
 generators, one step per tree edge: the walk's own elements, a
-homomorphism's keys and values (``GroupHom``) and the keys of a crossed
-module's action (``xmod.CrossedModule``).  The walk has ``|G|·k`` edges for
+homomorphism's keys and values (``GroupHom``), the keys of a crossed
+module's action (``xmod.CrossedModule``) and a left-multiplication table
+(``_central``).  The walk has ``|G|·k`` edges for
 k generators and the tree ``|G| - 1`` of them; the other
 ``|G|·(k-1) + 1`` are the Schreier edges (``_off_tree_edges``), whose
 relators present G on its generators (Schreier's lemma), and
@@ -37,12 +38,26 @@ and compare them by their base images, ``|base|`` lookups where a product
 costs ``degree``; the regular representation of a group has a base of one
 point.  Those ``degree`` lookups are gathered in C (``_gather``, one
 ``operator.itemgetter`` per product), as are the compositions of a crossed
-module's action arrays and the renumbering of a coset table.  The walk
-discovers elements by their base images alone, then multiplies each out
-once, along its tree edge.  Base images also decide commutation
-(``_commute``), coset membership (``_right_cosets``, ``quotient``) and
-element order, which is the lcm of the lengths of the cycles through the
-base points (``PermGroup._element_orders``).
+module's action arrays and the renumbering of a coset table.
+
+The walk forms no product.  It tracks each element by its images on S, the
+points up to the last base point that the group moves, which hold the
+base.  Two elements first differ at a point of S, so those images also
+sort the elements as ``elements()`` does (``PermGroup._walk_ranks``).  The
+readers that ``induce`` runs work on keys and on the walk's successor
+columns, and multiply out only the elements they return, one product per
+chain level (``PermGroup._element``):
+- a homomorphism keeps keys, and its kernel is picked on them (``kernel``);
+- the centre compares a left-multiplication table, filled along the tree,
+  with the columns (``_central``);
+- right cosets are labelled along the columns, and a quotient reads its
+  generators off them (``_coset_labels``);
+- element orders, the lcm of the lengths of the cycles through the base
+  points, are read off the chain (``PermGroup._element_orders``), and the
+  invariant factors of an abelian group off their histogram
+  (``abelian_invariants``).
+``elements()`` multiplies every element out, once, along its tree edge,
+when first asked.  Base images also decide commutation (``_commute``).
 
 A caller that knows an upper bound for a group's order builds its chain
 with ``PermGroup._bounded``: the Schreier-Sims check loop stops once the
@@ -63,7 +78,7 @@ coset permutations that way (``induce``).  Generators passed to
 generator of N conjugated by each generator of G is sifted through N's
 chain (``_normality_witness``), so N is never walked for it.  ``quotient``
 returns G/N with its projection; the callers that read only the group
-(``abelian_invariants``, fingerprints, ``xmod.pi1``) build it with
+(fingerprints, ``xmod.pi1``) build it with
 ``_quotient_group`` and prove no homomorphism.
 
 Isomorphisms are found by one backtrack, ``_extensions``, over a greedy
@@ -371,10 +386,10 @@ class PermGroup:
 
     The stabilizer chain (base points preferred in natural order 1, 2, ...)
     is built eagerly, so ``order`` and ``contains`` never guess.
-    ``contains`` sifts through the chain until the group's Cayley walk
-    exists; from then on it looks the permutation up in
-    ``element_index()``, which holds every element, so the answer is the
-    same.
+    ``contains`` sifts through the chain until the group's elements have
+    been multiplied out (``elements()``); from then on it looks the
+    permutation up in ``element_index()``, which holds every element, so
+    the answer is the same.
     """
 
     def __init__(self, degree: int, generators):
@@ -427,6 +442,8 @@ class PermGroup:
         self._irredundant = False
         self._walk = None
         self._tree = None
+        self._on_s = None
+        self._found = None
         self._elements = None
         self._ranks = None
         self._index = None
@@ -447,7 +464,7 @@ class PermGroup:
     def contains(self, p: Permutation) -> bool:
         if not isinstance(p, Permutation) or p.degree != self.degree:
             return False
-        if self._walk is not None:
+        if self._elements is not None:
             return p in self.element_index()
         return _strip(self._levels, p).is_identity()
 
@@ -460,48 +477,82 @@ class PermGroup:
         """The chain's base points, level by level; ``()`` when trivial.
 
         The chain is complete, so an element of the group is fixed by its
-        base images ``tuple(p.images[b - 1] for b in base)``: two elements
-        with the same base images differ by one fixing every base point,
-        which is the identity.  Only for elements of the group: a
+        base images ``tuple(p.images[b - 1] for b in base)``, its key: two
+        elements with the same base images differ by one fixing every base
+        point, which is the identity.  Only for elements of the group: a
         permutation outside it may share the base images of one inside.
         """
         return tuple(level["point"] for level in self._levels)
 
+    def _element(self, key) -> Permutation:
+        """The element with base images ``key``, multiplied out from the
+        chain, one product per level.
+
+        Sifting writes an element as ``g = u_k ... u_1`` (applied left to
+        right), ``u_i`` the transversal element of level i at ``c_i``, and
+        every ``u_j`` with ``j > i`` fixes the base point ``b_i``; so
+        ``key[i] = g(b_i) = r_i(c_i)`` for ``r_i = u_(i-1) ... u_1``, and
+        ``c_i`` is the point ``r_i`` sends to ``key[i]``.
+        """
+        g = self.identity
+        for level, y in zip(self._levels, key):
+            g = level["transversal"][g.images.index(y) + 1] * g
+        return g
+
     def _element_orders(self) -> list[int]:
-        """The order of each element, in ``elements()`` order.
+        """The order of each element, in ``elements()`` order, read off the
+        stabilizer chain.
 
         ``p^k`` is the identity exactly when it fixes every base point, that
         is when k is a multiple of the length of the cycle of p through each
         base point; so the order of p is the lcm of those lengths, and
-        cycles missing the base are never followed.
+        cycles missing the base are never followed.  The elements are run
+        through as ``g = h u``, u in the first level's transversal and h in
+        the stabilizer of the first base point, whose elements alone are
+        multiplied out, one product each, as ``_element`` factors them.  g
+        sends x to ``u(h(x))``, two lookups: at the base points they give
+        its key, which places it in ``elements()`` order (``_key_index``),
+        and along the cycles through them its order.
         """
+        by_key = self._key_index()
         base = self._base()
-        orders = []
-        for p in self.elements():
-            images = p.images
-            order = 1
-            for b in base:
-                length = 1
-                x = images[b - 1]
-                while x != b:
-                    x = images[x - 1]
-                    length += 1
-                order = lcm(order, length)
-            orders.append(order)
+        if not base:
+            return [1]
+        # h = u_k ... u_2, one factor per deeper level, the deepest applied
+        # first (``_element``)
+        stabilizer = [_identity_images(self.degree)]
+        for level in self._levels[1:]:
+            stabilizer = [_gather(u.images, (0,) + h) for u in
+                          level["transversal"].values() for h in stabilizer]
+        first = [u.images for u in self._levels[0]["transversal"].values()]
+        orders = [0] * len(by_key)
+        for h in stabilizer:
+            for u in first:
+                order = 1
+                for b in base:
+                    length, x = 1, u[h[b - 1] - 1]
+                    while x != b:
+                        x = u[h[x - 1] - 1]
+                        length += 1
+                    order = lcm(order, length)
+                orders[by_key[tuple([u[h[b - 1] - 1] for b in base])]] = order
         return orders
 
     def _cayley_walk(self) -> tuple[tuple, tuple]:
-        """Breadth-first walk of the Cayley graph from the identity.
+        """Breadth-first walk of the Cayley graph from the identity, on
+        keys alone.
 
-        Returns the elements in discovery order and, for each of them, the
-        discovery indices of its products with the generators in list order.
-        Elements are discovered by their base images (``_base``) alone: an
-        edge ``x -> x*g`` is looked up by the images of ``x``'s base images
-        under ``g``, and no product is formed while the walk runs.  Once it
-        is complete, each element is multiplied out once along the edge
-        that first reached it (``_spanning_tree``, ``_tree_values``).
-        Walked once per group and kept; a group of order above
-        ``ENUMERATION_BOUND`` raises ``EnumerationBoundExceeded`` here.
+        Returns each element's base images (``_base``) in discovery order
+        and, for each of them, the discovery indices of its products with
+        the generators in list order.  An element is tracked by its images
+        on S, the points up to the last base point that G moves, which hold
+        the base: an edge ``x -> x*g`` is looked up by the images of x's
+        images under g, and no product is formed.  The images on S also
+        place the elements in ``elements()`` order (``_walk_ranks``); an
+        element is multiplied out only when a caller asks for it as a
+        permutation (``_walk_elements``, ``_element``).  Walked once per
+        group and kept; a group of order above ``ENUMERATION_BOUND`` raises
+        ``EnumerationBoundExceeded`` here.
         """
         if self._walk is None:
             if self._order > ENUMERATION_BOUND:
@@ -510,27 +561,32 @@ class PermGroup:
                     limit=ENUMERATION_BOUND,
                 )
             base = self._base()
-            keys = [base]
-            index = {base: 0}
+            S = [x for x in range(1, max(base, default=0) + 1)
+                 if any(g.images[x - 1] != x for g in self.generators)]
+            found = [tuple(S)]
+            index = {found[0]: 0}
             successors = []
             tree = []
             # grows while it is read: a FIFO queue
-            for i, key in enumerate(keys):
+            for i, on_s in enumerate(found):
                 row = []
                 for s, g in enumerate(self.generators):
                     gi = g.images
-                    y = tuple([gi[k - 1] for k in key])
+                    y = tuple([gi[x - 1] for x in on_s])
                     j = index.get(y)
                     if j is None:
-                        j = index[y] = len(keys)
-                        keys.append(y)
+                        j = index[y] = len(found)
+                        found.append(y)
                         tree.append((i, s))
                     row.append(j)
                 successors.append(tuple(row))
             self._tree = tuple(tree)
-            found = _tree_values(self, self.identity, self.generators,
-                                 Permutation.__mul__)
-            self._walk = (tuple(found), tuple(successors))
+            self._on_s = found
+            keys = found
+            if S != list(base):
+                at = [S.index(b) for b in base]
+                keys = [_gather(at, y) for y in found]
+            self._walk = (tuple(keys), tuple(successors))
         return self._walk
 
     def _spanning_tree(self) -> tuple:
@@ -541,22 +597,48 @@ class PermGroup:
             self._cayley_walk()
         return self._tree
 
+    def _walk_elements(self) -> tuple:
+        """The elements in discovery order, multiplied out once each along
+        the spanning tree (``_tree_values``) on first call and kept."""
+        if self._found is None:
+            self._found = tuple(_tree_values(
+                self, self.identity, self.generators, Permutation.__mul__))
+        return self._found
+
     def elements(self) -> tuple:
         """All elements, sorted by image tuple (identity first)."""
         if self._elements is None:
-            found = self._cayley_walk()[0]
-            order = sorted(range(len(found)), key=lambda i: found[i].images)
-            self._elements = tuple([found[i] for i in order])
-            self._ranks = [0] * len(order)
-            for r, i in enumerate(order):
-                self._ranks[i] = r
+            self._elements = tuple(self._by_rank(self._walk_elements()))
         return self._elements
 
     def _walk_ranks(self) -> list[int]:
         """For each element in discovery order, its index in
-        ``elements()``."""
-        self.elements()
+        ``elements()``, read off the images on S (``_cayley_walk``).
+
+        Sorting by the images on S sorts by image tuple.  Two elements
+        ``g != h`` first differ at the least point that ``k = g h^-1``
+        moves.  k is not the identity, so it moves a base point, as the
+        chain is complete; so that least point is at most the last base
+        point, and it is moved by G: it lies in S.  The points before it
+        agree, on S as everywhere.
+        """
+        if self._ranks is None:
+            self._cayley_walk()
+            on_s = self._on_s
+            ranks = [0] * len(on_s)
+            for r, i in enumerate(sorted(range(len(on_s)),
+                                         key=on_s.__getitem__)):
+                ranks[i] = r
+            self._ranks = ranks
         return self._ranks
+
+    def _by_rank(self, values) -> list:
+        """``values``, given in discovery order, put in ``elements()``
+        order."""
+        out = [None] * len(values)
+        for value, r in zip(values, self._walk_ranks()):
+            out[r] = value
+        return out
 
     def element_index(self) -> dict:
         if self._index is None:
@@ -565,12 +647,18 @@ class PermGroup:
 
     def _key_index(self) -> dict:
         """The index in ``elements()`` of each element, keyed by its base
-        images (``_base``), in ``elements()`` order; built once."""
+        images (``_base``), in ``elements()`` order; built once, from the
+        walk's keys alone."""
         if self._by_key is None:
-            base = self._base()
-            self._by_key = {tuple([p.images[b - 1] for b in base]): i
-                            for i, p in enumerate(self.elements())}
+            keys = self._by_rank(self._cayley_walk()[0])
+            self._by_key = dict(zip(keys, range(len(keys))))
         return self._by_key
+
+    def _rank(self, p: Permutation) -> int:
+        """The index in ``elements()`` of p, an element of G, looked up by
+        its base images (``_key_index``); p outside G may share the key of
+        an element inside."""
+        return self._key_index()[tuple([p.images[b - 1] for b in self._base()])]
 
     def is_subgroup_of(self, other: "PermGroup") -> bool:
         return self.degree == other.degree and all(
@@ -761,8 +849,11 @@ class GroupHom:
     not lead to its endpoint's key, with that endpoint as the witness.
 
     The values themselves are multiplied out only when ``element_map`` is
-    first read, by the same fill with products in place of keys.  The
-    source is walked, so sources above ``ENUMERATION_BOUND`` raise
+    first read, by the same fill with products in place of keys; the
+    source's walk is on keys too (``PermGroup._cayley_walk``), so building
+    and proving a homomorphism multiplies out no element of either group,
+    and a violation multiplies out only its witness.  The source is
+    walked, so sources above ``ENUMERATION_BOUND`` raise
     ``EnumerationBoundExceeded``.
     """
 
@@ -793,7 +884,7 @@ class GroupHom:
         """Each source element's value, multiplied out on first read."""
         values = _tree_values(self.source, self.target.identity, self.images,
                               Permutation.__mul__)
-        return dict(zip(self.source._cayley_walk()[0], values))
+        return dict(zip(self.source._walk_elements(), values))
 
     def _index_array(self) -> tuple[int, ...]:
         """For each element of ``source.elements()``, the index of its
@@ -861,13 +952,14 @@ def _replay_walk(G: PermGroup, values, images, step, violation: str) -> None:
     (``_off_tree_edges``) derives ``step(values[a], images[s])`` equal to
     ``values[c]``; the tree edges hold by construction and are not read.
     The edges are checked in walk order, and the first that disagrees
-    raises, naming its endpoint.
+    raises, naming its endpoint, the one element multiplied out here
+    (``PermGroup._element``).
     """
-    found = G._cayley_walk()[0]
     for a, s, c in _off_tree_edges(G):
         if step(values[a], images[s]) != values[c]:
+            witness = G._element(G._cayley_walk()[0][c])
             raise RelationViolated(
-                f"{violation} (conflict at {found[c]})", witness=found[c]
+                f"{violation} (conflict at {witness})", witness=witness
             )
 
 
@@ -894,11 +986,11 @@ def identity_hom(G: PermGroup) -> GroupHom:
 
 def kernel(h: GroupHom) -> PermGroup:
     """Kernel in the source, its members (the elements whose key is the
-    target's base) sifted in ascending order."""
+    target's base, picked on keys) sifted in ascending order
+    (``_sifted_at``)."""
     one = h.target._base()
-    found = h.source._cayley_walk()[0]
-    members = sorted(p for p, key in zip(found, h._keys) if key == one)
-    return _sifted(h.source.degree, members)
+    return _sifted_at(h.source,
+                      [i for i, key in enumerate(h._keys) if key == one])
 
 
 def image(h: GroupHom) -> PermGroup:
@@ -946,6 +1038,15 @@ def _sifted(degree: int, candidates, conjugators=(), order=None) -> PermGroup:
     group = PermGroup._on_chain(degree, gens, levels)
     group._irredundant = True
     return group
+
+
+def _sifted_at(G: PermGroup, indices) -> PermGroup:
+    """The group generated by the elements at the given discovery indices of
+    G's walk, sifted in ``elements()`` order (``PermGroup._walk_ranks``);
+    only they are multiplied out (``PermGroup._element``)."""
+    keys, ranks = G._cayley_walk()[0], G._walk_ranks()
+    return _sifted(G.degree, [G._element(keys[i])
+                              for i in sorted(indices, key=ranks.__getitem__)])
 
 
 def normal_closure(G: PermGroup, elements) -> PermGroup:
@@ -1000,30 +1101,68 @@ def _right_cosets(G: PermGroup, H: PermGroup) -> tuple[list, dict]:
     the coset of every element of G, keyed by its base images in G
     (``PermGroup._base``).
 
-    The base images of ``h * e`` are those of h mapped by e, so no product
-    is formed.  Keys are only for elements of G: a caller holding a
-    permutation from outside must check membership first.
+    The cosets are labelled on G's walk (``_coset_labels``), and only their
+    representatives are multiplied out (``PermGroup._element``).  Keys are
+    only for elements of G: a caller holding a permutation from outside
+    must check membership first.
     """
-    base = G._base()
-    hkeys = [tuple([h.images[b - 1] for b in base]) for h in H.elements()]
-    reps = []
-    coset_of = {}
-    for e in G.elements():
-        ei = e.images
-        if tuple([ei[b - 1] for b in base]) in coset_of:
-            continue
-        for key in hkeys:
-            coset_of[tuple([ei[k - 1] for k in key])] = len(reps)
-        reps.append(e)
-    return reps, coset_of
+    keys = G._cayley_walk()[0]
+    reps, label = _coset_labels(G, H)
+    return [G._element(keys[i]) for i in reps], dict(zip(keys, label))
+
+
+def _coset_labels(G: PermGroup, H: PermGroup) -> tuple[list, list]:
+    """The right cosets Hg of a subgroup H on G's Cayley walk: the
+    discovery index of each coset's least element, ascending, and the
+    number of each element's coset, in discovery order.
+
+    H is closed up in G's keys from the identity's: the base images of
+    ``x * h`` are those of x mapped by h, so no product is formed.  Those
+    elements are coset 0.  Right multiplication by a generator s maps the
+    coset Hx onto ``Hx·s``, so the successor column of s carries each
+    coset, element by element, onto another, and a breadth-first pass over
+    the cosets along the columns labels every element of G, as G is
+    generated by its generators.  The cosets are then numbered by their
+    least element in ``elements()`` order (``PermGroup._walk_ranks``), so
+    coset 0 is still H.
+    """
+    keys, successors = G._cayley_walk()
+    where = dict(zip(keys, range(len(keys))))
+    hkeys = {keys[0]}
+    frontier = [keys[0]]
+    for key in frontier:  # grows while it is read: a FIFO queue
+        for h in H.generators:
+            y = tuple([h.images[k - 1] for k in key])
+            if y not in hkeys:
+                hkeys.add(y)
+                frontier.append(y)
+    cosets = [[where[key] for key in frontier]]
+    label = [-1] * len(keys)
+    for i in cosets[0]:
+        label[i] = 0
+    for members in cosets:  # grows while it is read: a FIFO queue
+        for s in range(len(G.generators)):
+            image = [successors[i][s] for i in members]
+            if label[image[0]] < 0:
+                for i in image:
+                    label[i] = len(cosets)
+                cosets.append(image)
+    ranks = G._walk_ranks()
+    least = [min(members, key=ranks.__getitem__) for members in cosets]
+    reps = sorted(least, key=ranks.__getitem__)
+    number = [0] * len(cosets)
+    for c, i in enumerate(reps):
+        number[label[i]] = c
+    return reps, [number[c] for c in label]
 
 
 def _quotient_group(G: PermGroup, N: PermGroup) -> PermGroup:
     """G/N acting on the right cosets of N, coset ``i`` (point ``i + 1``)
     that of the ``i``-th representative in ``right_coset_representatives``
-    order; its generators are the actions of G's, in order.  N must be a
-    normal subgroup of G (``NotASubgroup``, ``NonNormal`` with the first
-    escaping pair of ``_normality_witness``)."""
+    order; its generators are the actions of G's, in order, read off G's
+    successor columns at the representatives (``_coset_labels``), with no
+    product formed.  N must be a normal subgroup of G (``NotASubgroup``,
+    ``NonNormal`` with the first escaping pair of ``_normality_witness``)."""
     if not N.is_subgroup_of(G):
         raise NotASubgroup("N is not a subgroup of G")
     bad = _normality_witness(N, G)
@@ -1032,16 +1171,10 @@ def _quotient_group(G: PermGroup, N: PermGroup) -> PermGroup:
             "subgroup is not normal: {} conjugated by {} escapes".format(*bad),
             witness=bad,
         )
-    reps, coset_of = _right_cosets(G, N)
-    base = G._base()
-    rkeys = [tuple([r.images[b - 1] for b in base]) for r in reps]
-    perms = []
-    for g in G.generators:
-        # the coset of r * g, by r's base images mapped by g
-        gi = g.images
-        perms.append(Permutation(tuple(
-            coset_of[tuple([gi[k - 1] for k in key])] + 1 for key in rkeys
-        )))
+    reps, label = _coset_labels(G, N)
+    successors = G._cayley_walk()[1]
+    perms = [Permutation(tuple([label[successors[r][s]] + 1 for r in reps]))
+             for s in range(len(G.generators))]
     # G/N acts on the cosets of the normal N as on itself: regularly
     return PermGroup._bounded(len(reps), perms, len(reps))
 
@@ -1062,31 +1195,70 @@ def abelian_invariants(G: PermGroup) -> list[int]:
     """Invariant factors d1 | d2 | ... | dk of a finite abelian group.
 
     Ascending divisibility: C4 x C2 x C2 x C2 comes back as [2, 2, 2, 4].
+    A finite abelian group is fixed by its order histogram
+    (``PermGroup._element_orders``), which is read once, with no quotient
+    formed.  In ``C_(p^e1) x ... x C_(p^er) x A'``, A' of order prime to p,
+    the elements with ``g^(p^k) = 1`` number ``p^(sum_i min(k, e_i))``; so
+    the count at k over that at k - 1 is p to the number of the e_i at
+    least k, and those numbers give the exponents e_i.  The j-th largest
+    invariant factor is the product over the primes p of p to the j-th
+    largest exponent.
     """
     bad = _noncommuting_pair(G)
     if bad is not None:
         raise NonAbelian("group is not abelian", witness=bad)
-    invariants = []
-    H = G
-    while H.order() > 1:
-        orders = H._element_orders()
-        exponent = max(orders)
-        g = H.elements()[orders.index(exponent)]
-        invariants.append(exponent)
-        H = _quotient_group(H, H.subgroup([g]))
-    invariants.reverse()
-    return invariants
+    hist = Counter(G._element_orders())
+    descending = []
+    p, rest = 2, G.order()
+    while rest > 1:
+        if rest % p:
+            p += 1
+            continue
+        while rest % p == 0:
+            rest //= p
+        # at_least[k - 1]: the number of exponents at least k
+        at_least = []
+        count, q = 1, p
+        while True:
+            more = sum(c for o, c in hist.items() if q % o == 0)
+            if more == count:
+                break
+            r, ratio = 0, more // count
+            while ratio > 1:
+                ratio //= p
+                r += 1
+            at_least.append(r)
+            count, q = more, q * p
+        for j in range(at_least[0]):
+            if j == len(descending):
+                descending.append(1)
+            descending[j] *= p ** sum(1 for r in at_least if r > j)
+    return descending[::-1]
+
+
+def _central(G: PermGroup) -> list[int]:
+    """The discovery indices of the elements of G's centre, read off G's
+    Cayley walk with no product formed.
+
+    z is central when ``z·s = s·z`` for each generator s.  ``z·s`` is the
+    successor column of s at z.  ``s·z`` is read off a left-multiplication
+    table filled along the spanning tree: ``s·1 = s`` is the successor of
+    the identity, and along the tree edge ``x -> x·t``,
+    ``s·(x·t) = (s·x)·t`` is the successor of ``s·x`` in column t.
+    """
+    successors = G._cayley_walk()[1]
+    central = range(len(successors))
+    for s in range(len(G.generators)):
+        left = _tree_values(G, successors[0][s], range(len(G.generators)),
+                            lambda x, t: successors[x][t])
+        central = [z for z in central if left[z] == successors[z][s]]
+    return list(central)
 
 
 def center(G: PermGroup) -> PermGroup:
-    """Elements commuting with every generator (``_commute``, on base
-    images), sifted in ascending order."""
-    base = G._base()
-    gens = [g.images for g in G.generators]
-    return _sifted(G.degree, [
-        z for z in G.elements()
-        if all(_commute(base, z.images, gi) for gi in gens)
-    ])
+    """The centre: the central elements (``_central``) sifted in ascending
+    order (``_sifted_at``)."""
+    return _sifted_at(G, _central(G))
 
 
 def derived_subgroup(G: PermGroup) -> PermGroup:
@@ -1131,7 +1303,14 @@ class Fingerprint:
 
 
 def fingerprint(G: PermGroup) -> Fingerprint:
-    """Invariants of G, computed once per group and kept on it."""
+    """Invariants of G, computed once per group and kept on it.
+
+    None of them multiplies out an element of G: the order histogram is
+    read off the chain (``PermGroup._element_orders``), the abelianization
+    off the quotient by G' on the successor columns (``_quotient_group``)
+    and its histogram, and the centre's order is G's when G's generators
+    commute, otherwise the count of the central elements (``_central``).
+    """
     if G._fingerprint is None:
         G._fingerprint = _compute_fingerprint(G)
     return G._fingerprint
@@ -1143,10 +1322,11 @@ def _compute_fingerprint(G: PermGroup) -> Fingerprint:
     hist = Counter(G._element_orders())
     derived = derived_subgroup(G)
     ab = _quotient_group(G, derived)
+    abelian = _noncommuting_pair(G) is None
     return Fingerprint(
         order=G.order(),
         abelianization=tuple(abelian_invariants(ab)),
-        center_order=center(G).order(),
+        center_order=G.order() if abelian else len(_central(G)),
         derived_order=derived.order(),
         order_histogram=tuple(sorted(hist.items())),
     )

@@ -114,20 +114,21 @@ class CrossedModule:
         walk, or the assignment does not factor through Q and is refused.
         The index array over M.elements() of any other element of Q is
         composed from its tree parent's on first read (``act_array``).
+        M's generators are looked up by their base images
+        (``PermGroup._rank``), so no element of M is multiplied out.
         """
-        index = self.M.element_index()
-        gens = tuple([index[m] for m in self.M.generators])
+        gens = tuple([self.M._rank(m) for m in self.M.generators])
         keys = _tree_values(self.Q, gens, arrays, _gather)
         _replay_walk(
             self.Q, keys, arrays, _gather,
             "action assignment does not respect the relations of Q",
         )
         self._generator_arrays = arrays
-        found = self.Q._cayley_walk()[0]
+        found = self.Q._walk_elements()
         self._walk_index = dict(zip(found, range(len(found))))
         # by discovery index; None until composed
         self._arrays = [None] * len(found)
-        self._arrays[0] = tuple(range(len(index)))
+        self._arrays[0] = tuple(range(self.M.order()))
 
     def act(self, m: Permutation, q: Permutation) -> Permutation:
         """m^q for any q in Q."""
@@ -240,13 +241,14 @@ def _cm1_failure(X: CrossedModule, qs, ms):
     """First ``(m, q)`` with ``d(m^q) != q^-1 (dm) q``, q outer, or None.
 
     The boundary is read as an index array (``GroupHom._index_array``), so
-    ``d(m^q)`` is looked up, not multiplied out.
+    ``d(m^q)`` is looked up, not multiplied out, and each m is found by its
+    base images (``PermGroup._rank``).
     """
-    index = X.M.element_index()
     qelems = X.Q.elements()
     qindex = X.Q.element_index()
     d = X.boundary._index_array()
-    mdata = [(m, index[m], qelems[d[index[m]]]) for m in ms]
+    ranks = [X.M._rank(m) for m in ms]
+    mdata = [(m, i, qelems[d[i]]) for m, i in zip(ms, ranks)]
     for q in qs:
         arr = X.act_array(q)
         qi = q.inverse()
@@ -261,21 +263,22 @@ def _cm2_failure(X: CrossedModule, mps, ms):
 
     Both sides lie in M, so they are compared by their base images
     (``PermGroup._base``): at base point b, ``m'^-1 m m'`` gives
-    ``m'(m(c))`` where c is the point m' sends to b.
+    ``m'(m(c))`` where c is the point m' sends to b.  ``m^(dm')`` is read
+    as the key at its index (``M._key_index()``), so no element of M is
+    multiplied out.
     """
-    melems = X.M.elements()
-    index = X.M.element_index()
+    M = X.M
+    keys = list(M._key_index())
     qelems = X.Q.elements()
     d = X.boundary._index_array()
-    base = X.M._base()
-    mdata = [(m, index[m], m.images) for m in ms]
+    mdata = [(m, M._rank(m), m.images) for m in ms]
     for mp in mps:
-        arr = X.act_array(qelems[d[index[mp]]])
+        arr = X.act_array(qelems[d[M._rank(mp)]])
         mpi = mp.images
-        pairs = [(b - 1, mpi.index(b)) for b in base]
+        pairs = list(enumerate([mpi.index(b) for b in M._base()]))
         for m, i, mi in mdata:
-            lhs = melems[arr[i]].images
-            if any(lhs[b] != mpi[mi[c] - 1] for b, c in pairs):
+            lhs = keys[arr[i]]
+            if any(lhs[j] != mpi[mi[c] - 1] for j, c in pairs):
                 return m, mp
     return None
 
@@ -347,11 +350,11 @@ class XModMorphism:
         """
         f, g = self.f._index_array(), self.g._index_array()
         dx, dy = X.boundary._index_array(), Y.boundary._index_array()
-        ms = [X.M.element_index()[m] for m in X.M.generators]
+        ms = [X.M._rank(m) for m in X.M.generators]
         if any(dy[f[i]] != g[dx[i]] for i in ms):
             return False
         for q in X.Q.generators:
-            gq = Y.Q.elements()[g[X.Q.element_index()[q]]]
+            gq = Y.Q.elements()[g[X.Q._rank(q)]]
             xq, yq = X.act_array(q), Y.act_array(gq)
             if any(f[xq[i]] != yq[f[i]] for i in ms):
                 return False

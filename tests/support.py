@@ -656,6 +656,37 @@ def product_right_cosets(elements, subgroup):
     return reps, coset_of
 
 
+def product_kernel(degree, gens, target_degree, images):
+    """The kernel of the homomorphism given on ``gens`` by ``images``, by
+    products along ``product_walk``: its element tuples, sorted."""
+    element_map, _ = product_replay(degree, gens, target_degree, images)
+    one = tidentity(target_degree)
+    return sorted(x for x, v in element_map.items() if v == one)
+
+
+def product_abelian_invariants(elements):
+    """Invariant factors, ascending, of the abelian group on the given
+    element tuples, as ``abelian_invariants`` first found them: the largest
+    order of an element modulo the subgroup C taken so far, then C grown by
+    the first element of that order, until C is the whole group."""
+    elements = sorted({tuple(e) for e in elements})
+    degree = len(elements[0])
+    taken = {tidentity(degree)}
+    invariants = []
+    while len(taken) < len(elements):
+        orders = []
+        for g in elements:
+            k, x = 1, g
+            while x not in taken:
+                x = tcompose(x, g)
+                k += 1
+            orders.append(k)
+        exponent = max(orders)
+        invariants.append(exponent)
+        taken = closure(degree, list(taken) + [elements[orders.index(exponent)]])
+    return invariants[::-1]
+
+
 def product_relators_die(degree, images, relators):
     """Whether every relator (letters ``(generator, +1 or -1)``) multiplies
     out to the identity when each generator stands for its image tuple,

@@ -91,9 +91,14 @@ def group(degree, gens):
 
 
 def check_walk(G):
-    found, successors = G._cayley_walk()
-    expected = product_walk(G.degree, [g.images for g in G.generators])
-    assert (tuple(p.images for p in found), successors) == expected
+    # the walk keeps keys; its elements, multiplied out along the tree, and
+    # their keys are the product walk's, edge for edge
+    keys, successors = G._cayley_walk()
+    found, want_successors = product_walk(
+        G.degree, [g.images for g in G.generators])
+    assert successors == want_successors
+    assert keys == tuple(tuple(p[b - 1] for b in G._base()) for p in found)
+    assert tuple(p.images for p in G._walk_elements()) == found
 
 
 def check_mult(G):

@@ -196,3 +196,36 @@ def test_trivial_boundary_stats_pinned():
                       [hom(M, M, [M.generators[0].inverse()])])
     _, report = induce(X, hom(P, S3, P.generators))
     assert report.stats == _stats("regular", 27, 28, 28, 3, 9, 33, 27)
+
+
+# sha256 of ``xmodlab induce --degree 5 --group S5 --sub SUB --json`` for
+# the three subgroups of perfbench/workloads.py's s5_induce, and of the
+# ``--dump-xmod`` file of C5 (|M| = 3000 on the 600 cosets of H), recorded
+# before the Cayley walk came to run on keys alone: the fingerprint of the
+# order-3000 M, its histogram, centre and abelianization, is pinned with
+# the rest of the report
+S5 = "(1,2,3,4,5),(1,2)"
+S5_JSON = {
+    "(1,2,3,4),(1,2)":
+        "2094e5075b5680843ec27ff9d0d7ce1abc0447305a228561fcee362435674b61",
+    "(1,2)":
+        "a7a29798ca75fbd8ea87f2bd303f965ccb3a71a25f7937ef06b39d4375f1d4a8",
+    "(1,2,3,4,5)":
+        "3e52181b639e9158291108c6198d5ccd59958900a0a2f8982edb7a45648437d5",
+}
+S5_C5_DUMP = "bd03ea973bd5ac1c8652f77164d3278ff6a50256873973f68664c06fe81ef4cd"
+
+
+@pytest.mark.parametrize("sub", sorted(S5_JSON))
+def test_s5_induce_json_pinned(capsys, sub):
+    argv = ["induce", "--degree", "5", "--group", S5, "--sub", sub, "--json"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == S5_JSON[sub]
+
+
+def test_s5_c5_dump_xmod_bytes_pinned(capsys, tmp_path):
+    path = tmp_path / "xmod.json"
+    assert main(["induce", "--degree", "5", "--group", S5, "--sub",
+                 "(1,2,3,4,5)", "--dump-xmod", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == S5_C5_DUMP

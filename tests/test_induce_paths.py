@@ -72,22 +72,31 @@ class TestAgainstOracle:
     @settings(max_examples=25, deadline=None)
     @given(st.data())
     def test_random_subgroups_and_transversals(self, data):
-        # S4 mostly; S5 only for the subgroups generated by a transposition,
-        # whose reference enumeration finishes in about a second
-        if data.draw(st.integers(0, 4)):
-            Q = symmetric(4)
-            P = Q.subgroup([data.draw(st.sampled_from(Q.elements()))
-                            for _ in range(data.draw(st.integers(1, 2)))])
-        else:
-            Q = PermGroup(5, parse_generator_list(S5, 5))
-            transpositions = [g for g in Q.elements()
-                              if len(g.moved_points()) == 2]
-            P = Q.subgroup([data.draw(st.sampled_from(transpositions))])
-        # each representative moved within its coset by an element of P
-        T = [data.draw(st.sampled_from(P.elements())) * t
-             for t in coset_transversal(Q, P)]
-        T = data.draw(st.permutations(T))
-        assert_matches_oracle(P, Q, T)
+        # S4, with P generated by one or two random elements
+        Q = symmetric(4)
+        P = Q.subgroup([data.draw(st.sampled_from(Q.elements()))
+                        for _ in range(data.draw(st.integers(1, 2)))])
+        assert_matches_oracle(P, Q, random_transversal(data, Q, P))
+
+    @settings(max_examples=5, deadline=None)
+    @given(st.data())
+    def test_random_s5_transpositions(self, data):
+        # S5 only for the subgroups generated by a transposition, whose
+        # reference enumeration finishes in about a second: a fixed number
+        # of examples, so the test takes the same time from run to run
+        Q = PermGroup(5, parse_generator_list(S5, 5))
+        transpositions = [g for g in Q.elements()
+                          if len(g.moved_points()) == 2]
+        P = Q.subgroup([data.draw(st.sampled_from(transpositions))])
+        assert_matches_oracle(P, Q, random_transversal(data, Q, P))
+
+
+def random_transversal(data, Q, P):
+    """Right coset representatives of P in Q, each moved within its coset
+    by an element of P, in a drawn order."""
+    T = [data.draw(st.sampled_from(P.elements())) * t
+         for t in coset_transversal(Q, P)]
+    return data.draw(st.permutations(T))
 
 
 class TestFallback:

@@ -32,7 +32,8 @@ GROUPS = {
 
 
 def check_edges(G):
-    found, successors = G._cayley_walk()
+    successors = G._cayley_walk()[1]
+    found = G._walk_elements()
     tree = set(G._spanning_tree())
     k = len(G.generators)
     edges = _off_tree_edges(G)
