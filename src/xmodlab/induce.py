@@ -19,7 +19,12 @@ whose length is the order of g in M, x = (g, s), the Peiffer relators
 ``(x, y)`` for y in one copy of the cycle follow from the rest and are not
 built (the proof is in ``_with_peiffer_relators``).  The letters are
 counted before a word is built, and a presentation of more than
-``RELATOR_LETTER_BUDGET`` letters is refused.
+``RELATOR_LETTER_BUDGET`` letters is refused.  The copies' relators and the
+Peiffer relators of the generators of a few copies T0, chosen so that every
+orbit of their boundaries on the copies meets T0, present G by themselves
+(the core, ``InducedPresentation.core``; the proof is in
+``_with_peiffer_relators``), and ``todd_coxeter`` stops once the rows it has
+not scanned are complete and close the core.
 
 ``induce`` reads M off the action of the presented group G on the cosets
 of a subgroup, in one loop over two attempts: over H, the copy of M at the
@@ -109,7 +114,9 @@ class InducedPresentation:
     base group element q: one letter for a free module, the spanning-tree
     word of ``g^p`` in copy t' for an induced one.
     ``subgroup_words`` generate the copy of M at the coset of the subgroup,
-    for an induced module; they are empty for a free one.
+    for an induced module; they are empty for a free one.  ``core`` lists
+    the indices of relators that by themselves present the same group, for
+    an induced module (``induced_presentation``); it is None for a free one.
     """
 
     presentation: Presentation
@@ -118,6 +125,7 @@ class InducedPresentation:
     gen_pairs: tuple[tuple[Permutation, Permutation], ...]
     subgroup_words: tuple[Word, ...] = ()
     act_gen: object = field(repr=False, compare=False, default=None)
+    core: tuple[int, ...] | None = None
 
     def boundary_kills_relators(self) -> bool:
         """Check in the base group that every relator dies.
@@ -150,15 +158,21 @@ def _word_image(word: Word, perms) -> Permutation:
     return reduce(Permutation.__mul__, [perms[g] for g, _ in word.letters])
 
 
-def _dedupe_relators(words):
-    seen = set()
+def _dedupe_relators(words, core=None):
+    """The distinct nonidentity ``words`` in order of first appearance, and
+    the positions among them of the words at the indices ``core`` (None
+    when ``core`` is None)."""
+    position = {}
     out = []
     for w in words:
-        if w.is_identity() or w.letters in seen:
+        if w.is_identity() or w.letters in position:
             continue
-        seen.add(w.letters)
+        position[w.letters] = len(out)
         out.append(w)
-    return tuple(out)
+    if core is not None:
+        core = tuple(sorted({position[words[i].letters] for i in core
+                             if not words[i].is_identity()}))
+    return tuple(out), core
 
 
 def _schreier_relators(G: PermGroup):
@@ -219,6 +233,15 @@ def induced_presentation(
     ``x^-1 y x = y^(dx)`` form a subgroup, and so do the x that satisfy it
     for every y.  ``subgroup_words`` generate H, the copy at the coset of
     iota(P).
+
+    ``core`` lists the copies' relators and the Peiffer relators kept for x
+    among the generators of the copies T0, which present G by themselves
+    when every orbit of ``D = <d(x) : x in T0's copies>`` on the copies
+    meets T0 (the proof is in ``_with_peiffer_relators``).  T0 starts with
+    the copy t0 of iota(P); while some copy is not reached from T0 along the
+    copy moves of its generators' boundaries (``row``), the first such copy
+    is added.  The copies reached are then the union of the orbits of D
+    through T0, and they are all the copies.  No group is built for this.
 
     The action ``(g, t)^q = (g^p, t')``, where ``t q = iota(p) t'``, is
     spelled in copy t' by the word of ``g^p`` along the spanning tree of M's
@@ -350,9 +373,27 @@ def induced_presentation(
     ]
     t0 = coset(Q.identity)  # the transversal element in iota(P)
     subgroup_words = tuple(Word(((gen(gi, t0), 1),)) for gi in range(ng))
+
+    def reached(copies):  # from ``copies`` along their generators' boundaries
+        moves = [[tj for tj, _ in row(boundary_images[gen(gi, ti)])]
+                 for ti in copies for gi in range(ng)]
+        seen = set(copies)
+        stack = list(copies)
+        while stack:
+            ti = stack.pop()
+            for move in moves:
+                if move[ti] not in seen:
+                    seen.add(move[ti])
+                    stack.append(move[ti])
+        return seen
+
+    core_copies = [t0]
+    while len(seen := reached(core_copies)) < nT:
+        core_copies.append(min(set(range(nT)) - seen))
     return _with_peiffer_relators(
         Q, relators, boundary_images, gen_pairs, labels, act_gen,
         subgroup_words, partners,
+        {gen(gi, ti) for ti in core_copies for gi in range(ng)},
     )
 
 
@@ -398,7 +439,7 @@ def free_crossed_module_presentation(P: PermGroup, relations) -> InducedPresenta
 
 def _with_peiffer_relators(
     base, relators, boundary_images, gen_pairs, labels, act_gen,
-    subgroup_words=(), partners=None,
+    subgroup_words=(), partners=None, core_gens=None,
 ) -> InducedPresentation:
     """Add the Peiffer relators ``x^-1 y x w^-1`` to ``relators`` and return
     the presentation, checked against the boundary.  w is the word
@@ -431,14 +472,43 @@ def _with_peiffer_relators(
     Copy s itself is fixed by d (``t_s d = iota(dg) t_s``), and L >= 2, so
     x's own copy is never left out, and each cycle is argued from relators
     that are kept.
+
+    ``core_gens``, when given, is a set S of generators: all those of the
+    copies T0.  The relators passed in, those of the copies, and the
+    Peiffer relators built for x in S, form the core (``ip.core``, indices
+    into the relators kept).  When every orbit of ``D = <d(x) : x in S>`` on
+    the copies meets T0, the core presents the same group G:
+
+    1. For fixed x, the words z with ``x^-1 z x = alpha_dx(z)`` form a
+       subgroup of F, and the argument above gives every z from the
+       relators (x, y) that are built.  So the core gives the Peiffer
+       identity for each x in S and every word z.
+    2. The words u with ``u^-1 z u = alpha_du(z)`` for every z form a
+       subgroup of F: modulo the copies' relators ``alpha_a alpha_b =
+       alpha_ab`` and ``alpha_1`` is the identity, so the identity for a
+       and for b gives it for ab and for a^-1.
+    3. The copies lying in ``<S>`` are closed under ``t -> t'`` where
+       ``t dx = p t'``, for x in S: ``alpha_dx`` maps copy t onto copy t'
+       (p acts on M by an automorphism), and ``alpha_dx(y) = x^-1 y x``
+       lies in ``<S>`` for y in it.  So they are closed under D, and as
+       each orbit meets T0 every copy lies in ``<S>``.
+
+    So every generator lies in ``<S>``, and by steps 1 and 2 satisfies the
+    Peiffer identity for every z: every Peiffer relator, built or not,
+    follows from the core.
     """
     ngens = len(boundary_images)
+    # relator indices: every copy's relators, then the Peiffer relators of S
+    core = None if core_gens is None else list(range(len(relators)))
     for x in range(ngens):
         dx = boundary_images[x]
         for y in range(ngens) if partners is None else partners(x):
+            if core is not None and x in core_gens:
+                core.append(len(relators))
             w = act_gen(y, dx).inverse().letters
             relators.append(Word.of(((x, -1), (y, 1), (x, 1)) + w))
-    pres = Presentation(ngens, _dedupe_relators(relators), tuple(labels))
+    relators, core = _dedupe_relators(relators, core)
+    pres = Presentation(ngens, relators, tuple(labels))
     ip = InducedPresentation(
         presentation=pres,
         base=base,
@@ -446,6 +516,7 @@ def _with_peiffer_relators(
         gen_pairs=tuple(gen_pairs),
         subgroup_words=subgroup_words,
         act_gen=act_gen,
+        core=core,
     )
     if not ip.boundary_kills_relators():
         raise ValidationFailed("boundary assignment does not kill a relator")
@@ -472,7 +543,8 @@ class Report:
     enumeration follows the one over H, both count in ``todd_coxeter`` and
     ``chain``.  ``stats`` gives the path taken (``"over H"`` or
     ``"regular"``), the counters of the coset table M was read off
-    (``ncosets``, ``defined``, ``peak_live``), the presentation's size
+    (``ncosets``, ``defined``, ``peak_live``, and ``skipped``, the live
+    cosets the early stop left unscanned), the presentation's size
     (``generators``, ``relators``, ``relator_letters``) and M's ``degree``.
     Neither is part of the JSON or of comparisons.
     """
@@ -629,7 +701,9 @@ def induce(
     ``CrossedModule`` reads them as index arrays, and none multiplies out
     its values.
 
-    ``Report.stats`` names the path taken, ``"over H"`` or ``"regular"``.
+    Both attempts pass ``ip.core`` to ``todd_coxeter``, which may then stop
+    early with the table the full scan would give.  ``Report.stats`` names
+    the path taken, ``"over H"`` or ``"regular"``.
     The returned module has passed the axiom check; a failure there raises
     ``ValidationFailed`` (it would mean an internal error, not bad input).
     """
@@ -650,7 +724,7 @@ def induce(
         attempts.insert(0, ("over H", ip.subgroup_words, X.M.order()))
     lap("presentation")
     for path, words, order in attempts:
-        ct = todd_coxeter(pres, words, max_cosets)
+        ct = todd_coxeter(pres, words, max_cosets, core=ip.core)
         lap("todd_coxeter")
         gen_perms = _coset_action(ct)
         bound = ct.ncosets * order
@@ -706,6 +780,7 @@ def induce(
             "ncosets": ct.ncosets,
             "defined": ct.defined,
             "peak_live": ct.peak_live,
+            "skipped": ct.skipped,
             "generators": pres.ngens,
             "relators": len(pres.relators),
             "relator_letters": sum(len(w) for w in pres.relators),

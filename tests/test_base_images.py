@@ -70,9 +70,9 @@ from xmodlab.xmod import CrossedModule, _cm2_failure, identity_xmod, validate
 
 
 @st.composite
-def generator_lists(draw, max_degree=6):
+def generator_lists(draw, max_degree=6, min_degree=1):
     """A degree and 0-3 image tuples, the identity and repeats allowed."""
-    degree = draw(st.integers(1, max_degree))
+    degree = draw(st.integers(min_degree, max_degree))
     points = list(range(1, degree + 1))
     gens = []
     for _ in range(draw(st.integers(0, 3))):
@@ -531,9 +531,23 @@ def relator_checks(draw):
     every relator dies; otherwise the relators are random words of 1-6
     letters, among them one-letter relators on images that fix the first
     base point and move a later one, which a check of the first base
-    point alone would pass."""
-    G = draw(generator_lists().map(lambda spec: group(*spec))
-             .filter(lambda G: len(G._base()) >= 2))
+    point alone would pass.
+
+    A drawn group with fewer than 2 base points gets the transpositions
+    ``(a b)`` and ``(b c)`` of three drawn points.  They generate the
+    symmetric group on ``{a, b, c}``, in which every point is fixed by a
+    nonidentity element, so the stabiliser of the first base point is not
+    trivial and the chain needs a second point."""
+    degree, gens = draw(generator_lists(min_degree=3))
+    G = group(degree, gens)
+    if len(G._base()) < 2:
+        a, b, c = draw(st.permutations(range(1, degree + 1)))[:3]
+        for u, v in ((a, b), (b, c)):
+            swap = list(range(1, degree + 1))
+            swap[u - 1], swap[v - 1] = v, u
+            gens = gens + [tuple(swap)]
+        G = group(degree, gens)
+    assert len(G._base()) >= 2
     imgs = draw(st.lists(st.sampled_from(G.elements()), min_size=1,
                          max_size=4))
     gens = st.integers(0, len(imgs) - 1)

@@ -193,11 +193,14 @@ class TestInduce:
         assert json.loads(out)["induced_order"] == 128
         assert err.startswith("stats: over H; ncosets=64 ")
         assert "degree=64;" in err
+        # the live cosets the early stop of Todd-Coxeter left unscanned
+        assert " skipped=2 " in err
         # P = Q: one coset of H, so the regular path
         rc, _, err = run(capsys, "induce", "--sub", "(1,2),(1,2,3,4)",
                          "--stats")
         assert rc == 0
         assert err.startswith("stats: regular; ncosets=24 ")
+        assert " skipped=22 " in err
 
     def test_limit_exceeded(self, capsys):
         rc, _, err = run(capsys, "induce", "--sub", "(1,2)(3,4)", "--limit", "10")

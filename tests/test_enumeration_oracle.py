@@ -6,7 +6,11 @@ order and process the same coincidences, so every table, counter and refusal
 has to match ``reference_todd_coxeter``.  That covers the small presentations
 of ``test_fp``, random presentations and limits, the S4 rows regular and over
 H, and the three enumerations over H that ``induce`` runs for P = S4,
-``<(1,2)>`` and C5 in S5, whose counters are pinned too.  The S5 inductions of
+``<(1,2)>`` and C5 in S5, whose counters are pinned too.  Each is also run
+with the early stop on a core of the relators (``todd_coxeter(..., core=)``):
+all the relators for the small and random presentations, and
+``InducedPresentation.core`` for the induced ones, on the S4 rows, the S5
+cases and random subgroups of S4 and S5.  The S5 inductions of
 ``reference_induced_presentation`` (every element of M in every copy) are too
 slow for the reference here; their regular tables are pinned by a hash taken
 from the reference enumeration instead.
@@ -14,6 +18,7 @@ from the reference enumeration instead.
 
 import hashlib
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +28,7 @@ from support import reference_induced_presentation, reference_todd_coxeter
 from xmodlab.errors import CosetLimitExceeded
 from xmodlab.fp import CosetTable, Presentation, Word, todd_coxeter
 from xmodlab.induce import (
+    coset_transversal,
     free_crossed_module_presentation,
     induced_presentation,
     table_subgroup,
@@ -44,12 +50,23 @@ def outcome(enumerate_, presentation, subgroup_words=(), max_cosets=1 << 16):
     return ("table", ct.table, ct.defined, ct.peak_live)
 
 
-def assert_same(presentation, subgroup_words=(), max_cosets=1 << 16):
-    got = outcome(todd_coxeter, presentation, subgroup_words, max_cosets)
+def assert_same(presentation, subgroup_words=(), max_cosets=1 << 16,
+                core=None):
+    """``todd_coxeter`` against the reference, and again with the early
+    stop on ``core`` when it is given; returns the reference outcome."""
     want = outcome(reference_todd_coxeter, presentation, subgroup_words,
                    max_cosets)
-    assert got == want
-    return got
+    assert outcome(todd_coxeter, presentation, subgroup_words,
+                   max_cosets) == want
+    if core is not None:
+        assert outcome(partial(todd_coxeter, core=core), presentation,
+                       subgroup_words, max_cosets) == want
+    return want
+
+
+def every_relator(presentation):
+    """All the relators' indices: a core of any presentation."""
+    return tuple(range(len(presentation.relators)))
 
 
 S4_COXETER = Presentation(3, (
@@ -102,11 +119,20 @@ class TestSmallPresentations:
         pres = SMALL[name]
         limit = 50 if name == "free2" else 1 << 16
         for words in subgroup_choices(pres.ngens):
-            assert_same(pres, words, limit)
+            assert_same(pres, words, limit, every_relator(pres))
 
     def test_refusal_matches_reference(self):
         got = assert_same(SMALL["free2"], (), 50)
         assert got == ("refused", 50, "needed more than 50 cosets")
+
+    def test_generator_in_no_relator(self):
+        # b occurs in no relator, so no relator's trace reads its columns:
+        # the early stop must find every row complete as well.  <a, b |
+        # a^-2> over <a^2, b^-1> has infinite index, and is refused
+        pres = Presentation(2, (W([(0, -1)] * 2),))
+        sub = (W([(0, 1)] * 2), W([(1, -1)]))
+        got = assert_same(pres, sub, 200, every_relator(pres))
+        assert got == ("refused", 200, "needed more than 200 cosets")
 
     def test_counters_not_compared(self):
         ct = todd_coxeter(SMALL["a4"])
@@ -122,14 +148,12 @@ def s4_row_induced(row):
     return induced_presentation(identity_xmod(P), iota)
 
 
-def s4_row_presentation(row):
-    return s4_row_induced(row).presentation
-
-
 class TestInducedPresentations:
     @pytest.mark.parametrize("row", range(1, 8))
     def test_s4_row_matches_reference(self, row):
-        kind, table, defined, peak_live = assert_same(s4_row_presentation(row))
+        ip = s4_row_induced(row)
+        kind, table, defined, peak_live = assert_same(
+            ip.presentation, (), core=ip.core)
         assert kind == "table"
         # counters: every coset kept was defined and live at once
         assert defined >= peak_live >= len(table)
@@ -139,7 +163,8 @@ class TestInducedPresentations:
         # the enumeration induce runs: over the copy of M at the identity
         # coset, whose index is |M*| / |M|
         ip = s4_row_induced(row)
-        kind, table, _, _ = assert_same(ip.presentation, ip.subgroup_words)
+        kind, table, _, _ = assert_same(ip.presentation, ip.subgroup_words,
+                                        core=ip.core)
         assert kind == "table"
         order = (48, 48, 48, 48, 96, 72, 128)[row - 1]
         assert len(table) * table_subgroup(row).order() == order
@@ -161,6 +186,9 @@ S5_OVER_H = (
     ("(1,2)", 120, 3478, 2566),
     ("(1,2,3,4,5)", 600, 4965, 2330),
 )
+# the live cosets whose scans the early stop leaves out: after the last
+# change to the table, 61 of 120 on <(1,2)> and 195 of 600 on C5
+S5_SKIPPED = {"(1,2,3,4),(1,2)": 2, "(1,2)": 61, "(1,2,3,4,5)": 195}
 
 
 class TestS5OverH:
@@ -169,9 +197,13 @@ class TestS5OverH:
         Q = PermGroup(5, parse_generator_list("(1,2,3,4,5),(1,2)", 5))
         P = Q.subgroup(parse_generator_list(sub, 5))
         ip = induced_presentation(identity_xmod(P), hom(P, Q, P.generators))
-        got = assert_same(ip.presentation, ip.subgroup_words)
+        got = assert_same(ip.presentation, ip.subgroup_words, core=ip.core)
         assert got[0] == "table"
         assert (len(got[1]), got[2], got[3]) == (ncosets, defined, peak_live)
+        ct = todd_coxeter(ip.presentation, ip.subgroup_words, core=ip.core)
+        assert ct.skipped == S5_SKIPPED[sub]
+        # without a core nothing is left out
+        assert todd_coxeter(ip.presentation, ip.subgroup_words).skipped == 0
 
 
 # (subgroup of S5, coset count, sha256 of repr(table), cosets defined,
@@ -231,4 +263,35 @@ class TestRandomPresentations:
     @given(small_presentations())
     def test_matches_reference(self, case):
         pres, subgroup, limit = case
-        assert_same(pres, subgroup, limit)
+        assert_same(pres, subgroup, limit, every_relator(pres))
+
+
+class TestEarlyStopOnRandomSubgroups:
+    """The early stop on ``InducedPresentation.core`` against the reference,
+    for ``identity_xmod(P)`` along P <= Q with P generated by one or two
+    drawn elements: in S4 over H and over the trivial subgroup, with a drawn
+    transversal and a drawn coset limit, so refusals are compared too; in
+    S5 over H only, with a fixed number of examples, as its reference
+    enumerations take up to a second."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_s4(self, data):
+        Q = symmetric(4)
+        P = Q.subgroup([data.draw(st.sampled_from(Q.elements()))
+                        for _ in range(data.draw(st.integers(1, 2)))])
+        T = data.draw(st.permutations(coset_transversal(Q, P)))
+        ip = induced_presentation(identity_xmod(P), hom(P, Q, P.generators),
+                                  T)
+        limit = data.draw(st.integers(1, 400))
+        assert_same(ip.presentation, ip.subgroup_words, limit, ip.core)
+        assert_same(ip.presentation, (), limit, ip.core)
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.data())
+    def test_s5_over_h(self, data):
+        Q = PermGroup(5, parse_generator_list("(1,2,3,4,5),(1,2)", 5))
+        P = Q.subgroup([data.draw(st.sampled_from(Q.elements()))
+                        for _ in range(data.draw(st.integers(1, 2)))])
+        ip = induced_presentation(identity_xmod(P), hom(P, Q, P.generators))
+        assert_same(ip.presentation, ip.subgroup_words, core=ip.core)

@@ -345,6 +345,88 @@ class TestImpliedPeiffer:
                                               for x in range(n)}
 
 
+CORE_CASES = {
+    **{f"S4 row {row}": (lambda row=row: include(TABLE_SUBGROUPS[row - 1][1]))
+       for row in range(1, 8)},
+    "S5 <(1,2)>": lambda: include(["(1,2)"], 5),
+    "S5 C5": lambda: include(["(1,2,3,4,5)"], 5),
+    "S5 S4": lambda: include(["(1,2,3,4)", "(1,2)"], 5),
+}
+
+
+def copy_moves(ip, iota, x):
+    """Where right multiplication by ``d = dx`` takes each copy: copy t to
+    the copy t' with ``t d t'^-1`` in iota(P)."""
+    H = image(iota)
+    nT = iota.target.order() // H.order()
+    T = [t for _, t in ip.gen_pairs[:nT]]
+    d = ip.boundary_images[x]
+    return [next(j for j, u in enumerate(T) if t * d * u.inverse() in H)
+            for t in T]
+
+
+class TestCore:
+    """``InducedPresentation.core`` is the copies' relators and the Peiffer
+    relators kept for x among the generators of a few copies T0, whose
+    boundaries generate a group D with every orbit on the copies meeting
+    T0; the proof that the core presents G is in ``_with_peiffer_relators``.
+    """
+
+    @pytest.mark.parametrize("case", list(CORE_CASES))
+    def test_core_orbits_meet_its_copies(self, case):
+        # T0 read back from the core: the copies all of whose generators'
+        # built Peiffer relators are in it
+        X, iota = CORE_CASES[case]()
+        ip = induced_presentation(X, iota)
+        pres = ip.presentation
+        built = {w.letters for w in pres.relators}
+        core = {pres.relators[i].letters for i in ip.core}
+        n = pres.ngens
+        nT = iota.target.order() // image(iota).order()
+
+        def in_core(x):
+            dx = ip.boundary_images[x]
+            for y in range(n):
+                w = Word.of(((x, -1), (y, 1), (x, 1))
+                            + ip.act_gen(y, dx).inverse().letters)
+                if w.letters in built and w.letters not in core:
+                    return False
+            return True
+
+        S = [x for x in range(n) if in_core(x)]
+        copies = {x % nT for x in S}
+        assert S == [x for x in range(n) if x % nT in copies]
+        t0 = next(ti for ti, (_, t) in enumerate(ip.gen_pairs[:nT])
+                  if t in image(iota))
+        assert t0 in copies
+        moves = [copy_moves(ip, iota, x) for x in S]
+        seen, stack = set(copies), list(copies)
+        while stack:
+            t = stack.pop()
+            for move in moves:
+                if move[t] not in seen:
+                    seen.add(move[t])
+                    stack.append(move[t])
+        assert seen == set(range(nT))
+        # the core leaves relators out unless T0 is every copy
+        assert (len(core) < len(built)) == (len(copies) < nT)
+
+    @pytest.mark.parametrize("case", list(CORE_CASES))
+    def test_core_alone_presents_g(self, case):
+        # The core presents a group G' with G a quotient, and H' (the image
+        # of the copy at the coset of iota(P)) maps onto H.  H' is a
+        # quotient of M, and H is isomorphic to M as the boundary is
+        # injective (``induce``), so |H'| <= |H|.  Equal indices then give
+        # |G'| <= |G|, so the quotient map G' -> G is an isomorphism.
+        X, iota = CORE_CASES[case]()
+        ip = induced_presentation(X, iota)
+        pres = ip.presentation
+        alone = dataclasses.replace(
+            pres, relators=tuple(pres.relators[i] for i in ip.core))
+        full = todd_coxeter(pres, ip.subgroup_words)
+        assert todd_coxeter(alone, ip.subgroup_words).ncosets == full.ncosets
+
+
 class TestFreeCrossedModule:
     def test_trivial_relation_gives_free_abelian_kernel(self):
         C2 = cyclic(2)

@@ -11,7 +11,7 @@ the same order.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from support import table_extensions
@@ -32,11 +32,11 @@ from xmodlab.xmod import XModMorphism, normal_inclusion_xmod, xmod_isomorphic
 
 
 @st.composite
-def relabelled_groups(draw, max_degree=5):
+def relabelled_groups(draw, max_degree=5, min_degree=1):
     """A group G on 1-3 random generators, a copy of G with its points
     relabelled and its generators reordered (with a product of two of them
     added), and an unrelated group K of the same degree."""
-    degree = draw(st.integers(1, max_degree))
+    degree = draw(st.integers(min_degree, max_degree))
     points = list(range(1, degree + 1))
     perms = st.permutations(points).map(lambda t: Permutation(tuple(t)))
     gens = draw(st.lists(perms, min_size=1, max_size=3))
@@ -67,15 +67,42 @@ def morphism_images(m):
     return None if m is None else (images(m.f), images(m.g))
 
 
-@settings(max_examples=40, deadline=None)
-@given(relabelled_groups())
-def test_isomorphism_lists_match_table_oracle(groups):
+def assert_lists_match(groups):
     G, H, K, _ = groups
     for target in (H, K):
         def listing():
             return [images(f) for f in _iter_isomorphisms(G, target)]
 
         assert listing() == with_table_search(listing)
+
+
+@settings(max_examples=40, deadline=None)
+@given(relabelled_groups(max_degree=4))
+def test_isomorphism_lists_match_table_oracle(groups):
+    assert_lists_match(groups)
+
+
+def s5_relabelled():
+    """S5, its copy relabelled by (1,3,5,4) as ``relabelled_groups`` builds
+    it, and C5: the 120 automorphisms of S5 are listed."""
+    S5 = PermGroup(5, [parse_permutation("(1,2,3,4,5)", 5),
+                       parse_permutation("(1,2)", 5)])
+    c = parse_permutation("(1,3,5,4)", 5)
+    moved = [g.conj(c) for g in reversed(S5.generators)]
+    moved.append(moved[0] * moved[1])
+    C5 = PermGroup(5, [parse_permutation("(1,2,3,4,5)", 5)])
+    return S5, PermGroup(5, moved), C5, c
+
+
+@settings(max_examples=8, deadline=None)
+@given(relabelled_groups(min_degree=5))
+@example(s5_relabelled())
+def test_degree_5_isomorphism_lists_match_table_oracle(groups):
+    # degree 5 on its own, with a fixed number of examples (about as many
+    # degree-5 draws as the test above made when it drew degrees 1-5): a
+    # draw of S5 lists all 120 automorphisms through the table oracle,
+    # about 0.5 s
+    assert_lists_match(groups)
 
 
 @settings(max_examples=30, deadline=None)
