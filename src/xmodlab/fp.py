@@ -392,9 +392,9 @@ def todd_coxeter(
             rows[y] = sentinel
 
     def scan_and_fill(start, cols):
+        # start is live: every caller passes a live coset, and the loop
+        # repeats only after defining a new coset, which merges nothing
         while True:
-            if parent[start] != start:
-                start = rep(start)
             # forward
             f = start
             for fi, col in enumerate(cols):

@@ -87,7 +87,10 @@ only in the candidates they offer and the checks they add.  It proves its
 maps by the walk rule too: a partial map is grown along the Cayley edges
 ``x -> x·s`` of the seeds assigned so far, one product each, and a map
 that agrees on every such edge is a homomorphism.  No multiplication table
-is built.
+is built.  The search reads each group's own tables, each built once and
+kept on the group: ``elements()``, ``element_index()``, the element orders
+(``PermGroup._element_orders``, which the fingerprint reads too) and the
+product rule (``_product_rule``, which ``squares`` reads too).
 """
 
 from __future__ import annotations
@@ -448,7 +451,8 @@ class PermGroup:
         self._ranks = None
         self._index = None
         self._by_key = None
-        self._ctx = None
+        self._orders = None
+        self._mul = None
         self._fingerprint = None
 
     @property
@@ -462,10 +466,10 @@ class PermGroup:
         return self._order == 1
 
     def contains(self, p: Permutation) -> bool:
+        """Whether p lies in the group: it sifts to the identity through
+        the chain, which is complete."""
         if not isinstance(p, Permutation) or p.degree != self.degree:
             return False
-        if self._elements is not None:
-            return p in self.element_index()
         return _strip(self._levels, p).is_identity()
 
     __contains__ = contains
@@ -512,12 +516,17 @@ class PermGroup:
         multiplied out, one product each, as ``_element`` factors them.  g
         sends x to ``u(h(x))``, two lookups: at the base points they give
         its key, which places it in ``elements()`` order (``_key_index``),
-        and along the cycles through them its order.
+        and along the cycles through them its order.  Read once and kept:
+        the fingerprint, ``abelian_invariants`` and the isomorphism search
+        all share it.
         """
+        if self._orders is not None:
+            return self._orders
         by_key = self._key_index()
         base = self._base()
         if not base:
-            return [1]
+            self._orders = [1]
+            return self._orders
         # h = u_k ... u_2, one factor per deeper level, the deepest applied
         # first (``_element``)
         stabilizer = [_identity_images(self.degree)]
@@ -536,6 +545,7 @@ class PermGroup:
                         length += 1
                     order = lcm(order, length)
                 orders[by_key[tuple([u[h[b - 1] - 1] for b in base])]] = order
+        self._orders = orders
         return orders
 
     def _cayley_walk(self) -> tuple[tuple, tuple]:
@@ -830,6 +840,15 @@ def _strip(levels, g):
     return residue
 
 
+def _index_of(index: dict, key, message: str):
+    """``index[key]``; a key missing from ``index``, or one that cannot be
+    hashed, raises ``NotInGroup`` with ``message.format(key)``."""
+    try:
+        return index[key]
+    except (KeyError, TypeError):
+        raise NotInGroup(message.format(key)) from None
+
+
 # ---------------------------------------------------------------------------
 # homomorphisms
 
@@ -896,10 +915,7 @@ class GroupHom:
         return tuple(arr)
 
     def apply(self, p: Permutation) -> Permutation:
-        try:
-            return self.element_map[p]
-        except KeyError:
-            raise NotInGroup(f"{p} is not in the source group") from None
+        return _index_of(self.element_map, p, "{} is not in the source group")
 
     def is_injective(self) -> bool:
         return self._keys.count(self.target._base()) == 1
@@ -1336,36 +1352,23 @@ def _compute_fingerprint(G: PermGroup) -> Fingerprint:
 # isomorphism search
 
 
-class _GroupContext:
-    """Indexed view of a small group for the isomorphism search: elements,
-    element orders and the product ``mul(i, j)``, all over element indices.
-
-    ``mul`` is ``_product_rule``, which reads a product off base images
-    with ``O(|G|·|base|)`` memory; the search reads one product per Cayley
-    edge it steps along, so no multiplication table is built.
-    """
-
-    def __init__(self, G: PermGroup):
-        self.elements = G.elements()
-        self.index = G.element_index()
-        self.orders = G._element_orders()
-        self.mul = _product_rule(G)
-        self.by_order = {}
-        for i, o in enumerate(self.orders):
-            self.by_order.setdefault(o, []).append(i)
-
-
 def _product_rule(G: PermGroup):
     """``mul(i, j)``, the index in ``G.elements()`` of ``a * b`` for the
-    elements a and b at indices i and j.
+    elements a and b at indices i and j; built once and kept on G, so the
+    isomorphism search and the square calculus (``squares._Kernel``) share
+    it.
 
     The base images of ``a * b`` are b's images at the base images of a
     (``PermGroup._base``), so a product costs ``|base|`` lookups and no
     permutation is formed.  The reads are kept per element, ``O(|G|·|base|)``
     memory, not a ``|G|²`` table; the identity's read is the base itself.
+    The search reads one product per Cayley edge it steps along.
     """
+    if G._mul is not None:
+        return G._mul
     if G.order() == 1:
-        return lambda i, j: 0
+        G._mul = lambda i, j: 0
+        return G._mul
     images = [p.images for p in G.elements()]
     reads = [itemgetter(*[k - 1 for k in key]) for key in G._key_index()]
     by_read = {reads[0](x): i for i, x in enumerate(images)}
@@ -1373,20 +1376,14 @@ def _product_rule(G: PermGroup):
     def mul(i, j):
         return by_read[reads[i](images[j])]
 
+    G._mul = mul
     return mul
 
 
-def _context(G: PermGroup) -> _GroupContext:
-    """The group's indexed view, built once with no product formed;
-    callers check the search bound."""
-    if G._ctx is None:
-        G._ctx = _GroupContext(G)
-    return G._ctx
-
-
-def _closure(ctx: _GroupContext, seeds, act_arrays=()) -> set[int]:
-    """Subgroup (as an index set) generated by the seed indices and, given
-    ``act_arrays`` (index arrays of automorphisms), invariant under them.
+def _closure(G: PermGroup, seeds, act_arrays=()) -> set[int]:
+    """Subgroup of G (as an index set) generated by the seed indices and,
+    given ``act_arrays`` (index arrays of automorphisms), invariant under
+    them.
 
     The search steps along the Cayley edges ``x -> x·s`` of the seeds and
     along each automorphism.  The set it reaches is closed under each
@@ -1394,7 +1391,7 @@ def _closure(ctx: _GroupContext, seeds, act_arrays=()) -> set[int]:
     order, under ``a^-1``; so it holds ``x · a(s) = a(a^-1(x) · s)`` for
     each x in it, and is the smallest invariant subgroup holding the seeds.
     """
-    mul = ctx.mul
+    mul = _product_rule(G)
     closed = {0}
     frontier = [0]
     seeds = list(seeds)
@@ -1409,26 +1406,26 @@ def _closure(ctx: _GroupContext, seeds, act_arrays=()) -> set[int]:
     return closed
 
 
-def _generating_sequence(ctx: _GroupContext, act_arrays=()) -> list[int]:
+def _generating_sequence(G: PermGroup, act_arrays=()) -> list[int]:
     """Greedy generating sequence, preferring high element orders; with
     ``act_arrays`` it generates the group under those automorphisms too."""
-    n = len(ctx.elements)
-    ranked = sorted(range(n), key=lambda i: (-ctx.orders[i], i))
+    n, orders = G.order(), G._element_orders()
+    ranked = sorted(range(n), key=lambda i: (-orders[i], i))
     seq = []
     closed = {0}
     for i in ranked:
         if i not in closed:
             seq.append(i)
-            closed = _closure(ctx, seq, act_arrays)
+            closed = _closure(G, seq, act_arrays)
             if len(closed) == n:
                 break
     return seq
 
 
-def _propagate(ctx1, ctx2, map12, map21, domain, seeds, pairs, pair_check,
+def _propagate(G, H, map12, map21, domain, seeds, pairs, pair_check,
                action_edges):
-    """Grow a partial isomorphism along Cayley edges (and optional action
-    edges); returns False on the first conflict.
+    """Grow a partial isomorphism G -> H along Cayley edges (and optional
+    action edges); returns False on the first conflict.
 
     ``map12``/``map21`` are index arrays with -1 for unassigned; ``domain``
     lists the assigned source indices and ``seeds`` the assigned seed pairs
@@ -1437,7 +1434,8 @@ def _propagate(ctx1, ctx2, map12, map21, domain, seeds, pairs, pair_check,
     every action edge ``(a1, a2)``.  A pair is refused when it reassigns x,
     reuses ``f(x)``, changes the element order or fails ``pair_check``.
     """
-    mul1, mul2 = ctx1.mul, ctx2.mul
+    mul1, mul2 = _product_rule(G), _product_rule(H)
+    orders1, orders2 = G._element_orders(), H._element_orders()
     stack = list(pairs)
     while stack:
         i, j = stack.pop()
@@ -1446,7 +1444,7 @@ def _propagate(ctx1, ctx2, map12, map21, domain, seeds, pairs, pair_check,
             continue
         if cur != -1 or map21[j] != -1:
             return False
-        if ctx1.orders[i] != ctx2.orders[j]:
+        if orders1[i] != orders2[j]:
             return False
         if pair_check is not None and not pair_check(i, j):
             return False
@@ -1460,10 +1458,9 @@ def _propagate(ctx1, ctx2, map12, map21, domain, seeds, pairs, pair_check,
     return True
 
 
-def _extensions(ctx1, ctx2, seq, candidates, pair_check=None,
-                action_edges=()):
-    """Yield every bijection ``map12`` that ``_propagate`` grows from the
-    identity pair by assigning each index of ``seq`` in turn.
+def _extensions(G, H, seq, candidates, pair_check=None, action_edges=()):
+    """Yield every bijection ``map12`` of G onto H that ``_propagate`` grows
+    from the identity pair by assigning each index of ``seq`` in turn.
 
     A new seed pair ``(i, j)`` pushes ``(a·i, f(a)·j)`` for every a already
     in the domain, and every later pair pushes its edge along each seed, so
@@ -1484,8 +1481,8 @@ def _extensions(ctx1, ctx2, seq, candidates, pair_check=None,
     ``candidates(i, map21)`` lists the targets to try for ``i``; the search
     is depth-first, so their order fixes the order of the results.
     """
-    n = len(ctx1.elements)
-    mul1, mul2 = ctx1.mul, ctx2.mul
+    n = G.order()
+    mul1, mul2 = _product_rule(G), _product_rule(H)
 
     def backtrack(k, map12, map21, domain, seeds):
         if k == len(seq):
@@ -1498,12 +1495,12 @@ def _extensions(ctx1, ctx2, seq, candidates, pair_check=None,
             grown = seeds + [(i, j)]
             # the identity's edge, (i, j) itself, is popped first
             edges = [(mul1(a, i), mul2(map12[a], j)) for a in reversed(domain)]
-            if _propagate(ctx1, ctx2, m12, m21, dom, grown, edges, pair_check,
+            if _propagate(G, H, m12, m21, dom, grown, edges, pair_check,
                           action_edges):
                 yield from backtrack(k + 1, m12, m21, dom, grown)
 
     map12, map21, domain = [-1] * n, [-1] * n, []
-    if _propagate(ctx1, ctx2, map12, map21, domain, [], [(0, 0)], pair_check,
+    if _propagate(G, H, map12, map21, domain, [], [(0, 0)], pair_check,
                   action_edges):
         yield from backtrack(0, map12, map21, domain, [])
 
@@ -1513,30 +1510,28 @@ def _iter_isomorphisms(G: PermGroup, H: PermGroup):
 
     Candidates are the unused elements of the right order; those equal to
     the source element itself are tried first, so that identity-like maps
-    surface early when source and target share a degree.
+    surface early when source and target share a degree.  Callers check
+    the search bound.
     """
     if G.order() != H.order():
         return
-    ctx1 = _context(G)
-    ctx2 = _context(H)
+    elements1, elements2 = G.elements(), H.elements()
+    orders1 = G._element_orders()
+    by_order = {}
+    for j, o in enumerate(H._element_orders()):
+        by_order.setdefault(o, []).append(j)
     same_degree = G.degree == H.degree
 
     def candidates(i, map21):
-        cands = [
-            j
-            for j in ctx2.by_order.get(ctx1.orders[i], [])
-            if map21[j] == -1
-        ]
+        cands = [j for j in by_order.get(orders1[i], []) if map21[j] == -1]
         if same_degree:
-            cands.sort(
-                key=lambda j: (ctx2.elements[j] != ctx1.elements[i], j)
-            )
+            cands.sort(key=lambda j: (elements2[j] != elements1[i], j))
         return cands
 
-    seq = _generating_sequence(ctx1)
-    for map12 in _extensions(ctx1, ctx2, seq, candidates):
-        images = [ctx2.elements[map12[ctx1.index[g]]] for g in G.generators]
-        yield GroupHom(G, H, images)
+    index1 = G.element_index()
+    for map12 in _extensions(G, H, _generating_sequence(G), candidates):
+        yield GroupHom(G, H, [elements2[map12[index1[g]]]
+                              for g in G.generators])
 
 
 def isomorphic(G: PermGroup, H: PermGroup):

@@ -19,15 +19,16 @@ Every formula above is written once, in ``_Kernel``, on element indices: a
 square is the 5-tuple ``(n, w, e, s, m)`` of the indices of its edges in
 ``Q.elements()`` and of its label in ``M.elements()``, where 0 is the
 identity (``elements()`` is sorted by image tuple).  The kernel is built
-on first need and kept on the module, like ``perm._context`` on a group,
-and like that context it reads products through ``perm._product_rule``,
-which looks an element's base images up in the other's image tuple.  It
-holds Q's and M's products and inverses, the boundary's index array and
-the action array of every element of Q.  Its memory is ``O(|G|·|base|)``
-per group plus the ``|Q|·|M|`` action arrays, which the module composes
-on their first read (``CrossedModule.act_array``) and keeps; neither it
-nor the isomorphism search builds a ``|G|²`` table, so no bound is added:
-a module the library can build has a kernel.  The public functions
+on first need and kept on the module.  It reads products through
+``perm._product_rule``, which looks an element's base images up in the
+other's image tuple and is kept on each group, so the kernel and the
+isomorphism search share Q's and M's.  It holds Q's and M's products and
+inverses, the boundary's index array and the action array of every
+element of Q.  Its memory is ``O(|G|·|base|)`` per group plus the
+``|Q|·|M|`` action arrays, which the module composes on their first read
+(``CrossedModule.act_array``) and keeps; neither it nor the isomorphism
+search builds a ``|G|²`` table, so no bound is added: a module the
+library can build has a kernel.  The public functions
 translate ``Square`` objects to indices (an edge or label outside its
 group raises ``NotInGroup``), call the kernel and translate back; the bulk
 callers (the interchange searches, ``DoubleGroupoidView.squares`` and
@@ -59,8 +60,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import EdgeMismatch, MaterializationBoundExceeded, NotInGroup
-from .perm import GroupHom, PermGroup, Permutation, _product_rule
+from .errors import EdgeMismatch, MaterializationBoundExceeded
+from .perm import GroupHom, PermGroup, Permutation, _index_of, _product_rule
 from .xmod import CrossedModule, _cm2_failure
 
 MATERIALIZATION_BOUND = 1 << 20
@@ -112,10 +113,10 @@ class _Kernel:
         self.act = [X.act_array(q) for q in self.qelems]
 
     def edge(self, p: Permutation) -> int:
-        return _index_of(self.qindex, p, "edge", "the base group")
+        return _index_of(self.qindex, p, "edge {} is not in the base group")
 
     def label(self, m: Permutation) -> int:
-        return _index_of(self.mindex, m, "label", "M")
+        return _index_of(self.mindex, m, "label {} is not in M")
 
     def indices(self, sq: Square) -> tuple:
         edge = self.edge
@@ -165,13 +166,6 @@ def _kernel(X: CrossedModule) -> _Kernel:
     if X._square_kernel is None:
         X._square_kernel = _Kernel(X)
     return X._square_kernel
-
-
-def _index_of(index: dict, p, what: str, where: str) -> int:
-    try:
-        return index[p]
-    except (KeyError, TypeError):
-        raise NotInGroup(f"{what} {p} is not in {where}") from None
 
 
 def square(

@@ -41,7 +41,6 @@ from dataclasses import dataclass
 
 from .errors import (
     NonNormal,
-    NotInGroup,
     ParseError,
     SearchBoundExceeded,
     XmodlabError,
@@ -52,10 +51,10 @@ from .perm import (
     PermGroup,
     Permutation,
     _array,
-    _context,
     _extensions,
     _gather,
     _generating_sequence,
+    _index_of,
     _iter_isomorphisms,
     _object,
     _quotient_group,
@@ -133,10 +132,7 @@ class CrossedModule:
     def act(self, m: Permutation, q: Permutation) -> Permutation:
         """m^q for any q in Q."""
         arr = self.act_array(q)
-        try:
-            i = self.M.element_index()[m]
-        except (KeyError, TypeError):
-            raise NotInGroup(f"{m} is not in M") from None
+        i = _index_of(self.M.element_index(), m, "{} is not in M")
         return self.M.elements()[arr[i]]
 
     def act_array(self, q: Permutation) -> tuple[int, ...]:
@@ -145,10 +141,7 @@ class CrossedModule:
         Composed on first read from the array of q's tree parent in Q's
         walk, one gather per tree edge not yet composed, and kept.
         """
-        try:
-            i = self._walk_index[q]
-        except (KeyError, TypeError):
-            raise NotInGroup(f"{q} is not in Q") from None
+        i = _index_of(self._walk_index, q, "{} is not in Q")
         arrays, tree = self._arrays, self.Q._spanning_tree()
         path = []
         while arrays[i] is None:
@@ -395,16 +388,15 @@ def xmod_isomorphic(X: CrossedModule, Y: CrossedModule):
     if fingerprint(image(X.boundary)) != fingerprint(image(Y.boundary)):
         return None
 
-    ctx1 = _context(X.M)
-    ctx2 = _context(Y.M)
-
     d1 = X.boundary._index_array()
     d2 = Y.boundary._index_array()
     fibers2 = {}
     for j, qidx in enumerate(d2):
         fibers2.setdefault(qidx, []).append(j)
     act1 = [X.act_array(q) for q in X.Q.generators]
-    seq = _generating_sequence(ctx1, act1)
+    seq = _generating_sequence(X.M, act1)
+    orders1, orders2 = X.M._element_orders(), Y.M._element_orders()
+    index1, elements2 = X.M.element_index(), Y.M.elements()
 
     for g in _iter_isomorphisms(X.Q, Y.Q):
         gmap = g._index_array()
@@ -417,16 +409,16 @@ def xmod_isomorphic(X: CrossedModule, Y: CrossedModule):
             # the d-fiber over g(d(m)), in element order
             return [
                 j for j in fibers2.get(gmap[d1[i]], [])
-                if ctx2.orders[j] == ctx1.orders[i] and map21[j] == -1
+                if orders2[j] == orders1[i] and map21[j] == -1
             ]
 
         map12 = next(_extensions(
-            ctx1, ctx2, seq, candidates, pair_check, list(zip(act1, act2))
+            X.M, Y.M, seq, candidates, pair_check, list(zip(act1, act2))
         ), None)
         if map12 is None:
             continue
         f = GroupHom(X.M, Y.M, [
-            ctx2.elements[map12[ctx1.index[m]]] for m in X.M.generators
+            elements2[map12[index1[m]]] for m in X.M.generators
         ])
         morphism = XModMorphism(f, g)
         if morphism.verify(X, Y):

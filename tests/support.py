@@ -246,17 +246,17 @@ def product_mult_table(elements):
     return [[index[tcompose(a, b)] for b in elements] for a in elements]
 
 
-def table_extensions(ctx1, ctx2, seq, candidates, pair_check=None,
+def table_extensions(G, H, seq, candidates, pair_check=None,
                      action_edges=()):
     """The isomorphism backtrack of ``perm._extensions`` (same arguments,
     same results) on full multiplication tables: each pair assigned is
     closed under its product with every assigned element, both ways, and
     its square, then along the action edges.  The tables and element
     orders are the product oracle's, read off the image tuples of
-    ``ctx.elements``; nothing else of the contexts is read."""
+    ``elements()``; nothing else of the groups is read."""
     tables, orders = [], []
-    for ctx in (ctx1, ctx2):
-        elems = [p.images for p in ctx.elements]
+    for group in (G, H):
+        elems = [p.images for p in group.elements()]
         tables.append(product_mult_table(elems))
         orders.append([torder(e) for e in elems])
     (m1, m2), (o1, o2) = tables, orders

@@ -52,8 +52,8 @@ from xmodlab.perm import (
     GroupHom,
     PermGroup,
     Permutation,
-    _context,
     _noncommuting_pair,
+    _product_rule,
     _right_cosets,
     center,
     cyclic,
@@ -104,7 +104,7 @@ def check_walk(G):
 def check_mult(G):
     # the search's product, read off base images, on every pair
     expected = product_mult_table([p.images for p in G.elements()])
-    mul = _context(G).mul
+    mul = _product_rule(G)
     n = G.order()
     assert [[mul(i, j) for j in range(n)] for i in range(n)] == expected
 
@@ -259,7 +259,7 @@ class TestTrivialGroup:
         assert T._base() == ()
         check_walk(T)
         check_mult(T)
-        assert _context(T).mul(0, 0) == 0
+        assert _product_rule(T)(0, 0) == 0
 
     def test_homs_into_and_out_of(self):
         T, S3 = PermGroup(3, []), symmetric(3)
@@ -310,9 +310,9 @@ class TestTableModules:
 
 def test_product_tripwire(table_results, monkeypatch):
     # row 7: |M| = 128 on the 64 cosets of H; the walk, one action hom and
-    # the isomorphism search's view of M (its products are read off base
-    # images, with no table) each multiply out at most one product per
-    # element
+    # the isomorphism search's tables of M (element orders, and products
+    # read off base images, with no table) each multiply out at most one
+    # product per element
     X = table_results[6][0]
     assert X.M.order() == 128 and X.M.degree == 64
     M = PermGroup(X.M.degree, X.M.generators)
@@ -326,7 +326,7 @@ def test_product_tripwire(table_results, monkeypatch):
     monkeypatch.setattr(Permutation, "__mul__", counting)
     for step in (M._cayley_walk,
                  lambda: GroupHom(M, M, X.action[0].images),
-                 lambda: _context(M)):
+                 lambda: (M._element_orders(), _product_rule(M))):
         calls.clear()
         step()
         assert len(calls) <= M.order()

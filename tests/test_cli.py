@@ -1,5 +1,6 @@
 """Command line interface, driven in-process through main()."""
 
+import importlib
 import io
 import json
 import os
@@ -168,6 +169,15 @@ class TestTable:
         assert row["pi2_invariants"] == [4]
         assert "seconds" not in row
 
+    def test_mismatch_exits_1(self, capsys, monkeypatch):
+        module = importlib.import_module("xmodlab.induce")
+        expected = list(module.TABLE_EXPECTED)
+        expected[0] = (96,) + expected[0][1:]
+        monkeypatch.setattr(module, "TABLE_EXPECTED", tuple(expected))
+        rc, out, err = run(capsys, "table", "--row", "1", "--verify")
+        assert (rc, out) == (1, "")
+        assert err == "table mismatch: row 1: induced order 48, expected 96\n"
+
 
 class TestInduce:
     def test_json_example(self, capsys):
@@ -206,6 +216,22 @@ class TestInduce:
         rc, _, err = run(capsys, "induce", "--sub", "(1,2)(3,4)", "--limit", "10")
         assert rc == 3
         assert "coset limit exceeded" in err
+
+    def test_validation_failure_exits_4(self, capsys, monkeypatch):
+        # a module that fails its axioms after induction is an internal
+        # error, not bad input
+        from xmodlab.xmod import ValidationReport
+
+        def failing(X):
+            return ValidationReport(True, False,
+                                    cm2_witness=(X.M.identity, X.M.identity))
+
+        monkeypatch.setattr(importlib.import_module("xmodlab.induce"),
+                            "validate", failing)
+        rc, out, err = run(capsys, "induce", "--sub", "(1,2)")
+        assert (rc, out) == (4, "")
+        assert err == ("internal validation failure: induced module failed "
+                       "axioms: CM1 ok, CM2 fails at m=(), m'=()\n")
 
     def test_env_limit(self, capsys, monkeypatch):
         monkeypatch.setenv("XMODLAB_LIMIT", "10")

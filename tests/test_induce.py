@@ -569,6 +569,30 @@ class TestTable:
         with pytest.raises(TableMismatch):
             verify_table(doctored)
 
+    def test_verify_table_reports_every_deviation(self, table_results,
+                                                  monkeypatch):
+        # row 5 checked against row 6's values, row 7's order law broken
+        # and rows 1 and 5 paired: one report for each deviation, in the
+        # order the checks run
+        module = importlib.import_module("xmodlab.induce")
+        expected = list(module.TABLE_EXPECTED)
+        expected[4] = expected[5]
+        monkeypatch.setattr(module, "TABLE_EXPECTED", tuple(expected))
+        monkeypatch.setattr(module, "TABLE_ISO_PAIRS", ((1, 5),))
+        doctored = list(table_results)
+        X, rep = doctored[6]
+        doctored[6] = (X, dataclasses.replace(rep, order_law_ok=False))
+        with pytest.raises(TableMismatch) as e:
+            verify_table(doctored)
+        assert str(e.value) == "; ".join([
+            "row 5: induced order 96, expected 72",
+            "row 5: pi2 invariants (4,), expected (6,)",
+            "row 5: pi1 1, expected C2",
+            "row 5: pi1 order 1, expected 2",
+            "row 7: order law broken",
+            "rows 1 and 5 are not isomorphic",
+        ])
+
     def test_iso_pairs_constant(self):
         assert TABLE_ISO_PAIRS == ((1, 2), (3, 4))
 

@@ -10,16 +10,17 @@ the pair check, so they prune the same branches and yield the same maps in
 the same order.
 """
 
+from pathlib import Path
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from support import table_extensions
-from xmodlab import identity_xmod, induce, perm, xmod
+from xmodlab import identity_xmod, induce, perm, squares, xmod
 from xmodlab.perm import (
     PermGroup,
     Permutation,
-    _context,
     _extensions,
     _generating_sequence,
     _iter_isomorphisms,
@@ -29,6 +30,8 @@ from xmodlab.perm import (
     symmetric,
 )
 from xmodlab.xmod import XModMorphism, normal_inclusion_xmod, xmod_isomorphic
+
+ROW6 = Path(__file__).parent.parent / "perfbench" / "fixtures" / "row6.json"
 
 
 @st.composite
@@ -142,9 +145,9 @@ def s5_c5_pair():
 
 
 def test_s5_c5_search_is_linear_in_m(s5_c5_pair, monkeypatch):
-    # the view of M forms no product; the M search (the generating
-    # sequence, then the extension over the first isomorphism g of the
-    # bases) reads at most 4·|M|·(k + |action|) products for k seeds
+    # M's orders and product rule read no product; the M search (the
+    # generating sequence, then the extension over the first isomorphism g
+    # of the bases) reads at most 4·|M|·(k + |action|) products for k seeds
     X, Y = s5_c5_pair
     assert X.M.order() == Y.M.order() == 3000
     calls = [0]
@@ -160,7 +163,9 @@ def test_s5_c5_search_is_linear_in_m(s5_c5_pair, monkeypatch):
         return counted
 
     monkeypatch.setattr(perm, "_product_rule", counting_rule)
-    ctx1, ctx2 = _context(X.M), _context(Y.M)
+    orders1, orders2 = X.M._element_orders(), Y.M._element_orders()
+    for M in (X.M, Y.M):
+        perm._product_rule(M)
     assert calls[0] == 0
     g = next(_iter_isomorphisms(X.Q, Y.Q))
     gmap = g._index_array()
@@ -173,15 +178,78 @@ def test_s5_c5_search_is_linear_in_m(s5_c5_pair, monkeypatch):
 
     def candidates(i, map21):
         return [j for j in fibers2.get(gmap[d1[i]], [])
-                if ctx2.orders[j] == ctx1.orders[i] and map21[j] == -1]
+                if orders2[j] == orders1[i] and map21[j] == -1]
 
     calls[0] = 0  # the search over the bases is not M's
-    seq = _generating_sequence(ctx1, act1)
-    map12 = next(_extensions(ctx1, ctx2, seq, candidates,
+    seq = _generating_sequence(X.M, act1)
+    map12 = next(_extensions(X.M, Y.M, seq, candidates,
                              lambda i, j: gmap[d1[i]] == d2[j],
                              list(zip(act1, act2))))
     bound = 4 * X.M.order() * (len(seq) + len(act1))
     assert calls[0] <= bound
-    f = hom(X.M, Y.M, [ctx2.elements[map12[ctx1.index[m]]]
+    f = hom(X.M, Y.M, [Y.M.elements()[map12[X.M.element_index()[m]]]
                        for m in X.M.generators])
     assert XModMorphism(f, g).verify(X, Y) and f.is_bijective()
+
+
+@pytest.mark.parametrize("n, fixing", [(3, 2), (4, 4)])
+def test_pair_check_refusals_match_table_oracle(n, fixing):
+    # every automorphism of S3 and S4 is inner and their centres are
+    # trivial, so those that fix t = (1,2) are the conjugations by the
+    # centralizer of t, of order 2 and 4; pair_check refuses every other
+    # image of t as the propagation reaches it, and the table backtrack
+    # yields the same maps
+    G = symmetric(n)
+    t = G.element_index()[parse_permutation("(1,2)", n)]
+    orders = G._element_orders()
+    refused = []
+
+    def pair_check(i, j):
+        if i == t and j != t:
+            refused.append(j)
+            return False
+        return True
+
+    def candidates(i, map21):
+        return [j for j in range(G.order())
+                if orders[j] == orders[i] and map21[j] == -1]
+
+    seq = _generating_sequence(G)
+    maps = [list(m) for m in _extensions(G, G, seq, candidates, pair_check)]
+    assert refused and len(maps) == fixing
+    assert all(m[t] == t for m in maps)
+    assert maps == [list(m) for m in table_extensions(
+        G, G, seq, candidates, pair_check)]
+
+
+def test_tables_built_once_per_group(monkeypatch):
+    # the fingerprint, the isomorphism search and the square kernel all
+    # read a group's element orders and product rule; each is built once
+    # and kept on the group, so every read of one group returns the same
+    # object
+    reads = []  # (table, group, result); keeps each alive, so ids differ
+    orders, rule = PermGroup._element_orders, perm._product_rule
+
+    def kept_orders(G):
+        reads.append(("orders", G, orders(G)))
+        return reads[-1][2]
+
+    def kept_rule(G):
+        reads.append(("rule", G, rule(G)))
+        return reads[-1][2]
+
+    monkeypatch.setattr(PermGroup, "_element_orders", kept_orders)
+    monkeypatch.setattr(perm, "_product_rule", kept_rule)
+    monkeypatch.setattr(squares, "_product_rule", kept_rule)
+    X, Y = (xmod.xmod_from_json(ROW6.read_text()) for _ in range(2))
+    perm.fingerprint(X.M)
+    assert xmod_isomorphic(X, Y) is not None
+    squares._kernel(X)
+    built = {}
+    for table, G, result in reads:
+        built.setdefault((table, id(G)), set()).add(id(result))
+    assert all(len(results) == 1 for results in built.values())
+    # each table of X.M and of X.Q is read more than once
+    for G in (X.M, X.Q):
+        for table in ("orders", "rule"):
+            assert sum(r[0] == table and r[1] is G for r in reads) > 1

@@ -35,7 +35,6 @@ from xmodlab.perm import (
     PermGroup,
     Permutation,
     _closure,
-    _context,
     abelian_invariants,
     center,
     cyclic,
@@ -690,6 +689,16 @@ class TestHoms:
         comp = e.then(sgn)
         assert all(comp.apply(g) == sgn.apply(g) for g in S3.elements())
 
+    def test_apply_outside_the_source(self):
+        e = identity_hom(symmetric(3))
+        with pytest.raises(NotInGroup, match=r"\(1,4\) is not in the source"):
+            e.apply(P("(1,4)", 4))
+        # a list is unhashable: refused as outside the source, not a bare
+        # TypeError
+        with pytest.raises(NotInGroup,
+                           match=r"\[1, 2, 3\] is not in the source group"):
+            e.apply([1, 2, 3])
+
     def test_quotient_s4_by_v(self):
         S4 = symmetric(4)
         V = normal_closure(S4, [P("(1,2)(3,4)", 4)])
@@ -947,18 +956,19 @@ class TestIsomorphism:
     def test_invariant_closure_matches_oracle(self, data):
         # _closure under conjugations of S4 is the subgroup generated by
         # every conjugate of the seeds by the group the conjugators generate
-        ctx = _context(symmetric(4))
-        elems = ctx.elements
+        S4 = symmetric(4)
+        elems = S4.elements()
         index = st.integers(0, len(elems) - 1)
         seeds = data.draw(st.lists(index, max_size=3))
         conjugators = [elems[k] for k in data.draw(st.lists(index, max_size=2))]
-        acts = [tuple(ctx.index[e.conj(c)] for e in elems) for c in conjugators]
+        acts = [tuple(S4.element_index()[e.conj(c)] for e in elems)
+                for c in conjugators]
         H = closure(4, [c.images for c in conjugators])
         truth = closure(4, [
             tcompose(tcompose(tinverse(h), elems[s].images), h)
             for s in seeds for h in H
         ])
-        got = _closure(ctx, seeds, acts)
+        got = _closure(S4, seeds, acts)
         assert {elems[j].images for j in got} == truth
 
     @pytest.mark.parametrize("G, H, images", [

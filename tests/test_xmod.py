@@ -32,8 +32,11 @@ from xmodlab.perm import (
     cyclic,
     derived_subgroup,
     dihedral,
+    direct_product,
+    fingerprint,
     hom,
     image,
+    kernel,
     normal_closure,
     parse_generator_list,
     parse_permutation,
@@ -433,6 +436,52 @@ class TestIsomorphism:
 
     def test_different_kernels(self):
         assert xmod_isomorphic(v_in_s4(), a4_in_s4()) is None
+
+    @staticmethod
+    def abelian_xmod(M, Q, boundary_images):
+        # M and Q abelian and the action trivial: CM1 and CM2 hold for any
+        # boundary
+        return CrossedModule(M, Q, hom(M, Q, boundary_images),
+                             [hom(M, M, M.generators)] * len(Q.generators))
+
+    @pytest.fixture
+    def no_search(self, monkeypatch):
+        # a None below comes from a fingerprint, before any search
+        def refused(G, H):
+            raise AssertionError("searched the bases")
+
+        monkeypatch.setattr(xmod, "_iter_isomorphisms", refused)
+
+    def test_q_fingerprints_differ(self, no_search):
+        # M = C2 over C4 and over V4, both boundaries trivial
+        M, C4, V4 = cyclic(2), cyclic(4), dihedral(4)
+        X = self.abelian_xmod(M, C4, [C4.identity])
+        Y = self.abelian_xmod(M, V4, [V4.identity])
+        assert fingerprint(X.M) == fingerprint(Y.M)
+        assert fingerprint(X.Q) != fingerprint(Y.Q)
+        assert xmod_isomorphic(X, Y) is None
+
+    def test_kernel_fingerprints_differ(self, no_search):
+        # C2 -> C2, the identity against the trivial boundary
+        C2 = cyclic(2)
+        X = self.abelian_xmod(C2, C2, C2.generators)
+        Y = self.abelian_xmod(C2, C2, [C2.identity])
+        assert kernel(X.boundary).order() == 1
+        assert kernel(Y.boundary).order() == 2
+        assert xmod_isomorphic(X, Y) is None
+
+    def test_image_fingerprints_differ(self, no_search):
+        # C2 x C4 = <a> x <b> into itself: a -> 1, b -> b has kernel <a>
+        # and image C4; a -> a, b -> b^2 has kernel <b^2> and image V4
+        G = direct_product(cyclic(2), cyclic(4))
+        a, b = G.generators
+        X = self.abelian_xmod(G, G, [G.identity, b])
+        Y = self.abelian_xmod(G, G, [a, b * b])
+        kx, ky = kernel(X.boundary), kernel(Y.boundary)
+        assert kx.order() == ky.order() == 2
+        assert fingerprint(kx) == fingerprint(ky)
+        assert fingerprint(image(X.boundary)) != fingerprint(image(Y.boundary))
+        assert xmod_isomorphic(X, Y) is None
 
     def test_search_bound(self):
         # the trivial module over S6: construction enumerates S6, the
