@@ -13,7 +13,9 @@ as the tests check against a reference copy of it.  Given a core of the
 relators that presents the same group by itself, ``todd_coxeter`` stops once
 the rows not yet scanned are complete and close the core: the table is then
 an action of the group, so every relator closes everywhere and the scans
-left out could change nothing.
+left out could change nothing.  A generator g with a relator ``g g`` has
+one working column for g and g^-1, so no coset is defined for both; the
+table returned has both columns again.
 
 Every presentation is held to ``RELATOR_LETTER_BUDGET`` relator letters
 (``_check_letters``): ``parse_word`` and ``Presentation.from_json_dict``
@@ -283,6 +285,18 @@ def todd_coxeter(
     defined in total, and ``ValueError`` when ``max_cosets`` is below 1 or
     a subgroup word has a letter that a relator could not have.
 
+    A generator g with a relator ``g g`` or ``g^-1 g^-1`` has one working
+    column, read and written for both g and g^-1 (``colmap`` sends the
+    letter columns to the working ones, ``inv`` gives each working column
+    that of the inverse letter), so no coset is defined for ``x g^-1`` once
+    ``x g`` is known.  This is exact.  ``g^2`` is a relator, so in every
+    complete coset table the g and g^-1 columns are equal.  Every write
+    sets ``rows[b][inv[col]] = f`` with ``rows[f][col] = b``, so a single
+    column is always an involutive partial map.  The table the loop stops
+    on is therefore still an action of the presented group, with the same
+    index, and the ``core`` argument below is unchanged.  The returned
+    table has its two letter columns again.
+
     Most relator scans at a live coset close without changing the table, so
     each is first traced with no check per letter: ``rows[-1]`` and every
     merged coset's row are one all-undefined sentinel row, and an undefined
@@ -312,12 +326,27 @@ def todd_coxeter(
         raise ValueError(f"max_cosets must be at least 1, got {max_cosets}")
     for w in subgroup_words:
         _check_word(w, presentation.ngens, "subgroup word")
-    ncols = 2 * presentation.ngens
+    ngens = presentation.ngens
+    involutions = {w.letters[0][0] for w in presentation.relators
+                   if len(w.letters) == 2 and w.letters[0] == w.letters[1]}
+    # colmap[2g], colmap[2g + 1]: the working columns of g and g^-1, one
+    # column for an involution; inv[col] is the column of the inverse letter
+    colmap = []
+    inv = []
+    for g in range(ngens):
+        col = len(inv)
+        if g in involutions:
+            colmap += [col, col]
+            inv.append(col)
+        else:
+            colmap += [col, col + 1]
+            inv += [col + 1, col]
+    ncols = len(inv)
 
     def columns(words):
         # an empty word scans closed everywhere, so it is dropped
         return [
-            tuple(2 * g + (0 if e == 1 else 1) for g, e in w.letters)
+            tuple(colmap[2 * g + (0 if e == 1 else 1)] for g, e in w.letters)
             for w in words
             if w.letters
         ]
@@ -379,14 +408,15 @@ def todd_coxeter(
                 if parent[d] != d:
                     d = rep(d)
                 back = rows[d]
-                if back[col ^ 1] == y:
-                    back[col ^ 1] = -1
+                icol = inv[col]
+                if back[icol] == y:
+                    back[icol] = -1
                 e = kept[col]
                 if e != -1 and parent[e] != e:
                     e = rep(e)
                 if e == -1 or e == d:
                     kept[col] = d
-                    back[col ^ 1] = x
+                    back[icol] = x
                 else:
                     queue.append((e, d))
             rows[y] = sentinel
@@ -410,7 +440,7 @@ def todd_coxeter(
             b = start
             bi = len(cols)
             while bi > fi:
-                prv = rows[b][cols[bi - 1] ^ 1]
+                prv = rows[b][inv[cols[bi - 1]]]
                 if prv == -1:
                     break
                 b = prv if parent[prv] == prv else rep(prv)
@@ -421,11 +451,11 @@ def todd_coxeter(
             col = cols[fi]
             if bi == fi + 1:
                 rows[f][col] = b
-                rows[b][col ^ 1] = f
+                rows[b][inv[col]] = f
                 return
             n = new_coset()
             rows[f][col] = n
-            rows[n][col ^ 1] = f
+            rows[n][inv[col]] = f
 
     def first_open(start):
         # the first live coset from ``start`` on with an undefined entry or
@@ -469,7 +499,7 @@ def todd_coxeter(
                         if row[col] == -1:
                             n = new_coset()
                             row[col] = n
-                            rows[n][col ^ 1] = current
+                            rows[n][inv[col]] = current
             if core is not None and not changed and current >= retry:
                 retry = first_open(current + 1)
                 if retry is None:
@@ -490,7 +520,8 @@ def todd_coxeter(
             live.append(i)
         else:
             number.append(number[p])
-    table = tuple(_gather(rows[i], number) for i in live)
+    # back to the letter columns, g and g^-1 alternating
+    table = tuple(_gather(_gather(colmap, rows[i]), number) for i in live)
     return CosetTable(
         presentation=presentation,
         subgroup=tuple(subgroup_words),

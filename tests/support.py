@@ -437,22 +437,41 @@ class SquareOracle:
         return None
 
 
-def reference_todd_coxeter(presentation, subgroup_words=(), max_cosets=1 << 16):
+def reference_todd_coxeter(presentation, subgroup_words=(), max_cosets=1 << 16,
+                           one_column_involutions=True):
     """The relator-driven enumeration as first written, kept as an oracle.
 
     ``xmodlab.fp.todd_coxeter`` must define the same cosets in the same
     order, merge them in the same order, and so return the same table (or
     the same refusal).  Besides the table this copy counts the cosets
     defined and the most live at once, for the library's counters.
+
+    With ``one_column_involutions``, as ``todd_coxeter`` always runs, a
+    generator g with a relator ``g g`` or ``g^-1 g^-1`` has one working
+    column, read and written for both g and g^-1.  Without it every
+    generator has two, the enumeration exactly as first written: the rule
+    must change no table that this returns.
     """
     from xmodlab.errors import CosetLimitExceeded
     from xmodlab.fp import CosetTable
 
     ngens = presentation.ngens
-    ncols = 2 * ngens
+    involutions = set()
+    if one_column_involutions:
+        for w in presentation.relators:
+            if len(w.letters) == 2 and w.letters[0] == w.letters[1]:
+                involutions.add(w.letters[0][0])
+    # the working column of each letter (g, e), and of each column's inverse
+    column = {}
+    ncols = 0
+    for g in range(ngens):
+        column[g, 1] = ncols
+        column[g, -1] = ncols if g in involutions else ncols + 1
+        ncols = column[g, -1] + 1
+    inverse = {column[g, e]: column[g, -e] for g, e in column}
 
     def columns(word):
-        return [2 * g + (0 if e == 1 else 1) for g, e in word.letters]
+        return [column[letter] for letter in word.letters]
 
     rel_cols = [columns(w) for w in presentation.relators]
     sub_cols = [columns(w) for w in subgroup_words]
@@ -485,7 +504,7 @@ def reference_todd_coxeter(presentation, subgroup_words=(), max_cosets=1 << 16):
 
     def set_entry(a, col, b):
         rows[a][col] = b
-        rows[b][col ^ 1] = a
+        rows[b][inverse[col]] = a
 
     def merge(a, b):
         nonlocal merged
@@ -507,8 +526,8 @@ def reference_todd_coxeter(presentation, subgroup_words=(), max_cosets=1 << 16):
                 if d == -1:
                     continue
                 d = rep(d)
-                if rows[d][col ^ 1] == y:
-                    rows[d][col ^ 1] = -1
+                if rows[d][inverse[col]] == y:
+                    rows[d][inverse[col]] = -1
                 e = rows[x][col]
                 if e == -1 or rep(e) == d:
                     set_entry(x, col, d)
@@ -538,7 +557,7 @@ def reference_todd_coxeter(presentation, subgroup_words=(), max_cosets=1 << 16):
             b = start
             bi = len(cols)
             while bi > fi:
-                prv = rows[b][cols[bi - 1] ^ 1]
+                prv = rows[b][inverse[cols[bi - 1]]]
                 if prv == -1:
                     break
                 b = rep(prv)
@@ -576,7 +595,9 @@ def reference_todd_coxeter(presentation, subgroup_words=(), max_cosets=1 << 16):
             raise AssertionError("enumeration left an undefined entry")
     renumber = {old: new for new, old in enumerate(live)}
     table = tuple(
-        tuple(renumber[rep(rows[i][col])] for col in range(ncols)) for i in live
+        tuple(renumber[rep(rows[i][column[g, e]])]
+              for g in range(ngens) for e in (1, -1))
+        for i in live
     )
     return CosetTable(
         presentation=presentation,

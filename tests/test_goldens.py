@@ -162,15 +162,17 @@ def _stats(path, ncosets, defined, peak_live, skipped, generators, relators,
 # not closed under P's action, re-recorded when the action came to be
 # spelled as words, and all seven when the Peiffer relators each cycle of
 # copies implies were left out; ``skipped`` (the live cosets the early stop
-# of Todd-Coxeter left unscanned) added with that stop, no other value moved
+# of Todd-Coxeter left unscanned) added with that stop, no other value
+# moved; ``defined``, ``peak_live`` and ``skipped`` of rows 1, 2, 3 and 7
+# re-recorded when an involution came to have one coset-table column
 ROW_STATS = (
-    _stats("over H", 24, 118, 75, 14, 12, 84, 312, 24),
-    _stats("over H", 8, 26, 21, 4, 8, 68, 296, 8),
-    _stats("over H", 12, 70, 56, 7, 12, 114, 432, 12),
+    _stats("over H", 24, 56, 38, 15, 12, 84, 312, 24),
+    _stats("over H", 8, 21, 18, 5, 8, 68, 296, 8),
+    _stats("over H", 12, 46, 36, 7, 12, 114, 432, 12),
     _stats("over H", 6, 25, 18, 2, 6, 51, 262, 6),
     _stats("over H", 24, 70, 44, 9, 6, 30, 120, 24),
     _stats("over H", 24, 87, 60, 16, 8, 48, 184, 24),
-    _stats("over H", 64, 228, 114, 2, 12, 96, 360, 64),
+    _stats("over H", 64, 111, 66, 10, 12, 96, 360, 64),
 )
 
 

@@ -53,6 +53,16 @@ refuses (``RelationViolated``), and leaves the other rows unchanged.
 Dropping every relator of generator 0 of each copy with the other copies
 gives a presentation that Todd–Coxeter does not close within the default
 coset limit on any row.
+
+One S6 row is checked as well, S6 over ``P = <(1,2)>``, which finishes
+at the default coset limit (as ``<(1,2)(3,4)(5,6)>`` does, checked in
+CI).  There the closed forms give the
+whole triple before anything is enumerated: ``H2(S6) = C2`` (Schur) and
+``H2(C2) = 0`` (cyclic), so the prediction is exact; the sign map is
+injective on ``<(1,2)>``, so ``ker(P_ab -> Q_ab) = 1`` and ``|pi2| = 2``;
+the boundary's image is P's normal closure, which holds every
+transposition and so is S6, hence ``pi1 = 1``; and the order law
+``|M| = |pi2|·|d(M)|`` gives ``|M| = 2·720 = 1440``.
 """
 
 from math import prod
@@ -71,7 +81,7 @@ from xmodlab.perm import (
     parse_generator_list,
     symmetric,
 )
-from xmodlab.xmod import identity_xmod
+from xmodlab.xmod import identity_xmod, validate
 
 # (name, group, |H2|) for the multipliers of the closed forms above that
 # are not covered by the cyclic-Sylow rule
@@ -156,3 +166,16 @@ def test_pi2_order_against_mapping_cone_homology(degree, sub):
         assert pi2_order == upper
     else:
         assert upper <= pi2_order * h2p and pi2_order <= upper
+
+
+def test_s6_transposition_row_from_closed_forms():
+    Q = symmetric(6)
+    P = Q.subgroup(parse_generator_list("(1,2)", 6))
+    assert prediction(Q, P) == (2, 1)  # exact: |pi2| = 2
+    X, report = induce(identity_xmod(P), hom(P, Q, P.generators))
+    assert (report.induced_order, list(report.pi2_invariants),
+            report.pi1_name) == (2 * 720, [2], "1")
+    assert validate(X).ok
+    assert report.order_law_ok
+    # the order law with d(M) = S6
+    assert report.induced_order == report.pi2_order * Q.order()
