@@ -26,18 +26,18 @@ orbit of their boundaries on the copies meets T0, present G by themselves
 ``_with_peiffer_relators``), and ``todd_coxeter`` stops once the rows it has
 not scanned are complete and close the core.
 
-``induce`` reads M off the action of the presented group G on the cosets
-of a subgroup, in one loop over two attempts: over H, the copy of M at the
-identity coset, offered only when M's boundary is injective, then over the
-trivial subgroup.  Each attempt enumerates the cosets and sifts the
-permutations the generators induce on them (``perm._sifted``), keeping
-only those that enlarge the group so far, into a chain stopped at the
-number of cosets times a bound for the subgroup's order; reaching that
-bound proves the action faithful (the proof is in ``induce``).  Over H the
-bound is ``[G:H]·|M|``, which ``P = Q`` falls short of; over the trivial
-subgroup G acts regularly and reaches it.  So M is generated by an
-irredundant sublist of the coset permutations, and the boundary and the
-action are proved homomorphisms by the walk rule over M's Cayley graph
+``induce`` reads M off one coset table of the presented group G: over H,
+the copy of M at the identity coset, when M's boundary is injective, and
+over the trivial subgroup otherwise.  It sifts the permutations the
+generators induce on the cosets (``perm._sifted``), keeping only those
+that enlarge the group so far, into a chain stopped at the number of
+cosets times a bound for the subgroup's order; reaching that bound proves
+the action faithful.  Over H the bound is ``[G:H]·|M|``; when the cosets
+fall short of it (``core_G(H) != 1``, as for ``P = Q``), each generator
+acts on Q's points through its boundary as well, and that joint action
+reaches it (the proof is in ``induce``).  So M is generated by an
+irredundant sublist of the generators' permutations, and the boundary and
+the action are proved homomorphisms by the walk rule over M's Cayley graph
 (``perm._replay_walk``), like every map; the axioms are re-checked by
 ``validate``.
 
@@ -539,9 +539,8 @@ class Report:
     of ``PHASES``: ``presentation``, ``todd_coxeter``, ``chain`` (M read off
     the coset table), ``homs`` (boundary, action and the module),
     ``validate``, ``pi1_pi2`` (with the order law's closure) and ``naming``
-    (names and fingerprints); they sum to ``seconds``.  When the regular
-    enumeration follows the one over H, both count in ``todd_coxeter`` and
-    ``chain``.  ``stats`` gives the path taken (``"over H"`` or
+    (names and fingerprints); they sum to ``seconds``.
+    ``stats`` gives the path taken (``"over H"`` or
     ``"regular"``), the counters of the coset table M was read off
     (``ncosets``, ``defined``, ``peak_live``, and ``skipped``, the live
     cosets the early stop left unscanned), the presentation's size
@@ -656,39 +655,41 @@ def induce(
 ) -> tuple[CrossedModule, Report]:
     """Induced crossed module along iota, with a report of its invariants.
 
-    The top group G of ``induced_presentation`` is read off its action on
-    the cosets of a subgroup K, in two attempts, each of which enumerates
-    the cosets of K and sifts the permutations G's generators induce on
-    them into a chain stopped at ``[G:K]`` times a bound for ``|K|``
-    (``perm._sifted``), and M is read off the first attempt that reaches
-    its bound.  The attempt over H comes first, offered only when
-    X's boundary is injective: H is the copy of M at the coset of iota(P),
-    generated by the words ``(g, t0)`` with t0 the transversal element in
-    iota(P), and the bound is ``[G:H]·|M|``.  Why the action of G on the
-    cosets of H gives G itself when the chain reaches that bound:
+    The top group G of ``induced_presentation`` is read off one coset
+    table, over a subgroup K that X's boundary alone picks, and the
+    permutations G's generators induce on the cosets are sifted into a
+    chain stopped at ``[G:K]`` times a bound for ``|K|`` (``perm._sifted``).
+    When X's boundary is injective, K is H, the copy of M at the coset of
+    iota(P), generated by the words ``(g, t0)`` with t0 the transversal
+    element in iota(P), and the bound is ``[G:H]·|M|``:
 
     - ``phi: M -> G``, ``m -> (m, t0)``, is a homomorphism onto H, by the
       copy's relators; so ``|G| = [G:H]·|H| <= [G:H]·|M|``.
-    - Its boundary is ``d phi = c iota d``, with c conjugation by t0.  So
-      when ``iota d`` is injective, so is phi, and ``|G| = [G:H]·|M|``.
-    - The group of the permutations G induces on the cosets of H is a
-      quotient of G.  Its chain is built to stop at ``[G:H]·|M|``
-      (``perm._sifted``): a chain never has a larger product of
-      transversal lengths than the order of its group, so reaching that
-      bound proves the quotient has order ``|G|``, the action faithful and
-      the chain complete.
+    - G's boundary ``d_G`` has ``d_G phi = c iota d``, with c conjugation
+      by t0.  As ``iota d`` is injective, so is phi, and
+      ``|G| = [G:H]·|M|``; and ``d_G`` is injective on H.
+    - The group of the permutations G induces is a quotient of G.  Its
+      chain is built to stop at ``[G:H]·|M|`` (``perm._sifted``): a chain
+      never has a larger product of transversal lengths than the order of
+      its group, so reaching that bound proves the quotient has order
+      ``|G|``, the action faithful and the chain complete.
+    - The kernel of the action on the cosets of H is ``core_G(H) <= H``,
+      which need not be trivial (``P = Q``).  When the chain falls short,
+      each generator k acts jointly: by ``ip.boundary_images[k]`` on Q's n
+      points 1..n, then by its coset permutation shifted by n.  The kernel
+      of that action is ``core_G(H) ∩ ker d_G <= H ∩ ker d_G = 1``, so its
+      chain, sifted with the same bound, reaches it; the coset table is
+      not enumerated again.
 
-    When ``iota d`` is not injective, the bound is never reached: a
-    nontrivial k in ker d has ``phi(k) = 1``, so ``|H| < |M|``, or
-    ``phi(k)`` is a nontrivial element of H in the kernel of G's boundary,
-    central in G by CM2, so it fixes every coset ``Hg`` and the action is
-    not faithful; so that attempt is not offered.  Then, and whenever the
-    chain falls short (as for ``P = Q``), the second attempt enumerates G
-    over the trivial subgroup of the same presentation, with bound 1 for
-    its order.  G acts regularly on those cosets, so the chain reaches the
-    bound, the number of cosets.
+    When ``iota d`` is not injective, K is the trivial subgroup, with bound
+    1 for its order: G acts regularly on those cosets, so the chain reaches
+    the bound, the number of cosets.  Over H the bound would not be
+    reached: a nontrivial k in ker d has ``phi(k) = 1``, so ``|H| < |M|``,
+    or ``phi(k)`` is a nontrivial element of H in the kernel of ``d_G``,
+    central in G by CM2, so it fixes every coset ``Hg``, and Q's points
+    too.
 
-    Either way M is G, acting faithfully.  Sifting keeps a coset
+    Either way M is G, acting faithfully.  Sifting keeps a generator's
     permutation only when it lies outside the group generated by those
     kept before it, so M's generators are an irredundant sublist of them,
     and ``keep`` lists the presentation generators they belong to; the
@@ -696,14 +697,15 @@ def induce(
     are given on the kept generators and proved homomorphisms by the walk
     rule (``perm.GroupHom``), on the ``|M|·(k-1)+1`` Schreier edges of M's
     Cayley walk for k kept generators.  Generator k's image under a
-    generator q of Q is the product of the coset permutations along its
-    word ``act_gen(k, q)``.  The action entries keep their keys only;
+    generator q of Q is the product of the generators' permutations along
+    its word ``act_gen(k, q)``.  The action entries keep their keys only;
     ``CrossedModule`` reads them as index arrays, and none multiplies out
     its values.
 
-    Both attempts pass ``ip.core`` to ``todd_coxeter``, which may then stop
-    early with the table the full scan would give.  ``Report.stats`` names
-    the path taken, ``"over H"`` or ``"regular"``.
+    The table is enumerated by one ``todd_coxeter`` call, passed
+    ``ip.core``, which may then stop early with the table the full scan
+    would give.  ``Report.stats`` names the path taken, ``"over H"`` or
+    ``"regular"``.
     The returned module has passed the axiom check; a failure there raises
     ``ValidationFailed`` (it would mean an internal error, not bad input).
     """
@@ -718,24 +720,26 @@ def induce(
 
     ip = induced_presentation(X, iota, transversal)
     pres = ip.presentation
-    # (path, subgroup words, a bound for the order of the subgroup)
-    attempts = [("regular", (), 1)]
+    Q = iota.target
     if X.boundary.is_injective():
-        attempts.insert(0, ("over H", ip.subgroup_words, X.M.order()))
+        path, words, order = "over H", ip.subgroup_words, X.M.order()
+    else:
+        path, words, order = "regular", (), 1
     lap("presentation")
-    for path, words, order in attempts:
-        ct = todd_coxeter(pres, words, max_cosets, core=ip.core)
-        lap("todd_coxeter")
-        gen_perms = _coset_action(ct)
-        bound = ct.ncosets * order
-        Mstar = _sifted(ct.ncosets, gen_perms, order=bound)
-        lap("chain")
-        if Mstar.order() == bound:
-            break
+    ct = todd_coxeter(pres, words, max_cosets, core=ip.core)
+    lap("todd_coxeter")
+    gen_perms = _coset_action(ct)
+    bound = ct.ncosets * order
+    Mstar = _sifted(ct.ncosets, gen_perms, order=bound)
+    if Mstar.order() < bound:  # core_G(H) != 1: adjoin Q's points
+        n = Q.degree
+        gen_perms = [Permutation([*d.images, *(x + n for x in c.images)])
+                     for d, c in zip(ip.boundary_images, gen_perms)]
+        Mstar = _sifted(n + ct.ncosets, gen_perms, order=bound)
+    lap("chain")
     # a kept permutation is the first of its value: a later equal one
     # would have sifted to the identity
     keep = [gen_perms.index(g) for g in Mstar.generators]
-    Q = iota.target
     boundary = hom(Mstar, Q, [ip.boundary_images[k] for k in keep])
     action = []
     for qg in Q.generators:

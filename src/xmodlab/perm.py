@@ -1422,17 +1422,16 @@ def _generating_sequence(G: PermGroup, act_arrays=()) -> list[int]:
     return seq
 
 
-def _propagate(G, H, map12, map21, domain, seeds, pairs, pair_check,
-               action_edges):
+def _propagate(G, H, map12, map21, seeds, pairs, pair_check, action_edges):
     """Grow a partial isomorphism G -> H along Cayley edges (and optional
     action edges); returns False on the first conflict.
 
-    ``map12``/``map21`` are index arrays with -1 for unassigned; ``domain``
-    lists the assigned source indices and ``seeds`` the assigned seed pairs
-    ``(s, f(s))``.  Each pair ``(x, f(x))`` assigned pushes the pairs
-    ``(x·s, f(x)·f(s))`` for every seed s and ``(a1(x), a2(f(x)))`` for
-    every action edge ``(a1, a2)``.  A pair is refused when it reassigns x,
-    reuses ``f(x)``, changes the element order or fails ``pair_check``.
+    ``map12``/``map21`` are index arrays with -1 for unassigned, and
+    ``seeds`` lists the assigned seed pairs ``(s, f(s))``.  Each pair
+    ``(x, f(x))`` assigned pushes the pairs ``(x·s, f(x)·f(s))`` for every
+    seed s and ``(a1(x), a2(f(x)))`` for every action edge ``(a1, a2)``.  A
+    pair is refused when it reassigns x, reuses ``f(x)``, changes the
+    element order or fails ``pair_check``.
     """
     mul1, mul2 = _product_rule(G), _product_rule(H)
     orders1, orders2 = G._element_orders(), H._element_orders()
@@ -1454,7 +1453,6 @@ def _propagate(G, H, map12, map21, domain, seeds, pairs, pair_check,
             stack.append((mul1(i, s), mul2(j, t)))
         for act1, act2 in action_edges:
             stack.append((act1[i], act2[j]))
-        domain.append(i)
     return True
 
 
@@ -1462,47 +1460,54 @@ def _extensions(G, H, seq, candidates, pair_check=None, action_edges=()):
     """Yield every bijection ``map12`` of G onto H that ``_propagate`` grows
     from the identity pair by assigning each index of ``seq`` in turn.
 
-    A new seed pair ``(i, j)`` pushes ``(a·i, f(a)·j)`` for every a already
-    in the domain, and every later pair pushes its edge along each seed, so
-    a propagation that ends without conflict has checked every Cayley edge
-    ``(x, s)`` of its domain, ``f(x·s) = f(x)·f(s)``, and every action edge,
-    ``f(a(x)) = a2(f(x))``.  The domain is then the subgroup S that the
-    seeds generate, invariant under the action (``_closure``), and f is a
-    homomorphism on S (the walk rule): it respects right products by each
-    seed, and if it respects them by y it does by ``a(y)``, as
-    ``f(x·a(y)) = f(a(a^-1(x)·y)) = a2(f(a^-1(x))·f(y)) = f(x)·f(a(y))``.
+    A new seed pair ``(i, j)`` pushes only itself; every pair assigned
+    pushes its edge along each seed assigned so far and along each action
+    edge, ``f(a(x)) = a2(f(x))``.  A leaf is yielded only when every element
+    is assigned, and its map f is then a homomorphism: by induction over
+    the seeds, f respects right products by each seed i, with ``f(i) = j``.
+
+    - Let S be the subgroup the earlier seeds generate, invariant under the
+      action; it holds every element assigned before i was pushed.  f
+      respects right products by each earlier seed, and if by y then by
+      ``a(y)``, as ``f(x·a(y)) = f(a(a^-1(x)·y)) = a2(f(a^-1(x))·f(y)) =
+      f(x)·f(a(y))``; so by every element of S.
+    - An element outside S was assigned after i was pushed, so its i-edge
+      was checked.  For a in S, let r be the least exponent with ``i^r``
+      in S.  The elements ``a·i^k`` with ``0 < k < r`` lie outside S, so
+      their i-edges give ``f(a·i^r) = f(a·i)·j^(r-1)``, and with a = 1,
+      ``f(i^r) = j^r``.
+    - With ``f(a·i^r) = f(a)·f(i^r)`` this gives ``f(a·i) = f(a)·j``.
+
+    So every Cayley edge holds, and the walk rule makes f a homomorphism.
     Conversely, when the seeds' assignment extends to an injective
-    homomorphism on S that passes ``pair_check`` and commutes with the
-    action, every pair pushed is one of its own, so it is never refused.
-    A propagation over the whole group therefore certifies a bijective
-    homomorphism, and prunes exactly the branches that closing under every
-    product of assigned elements would.
+    homomorphism that passes ``pair_check`` and commutes with the action,
+    every pair pushed is one of its own, so it is never refused; that the
+    propagation then assigns every element the seeds generate is checked
+    against ``support.table_extensions``, which closes each pair under its
+    product with every assigned element, and on every short generating
+    sequence of seven small groups.
 
     ``candidates(i, map21)`` lists the targets to try for ``i``; the search
     is depth-first, so their order fixes the order of the results.
     """
-    n = G.order()
-    mul1, mul2 = _product_rule(G), _product_rule(H)
-
-    def backtrack(k, map12, map21, domain, seeds):
+    def backtrack(k, map12, map21, seeds):
         if k == len(seq):
-            if len(domain) == n:
+            if -1 not in map12:
                 yield map12
             return
         i = seq[k]
         for j in candidates(i, map21):
-            m12, m21, dom = list(map12), list(map21), list(domain)
+            m12, m21 = list(map12), list(map21)
             grown = seeds + [(i, j)]
-            # the identity's edge, (i, j) itself, is popped first
-            edges = [(mul1(a, i), mul2(map12[a], j)) for a in reversed(domain)]
-            if _propagate(G, H, m12, m21, dom, grown, edges, pair_check,
+            if _propagate(G, H, m12, m21, grown, [(i, j)], pair_check,
                           action_edges):
-                yield from backtrack(k + 1, m12, m21, dom, grown)
+                yield from backtrack(k + 1, m12, m21, grown)
 
-    map12, map21, domain = [-1] * n, [-1] * n, []
-    if _propagate(G, H, map12, map21, domain, [], [(0, 0)], pair_check,
+    n = G.order()
+    map12, map21 = [-1] * n, [-1] * n
+    if _propagate(G, H, map12, map21, [], [(0, 0)], pair_check,
                   action_edges):
-        yield from backtrack(0, map12, map21, domain, [])
+        yield from backtrack(0, map12, map21, [])
 
 
 def _iter_isomorphisms(G: PermGroup, H: PermGroup):

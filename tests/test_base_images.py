@@ -8,12 +8,12 @@ M's generators, so the action walk compares only those.  These checks hold
 the library to the product oracles of ``support``: the same walk, the same
 element maps, actions and first conflicts, the same multiplication table,
 the same orders, centre, cosets, CM2 witness and relator verdict.  The
-fallback's M, read off a coset table over the trivial subgroup, and
+regular path's M, read off a coset table over the trivial subgroup, and
 quotients act regularly and get their one-level chains without
 Schreier-Sims; each must equal the full chain.
 Tripwires count products on row 7's M (128 elements), so that a return to
 one product per edge or per table entry fails, and on building the
-fallback's chain, so that a return to the check loop fails.
+regular path's chain, so that a return to the check loop fails.
 """
 
 import dataclasses
@@ -285,7 +285,7 @@ class TestTableModules:
         check_hom(X.M, X.Q, turned)
 
     def test_regular_m_has_a_one_point_base(self):
-        # the fallback's M acts regularly on the cosets of the trivial
+        # the regular path's M acts regularly on the cosets of the trivial
         # subgroup, so one point fixes each element
         for row in range(1, 8):
             M = regular_m(row_inclusion(row))
@@ -482,7 +482,7 @@ def induced(request, table_results, s5_modules):
                          ids=[f"{k}-{a}" for k, a in INCLUSIONS])
 class TestInducedModules:
     def test_regular_level_is_the_full_chain(self, induced, request):
-        # the fallback's M, read off the same presentation over the trivial
+        # the regular path's M, read off the same presentation over the trivial
         # subgroup: a regular group of the order induce finds
         M = regular_m(inclusion(request.node.callspec.params["induced"]))
         assert M._base() == (1,) and M.order() == M.degree
@@ -603,13 +603,13 @@ def finite_presentations(draw):
 
 def regular_group(ct):
     """The group of a table over the trivial subgroup, as ``induce``'s
-    fallback reads it: the nonidentity generators on one chain level."""
+    regular path reads it: the nonidentity generators on one chain level."""
     perms = [p for p in _coset_action(ct) if not p.is_identity()]
     return PermGroup._bounded(ct.ncosets, perms, ct.ncosets)
 
 
 def regular_m(inclusion_pair):
-    """The fallback's M for an inclusion: its presentation enumerated over
+    """The regular path's M for an inclusion: its presentation enumerated over
     the trivial subgroup."""
     P, iota = inclusion_pair
     ip = induced_presentation(identity_xmod(P), iota)
@@ -652,7 +652,7 @@ class TestRegularChain:
         assert report.induced_order == 1
 
     def test_row_7_m_skips_the_check_loop(self, monkeypatch):
-        # the fallback's M for row 7 and a quotient of it get their one
+        # the regular path's M for row 7 and a quotient of it get their one
         # level without the check loop: building the chain forms the
         # transversal, one product per point past the first, and not one
         # Schreier generator, which would cost |M| products per generator

@@ -205,12 +205,12 @@ class TestInduce:
         assert "degree=64;" in err
         # the live cosets the early stop of Todd-Coxeter left unscanned
         assert " skipped=10 " in err
-        # P = Q: one coset of H, so the regular path
+        # P = Q: one coset of H, so M acts on S4's 4 points as well
         rc, _, err = run(capsys, "induce", "--sub", "(1,2),(1,2,3,4)",
                          "--stats")
         assert rc == 0
-        assert err.startswith("stats: regular; ncosets=24 ")
-        assert " skipped=22 " in err
+        assert err.startswith("stats: over H; ncosets=1 ")
+        assert " skipped=0 " in err and " degree=5" in err
 
     def test_limit_exceeded(self, capsys):
         rc, _, err = run(capsys, "induce", "--sub", "(1,2)(3,4)", "--limit", "10")

@@ -182,16 +182,16 @@ def test_table_row_stats_pinned(table_results, row):
 
 
 def test_p_equal_to_q_stats_pinned():
-    # one coset of H: the attempt over H falls short, the regular one runs;
-    # two generators, S4's own
+    # one coset of H: the chain over the cosets falls short, so M acts on
+    # S4's 4 points as well, degree 1 + 4; two generators, S4's own
     S4 = symmetric(4)
     _, report = induce(identity_xmod(S4), hom(S4, S4, S4.generators))
-    assert report.stats == _stats("regular", 24, 24, 24, 22, 2, 27, 228, 24)
+    assert report.stats == _stats("over H", 1, 1, 1, 0, 2, 27, 228, 5)
 
 
 def test_trivial_boundary_stats_pinned():
-    # C3 inverted by P = <(1,2)> <= S3, boundary trivial: only the regular
-    # attempt is offered; one generator per copy, its inverse spelled as a
+    # C3 inverted by P = <(1,2)> <= S3, boundary trivial: the regular path
+    # runs; one generator per copy, its inverse spelled as a
     # word of two letters
     S3 = symmetric(3)
     P = S3.subgroup(parse_generator_list("(1,2)", 3))

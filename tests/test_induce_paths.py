@@ -1,5 +1,7 @@
 """The two paths of ``induce``: over H, the copy of M at the identity coset,
-and the regular fallback, against the module first presented.
+with Q's points adjoined when the cosets of H fall short, and the regular
+path of a boundary that is not injective, against the module first
+presented.
 
 ``support.reference_induced_module`` builds the induced module the way it
 was first built: every element of M in every copy, enumerated over the
@@ -7,6 +9,8 @@ trivial subgroup, on a full Schreier-Sims chain.  Where ``|M| <= 512``
 (the isomorphism search bound) the module ``induce`` returns must be
 isomorphic to it as a crossed module.
 """
+
+import importlib
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +23,13 @@ from support import (
     tcompose,
 )
 from xmodlab.errors import ValidationFailed
-from xmodlab.induce import coset_transversal, induce, table_subgroup
+from xmodlab.fp import todd_coxeter
+from xmodlab.induce import (
+    coset_transversal,
+    induce,
+    small_group_name,
+    table_subgroup,
+)
 from xmodlab.perm import (
     ISO_SEARCH_BOUND,
     PermGroup,
@@ -33,6 +43,7 @@ from xmodlab.perm import (
 from xmodlab.xmod import (
     CrossedModule,
     identity_xmod,
+    pi1,
     pi2,
     validate,
     xmod_isomorphic,
@@ -101,13 +112,14 @@ def random_transversal(data, Q, P):
 
 class TestFallback:
     def test_p_equal_to_q_gives_back_m(self):
-        # H is all of G: one coset, so the chain stops short of |M| and
-        # the regular path runs
+        # H is all of G: one coset, so the chain over the cosets stops
+        # short of |M| and M acts on S4's 4 points as well
         S4 = symmetric(4)
         X = identity_xmod(S4)
         Xi, report = induce(X, hom(S4, S4, S4.generators))
-        assert report.stats["path"] == "regular"
-        assert report.stats["degree"] == Xi.M.order() == 24
+        assert report.stats["path"] == "over H"
+        assert report.stats["degree"] == Xi.M.degree == 5
+        assert Xi.M.order() == 24
         assert xmod_isomorphic(Xi, X) is not None
 
     # M = C3, inverted by the generator of P = <(1,2)> <= S3, or
@@ -179,7 +191,10 @@ def test_s5_in_s6_finishes():
 # (P <= S5, |M|, pi2 invariants, |pi1|, path) for the classes whose
 # presentation changed when each copy of M came to be generated by M's own
 # generators rather than by the elements P's action reaches from them;
-# measured before that change
+# measured before that change.  The paths of A5 and S5 (one coset of H
+# each) went from "regular" to "over H" when M came to be read off the
+# joint action on S5's points and the cosets of H, after a witness to the
+# regular module
 S5_CLASSES = (
     ("(1,2,3,4),(1,2)", 120, [], 1, "over H"),
     ("(1,2,3),(1,2)", 240, [2], 1, "over H"),
@@ -189,8 +204,8 @@ S5_CLASSES = (
     ("(1,2,3,4,5),(2,5)(3,4)", 480, [2, 4], 2, "over H"),
     ("(1,2,3,4,5),(2,3,5,4)", 480, [4], 1, "over H"),
     ("(1,2,3),(2,3,4)", 540, [3, 3], 2, "over H"),
-    ("(1,2,3),(3,4,5)", 60, [], 2, "regular"),
-    ("(1,2,3,4,5),(1,2)", 120, [], 1, "regular"),
+    ("(1,2,3),(3,4,5)", 60, [], 2, "over H"),
+    ("(1,2,3,4,5),(1,2)", 120, [], 1, "over H"),
 )
 
 
@@ -223,3 +238,103 @@ def test_action_that_ignores_p_is_refused(monkeypatch, sub):
     monkeypatch.setattr(X, "act_array", lambda p: unmoved)
     with pytest.raises(ValidationFailed, match="does not kill a relator"):
         induce(X, hom(P, Q, P.generators))
+
+
+def triple(X):
+    """(|M|, pi2 invariants, the name of pi1) of a crossed module."""
+    _, invariants = pi2(X)
+    return X.M.order(), tuple(invariants), small_group_name(pi1(X))
+
+
+# (name, P, n) for P <= Q = S_n whose cosets of H fall short of [G:H]·|M|,
+# as core_G(H) != 1
+JOINT_CASES = (
+    ("S3", "(1,2,3),(1,2)", 3),
+    ("S4", "(1,2,3,4),(1,2)", 4),
+    ("S5", S5, 5),
+    ("A4 <= S4", "(1,2,3),(2,3,4)", 4),
+    ("A5 <= S5", "(1,2,3),(3,4,5)", 5),
+)
+
+
+class TestJointAction:
+    @pytest.mark.parametrize("name, sub, n", JOINT_CASES,
+                             ids=[c[0] for c in JOINT_CASES])
+    def test_against_reference(self, name, sub, n):
+        Q = symmetric(n)
+        self.check(Q, Q.subgroup(parse_generator_list(sub, n)))
+
+    def test_klein_two_in_c2_x_c2(self):
+        # Q = <(1,2),(3,4)> is abelian, so H is normal in G
+        Q = PermGroup(4, parse_generator_list("(1,2),(3,4)", 4))
+        self.check(Q, Q.subgroup(parse_generator_list("(1,2)", 4)))
+
+    @staticmethod
+    def check(Q, P):
+        # the chain over the cosets of H falls short, so M acts on Q's
+        # points too; the reference reads it as a regular group
+        X, iota = identity_xmod(P), hom(P, Q, P.generators)
+        Xi, report = induce(X, iota)
+        assert report.stats["path"] == "over H"
+        assert Xi.M.degree == Q.degree + report.stats["ncosets"]
+        reference = reference_induced_module(X, iota)
+        assert triple(Xi) == triple(reference)
+        assert xmod_isomorphic(reference, Xi) is not None
+
+    def test_normal_klein_four_in_s4(self, monkeypatch):
+        # M of order 4096 on S4's 4 points and the 1024 cosets of H, read
+        # off the one coset table: Todd-Coxeter runs once
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return todd_coxeter(*args, **kwargs)
+
+        # ``xmodlab.induce`` is the function; the module is read by name
+        module = importlib.import_module("xmodlab.induce")
+        monkeypatch.setattr(module, "todd_coxeter", counted)
+        Q = symmetric(4)
+        P = Q.subgroup(parse_generator_list("(1,2)(3,4),(1,3)(2,4)", 4))
+        Xi, report = induce(identity_xmod(P), hom(P, Q, P.generators))
+        assert len(calls) == 1 and calls[0]  # over H, not the trivial one
+        assert (report.induced_order, report.pi2_invariants,
+                report.pi1_name) == (4096, (2,) * 10, "S3")
+        assert Xi.M.degree == 1028
+        assert validate(Xi).ok
+        K, _ = pi2(Xi)
+        closure = conjugation_closure(
+            4, [q.images for q in Q.elements()],
+            [p.images for p in P.generators])
+        assert report.order_law_ok
+        assert Xi.M.order() == K.order() * len(closure) == 1024 * 4
+
+
+# P <= R <= S4; the second step's boundary is not injective when pi2 != 1
+TWO_STEP_CHAINS = (
+    ("(1,2)", "(1,2),(3,4)"),
+    ("(1,2)", "(1,2),(1,2,3)"),
+    ("(1,2,3,4)", "(1,2,3,4),(1,3)"),
+    ("(1,2)(3,4)", "(1,2,3,4),(1,3)"),
+    ("(1,2,3)", "(1,2,3),(2,3,4)"),
+    ("(1,2)(3,4)", "(1,2)(3,4),(1,3)(2,4)"),
+)
+
+
+@pytest.mark.parametrize("p, r", TWO_STEP_CHAINS,
+                         ids=[f"{p} <= {r}" for p, r in TWO_STEP_CHAINS])
+def test_induction_in_two_steps(p, r):
+    # Induction along iota is left adjoint to pulling crossed modules back
+    # along iota (Brown-Wensley, *On finite induced crossed modules, and
+    # the homotopy 2-type of mapping cones*).  Pulling back along
+    # P <= R <= Q is pulling back to R, then to P, and left adjoints of
+    # composite functors compose, so inducing to R and then to Q gives the
+    # module induced along P <= Q, up to isomorphism.
+    Q = symmetric(4)
+    R = Q.subgroup(parse_generator_list(r, 4))
+    P = R.subgroup(parse_generator_list(p, 4))
+    X = identity_xmod(P)
+    one_step, _ = induce(X, hom(P, Q, P.generators))
+    first, _ = induce(X, hom(P, R, P.generators))
+    two_steps, _ = induce(first, hom(R, Q, R.generators))
+    assert triple(two_steps) == triple(one_step)
+    assert xmod_isomorphic(two_steps, one_step) is not None

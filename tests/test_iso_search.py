@@ -5,11 +5,12 @@ of the seeds assigned so far and along the action edges.  The table
 backtrack it replaced, ``support.table_extensions``, closed each partial
 map under the product of every pair of assigned elements.  Both reach the
 subgroup that the seeds generate (invariant under the action) and accept a
-partial map exactly when it is an injective homomorphism there that passes
-the pair check, so they prune the same branches and yield the same maps in
-the same order.
+complete map exactly when it is an isomorphism that passes the pair check,
+so they yield the same maps in the same order; the Cayley-edge search,
+whose new seeds push only their own pair, may find a conflict later.
 """
 
+import itertools
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,7 @@ from xmodlab.perm import (
     _iter_isomorphisms,
     hom,
     normal_closure,
+    parse_generator_list,
     parse_permutation,
     symmetric,
 )
@@ -220,6 +222,37 @@ def test_pair_check_refusals_match_table_oracle(n, fixing):
     assert all(m[t] == t for m in maps)
     assert maps == [list(m) for m in table_extensions(
         G, G, seq, candidates, pair_check)]
+
+
+@pytest.mark.parametrize("name, degree, gens", [
+    ("S3", 3, "(1,2),(1,2,3)"),
+    ("S4", 4, "(1,2),(1,2,3,4)"),
+    ("D8", 4, "(1,2,3,4),(1,3)"),
+    ("A4", 4, "(1,2,3),(2,3,4)"),
+    ("Q8", 8, "(1,2,4,7)(3,6,8,5),(1,3,4,8)(2,5,7,6)"),
+    ("C2xC4", 6, "(1,2),(3,4,5,6)"),
+    ("D12", 6, "(1,2,3,4,5,6),(2,6)(3,5)"),
+])
+def test_each_seed_reaches_the_group_the_seeds_generate(name, degree, gens):
+    # a new seed pushes only its own pair, so the leaf test asks that the
+    # propagation from it reach every element the seeds generate that the
+    # old domain lacks; the identity map is grown from every sequence of
+    # one or two seeds (three for order <= 12) that generates G, with and
+    # without the conjugation by G's first generator as an action edge
+    G = PermGroup(degree, parse_generator_list(gens, degree))
+    n, index, elements = G.order(), G.element_index(), G.elements()
+    conj = [index[x.conj(G.generators[0])] for x in elements]
+    checked = 0
+    for acts in ([], [conj]):
+        for k in (1, 2, 3) if n <= 12 else (1, 2):
+            for seq in itertools.product(range(1, n), repeat=k):
+                if len(perm._closure(G, seq, acts)) < n:
+                    continue
+                maps = list(_extensions(G, G, list(seq), lambda i, _: [i],
+                                        None, [(a, a) for a in acts]))
+                assert maps == [list(range(n))], seq
+                checked += 1
+    assert checked
 
 
 def test_tables_built_once_per_group(monkeypatch):
