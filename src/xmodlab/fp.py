@@ -9,18 +9,14 @@ or a merged coset leads the trace into a shared all-undefined sentinel row,
 where it stays at -1, so the trace returns to its coset exactly when the plain
 scan closes, and only the other scans run the full scan-and-fill.  Tables,
 counters (cosets defined, peak live) and refusals are those of the plain scan,
-as the tests check against a reference copy of it.  Given a core of the
-relators that presents the same group by itself, ``todd_coxeter`` stops once
-the rows not yet scanned are complete and close the core: the table is then
-an action of the group, so every relator closes everywhere and the scans
-left out could change nothing.  A generator g with a relator ``g g`` has
-one working column for g and g^-1, so no coset is defined for both; the
-table returned has both columns again.
+as the tests check against a reference copy of it.  A generator g with a
+relator ``g g`` has one working column for g and g^-1, so no coset is
+defined for both; the table returned has both columns again.
 
 Every presentation is held to ``RELATOR_LETTER_BUDGET`` relator letters
 (``_check_letters``): ``parse_word`` and ``Presentation.from_json_dict``
 count the letters of ``x^k`` tokens before building any, and ``induce``
-counts its relators by arithmetic.
+counts its relators from the lengths of their words before building any.
 """
 
 from __future__ import annotations
@@ -241,8 +237,7 @@ class CosetTable:
 
     ``defined`` (every coset the enumeration defined, kept or merged away)
     and ``peak_live`` (the most cosets alive at once) say how much work the
-    table took, and ``skipped`` how many live cosets the early stop left
-    unscanned; they are 0 on a table not built by ``todd_coxeter`` and take
+    table took; they are 0 on a table not built by ``todd_coxeter`` and take
     no part in comparisons.
     """
 
@@ -251,7 +246,6 @@ class CosetTable:
     table: tuple[tuple[int, ...], ...]
     defined: int = field(compare=False, default=0)
     peak_live: int = field(compare=False, default=0)
-    skipped: int = field(compare=False, default=0)
 
     @property
     def ncosets(self) -> int:
@@ -273,7 +267,6 @@ def todd_coxeter(
     presentation: Presentation,
     subgroup_words=(),
     max_cosets: int = DEFAULT_MAX_COSETS,
-    core=None,
 ) -> CosetTable:
     """Enumerate cosets of the subgroup generated by ``subgroup_words``.
 
@@ -292,10 +285,9 @@ def todd_coxeter(
     ``x g`` is known.  This is exact.  ``g^2`` is a relator, so in every
     complete coset table the g and g^-1 columns are equal.  Every write
     sets ``rows[b][inv[col]] = f`` with ``rows[f][col] = b``, so a single
-    column is always an involutive partial map.  The table the loop stops
+    column is always an involutive partial map.  The table the loop ends
     on is therefore still an action of the presented group, with the same
-    index, and the ``core`` argument below is unchanged.  The returned
-    table has its two letter columns again.
+    index.  The returned table has its two letter columns again.
 
     Most relator scans at a live coset close without changing the table, so
     each is first traced with no check per letter: ``rows[-1]`` and every
@@ -304,23 +296,6 @@ def todd_coxeter(
     ends where it began exactly when the plain scan closes, writing nothing;
     every other scan runs the full scan-and-fill from the same coset, and the
     cosets are defined and merged in the same order as by the plain scan.
-
-    ``core`` may list the indices of relators that by themselves present
-    the same group.  Then, after a coset whose scans changed nothing, the
-    enumeration stops once every live row after that coset is complete and
-    every core relator closes there (traced through the sentinel, so an
-    entry naming a merged coset fails the check); ``skipped`` counts those
-    rows.  The stop is exact.  Every live row scanned so far is complete
-    and closes every relator, and merges keep both, so the table is a
-    complete action of the free group in which the core closes everywhere.
-    It is therefore an action of the group the core presents, which is the
-    presented group, so every relator closes at every coset and the scans
-    left out would change nothing: the table, ``defined`` and ``peak_live``
-    are those of the whole loop.  A scan that changed the table seldom
-    leaves it final, hence the wait for one that changed nothing; and a
-    check that fails at a coset is not run again before the loop reaches
-    that coset, so the checks cost at most one pass of the core over the
-    cosets.
     """
     if max_cosets < 1:
         raise ValueError(f"max_cosets must be at least 1, got {max_cosets}")
@@ -353,8 +328,6 @@ def todd_coxeter(
 
     rel_cols = columns(presentation.relators)
     sub_cols = columns(subgroup_words)
-    if core is not None:
-        core_cols = columns([presentation.relators[i] for i in core])
 
     # a coset x is live exactly when parent[x] == x; rows[-1] and every dead
     # row are the one sentinel row, which a write would refuse
@@ -457,55 +430,28 @@ def todd_coxeter(
             rows[f][col] = n
             rows[n][inv[col]] = f
 
-    def first_open(start):
-        # the first live coset from ``start`` on with an undefined entry or
-        # a core relator that does not close, or None
-        for c in range(start, len(parent)):
-            if parent[c] != c:
-                continue
-            if -1 in rows[c]:
-                return c
-            for cols in core_cols:
-                f = c
-                for col in cols:
-                    f = rows[f][col]
-                if f != c:
-                    return c
-        return None
-
     for cols in sub_cols:
         scan_and_fill(0, cols)
     current = 0
-    retry = 0  # the early stop is not checked before this coset
-    skipped = 0
     while current < len(parent):
         if parent[current] == current:
-            changed = False
             for cols in rel_cols:
                 f = current
                 for col in cols:
                     f = rows[f][col]
                 if f == current:
                     continue
-                changed = True
                 scan_and_fill(current, cols)
                 if parent[current] != current:
                     break
             else:
                 row = rows[current]
                 if -1 in row:
-                    changed = True
                     for col in range(ncols):
                         if row[col] == -1:
                             n = new_coset()
                             row[col] = n
                             rows[n][inv[col]] = current
-            if core is not None and not changed and current >= retry:
-                retry = first_open(current + 1)
-                if retry is None:
-                    skipped = sum(parent[c] == c
-                                  for c in range(current + 1, len(parent)))
-                    break
         current += 1
 
     # each defined coset's live number: a merged coset points at a smaller
@@ -528,7 +474,6 @@ def todd_coxeter(
         table=table,
         defined=len(parent),
         peak_live=peak_live,
-        skipped=skipped,
     )
 
 

@@ -17,25 +17,30 @@ word of ``g^p`` along the walk's spanning tree, in copy t'.  Right
 multiplication by ``d = dx`` permutes the copies; for each of its cycles
 whose length is the order of g in M, x = (g, s), the Peiffer relators
 ``(x, y)`` for y in one copy of the cycle follow from the rest and are not
-built (the proof is in ``_with_peiffer_relators``).  The letters are
-counted before a word is built, and a presentation of more than
-``RELATOR_LETTER_BUDGET`` letters is refused.  The copies' relators and the
-Peiffer relators of the generators of a few copies T0, chosen so that every
-orbit of their boundaries on the copies meets T0, present G by themselves
-(the core, ``InducedPresentation.core``; the proof is in
-``_with_peiffer_relators``), and ``todd_coxeter`` stops once the rows it has
-not scanned are complete and close the core.
+built (the proof is in ``_with_peiffer_relators``).  The copies' relators
+and the Peiffer relators of the generators of a few copies T0, chosen so
+that every orbit of their boundaries on the copies meets T0, present G by
+themselves (the core; the proof is in ``_with_peiffer_relators``).  So G is
+presented on T0's generators alone: every other copy's generators are
+eliminated by Tietze moves, ``(g, t) = x w x^-1`` with x a generator of T0
+and w the word of ``(g, t)^(dx)`` in a copy eliminated before, and the
+presentation keeps T0's copy relators and the Peiffer relators of T0's
+generators, rewritten through those words (the proof is in
+``induced_presentation``).  The letters are counted before a relator is
+built, and a presentation of more than ``RELATOR_LETTER_BUDGET`` letters is
+refused.
 
 ``induce`` reads M off one coset table of the presented group G: over H,
 the copy of M at the identity coset, when M's boundary is injective, and
-over the trivial subgroup otherwise.  It sifts the permutations the
-generators induce on the cosets (``perm._sifted``), keeping only those
-that enlarge the group so far, into a chain stopped at the number of
-cosets times a bound for the subgroup's order; reaching that bound proves
-the action faithful.  Over H the bound is ``[G:H]·|M|``; when the cosets
-fall short of it (``core_G(H) != 1``, as for ``P = Q``), each generator
-acts on Q's points through its boundary as well, and that joint action
-reaches it (the proof is in ``induce``).  So M is generated by an
+over the trivial subgroup otherwise.  Each copy generator permutes the
+cosets by the product along its word, and ``induce`` sifts those
+permutations (``perm._sifted``), keeping only those that enlarge the group
+so far, into a chain stopped at the number of cosets times a bound for the
+subgroup's order; reaching that bound proves the action faithful.  Over H
+the bound is ``[G:H]·|M|``; when the cosets fall short of it
+(``core_G(H) != 1``, as for ``P = Q``), each generator acts on Q's points
+through its boundary as well, and that joint action reaches it (the proof
+is in ``induce``).  So M is generated by an
 irredundant sublist of the generators' permutations, and the boundary and
 the action are proved homomorphisms by the walk rule over M's Cayley graph
 (``perm._replay_walk``), like every map; the axioms are re-checked by
@@ -52,7 +57,6 @@ subgroups of S4 with M = P and the identity boundary.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import reduce
 
@@ -78,7 +82,9 @@ from .perm import (
     Permutation,
     _off_tree_edges,
     _right_cosets,
+    _extend_chain,
     _sifted,
+    _strip,
     _tree_values,
     abelian_invariants,
     cyclic,
@@ -108,15 +114,18 @@ coset_transversal = right_coset_representatives
 class InducedPresentation:
     """Presentation of an induced (or free) crossed module's top group.
 
-    ``gen_pairs[k]`` records which (m, t) pair generator ``k`` stands for,
-    ``boundary_images[k]`` its boundary in the base group, and
-    ``act_gen(k, q)`` is a word for the image of generator ``k`` under any
-    base group element q: one letter for a free module, the spanning-tree
-    word of ``g^p`` in copy t' for an induced one.
+    The module's generators are indexed k: ``gen_pairs[k]`` records which
+    (m, t) pair generator k stands for, ``boundary_images[k]`` its boundary
+    in the base group, and ``act_gen(k, q)`` is a word over them for the
+    image of generator k under any base group element q: one letter for a
+    free module, the spanning-tree word of ``g^p`` in copy t' for an induced
+    one.  The presentation is on the generators listed in ``generators``,
+    and ``words[k]`` spells generator k over its generators: one letter for
+    those, for an induced module a word over them for the rest
+    (``induced_presentation``).  Both are empty when the presentation is on
+    every generator, one letter each.
     ``subgroup_words`` generate the copy of M at the coset of the subgroup,
-    for an induced module; they are empty for a free one.  ``core`` lists
-    the indices of relators that by themselves present the same group, for
-    an induced module (``induced_presentation``); it is None for a free one.
+    for an induced module; they are empty for a free one.
     """
 
     presentation: Presentation
@@ -125,7 +134,8 @@ class InducedPresentation:
     gen_pairs: tuple[tuple[Permutation, Permutation], ...]
     subgroup_words: tuple[Word, ...] = ()
     act_gen: object = field(repr=False, compare=False, default=None)
-    core: tuple[int, ...] | None = None
+    generators: tuple[int, ...] = ()
+    words: tuple[Word, ...] = ()
 
     def boundary_kills_relators(self) -> bool:
         """Check in the base group that every relator dies.
@@ -142,7 +152,8 @@ class InducedPresentation:
                 raise NotInGroup(f"boundary image {im} is not in the base group")
         base = self.base._base()
         # indexed by the exponent: [1] the image, [-1] its inverse
-        steps = [(None, im.images, im.inverse().images) for im in images]
+        steps = [(None, images[k].images, images[k].inverse().images)
+                 for k in self.generators or range(len(images))]
         for w in self.presentation.relators:
             for b in base:
                 x = b
@@ -153,26 +164,33 @@ class InducedPresentation:
         return True
 
 
-def _word_image(word: Word, perms) -> Permutation:
-    """The product of ``perms`` along a nonempty positive word."""
-    return reduce(Permutation.__mul__, [perms[g] for g, _ in word.letters])
+def _word_image(word: Word, perms, inverses=()) -> Permutation:
+    """The product along a nonempty word of ``perms``, or of ``inverses``
+    for a letter of exponent -1."""
+    return reduce(Permutation.__mul__, [perms[g] if e == 1 else inverses[g]
+                                        for g, e in word.letters])
 
 
-def _dedupe_relators(words, core=None):
-    """The distinct nonidentity ``words`` in order of first appearance, and
-    the positions among them of the words at the indices ``core`` (None
-    when ``core`` is None)."""
-    position = {}
-    out = []
-    for w in words:
-        if w.is_identity() or w.letters in position:
-            continue
-        position[w.letters] = len(out)
-        out.append(w)
-    if core is not None:
-        core = tuple(sorted({position[words[i].letters] for i in core
-                             if not words[i].is_identity()}))
-    return tuple(out), core
+def _spelt(w: Word, words) -> tuple:
+    """The letters of a positive word with each generator z replaced by
+    the letters of ``words[z]``."""
+    return tuple([c for z, _ in w.letters for c in words[z].letters])
+
+
+def _cyclically_reduced(w: Word) -> Word:
+    """A freely reduced word less the letters its two ends cancel, a
+    conjugate of it: as a relator it has the same normal closure."""
+    letters = w.letters
+    i = 0
+    while len(letters) - 2 * i > 1 and letters[i] == (
+            letters[-1 - i][0], -letters[-1 - i][1]):
+        i += 1
+    return Word(letters[i:len(letters) - i])
+
+
+def _dedupe_relators(words):
+    """The distinct nonidentity ``words``, in order of first appearance."""
+    return tuple({w.letters: w for w in words if not w.is_identity()}.values())
 
 
 def _schreier_relators(G: PermGroup):
@@ -185,10 +203,9 @@ def _schreier_relators(G: PermGroup):
     kernel of the free group on G's generators onto G (Schreier's lemma),
     so they present G.  The edges off the tree are
     ``perm._off_tree_edges``, the Schreier edges the walk rule checks.
-    Returns the tree depth of each element in discovery order, the
-    relators' letter count, and ``spell``, which spells out the tree word of
-    every element, then the relators; the counts are read off the depths
-    before any word is spelled.
+    Returns the relators' letter count, read off the depths before any
+    word is spelled, and ``spell``, which spells out the tree word of every
+    element, then the relators.
     """
     positions = range(len(G.generators))
     depth = _tree_values(G, 0, positions, lambda d, _: d + 1)
@@ -203,7 +220,7 @@ def _schreier_relators(G: PermGroup):
             for a, j, c in edges
         ]
 
-    return depth, letters, spell
+    return letters, spell
 
 
 def _boundary_in_q(X: CrossedModule, iota: GroupHom) -> list:
@@ -221,41 +238,79 @@ def induced_presentation(
 ) -> InducedPresentation:
     """Presentation of the top group of the crossed module induced by iota.
 
-    It has one copy of M per right coset of iota(P) in Q, each on the
-    generators ``(g, t)`` for g among M's distinct nonidentity generators
-    and t the coset's transversal element.  Each copy has M's Schreier
-    relators (``_schreier_relators``, built once and shifted per copy), and
-    the Peiffer relators run over generator pairs (``_with_peiffer_relators``),
-    less those each cycle of copies implies (``partners``).
-    The copower relators ``(m, t)(m', t) = (mm', t)`` on all of M follow:
-    the generators generate M.  The Peiffer identity on a generating set
-    gives it on all of the group, since for a fixed x the elements y with
+    The module has one copy of M per right coset of iota(P) in Q, each on
+    the generators ``(g, t)`` for g among M's distinct nonidentity
+    generators and t the coset's transversal element; ``gen_pairs``,
+    ``boundary_images``, ``act_gen`` and ``words`` are indexed by them.
+    The copower presentation on all of them has each copy's Schreier
+    relators (``_schreier_relators``, built once and shifted per copy) and
+    the Peiffer relators over generator pairs (``_with_peiffer_relators``),
+    less those each cycle of copies implies (``partners``).  The copower
+    relators ``(m, t)(m', t) = (mm', t)`` on all of M follow: the
+    generators generate M.  The Peiffer identity on a generating set gives
+    it on all of the group, since for a fixed x the elements y with
     ``x^-1 y x = y^(dx)`` form a subgroup, and so do the x that satisfy it
-    for every y.  ``subgroup_words`` generate H, the copy at the coset of
-    iota(P).
+    for every y.
 
-    ``core`` lists the copies' relators and the Peiffer relators kept for x
-    among the generators of the copies T0, which present G by themselves
-    when every orbit of ``D = <d(x) : x in T0's copies>`` on the copies
-    meets T0 (the proof is in ``_with_peiffer_relators``).  T0 starts with
-    the copy t0 of iota(P); while some copy is not reached from T0 along the
-    copy moves of its generators' boundaries (``row``), the first such copy
-    is added.  The copies reached are then the union of the orbits of D
-    through T0, and they are all the copies.  No group is built for this.
+    The presentation returned is that one, Tietze-transformed onto the
+    generators S of a few copies T0 (``generators``).  T0 starts with the
+    copy t0 of iota(P); a copy joins, in copy order, when one of its
+    generators' boundaries lies outside the group that T0's boundaries
+    generate so far (sifted in that group's chain, built as T0 grows);
+    then, while some copy is not reached from T0 along the copy moves of
+    its generators' boundaries (``row``), the first such copy joins.  So
+    every orbit of ``D = <d(x) : x in S>`` on the copies meets T0, and the
+    copies' relators with the Peiffer relators kept for x in S, the core,
+    present G (the proof is in ``_with_peiffer_relators``).  The other
+    copies are given words level by level outward from T0: copy t, once a
+    copy ``t'`` with ``t dx = p t'`` has words, for some x in S, gets
+    ``(g, t) = x w x^-1`` for each of its generators, w the word
+    ``act_gen((g, t), dx)`` in copy t' with its letters spelt by their
+    words, freely reduced; of the x that qualify, the one whose words are
+    shortest in all wins, the first on a tie.  Every copy gets words, as
+    the copies reached from T0 along the inverse copy moves of D are the
+    union of D's orbits through T0.
+
+    1. Each definition follows from the core.  Step 1 of its proof gives
+       ``x^-1 z x = alpha_dx(z)`` for x in S and every word z, so
+       ``(g, t) = x act_gen((g, t), dx) x^-1`` in G, and by induction on
+       the level the letters of that word, in copy t', equal their words.
+       So adding the definitions to the core and then deleting each
+       generator outside S, substituting its word wherever it occurs, are
+       Tietze moves, and the rewritten core presents G on S.
+    2. The Peiffer relator of the pair (x, (g, t)) that gave (g, t) its
+       word rewrites to ``x^-1 (x w x^-1) x w^-1``, the empty word.
+    3. Copy t took one x for all its generators, so a relator r of copy t
+       rewrites to x r' x^-1, where r' is r with each (g, t) replaced by
+       ``act_gen((g, t), dx)``, then rewritten.  Before the rewriting, r'
+       spells in copy t' the image of r under the automorphism of M by p,
+       through spanning-tree words, so it is trivial in M and follows from
+       copy t''s relators in the free group on copy t''s generators; so
+       its rewriting follows from copy t''s rewritten relators, and by
+       induction on the level from T0's.  So the relators of the copies
+       outside T0 are dropped.
+    4. The Peiffer relators of generators outside S are not in the core.
+
+    So the presentation keeps T0's copy relators and the Peiffer relators
+    of S, rewritten through the words, freely and cyclically reduced (a
+    relator's cyclic conjugate has the same normal closure), with empty
+    and repeated words dropped.  ``subgroup_words`` generate H, the copy
+    at the coset of iota(P), on the letters of copy t0.
 
     The action ``(g, t)^q = (g^p, t')``, where ``t q = iota(p) t'``, is
     spelled in copy t' by the word of ``g^p`` along the spanning tree of M's
     Cayley walk, the tree the Schreier relators are spelled on
     (``act_gen``).  p acts on M by an automorphism, so it maps each copy's
     relators to consequences of those of copy t', and the relators as a
-    whole are Q-invariant up to consequences.  The Peiffer relator of the
-    pair (x, y) has ``3 + |w|`` letters, w the word of ``y^(dx)``: the
-    count of the pairs kept is read off the tree depths, one pass over the
-    generators y for each distinct boundary image and order, before any
-    word is built.  Before the cosets are listed, a job is refused on a
-    lower bound: 4 letters a pair, for every pair but the most that can be
-    left out, ``(nT - 1) // ord(g)`` copies for x = (g, s) (copy s is fixed
-    by dx, and each cycle left out has ord(g) copies).
+    whole are Q-invariant up to consequences.  The letters are counted
+    from the word lengths before any relator is built: the Peiffer
+    relator of (x, y) has ``2 + |words[y]|`` letters and the spelt length
+    of the word of ``y^(dx)``, and T0's copies their Schreier letters.
+    Before the cosets are listed, a job is refused on a lower bound: copy
+    t0's relators, and 4 letters a pair for x in copy t0 and every y but
+    the most that can be left out, ``(nT - 1) // ord(g)`` copies for
+    x = (g, t0) (copy t0 is fixed by dx, and each cycle left out has
+    ord(g) copies).
 
     ``transversal`` may supply explicit right-coset representatives of
     iota(P) in Q (any full transversal works; the resulting modules are
@@ -274,13 +329,13 @@ def induced_presentation(
     gens = list(dict.fromkeys(g for g in M.generators if not g.is_identity()))
     ng = len(gens)
     walk = PermGroup._on_chain(M.degree, gens, M._levels)
-    depth, schreier_letters, spell = _schreier_relators(walk)
+    schreier_letters, spell = _schreier_relators(walk)
     nT = Q.order() // H.order()
     orders = [g.order() for g in gens]
-    # every Peiffer relator has at least 4 letters, and for x = (g, s) at
-    # most (nT - 1) // ord(g) copies are left out: refuse on that bound
-    # before the cosets are listed, then on the exact count below
-    _check_letters(nT * schreier_letters + 4 * nT * ng * sum(
+    # copy t0 is in T0, every Peiffer relator has at least 4 letters, and
+    # for x = (g, t0) at most (nT - 1) // ord(g) copies are left out: refuse
+    # on that bound before the cosets are listed, then on the exact count
+    _check_letters(schreier_letters + 4 * ng * sum(
         nT - (nT - 1) // n for n in orders))
     reps, coset_of = _right_cosets(Q, H)
     qbase = Q._base()
@@ -351,28 +406,12 @@ def induced_presentation(
         skip = implied_copies(boundary_images[x], orders[x // nT])
         return [y for y in range(ng * nT) if y % nT not in skip]
 
-    # arithmetic first: refuse the job before building any word
-    _check_letters(nT * schreier_letters + sum(
-        c * sum(3 + depth[i] for tj, (_, images) in enumerate(row(q))
-                if tj not in implied_copies(q, n) for i in images)
-        for (q, n), c in Counter(
-            (d, orders[x // nT]) for x, d in enumerate(boundary_images)
-        ).items()))
-    words, schreier = spell()
+    tree, schreier = spell()
 
     def act_gen(k, q):
         gi, ti = divmod(k, nT)
         tj, images = row(q)[ti]
-        return Word(tuple([(gen(j, tj), 1) for j in words[images[gi]]]))
-
-    # spanning-tree words are reduced: the one letter that could cancel
-    # is the tree edge itself
-    relators = [
-        Word(tuple([(gen(gi, ti), e) for gi, e in word]))
-        for word in schreier for ti in range(nT)
-    ]
-    t0 = coset(Q.identity)  # the transversal element in iota(P)
-    subgroup_words = tuple(Word(((gen(gi, t0), 1),)) for gi in range(ng))
+        return Word(tuple([(gen(j, tj), 1) for j in tree[images[gi]]]))
 
     def reached(copies):  # from ``copies`` along their generators' boundaries
         moves = [[tj for tj, _ in row(boundary_images[gen(gi, ti)])]
@@ -387,13 +426,73 @@ def induced_presentation(
                     stack.append(move[ti])
         return seen
 
-    core_copies = [t0]
-    while len(seen := reached(core_copies)) < nT:
-        core_copies.append(min(set(range(nT)) - seen))
+    # T0: t0, then each copy with a generator whose boundary lies outside
+    # the group that T0's boundaries generate so far, then the first copy
+    # not reached while one is left
+    t0 = coset(Q.identity)  # the transversal element in iota(P)
+    chain = []
+    copies = [t0]
+    for ti in [t0, *range(nT)]:
+        for gi in range(ng):
+            d = boundary_images[gen(gi, ti)]
+            if not _strip(chain, d).is_identity():
+                _extend_chain(chain, Q.degree, [d])
+                if ti not in copies:
+                    copies.append(ti)
+    while len(seen := reached(copies)) < nT:
+        copies.append(min(set(range(nT)) - seen))
+
+    # the other copies' generators, level by level outward from T0:
+    # (g, t) = x w x^-1 with w = act_gen((g, t), dx) in a copy done before
+    S = sorted(gen(gi, ti) for ti in copies for gi in range(ng))
+    words = [None] * (ng * nT)  # each generator's word over S
+    for j, x in enumerate(S):
+        words[x] = Word(((j, 1),))
+
+    done = set(copies)
+    copy_moves = [(j, x, boundary_images[x],
+                   [tj for tj, _ in row(boundary_images[x])])
+                  for j, x in enumerate(S)]
+    while len(done) < nT:
+        level = {}
+        for ti in range(nT):
+            if ti in done:
+                continue
+            for j, _, dx, move in copy_moves:
+                if move[ti] not in done:
+                    continue
+                defined = [
+                    Word.of(((j, 1),) + _spelt(act_gen(gen(gi, ti), dx), words)
+                            + ((j, -1),))
+                    for gi in range(ng)]
+                if ti not in level or (sum(map(len, defined))
+                                       < sum(map(len, level[ti]))):
+                    level[ti] = defined
+        if not level:
+            raise AssertionError("a copy is not reached from T0")
+        for ti, defined in level.items():
+            for gi, w in enumerate(defined):
+                words[gen(gi, ti)] = w
+        done.update(level)
+
+    # arithmetic on the word lengths: refuse before building any relator
+    _check_letters(len(copies) * schreier_letters + sum(
+        2 + len(words[y])
+        + sum(len(words[z]) for z, _ in act_gen(y, dx).letters)
+        for _, x, dx, _ in copy_moves for y in partners(x)))
+    letter = {x: j for j, x in enumerate(S)}
+    # spanning-tree words are reduced: the one letter that could cancel
+    # is the tree edge itself
+    relators = [
+        _cyclically_reduced(Word(tuple([(letter[gen(gi, ti)], e)
+                                        for gi, e in word])))
+        for word in schreier for ti in sorted(copies)
+    ]
+    subgroup_words = tuple(Word(((letter[gen(gi, t0)], 1),))
+                           for gi in range(ng))
     return _with_peiffer_relators(
-        Q, relators, boundary_images, gen_pairs, labels, act_gen,
-        subgroup_words, partners,
-        {gen(gi, ti) for ti in core_copies for gi in range(ng)},
+        Q, relators, boundary_images, gen_pairs, [labels[x] for x in S],
+        act_gen, subgroup_words, partners, S, words,
     )
 
 
@@ -439,14 +538,19 @@ def free_crossed_module_presentation(P: PermGroup, relations) -> InducedPresenta
 
 def _with_peiffer_relators(
     base, relators, boundary_images, gen_pairs, labels, act_gen,
-    subgroup_words=(), partners=None, core_gens=None,
+    subgroup_words=(), partners=None, generators=None, words=None,
 ) -> InducedPresentation:
-    """Add the Peiffer relators ``x^-1 y x w^-1`` to ``relators`` and return
-    the presentation, checked against the boundary.  w is the word
-    ``act_gen(y, dx)`` of ``y^(dx)``, so the relator has ``3 + |w|``
-    letters before free reduction.  The pairs (x, y) run over every y in
-    ``partners(x)``, or over every generator when ``partners`` is None, as
-    for a free crossed module, whose generators have no finite order.
+    """Add the Peiffer relators ``x^-1 y x w^-1`` of the x in ``generators``
+    to ``relators``, which are over those generators, and return the
+    presentation on them, checked against the boundary.  w is the word
+    ``act_gen(y, dx)`` of ``y^(dx)``, and y and each letter of w are spelt
+    by their ``words`` over ``generators``; the relator is then freely and
+    cyclically reduced, and empty and repeated relators are dropped.  When
+    ``generators`` is None the presentation is on every generator, each
+    its own one-letter word, and the relator has ``3 + |w|`` letters before
+    free reduction.  The pairs (x, y) run over every y in ``partners(x)``,
+    or over every generator when ``partners`` is None, as for a free
+    crossed module, whose generators have no finite order.
 
     For an induced module, ``partners(x)`` leaves out the y in one copy
     (the largest) of each cycle of length ``L = ord(g)`` in M of the
@@ -473,11 +577,10 @@ def _with_peiffer_relators(
     x's own copy is never left out, and each cycle is argued from relators
     that are kept.
 
-    ``core_gens``, when given, is a set S of generators: all those of the
-    copies T0.  The relators passed in, those of the copies, and the
-    Peiffer relators built for x in S, form the core (``ip.core``, indices
-    into the relators kept).  When every orbit of ``D = <d(x) : x in S>`` on
-    the copies meets T0, the core presents the same group G:
+    Let S be all the generators of a few copies T0.  The copies' relators
+    and the Peiffer relators kept for x in S form the core.  When every
+    orbit of ``D = <d(x) : x in S>`` on the copies meets T0, the core
+    presents the same group G:
 
     1. For fixed x, the words z with ``x^-1 z x = alpha_dx(z)`` form a
        subgroup of F, and the argument above gives every z from the
@@ -495,20 +598,22 @@ def _with_peiffer_relators(
 
     So every generator lies in ``<S>``, and by steps 1 and 2 satisfies the
     Peiffer identity for every z: every Peiffer relator, built or not,
-    follows from the core.
+    follows from the core.  ``induced_presentation`` rewrites the core on S
+    alone, which is where the relators passed in stop being every copy's.
     """
     ngens = len(boundary_images)
-    # relator indices: every copy's relators, then the Peiffer relators of S
-    core = None if core_gens is None else list(range(len(relators)))
-    for x in range(ngens):
+    if generators is None:
+        generators = tuple(range(ngens))
+        words = tuple(Word(((k, 1),)) for k in range(ngens))
+
+    for j, x in enumerate(generators):
         dx = boundary_images[x]
         for y in range(ngens) if partners is None else partners(x):
-            if core is not None and x in core_gens:
-                core.append(len(relators))
-            w = act_gen(y, dx).inverse().letters
-            relators.append(Word.of(((x, -1), (y, 1), (x, 1)) + w))
-    relators, core = _dedupe_relators(relators, core)
-    pres = Presentation(ngens, relators, tuple(labels))
+            w = Word(_spelt(act_gen(y, dx), words)).inverse().letters
+            relators.append(_cyclically_reduced(
+                Word.of(((j, -1),) + words[y].letters + ((j, 1),) + w)))
+    pres = Presentation(len(generators), _dedupe_relators(relators),
+                        tuple(labels))
     ip = InducedPresentation(
         presentation=pres,
         base=base,
@@ -516,7 +621,8 @@ def _with_peiffer_relators(
         gen_pairs=tuple(gen_pairs),
         subgroup_words=subgroup_words,
         act_gen=act_gen,
-        core=core,
+        generators=tuple(generators),
+        words=tuple(words),
     )
     if not ip.boundary_kills_relators():
         raise ValidationFailed("boundary assignment does not kill a relator")
@@ -542,8 +648,7 @@ class Report:
     (names and fingerprints); they sum to ``seconds``.
     ``stats`` gives the path taken (``"over H"`` or
     ``"regular"``), the counters of the coset table M was read off
-    (``ncosets``, ``defined``, ``peak_live``, and ``skipped``, the live
-    cosets the early stop left unscanned), the presentation's size
+    (``ncosets``, ``defined``, ``peak_live``), the presentation's size
     (``generators``, ``relators``, ``relator_letters``) and M's ``degree``.
     Neither is part of the JSON or of comparisons.
     """
@@ -664,7 +769,7 @@ def induce(
     element in iota(P), and the bound is ``[G:H]·|M|``:
 
     - ``phi: M -> G``, ``m -> (m, t0)``, is a homomorphism onto H, by the
-      copy's relators; so ``|G| = [G:H]·|H| <= [G:H]·|M|``.
+      relators of copy t0, which is in T0; so ``|G| = [G:H]·|H| <= [G:H]·|M|``.
     - G's boundary ``d_G`` has ``d_G phi = c iota d``, with c conjugation
       by t0.  As ``iota d`` is injective, so is phi, and
       ``|G| = [G:H]·|M|``; and ``d_G`` is injective on H.
@@ -692,8 +797,8 @@ def induce(
     Either way M is G, acting faithfully.  Sifting keeps a generator's
     permutation only when it lies outside the group generated by those
     kept before it, so M's generators are an irredundant sublist of them,
-    and ``keep`` lists the presentation generators they belong to; the
-    rest lie in M and are not needed.  The boundary and each action entry
+    and ``keep`` lists the copy generators they belong to; the rest lie
+    in M and are not needed.  The boundary and each action entry
     are given on the kept generators and proved homomorphisms by the walk
     rule (``perm.GroupHom``), on the ``|M|·(k-1)+1`` Schreier edges of M's
     Cayley walk for k kept generators.  Generator k's image under a
@@ -702,9 +807,11 @@ def induce(
     ``CrossedModule`` reads them as index arrays, and none multiplies out
     its values.
 
-    The table is enumerated by one ``todd_coxeter`` call, passed
-    ``ip.core``, which may then stop early with the table the full scan
-    would give.  ``Report.stats`` names the path taken, ``"over H"`` or
+    The table is enumerated by one ``todd_coxeter`` call on the
+    presentation over T0's generators; each copy generator's permutation
+    of the cosets is the product along its word ``ip.words[k]``, so
+    sifting, ``keep``, the boundary and the action read every copy
+    generator.  ``Report.stats`` names the path taken, ``"over H"`` or
     ``"regular"``.
     The returned module has passed the axiom check; a failure there raises
     ``ValidationFailed`` (it would mean an internal error, not bad input).
@@ -726,9 +833,11 @@ def induce(
     else:
         path, words, order = "regular", (), 1
     lap("presentation")
-    ct = todd_coxeter(pres, words, max_cosets, core=ip.core)
+    ct = todd_coxeter(pres, words, max_cosets)
     lap("todd_coxeter")
-    gen_perms = _coset_action(ct)
+    perms = _coset_action(ct)
+    inverses = [p.inverse() for p in perms]
+    gen_perms = [_word_image(w, perms, inverses) for w in ip.words]
     bound = ct.ncosets * order
     Mstar = _sifted(ct.ncosets, gen_perms, order=bound)
     if Mstar.order() < bound:  # core_G(H) != 1: adjoin Q's points
@@ -784,7 +893,6 @@ def induce(
             "ncosets": ct.ncosets,
             "defined": ct.defined,
             "peak_live": ct.peak_live,
-            "skipped": ct.skipped,
             "generators": pres.ngens,
             "relators": len(pres.relators),
             "relator_letters": sum(len(w) for w in pres.relators),

@@ -408,11 +408,12 @@ def trivially_acted(X):
 
 
 def check_relators(ip, boundary_images):
-    """``boundary_kills_relators`` with the given boundary images against
-    the per-letter product check; returns the verdict."""
+    """``boundary_kills_relators`` with the given boundary images of the
+    copy generators against the per-letter product check on those of the
+    presentation's generators; returns the verdict."""
     ip = dataclasses.replace(ip, boundary_images=tuple(boundary_images))
     want = product_relators_die(
-        ip.base.degree, images(boundary_images),
+        ip.base.degree, images([boundary_images[k] for k in ip.generators]),
         [w.letters for w in ip.presentation.relators])
     assert ip.boundary_kills_relators() == want
     return want
@@ -511,9 +512,15 @@ def test_relator_check(case):
     P, iota = inclusion(case)
     ip = induced_presentation(identity_xmod(P), iota)
     assert check_relators(ip, ip.boundary_images)
-    # the boundary turned by one place kills some relator no longer
-    turned = ip.boundary_images[1:] + ip.boundary_images[:1]
-    assert not check_relators(ip, turned)
+    # generator 0 of copy t0, the first letter of the first subgroup word,
+    # sent to an element whose order does not divide its own: copy t0's
+    # relators present M, so one of them dies no longer
+    (j, _), = ip.subgroup_words[0].letters
+    k = ip.generators[j]
+    n = ip.gen_pairs[k][0].order()
+    wrong = list(ip.boundary_images)
+    wrong[k] = next(z for z in ip.base.elements() if n % z.order())
+    assert not check_relators(ip, wrong)
 
 
 def test_relator_check_needs_images_in_the_base():

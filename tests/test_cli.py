@@ -203,14 +203,14 @@ class TestInduce:
         assert json.loads(out)["induced_order"] == 128
         assert err.startswith("stats: over H; ncosets=64 ")
         assert "degree=64;" in err
-        # the live cosets the early stop of Todd-Coxeter left unscanned
-        assert " skipped=10 " in err
+        # G presented on the generators of the six copies T0
+        assert " generators=6 relators=48 " in err
         # P = Q: one coset of H, so M acts on S4's 4 points as well
         rc, _, err = run(capsys, "induce", "--sub", "(1,2),(1,2,3,4)",
                          "--stats")
         assert rc == 0
         assert err.startswith("stats: over H; ncosets=1 ")
-        assert " skipped=0 " in err and " degree=5" in err
+        assert " generators=2 " in err and " degree=5" in err
 
     def test_limit_exceeded(self, capsys):
         rc, _, err = run(capsys, "induce", "--sub", "(1,2)(3,4)", "--limit", "10")

@@ -6,11 +6,9 @@ order and process the same coincidences, so every table, counter and refusal
 has to match ``reference_todd_coxeter``.  That covers the small presentations
 of ``test_fp``, random presentations and limits, the S4 rows regular and over
 H, and the three enumerations over H that ``induce`` runs for P = S4,
-``<(1,2)>`` and C5 in S5, whose counters are pinned too.  Each is also run
-with the early stop on a core of the relators (``todd_coxeter(..., core=)``):
-all the relators for the small and random presentations, and
-``InducedPresentation.core`` for the induced ones, on the S4 rows, the S5
-cases and random subgroups of S4 and S5.  The S5 inductions of
+``<(1,2)>`` and C5 in S5, whose counters are pinned too, and the
+presentations ``induced_presentation`` gives for random subgroups of S4 and
+S5.  The S5 inductions of
 ``reference_induced_presentation`` (every element of M in every copy) are too
 slow for the reference here; their regular tables are pinned by a hash taken
 from the reference enumeration instead.
@@ -23,7 +21,6 @@ standardisation: both are complete tables of the same subgroup.
 
 import hashlib
 import random
-from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -55,23 +52,14 @@ def outcome(enumerate_, presentation, subgroup_words=(), max_cosets=1 << 16):
     return ("table", ct.table, ct.defined, ct.peak_live)
 
 
-def assert_same(presentation, subgroup_words=(), max_cosets=1 << 16,
-                core=None):
-    """``todd_coxeter`` against the reference, and again with the early
-    stop on ``core`` when it is given; returns the reference outcome."""
+def assert_same(presentation, subgroup_words=(), max_cosets=1 << 16):
+    """``todd_coxeter`` against the reference; returns the reference
+    outcome."""
     want = outcome(reference_todd_coxeter, presentation, subgroup_words,
                    max_cosets)
     assert outcome(todd_coxeter, presentation, subgroup_words,
                    max_cosets) == want
-    if core is not None:
-        assert outcome(partial(todd_coxeter, core=core), presentation,
-                       subgroup_words, max_cosets) == want
     return want
-
-
-def every_relator(presentation):
-    """All the relators' indices: a core of any presentation."""
-    return tuple(range(len(presentation.relators)))
 
 
 S4_COXETER = Presentation(3, (
@@ -124,19 +112,19 @@ class TestSmallPresentations:
         pres = SMALL[name]
         limit = 50 if name == "free2" else 1 << 16
         for words in subgroup_choices(pres.ngens):
-            assert_same(pres, words, limit, every_relator(pres))
+            assert_same(pres, words, limit)
 
     def test_refusal_matches_reference(self):
         got = assert_same(SMALL["free2"], (), 50)
         assert got == ("refused", 50, "needed more than 50 cosets")
 
     def test_generator_in_no_relator(self):
-        # b occurs in no relator, so no relator's trace reads its columns:
-        # the early stop must find every row complete as well.  <a, b |
-        # a^-2> over <a^2, b^-1> has infinite index, and is refused
+        # b occurs in no relator, so no relator's scan reads its columns:
+        # only the fill of each row's undefined entries defines its cosets.
+        # <a, b | a^-2> over <a^2, b^-1> has infinite index, and is refused
         pres = Presentation(2, (W([(0, -1)] * 2),))
         sub = (W([(0, 1)] * 2), W([(1, -1)]))
-        got = assert_same(pres, sub, 200, every_relator(pres))
+        got = assert_same(pres, sub, 200)
         assert got == ("refused", 200, "needed more than 200 cosets")
 
     def test_counters_not_compared(self):
@@ -157,8 +145,7 @@ class TestInducedPresentations:
     @pytest.mark.parametrize("row", range(1, 8))
     def test_s4_row_matches_reference(self, row):
         ip = s4_row_induced(row)
-        kind, table, defined, peak_live = assert_same(
-            ip.presentation, (), core=ip.core)
+        kind, table, defined, peak_live = assert_same(ip.presentation, ())
         assert kind == "table"
         # counters: every coset kept was defined and live at once
         assert defined >= peak_live >= len(table)
@@ -168,8 +155,7 @@ class TestInducedPresentations:
         # the enumeration induce runs: over the copy of M at the identity
         # coset, whose index is |M*| / |M|
         ip = s4_row_induced(row)
-        kind, table, _, _ = assert_same(ip.presentation, ip.subgroup_words,
-                                        core=ip.core)
+        kind, table, _, _ = assert_same(ip.presentation, ip.subgroup_words)
         assert kind == "table"
         order = (48, 48, 48, 48, 96, 72, 128)[row - 1]
         assert len(table) * table_subgroup(row).order() == order
@@ -185,16 +171,14 @@ class TestInducedPresentations:
 
 # (subgroup P of S5, cosets, cosets defined, peak live cosets) of the
 # enumeration over H that induce runs on identity_xmod(P), re-recorded when
-# the Peiffer relators each cycle of copies implies were left out, and the
-# counters again when an involution came to have one column
+# the Peiffer relators each cycle of copies implies were left out, the
+# counters again when an involution came to have one column, and again when
+# G came to be presented on the generators of the copies T0 alone
 S5_OVER_H = (
-    ("(1,2,3,4),(1,2)", 5, 110, 109),
-    ("(1,2)", 120, 1398, 1081),
-    ("(1,2,3,4,5)", 600, 4965, 2330),
+    ("(1,2,3,4),(1,2)", 5, 218, 186),
+    ("(1,2)", 120, 772, 689),
+    ("(1,2,3,4,5)", 600, 1262, 728),
 )
-# the live cosets whose scans the early stop leaves out: after the last
-# change to the table, 64 of 120 on <(1,2)> and 195 of 600 on C5
-S5_SKIPPED = {"(1,2,3,4),(1,2)": 2, "(1,2)": 64, "(1,2,3,4,5)": 195}
 
 
 class TestS5OverH:
@@ -203,13 +187,9 @@ class TestS5OverH:
         Q = PermGroup(5, parse_generator_list("(1,2,3,4,5),(1,2)", 5))
         P = Q.subgroup(parse_generator_list(sub, 5))
         ip = induced_presentation(identity_xmod(P), hom(P, Q, P.generators))
-        got = assert_same(ip.presentation, ip.subgroup_words, core=ip.core)
+        got = assert_same(ip.presentation, ip.subgroup_words)
         assert got[0] == "table"
         assert (len(got[1]), got[2], got[3]) == (ncosets, defined, peak_live)
-        ct = todd_coxeter(ip.presentation, ip.subgroup_words, core=ip.core)
-        assert ct.skipped == S5_SKIPPED[sub]
-        # without a core nothing is left out
-        assert todd_coxeter(ip.presentation, ip.subgroup_words).skipped == 0
 
 
 # (subgroup of S5, coset count, sha256 of repr(table), cosets defined,
@@ -269,7 +249,7 @@ class TestRandomPresentations:
     @given(small_presentations())
     def test_matches_reference(self, case):
         pres, subgroup, limit = case
-        assert_same(pres, subgroup, limit, every_relator(pres))
+        assert_same(pres, subgroup, limit)
 
 
 def plain_table(presentation, subgroup_words=(), max_cosets=1 << 16):
@@ -347,13 +327,12 @@ class TestOneColumnInvolutions:
             assert standardized(got) == standardized(want)
 
 
-class TestEarlyStopOnRandomSubgroups:
-    """The early stop on ``InducedPresentation.core`` against the reference,
-    for ``identity_xmod(P)`` along P <= Q with P generated by one or two
-    drawn elements: in S4 over H and over the trivial subgroup, with a drawn
-    transversal and a drawn coset limit, so refusals are compared too; in
-    S5 over H only, with a fixed number of examples, as its reference
-    enumerations take up to a second."""
+class TestRandomSubgroups:
+    """The presentation ``induced_presentation`` gives against the
+    reference, for ``identity_xmod(P)`` along P <= Q with P generated by one
+    or two drawn elements: in S4 over H and over the trivial subgroup, with
+    a drawn transversal and a drawn coset limit, so refusals are compared
+    too; in S5 over H only, with a fixed number of examples."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -365,8 +344,8 @@ class TestEarlyStopOnRandomSubgroups:
         ip = induced_presentation(identity_xmod(P), hom(P, Q, P.generators),
                                   T)
         limit = data.draw(st.integers(1, 400))
-        assert_same(ip.presentation, ip.subgroup_words, limit, ip.core)
-        assert_same(ip.presentation, (), limit, ip.core)
+        assert_same(ip.presentation, ip.subgroup_words, limit)
+        assert_same(ip.presentation, (), limit)
 
     @settings(max_examples=8, deadline=None)
     @given(st.data())
@@ -375,4 +354,4 @@ class TestEarlyStopOnRandomSubgroups:
         P = Q.subgroup([data.draw(st.sampled_from(Q.elements()))
                         for _ in range(data.draw(st.integers(1, 2)))])
         ip = induced_presentation(identity_xmod(P), hom(P, Q, P.generators))
-        assert_same(ip.presentation, ip.subgroup_words, core=ip.core)
+        assert_same(ip.presentation, ip.subgroup_words)

@@ -29,13 +29,15 @@ GOLDEN = ROOT / "perfbench" / "golden" / "table_verify.json"
 # with DUMP_CONTENTS when the Peiffer relators each cycle of copies implies
 # were left out (the enumeration defines cosets in another order, so M
 # comes back as a point-conjugate of the old M, with equal fingerprints and
-# an xmod_isomorphic witness to it); perfbench/fixtures/row6.json keeps
+# an xmod_isomorphic witness to it), and again with DUMP_CONTENTS, for the
+# same reason and with the same checks, when G came to be presented on the
+# generators of the copies T0 alone; perfbench/fixtures/row6.json keeps
 # row 6 as first written, on 72 points
 DUMPS = {
     "row6": ("(1,2,3)",
-             "d3c74c5c171bab6dfc4b91adb80c83c848a00924aa2add71f9766213a56728c1"),
+             "7872f885b075a7a5e7ae14372bed28ad4bd42c565ce91635b4ad11cc0aed6084"),
     "row7": ("(1,2)(3,4)",
-             "9a0728afc58977f5eac0b4c6701c9d3e8bf010969fd3dc58859ef646140f1353"),
+             "de278ced1666b4fec536dcb64432ca21f52191fb492c950d80948cccb11c650f"),
 }
 
 
@@ -75,8 +77,8 @@ def test_dump_xmod_bytes_pinned(capsys, tmp_path, row):
 # action entry as sorted (m, image) pairs, read back with xmod_from_json.
 # The bytes above change with M's generating set; these must not
 DUMP_CONTENTS = {
-    "row6": "b41855ca11585bf14b28aa547cbc2be98f98870c6d349543f86f99210c52044c",
-    "row7": "36b7b354847d96f6a8e49eac0dfc334b4c06bba28d29a0d3e268f07a5276ce45",
+    "row6": "b4874b72163d7d2ed724c4cd2fd241474c6859fed05a0218964c34ab5c6a2780",
+    "row7": "c3817d4e4e41f9d8ff107cab981ebc3b3b2977b208beea8cc58eda8a43395ea2",
 }
 
 
@@ -105,33 +107,35 @@ def test_dump_xmod_content_pinned(capsys, tmp_path, row):
 # action (S4 rows 2 and 4, S5 S4, the twisted S3 and D8) the pins were
 # re-recorded when the action came to be spelled as words, with the modules
 # backed by the reference module (tests/test_induce_paths.py), and all of
-# them when the Peiffer relators each cycle of copies implies were left out
-# (tests/test_induce.py::TestImpliedPeiffer)
+# them when the Peiffer relators each cycle of copies implies were left
+# out, and all of them again when G came to be presented on the generators
+# of the copies T0 alone (tests/test_induce.py::TestElimination backs each
+# against the copower relators and the reference module)
 PRESENTATIONS = {
     ("S4", "row 1"):
-        "6f6c6d94d48a53cd1f4db4911cb0bdf52aa75f097d1e499c9ce91f10b1d53773",
+        "2a119a54fd73fe235f37e6bbb37cf7ef1bf9e4ce05d4191e613dc56ec002bf86",
     ("S4", "row 2"):
-        "fb7470c1954abaf472ccbf5275903520b85864b5713f48ea5d391fa7bbe31053",
+        "2a077e9e666d86506291d9676f446881388625bd1b6ddd41f018f2c2f20007f8",
     ("S4", "row 3"):
-        "c6f2fd4d252c671ea957f9a3bdb105cde2145845f53444fde508ccfae057262c",
+        "0e42a23499aa661529088da85a5be5a0f9c8e49992416b43c6ef0d792d0e20f6",
     ("S4", "row 4"):
-        "b46abecb21a9f6bdaed8f7db7284fe013117e9b9c48b85365005d0a05564c6cc",
+        "3897a2bf56ff4f8569e413850f6dc6126f0edc742f0db035886ee8b7887ae488",
     ("S4", "row 5"):
-        "428421bf95475ed068cadb9bb92c86757e6335bc8af7354cf843e9e05decb9b2",
+        "21fbe4e4d3fd0c6b07449928870820b1caca012784b157ce23992f90e9557f08",
     ("S4", "row 6"):
-        "050437a294e0eed183f29498541cd7164c526f9fdea513a4362044f074d795c3",
+        "f748058ee57bdff226a81765fbd573caed46e7dfd9b7b9678966e645d79b1f8c",
     ("S4", "row 7"):
-        "65710a9a71356b8e116615817248f1ddff4ff030fa50142eb521490ad4a433e6",
+        "cf9e5fb198b7f0e814c474cc9ed9e038436174198a6f8d138e90cf90f16be507",
     ("S5", "(1,2,3,4),(1,2)"):
-        "5d88cf9146e73343cf999ef7577fa89aaa0ad30f285bf3d00d18ceb8abf7d6f8",
+        "9a4dc87f3599df9cd4ad6fb6644b86096dc872bfeef82cafd964c8cfa5cc2b8c",
     ("S5", "(1,2)"):
-        "20bc17fe3a958eef046f2627b0722b8379819d1715f855b2cdbde4c2136a380c",
+        "564c2105e8941ca5ad722a6bae0711594b09feeb8330285828c51ed8643cc437",
     ("S5", "(1,2,3,4,5)"):
-        "7eb0e3cbdb8f4fdf340efcab6092a60a912b26f9ce081edaed0f6fb14c24a2cd",
+        "fa7b1bcbfe33a8422500cbc02b714868dc644f1b50e1c40e86c219fb689930c8",
     ("S5", "(1,2,3),(1,2)(4,5)"):
-        "9727d79117af7b186d759e56cabf4f77487d3ebe39883c0544059f81c94ade3d",
+        "81dc8219a2abf37c88274e18c7e2c0c17daca41a33ef5ddda14d492d45a4670e",
     ("S5", "(1,2,3,4),(1,3)"):
-        "58198f758b27aaf5373366fa8c01f51cf18dddef68f2ab1293d6a61cc3cf82e0",
+        "27e73feb1e1a9471390bb973c967b18726a58fd4452da6470dbd2da39df84cc0",
 }
 
 
@@ -149,11 +153,10 @@ def test_induced_presentation_bytes_pinned(case):
     assert digest == PRESENTATIONS[case]
 
 
-def _stats(path, ncosets, defined, peak_live, skipped, generators, relators,
+def _stats(path, ncosets, defined, peak_live, generators, relators,
            relator_letters, degree):
     return {"path": path, "ncosets": ncosets, "defined": defined,
-            "peak_live": peak_live, "skipped": skipped,
-            "generators": generators,
+            "peak_live": peak_live, "generators": generators,
             "relators": relators, "relator_letters": relator_letters,
             "degree": degree}
 
@@ -161,18 +164,18 @@ def _stats(path, ncosets, defined, peak_live, skipped, generators, relators,
 # Report.stats of the seven S4 rows; rows 2 and 4, whose M generators are
 # not closed under P's action, re-recorded when the action came to be
 # spelled as words, and all seven when the Peiffer relators each cycle of
-# copies implies were left out; ``skipped`` (the live cosets the early stop
-# of Todd-Coxeter left unscanned) added with that stop, no other value
-# moved; ``defined``, ``peak_live`` and ``skipped`` of rows 1, 2, 3 and 7
-# re-recorded when an involution came to have one coset-table column
+# copies implies were left out; ``defined`` and ``peak_live`` of rows 1, 2,
+# 3 and 7 re-recorded when an involution came to have one coset-table
+# column; every row's counters and sizes (not its path, ncosets or degree)
+# when G came to be presented on the generators of the copies T0 alone
 ROW_STATS = (
-    _stats("over H", 24, 56, 38, 15, 12, 84, 312, 24),
-    _stats("over H", 8, 21, 18, 5, 8, 68, 296, 8),
-    _stats("over H", 12, 46, 36, 7, 12, 114, 432, 12),
-    _stats("over H", 6, 25, 18, 2, 6, 51, 262, 6),
-    _stats("over H", 24, 70, 44, 9, 6, 30, 120, 24),
-    _stats("over H", 24, 87, 60, 16, 8, 48, 184, 24),
-    _stats("over H", 64, 111, 66, 10, 12, 96, 360, 64),
+    _stats("over H", 24, 39, 31, 3, 17, 138, 24),
+    _stats("over H", 8, 20, 13, 4, 30, 182, 8),
+    _stats("over H", 12, 27, 22, 4, 36, 264, 12),
+    _stats("over H", 6, 40, 22, 4, 26, 162, 6),
+    _stats("over H", 24, 35, 30, 2, 7, 54, 24),
+    _stats("over H", 24, 41, 29, 2, 8, 78, 24),
+    _stats("over H", 64, 81, 65, 6, 48, 276, 64),
 )
 
 
@@ -183,10 +186,11 @@ def test_table_row_stats_pinned(table_results, row):
 
 def test_p_equal_to_q_stats_pinned():
     # one coset of H: the chain over the cosets falls short, so M acts on
-    # S4's 4 points as well, degree 1 + 4; two generators, S4's own
+    # S4's 4 points as well, degree 1 + 4; two generators, S4's own; the
+    # Schreier relators that are cyclic conjugates of others are dropped
     S4 = symmetric(4)
     _, report = induce(identity_xmod(S4), hom(S4, S4, S4.generators))
-    assert report.stats == _stats("over H", 1, 1, 1, 0, 2, 27, 228, 5)
+    assert report.stats == _stats("over H", 1, 1, 1, 2, 14, 114, 5)
 
 
 def test_trivial_boundary_stats_pinned():
@@ -199,7 +203,7 @@ def test_trivial_boundary_stats_pinned():
     X = CrossedModule(M, P, hom(M, P, [P.identity]),
                       [hom(M, M, [M.generators[0].inverse()])])
     _, report = induce(X, hom(P, S3, P.generators))
-    assert report.stats == _stats("regular", 27, 28, 28, 13, 3, 9, 33, 27)
+    assert report.stats == _stats("regular", 27, 28, 28, 3, 9, 33, 27)
 
 
 # sha256 of ``xmodlab induce --degree 5 --group S5 --sub SUB --json`` for
@@ -207,7 +211,9 @@ def test_trivial_boundary_stats_pinned():
 # ``--dump-xmod`` file of C5 (|M| = 3000 on the 600 cosets of H), recorded
 # before the Cayley walk came to run on keys alone: the fingerprint of the
 # order-3000 M, its histogram, centre and abelianization, is pinned with
-# the rest of the report
+# the rest of the report.  The dump re-recorded when G came to be presented
+# on the generators of the copies T0 alone: M comes back as a
+# point-conjugate, with the report's bytes (both fingerprints) unchanged
 S5 = "(1,2,3,4,5),(1,2)"
 S5_JSON = {
     "(1,2,3,4),(1,2)":
@@ -217,7 +223,7 @@ S5_JSON = {
     "(1,2,3,4,5)":
         "3e52181b639e9158291108c6198d5ccd59958900a0a2f8982edb7a45648437d5",
 }
-S5_C5_DUMP = "bd03ea973bd5ac1c8652f77164d3278ff6a50256873973f68664c06fe81ef4cd"
+S5_C5_DUMP = "e83611dc03d9d54054b851831b3f68fb68ea8c5da141984edf93835c83dfcee8"
 
 
 @pytest.mark.parametrize("sub", sorted(S5_JSON))

@@ -62,7 +62,20 @@ whole triple before anything is enumerated: ``H2(S6) = C2`` (Schur) and
 injective on ``<(1,2)>``, so ``ker(P_ab -> Q_ab) = 1`` and ``|pi2| = 2``;
 the boundary's image is P's normal closure, which holds every
 transposition and so is S6, hence ``pi1 = 1``; and the order law
-``|M| = |pi2|·|d(M)|`` gives ``|M| = 2·720 = 1440``.
+``|M| = |pi2|·|d(M)|`` gives ``|M| = 2·720 = 1440``.  S6 over the cyclic
+``P = <(1,2,3,4,5,6)>`` is exact the same way: ``H2(C6) = 0``, the 6-cycle
+is odd, so ``ker(P_ab -> Q_ab) = C3`` and ``|pi2| = 2·3 = 6``, its normal
+closure is S6, and ``|M| = 6·720 = 4320``.
+
+Where ``pi1 = G != 1``, X is not simply connected, and the Serre spectral
+sequence of ``X -> BG``, whose fibre is ``K(pi2, 2)``, gives Hopf's
+sequence ``H3(X) -> H3(G) -> (pi2)_G -> H2(X) -> H2(G) -> 0`` (K. S. Brown,
+*Cohomology of Groups*), with ``(pi2)_G = pi2 / <k^-1 k^q>`` the
+coinvariants.  For ``G = C2`` or S3, ``H2(G) = 0`` and ``H3(G)`` is C2 or
+C6, so ``|(pi2)_G| = c·|H2(X)|`` with c dividing ``|H3(G)|``.  On the rows
+``P = <(1,2)(3,4)>`` of S4 (G = S3) and of S6 (G = C2), ``H2(P) = 0`` and
+the double transposition is even, so ``|H2(X)| = 2·2 = 4`` exactly, and
+the coinvariants read off the module must number 4 as well (c = 1).
 """
 
 from math import prod
@@ -81,7 +94,7 @@ from xmodlab.perm import (
     parse_generator_list,
     symmetric,
 )
-from xmodlab.xmod import identity_xmod, validate
+from xmodlab.xmod import identity_xmod, pi2, validate
 
 # (name, group, |H2|) for the multipliers of the closed forms above that
 # are not covered by the cyclic-Sylow rule
@@ -179,3 +192,54 @@ def test_s6_transposition_row_from_closed_forms():
     assert report.order_law_ok
     # the order law with d(M) = S6
     assert report.induced_order == report.pi2_order * Q.order()
+
+
+def test_s6_c6_row_from_closed_forms():
+    Q = symmetric(6)
+    P = Q.subgroup(parse_generator_list("(1,2,3,4,5,6)", 6))
+    assert prediction(Q, P) == (6, 1)  # exact: |pi2| = 6
+    X, report = induce(identity_xmod(P), hom(P, Q, P.generators))
+    assert (report.induced_order, list(report.pi2_invariants),
+            report.pi1_name) == (6 * 720, [6], "1")
+    assert validate(X).ok
+    assert report.order_law_ok
+    # the order law with d(M) = S6
+    assert report.induced_order == report.pi2_order * Q.order()
+
+
+def coinvariants_order(X):
+    """``|(pi2)_Q|``: pi2 over the subgroup of the ``k^-1 k^q``, grown until
+    Q maps it into itself.  ``m^q`` is read off the action entry of each
+    generator q of Q through M's walk, so no element list of M is built."""
+    M = X.M
+    base = M._base()
+    index = {key: i for i, key in enumerate(M._cayley_walk()[0])}
+
+    def moved(m):  # m^-1 m^q for each generator q of Q
+        i = index[tuple(m.images[b - 1] for b in base)]
+        return [m.inverse() * M._element(a._keys[i]) for a in X.action]
+
+    K, _ = pi2(X)
+    gens = [d for k in K.generators for d in moved(k)]
+    while True:
+        I = M.subgroup(gens)
+        more = [d for g in I.generators for d in moved(g) if d not in I]
+        if not more:
+            return K.order() // I.order()
+        gens += more
+
+
+@pytest.mark.parametrize("degree, pi1_name, order, invariants",
+                         [(4, "S3", 128, [2, 2, 2, 4]),
+                          (6, "C2", 8640, [2, 12])], ids=["S4", "S6"])
+def test_double_transposition_rows_hopf_count(degree, pi1_name, order,
+                                              invariants):
+    Q = symmetric(degree)
+    P = Q.subgroup(parse_generator_list("(1,2)(3,4)", degree))
+    assert prediction(Q, P) == (4, 1)  # exact: |H2 X| = 4
+    X, report = induce(identity_xmod(P), hom(P, Q, P.generators))
+    assert (report.induced_order, list(report.pi2_invariants),
+            report.pi1_name) == (order, invariants, pi1_name)
+    assert validate(X).ok
+    assert report.order_law_ok
+    assert coinvariants_order(X) == 4

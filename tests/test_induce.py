@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from support import conjugation_closure
+from support import conjugation_closure, reference_induced_module
 from xmodlab import perm
 from xmodlab.errors import (
     BudgetExceeded,
@@ -15,13 +15,22 @@ from xmodlab.errors import (
     NotInGroup,
     TableMismatch,
 )
-from xmodlab.fp import Word, abelianization, todd_coxeter
+from xmodlab.fp import (
+    Presentation,
+    Word,
+    _coset_action,
+    abelianization,
+    todd_coxeter,
+)
 from xmodlab.induce import (
     RELATOR_LETTER_BUDGET,
     TABLE_ISO_PAIRS,
     TABLE_SUBGROUPS,
     _NAMED_GROUPS,
+    _cyclically_reduced,
     _schreier_relators,
+    _spelt,
+    _word_image,
     coset_transversal,
     free_crossed_module_presentation,
     induce,
@@ -34,6 +43,7 @@ from xmodlab.induce import (
     verify_table,
 )
 from xmodlab.perm import (
+    ISO_SEARCH_BOUND,
     PermGroup,
     cyclic,
     dihedral,
@@ -74,7 +84,7 @@ def implied_pairs(X, iota, ip):
     H = image(iota)
     nT = iota.target.order() // H.order()
     T = [t for _, t in ip.gen_pairs[:nT]]
-    n = ip.presentation.ngens
+    n = len(ip.gen_pairs)
     pairs = set()
     for x, (g, _) in enumerate(ip.gen_pairs):
         d = ip.boundary_images[x]
@@ -103,18 +113,26 @@ class TestTransversal:
         assert T[0].is_identity()
 
 
+def t0_copies(ip):
+    """The copies T0 the presentation is on, read off its generators."""
+    nT = len(ip.gen_pairs) // len({g for g, _ in ip.gen_pairs})
+    return sorted({x % nT for x in ip.generators})
+
+
 class TestPresentation:
     def test_generator_count(self):
         X, iota = include(["(1,2)"])
         ip = induced_presentation(X, iota)
-        # one pair per generator of M, (1,2), and coset of P
-        assert ip.presentation.ngens == 1 * 12
-        assert len(ip.gen_pairs) == 12
+        # one pair per generator of M, (1,2), and coset of P; G is
+        # presented on three of them, whose transpositions generate S4
+        assert len(ip.gen_pairs) == 1 * 12
+        assert ip.presentation.ngens == 3
         assert ip.boundary_kills_relators()
         # H, the copy at the coset of P, is generated by (s, 1)
         [word] = ip.subgroup_words
         [(k, e)] = word.letters
-        assert e == 1 and ip.gen_pairs[k] == (P("(1,2)", 4), P("()", 4))
+        assert e == 1
+        assert ip.gen_pairs[ip.generators[k]] == (P("(1,2)", 4), P("()", 4))
 
     def test_generators_are_m_generators_times_t(self):
         # M = D8 with generators (1,2,3,4) and (1,3): each of the 3 copies
@@ -125,13 +143,16 @@ class TestPresentation:
         T = coset_transversal(iota.target, image(iota))
         assert list(ip.gen_pairs) == [(g, t) for g in X.M.generators
                                       for t in T]
-        assert ip.presentation.ngens == 2 * 3
+        # D8 and one conjugate of it generate S4, which is transitive on
+        # the copies: T0 is two copies
+        assert len(t0_copies(ip)) == 2
+        assert ip.presentation.ngens == 2 * 2
 
     def test_generators_skip_repeats_and_the_identity(self):
         X, iota = include(["(1,2)", "()", "(1,2)"])
         ip = induced_presentation(X, iota)
         assert {g for g, _ in ip.gen_pairs} == {P("(1,2)", 4)}
-        assert ip.presentation.ngens == 12
+        assert len(ip.gen_pairs) == 12
         assert induce(X, iota)[1].induced_order == 48
 
     def test_boundary_images_formula(self):
@@ -146,7 +167,7 @@ class TestPresentation:
         # q permutes the generators
         X, iota = include(["(1,2)"])
         ip = induced_presentation(X, iota)
-        n = ip.presentation.ngens
+        n = len(ip.gen_pairs)
         for q in iota.target.generators:
             words = [ip.act_gen(k, q).letters for k in range(n)]
             assert all(len(w) == 1 and w[0][1] == 1 for w in words)
@@ -181,30 +202,29 @@ class TestPresentation:
             induced_presentation(identity_xmod(S3), collapse)
 
     def test_budget(self, monkeypatch):
-        # 2520 generators (s, t): for each x = (s, t), at most 2519 // 2
-        # copies y have their Peiffer relator left out (TestImpliedPeiffer),
-        # so 4 * 2520 * 1261 letters of Peiffer relators, and 2 for s^2 in
-        # each of the 2520 copies, refused by arithmetic before a word is
-        # built
+        # two relations over S6: 1440 generators (r, p), and a Peiffer
+        # relator of 4 letters for every pair, refused by arithmetic before
+        # a word is built
         built = []
         monkeypatch.setattr(Word, "__init__", lambda *a: built.append(a))
-        S7 = symmetric(7)
-        H = S7.subgroup([P("(1,2)", 7)])
+        S6 = symmetric(6)
         with pytest.raises(BudgetExceeded) as info:
-            induced_presentation(identity_xmod(H), hom(H, S7, H.generators))
+            free_crossed_module_presentation(
+                S6, [("r", P("(1,2)", 6)), ("s", P("(1,2,3)", 6))])
         assert info.value.limit == RELATOR_LETTER_BUDGET == 1 << 20
-        assert str(info.value).startswith(
-            f"{4 * 2520 * (2520 - 2519 // 2) + 2 * 2520} relator letters")
+        assert str(info.value).startswith(f"{4 * 1440 * 1440} relator letters")
         assert not built
 
     @pytest.mark.parametrize("sub", [["(1,2)", "(1,2,3)"],
                                      ["(1,2,3,4)", "(1,3)"]], ids=str)
     def test_budget_counts_the_action_words(self, monkeypatch, sub):
-        # the counts checked against the budget are the copies' Schreier
-        # letters plus, first, the lower bound 4 for each Peiffer pair
-        # (x, y) but the most that can be left out, (nT - 1) // ord(g) copies
-        # y for x = (g, s), then 3 + |w| for each pair kept, w the word of
-        # y^(dx) as built; some of those words are longer than one letter
+        # the counts checked against the budget are, first, copy t0's
+        # Schreier letters and the lower bound 4 for each Peiffer pair (x, y)
+        # with x in copy t0, but the most that can be left out,
+        # (nT - 1) // ord(g) copies y for x = (g, t0); then T0's Schreier
+        # letters and, for each pair kept with x in T0, 2 letters for x and
+        # x^-1, the word of y and the word of y^(dx) with each letter spelt
+        # by its word; some of those words are longer than one letter
         counted = []
         # the package exports the function ``induce``, so the module is
         # reached through importlib
@@ -212,19 +232,22 @@ class TestPresentation:
                             "_check_letters", counted.append)
         X, iota = include(sub)
         ip = induced_presentation(X, iota)
-        _, schreier, _ = _schreier_relators(X.M)
-        n = ip.presentation.ngens
+        schreier, _ = _schreier_relators(X.M)
+        n = len(ip.gen_pairs)
         implied = implied_pairs(X, iota, ip)
-        words = [ip.act_gen(y, dx) for x, dx in enumerate(ip.boundary_images)
+        words = [ip.act_gen(y, ip.boundary_images[x]) for x in ip.generators
                  for y in range(n) if (x, y) not in implied]
         assert implied and max(len(w) for w in words) > 1
-        nT = n // len(X.M.generators)
-        copies = nT * schreier
-        kept_at_least = nT * len(X.M.generators) * sum(
+        ng = len(X.M.generators)
+        nT = n // ng
+        peiffer = sum(2 + len(ip.words[y]) + len(_spelt(
+            ip.act_gen(y, ip.boundary_images[x]), ip.words))
+            for x in ip.generators for y in range(n) if (x, y) not in implied)
+        kept_at_least = ng * sum(
             nT - (nT - 1) // g.order() for g in X.M.generators)
-        assert counted == [copies + 4 * kept_at_least,
-                           copies + sum(3 + len(w) for w in words)]
-        assert 4 * kept_at_least <= sum(3 + len(w) for w in words)
+        assert counted == [schreier + 4 * kept_at_least,
+                           len(t0_copies(ip)) * schreier + peiffer]
+        assert max(len(ip.words[y]) for y in range(n)) > 1
 
     def test_budget_of_free_crossed_modules(self):
         S7 = symmetric(7)
@@ -236,10 +259,11 @@ class TestPresentation:
         S6 = symmetric(6)
         H = S6.subgroup(parse_generator_list("(1,2,3,4,5),(1,2)", 6))
         ip = induced_presentation(identity_xmod(H), hom(H, S6, H.generators))
-        # 2 generators per copy of S5, 6 copies
+        # 2 generators per copy of S5, 6 copies, of which G is presented on
+        # the two whose boundaries generate S6
         letters = sum(len(w) for w in ip.presentation.relators)
-        assert ip.presentation.ngens == 12
-        assert letters == 12_076 < RELATOR_LETTER_BUDGET
+        assert len(ip.gen_pairs) == 12 and ip.presentation.ngens == 4
+        assert letters == 4_335 < RELATOR_LETTER_BUDGET
 
     def test_bad_transversal_rejected(self):
         X, iota = include(["(1,2)"])
@@ -282,67 +306,106 @@ def trivial_boundary():
     return X, hom(P2, S3, P2.generators)
 
 
+# the 18 classes of nontrivial subgroups of S5, (4,5) as (1,2)
+S5_CLASSES = (
+    "(1,2)", "(2,3)(4,5)", "(3,4,5)", "(2,3,4,5)", "(4,5),(2,3)",
+    "(2,3)(4,5),(2,4)(3,5)", "(1,2,3,4,5)", "(1,2)(3,4,5)", "(4,5),(3,4)",
+    "(3,4,5),(1,2)(4,5)", "(4,5),(2,4)(3,5)", "(2,3)(4,5),(1,2)(3,4)",
+    "(4,5),(1,2)(3,4)", "(3,4,5),(2,3)(4,5)", "(2,3)(4,5),(1,2,3,4)",
+    "(4,5),(2,3,4)", "(3,4,5),(1,2,3)", "(4,5),(1,2,3,4)",
+)
+
 IMPLIED_CASES = {
     **{f"S4 row {row}": (lambda row=row: include(TABLE_SUBGROUPS[row - 1][1]))
        for row in range(1, 8)},
     "S3 trivial boundary": trivial_boundary,
     "S5 <(1,2)>": lambda: include(["(1,2)"], 5),
+    **{f"S5 {sub}": (lambda sub=sub: include(sub.replace("),(", ") (")
+                                             .split(), 5))
+       for sub in S5_CLASSES[1:]},
 }
 
 
+def copy_generator_perms(ip, subgroup_words=()):
+    """Each copy generator's permutation of the cosets of the subgroup the
+    ``subgroup_words`` generate: the product along its word."""
+    perms = _coset_action(todd_coxeter(ip.presentation, subgroup_words))
+    inverses = [p.inverse() for p in perms]
+    return [_word_image(w, perms, inverses) for w in ip.words]
+
+
+def copy_relators(X, ip):
+    """Every copy's Schreier relators, as words over the copy generators."""
+    gens = list(dict.fromkeys(
+        g for g in X.M.generators if not g.is_identity()))
+    _, spell = _schreier_relators(PermGroup(X.M.degree, gens))
+    nT = len(ip.gen_pairs) // len(gens)
+    return [Word(tuple((gi * nT + ti, e) for gi, e in word))
+            for word in spell()[1] for ti in range(nT)]
+
+
 class TestImpliedPeiffer:
-    """``induced_presentation`` leaves out the Peiffer relators (x, y) for y
-    in one copy of each cycle of length ord(g) of the copies under dx,
-    x = (g, s); the proof that they follow from the rest is in
-    ``_with_peiffer_relators``.  Here each left-out relator is checked in G
-    itself: the pruned presentation is enumerated over the trivial
-    subgroup, and G acts faithfully (regularly) on those cosets, so a word
-    that closes at every coset is trivial in G."""
+    """G is presented on the generators of the copies T0 alone, and the
+    copower relators left out of that presentation (those of the other
+    copies, the Peiffer relators ``partners`` leaves out and those of the
+    generators outside T0; the proofs are in ``induced_presentation`` and
+    ``_with_peiffer_relators``) must hold in G.  The presentation is
+    enumerated over the trivial subgroup, so G acts faithfully (regularly)
+    on those cosets, and each copy generator acts by the product along its
+    word.  Those permutations must satisfy every copower relator: each
+    copy's Schreier relators, and the Peiffer relator of every pair (x, y)
+    of copy generators.  So the copower group maps onto G, and as each
+    relator of G is a consequence of the copower relators, G is the
+    copower group."""
 
     @pytest.mark.parametrize("case", list(IMPLIED_CASES))
     def test_left_out_relators_hold(self, case):
         X, iota = IMPLIED_CASES[case]()
         ip = induced_presentation(X, iota)
-        pres = ip.presentation
-        built = {w.letters for w in pres.relators}
-        n = pres.ngens
-        left_out = []
+        perms = copy_generator_perms(ip)
+        identity = perms[0] * perms[0].inverse()
+        inverses = [p.inverse() for p in perms]
+        for w in copy_relators(X, ip):
+            assert _word_image(w, perms, inverses) == identity
         for x, dx in enumerate(ip.boundary_images):
-            for y in range(n):
-                w = Word.of(((x, -1), (y, 1), (x, 1))
-                            + ip.act_gen(y, dx).inverse().letters)
-                if not w.is_identity() and w.letters not in built:
-                    left_out.append(w)
-        # nothing is left out where every copy is fixed
-        assert bool(left_out) == (case != "S3 trivial boundary")
-        ct = todd_coxeter(pres)
+            for y in range(len(perms)):
+                assert perms[y].conj(perms[x]) == _word_image(
+                    ip.act_gen(y, dx), perms)
         _, report = induce(X, iota)
-        assert ct.ncosets == report.induced_order
-        audit = dataclasses.replace(
-            ct, presentation=dataclasses.replace(pres, relators=tuple(left_out)))
-        assert audit.scans_close()
+        assert identity.degree == report.induced_order
+        # T0 is every copy only where the normal closure of the boundaries
+        # fixes every copy: a trivial boundary, and A5 and S5, normal in S5
+        eliminated = len(ip.generators) < len(perms)
+        assert eliminated == (case not in {
+            "S3 trivial boundary", "S5 (3,4,5),(1,2,3)", "S5 (4,5),(1,2,3,4)"})
 
     def test_left_out_relators_follow_the_rule(self):
         # S5/<(1,2)>: M = C2 and one generator x = (g, s) per copy, 60
         # copies.  d = dx is a transposition; it fixes the copies t with
         # t d t^-1 = (1,2), |C(d)| / 2 = 6 of them, and swaps the other 54
         # in 27 cycles of length 2 = ord(g), so 27 relators are left out
-        # for each x.  What is built is the rest, with x^-1 x x x^-1 reduced
-        # away, and each copy's Schreier relator x^2
+        # for each x.  G is presented on the 4 copies whose transpositions
+        # generate S5: what is built is each one's relator x^2 and the
+        # Peiffer relators of those 4 with every y but the 27 left out,
+        # rewritten through the words, cyclically reduced, with the empty
+        # ones and repeats dropped
         X, iota = include(["(1,2)"], 5)
         ip = induced_presentation(X, iota)
         implied = implied_pairs(X, iota, ip)
-        n = ip.presentation.ngens
+        n = len(ip.gen_pairs)
         assert n == 60 and len(implied) == 60 * 27
+        assert len(ip.generators) == 4
         kept = {
-            Word.of(((x, -1), (y, 1), (x, 1))
-                    + ip.act_gen(y, dx).inverse().letters).letters
-            for x, dx in enumerate(ip.boundary_images) for y in range(n)
+            _cyclically_reduced(Word.of(
+                ((j, -1),) + ip.words[y].letters + ((j, 1),)
+                + Word(_spelt(ip.act_gen(y, ip.boundary_images[x]),
+                              ip.words)).inverse().letters)).letters
+            for j, x in enumerate(ip.generators) for y in range(n)
             if (x, y) not in implied}
         built = [w.letters for w in ip.presentation.relators]
-        assert len(built) == 60 + 60 * (60 - 27) - 60 == 1980
-        assert set(built) == (kept - {()}) | {((x, 1), (x, 1))
-                                              for x in range(n)}
+        assert len(built) == len(set(built)) == 100
+        assert set(built) == (kept - {()}) | {((j, 1), (j, 1))
+                                              for j in range(4)}
 
 
 CORE_CASES = {
@@ -365,40 +428,43 @@ def copy_moves(ip, iota, x):
             for t in T]
 
 
+def copower_presentation(X, ip):
+    """The copower presentation on every copy generator: every copy's
+    Schreier relators and the Peiffer relator of every pair."""
+    n = len(ip.gen_pairs)
+    relators = copy_relators(X, ip) + [
+        Word.of(((x, -1), (y, 1), (x, 1))
+                + ip.act_gen(y, dx).inverse().letters)
+        for x, dx in enumerate(ip.boundary_images) for y in range(n)]
+    return Presentation(n, tuple(w for w in relators if w.letters))
+
+
 class TestCore:
-    """``InducedPresentation.core`` is the copies' relators and the Peiffer
-    relators kept for x among the generators of a few copies T0, whose
-    boundaries generate a group D with every orbit on the copies meeting
-    T0; the proof that the core presents G is in ``_with_peiffer_relators``.
-    """
+    """G is presented on the generators S of a few copies T0: T0 starts
+    with the copy of iota(P), takes each copy with a boundary outside the
+    group T0's boundaries generate so far, then one copy of each orbit of
+    that group on the copies that T0 does not meet yet; the proof is in
+    ``induced_presentation``."""
 
     @pytest.mark.parametrize("case", list(CORE_CASES))
     def test_core_orbits_meet_its_copies(self, case):
-        # T0 read back from the core: the copies all of whose generators'
-        # built Peiffer relators are in it
         X, iota = CORE_CASES[case]()
         ip = induced_presentation(X, iota)
-        pres = ip.presentation
-        built = {w.letters for w in pres.relators}
-        core = {pres.relators[i].letters for i in ip.core}
-        n = pres.ngens
+        n = len(ip.gen_pairs)
         nT = iota.target.order() // image(iota).order()
-
-        def in_core(x):
-            dx = ip.boundary_images[x]
-            for y in range(n):
-                w = Word.of(((x, -1), (y, 1), (x, 1))
-                            + ip.act_gen(y, dx).inverse().letters)
-                if w.letters in built and w.letters not in core:
-                    return False
-            return True
-
-        S = [x for x in range(n) if in_core(x)]
-        copies = {x % nT for x in S}
+        copies = t0_copies(ip)
+        S = list(ip.generators)
+        # every generator of T0's copies, and only those, one letter each
         assert S == [x for x in range(n) if x % nT in copies]
+        assert [ip.words[x].letters for x in S] == [
+            ((j, 1),) for j in range(len(S))]
         t0 = next(ti for ti, (_, t) in enumerate(ip.gen_pairs[:nT])
                   if t in image(iota))
         assert t0 in copies
+        # T0's boundaries generate the normal closure of iota(dM)
+        Q = iota.target
+        D = Q.subgroup([ip.boundary_images[x] for x in S])
+        assert D.order() == normal_closure(Q, ip.boundary_images).order()
         moves = [copy_moves(ip, iota, x) for x in S]
         seen, stack = set(copies), list(copies)
         while stack:
@@ -408,23 +474,50 @@ class TestCore:
                     seen.add(move[t])
                     stack.append(move[t])
         assert seen == set(range(nT))
-        # the core leaves relators out unless T0 is every copy
-        assert (len(core) < len(built)) == (len(copies) < nT)
+        # the presentation is on fewer generators unless T0 is every copy
+        assert (len(S) < n) == (len(copies) < nT)
 
     @pytest.mark.parametrize("case", list(CORE_CASES))
     def test_core_alone_presents_g(self, case):
-        # The core presents a group G' with G a quotient, and H' (the image
-        # of the copy at the coset of iota(P)) maps onto H.  H' is a
-        # quotient of M, and H is isomorphic to M as the boundary is
-        # injective (``induce``), so |H'| <= |H|.  Equal indices then give
-        # |G'| <= |G|, so the quotient map G' -> G is an isomorphism.
+        # The presentation on S presents a group G'.  Its relators hold in
+        # G, the copower group, and S generates G, so G' maps onto G, and
+        # H' (generated by copy t0's generators) onto H.  H' is a quotient
+        # of M, by copy t0's relators, and H is isomorphic to M as the
+        # boundary is injective (``induce``), so |H'| <= |H|.  Equal
+        # indices, the one over H read off the copower presentation, then
+        # give |G'| <= |G|, so the map G' -> G is an isomorphism.
         X, iota = CORE_CASES[case]()
         ip = induced_presentation(X, iota)
-        pres = ip.presentation
-        alone = dataclasses.replace(
-            pres, relators=tuple(pres.relators[i] for i in ip.core))
-        full = todd_coxeter(pres, ip.subgroup_words)
-        assert todd_coxeter(alone, ip.subgroup_words).ncosets == full.ncosets
+        nT = iota.target.order() // image(iota).order()
+        t0 = next(ti for ti, (_, t) in enumerate(ip.gen_pairs[:nT])
+                  if t in image(iota))
+        full = todd_coxeter(copower_presentation(X, ip), [
+            Word(((k, 1),)) for k in range(t0, len(ip.gen_pairs), nT)])
+        got = todd_coxeter(ip.presentation, ip.subgroup_words)
+        assert got.ncosets == full.ncosets
+
+
+# the classes of S5 whose |M| (1080, 960, 3000, 720 and 540) is above the
+# isomorphism search bound
+BEYOND_SEARCH = {"S5 (3,4,5)", "S5 (2,3)(4,5),(2,4)(3,5)", "S5 (1,2,3,4,5)",
+                 "S5 (1,2)(3,4,5)", "S5 (3,4,5),(2,3)(4,5)"}
+
+
+class TestElimination:
+    """The module read off the presentation on T0's generators against
+    ``support.reference_induced_module``, every element of M in every copy
+    enumerated over the trivial subgroup: isomorphic, with a witness, on
+    the S4 rows, the trivial-boundary S3 module and the classes of S5
+    whose |M| the isomorphism search takes."""
+
+    @pytest.mark.parametrize(
+        "case", [c for c in IMPLIED_CASES if c not in BEYOND_SEARCH])
+    def test_isomorphic_to_reference(self, case):
+        X, iota = IMPLIED_CASES[case]()
+        Xi, _ = induce(X, iota)
+        assert Xi.M.order() <= ISO_SEARCH_BOUND
+        reference = reference_induced_module(X, iota)
+        assert xmod_isomorphic(reference, Xi) is not None
 
 
 class TestFreeCrossedModule:

@@ -21,8 +21,8 @@ from xmodlab.errors import (
     MaterializationBoundExceeded,
     SearchBoundExceeded,
 )
-from xmodlab.fp import RELATOR_LETTER_BUDGET
-from xmodlab.induce import induce, induced_presentation
+from xmodlab.fp import DEFAULT_MAX_COSETS, RELATOR_LETTER_BUDGET
+from xmodlab.induce import free_crossed_module_presentation, induce
 from xmodlab.perm import (
     ENUMERATION_BOUND,
     ISO_SEARCH_BOUND,
@@ -87,8 +87,13 @@ REFUSALS = {
     "squares of S5": (MATERIALIZATION_BOUND, refused(
         MaterializationBoundExceeded,
         lambda: DoubleGroupoidView(identity_xmod(symmetric(5))).squares())),
-    "S7/<(1,2)>": (RELATOR_LETTER_BUDGET, refused(
-        BudgetExceeded, lambda: induced_presentation(*inclusion(7, "(1,2)")))),
+    "free over S7": (RELATOR_LETTER_BUDGET, refused(
+        BudgetExceeded, lambda: free_crossed_module_presentation(
+            symmetric(7), [("r", parse_permutation("(1,2)", 7))]))),
+    # presented on the generators of six of its 2520 copies, S7/<(1,2)>
+    # fits the letter budget and is refused by the default coset limit
+    "S7/<(1,2)>": (DEFAULT_MAX_COSETS, refused(
+        CosetLimitExceeded, lambda: induce(*inclusion(7, "(1,2)")))),
     "cosets": (MAX_COSETS, refused(
         CosetLimitExceeded,
         lambda: induce(*inclusion(4, "(1,2)"), max_cosets=MAX_COSETS))),

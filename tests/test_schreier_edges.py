@@ -43,7 +43,7 @@ def check_edges(G):
 
     # one relator per edge, spelled on words that multiply out to the
     # elements of the walk
-    _, letters, spell = _schreier_relators(G)
+    letters, spell = _schreier_relators(G)
     words, relators = spell()
     for word, x in zip(words, found):
         y = Permutation.identity(G.degree)

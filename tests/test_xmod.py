@@ -320,15 +320,18 @@ class TestTableInvariants:
     # identity coset, for rows 2 and 4 when each copy of M came to be
     # generated by M's own generators, and for rows 6 and 7 when the
     # Peiffer relators each cycle of copies implies were left out (M comes
-    # back as a point-conjugate of the old M)
+    # back as a point-conjugate of the old M), and for all seven rows, for
+    # the same reason, when G came to be presented on the generators of the
+    # copies T0 alone (each row's M has an xmod_isomorphic witness from the
+    # M before)
     PI2 = (
-        "d467d2fe897327f353ab55b01e4060657ef9f392b81585f2fb13c5b600cdb47f",
-        "1e6e28ae285f3ea58a7fd6529a85f2d959019303b18ed968a6e92ce601474abf",
-        "5c990830604d4bf4c7b40bbc08220f6494668c1c073048a93a54d3f2a7e9749c",
-        "24fa5963b7b91795632ce2c63320ecc0705a7a46512ac3326bb26ae5c7d79dcb",
-        "7c09284e6503f147421ca7cb7387ab4f72d9450d4328ad09d472a04cdfc29148",
-        "708aaa6984d45cefaac0ca82858db62b56a77c60b31c8093a19200b83d1b0c68",
-        "8a8595061dedaa09e3fffa9651df6086be5d7f5ac437398091fb816fbb50119b",
+        "08b582ea42d464a5c35b35ab258ca5206b6dc5a217888155b376bb8855b17492",
+        "078719a6e308c8ed9df06b2327219a16a2e63403922884ea7512b3f5409380c1",
+        "352a3f841391807d77d4ee854165b58cdde0f49b51391dffcd1b71ba886c0ca3",
+        "bb66837e08a37530703614f6fe2ca4020ae70a884a516956a6e6f79ee08d6c4c",
+        "a6335a0794c471c0fbc6cac81e99432e88e58601d08246816905366bebf8161c",
+        "a697741791dece4e44196f74e1799b12914db8ade78098ed3cc50a8298ab5129",
+        "205c5381a71ef191df6dc432b100d123634bf90f1b807995f63630155d9cec58",
     )
     PI1 = 5 * [["()", "()"]] + [
         ["(1,2)", "(1,2)"], ["(1,2)(3,5)(4,6)", "(1,6)(2,5)(3,4)"],
@@ -523,12 +526,14 @@ class TestIsomorphism:
     # only the coset permutations that enlarge the group: f is listed on
     # M's generators, and PINNED_MAPS below held across that change; (6, 6)
     # and (7, 7) again when the Peiffer relators each cycle of copies
-    # implies were left out, which relabels the points of M
+    # implies were left out, which relabels the points of M, and all four,
+    # with PINNED_MAPS, when G came to be presented on the generators of
+    # the copies T0 alone, which relabels them again
     PINNED = {
-        (1, 2): "39e3ecf9c4b228fd272c7369f8c0b89612151920be45c74c32201704f8859aa1",
-        (3, 4): "0ecad93354789e4a33a72b79bc0f5e957f806811d041b5cad67582843ee00ced",
-        (6, 6): "d813254d27984679e2daee5d574cc9970920faf7f393892c2e990bf337fb81c5",
-        (7, 7): "e01acd24fa7d14e73bcaa38eb729ecaf14c1ced8f83ef6906b0d32e3f6d92e88",
+        (1, 2): "4e8491b2b3a0a34da77662755a59b659e9cc9969578494a324a85b2adb5a0d5f",
+        (3, 4): "ff265aed7f7fa9a03f4def768d605173a0ddedf1cadc2aa1107ab2234d95c6ee",
+        (6, 6): "13a159f61400bafdcd211814985dc934452256166834924da25211f0e9830210",
+        (7, 7): "6cce1ddab233f78a32a7fb631fa5b41bff549de5631624be67eec2cc7110931e",
     }
     # the same for row 6 as first written (perfbench/fixtures/row6.json),
     # recorded before the backtrack was shared with the group search
@@ -555,12 +560,13 @@ class TestIsomorphism:
     # same witnesses as PINNED, read as maps on elements, so they do not
     # depend on the generators M is listed with; (1, 2), (6, 6) and (7, 7)
     # re-recorded when the Peiffer relators each cycle of copies implies
-    # were left out, which relabels the points of rows 1, 6 and 7
+    # were left out, which relabels the points of rows 1, 6 and 7, and all
+    # four with PINNED
     PINNED_MAPS = {
-        (1, 2): "2be3438f9eb106272e40c6664a28af6a40fbec931c452e7c9d0ba7b8b449e52f",
-        (3, 4): "268c28bcaaec6de8a170c9704bae13b343e45b62b64f5e2ecd41ca516c640678",
-        (6, 6): "ff58c2d438cb4f9d015d785ca8433493c758608133cbeaf7fc35d5d3cf555cb1",
-        (7, 7): "7c2967b6641531c8e10cde8ab9181f2970ae7ee7181487b70678a095f45134b2",
+        (1, 2): "8e2b74fecf69de9c017039d6ab3207eafa9cfdfa3dc38a293d8be96499944614",
+        (3, 4): "a056e9b12406cf8f43f5c9674d51202432a69bbe81bd0a4165fa9eb4f9619659",
+        (6, 6): "ace146d037ded8b6f2658c3702a4ea856416c0a9906bfcf4cc25600991475471",
+        (7, 7): "2267ef0d234393066b5aa7a2b5e6b0d91e98c97daa725dfc35f03986a103341f",
     }
 
     @pytest.mark.parametrize("rows", sorted(PINNED_MAPS), ids=str)
