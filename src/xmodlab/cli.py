@@ -98,14 +98,12 @@ def _subgroup(args, sub_text: str) -> tuple[PermGroup, PermGroup]:
 
 
 def _print_stats(report) -> None:
-    """One line on stderr: the path ``induce`` took, its coset table's
-    counters, the presentation's size, M's degree and the phase seconds."""
+    """One line on stderr: every entry of ``report.stats`` as ``k=v``,
+    then the phase seconds."""
     head = f"row {report.row}: " if report.row is not None else ""
-    counts = " ".join(f"{k}={v}" for k, v in report.stats.items()
-                      if k != "path")
+    counts = " ".join(f"{k}={v}" for k, v in report.stats.items())
     phases = " ".join(f"{k}={v:.4f}s" for k, v in report.phases.items())
-    print(f"stats: {head}{report.stats['path']}; {counts}; phases {phases}",
-          file=sys.stderr)
+    print(f"stats: {head}{counts}; phases {phases}", file=sys.stderr)
 
 
 def cmd_induce(args) -> int:

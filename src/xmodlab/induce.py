@@ -30,17 +30,17 @@ generators, rewritten through those words (the proof is in
 built, and a presentation of more than ``RELATOR_LETTER_BUDGET`` letters is
 refused.
 
-``induce`` reads M off one coset table of the presented group G: over H,
-the copy of M at the identity coset, when M's boundary is injective, and
-over the trivial subgroup otherwise.  Each copy generator permutes the
-cosets by the product along its word, and ``induce`` sifts those
-permutations (``perm._sifted``), keeping only those that enlarge the group
-so far, into a chain stopped at the number of cosets times a bound for the
-subgroup's order; reaching that bound proves the action faithful.  Over H
-the bound is ``[G:H]·|M|``; when the cosets fall short of it
-(``core_G(H) != 1``, as for ``P = Q``), each generator acts on Q's points
-through its boundary as well, and that joint action reaches it (the proof
-is in ``induce``).  So M is generated by an
+``induce`` reads M off one coset table of the presented group G, over K,
+the copy at the identity coset of a subgroup L of M on which M's boundary
+is injective, chosen greedily from M's generators: L = M for an injective
+boundary, when K is H, the copy of M, and L = 1 for a trivial one.  Each
+copy generator permutes the cosets by the product along its word, and
+``induce`` sifts those permutations (``perm._sifted``), keeping only those
+that enlarge the group so far, into a chain stopped at ``[G:K]·|L|``, which
+is ``|G|``; reaching that bound proves the action faithful.  When the
+cosets fall short of it (``core_G(K) != 1``, as for ``P = Q``), each
+generator acts on Q's points through its boundary as well, and that joint
+action reaches it (the proof is in ``induce``).  So M is generated by an
 irredundant sublist of the generators' permutations, and the boundary and
 the action are proved homomorphisms by the walk rule over M's Cayley graph
 (``perm._replay_walk``), like every map; the axioms are re-checked by
@@ -646,10 +646,11 @@ class Report:
     the coset table), ``homs`` (boundary, action and the module),
     ``validate``, ``pi1_pi2`` (with the order law's closure) and ``naming``
     (names and fingerprints); they sum to ``seconds``.
-    ``stats`` gives the path taken (``"over H"`` or
-    ``"regular"``), the counters of the coset table M was read off
-    (``ncosets``, ``defined``, ``peak_live``), the presentation's size
-    (``generators``, ``relators``, ``relator_letters``) and M's ``degree``.
+    ``stats`` gives ``subgroup_order``, the order of the subgroup L of M
+    whose copy the cosets are taken of (``induce``), the counters of the
+    coset table M was read off (``ncosets``, ``defined``, ``peak_live``),
+    the presentation's size (``generators``, ``relators``,
+    ``relator_letters``) and M's ``degree``.
     Neither is part of the JSON or of comparisons.
     """
 
@@ -752,6 +753,23 @@ def match_catalogue(G: PermGroup) -> str | None:
     return _named(G, catalogue=True)
 
 
+def _injective_generators(X: CrossedModule) -> tuple[list[int], int]:
+    """The generators of L, a subgroup of M on which X's boundary d is
+    injective, and ``|L|``.  They are given by their positions among M's
+    distinct nonidentity generators, in the order of
+    ``induced_presentation``, and chosen greedily: g is kept when
+    ``|<L, g>| = |d<L, g>|``.  An injective d keeps every generator
+    (L = M), a trivial one none (L = 1)."""
+    M, P, d = X.M, X.Q, dict(zip(X.M.generators, X.boundary.images))
+    gens = list(dict.fromkeys(g for g in M.generators if not g.is_identity()))
+    kept, order = [], 1
+    for i in range(len(gens)):
+        L = [gens[j] for j in kept + [i]]
+        if (n := M.subgroup(L).order()) == P.subgroup(map(d.get, L)).order():
+            kept, order = kept + [i], n
+    return kept, order
+
+
 def induce(
     X: CrossedModule,
     iota: GroupHom,
@@ -761,40 +779,36 @@ def induce(
     """Induced crossed module along iota, with a report of its invariants.
 
     The top group G of ``induced_presentation`` is read off one coset
-    table, over a subgroup K that X's boundary alone picks, and the
-    permutations G's generators induce on the cosets are sifted into a
-    chain stopped at ``[G:K]`` times a bound for ``|K|`` (``perm._sifted``).
-    When X's boundary is injective, K is H, the copy of M at the coset of
-    iota(P), generated by the words ``(g, t0)`` with t0 the transversal
-    element in iota(P), and the bound is ``[G:H]·|M|``:
+    table, over the copy K of a subgroup L of M on which X's boundary d is
+    injective (``_injective_generators``), and the permutations G's
+    generators induce on the cosets are sifted into a chain stopped at
+    ``[G:K]·|L|`` (``perm._sifted``).  K is generated by the words
+    ``(g, t0)`` for the generators g of L, with t0 the transversal element
+    in iota(P): the ``ip.subgroup_words`` at L's positions.
 
-    - ``phi: M -> G``, ``m -> (m, t0)``, is a homomorphism onto H, by the
-      relators of copy t0, which is in T0; so ``|G| = [G:H]·|H| <= [G:H]·|M|``.
+    - ``phi: M -> G``, ``m -> (m, t0)``, is a homomorphism, by the relators
+      of copy t0, which is in T0, and ``K = phi(L)``; so
+      ``|G| = [G:K]·|K| <= [G:K]·|L|``.
     - G's boundary ``d_G`` has ``d_G phi = c iota d``, with c conjugation
-      by t0.  As ``iota d`` is injective, so is phi, and
-      ``|G| = [G:H]·|M|``; and ``d_G`` is injective on H.
+      by t0.  As d is injective on L, and iota on P, so is ``c iota d``,
+      hence phi, and ``|G| = [G:K]·|L|``; and ``d_G`` is injective on K.
     - The group of the permutations G induces is a quotient of G.  Its
-      chain is built to stop at ``[G:H]·|M|`` (``perm._sifted``): a chain
-      never has a larger product of transversal lengths than the order of
-      its group, so reaching that bound proves the quotient has order
-      ``|G|``, the action faithful and the chain complete.
-    - The kernel of the action on the cosets of H is ``core_G(H) <= H``,
+      chain is built to stop at ``[G:K]·|L|``: a chain never has a larger
+      product of transversal lengths than the order of its group, so
+      reaching that bound proves the quotient has order ``|G|``, the
+      action faithful and the chain complete.
+    - The kernel of the action on the cosets of K is ``core_G(K) <= K``,
       which need not be trivial (``P = Q``).  When the chain falls short,
       each generator k acts jointly: by ``ip.boundary_images[k]`` on Q's n
       points 1..n, then by its coset permutation shifted by n.  The kernel
-      of that action is ``core_G(H) ∩ ker d_G <= H ∩ ker d_G = 1``, so its
+      of that action is ``core_G(K) ∩ ker d_G <= K ∩ ker d_G = 1``, so its
       chain, sifted with the same bound, reaches it; the coset table is
-      not enumerated again.
+      not enumerated again.  A chain that still falls short means a
+      premise failed, and raises ``ValidationFailed`` naming the bound.
 
-    When ``iota d`` is not injective, K is the trivial subgroup, with bound
-    1 for its order: G acts regularly on those cosets, so the chain reaches
-    the bound, the number of cosets.  Over H the bound would not be
-    reached: a nontrivial k in ker d has ``phi(k) = 1``, so ``|H| < |M|``,
-    or ``phi(k)`` is a nontrivial element of H in the kernel of ``d_G``,
-    central in G by CM2, so it fixes every coset ``Hg``, and Q's points
-    too.
-
-    Either way M is G, acting faithfully.  Sifting keeps a generator's
+    An injective d gives L = M, and K is H, the copy of M at the coset of
+    iota(P); a trivial d gives L = 1, on whose cosets G acts regularly.
+    So M is G, acting faithfully.  Sifting keeps a generator's
     permutation only when it lies outside the group generated by those
     kept before it, so M's generators are an irredundant sublist of them,
     and ``keep`` lists the copy generators they belong to; the rest lie
@@ -811,8 +825,7 @@ def induce(
     presentation over T0's generators; each copy generator's permutation
     of the cosets is the product along its word ``ip.words[k]``, so
     sifting, ``keep``, the boundary and the action read every copy
-    generator.  ``Report.stats`` names the path taken, ``"over H"`` or
-    ``"regular"``.
+    generator.  ``Report.stats`` gives ``|L|`` as ``subgroup_order``.
     The returned module has passed the axiom check; a failure there raises
     ``ValidationFailed`` (it would mean an internal error, not bad input).
     """
@@ -828,32 +841,30 @@ def induce(
     ip = induced_presentation(X, iota, transversal)
     pres = ip.presentation
     Q = iota.target
-    if X.boundary.is_injective():
-        path, words, order = "over H", ip.subgroup_words, X.M.order()
-    else:
-        path, words, order = "regular", (), 1
+    kept, order = _injective_generators(X)
     lap("presentation")
-    ct = todd_coxeter(pres, words, max_cosets)
+    ct = todd_coxeter(pres, [ip.subgroup_words[i] for i in kept], max_cosets)
     lap("todd_coxeter")
     perms = _coset_action(ct)
     inverses = [p.inverse() for p in perms]
     gen_perms = [_word_image(w, perms, inverses) for w in ip.words]
     bound = ct.ncosets * order
     Mstar = _sifted(ct.ncosets, gen_perms, order=bound)
-    if Mstar.order() < bound:  # core_G(H) != 1: adjoin Q's points
+    if Mstar.order() < bound:  # core_G(K) != 1: adjoin Q's points
         n = Q.degree
         gen_perms = [Permutation([*d.images, *(x + n for x in c.images)])
                      for d, c in zip(ip.boundary_images, gen_perms)]
         Mstar = _sifted(n + ct.ncosets, gen_perms, order=bound)
+    if Mstar.order() < bound:  # a premise of the bound failed
+        raise ValidationFailed(f"M reaches {Mstar.order()} < bound {bound}")
     lap("chain")
     # a kept permutation is the first of its value: a later equal one
     # would have sifted to the identity
     keep = [gen_perms.index(g) for g in Mstar.generators]
     boundary = hom(Mstar, Q, [ip.boundary_images[k] for k in keep])
-    action = []
-    for qg in Q.generators:
-        images = [_word_image(ip.act_gen(k, qg), gen_perms) for k in keep]
-        action.append(GroupHom(Mstar, Mstar, images))
+    action = [GroupHom(Mstar, Mstar, [_word_image(ip.act_gen(k, qg), gen_perms)
+                                      for k in keep])
+              for qg in Q.generators]
     Xi = CrossedModule(Mstar, Q, boundary, action)
     lap("homs")
     report_check = validate(Xi)
@@ -889,7 +900,7 @@ def induce(
         seconds=sum(phases.values()),
         phases=phases,
         stats={
-            "path": path,
+            "subgroup_order": order,
             "ncosets": ct.ncosets,
             "defined": ct.defined,
             "peak_live": ct.peak_live,

@@ -8,12 +8,12 @@ M's generators, so the action walk compares only those.  These checks hold
 the library to the product oracles of ``support``: the same walk, the same
 element maps, actions and first conflicts, the same multiplication table,
 the same orders, centre, cosets, CM2 witness and relator verdict.  The
-regular path's M, read off a coset table over the trivial subgroup, and
-quotients act regularly and get their one-level chains without
-Schreier-Sims; each must equal the full chain.
+regular M, read off a coset table over the trivial subgroup (as ``induce``
+reads it when L = 1), and quotients act regularly and get their one-level
+chains without Schreier-Sims; each must equal the full chain.
 Tripwires count products on row 7's M (128 elements), so that a return to
 one product per edge or per table entry fails, and on building the
-regular path's chain, so that a return to the check loop fails.
+regular M's chain, so that a return to the check loop fails.
 """
 
 import dataclasses
@@ -285,7 +285,7 @@ class TestTableModules:
         check_hom(X.M, X.Q, turned)
 
     def test_regular_m_has_a_one_point_base(self):
-        # the regular path's M acts regularly on the cosets of the trivial
+        # the regular M acts regularly on the cosets of the trivial
         # subgroup, so one point fixes each element
         for row in range(1, 8):
             M = regular_m(row_inclusion(row))
@@ -300,7 +300,8 @@ class TestTableModules:
         # coset; a full Schreier-Sims chain on its generators, which never
         # stops at a known order, finds the same order
         for row, (X, report) in enumerate(table_results, 1):
-            assert report.stats["path"] == "over H"
+            assert report.stats["subgroup_order"] == (
+                table_subgroup(row).order())
             assert X.M.degree * table_subgroup(row).order() == X.M.order()
             assert len(schreier_sims_levels(
                 X.M.degree, images(X.M.generators))) == len(X.M._levels)
@@ -483,7 +484,7 @@ def induced(request, table_results, s5_modules):
                          ids=[f"{k}-{a}" for k, a in INCLUSIONS])
 class TestInducedModules:
     def test_regular_level_is_the_full_chain(self, induced, request):
-        # the regular path's M, read off the same presentation over the trivial
+        # the regular M, read off the same presentation over the trivial
         # subgroup: a regular group of the order induce finds
         M = regular_m(inclusion(request.node.callspec.params["induced"]))
         assert M._base() == (1,) and M.order() == M.degree
@@ -609,15 +610,15 @@ def finite_presentations(draw):
 
 
 def regular_group(ct):
-    """The group of a table over the trivial subgroup, as ``induce``'s
-    regular path reads it: the nonidentity generators on one chain level."""
+    """The group of a table over the trivial subgroup, as ``induce`` reads
+    it when L = 1: the nonidentity generators on one chain level."""
     perms = [p for p in _coset_action(ct) if not p.is_identity()]
     return PermGroup._bounded(ct.ncosets, perms, ct.ncosets)
 
 
 def regular_m(inclusion_pair):
-    """The regular path's M for an inclusion: its presentation enumerated over
-    the trivial subgroup."""
+    """The regular M for an inclusion: its presentation enumerated over the
+    trivial subgroup."""
     P, iota = inclusion_pair
     ip = induced_presentation(identity_xmod(P), iota)
     return regular_group(todd_coxeter(ip.presentation, ()))
@@ -659,7 +660,7 @@ class TestRegularChain:
         assert report.induced_order == 1
 
     def test_row_7_m_skips_the_check_loop(self, monkeypatch):
-        # the regular path's M for row 7 and a quotient of it get their one
+        # the regular M for row 7 and a quotient of it get their one
         # level without the check loop: building the chain forms the
         # transversal, one product per point past the first, and not one
         # Schreier generator, which would cost |M| products per generator

@@ -201,7 +201,7 @@ class TestInduce:
                            "--stats")
         assert rc == 0
         assert json.loads(out)["induced_order"] == 128
-        assert err.startswith("stats: over H; ncosets=64 ")
+        assert err.startswith("stats: subgroup_order=2 ncosets=64 ")
         assert "degree=64;" in err
         # G presented on the generators of the six copies T0
         assert " generators=6 relators=48 " in err
@@ -209,7 +209,7 @@ class TestInduce:
         rc, _, err = run(capsys, "induce", "--sub", "(1,2),(1,2,3,4)",
                          "--stats")
         assert rc == 0
-        assert err.startswith("stats: over H; ncosets=1 ")
+        assert err.startswith("stats: subgroup_order=24 ncosets=1 ")
         assert " generators=2 " in err and " degree=5" in err
 
     def test_limit_exceeded(self, capsys):

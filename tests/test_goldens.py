@@ -53,13 +53,14 @@ def test_table_verify_json_matches_golden(capsys):
 
 def test_stats_leave_stdout_alone(capsys):
     # --stats writes one line per row to stderr; stdout keeps the golden
-    # bytes, and every row takes the path over H
+    # bytes, and every row is read over H: |L| = |P|
     assert main(["table", "--verify", "--json", "--stats"]) == 0
     captured = capsys.readouterr()
     assert captured.out == GOLDEN.read_text()
     lines = captured.err.splitlines()
-    assert [line.split(";")[0] for line in lines] == [
-        f"stats: row {row}: over H" for row in range(1, 8)]
+    assert [line.split(" ncosets=")[0] for line in lines] == [
+        f"stats: row {row}: subgroup_order={table_subgroup(row).order()}"
+        for row in range(1, 8)]
     assert all("relator_letters=" in line and "phases presentation="
                in line for line in lines)
 
@@ -153,12 +154,12 @@ def test_induced_presentation_bytes_pinned(case):
     assert digest == PRESENTATIONS[case]
 
 
-def _stats(path, ncosets, defined, peak_live, generators, relators,
+def _stats(subgroup_order, ncosets, defined, peak_live, generators, relators,
            relator_letters, degree):
-    return {"path": path, "ncosets": ncosets, "defined": defined,
-            "peak_live": peak_live, "generators": generators,
-            "relators": relators, "relator_letters": relator_letters,
-            "degree": degree}
+    return {"subgroup_order": subgroup_order, "ncosets": ncosets,
+            "defined": defined, "peak_live": peak_live,
+            "generators": generators, "relators": relators,
+            "relator_letters": relator_letters, "degree": degree}
 
 
 # Report.stats of the seven S4 rows; rows 2 and 4, whose M generators are
@@ -167,15 +168,18 @@ def _stats(path, ncosets, defined, peak_live, generators, relators,
 # copies implies were left out; ``defined`` and ``peak_live`` of rows 1, 2,
 # 3 and 7 re-recorded when an involution came to have one coset-table
 # column; every row's counters and sizes (not its path, ncosets or degree)
-# when G came to be presented on the generators of the copies T0 alone
+# when G came to be presented on the generators of the copies T0 alone.
+# The path ("over H") became ``subgroup_order``, |L| = |P|, when M came to
+# be read over the copy of a subgroup L of M on which the boundary is
+# injective
 ROW_STATS = (
-    _stats("over H", 24, 39, 31, 3, 17, 138, 24),
-    _stats("over H", 8, 20, 13, 4, 30, 182, 8),
-    _stats("over H", 12, 27, 22, 4, 36, 264, 12),
-    _stats("over H", 6, 40, 22, 4, 26, 162, 6),
-    _stats("over H", 24, 35, 30, 2, 7, 54, 24),
-    _stats("over H", 24, 41, 29, 2, 8, 78, 24),
-    _stats("over H", 64, 81, 65, 6, 48, 276, 64),
+    _stats(2, 24, 39, 31, 3, 17, 138, 24),
+    _stats(6, 8, 20, 13, 4, 30, 182, 8),
+    _stats(4, 12, 27, 22, 4, 36, 264, 12),
+    _stats(8, 6, 40, 22, 4, 26, 162, 6),
+    _stats(4, 24, 35, 30, 2, 7, 54, 24),
+    _stats(3, 24, 41, 29, 2, 8, 78, 24),
+    _stats(2, 64, 81, 65, 6, 48, 276, 64),
 )
 
 
@@ -190,20 +194,20 @@ def test_p_equal_to_q_stats_pinned():
     # Schreier relators that are cyclic conjugates of others are dropped
     S4 = symmetric(4)
     _, report = induce(identity_xmod(S4), hom(S4, S4, S4.generators))
-    assert report.stats == _stats("over H", 1, 1, 1, 2, 14, 114, 5)
+    assert report.stats == _stats(24, 1, 1, 1, 2, 14, 114, 5)
 
 
 def test_trivial_boundary_stats_pinned():
-    # C3 inverted by P = <(1,2)> <= S3, boundary trivial: the regular path
-    # runs; one generator per copy, its inverse spelled as a
-    # word of two letters
+    # C3 inverted by P = <(1,2)> <= S3, boundary trivial: L = 1, so G
+    # acts regularly on the cosets; one generator per copy, its inverse
+    # spelled as a word of two letters
     S3 = symmetric(3)
     P = S3.subgroup(parse_generator_list("(1,2)", 3))
     M = cyclic(3)
     X = CrossedModule(M, P, hom(M, P, [P.identity]),
                       [hom(M, M, [M.generators[0].inverse()])])
     _, report = induce(X, hom(P, S3, P.generators))
-    assert report.stats == _stats("regular", 27, 28, 28, 3, 9, 33, 27)
+    assert report.stats == _stats(1, 27, 28, 28, 3, 9, 33, 27)
 
 
 # sha256 of ``xmodlab induce --degree 5 --group S5 --sub SUB --json`` for

@@ -76,6 +76,14 @@ C6, so ``|(pi2)_G| = c·|H2(X)|`` with c dividing ``|H3(G)|``.  On the rows
 ``P = <(1,2)(3,4)>`` of S4 (G = S3) and of S6 (G = C2), ``H2(P) = 0`` and
 the double transposition is even, so ``|H2(X)| = 2·2 = 4`` exactly, and
 the coinvariants read off the module must number 4 as well (c = 1).
+
+Six more rows have ``G = C2`` and ``H2(P) = 0`` (P cyclic, or with cyclic
+Sylow subgroups): C3 in S4, and ``<(1,2)(3,4)>``, C3, C5, the twisted S3
+``<(1,2,3),(1,2)(4,5)>`` and D10 in S5.  There ``|H2(X)|`` is exact, and
+the check is that it divides ``|(pi2)_G|`` with a quotient dividing
+``|H3(C2)| = 2``.  A module whose action on pi2 is wrong fails it: with Q
+acting trivially the coinvariants are all of pi2, 50 on S5/C5, where
+``|H2(X)| = 10`` allows only 10 or 20.
 """
 
 from math import prod
@@ -90,11 +98,12 @@ from xmodlab.perm import (
     dihedral,
     fingerprint,
     hom,
+    identity_hom,
     isomorphic,
     parse_generator_list,
     symmetric,
 )
-from xmodlab.xmod import identity_xmod, pi2, validate
+from xmodlab.xmod import CrossedModule, identity_xmod, pi2, validate
 
 # (name, group, |H2|) for the multipliers of the closed forms above that
 # are not covered by the cyclic-Sylow rule
@@ -243,3 +252,56 @@ def test_double_transposition_rows_hopf_count(degree, pi1_name, order,
     assert validate(X).ok
     assert report.order_law_ok
     assert coinvariants_order(X) == 4
+
+
+# |H3(C2)| (K. S. Brown, *Cohomology of Groups*): Hopf's sequence with
+# H2(C2) = 0 gives |(pi2)_G| = c·|H2 X| with c dividing it
+H3_C2 = 2
+
+# (n, P, |(pi2)_G| as measured) for the rows with pi1 = C2 and H2(P) = 0
+HOPF_ROWS = (
+    (4, "(1,2,3)", 6),
+    (5, "(1,2)(3,4)", 4),
+    (5, "(1,2,3)", 6),
+    (5, "(1,2,3,4,5)", 10),
+    (5, "(1,2,3),(1,2)(4,5)", 4),
+    (5, "(1,2,3,4,5),(2,5)(3,4)", 4),
+)
+
+
+def hopf_holds(coinvariants, h2x):
+    """Whether ``|(pi2)_G| = c·|H2 X|`` with c dividing ``|H3(C2)|``."""
+    return coinvariants % h2x == 0 and H3_C2 % (coinvariants // h2x) == 0
+
+
+def c2_row(degree, sub):
+    """The induced module of a row of ``HOPF_ROWS`` and its exact
+    ``|H2 X|``."""
+    Q = symmetric(degree)
+    P = Q.subgroup(parse_generator_list(sub, degree))
+    h2x, h2p = prediction(Q, P)
+    assert h2p == 1  # exact
+    X, report = induce(identity_xmod(P), hom(P, Q, P.generators))
+    assert report.pi1_name == "C2"
+    return X, h2x
+
+
+@pytest.mark.parametrize("degree, sub, count", HOPF_ROWS,
+                         ids=[f"S{d}:{s}" for d, s, _ in HOPF_ROWS])
+def test_c2_rows_hopf_count(degree, sub, count):
+    X, h2x = c2_row(degree, sub)
+    coinvariants = coinvariants_order(X)
+    assert coinvariants == count
+    assert hopf_holds(coinvariants, h2x)
+
+
+def test_hopf_count_rejects_a_trivial_action():
+    # the S5/C5 module with Q acting trivially: the coinvariants are all of
+    # pi2, C5 x C10, and 50 is not 10 or 20
+    X, h2x = c2_row(5, "(1,2,3,4,5)")
+    trivial = CrossedModule(X.M, X.Q, X.boundary,
+                            [identity_hom(X.M)] * len(X.Q.generators))
+    assert h2x == 10
+    coinvariants = coinvariants_order(trivial)
+    assert coinvariants == 50
+    assert not hopf_holds(coinvariants, h2x)

@@ -1,7 +1,10 @@
-"""The two paths of ``induce``: over H, the copy of M at the identity coset,
-with Q's points adjoined when the cosets of H fall short, and the regular
-path of a boundary that is not injective, against the module first
-presented.
+"""The one enumeration rule of ``induce`` against the module first presented:
+M is read off the cosets of K, the copy of a subgroup L of M on which the
+boundary is injective, with Q's points adjoined when the cosets of K fall
+short.  ``Report.stats["subgroup_order"]`` is ``|L|``: ``|M|`` for an
+injective boundary (K is H, the copy of M at the identity coset), 1 for a
+trivial one (G acts regularly), and in between for the second steps of
+two-step induction.
 
 ``support.reference_induced_module`` builds the induced module the way it
 was first built: every element of M in every copy, enumerated over the
@@ -70,8 +73,8 @@ class TestAgainstOracle:
     @pytest.mark.parametrize("row", range(1, 8))
     def test_table_rows(self, table_results, row):
         Xi, report = table_results[row - 1]
-        assert report.stats["path"] == "over H"
         P = table_subgroup(row)
+        assert report.stats["subgroup_order"] == P.order()
         X, iota = identity_xmod(P), hom(P, symmetric(4), P.generators)
         assert xmod_isomorphic(Xi, reference_induced_module(X, iota))
 
@@ -117,13 +120,11 @@ class TestFallback:
         S4 = symmetric(4)
         X = identity_xmod(S4)
         Xi, report = induce(X, hom(S4, S4, S4.generators))
-        assert report.stats["path"] == "over H"
+        assert report.stats["subgroup_order"] == 24
         assert report.stats["degree"] == Xi.M.degree == 5
         assert Xi.M.order() == 24
         assert xmod_isomorphic(Xi, X) is not None
 
-    # M = C3, inverted by the generator of P = <(1,2)> <= S3, or
-    # M = C2 x C2, its factors swapped by it; [S3:P] = 3 copies
     @pytest.mark.parametrize("m", ["C3", "C2xC2"])
     def test_trivial_boundary_gives_a_direct_sum(self, m):
         # Closed form: with d trivial the Peiffer relators read
@@ -134,24 +135,51 @@ class TestFallback:
         # M at the identity coset, so the universal property of the
         # induced module gives the map back: G is the direct sum (the
         # induced module of a Q-module, Brown-Higgins-Sivera, *Nonabelian
-        # Algebraic Topology*).  The boundary is not injective, so the
-        # regular path runs.
-        S3 = symmetric(3)
-        P = S3.subgroup(parse_generator_list("(1,2)", 3))
-        if m == "C3":
-            M = cyclic(3)
-            auto = [M.generators[0].inverse()]
-        else:
-            M = PermGroup(4, parse_generator_list("(1,2),(3,4)", 4))
-            auto = [M.generators[1], M.generators[0]]
-        X = CrossedModule(M, P, hom(M, P, [P.identity] * len(M.generators)),
-                          [hom(M, M, auto)])
-        assert validate(X).ok
-        Xi, report = induce(X, hom(P, S3, P.generators))
-        assert report.stats["path"] == "regular"
+        # Algebraic Topology*).  The boundary is injective on no nontrivial
+        # subgroup, so L = 1 and G acts regularly on its cosets.
+        X, iota = trivial_boundary_module(m)
+        M = X.M
+        Xi, report = induce(X, iota)
+        assert report.stats["subgroup_order"] == 1
+        assert report.stats["degree"] == M.order() ** 3
         assert Xi.M.order() == M.order() ** 3
         assert abelian_invariants(Xi.M) == sorted(abelian_invariants(M) * 3)
         assert image(Xi.boundary).order() == 1
+
+    @pytest.mark.parametrize("m, reached, bound",
+                             [("C3", 9, 27), ("C2xC2", 16, 64)])
+    def test_bound_not_reached_is_refused(self, monkeypatch, m, reached,
+                                          bound):
+        # a mutant L that keeps every generator although d is trivial: its
+        # copy K is normal, as G is abelian, so it fixes every coset, and
+        # d_G is trivial, so it fixes Q's points: the joint chain stops at
+        # [G:K], short of the bound [G:K]·|M|
+        module = importlib.import_module("xmodlab.induce")
+        monkeypatch.setattr(module, "_injective_generators",
+                            lambda X: (list(range(len(X.M.generators))),
+                                       X.M.order()))
+        X, iota = trivial_boundary_module(m)
+        with pytest.raises(ValidationFailed,
+                           match=f"M reaches {reached} < bound {bound}$"):
+            induce(X, iota)
+
+
+def trivial_boundary_module(m):
+    """M = C3, inverted by the generator of P = <(1,2)> <= S3, or
+    M = C2 x C2, its factors swapped by it, with the trivial boundary; and
+    the inclusion of P in S3, with [S3:P] = 3 copies."""
+    S3 = symmetric(3)
+    P = S3.subgroup(parse_generator_list("(1,2)", 3))
+    if m == "C3":
+        M = cyclic(3)
+        auto = [M.generators[0].inverse()]
+    else:
+        M = PermGroup(4, parse_generator_list("(1,2),(3,4)", 4))
+        auto = [M.generators[1], M.generators[0]]
+    X = CrossedModule(M, P, hom(M, P, [P.identity] * len(M.generators)),
+                      [hom(M, M, auto)])
+    assert validate(X).ok
+    return X, hom(P, S3, P.generators)
 
 
 def test_s5_c5_pinned():
@@ -160,7 +188,7 @@ def test_s5_c5_pinned():
     Q = PermGroup(5, parse_generator_list(S5, 5))
     P = Q.subgroup(parse_generator_list("(1,2,3,4,5)", 5))
     Xi, report = induce(identity_xmod(P), hom(P, Q, P.generators))
-    assert report.stats["path"] == "over H"
+    assert report.stats["subgroup_order"] == 5
     assert (report.induced_order, list(report.pi2_invariants),
             report.pi1_name) == (3000, [5, 10], "C2")
     assert Xi.M.degree == 600
@@ -182,42 +210,45 @@ def test_s5_in_s6_finishes():
     S6 = symmetric(6)
     P = S6.subgroup(parse_generator_list(S5, 6))
     Xi, report = induce(identity_xmod(P), hom(P, S6, P.generators))
-    assert report.stats["path"] == "over H"
+    assert report.stats["subgroup_order"] == 120
     assert Xi.M.order() == 720 and Xi.M.degree == 6
     assert report.order_law_ok
     assert report.pi2_invariants == () and report.pi1_order == 1
 
 
-# (P <= S5, |M|, pi2 invariants, |pi1|, path) for the classes whose
+# (P <= S5, |M|, pi2 invariants, |pi1|, |L|) for the classes whose
 # presentation changed when each copy of M came to be generated by M's own
 # generators rather than by the elements P's action reaches from them;
-# measured before that change.  The paths of A5 and S5 (one coset of H
-# each) went from "regular" to "over H" when M came to be read off the
-# joint action on S5's points and the cosets of H, after a witness to the
-# regular module
+# measured before that change.  A5 and S5 (one coset of H each) went from
+# the enumeration over the trivial subgroup to the one over H when M came
+# to be read off the joint action on S5's points and the cosets of H,
+# after a witness to the regular module.  |L| is |P|: the boundary of the
+# identity module is injective, so M is read over H
 S5_CLASSES = (
-    ("(1,2,3,4),(1,2)", 120, [], 1, "over H"),
-    ("(1,2,3),(1,2)", 240, [2], 1, "over H"),
-    ("(1,2,3,4),(1,3)", 240, [2], 1, "over H"),
-    ("(1,2,3),(1,2),(4,5)", 240, [2], 1, "over H"),
-    ("(1,2,3),(1,2)(4,5)", 480, [2, 4], 2, "over H"),
-    ("(1,2,3,4,5),(2,5)(3,4)", 480, [2, 4], 2, "over H"),
-    ("(1,2,3,4,5),(2,3,5,4)", 480, [4], 1, "over H"),
-    ("(1,2,3),(2,3,4)", 540, [3, 3], 2, "over H"),
-    ("(1,2,3),(3,4,5)", 60, [], 2, "over H"),
-    ("(1,2,3,4,5),(1,2)", 120, [], 1, "over H"),
+    ("(1,2,3,4),(1,2)", 120, [], 1, 24),
+    ("(1,2,3),(1,2)", 240, [2], 1, 6),
+    ("(1,2,3,4),(1,3)", 240, [2], 1, 8),
+    ("(1,2,3),(1,2),(4,5)", 240, [2], 1, 12),
+    ("(1,2,3),(1,2)(4,5)", 480, [2, 4], 2, 6),
+    ("(1,2,3,4,5),(2,5)(3,4)", 480, [2, 4], 2, 10),
+    ("(1,2,3,4,5),(2,3,5,4)", 480, [4], 1, 20),
+    ("(1,2,3),(2,3,4)", 540, [3, 3], 2, 12),
+    ("(1,2,3),(3,4,5)", 60, [], 2, 60),
+    ("(1,2,3,4,5),(1,2)", 120, [], 1, 120),
 )
 
 
-@pytest.mark.parametrize("sub, order, invariants, pi1_order, path",
+@pytest.mark.parametrize("sub, order, invariants, pi1_order, subgroup_order",
                          S5_CLASSES, ids=[row[0] for row in S5_CLASSES])
-def test_s5_classes_pinned(sub, order, invariants, pi1_order, path):
+def test_s5_classes_pinned(sub, order, invariants, pi1_order,
+                           subgroup_order):
     Q = PermGroup(5, parse_generator_list(S5, 5))
     P = Q.subgroup(parse_generator_list(sub, 5))
+    assert P.order() == subgroup_order
     Xi, report = induce(identity_xmod(P), hom(P, Q, P.generators))
     assert (report.induced_order, list(report.pi2_invariants),
-            report.pi1_order, report.stats["path"]) == (
-        order, invariants, pi1_order, path)
+            report.pi1_order, report.stats["subgroup_order"]) == (
+        order, invariants, pi1_order, subgroup_order)
     assert validate(Xi).ok
     # the order law on raw tuples: |M| = |pi2| * |the normal closure of P|
     K, _ = pi2(Xi)
@@ -275,7 +306,7 @@ class TestJointAction:
         # points too; the reference reads it as a regular group
         X, iota = identity_xmod(P), hom(P, Q, P.generators)
         Xi, report = induce(X, iota)
-        assert report.stats["path"] == "over H"
+        assert report.stats["subgroup_order"] == P.order()
         assert Xi.M.degree == Q.degree + report.stats["ncosets"]
         reference = reference_induced_module(X, iota)
         assert triple(Xi) == triple(reference)
@@ -309,32 +340,55 @@ class TestJointAction:
         assert Xi.M.order() == K.order() * len(closure) == 1024 * 4
 
 
-# P <= R <= S4; the second step's boundary is not injective when pi2 != 1
+# the reference module's generators up to which the two-step oracle builds
+# it: its enumeration takes about 1.7 s at 120 generators (the normal V4 of
+# S5 over <(1,2)(3,4)>) and 7.6 s at 240 (D8 over C4)
+REFERENCE_GENERATORS = 120
+
+# (n, P, R, |L|) for P <= R <= S_n.  The second step's boundary is not
+# injective when the first step's pi2 != 1, and |L| is then below the
+# first step's |M|
 TWO_STEP_CHAINS = (
-    ("(1,2)", "(1,2),(3,4)"),
-    ("(1,2)", "(1,2),(1,2,3)"),
-    ("(1,2,3,4)", "(1,2,3,4),(1,3)"),
-    ("(1,2)(3,4)", "(1,2,3,4),(1,3)"),
-    ("(1,2,3)", "(1,2,3),(2,3,4)"),
-    ("(1,2)(3,4)", "(1,2)(3,4),(1,3)(2,4)"),
+    (4, "(1,2)", "(1,2),(3,4)", 2),
+    (4, "(1,2)", "(1,2),(1,2,3)", 6),
+    (4, "(1,2,3,4)", "(1,2,3,4),(1,3)", 4),
+    (4, "(1,2)(3,4)", "(1,2,3,4),(1,3)", 2),
+    (4, "(1,2,3)", "(1,2,3),(2,3,4)", 3),
+    (4, "(1,2)(3,4)", "(1,2)(3,4),(1,3)(2,4)", 2),
+    (5, "(1,2)", "(1,2),(3,4)", 2),
+    (5, "(1,2,3)", "(1,2,3),(1,2)", 3),
+    (5, "(1,2,3,4)", "(1,2,3,4),(1,3)", 4),
+    (5, "(1,2,3)", "(1,2,3),(2,3,4)", 3),
+    (5, "(1,2)(3,4)", "(1,2)(3,4),(1,3)(2,4)", 2),
+    (5, "(1,2,3,4,5)", "(1,2,3,4,5),(2,3,5,4)", 5),
 )
 
 
-@pytest.mark.parametrize("p, r", TWO_STEP_CHAINS,
-                         ids=[f"{p} <= {r}" for p, r in TWO_STEP_CHAINS])
-def test_induction_in_two_steps(p, r):
+@pytest.mark.parametrize(
+    "n, p, r, subgroup_order", TWO_STEP_CHAINS,
+    ids=[f"{p} <= {r}" + ("" if n == 4 else f" <= S{n}")
+         for n, p, r, _ in TWO_STEP_CHAINS])
+def test_induction_in_two_steps(n, p, r, subgroup_order):
     # Induction along iota is left adjoint to pulling crossed modules back
     # along iota (Brown-Wensley, *On finite induced crossed modules, and
     # the homotopy 2-type of mapping cones*).  Pulling back along
     # P <= R <= Q is pulling back to R, then to P, and left adjoints of
     # composite functors compose, so inducing to R and then to Q gives the
     # module induced along P <= Q, up to isomorphism.
-    Q = symmetric(4)
-    R = Q.subgroup(parse_generator_list(r, 4))
-    P = R.subgroup(parse_generator_list(p, 4))
+    Q = symmetric(n)
+    R = Q.subgroup(parse_generator_list(r, n))
+    P = R.subgroup(parse_generator_list(p, n))
     X = identity_xmod(P)
     one_step, _ = induce(X, hom(P, Q, P.generators))
     first, _ = induce(X, hom(P, R, P.generators))
-    two_steps, _ = induce(first, hom(R, Q, R.generators))
+    iota = hom(R, Q, R.generators)
+    two_steps, report = induce(first, iota)
+    assert report.stats["subgroup_order"] == subgroup_order
+    assert validate(two_steps).ok
     assert triple(two_steps) == triple(one_step)
-    assert xmod_isomorphic(two_steps, one_step) is not None
+    if one_step.M.order() <= ISO_SEARCH_BOUND:
+        assert xmod_isomorphic(two_steps, one_step) is not None
+        # the reference has a generator for every element of every copy
+        if first.M.order() * Q.order() // R.order() <= REFERENCE_GENERATORS:
+            reference = reference_induced_module(first, iota)
+            assert xmod_isomorphic(two_steps, reference) is not None
