@@ -286,8 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def stats_flag(p):
         p.add_argument("--stats", action="store_true",
-                       help="print each induction's path, coset counts, "
-                            "presentation size and phase seconds to stderr")
+                       help="print each induction's subgroup order, coset "
+                            "counts, presentation size and phase seconds "
+                            "to stderr")
 
     p = sub.add_parser("induce", help="induce a crossed module along P <= Q")
     group_flags(p)

@@ -371,13 +371,10 @@ def induced_presentation(
             gen_pairs.append((g, t))
             labels.append(f"s{gi}t{ti}")
 
-    ranks = walk._walk_ranks()
-    # the walk position of each element of M.elements()
-    at = sorted(range(len(ranks)), key=ranks.__getitem__)
-    # the walk position of each g^p, keyed by the Q-base images of p;
-    # generator gi is at walk position gi + 1
-    acts = {key: [at[X.act_array(p)[r]] for r in ranks[1:ng + 1]]
-            for key, p in zip(iota._keys, X.Q._walk_elements())}
+    # the index in M.elements() of each g^p, keyed by the Q-base images of p
+    ranks = [walk._rank(g) for g in gens]
+    acts = {key: [X.act_array(p)[r] for r in ranks]
+            for key, p in zip(iota._keys, X.Q.elements())}
     tkeys = [tuple([t.images[b - 1] for b in qbase]) for t in T]
     tinv = [t.inverse().images for t in T]
     moves = {}  # q -> (tj, acts of p) for each ti, where T[ti] q = p T[tj]

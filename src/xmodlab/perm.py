@@ -38,15 +38,21 @@ and compare them by their base images, ``|base|`` lookups where a product
 costs ``degree``; the regular representation of a group has a base of one
 point.  Those ``degree`` lookups are gathered in C (``_gather``, one
 ``operator.itemgetter`` per product), as are the compositions of a crossed
-module's action arrays and the renumbering of a coset table.
+module's action arrays and the renumbering of a coset table and of the
+Cayley walk.
 
 The walk forms no product.  It tracks each element by its images on S, the
 points up to the last base point that the group moves, which hold the
-base.  Two elements first differ at a point of S, so those images also
-sort the elements as ``elements()`` does (``PermGroup._walk_ranks``).  The
-readers that ``induce`` runs work on keys and on the walk's successor
-columns, and multiply out only the elements they return, one product per
-chain level (``PermGroup._element``):
+base.  Two elements first differ at a point of S, so sorting by those
+images sorts by image tuple, and the walk numbers the elements that way,
+once: its keys, successor columns and tree edges, and every value filled
+along the tree, are indexed as ``elements()`` is.  The order in which the
+walk found the elements is read only where a tail must come before its
+head: by the fill along the tree and by the Schreier edges
+(``PermGroup._cayley_walk``).  The readers that ``induce`` runs work on
+keys and on the walk's successor columns, and multiply out only the
+elements they return, one product per chain level
+(``PermGroup._element``):
 - a homomorphism keeps keys, and its kernel is picked on them (``kernel``);
 - the centre compares a left-multiplication table, filled along the tree,
   with the columns (``_central``);
@@ -56,8 +62,9 @@ chain level (``PermGroup._element``):
   points, are read off the chain (``PermGroup._element_orders``), and the
   invariant factors of an abelian group off their histogram
   (``abelian_invariants``).
-``elements()`` multiplies every element out, once, along its tree edge,
-when first asked.  Base images also decide commutation (``_commute``).
+``elements()`` is the fill along the tree with products: every element
+multiplied out, once, along its tree edge, when first asked.  Base images
+also decide commutation (``_commute``).
 
 A caller that knows an upper bound for a group's order builds its chain
 with ``PermGroup._bounded``: the Schreier-Sims check loop stops once the
@@ -262,8 +269,8 @@ def _gather(indices, values) -> tuple:
     """``tuple(values[i] for i in indices)``, read in C by one
     ``operator.itemgetter``.  A tuple for no index and for one index too,
     where ``itemgetter`` would refuse or return the bare value.  It forms
-    permutation products, the action arrays of a crossed module and a
-    coset table's renumbering."""
+    permutation products, the action arrays of a crossed module and the
+    renumbering of a coset table and of a Cayley walk."""
     if len(indices) > 1:
         return itemgetter(*indices)(values)
     return tuple([values[i] for i in indices])
@@ -388,11 +395,9 @@ class PermGroup:
     """Group generated by permutations of a common degree.
 
     The stabilizer chain (base points preferred in natural order 1, 2, ...)
-    is built eagerly, so ``order`` and ``contains`` never guess.
-    ``contains`` sifts through the chain until the group's elements have
-    been multiplied out (``elements()``); from then on it looks the
-    permutation up in ``element_index()``, which holds every element, so
-    the answer is the same.
+    is built eagerly, so ``order`` and ``contains`` never guess:
+    ``contains`` sifts through the chain, whether or not the group's
+    elements have been multiplied out.
     """
 
     def __init__(self, degree: int, generators):
@@ -445,10 +450,8 @@ class PermGroup:
         self._irredundant = False
         self._walk = None
         self._tree = None
-        self._on_s = None
-        self._found = None
+        self._fill = None
         self._elements = None
-        self._ranks = None
         self._index = None
         self._by_key = None
         self._orders = None
@@ -550,18 +553,28 @@ class PermGroup:
 
     def _cayley_walk(self) -> tuple[tuple, tuple]:
         """Breadth-first walk of the Cayley graph from the identity, on
-        keys alone.
+        keys alone, numbered in ``elements()`` order.
 
-        Returns each element's base images (``_base``) in discovery order
-        and, for each of them, the discovery indices of its products with
-        the generators in list order.  An element is tracked by its images
-        on S, the points up to the last base point that G moves, which hold
-        the base: an edge ``x -> x*g`` is looked up by the images of x's
-        images under g, and no product is formed.  The images on S also
-        place the elements in ``elements()`` order (``_walk_ranks``); an
-        element is multiplied out only when a caller asks for it as a
-        permutation (``_walk_elements``, ``_element``).  Walked once per
-        group and kept; a group of order above ``ENUMERATION_BOUND`` raises
+        Returns each element's base images (``_base``) and, for each
+        element, the indices of its products with the generators in list
+        order.  An element is tracked by its images on S, the points up to
+        the last base point that G moves, which hold the base: an edge
+        ``x -> x*g`` is looked up by the images of x's images under g, and
+        no product is formed.  An element is multiplied out only when a
+        caller asks for it as a permutation (``elements()``, ``_element``).
+
+        Once walked, the elements are numbered by their images on S, and
+        that sorts them by image tuple, as ``elements()`` does.  Two
+        elements ``g != h`` first differ at the least point that
+        ``k = g h^-1`` moves.  k is not the identity, so it moves a base
+        point, as the chain is complete; so that least point is at most
+        the last base point, and it is moved by G: it lies in S.  The
+        points before it agree, on S as everywhere.  ``_fill`` lists
+        the indices in the order the walk found the elements, each tree
+        edge's tail before its head; two readers alone need it: the fill
+        along the tree (``_tree_values``) and the Schreier edges in walk
+        order (``_off_tree_edges``).  Walked once per group and kept; a
+        group of order above ``ENUMERATION_BOUND`` raises
         ``EnumerationBoundExceeded`` here.
         """
         if self._walk is None:
@@ -575,11 +588,10 @@ class PermGroup:
                  if any(g.images[x - 1] != x for g in self.generators)]
             found = [tuple(S)]
             index = {found[0]: 0}
-            successors = []
-            tree = []
+            columns = []  # each element's successors in turn, k at a time
+            tree = [None]  # the edge first reaching each element
             # grows while it is read: a FIFO queue
             for i, on_s in enumerate(found):
-                row = []
                 for s, g in enumerate(self.generators):
                     gi = g.images
                     y = tuple([gi[x - 1] for x in on_s])
@@ -588,67 +600,43 @@ class PermGroup:
                         j = index[y] = len(found)
                         found.append(y)
                         tree.append((i, s))
-                    row.append(j)
-                successors.append(tuple(row))
-            self._tree = tuple(tree)
-            self._on_s = found
+                    columns.append(j)
+            # order: the discovery index of each element, in elements()
+            # order; fill: the inverse, each element's index in elements()
+            order = sorted(range(len(found)), key=found.__getitem__)
+            fill = [0] * len(found)
+            for r, i in enumerate(order):
+                fill[i] = r
+            self._fill = tuple(fill)
+            self._tree = tuple([(fill[a], s)
+                                for a, s in _gather(order[1:], tree)])
             keys = found
             if S != list(base):
                 at = [S.index(b) for b in base]
                 keys = [_gather(at, y) for y in found]
-            self._walk = (tuple(keys), tuple(successors))
+            k = len(self.generators)
+            columns = _gather(columns, fill)
+            self._walk = (_gather(order, keys),
+                          tuple([columns[i * k:i * k + k] for i in order]))
         return self._walk
 
     def _spanning_tree(self) -> tuple:
-        """For each element after the identity, in discovery order, the
-        edge of the Cayley walk that first reaches it: the discovery index
-        of its tail, always smaller, and the position of its generator."""
+        """For each element after the identity, in ``elements()`` order,
+        the edge of the Cayley walk that first reaches it: the index of its
+        tail, found before it (``_fill``), and the position of its
+        generator."""
         if self._tree is None:
             self._cayley_walk()
         return self._tree
 
-    def _walk_elements(self) -> tuple:
-        """The elements in discovery order, multiplied out once each along
-        the spanning tree (``_tree_values``) on first call and kept."""
-        if self._found is None:
-            self._found = tuple(_tree_values(
-                self, self.identity, self.generators, Permutation.__mul__))
-        return self._found
-
     def elements(self) -> tuple:
-        """All elements, sorted by image tuple (identity first)."""
+        """All elements, sorted by image tuple (identity first), multiplied
+        out once each along the spanning tree (``_tree_values``) on first
+        call and kept."""
         if self._elements is None:
-            self._elements = tuple(self._by_rank(self._walk_elements()))
+            self._elements = tuple(_tree_values(
+                self, self.identity, self.generators, Permutation.__mul__))
         return self._elements
-
-    def _walk_ranks(self) -> list[int]:
-        """For each element in discovery order, its index in
-        ``elements()``, read off the images on S (``_cayley_walk``).
-
-        Sorting by the images on S sorts by image tuple.  Two elements
-        ``g != h`` first differ at the least point that ``k = g h^-1``
-        moves.  k is not the identity, so it moves a base point, as the
-        chain is complete; so that least point is at most the last base
-        point, and it is moved by G: it lies in S.  The points before it
-        agree, on S as everywhere.
-        """
-        if self._ranks is None:
-            self._cayley_walk()
-            on_s = self._on_s
-            ranks = [0] * len(on_s)
-            for r, i in enumerate(sorted(range(len(on_s)),
-                                         key=on_s.__getitem__)):
-                ranks[i] = r
-            self._ranks = ranks
-        return self._ranks
-
-    def _by_rank(self, values) -> list:
-        """``values``, given in discovery order, put in ``elements()``
-        order."""
-        out = [None] * len(values)
-        for value, r in zip(values, self._walk_ranks()):
-            out[r] = value
-        return out
 
     def element_index(self) -> dict:
         if self._index is None:
@@ -660,7 +648,7 @@ class PermGroup:
         images (``_base``), in ``elements()`` order; built once, from the
         walk's keys alone."""
         if self._by_key is None:
-            keys = self._by_rank(self._cayley_walk()[0])
+            keys = self._cayley_walk()[0]
             self._by_key = dict(zip(keys, range(len(keys))))
         return self._by_key
 
@@ -856,11 +844,11 @@ def _index_of(index: dict, key, message: str):
 class GroupHom:
     """Homomorphism given by images of the source generators.
 
-    A homomorphism keeps, for each element of the source in walk order,
-    the target's base images (``PermGroup._base``) of its value, its key.
-    Every value lies in the target, whose chain is complete, so a key fixes
-    its value; ``is_injective``, ``is_surjective``, ``kernel`` and
-    ``_index_array`` read the keys.  Construction fills the keys once,
+    A homomorphism keeps, for each element of the source in ``elements()``
+    order, the target's base images (``PermGroup._base``) of its value,
+    its key.  Every value lies in the target, whose chain is complete, so
+    a key fixes its value; ``is_injective``, ``is_surjective``, ``kernel``
+    and ``_index_array`` read the keys.  Construction fills the keys once,
     along the source's spanning tree (``_tree_values``), and proves them
     with ``_replay_walk``, which checks the Schreier edges of the source's
     Cayley walk (walked once per group, not once per homomorphism) and
@@ -903,16 +891,12 @@ class GroupHom:
         """Each source element's value, multiplied out on first read."""
         values = _tree_values(self.source, self.target.identity, self.images,
                               Permutation.__mul__)
-        return dict(zip(self.source._walk_elements(), values))
+        return dict(zip(self.source.elements(), values))
 
     def _index_array(self) -> tuple[int, ...]:
         """For each element of ``source.elements()``, the index of its
         image in ``target.elements()``, read off the keys."""
-        by_key = self.target._key_index()
-        arr = [0] * len(self._keys)
-        for r, key in zip(self.source._walk_ranks(), self._keys):
-            arr[r] = by_key[key]
-        return tuple(arr)
+        return tuple(map(self.target._key_index().__getitem__, self._keys))
 
     def apply(self, p: Permutation) -> Permutation:
         return _index_of(self.element_map, p, "{} is not in the source group")
@@ -947,15 +931,15 @@ def _image_key(key: tuple, im: Permutation) -> tuple:
 
 
 def _off_tree_edges(G: PermGroup) -> list:
-    """The Schreier edges of G's Cayley walk, in walk order (elements in
-    discovery order, generators in list order): each ``(a, s, c)``, the
-    discovery indices of tail and endpoint and the generator's position,
-    that is not the edge first reaching c (``PermGroup._spanning_tree``).
-    An edge into the identity is never a tree edge.  There are
-    ``|G|·(k-1) + 1`` of them for k generators."""
-    tree = G._spanning_tree()
-    return [(a, s, c) for a, row in enumerate(G._cayley_walk()[1])
-            for s, c in enumerate(row) if c == 0 or tree[c - 1] != (a, s)]
+    """The Schreier edges of G's Cayley walk, in walk order (tails in the
+    order the walk found them, ``PermGroup._fill``, generators in list
+    order): each ``(a, s, c)``, the indices of tail and endpoint and the
+    generator's position, that is not the edge first reaching c
+    (``PermGroup._spanning_tree``).  An edge into the identity is never a
+    tree edge.  There are ``|G|·(k-1) + 1`` of them for k generators."""
+    tree, successors = G._spanning_tree(), G._cayley_walk()[1]
+    return [(a, s, c) for a in G._fill for s, c in enumerate(successors[a])
+            if c == 0 or tree[c - 1] != (a, s)]
 
 
 def _replay_walk(G: PermGroup, values, images, step, violation: str) -> None:
@@ -980,14 +964,18 @@ def _replay_walk(G: PermGroup, values, images, step, violation: str) -> None:
 
 
 def _tree_values(G: PermGroup, start, images, step) -> list:
-    """Values of a map given on G's generators, in discovery order, along
-    the spanning tree of G's Cayley walk (``PermGroup._spanning_tree``):
-    ``start`` at the identity, and ``step(value(x), image(g))`` at the end
-    of the tree edge ``x -> x*g``.  The one routine that fills values along
+    """Values of a map given on G's generators, in ``elements()`` order,
+    along the spanning tree of G's Cayley walk
+    (``PermGroup._spanning_tree``): ``start`` at the identity, and
+    ``step(value(x), image(g))`` at the end of the tree edge ``x -> x*g``,
+    filled in the order the walk found the elements (``PermGroup._fill``),
+    so each tail before its head.  The one routine that fills values along
     a tree; relations are not checked (``_replay_walk``)."""
-    values = [start]
-    for i, s in G._spanning_tree():
-        values.append(step(values[i], images[s]))
+    tree = G._spanning_tree()
+    values = [start] * len(G._fill)
+    for c in G._fill[1:]:
+        a, s = tree[c - 1]
+        values[c] = step(values[a], images[s])
     return values
 
 
@@ -1002,7 +990,7 @@ def identity_hom(G: PermGroup) -> GroupHom:
 
 def kernel(h: GroupHom) -> PermGroup:
     """Kernel in the source, its members (the elements whose key is the
-    target's base, picked on keys) sifted in ascending order
+    target's base, picked on keys) sifted in ``elements()`` order
     (``_sifted_at``)."""
     one = h.target._base()
     return _sifted_at(h.source,
@@ -1057,12 +1045,11 @@ def _sifted(degree: int, candidates, conjugators=(), order=None) -> PermGroup:
 
 
 def _sifted_at(G: PermGroup, indices) -> PermGroup:
-    """The group generated by the elements at the given discovery indices of
-    G's walk, sifted in ``elements()`` order (``PermGroup._walk_ranks``);
-    only they are multiplied out (``PermGroup._element``)."""
-    keys, ranks = G._cayley_walk()[0], G._walk_ranks()
-    return _sifted(G.degree, [G._element(keys[i])
-                              for i in sorted(indices, key=ranks.__getitem__)])
+    """The group generated by the elements at the given ascending indices
+    of ``G.elements()``, sifted in that order; only they are multiplied out,
+    from their keys (``PermGroup._element``)."""
+    keys = G._cayley_walk()[0]
+    return _sifted(G.degree, [G._element(keys[i]) for i in indices])
 
 
 def normal_closure(G: PermGroup, elements) -> PermGroup:
@@ -1077,10 +1064,9 @@ def _normality_witness(N: PermGroup, G: PermGroup):
 
     Each conjugate ``n^g = g^-1 n g`` is formed in one pass over the
     points (``Permutation.conj``) and sifted through N's chain (Seress,
-    *Permutation Group Algorithms*), or looked up in N's element index
-    once N has been walked (``PermGroup.contains``).  N is never walked
-    here: the check costs ``|gens N|·|gens G|`` conjugates and sifts,
-    whatever the order of N.
+    *Permutation Group Algorithms*; ``PermGroup.contains``).  N is never
+    walked here: the check costs ``|gens N|·|gens G|`` conjugates and
+    sifts, whatever the order of N.
     """
     pairs = itertools.product(N.generators, G.generators)
     return next(((n, g) for n, g in pairs if n.conj(g) not in N), None)
@@ -1128,9 +1114,9 @@ def _right_cosets(G: PermGroup, H: PermGroup) -> tuple[list, dict]:
 
 
 def _coset_labels(G: PermGroup, H: PermGroup) -> tuple[list, list]:
-    """The right cosets Hg of a subgroup H on G's Cayley walk: the
-    discovery index of each coset's least element, ascending, and the
-    number of each element's coset, in discovery order.
+    """The right cosets Hg of a subgroup H on G's Cayley walk: the index
+    of each coset's least element, ascending, and the number of each
+    element's coset, both in ``elements()`` order.
 
     H is closed up in G's keys from the identity's: the base images of
     ``x * h`` are those of x mapped by h, so no product is formed.  Those
@@ -1139,11 +1125,10 @@ def _coset_labels(G: PermGroup, H: PermGroup) -> tuple[list, list]:
     coset, element by element, onto another, and a breadth-first pass over
     the cosets along the columns labels every element of G, as G is
     generated by its generators.  The cosets are then numbered by their
-    least element in ``elements()`` order (``PermGroup._walk_ranks``), so
-    coset 0 is still H.
+    least element, so coset 0 is still H.
     """
     keys, successors = G._cayley_walk()
-    where = dict(zip(keys, range(len(keys))))
+    where = G._key_index()
     hkeys = {keys[0]}
     frontier = [keys[0]]
     for key in frontier:  # grows while it is read: a FIFO queue
@@ -1163,9 +1148,7 @@ def _coset_labels(G: PermGroup, H: PermGroup) -> tuple[list, list]:
                 for i in image:
                     label[i] = len(cosets)
                 cosets.append(image)
-    ranks = G._walk_ranks()
-    least = [min(members, key=ranks.__getitem__) for members in cosets]
-    reps = sorted(least, key=ranks.__getitem__)
+    reps = sorted(map(min, cosets))
     number = [0] * len(cosets)
     for c, i in enumerate(reps):
         number[label[i]] = c
@@ -1253,8 +1236,8 @@ def abelian_invariants(G: PermGroup) -> list[int]:
 
 
 def _central(G: PermGroup) -> list[int]:
-    """The discovery indices of the elements of G's centre, read off G's
-    Cayley walk with no product formed.
+    """The indices in ``G.elements()`` of the elements of G's centre,
+    ascending, read off G's Cayley walk with no product formed.
 
     z is central when ``z·s = s·z`` for each generator s.  ``z·s`` is the
     successor column of s at z.  ``s·z`` is read off a left-multiplication

@@ -123,10 +123,8 @@ class CrossedModule:
             "action assignment does not respect the relations of Q",
         )
         self._generator_arrays = arrays
-        found = self.Q._walk_elements()
-        self._walk_index = dict(zip(found, range(len(found))))
-        # by discovery index; None until composed
-        self._arrays = [None] * len(found)
+        # by index in Q.elements(); None until composed
+        self._arrays = [None] * self.Q.order()
         self._arrays[0] = tuple(range(self.M.order()))
 
     def act(self, m: Permutation, q: Permutation) -> Permutation:
@@ -141,7 +139,7 @@ class CrossedModule:
         Composed on first read from the array of q's tree parent in Q's
         walk, one gather per tree edge not yet composed, and kept.
         """
-        i = _index_of(self._walk_index, q, "{} is not in Q")
+        i = _index_of(self.Q.element_index(), q, "{} is not in Q")
         arrays, tree = self._arrays, self.Q._spanning_tree()
         path = []
         while arrays[i] is None:

@@ -189,6 +189,21 @@ def product_walk(degree, gens):
     return tuple(found), tuple(successors)
 
 
+def sorted_walk(degree, gens):
+    """``product_walk`` renumbered by image tuple, the order of
+    ``PermGroup.elements()``: the element tuples sorted, the sorted index
+    of each one's products with ``gens``, and the sorted index of each
+    element in the order the walk found it."""
+    found, successors = product_walk(degree, gens)
+    order = sorted(range(len(found)), key=found.__getitem__)
+    fill = [0] * len(found)
+    for r, i in enumerate(order):
+        fill[i] = r
+    return (tuple(found[i] for i in order),
+            tuple(tuple(fill[j] for j in successors[i]) for i in order),
+            tuple(fill))
+
+
 def product_replay(degree, gens, target_degree, images):
     """Homomorphism check by products along ``product_walk``.
 

@@ -4,7 +4,11 @@ centres, cosets, CM2 and relator checks decided by base images or indices.
 A complete stabilizer chain fixes each element of its group by the images
 of the base points, so the library looks elements up by those images rather
 than by whole products, and an automorphism of M is fixed by the images of
-M's generators, so the action walk compares only those.  These checks hold
+M's generators, so the action walk compares only those.  The walk numbers
+the elements once, as ``elements()`` does: its keys, successor columns and
+spanning tree share that index, and only the fill along the tree and the
+Schreier edges read the order in which it found them, which keeps Schreier
+relators and first conflicts in the product walk's order.  These checks hold
 the library to the product oracles of ``support``: the same walk, the same
 element maps, actions and first conflicts, the same multiplication table,
 the same orders, centre, cosets, CM2 witness and relator verdict.  The
@@ -36,6 +40,7 @@ from support import (
     product_right_cosets,
     product_walk,
     schreier_sims_levels,
+    sorted_walk,
     tcompose,
     tidentity,
     torder,
@@ -53,6 +58,7 @@ from xmodlab.perm import (
     PermGroup,
     Permutation,
     _noncommuting_pair,
+    _off_tree_edges,
     _product_rule,
     _right_cosets,
     center,
@@ -92,13 +98,56 @@ def group(degree, gens):
 
 def check_walk(G):
     # the walk keeps keys; its elements, multiplied out along the tree, and
-    # their keys are the product walk's, edge for edge
+    # their keys are the product walk's, edge for edge, numbered by image
+    # tuple, and it found them in the product walk's order
     keys, successors = G._cayley_walk()
-    found, want_successors = product_walk(
+    elements, want_successors, fill = sorted_walk(
         G.degree, [g.images for g in G.generators])
     assert successors == want_successors
-    assert keys == tuple(tuple(p[b - 1] for b in G._base()) for p in found)
-    assert tuple(p.images for p in G._walk_elements()) == found
+    assert keys == tuple(tuple(p[b - 1] for b in G._base())
+                         for p in elements)
+    assert G._fill == fill
+    assert tuple(p.images for p in G.elements()) == elements
+
+
+def discovery_edges(successors):
+    """The Schreier edges of a product walk, numbered as it found the
+    elements, in walk order: every edge ``(a, s, c)`` but the first that
+    reaches each element after the identity."""
+    reached = {0}
+    edges = []
+    for a, row in enumerate(successors):
+        for s, c in enumerate(row):
+            if c in reached:
+                edges.append((a, s, c))
+            reached.add(c)
+    return edges
+
+
+def check_numbering(G):
+    """The walk's keys, successor columns and spanning tree index
+    ``elements()``, checked by products; the tree is filled tails first,
+    in the order the walk found the elements, and the Schreier edges are
+    the product walk's, in its order, renumbered by image tuple."""
+    elements = G.elements()
+    index = G.element_index()
+    keys, successors = G._cayley_walk()
+    assert keys == tuple(tuple(p.images[b - 1] for b in G._base())
+                         for p in elements)
+    assert successors == tuple(tuple(index[p * g] for g in G.generators)
+                               for p in elements)
+    position = {c: k for k, c in enumerate(G._fill)}
+    assert sorted(position) == list(range(G.order()))
+    tree = G._spanning_tree()
+    assert len(tree) == G.order() - 1
+    for c, (a, s) in enumerate(tree, 1):
+        assert successors[a][s] == c
+        assert position[a] < position[c]
+    gens = [g.images for g in G.generators]
+    fill = sorted_walk(G.degree, gens)[2]
+    assert _off_tree_edges(G) == [
+        (fill[a], s, fill[c])
+        for a, s, c in discovery_edges(product_walk(G.degree, gens)[1])]
 
 
 def check_mult(G):
@@ -132,6 +181,11 @@ class TestAgainstProductOracle:
     @given(generator_lists())
     def test_walk(self, spec):
         check_walk(group(*spec))
+
+    @settings(max_examples=100, deadline=None)
+    @given(generator_lists())
+    def test_walk_and_elements_share_one_numbering(self, spec):
+        check_numbering(group(*spec))
 
     @settings(max_examples=60, deadline=None)
     @given(generator_lists())

@@ -10,7 +10,10 @@ import must name a top-level module in ``sys.stdlib_module_names``.
 ``ENUMERATION_BOUND`` is read only by ``PermGroup._cayley_walk``, the
 one place that refuses enumeration: a load of the name, of an attribute
 of that name, or an import of it anywhere else in the package is a second
-reader.
+reader.  The walk numbers a group's elements as ``elements()`` does, and
+the order in which it found them, ``PermGroup._fill``, is read by the fill
+along the spanning tree and the Schreier edges alone, so that every other
+reader, in ``perm`` or out of it, sees one numbering.
 """
 
 import ast
@@ -146,3 +149,29 @@ def test_enumeration_bound_read_only_by_the_walk():
     found = {(path.name, scope) for path in sorted(SRC.rglob("*.py"))
              for scope, _ in readers(path.read_text())}
     assert found == {("perm.py", "PermGroup._cayley_walk")}
+
+
+def walk_order_readers(sources):
+    """(file name, scope) of every read of ``_fill`` in the given
+    ``(file name, text)`` pairs."""
+    return {(name, scope) for name, text in sources
+            for scope, _ in readers(text, "_fill")}
+
+
+def test_detects_walk_order_readers():
+    xmod = ((SRC / "xmod.py").read_text()
+            + "\n\ndef first_found(X):\n    return X.Q._fill[1]\n")
+    found = walk_order_readers([("xmod.py", xmod)])
+    assert ("xmod.py", "first_found") in found
+    source = ("class G:\n"
+              "    def walk(self):\n"
+              "        self._fill = ()\n"
+              "        return self._fill\n")
+    assert readers(source, "_fill") == [("G.walk", 4)]
+
+
+def test_walk_order_read_only_by_the_fill_and_the_schreier_edges():
+    found = walk_order_readers((path.name, path.read_text())
+                               for path in sorted(SRC.rglob("*.py")))
+    assert found == {("perm.py", "_tree_values"),
+                     ("perm.py", "_off_tree_edges")}

@@ -2,8 +2,8 @@
 
 ``PermGroup._cayley_walk`` forms no product: it keeps each element's base
 images and its images on S, the points up to the last base point that the
-group moves.  ``elements()`` order, the walk's ranks and the key index are
-read off those images; a kernel is picked on keys; the centre compares a
+group moves.  It numbers the elements by those images, in ``elements()``
+order, and the key index is read off its keys; a kernel is picked on keys; the centre compares a
 left-multiplication table, filled along the spanning tree, with the
 successor columns; right cosets and quotients are labelled along the
 columns; element orders are read off the chain, and abelian invariants off
@@ -26,6 +26,7 @@ from support import (
     product_kernel,
     product_right_cosets,
     product_walk,
+    sorted_walk,
     tcompose,
     tidentity,
     torder,
@@ -118,19 +119,18 @@ def sorted_elements(G):
 
 
 def check_order_and_keys(G):
-    """Ranks, the key index and each element built from its key, before
-    anything is multiplied out; then ``elements()`` itself."""
-    found = product_walk(G.degree, images(G.generators))[0]
-    want = sorted(found)
-    rank = {x: i for i, x in enumerate(want)}
+    """The walk's numbering, the key index and each element built from its
+    key, before anything is multiplied out; then ``elements()`` itself."""
+    want, successors, fill = sorted_walk(G.degree, images(G.generators))
     base = G._base()
-    assert G._walk_ranks() == [rank[x] for x in found]
-    assert list(G._key_index().items()) == [
-        (tuple(x[b - 1] for b in base), i) for i, x in enumerate(want)]
+    keys = tuple(tuple(x[b - 1] for b in base) for x in want)
+    assert G._cayley_walk() == (keys, successors)
+    assert G._fill == fill
+    assert list(G._key_index().items()) == list(zip(keys, range(len(want))))
     assert G._element_orders() == [torder(x) for x in want]
-    assert G._elements is None and G._found is None
-    assert [G._element(key).images for key in G._key_index()] == want
-    assert images(G.elements()) == want
+    assert G._elements is None
+    assert tuple(G._element(key).images for key in G._key_index()) == want
+    assert tuple(images(G.elements())) == want
 
 
 def orbit_hom(G, point):
@@ -285,7 +285,7 @@ def test_s5_c5_induce_multiplies_out_no_element_of_m(monkeypatch):
     M = X.M
     assert (M.order(), M.degree) == (3000, 600)
     assert M._walk is not None
-    assert M._elements is None and M._found is None and M._index is None
+    assert M._elements is None and M._index is None
 
     # the walk and the key readers form no product: counted on a group
     # over M's chain, walked afresh
@@ -299,7 +299,6 @@ def test_s5_c5_induce_multiplies_out_no_element_of_m(monkeypatch):
     monkeypatch.setattr(Permutation, "__mul__", counting)
     fresh = PermGroup._on_chain(M.degree, M.generators, M._levels)
     fresh._cayley_walk()
-    fresh._walk_ranks()
     fresh._key_index()
     assert len(_central(fresh)) == 50
     assert calls == []

@@ -33,7 +33,7 @@ GROUPS = {
 
 def check_edges(G):
     successors = G._cayley_walk()[1]
-    found = G._walk_elements()
+    found = G.elements()
     tree = set(G._spanning_tree())
     k = len(G.generators)
     edges = _off_tree_edges(G)
