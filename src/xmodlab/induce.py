@@ -33,16 +33,19 @@ refused.
 ``induce`` reads M off one coset table of the presented group G, over K,
 the copy at the identity coset of a subgroup L of M on which M's boundary
 is injective, chosen greedily from M's generators: L = M for an injective
-boundary, when K is H, the copy of M, and L = 1 for a trivial one.  Each
-copy generator permutes the cosets by the product along its word, and
-``induce`` sifts those permutations (``perm._sifted``), keeping only those
-that enlarge the group so far, into a chain stopped at ``[G:K]·|L|``, which
-is ``|G|``; reaching that bound proves the action faithful.  When the
-cosets fall short of it (``core_G(K) != 1``, as for ``P = Q``), each
-generator acts on Q's points through its boundary as well, and that joint
-action reaches it (the proof is in ``induce``).  So M is generated by an
-irredundant sublist of the generators' permutations, and the boundary and
-the action are proved homomorphisms by the walk rule over M's Cayley graph
+boundary, when K is H, the copy of M, and L = 1 for a trivial one.  G is
+presented on the generators S of T0's copies, so their permutations of
+the cosets generate G's action, and ``induce`` sifts them once
+(``perm._sifted``), keeping only those that enlarge the group so far, into
+a chain stopped at ``[G:K]·|L|``, which is ``|G|``; reaching that bound
+proves the action faithful.  Before that sift, the permutations of K's
+generators, sifted against ``|L|``, tell whether the cosets fall short
+(``core_G(K) != 1``, as for ``P = Q``); then each generator acts on Q's
+points through its boundary as well, and that joint action reaches it (the
+proof is in ``induce``).  So M is generated by an irredundant sublist of
+S's permutations.  An action entry is the product along the word
+``act_gen(k, q)`` with each letter spelt over S, and the boundary and the
+action are proved homomorphisms by the walk rule over M's Cayley graph
 (``perm._replay_walk``), like every map; the axioms are re-checked by
 ``validate``.
 
@@ -122,8 +125,11 @@ class InducedPresentation:
     one.  The presentation is on the generators listed in ``generators``,
     and ``words[k]`` spells generator k over its generators: one letter for
     those, for an induced module a word over them for the rest
-    (``induced_presentation``).  Both are empty when the presentation is on
-    every generator, one letter each.
+    (``induced_presentation``).  ``_with_peiffer_relators`` fills both: a
+    presentation on every generator, as for a free module, lists
+    ``(0, ..., n-1)`` with one letter each.  They are empty only on a
+    presentation built directly, which ``boundary_kills_relators`` reads
+    as one on every generator.
     ``subgroup_words`` generate the copy of M at the coset of the subgroup,
     for an induced module; they are empty for a free one.
     """
@@ -777,11 +783,13 @@ def induce(
 
     The top group G of ``induced_presentation`` is read off one coset
     table, over the copy K of a subgroup L of M on which X's boundary d is
-    injective (``_injective_generators``), and the permutations G's
-    generators induce on the cosets are sifted into a chain stopped at
-    ``[G:K]·|L|`` (``perm._sifted``).  K is generated by the words
+    injective (``_injective_generators``), and the permutations that the
+    presentation's generators S induce on the cosets are sifted into a
+    chain stopped at ``[G:K]·|L|`` (``perm._sifted``).  G is presented on
+    S, so they generate its action.  K is generated by the words
     ``(g, t0)`` for the generators g of L, with t0 the transversal element
-    in iota(P): the ``ip.subgroup_words`` at L's positions.
+    in iota(P): the ``ip.subgroup_words`` at L's positions, single letters
+    of copy t0.
 
     - ``phi: M -> G``, ``m -> (m, t0)``, is a homomorphism, by the relators
       of copy t0, which is in T0, and ``K = phi(L)``; so
@@ -795,36 +803,41 @@ def induce(
       reaching that bound proves the quotient has order ``|G|``, the
       action faithful and the chain complete.
     - The kernel of the action on the cosets of K is ``core_G(K) <= K``,
-      which need not be trivial (``P = Q``).  When the chain falls short,
-      each generator k acts jointly: by ``ip.boundary_images[k]`` on Q's n
-      points 1..n, then by its coset permutation shifted by n.  The kernel
-      of that action is ``core_G(K) ∩ ker d_G <= K ∩ ker d_G = 1``, so its
-      chain, sifted with the same bound, reaches it; the coset table is
-      not enumerated again.  A chain that still falls short means a
-      premise failed, and raises ``ValidationFailed`` naming the bound.
+      which need not be trivial (``P = Q``).  So the permutations of K's
+      generators generate ``K / core_G(K)``, of order at most |L|, and it
+      is |L| exactly when ``|K| = |L|`` and ``core_G(K) = 1``, that is when
+      the action on the cosets is faithful; they are sifted against that
+      bound, which costs at most ``|gens L|`` sifts, before M is.  When
+      they fall short, each generator x of S acts jointly: by
+      ``ip.boundary_images[x]`` on Q's n points 1..n, then by its coset
+      permutation shifted by n.  The kernel of that action is
+      ``core_G(K) ∩ ker d_G <= K ∩ ker d_G = 1``, so its chain, sifted with
+      the same bound, reaches it; the coset table is not enumerated again.
+      A chain that still falls short means a premise failed, and raises
+      ``ValidationFailed`` naming the bound.
 
     An injective d gives L = M, and K is H, the copy of M at the coset of
     iota(P); a trivial d gives L = 1, on whose cosets G acts regularly.
-    So M is G, acting faithfully.  Sifting keeps a generator's
-    permutation only when it lies outside the group generated by those
-    kept before it, so M's generators are an irredundant sublist of them,
-    and ``keep`` lists the copy generators they belong to; the rest lie
-    in M and are not needed.  The boundary and each action entry
+    So M is G, acting faithfully.  Sifting keeps a permutation only when
+    it lies outside the group generated by those kept before it, so M's
+    generators are an irredundant sublist of S's, and ``keep`` lists the
+    copy generators they belong to.  The boundary and each action entry
     are given on the kept generators and proved homomorphisms by the walk
     rule (``perm.GroupHom``), on the ``|M|·(k-1)+1`` Schreier edges of M's
     Cayley walk for k kept generators.  Generator k's image under a
-    generator q of Q is the product of the generators' permutations along
-    its word ``act_gen(k, q)``.  The action entries keep their keys only;
-    ``CrossedModule`` reads them as index arrays, and none multiplies out
-    its values.
+    generator q of Q is the product along its word ``act_gen(k, q)``, with
+    each letter spelt over S by its word ``ip.words`` (``_spelt``) and
+    freely reduced: the permutations of S are the only ones read off the
+    table (``fp._coset_action``), and a copy generator outside S is
+    multiplied out only inside an action entry.  The action entries keep
+    their keys only; ``CrossedModule`` reads them as index arrays, and
+    none multiplies out its values.
 
     The table is enumerated by one ``todd_coxeter`` call on the
-    presentation over T0's generators; each copy generator's permutation
-    of the cosets is the product along its word ``ip.words[k]``, so
-    sifting, ``keep``, the boundary and the action read every copy
-    generator.  ``Report.stats`` gives ``|L|`` as ``subgroup_order``.
-    The returned module has passed the axiom check; a failure there raises
-    ``ValidationFailed`` (it would mean an internal error, not bad input).
+    presentation over S.  ``Report.stats`` gives ``|L|`` as
+    ``subgroup_order``.  The returned module has passed the axiom check; a
+    failure there raises ``ValidationFailed`` (it would mean an internal
+    error, not bad input).
     """
     phases = dict.fromkeys(PHASES, 0.0)
     clock = time.perf_counter()
@@ -843,24 +856,27 @@ def induce(
     ct = todd_coxeter(pres, [ip.subgroup_words[i] for i in kept], max_cosets)
     lap("todd_coxeter")
     perms = _coset_action(ct)
-    inverses = [p.inverse() for p in perms]
-    gen_perms = [_word_image(w, perms, inverses) for w in ip.words]
-    bound = ct.ncosets * order
-    Mstar = _sifted(ct.ncosets, gen_perms, order=bound)
-    if Mstar.order() < bound:  # core_G(K) != 1: adjoin Q's points
-        n = Q.degree
-        gen_perms = [Permutation([*d.images, *(x + n for x in c.images)])
-                     for d, c in zip(ip.boundary_images, gen_perms)]
-        Mstar = _sifted(n + ct.ncosets, gen_perms, order=bound)
+    degree, bound = ct.ncosets, ct.ncosets * order
+    # K's generators are single letters of copy t0, and their permutations
+    # generate a group of order |L| / |core_G(K)|: adjoin Q's points when
+    # it falls short
+    k_perms = [perms[ip.subgroup_words[i].letters[0][0]] for i in kept]
+    if _sifted(degree, k_perms, order=order).order() < order:
+        perms = [Permutation([*ip.boundary_images[x].images,
+                              *(y + Q.degree for y in p.images)])
+                 for x, p in zip(ip.generators, perms)]
+        degree += Q.degree
+    Mstar = _sifted(degree, perms, order=bound)
     if Mstar.order() < bound:  # a premise of the bound failed
         raise ValidationFailed(f"M reaches {Mstar.order()} < bound {bound}")
     lap("chain")
     # a kept permutation is the first of its value: a later equal one
     # would have sifted to the identity
-    keep = [gen_perms.index(g) for g in Mstar.generators]
+    keep = [ip.generators[perms.index(g)] for g in Mstar.generators]
+    inverses = [p.inverse() for p in perms]
     boundary = hom(Mstar, Q, [ip.boundary_images[k] for k in keep])
-    action = [GroupHom(Mstar, Mstar, [_word_image(ip.act_gen(k, qg), gen_perms)
-                                      for k in keep])
+    action = [GroupHom(Mstar, Mstar, [_word_image(Word.of(_spelt(
+        ip.act_gen(k, qg), ip.words)), perms, inverses) for k in keep])
               for qg in Q.generators]
     Xi = CrossedModule(Mstar, Q, boundary, action)
     lap("homs")

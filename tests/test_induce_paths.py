@@ -26,16 +26,21 @@ from support import (
     tcompose,
 )
 from xmodlab.errors import ValidationFailed
-from xmodlab.fp import todd_coxeter
+from xmodlab.fp import _coset_action, todd_coxeter
 from xmodlab.induce import (
+    TABLE_SUBGROUPS,
+    _injective_generators,
+    _word_image,
     coset_transversal,
     induce,
+    induced_presentation,
     small_group_name,
     table_subgroup,
 )
 from xmodlab.perm import (
     ISO_SEARCH_BOUND,
     PermGroup,
+    _sifted,
     abelian_invariants,
     cyclic,
     hom,
@@ -338,6 +343,101 @@ class TestJointAction:
             [p.images for p in P.generators])
         assert report.order_law_ok
         assert Xi.M.order() == K.order() * len(closure) == 1024 * 4
+
+
+def identity_inclusion(n, sub):
+    """``identity_xmod(P)`` and the inclusion of P = <sub> in S_n."""
+    Q = symmetric(n)
+    P = Q.subgroup(parse_generator_list(sub, n))
+    return identity_xmod(P), hom(P, Q, P.generators)
+
+
+# one representative of each class of nontrivial subgroups of S5
+S5_SUBGROUP_CLASSES = (
+    "(1,2)", "(1,2)(3,4)", "(1,2,3)", "(1,2,3,4)", "(1,2),(3,4)",
+    "(1,2)(3,4),(1,3)(2,4)", "(1,2,3,4,5)", "(1,2,3)(4,5)",
+    "(1,2,3),(1,2)", "(1,2,3),(1,2)(4,5)", "(1,2,3,4),(1,3)",
+    "(1,2,3,4,5),(2,5)(3,4)", "(1,2,3),(1,2),(4,5)", "(1,2,3),(2,3,4)",
+    "(1,2,3,4,5),(2,3,5,4)", "(1,2,3,4),(1,2)", "(1,2,3),(3,4,5)", S5,
+)
+
+# (id, n, P) for the identity module of P <= S_n, or (m, None, None) for
+# the trivial-boundary module ``trivial_boundary_module(m)``: the seven S4
+# rows, the normal V4 of S4, P = Q = S4, the two trivial boundaries and
+# the classes of S5
+ONE_SIFT_CASES = (
+    *[(f"row {r}", 4, ",".join(gens))
+      for r, (_, gens) in enumerate(TABLE_SUBGROUPS, 1)],
+    ("V4 <= S4", 4, "(1,2)(3,4),(1,3)(2,4)"),
+    ("S4 <= S4", 4, "(1,2),(1,2,3,4)"),
+    ("C3", None, None),
+    ("C2xC2", None, None),
+    *[(f"{sub} <= S5", 5, sub) for sub in S5_SUBGROUP_CLASSES],
+)
+
+
+class TestOneSift:
+    """M is built by one sift of the coset permutations of S, the
+    generators G is presented on, after the permutations of K's
+    generators have chosen between the cosets and the joint action."""
+
+    @pytest.mark.parametrize("case, n, sub", ONE_SIFT_CASES,
+                             ids=[c[0] for c in ONE_SIFT_CASES])
+    def test_faithfulness_check_agrees_with_the_sift(self, monkeypatch,
+                                                     case, n, sub):
+        X, iota = (trivial_boundary_module(case) if n is None
+                   else identity_inclusion(n, sub))
+        calls = []
+
+        def spied(degree, candidates, *args, **kwargs):
+            candidates = list(candidates)
+            calls.append((degree, len(candidates), kwargs.get("order")))
+            return _sifted(degree, candidates, *args, **kwargs)
+
+        module = importlib.import_module("xmodlab.induce")
+        monkeypatch.setattr(module, "_sifted", spied)
+        Xi, report = induce(X, iota)
+        ncosets = report.stats["ncosets"]
+        order = report.stats["subgroup_order"]
+        bound = ncosets * order
+        ip = induced_presentation(X, iota)
+        kept, _ = _injective_generators(X)
+        # K's generators against |L|, then S's, once, against the bound
+        assert calls == [(ncosets, len(kept), order),
+                         (Xi.M.degree, len(ip.generators), bound)]
+        # the sift the check replaced: S's permutations of the cosets of K
+        # with no bound, which reach [G:K]·|L| exactly when the action on
+        # the cosets is faithful
+        ct = todd_coxeter(ip.presentation,
+                          [ip.subgroup_words[i] for i in kept])
+        perms = _coset_action(ct)
+        assert all(len(ip.subgroup_words[i]) == 1 for i in kept)
+        k_image = _sifted(ncosets, [perms[ip.subgroup_words[i].letters[0][0]]
+                                    for i in kept])
+        short = _sifted(ncosets, perms).order() < bound
+        assert (k_image.order() < order) == short
+        assert Xi.M.degree == ncosets + (iota.target.degree if short else 0)
+        assert Xi.M.order() == bound
+
+    @pytest.mark.parametrize("sub, products",
+                             [("(1,2)", 8), ("(1,2,3,4,5)", 4)])
+    def test_only_action_entries_are_multiplied_out(self, monkeypatch, sub,
+                                                    products):
+        # the coset permutations of S alone are read off the table, so a
+        # word over them is multiplied out only for an action entry: one
+        # per kept generator and generator of Q
+        words = []
+
+        def spied(word, *args):
+            words.append(word)
+            return _word_image(word, *args)
+
+        module = importlib.import_module("xmodlab.induce")
+        monkeypatch.setattr(module, "_word_image", spied)
+        X, iota = identity_inclusion(5, sub)
+        Xi, _ = induce(X, iota)
+        assert len(words) == products == (
+            len(Xi.M.generators) * len(iota.target.generators))
 
 
 # the reference module's generators up to which the two-step oracle builds

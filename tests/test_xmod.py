@@ -528,10 +528,13 @@ class TestIsomorphism:
     # and (7, 7) again when the Peiffer relators each cycle of copies
     # implies were left out, which relabels the points of M, and all four,
     # with PINNED_MAPS, when G came to be presented on the generators of
-    # the copies T0 alone, which relabels them again
+    # the copies T0 alone, which relabels them again; (1, 2) and (3, 4),
+    # with PINNED_MAPS unchanged, when M came to be sifted from the
+    # presentation's own generators, which keeps other generators of rows
+    # 1, 2 and 3 (after a witness from each row's module as dumped before)
     PINNED = {
-        (1, 2): "4e8491b2b3a0a34da77662755a59b659e9cc9969578494a324a85b2adb5a0d5f",
-        (3, 4): "ff265aed7f7fa9a03f4def768d605173a0ddedf1cadc2aa1107ab2234d95c6ee",
+        (1, 2): "67e1e880e5df87015fd401cad78fea0a6f4339fe4922c9aac8099faed549086f",
+        (3, 4): "174313b577c956c2b715d6e034a7d7e22c026bbd67afc223e65a8b16d0b9ca08",
         (6, 6): "13a159f61400bafdcd211814985dc934452256166834924da25211f0e9830210",
         (7, 7): "6cce1ddab233f78a32a7fb631fa5b41bff549de5631624be67eec2cc7110931e",
     }
