@@ -248,17 +248,6 @@ def cmd_iso(args) -> int:
     return _iso_xmods(*mods)
 
 
-def _pair(option: str):
-    class PairAction(argparse.Action):
-        def __call__(self, parser, namespace, value, option_string=None):
-            current = getattr(namespace, self.dest) or []
-            if len(current) >= 2:
-                parser.error(f"{option} may be given at most twice")
-            setattr(namespace, self.dest, current + [value])
-
-    return PairAction
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="xmodlab",
@@ -324,14 +313,14 @@ def build_parser() -> argparse.ArgumentParser:
     group_flags(p)
     limit_flag(p)
     p.set_defaults(degree=None, group=None)  # filled in by cmd_iso
-    p.add_argument("--xmod", dest="xmod_pair", action=_pair("--xmod"),
+    p.add_argument("--xmod", dest="xmod_pair", action="append",
                    metavar="PATH", default=None,
                    help="crossed module JSON file (give twice)")
-    p.add_argument("--sub", dest="sub_pair", action=_pair("--sub"),
+    p.add_argument("--sub", dest="sub_pair", action="append",
                    metavar="GENS", default=None,
                    help="subgroup whose induced module to compare (give twice)")
-    p.add_argument("--group-pair", dest="group_pair",
-                   action=_pair("--group-pair"), metavar="GENS", default=None,
+    p.add_argument("--group-pair", dest="group_pair", action="append",
+                   metavar="GENS", default=None,
                    help="plain group to compare (give twice)")
     p.set_defaults(func=cmd_iso)
     return parser

@@ -85,9 +85,7 @@ from .perm import (
     Permutation,
     _off_tree_edges,
     _right_cosets,
-    _extend_chain,
     _sifted,
-    _strip,
     _tree_values,
     abelian_invariants,
     cyclic,
@@ -262,9 +260,10 @@ def induced_presentation(
     generators S of a few copies T0 (``generators``).  T0 starts with the
     copy t0 of iota(P); a copy joins, in copy order, when one of its
     generators' boundaries lies outside the group that T0's boundaries
-    generate so far (sifted in that group's chain, built as T0 grows);
-    then, while some copy is not reached from T0 along the copy moves of
-    its generators' boundaries (``row``), the first such copy joins.  So
+    generate so far (one ``perm._sifted`` of the boundaries, copy t0's
+    first, then every copy's; a kept boundary names its copy); then,
+    while some copy is not reached from T0 along the copy moves of its
+    generators' boundaries (``row``), the first such copy joins.  So
     every orbit of ``D = <d(x) : x in S>`` on the copies meets T0, and the
     copies' relators with the Peiffer relators kept for x in S, the core,
     present G (the proof is in ``_with_peiffer_relators``).  The other
@@ -334,7 +333,7 @@ def induced_presentation(
     H = image(iota)
     gens = list(dict.fromkeys(g for g in M.generators if not g.is_identity()))
     ng = len(gens)
-    walk = PermGroup._on_chain(M.degree, gens, M._levels)
+    walk = PermGroup(M.degree, gens)
     schreier_letters, spell = _schreier_relators(walk)
     nT = Q.order() // H.order()
     orders = [g.order() for g in gens]
@@ -433,15 +432,13 @@ def induced_presentation(
     # the group that T0's boundaries generate so far, then the first copy
     # not reached while one is left
     t0 = coset(Q.identity)  # the transversal element in iota(P)
-    chain = []
-    copies = [t0]
-    for ti in [t0, *range(nT)]:
-        for gi in range(ng):
-            d = boundary_images[gen(gi, ti)]
-            if not _strip(chain, d).is_identity():
-                _extend_chain(chain, Q.degree, [d])
-                if ti not in copies:
-                    copies.append(ti)
+    sweep = [t0, *range(nT)]
+    cands = [boundary_images[gen(gi, ti)] for ti in sweep for gi in range(ng)]
+    # a kept boundary is the first of its value: a later equal one would
+    # have sifted to the identity
+    kept = _sifted(Q.degree, cands).generators
+    copies = list(dict.fromkeys(
+        [t0] + [sweep[cands.index(d) // ng] for d in kept]))
     while len(seen := reached(copies)) < nT:
         copies.append(min(set(range(nT)) - seen))
 

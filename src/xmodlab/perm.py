@@ -80,8 +80,14 @@ centres, normal closures and derived subgroups are grown by one loop,
 ``_sifted``, which keeps a candidate generator only if it enlarges the group
 so far and hands each generator it keeps to ``_extend_chain``, and stops at
 a bound for the order if it is given one: the induced M is read off its
-coset permutations that way (``induce``).  Generators passed to
-``PermGroup`` are kept as given.  Normality is decided by sifting: each
+coset permutations that way (``induce``), and the copies T0 that its
+presentation keeps are chosen by sifting their boundaries
+(``induce.induced_presentation``).  No other module names the chain or
+the routines that read or build it (guarded in ``test_imports.py``); they
+build groups through ``PermGroup``, ``PermGroup._bounded`` and
+``_sifted``.  Generators passed to
+``PermGroup`` are kept as given, and a derived subgroup is the normal
+closure of the commutators of those.  Normality is decided by sifting: each
 generator of N conjugated by each generator of G is sifted through N's
 chain (``_normality_witness``), so N is never walked for it.  ``quotient``
 returns G/N with its projection; the callers that read only the group
@@ -446,8 +452,6 @@ class PermGroup:
         self.generators = generators
         self._levels = levels
         self._order = _chain_order(levels)
-        # set by ``_sifted``: no generator lies in the group of those before
-        self._irredundant = False
         self._walk = None
         self._tree = None
         self._fill = None
@@ -1028,7 +1032,12 @@ def _sifted(degree: int, candidates, conjugators=(), order=None) -> PermGroup:
     same.  A chain never has a larger product of transversal lengths than
     the order of its group, so reaching the bound proves the chain complete;
     a group that falls short of it gets its full check loop at every kept
-    generator.  Either way the chain is complete."""
+    generator.  Either way the chain is complete.
+
+    A kept generator is the first candidate of its value, as a later equal
+    one sifts to the identity: ``induce`` maps the kept coset permutations,
+    and ``induce.induced_presentation`` the kept boundaries of T0, back to
+    their candidates that way."""
     gens = []
     levels = []
     queue = list(candidates)
@@ -1039,9 +1048,7 @@ def _sifted(degree: int, candidates, conjugators=(), order=None) -> PermGroup:
             gens.append(c)
             _extend_chain(levels, degree, [c], order)
             queue.extend(c.conj(g) for g in conjugators)
-    group = PermGroup._on_chain(degree, gens, levels)
-    group._irredundant = True
-    return group
+    return PermGroup._on_chain(degree, gens, levels)
 
 
 def _sifted_at(G: PermGroup, indices) -> PermGroup:
@@ -1261,22 +1268,12 @@ def center(G: PermGroup) -> PermGroup:
 
 
 def derived_subgroup(G: PermGroup) -> PermGroup:
-    """G', the normal closure of the commutators of any generating set of G
-    (modulo it those generators commute); the set used is G's generators
-    sifted, so that redundant generators do not square the commutators.
-
-    A group built by ``_sifted`` is used as it is: each of its generators
-    lies outside the group of those before it, so sifting them again would
-    keep the same list in the same order, on a second chain.  Any other
-    group's generators are sifted, stopping at ``G.order()``, as they
-    generate G."""
-    gens = G.generators
-    if not G._irredundant:
-        gens = _sifted(G.degree, gens, order=G.order()).generators
+    """G', the normal closure of the commutators of G's generators (modulo
+    it those generators commute)."""
     return _sifted(
         G.degree,
-        [a.commutator(b) for a, b in itertools.combinations(gens, 2)],
-        gens,
+        [a.commutator(b) for a, b in itertools.combinations(G.generators, 2)],
+        G.generators,
     )
 
 

@@ -467,4 +467,4 @@ class TestIso:
         rc, _, err = run(capsys, "iso", "--sub", "(1,2)", "--sub", "(1,3)",
                          "--sub", "(1,4)")
         assert rc == 2
-        assert "at most twice" in err
+        assert "exactly twice" in err

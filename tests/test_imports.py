@@ -13,7 +13,10 @@ of that name, or an import of it anywhere else in the package is a second
 reader.  The walk numbers a group's elements as ``elements()`` does, and
 the order in which it found them, ``PermGroup._fill``, is read by the fill
 along the spanning tree and the Schreier edges alone, so that every other
-reader, in ``perm`` or out of it, sees one numbering.
+reader, in ``perm`` or out of it, sees one numbering.  The stabilizer
+chain is ``perm``'s alone: no other module names it or a routine that reads
+or builds it, so every other module grows its groups through ``PermGroup``
+and ``_sifted``.
 """
 
 import ast
@@ -175,3 +178,50 @@ def test_walk_order_read_only_by_the_fill_and_the_schreier_edges():
                                for path in sorted(SRC.rglob("*.py")))
     assert found == {("perm.py", "_tree_values"),
                      ("perm.py", "_off_tree_edges")}
+
+
+# the stabilizer chain and the routines that read or build it
+CHAIN_NAMES = frozenset({
+    "_levels", "_strip", "_strip_at", "_extend_chain", "_build_chain",
+    "_complete_chain", "_rebuild_orbit", "_transversal_inverse",
+    "_chain_order", "_on_chain", "_irredundant",
+})
+
+
+def chain_names(source):
+    """The chain names the source mentions: as a name, an attribute, an
+    import or a definition."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.alias):
+            names = [node.name, node.asname]
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        else:
+            continue
+        found.update(CHAIN_NAMES.intersection(names))
+    return found
+
+
+def test_detects_chain_names():
+    induce = (SRC / "induce.py").read_text()
+    reads = induce + "\n\ndef depth(G):\n    return len(G._levels)\n"
+    assert chain_names(reads) == {"_levels"}
+    imports = "from .perm import _strip as strip\n" + induce
+    assert chain_names(imports) == {"_strip"}
+    # a constructor is allowed: ``squares.gamma`` builds a bounded group
+    source = ("from .perm import PermGroup\n"
+              "def regular(gens, n):\n"
+              "    return PermGroup._bounded(n, gens, n)\n")
+    assert chain_names(source) == set()
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.rglob("*.py"))
+                                  if p.name != "perm.py"],
+                         ids=lambda p: p.name)
+def test_chain_named_only_in_perm(path):
+    assert chain_names(path.read_text()) == set()

@@ -379,7 +379,8 @@ ONE_SIFT_CASES = (
 class TestOneSift:
     """M is built by one sift of the coset permutations of S, the
     generators G is presented on, after the permutations of K's
-    generators have chosen between the cosets and the joint action."""
+    generators have chosen between the cosets and the joint action; the
+    presentation has chosen T0 by one sift of the copies' boundaries."""
 
     @pytest.mark.parametrize("case, n, sub", ONE_SIFT_CASES,
                              ids=[c[0] for c in ONE_SIFT_CASES])
@@ -397,14 +398,20 @@ class TestOneSift:
         module = importlib.import_module("xmodlab.induce")
         monkeypatch.setattr(module, "_sifted", spied)
         Xi, report = induce(X, iota)
+        induced = list(calls)
         ncosets = report.stats["ncosets"]
         order = report.stats["subgroup_order"]
         bound = ncosets * order
         ip = induced_presentation(X, iota)
         kept, _ = _injective_generators(X)
-        # K's generators against |L|, then S's, once, against the bound
-        assert calls == [(ncosets, len(kept), order),
-                         (Xi.M.degree, len(ip.generators), bound)]
+        Q = iota.target
+        nT = Q.order() // iota.source.order()
+        ng = len(ip.gen_pairs) // nT
+        # T0's boundaries, copy t0's first, with no bound; then K's
+        # generators against |L|, then S's, once, against the bound
+        assert induced == [(Q.degree, ng * (nT + 1), None),
+                           (ncosets, len(kept), order),
+                           (Xi.M.degree, len(ip.generators), bound)]
         # the sift the check replaced: S's permutations of the cosets of K
         # with no bound, which reach [G:K]·|L| exactly when the action on
         # the cosets is faithful
