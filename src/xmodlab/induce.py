@@ -45,8 +45,9 @@ points through its boundary as well, and that joint action reaches it (the
 proof is in ``induce``).  So M is generated by an irredundant sublist of
 S's permutations.  An action entry is the product along the word
 ``act_gen(k, q)`` with each letter spelt over S, and the boundary and the
-action are proved homomorphisms by the walk rule over M's Cayley graph
-(``perm._replay_walk``), like every map; the axioms are re-checked by
+action are proved homomorphisms by the walk rule over M's Cayley graph,
+in the pass that fills their keys (``perm._tree_values``), like every
+map; the axioms are re-checked by
 ``validate``.
 
 ``InducedPresentation.boundary_kills_relators`` decides whether the
@@ -820,8 +821,10 @@ def induce(
     generators are an irredundant sublist of S's, and ``keep`` lists the
     copy generators they belong to.  The boundary and each action entry
     are given on the kept generators and proved homomorphisms by the walk
-    rule (``perm.GroupHom``), on the ``|M|·(k-1)+1`` Schreier edges of M's
-    Cayley walk for k kept generators.  Generator k's image under a
+    rule (``perm.GroupHom``), in one pass over the ``|M|·k`` edges of M's
+    Cayley walk for k kept generators: the ``|M| - 1`` tree edges fill the
+    keys and the ``|M|·(k-1)+1`` Schreier edges check them.  Generator k's
+    image under a
     generator q of Q is the product along its word ``act_gen(k, q)``, with
     each letter spelt over S by its word ``ip.words`` (``_spelt``) and
     freely reduced: the permutations of S are the only ones read off the

@@ -24,10 +24,14 @@ relators present G on its generators (Schreier's lemma), and
 ``induce._schreier_relators`` spells them.  So a map filled along the tree
 is a homomorphism exactly when each Schreier edge leads from its tail's
 value to its endpoint's (von Dyck's theorem), and that is all the walk
-rule, ``_replay_walk``, checks.  It proves every map out of every group,
-so its cost grows with the number of generators: the groups the package
-builds from many candidates (the induced M, kernels, closures) keep only
-the ones that enlarge the group (``_sifted``).
+rule checks.  Asked to prove the map, the same routine fills and proves
+in one pass over every edge in walk order: the walk is breadth first, so
+the first edge into an element is its tree edge, which sets the value,
+and every later one is a Schreier edge, which compares with it.  It proves
+every map out of every group, so its cost grows with the number of
+generators: the groups the package builds from many candidates (the
+induced M, kernels, closures) keep only the ones that enlarge the group
+(``_sifted``).
 
 The chain is complete, so an element of the group is fixed by where it sends
 the base points (Seress, *Permutation Group Algorithms*): two elements with the
@@ -37,9 +41,10 @@ the products of the isomorphism search (``_product_rule``) look elements up
 and compare them by their base images, ``|base|`` lookups where a product
 costs ``degree``; the regular representation of a group has a base of one
 point.  Those ``degree`` lookups are gathered in C (``_gather``, one
-``operator.itemgetter`` per product), as are the compositions of a crossed
-module's action arrays and the renumbering of a coset table and of the
-Cayley walk.
+``operator.itemgetter`` per product), as are the ``|base|`` lookups of
+each step of the walk, of a homomorphism's keys and of the element orders,
+the compositions of a crossed module's action arrays and the renumbering of
+a coset table and of the Cayley walk.
 
 The walk forms no product.  It tracks each element by its images on S, the
 points up to the last base point that the group moves, which hold the
@@ -58,10 +63,10 @@ elements they return, one product per chain level
   with the columns (``_central``);
 - right cosets are labelled along the columns, and a quotient reads its
   generators off them (``_coset_labels``);
-- element orders, the lcm of the lengths of the cycles through the base
-  points, are read off the chain (``PermGroup._element_orders``), and the
-  invariant factors of an abelian group off their histogram
-  (``abelian_invariants``).
+- element orders are read off the chain one cyclic subgroup at a time,
+  each element's key mapped by the element until the base comes back
+  (``PermGroup._element_orders``), and the invariant factors of an abelian
+  group off their histogram (``abelian_invariants``).
 ``elements()`` is the fill along the tree with products: every element
 multiplied out, once, along its tree edge, when first asked.  Base images
 also decide commutation (``_commute``).
@@ -102,8 +107,9 @@ maps by the walk rule too: a partial map is grown along the Cayley edges
 that agrees on every such edge is a homomorphism.  No multiplication table
 is built.  The search reads each group's own tables, each built once and
 kept on the group: ``elements()``, ``element_index()``, the element orders
-(``PermGroup._element_orders``, which the fingerprint reads too) and the
-product rule (``_product_rule``, which ``squares`` reads too).
+in ``elements()`` order (``PermGroup._element_orders``, which the
+fingerprint reads too) and the product rule (``_product_rule``, which
+``squares`` reads too).
 """
 
 from __future__ import annotations
@@ -112,7 +118,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from math import lcm, prod
+from math import gcd, lcm, prod
 from operator import itemgetter
 
 from .errors import (
@@ -275,8 +281,9 @@ def _gather(indices, values) -> tuple:
     """``tuple(values[i] for i in indices)``, read in C by one
     ``operator.itemgetter``.  A tuple for no index and for one index too,
     where ``itemgetter`` would refuse or return the bare value.  It forms
-    permutation products, the action arrays of a crossed module and the
-    renumbering of a coset table and of a Cayley walk."""
+    permutation products, the steps of a Cayley walk, of a homomorphism's
+    keys and of the element orders, the action arrays of a crossed module
+    and the renumbering of a coset table and of a Cayley walk."""
     if len(indices) > 1:
         return itemgetter(*indices)(values)
     return tuple([values[i] for i in indices])
@@ -512,20 +519,24 @@ class PermGroup:
 
     def _element_orders(self) -> list[int]:
         """The order of each element, in ``elements()`` order, read off the
-        stabilizer chain.
+        stabilizer chain one cyclic subgroup at a time.
 
-        ``p^k`` is the identity exactly when it fixes every base point, that
-        is when k is a multiple of the length of the cycle of p through each
-        base point; so the order of p is the lcm of those lengths, and
-        cycles missing the base are never followed.  The elements are run
-        through as ``g = h u``, u in the first level's transversal and h in
-        the stabilizer of the first base point, whose elements alone are
+        The chain is complete, so ``g^j`` is the identity exactly when it
+        fixes every base point, that is when its key is the base.  The key
+        of ``g^(j+1) = g^j g`` is g's images at the key of ``g^j``, so
+        mapping g's key by g, one gather of ``|base|`` points a step, gives
+        the keys of g, g², ... and comes back to the base after exactly
+        ``n = ord(g)`` steps; ``g^j`` has order ``n / gcd(j, n)``, so every
+        power of g gets its order from that one cycle, and an element whose
+        order is set already is skipped.  The elements are run through as
+        ``g = h u``, u in the first level's transversal and h in the
+        stabilizer of the first base point, whose elements alone are
         multiplied out, one product each, as ``_element`` factors them.  g
         sends x to ``u(h(x))``, two lookups: at the base points they give
         its key, which places it in ``elements()`` order (``_key_index``),
-        and along the cycles through them its order.  Read once and kept:
-        the fingerprint, ``abelian_invariants`` and the isomorphism search
-        all share it.
+        and g itself is gathered only when its cyclic subgroup is walked.
+        Read once and kept: the fingerprint, ``abelian_invariants`` and the
+        isomorphism search all share it.
         """
         if self._orders is not None:
             return self._orders
@@ -535,23 +546,30 @@ class PermGroup:
             self._orders = [1]
             return self._orders
         # h = u_k ... u_2, one factor per deeper level, the deepest applied
-        # first (``_element``)
-        stabilizer = [_identity_images(self.degree)]
+        # first (``_element``), kept as h[x] = h(x) - 1 for x >= 1: the
+        # index of h(x) in a permutation's images
+        stabilizer = [(0,) + tuple(range(self.degree))]
         for level in self._levels[1:]:
-            stabilizer = [_gather(u.images, (0,) + h) for u in
+            stabilizer = [(0,) + _gather(u.images, h) for u in
                           level["transversal"].values() for h in stabilizer]
         first = [u.images for u in self._levels[0]["transversal"].values()]
         orders = [0] * len(by_key)
         for h in stabilizer:
+            at = _gather(base, h)
             for u in first:
-                order = 1
-                for b in base:
-                    length, x = 1, u[h[b - 1] - 1]
-                    while x != b:
-                        x = u[h[x - 1] - 1]
-                        length += 1
-                    order = lcm(order, length)
-                orders[by_key[tuple([u[h[b - 1] - 1] for b in base])]] = order
+                key = _gather(at, u)
+                i = by_key[key]
+                if orders[i]:
+                    continue
+                # g[x] = u(h(x)) for x >= 1: g's images indexed from 1
+                g = _gather(h, u)
+                powers = [i]
+                while key != base:
+                    key = _gather(key, g)
+                    powers.append(by_key[key])
+                n = len(powers)
+                for j, power in enumerate(powers, 1):
+                    orders[power] = n // gcd(j, n)
         self._orders = orders
         return orders
 
@@ -576,8 +594,11 @@ class PermGroup:
         points before it agree, on S as everywhere.  ``_fill`` lists
         the indices in the order the walk found the elements, each tree
         edge's tail before its head; two readers alone need it: the fill
-        along the tree (``_tree_values``) and the Schreier edges in walk
-        order (``_off_tree_edges``).  Walked once per group and kept; a
+        along the walk, which proves a map on the Schreier edges in the
+        same pass (``_tree_values``), and the Schreier edges in walk order
+        that ``induce._schreier_relators`` spells (``_off_tree_edges``).
+        Each step of the walk is one gather of x's images on S from the
+        generator's images.  Walked once per group and kept; a
         group of order above ``ENUMERATION_BOUND`` raises
         ``EnumerationBoundExceeded`` here.
         """
@@ -594,11 +615,12 @@ class PermGroup:
             index = {found[0]: 0}
             columns = []  # each element's successors in turn, k at a time
             tree = [None]  # the edge first reaching each element
+            # g's images indexed from 1, read by one gather per edge
+            shifted = [(0,) + g.images for g in self.generators]
             # grows while it is read: a FIFO queue
             for i, on_s in enumerate(found):
-                for s, g in enumerate(self.generators):
-                    gi = g.images
-                    y = tuple([gi[x - 1] for x in on_s])
+                for s, g in enumerate(shifted):
+                    y = _gather(on_s, g)
                     j = index.get(y)
                     if j is None:
                         j = index[y] = len(found)
@@ -852,12 +874,13 @@ class GroupHom:
     order, the target's base images (``PermGroup._base``) of its value,
     its key.  Every value lies in the target, whose chain is complete, so
     a key fixes its value; ``is_injective``, ``is_surjective``, ``kernel``
-    and ``_index_array`` read the keys.  Construction fills the keys once,
-    along the source's spanning tree (``_tree_values``), and proves them
-    with ``_replay_walk``, which checks the Schreier edges of the source's
-    Cayley walk (walked once per group, not once per homomorphism) and
-    raises ``RelationViolated`` at the first one, in walk order, that does
-    not lead to its endpoint's key, with that endpoint as the witness.
+    and ``_index_array`` read the keys.  Construction fills and proves the
+    keys in one pass over the edges of the source's Cayley walk (walked
+    once per group, not once per homomorphism) in walk order
+    (``_tree_values``): each key is set on its tree edge and checked on
+    every Schreier edge into it, one gather of ``|base|`` points per edge,
+    and ``RelationViolated`` is raised at the first Schreier edge that
+    does not lead to its endpoint's key, with that endpoint as the witness.
 
     The values themselves are multiplied out only when ``element_map`` is
     first read, by the same fill with products in place of keys; the
@@ -884,9 +907,10 @@ class GroupHom:
         self.source = source
         self.target = target
         self.images = images
-        self._keys = _tree_values(source, target._base(), images, _image_key)
-        _replay_walk(
-            source, self._keys, images, _image_key,
+        # the base images of ``v * im`` are im's images at v's: one gather
+        self._keys = _tree_values(
+            source, target._base(), [(0,) + im.images for im in images],
+            _gather,
             "generator images do not respect the relations of the source",
         )
 
@@ -929,57 +953,63 @@ class GroupHom:
         return f"GroupHom({pairs or 'trivial'})"
 
 
-def _image_key(key: tuple, im: Permutation) -> tuple:
-    """The base images of ``v * im``, from ``key``, those of v."""
-    return tuple([im.images[b - 1] for b in key])
-
-
 def _off_tree_edges(G: PermGroup) -> list:
     """The Schreier edges of G's Cayley walk, in walk order (tails in the
     order the walk found them, ``PermGroup._fill``, generators in list
     order): each ``(a, s, c)``, the indices of tail and endpoint and the
     generator's position, that is not the edge first reaching c
     (``PermGroup._spanning_tree``).  An edge into the identity is never a
-    tree edge.  There are ``|G|·(k-1) + 1`` of them for k generators."""
+    tree edge.  There are ``|G|·(k-1) + 1`` of them for k generators;
+    ``induce._schreier_relators`` spells them, and ``_tree_values`` checks
+    the same edges in the same order without listing them."""
     tree, successors = G._spanning_tree(), G._cayley_walk()[1]
     return [(a, s, c) for a in G._fill for s, c in enumerate(successors[a])
             if c == 0 or tree[c - 1] != (a, s)]
 
 
-def _replay_walk(G: PermGroup, values, images, step, violation: str) -> None:
-    """Prove that ``values``, filled along G's spanning tree from a map
-    given on G's generators (``_tree_values``), are those of a
-    homomorphism, or raise ``RelationViolated``.
+def _tree_values(G: PermGroup, start, images, step, violation=None) -> list:
+    """Values of a map given on G's generators, in ``elements()`` order:
+    ``start`` at the identity, and ``step(value(x), image(g))`` at the end
+    of the edge ``x -> x*g`` of G's Cayley walk that first reaches it, its
+    tree edge (``PermGroup._spanning_tree``).  Tails are read in the order
+    the walk found them (``PermGroup._fill``), so each before its head.
+    The one routine that fills values along the walk.
 
-    The map is one exactly when each Schreier relator ``w_a s w_c^-1`` dies
-    (von Dyck's theorem), that is when each Schreier edge ``(a, s, c)``
-    (``_off_tree_edges``) derives ``step(values[a], images[s])`` equal to
-    ``values[c]``; the tree edges hold by construction and are not read.
-    The edges are checked in walk order, and the first that disagrees
-    raises, naming its endpoint, the one element multiplied out here
-    (``PermGroup._element``).
+    Without ``violation`` only the tree edges are stepped along.  With it,
+    the map is also proved a homomorphism, or ``RelationViolated`` is
+    raised: it is one exactly when each Schreier relator ``w_a s w_c^-1``
+    dies (von Dyck's theorem), that is when each Schreier edge ``(a, s,
+    c)`` (``_off_tree_edges``) leads from ``value(a)`` to ``value(c)``.
+    Every edge is then stepped along once, in walk order, tails as found
+    and generators in list order.  The walk is breadth first, so the first
+    edge that reaches an element is its tree edge: its step sets the value,
+    and every later edge into it, a Schreier edge, compares with it; the
+    identity's value is ``start``, so every edge into it compares.  The
+    first Schreier edge that disagrees raises, naming its endpoint, the one
+    element multiplied out here (``PermGroup._element``).
     """
-    for a, s, c in _off_tree_edges(G):
-        if step(values[a], images[s]) != values[c]:
-            witness = G._element(G._cayley_walk()[0][c])
-            raise RelationViolated(
-                f"{violation} (conflict at {witness})", witness=witness
-            )
-
-
-def _tree_values(G: PermGroup, start, images, step) -> list:
-    """Values of a map given on G's generators, in ``elements()`` order,
-    along the spanning tree of G's Cayley walk
-    (``PermGroup._spanning_tree``): ``start`` at the identity, and
-    ``step(value(x), image(g))`` at the end of the tree edge ``x -> x*g``,
-    filled in the order the walk found the elements (``PermGroup._fill``),
-    so each tail before its head.  The one routine that fills values along
-    a tree; relations are not checked (``_replay_walk``)."""
-    tree = G._spanning_tree()
-    values = [start] * len(G._fill)
-    for c in G._fill[1:]:
-        a, s = tree[c - 1]
-        values[c] = step(values[a], images[s])
+    keys, successors = G._cayley_walk()
+    if violation is None:
+        tree = G._spanning_tree()
+        values = [start] * len(keys)
+        for c in G._fill[1:]:
+            a, s = tree[c - 1]
+            values[c] = step(values[a], images[s])
+        return values
+    # None until reached: no step returns None
+    values = [None] * len(keys)
+    values[0] = start
+    for a in G._fill:
+        value = values[a]
+        for c, im in zip(successors[a], images):
+            v = step(value, im)
+            if values[c] is None:
+                values[c] = v
+            elif v != values[c]:
+                witness = G._element(keys[c])
+                raise RelationViolated(
+                    f"{violation} (conflict at {witness})", witness=witness
+                )
     return values
 
 

@@ -370,7 +370,7 @@ def interchange_exhaustive(X: CrossedModule):
 
     The action is a right action of Q by automorphisms (its keys, the
     images of M's generators, are filled along Q's spanning tree and
-    proved on the Schreier edges of Q's walk by ``perm._replay_walk``,
+    proved on the Schreier edges of Q's walk by ``perm._tree_values``,
     which rejects an assignment that breaks a relation of Q), so
     ``ma^(u dmd) = (ma^u)^(dmd)`` and the identity is CM2 at
     ``(ma^u, md)``.  For fixed u, ``ma -> ma^u`` is a bijection of M, so

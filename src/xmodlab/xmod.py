@@ -10,11 +10,11 @@ The action is supplied on the generators of Q only, as homomorphisms M -> M
 that the module reads as index arrays over ``M.elements()``
 (``perm.GroupHom._index_array``, off their keys, with no product).  An
 automorphism of M is fixed by the images of M's generators, its key, so
-construction fills only each element's key along Q's spanning tree
-(``perm._tree_values``, the fill every map out of a group uses) and proves
-that the arrays extend to an action of Q by checking the keys on the
-Schreier edges of Q's walk (``perm._replay_walk``, the walk rule every
-homomorphism out of Q uses).  A conflict means the generator assignment
+construction fills only each element's key along Q's spanning tree and
+proves that the arrays extend to an action of Q by checking the keys on the
+Schreier edges of Q's walk, in one pass over the walk's edges
+(``perm._tree_values``, the fill and the walk rule every homomorphism out
+of Q uses).  A conflict means the generator assignment
 violates a relation of Q and is rejected at construction.  The whole
 array of an element of Q is composed from its tree parent's when it is
 first read (``CrossedModule.act_array``) and kept, so a caller that reads
@@ -58,7 +58,6 @@ from .perm import (
     _iter_isomorphisms,
     _object,
     _quotient_group,
-    _replay_walk,
     _tree_values,
     abelian_invariants,
     fingerprint,
@@ -105,21 +104,21 @@ class CrossedModule:
         """Prove the action on keys; keep the generators' index arrays.
 
         An automorphism of M is fixed by its entries at M's generators, its
-        key.  The keys alone are filled along Q's spanning tree, one gather
-        in C of a few entries per tree edge (``perm._tree_values``,
-        ``perm._gather``; Q is walked once per group, not per module, and
-        the walk refuses a Q too large to enumerate), and the walk rule
-        (``perm._replay_walk``) proves them on the Schreier edges of Q's
-        walk, or the assignment does not factor through Q and is refused.
+        key.  The keys alone are filled along Q's spanning tree and proved
+        by the walk rule on the Schreier edges of Q's walk, in one pass
+        over its edges with one gather in C of a few entries per edge
+        (``perm._tree_values``, ``perm._gather``; Q is walked once per
+        group, not per module, and the walk refuses a Q too large to
+        enumerate), or the assignment does not factor through Q and is
+        refused.
         The index array over M.elements() of any other element of Q is
         composed from its tree parent's on first read (``act_array``).
         M's generators are looked up by their base images
         (``PermGroup._rank``), so no element of M is multiplied out.
         """
         gens = tuple([self.M._rank(m) for m in self.M.generators])
-        keys = _tree_values(self.Q, gens, arrays, _gather)
-        _replay_walk(
-            self.Q, keys, arrays, _gather,
+        _tree_values(
+            self.Q, gens, arrays, _gather,
             "action assignment does not respect the relations of Q",
         )
         self._generator_arrays = arrays
@@ -201,7 +200,7 @@ def validate(X: CrossedModule) -> ValidationReport:
       builds it, or along M's Cayley walk), the action entries are
       bijective, and the action's keys (the images of M's generators),
       filled along Q's spanning tree, are proved by the walk rule on the
-      Schreier edges of Q's walk (``perm._replay_walk``), which proves that
+      Schreier edges of Q's walk (``perm._tree_values``), which proves that
       ``q -> (m -> m^q)`` is a right action of Q by automorphisms of M;
       the arrays it reads (``act_array``) are composed from those of Q's
       generators on demand, along the same tree;

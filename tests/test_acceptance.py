@@ -7,8 +7,6 @@ import subprocess
 import sys
 import time
 
-import pytest
-
 from support import (
     conjugation_closure,
     minors_gcd_invariants,
@@ -17,7 +15,7 @@ from support import (
     tinverse,
 )
 from xmodlab.fp import Presentation, parse_word, smith_normal_form, todd_coxeter
-from xmodlab.induce import coset_transversal, induce, run_table_full, table_subgroup
+from xmodlab.induce import coset_transversal, induce, table_subgroup
 from xmodlab.perm import (
     PermGroup,
     Permutation,

@@ -15,6 +15,8 @@ the same orders, centre, cosets, CM2 witness and relator verdict.  The
 regular M, read off a coset table over the trivial subgroup (as ``induce``
 reads it when L = 1), and quotients act regularly and get their one-level
 chains without Schreier-Sims; each must equal the full chain.
+C5's M in S5 (order 3000 on 600 points) holds the element orders and the
+first conflicts of corrupted maps to the oracles on a larger group.
 Tripwires count products on row 7's M (128 elements), so that a return to
 one product per edge or per table entry fails, and on building the
 regular M's chain, so that a return to the check loop fails.
@@ -733,3 +735,42 @@ class TestRegularChain:
             lambda: PermGroup._bounded(Q.degree, Q.generators, Q.degree))
         assert G.order() == Q.order() == Q.degree > 1
         assert made == Q.degree - 1
+
+
+# ---------------------------------------------------------------------------
+# C5's M (order 3000 on 600 points, base of two points, first orbit 600):
+# element orders by cyclic subgroup and the one fill-and-prove pass, held
+# to the product oracles on a group far larger than the random draws
+
+
+@pytest.fixture(scope="module")
+def c5_module():
+    Q = symmetric(5)
+    P = Q.subgroup(parse_generator_list("(1,2,3,4,5)", 5))
+    return induce(identity_xmod(P), hom(P, Q, P.generators))[0]
+
+
+def test_c5_m_has_two_base_points_and_an_orbit_of_600(c5_module):
+    M = c5_module.M
+    assert (M.order(), M.degree) == (3000, 600)
+    assert len(M._base()) == 2 and len(M._levels[0]["transversal"]) == 600
+
+
+def test_c5_m_element_orders(c5_module):
+    M = c5_module.M
+    assert M._element_orders() == [cycles_order(p)
+                                   for p in images(M.elements())]
+
+
+def test_c5_m_corrupted_maps_raise_the_replay_witness(c5_module):
+    # the boundary and each action entry, one generator image at a time
+    # moved off by a generator of the target: each breaks a relation of M,
+    # and the witness is the first conflict of the product replay
+    M = c5_module.M
+    maps = (c5_module.boundary,) + c5_module.action
+    assert len(maps) == 1 + len(c5_module.Q.generators)
+    for h in maps:
+        for k in range(len(M.generators)):
+            corrupted = list(h.images)
+            corrupted[k] = corrupted[k] * h.target.generators[-1]
+            assert check_hom(M, h.target, corrupted) is None

@@ -6,7 +6,7 @@ import re
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from support import minors_gcd_invariants

@@ -2,17 +2,20 @@
 imports from outside the package is in the standard library, and one
 place reads the enumeration bound.
 
-``__init__.py`` re-exports names it does not use, so it is left out of the
-first check.  A name counts as used if it appears as a name or as the base
-of an attribute anywhere in the module, annotations included, or is listed
-in ``__all__``.  The package stays standard-library only, so each absolute
+The first check covers the package, the tests and the tools;
+``__init__.py`` re-exports names it does not use, so it is left out.  A
+name counts as used if it appears as a name or as the base of an attribute
+anywhere in the module, annotations included, or is listed in
+``__all__``.  The package stays standard-library only, so each absolute
 import must name a top-level module in ``sys.stdlib_module_names``.
 ``ENUMERATION_BOUND`` is read only by ``PermGroup._cayley_walk``, the
 one place that refuses enumeration: a load of the name, of an attribute
 of that name, or an import of it anywhere else in the package is a second
 reader.  The walk numbers a group's elements as ``elements()`` does, and
 the order in which it found them, ``PermGroup._fill``, is read by the fill
-along the spanning tree and the Schreier edges alone, so that every other
+along the walk, which also proves a map on the Schreier edges
+(``_tree_values``), and the Schreier edges that ``induce`` spells
+(``_off_tree_edges``) alone, so that every other
 reader, in ``perm`` or out of it, sees one numbering.  The stabilizer
 chain is ``perm``'s alone: no other module names it or a routine that reads
 or builds it, so every other module grows its groups through ``PermGroup``
@@ -66,7 +69,15 @@ def test_detects_unused_import():
     assert unused_imports("import json\njson.dumps(1)\n") == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+ROOT = SRC.parent.parent
+# the package's modules but ``__init__.py``, then the tests and the tools
+CHECKED = (MODULES + sorted((ROOT / "tests").glob("*.py"))
+           + sorted((ROOT / "tools").glob("*.py")))
+
+
+@pytest.mark.parametrize(
+    "path", CHECKED,
+    ids=lambda p: p.name if p.parent == SRC else f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

@@ -545,6 +545,24 @@ class TestFreeCrossedModule:
         for k, (label, p) in enumerate(ip.gen_pairs):
             assert ip.boundary_images[k] == p.inverse() * w * p
 
+    def test_two_relations_act_within_their_blocks(self):
+        # (r, p)^q = (r, pq): the image of each generator under each q is
+        # one generator of the same relation's block of |P|, and its
+        # boundary is q^-1 d(r, p) q, as CM1 asks; 12 generators, at most
+        # 4·12² = 576 relator letters, far under the budget
+        S3 = symmetric(3)
+        ip = free_crossed_module_presentation(
+            S3, [("r", P("(1,2)", 3)), ("s", P("(1,2,3)", 3))])
+        n, nP = ip.presentation.ngens, S3.order()
+        assert n == 12
+        assert sum(map(len, ip.presentation.relators)) <= 4 * n * n
+        for k in range(n):
+            for q in S3.elements():
+                (j, e), = ip.act_gen(k, q).letters
+                assert e == 1 and j // nP == k // nP
+                assert ip.boundary_images[j] == (
+                    q.inverse() * ip.boundary_images[k] * q)
+
 
 class TestInduce:
     def test_identity_inclusion_reproduces_input(self):

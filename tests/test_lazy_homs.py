@@ -210,21 +210,27 @@ def test_walk_rule_matches_product_replay_on_induced_and_free_modules(
 
 
 def record_walks(monkeypatch):
-    """(source, steps taken) of every ``_replay_walk`` call from now on."""
+    """(source, edges checked) of every map proved by the walk rule
+    (``_tree_values`` with a violation message) from now on.  Each element
+    but the identity takes its value from one step, along its tree edge, so
+    the steps past those ``|G| - 1`` are the edges checked."""
     walks = []
-    walk = perm._replay_walk
+    fill = perm._tree_values
 
-    def recording(G, values, images, step, violation):
+    def recording(G, start, images, step, violation=None):
         steps = [0]
 
         def counted(*args):
             steps[0] += 1
             return step(*args)
 
-        walk(G, values, images, counted, violation)
-        walks.append((G, steps[0]))
+        if violation is None:
+            return fill(G, start, images, step)
+        values = fill(G, start, images, counted, violation)
+        walks.append((G, steps[0] - (G.order() - 1)))
+        return values
 
-    monkeypatch.setattr(perm, "_replay_walk", recording)
+    monkeypatch.setattr(perm, "_tree_values", recording)
     return walks
 
 

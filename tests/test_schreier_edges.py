@@ -3,8 +3,9 @@
 A walk over k generators has ``|G|·k`` edges, of which the spanning tree
 holds ``|G| - 1``; the other ``|G|·(k-1) + 1`` are the Schreier edges
 (``perm._off_tree_edges``).  ``induce._schreier_relators`` spells one
-relator per Schreier edge, and the walk rule (``perm._replay_walk``) steps
-along each of them once, in walk order, and along no tree edge.
+relator per Schreier edge, and the walk rule (``perm._tree_values`` with a
+violation message) steps along every edge once, in walk order, sets each
+value on its tree edge and checks it on each Schreier edge.
 """
 
 import pytest
@@ -14,7 +15,7 @@ from xmodlab.perm import (
     PermGroup,
     Permutation,
     _off_tree_edges,
-    _replay_walk,
+    _tree_values,
     cyclic,
     parse_generator_list,
     symmetric,
@@ -56,15 +57,20 @@ def check_edges(G):
     assert letters == sum(map(len, relators))
 
     # the walk rule on the walk's own indices: the value of x*g is the
-    # index the walk found for it
+    # index the walk found for it; every edge is stepped along in walk
+    # order, and those off the tree, the ones checked, are the Schreier
+    # edges in walk order
     stepped = []
 
     def step(a, s):
         stepped.append((a, s))
         return successors[a][s]
 
-    _replay_walk(G, range(len(found)), range(k), step, "walk")
-    assert stepped == [(a, s) for a, s, _ in edges]
+    values = _tree_values(G, 0, range(k), step, "walk")
+    assert values == list(range(len(found)))
+    assert stepped == [(a, s) for a in G._fill for s in range(k)]
+    assert [e for e in stepped if e not in tree] == [(a, s)
+                                                     for a, s, _ in edges]
 
 
 @pytest.mark.parametrize("name", list(GROUPS))
