@@ -41,8 +41,9 @@ the products of the isomorphism search (``_product_rule``) look elements up
 and compare them by their base images, ``|base|`` lookups where a product
 costs ``degree``; the regular representation of a group has a base of one
 point.  Those ``degree`` lookups are gathered in C (``_gather``, one
-``operator.itemgetter`` per product), as are the ``|base|`` lookups of
-each step of the walk, of a homomorphism's keys and of the element orders,
+``operator.itemgetter`` per product), as are the lookups of each step of
+the walk (one itemgetter per tail, applied to every generator), and the
+``|base|`` lookups of a homomorphism's keys and of the element orders,
 the compositions of a crossed module's action arrays and the renumbering of
 a coset table and of the Cayley walk.
 
@@ -63,6 +64,8 @@ elements they return, one product per chain level
   with the columns (``_central``);
 - right cosets are labelled along the columns, and a quotient reads its
   generators off them (``_coset_labels``);
+- the cosets of G' are the classes of a union-find over the columns, and
+  the fingerprint reads ``|G'|`` and G/G' off them (``_derived_cosets``);
 - element orders are read off the chain one cyclic subgroup at a time,
   each element's key mapped by the element until the base comes back
   (``PermGroup._element_orders``), and the invariant factors of an abelian
@@ -87,17 +90,21 @@ so far and hands each generator it keeps to ``_extend_chain``, and stops at
 a bound for the order if it is given one: the induced M is read off its
 coset permutations that way (``induce``), and the copies T0 that its
 presentation keeps are chosen by sifting their boundaries
-(``induce.induced_presentation``).  No other module names the chain or
-the routines that read or build it (guarded in ``test_imports.py``); they
-build groups through ``PermGroup``, ``PermGroup._bounded`` and
-``_sifted``.  Generators passed to
-``PermGroup`` are kept as given, and a derived subgroup is the normal
-closure of the commutators of those.  Normality is decided by sifting: each
-generator of N conjugated by each generator of G is sifted through N's
-chain (``_normality_witness``), so N is never walked for it.  ``quotient``
+(``induce.induced_presentation``).  A kernel, an image and a centre know
+their order before they are sifted, from the keys or the columns, and
+sift against it: the loop stops once the chain reaches it, which proves
+the chain complete, and no later candidate is multiplied out.  No other
+module names the chain or the routines that read or build it (guarded in
+``test_imports.py``); they build groups through ``PermGroup``,
+``PermGroup._bounded`` and ``_sifted``.  Generators passed to
+``PermGroup`` are kept as given, and ``derived_subgroup`` is the normal
+closure of the commutators of those; the fingerprint builds no such
+group.  Normality is decided by sifting: each generator of N conjugated
+by each generator of G is sifted through N's chain
+(``_normality_witness``), so N is never walked for it.  ``quotient``
 returns G/N with its projection; the callers that read only the group
-(fingerprints, ``xmod.pi1``) build it with
-``_quotient_group`` and prove no homomorphism.
+(``xmod.pi1``, and the fingerprint's G/G') build it with
+``_quotient_group`` or ``_coset_action`` and prove no homomorphism.
 
 Isomorphisms are found by one backtrack, ``_extensions``, over a greedy
 generating sequence; ``isomorphic`` and ``xmod.xmod_isomorphic`` differ
@@ -117,7 +124,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from math import gcd, lcm, prod
 from operator import itemgetter
 
@@ -281,9 +288,10 @@ def _gather(indices, values) -> tuple:
     """``tuple(values[i] for i in indices)``, read in C by one
     ``operator.itemgetter``.  A tuple for no index and for one index too,
     where ``itemgetter`` would refuse or return the bare value.  It forms
-    permutation products, the steps of a Cayley walk, of a homomorphism's
-    keys and of the element orders, the action arrays of a crossed module
-    and the renumbering of a coset table and of a Cayley walk."""
+    permutation products, the steps of a homomorphism's keys, of the
+    element orders and of a Cayley walk on at most one point, the action
+    arrays of a crossed module and the renumbering of a coset table and of
+    a Cayley walk."""
     if len(indices) > 1:
         return itemgetter(*indices)(values)
     return tuple([values[i] for i in indices])
@@ -597,8 +605,9 @@ class PermGroup:
         along the walk, which proves a map on the Schreier edges in the
         same pass (``_tree_values``), and the Schreier edges in walk order
         that ``induce._schreier_relators`` spells (``_off_tree_edges``).
-        Each step of the walk is one gather of x's images on S from the
-        generator's images.  Walked once per group and kept; a
+        Each step of the walk reads x's images on S from the generator's
+        images, by one ``operator.itemgetter`` built per tail x and applied
+        to every generator.  Walked once per group and kept; a
         group of order above ``ENUMERATION_BOUND`` raises
         ``EnumerationBoundExceeded`` here.
         """
@@ -615,12 +624,15 @@ class PermGroup:
             index = {found[0]: 0}
             columns = []  # each element's successors in turn, k at a time
             tree = [None]  # the edge first reaching each element
-            # g's images indexed from 1, read by one gather per edge
+            # g's images indexed from 1, each read at x's images on S by
+            # one reader per tail; itemgetter returns a bare value for one
+            # point and refuses none, so those walks read by _gather
             shifted = [(0,) + g.images for g in self.generators]
+            many = len(S) > 1
             # grows while it is read: a FIFO queue
             for i, on_s in enumerate(found):
-                for s, g in enumerate(shifted):
-                    y = _gather(on_s, g)
+                read = itemgetter(*on_s) if many else partial(_gather, on_s)
+                for s, y in enumerate(map(read, shifted)):
                     j = index.get(y)
                     if j is None:
                         j = index[y] = len(found)
@@ -1025,14 +1037,18 @@ def identity_hom(G: PermGroup) -> GroupHom:
 def kernel(h: GroupHom) -> PermGroup:
     """Kernel in the source, its members (the elements whose key is the
     target's base, picked on keys) sifted in ``elements()`` order
-    (``_sifted_at``)."""
+    (``_sifted_at``) against their number, ``|ker h|``: the sift stops once
+    its chain reaches that order, which proves the chain complete, and
+    the members after that are never multiplied out."""
     one = h.target._base()
     return _sifted_at(h.source,
                       [i for i, key in enumerate(h._keys) if key == one])
 
 
 def image(h: GroupHom) -> PermGroup:
-    return _sifted(h.target.degree, h.images)
+    """The image, the generators' images sifted against its order: the
+    number of distinct keys, as a key fixes its value in the target."""
+    return _sifted(h.target.degree, h.images, order=len(set(h._keys)))
 
 
 # ---------------------------------------------------------------------------
@@ -1058,11 +1074,15 @@ def _sifted(degree: int, candidates, conjugators=(), order=None) -> PermGroup:
     ``order``, if given, is an upper bound for the order of the group the
     candidates generate, and may be that order.  The chain stops its check
     loop on reaching it (``_complete_chain``), and the remaining candidates,
-    which all lie in the group, are not sifted: the kept generators are the
+    which all lie in the group, are not sifted, nor drawn from
+    ``candidates``, which is read lazily: the kept generators are the
     same.  A chain never has a larger product of transversal lengths than
     the order of its group, so reaching the bound proves the chain complete;
     a group that falls short of it gets its full check loop at every kept
-    generator.  Either way the chain is complete.
+    generator.  Either way the chain is complete, and so are its levels
+    the same: once every orbit is full, every Schreier generator that the
+    unbounded check loop would go on to form sifts to the identity and
+    adds nothing.
 
     A kept generator is the first candidate of its value, as a later equal
     one sifts to the identity: ``induce`` maps the kept coset permutations,
@@ -1070,8 +1090,8 @@ def _sifted(degree: int, candidates, conjugators=(), order=None) -> PermGroup:
     their candidates that way."""
     gens = []
     levels = []
-    queue = list(candidates)
-    for c in queue:  # grows while it is read: a FIFO queue
+    queue = []  # conjugates, read after every candidate: a FIFO queue
+    for c in itertools.chain(candidates, queue):
         if order is not None and _chain_order(levels) >= order:
             break
         if not _strip(levels, c).is_identity():
@@ -1082,11 +1102,14 @@ def _sifted(degree: int, candidates, conjugators=(), order=None) -> PermGroup:
 
 
 def _sifted_at(G: PermGroup, indices) -> PermGroup:
-    """The group generated by the elements at the given ascending indices
-    of ``G.elements()``, sifted in that order; only they are multiplied out,
-    from their keys (``PermGroup._element``)."""
+    """The subgroup of G whose elements are those at the given ascending
+    indices of ``G.elements()``, sifted in that order against its order,
+    the number of indices (``_sifted``); an element is multiplied out from
+    its key (``PermGroup._element``) only when it is sifted, so none after
+    the chain reaches that order."""
     keys = G._cayley_walk()[0]
-    return _sifted(G.degree, [G._element(keys[i]) for i in indices])
+    return _sifted(G.degree, (G._element(keys[i]) for i in indices),
+                   order=len(indices))
 
 
 def normal_closure(G: PermGroup, elements) -> PermGroup:
@@ -1207,10 +1230,17 @@ def _quotient_group(G: PermGroup, N: PermGroup) -> PermGroup:
             "subgroup is not normal: {} conjugated by {} escapes".format(*bad),
             witness=bad,
         )
-    reps, label = _coset_labels(G, N)
+    return _coset_action(G, *_coset_labels(G, N), range(len(G.generators)))
+
+
+def _coset_action(G: PermGroup, reps, label, columns) -> PermGroup:
+    """G/N acting on the right cosets of a normal subgroup N, given as
+    ``_coset_labels`` gives them: the action of the generator at each
+    position in ``columns``, read off its successor column at the
+    representatives, with no product formed."""
     successors = G._cayley_walk()[1]
     perms = [Permutation(tuple([label[successors[r][s]] + 1 for r in reps]))
-             for s in range(len(G.generators))]
+             for s in columns]
     # G/N acts on the cosets of the normal N as on itself: regularly
     return PermGroup._bounded(len(reps), perms, len(reps))
 
@@ -1293,7 +1323,7 @@ def _central(G: PermGroup) -> list[int]:
 
 def center(G: PermGroup) -> PermGroup:
     """The centre: the central elements (``_central``) sifted in ascending
-    order (``_sifted_at``)."""
+    order (``_sifted_at``) against their number, the centre's order."""
     return _sifted_at(G, _central(G))
 
 
@@ -1331,10 +1361,14 @@ class Fingerprint:
 def fingerprint(G: PermGroup) -> Fingerprint:
     """Invariants of G, computed once per group and kept on it.
 
-    None of them multiplies out an element of G: the order histogram is
-    read off the chain (``PermGroup._element_orders``), the abelianization
-    off the quotient by G' on the successor columns (``_quotient_group``)
-    and its histogram, and the centre's order is G's when G's generators
+    None of them multiplies out an element of G or builds a chain on its
+    degree: the order histogram is read off the chain
+    (``PermGroup._element_orders``); ``|G'|`` and G/G' off the cosets of
+    G', the classes of a union-find on the successor columns over a
+    generating subset of G's generators (``_generating_subset``,
+    ``_derived_cosets``), ``|G'|`` as |G| over their number and G/G' as
+    G's regular action on them (``_coset_action``), whose histogram gives
+    the abelianization; and the centre's order is G's when G's generators
     commute, otherwise the count of the central elements (``_central``).
     """
     if G._fingerprint is None:
@@ -1344,18 +1378,103 @@ def fingerprint(G: PermGroup) -> Fingerprint:
 
 def _compute_fingerprint(G: PermGroup) -> Fingerprint:
     # the histogram walks G first, so a G too large to enumerate is refused
-    # with its own order, not with that of a subgroup walked on the way
+    # with its own order
     hist = Counter(G._element_orders())
-    derived = derived_subgroup(G)
-    ab = _quotient_group(G, derived)
+    T = _generating_subset(G)
+    reps, label = _derived_cosets(G, T)
     abelian = _noncommuting_pair(G) is None
     return Fingerprint(
         order=G.order(),
-        abelianization=tuple(abelian_invariants(ab)),
+        abelianization=tuple(abelian_invariants(
+            _coset_action(G, reps, label, T))),
         center_order=G.order() if abelian else len(_central(G)),
-        derived_order=derived.order(),
+        derived_order=G.order() // len(reps),
         order_histogram=tuple(sorted(hist.items())),
     )
+
+
+def _generating_subset(G: PermGroup) -> list[int]:
+    """The positions of an irredundant generating subset T of G's
+    generators, chosen greedily on the walk: a generator is kept when its
+    element lies outside the subgroup the kept ones generate, and the
+    choice stops once that subgroup is G.
+
+    The subgroup is closed up on the successor columns of the kept
+    generators from the identity; as G is finite, the elements reached
+    from the identity by right multiplication by some elements are the
+    subgroup they generate.  So every generator left out lies in the
+    subgroup of T, and T generates G."""
+    successors = G._cayley_walk()[1]
+    kept = []
+    closed = [0]
+    seen = [False] * len(successors)
+    seen[0] = True
+    for s, y in enumerate(successors[0]):
+        if len(closed) == len(successors):
+            break
+        if seen[y]:
+            continue
+        kept.append(s)
+        for x in closed:  # grows while it is read: a FIFO queue
+            for t in kept:
+                z = successors[x][t]
+                if not seen[z]:
+                    seen[z] = True
+                    closed.append(z)
+    return kept
+
+
+def _derived_cosets(G: PermGroup, T) -> tuple[list, list]:
+    """The right cosets of G' on G's Cayley walk, as ``_coset_labels``
+    gives them (each coset's least element, ascending, and the number of
+    each element's coset), for T the positions of generators of G
+    (``_generating_subset``); no product is formed and no chain is built.
+
+    A union-find over the elements merges ``x·a·b`` with ``x·b·a`` for
+    every element x and every pair a < b in T, and then closes the merges
+    under right multiplication by T, which generates G, so by every
+    element: each pair of classes joined is followed along each column of
+    T.  That partition is the least right congruence holding the merges,
+    and a right congruence is the partition into the right cosets of its
+    identity class H.  ``x·a·b ~ x·b·a`` says that H holds the conjugate
+    ``x·a·b·a^-1·b^-1·x^-1`` of a commutator, so H holds the normal
+    closure of those commutators, modulo which T's generators, and so G,
+    commute: H contains G'.  The cosets of G' form a right congruence
+    holding every merge, so H lies in G', and H is G'.
+
+    Of two roots merged the lesser is kept, so every pointer leads to a
+    lesser element, and a class's root is its least element."""
+    successors = G._cayley_walk()[1]
+    parent = list(range(len(successors)))
+    joined = []  # pairs of roots merged, each followed along T in turn
+
+    def union(x, y):
+        while parent[x] != x:  # the roots, halving the paths to them
+            parent[x] = x = parent[parent[x]]
+        while parent[y] != y:
+            parent[y] = y = parent[parent[y]]
+        if x != y:
+            if x < y:
+                x, y = y, x
+            parent[x] = y
+            joined.append((x, y))
+
+    pairs = list(itertools.combinations(T, 2))
+    for row in successors:
+        for a, b in pairs:
+            union(successors[row[a]][b], successors[row[b]][a])
+    for x, y in joined:  # grows while it is read: a FIFO queue
+        for t in T:
+            union(successors[x][t], successors[y][t])
+    # a pointer leads to an element labelled already: one ascending pass
+    reps, label = [], []
+    for x, p in enumerate(parent):
+        if p == x:
+            label.append(len(reps))
+            reps.append(x)
+        else:
+            label.append(label[p])
+    return reps, label
 
 
 # ---------------------------------------------------------------------------

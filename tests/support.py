@@ -8,6 +8,8 @@ arithmetic.
 from itertools import combinations
 from math import gcd
 
+from hypothesis import strategies as st
+
 
 def tcompose(a, b):
     """Image tuple of 'apply a, then b'."""
@@ -621,6 +623,19 @@ def reference_todd_coxeter(presentation, subgroup_words=(), max_cosets=1 << 16,
         defined=defined,
         peak_live=peak_live,
     )
+
+
+def random_groups(max_degree=6, max_gens=3):
+    """A degree and 0-3 random generators, with repeats and the identity
+    allowed."""
+    from xmodlab.perm import Permutation
+
+    @st.composite
+    def build(draw):
+        degree = draw(st.integers(1, max_degree))
+        perms = st.permutations(list(range(1, degree + 1))).map(Permutation)
+        return degree, draw(st.lists(perms, max_size=max_gens))
+    return build()
 
 
 def chain_levels(levels):

@@ -12,6 +12,7 @@ from support import (
     closure_from,
     conjugation_closure,
     parity,
+    random_groups,
     reference_parse_generator_list,
     reference_parse_permutation,
     tcompose,
@@ -432,17 +433,6 @@ class TestPermGroup:
                 for lv in G._levels] == orbits
         rng = random.Random(17)
         assert [str(G.random_element(rng)) for _ in range(4)] == draws
-
-
-def random_groups(max_degree=6, max_gens=3):
-    """A degree and 0-3 random generators, with repeats and the identity
-    allowed."""
-    @st.composite
-    def build(draw):
-        degree = draw(st.integers(1, max_degree))
-        perms = st.permutations(list(range(1, degree + 1))).map(Permutation)
-        return degree, draw(st.lists(perms, max_size=max_gens))
-    return build()
 
 
 class TestKnownOrder:
