@@ -62,10 +62,11 @@ elements they return, one product per chain level
 - a homomorphism keeps keys, and its kernel is picked on them (``kernel``);
 - the centre compares a left-multiplication table, filled along the tree,
   with the columns (``_central``);
-- right cosets are labelled along the columns, and a quotient reads its
-  generators off them (``_coset_labels``);
-- the cosets of G' are the classes of a union-find over the columns, and
-  the fingerprint reads ``|G'|`` and G/G' off them (``_derived_cosets``);
+- the right cosets of a subgroup H, and those of G', are the classes of
+  one union-find over the columns, the least right congruence that merges
+  the identity with each generator of H, or ``x·a·b`` with ``x·b·a``
+  (``_right_congruence``); a quotient reads its generators off them, and
+  the fingerprint ``|G'|`` and G/G';
 - element orders are read off the chain one cyclic subgroup at a time,
   each element's key mapped by the element until the base comes back
   (``PermGroup._element_orders``), and the invariant factors of an abelian
@@ -1163,65 +1164,86 @@ def _right_cosets(G: PermGroup, H: PermGroup) -> tuple[list, dict]:
     the coset of every element of G, keyed by its base images in G
     (``PermGroup._base``).
 
-    The cosets are labelled on G's walk (``_coset_labels``), and only their
-    representatives are multiplied out (``PermGroup._element``).  Keys are
-    only for elements of G: a caller holding a permutation from outside
-    must check membership first.
+    The cosets are the classes of the least right congruence that merges
+    the identity with each generator of H (``_right_congruence``), and only
+    their representatives are multiplied out (``PermGroup._element``).
+    Keys are only for elements of G: a caller holding a permutation from
+    outside must check membership first.
     """
     keys = G._cayley_walk()[0]
-    reps, label = _coset_labels(G, H)
+    merges = [(0, G._rank(h)) for h in H.generators]
+    reps, label = _right_congruence(G, merges, range(len(G.generators)))
     return [G._element(keys[i]) for i in reps], dict(zip(keys, label))
 
 
-def _coset_labels(G: PermGroup, H: PermGroup) -> tuple[list, list]:
-    """The right cosets Hg of a subgroup H on G's Cayley walk: the index
-    of each coset's least element, ascending, and the number of each
-    element's coset, both in ``elements()`` order.
+def _right_congruence(G: PermGroup, merges, columns) -> tuple[list, list]:
+    """The least right congruence on G's Cayley walk that holds the pairs
+    of element indices ``merges``, for ``columns`` the positions of
+    generators of G that generate it: each class's least element,
+    ascending, and the number of each element's class, both in
+    ``elements()`` order.  No product is formed and no chain is built.
 
-    H is closed up in G's keys from the identity's: the base images of
-    ``x * h`` are those of x mapped by h, so no product is formed.  Those
-    elements are coset 0.  Right multiplication by a generator s maps the
-    coset Hx onto ``Hx·s``, so the successor column of s carries each
-    coset, element by element, onto another, and a breadth-first pass over
-    the cosets along the columns labels every element of G, as G is
-    generated by its generators.  The cosets are then numbered by their
-    least element, so coset 0 is still H.
-    """
-    keys, successors = G._cayley_walk()
-    where = G._key_index()
-    hkeys = {keys[0]}
-    frontier = [keys[0]]
-    for key in frontier:  # grows while it is read: a FIFO queue
-        for h in H.generators:
-            y = tuple([h.images[k - 1] for k in key])
-            if y not in hkeys:
-                hkeys.add(y)
-                frontier.append(y)
-    cosets = [[where[key] for key in frontier]]
-    label = [-1] * len(keys)
-    for i in cosets[0]:
-        label[i] = 0
-    for members in cosets:  # grows while it is read: a FIFO queue
-        for s in range(len(G.generators)):
-            image = [successors[i][s] for i in members]
-            if label[image[0]] < 0:
-                for i in image:
-                    label[i] = len(cosets)
-                cosets.append(image)
-    reps = sorted(map(min, cosets))
-    number = [0] * len(cosets)
-    for c, i in enumerate(reps):
-        number[label[i]] = c
-    return reps, [number[c] for c in label]
+    A union-find over the elements merges each pair, and then closes the
+    merges under right multiplication by the columns' generators, so by
+    every element of G, which they generate: each pair of classes joined
+    is followed along each column in turn.  The identity class K of a
+    right congruence is a subgroup (``x ~ 1`` and ``y ~ 1`` give
+    ``x·y ~ y ~ 1``, and G is finite), and ``x ~ y`` exactly when
+    ``x·y^-1 ~ 1``, so the classes are the right cosets Kx (Holt, Eick
+    and O'Brien, *Handbook of Computational Group Theory*).  The right
+    cosets of any subgroup form a right congruence, so K is the least
+    subgroup whose cosets hold the merges:
+    - merging the identity with each generator of a subgroup H gives
+      ``K = H``: K holds H's generators, and the cosets of H hold the
+      merges (``_right_cosets``, ``_quotient_group``);
+    - merging ``x·a·b`` with ``x·b·a`` for every element x and every pair
+      a, b of a generating set gives ``K = G'``: K holds each conjugate
+      ``x·[a^-1, b^-1]·x^-1`` of a commutator, so their normal closure,
+      modulo which the generating set, and so G, commutes; and
+      ``x·a·b`` and ``x·b·a`` lie in one coset of G' (the fingerprint).
+
+    Of two roots merged the lesser is kept, so every pointer leads to a
+    lesser element, and a class's root is its least element."""
+    successors = G._cayley_walk()[1]
+    parent = list(range(len(successors)))
+    joined = []  # pairs of roots merged, each followed along columns in turn
+
+    def union(x, y):
+        while parent[x] != x:  # the roots, halving the paths to them
+            parent[x] = x = parent[parent[x]]
+        while parent[y] != y:
+            parent[y] = y = parent[parent[y]]
+        if x != y:
+            if x < y:
+                x, y = y, x
+            parent[x] = y
+            joined.append((x, y))
+
+    for x, y in merges:
+        union(x, y)
+    for x, y in joined:  # grows while it is read: a FIFO queue
+        for t in columns:
+            union(successors[x][t], successors[y][t])
+    # a pointer leads to an element labelled already: one ascending pass
+    reps, label = [], []
+    for x, p in enumerate(parent):
+        if p == x:
+            label.append(len(reps))
+            reps.append(x)
+        else:
+            label.append(label[p])
+    return reps, label
 
 
 def _quotient_group(G: PermGroup, N: PermGroup) -> PermGroup:
     """G/N acting on the right cosets of N, coset ``i`` (point ``i + 1``)
     that of the ``i``-th representative in ``right_coset_representatives``
     order; its generators are the actions of G's, in order, read off G's
-    successor columns at the representatives (``_coset_labels``), with no
-    product formed.  N must be a normal subgroup of G (``NotASubgroup``,
-    ``NonNormal`` with the first escaping pair of ``_normality_witness``)."""
+    successor columns at the representatives, with no product formed: the
+    cosets are the classes of the least right congruence that merges the
+    identity with each generator of N (``_right_congruence``).  N must be
+    a normal subgroup of G (``NotASubgroup``, ``NonNormal`` with the first
+    escaping pair of ``_normality_witness``)."""
     if not N.is_subgroup_of(G):
         raise NotASubgroup("N is not a subgroup of G")
     bad = _normality_witness(N, G)
@@ -1230,12 +1252,14 @@ def _quotient_group(G: PermGroup, N: PermGroup) -> PermGroup:
             "subgroup is not normal: {} conjugated by {} escapes".format(*bad),
             witness=bad,
         )
-    return _coset_action(G, *_coset_labels(G, N), range(len(G.generators)))
+    columns = range(len(G.generators))
+    merges = [(0, G._rank(n)) for n in N.generators]
+    return _coset_action(G, *_right_congruence(G, merges, columns), columns)
 
 
 def _coset_action(G: PermGroup, reps, label, columns) -> PermGroup:
     """G/N acting on the right cosets of a normal subgroup N, given as
-    ``_coset_labels`` gives them: the action of the generator at each
+    ``_right_congruence`` gives them: the action of the generator at each
     position in ``columns``, read off its successor column at the
     representatives, with no product formed."""
     successors = G._cayley_walk()[1]
@@ -1364,12 +1388,15 @@ def fingerprint(G: PermGroup) -> Fingerprint:
     None of them multiplies out an element of G or builds a chain on its
     degree: the order histogram is read off the chain
     (``PermGroup._element_orders``); ``|G'|`` and G/G' off the cosets of
-    G', the classes of a union-find on the successor columns over a
-    generating subset of G's generators (``_generating_subset``,
-    ``_derived_cosets``), ``|G'|`` as |G| over their number and G/G' as
+    G', the classes of the least right congruence that merges ``x·a·b``
+    with ``x·b·a`` for each element x and each pair from a generating
+    subset of G's generators (``_generating_subset``,
+    ``_right_congruence``), ``|G'|`` as |G| over their number and G/G' as
     G's regular action on them (``_coset_action``), whose histogram gives
-    the abelianization; and the centre's order is G's when G's generators
-    commute, otherwise the count of the central elements (``_central``).
+    the abelianization.  When the classes are the elements, G' = 1: G is
+    abelian and its own G/G', its invariants read off the histogram read
+    already, and its centre is G; otherwise the centre's order is the
+    count of the central elements (``_central``).
     """
     if G._fingerprint is None:
         G._fingerprint = _compute_fingerprint(G)
@@ -1381,12 +1408,17 @@ def _compute_fingerprint(G: PermGroup) -> Fingerprint:
     # with its own order
     hist = Counter(G._element_orders())
     T = _generating_subset(G)
-    reps, label = _derived_cosets(G, T)
-    abelian = _noncommuting_pair(G) is None
+    successors = G._cayley_walk()[1]
+    pairs = list(itertools.combinations(T, 2))
+    reps, label = _right_congruence(
+        G, ((successors[row[a]][b], successors[row[b]][a])
+            for row in successors for a, b in pairs), T)
+    # G' = 1 exactly when G is abelian, and then G is its own G/G'
+    abelian = len(reps) == G.order()
     return Fingerprint(
         order=G.order(),
         abelianization=tuple(abelian_invariants(
-            _coset_action(G, reps, label, T))),
+            G if abelian else _coset_action(G, reps, label, T))),
         center_order=G.order() if abelian else len(_central(G)),
         derived_order=G.order() // len(reps),
         order_histogram=tuple(sorted(hist.items())),
@@ -1422,59 +1454,6 @@ def _generating_subset(G: PermGroup) -> list[int]:
                     seen[z] = True
                     closed.append(z)
     return kept
-
-
-def _derived_cosets(G: PermGroup, T) -> tuple[list, list]:
-    """The right cosets of G' on G's Cayley walk, as ``_coset_labels``
-    gives them (each coset's least element, ascending, and the number of
-    each element's coset), for T the positions of generators of G
-    (``_generating_subset``); no product is formed and no chain is built.
-
-    A union-find over the elements merges ``x·a·b`` with ``x·b·a`` for
-    every element x and every pair a < b in T, and then closes the merges
-    under right multiplication by T, which generates G, so by every
-    element: each pair of classes joined is followed along each column of
-    T.  That partition is the least right congruence holding the merges,
-    and a right congruence is the partition into the right cosets of its
-    identity class H.  ``x·a·b ~ x·b·a`` says that H holds the conjugate
-    ``x·a·b·a^-1·b^-1·x^-1`` of a commutator, so H holds the normal
-    closure of those commutators, modulo which T's generators, and so G,
-    commute: H contains G'.  The cosets of G' form a right congruence
-    holding every merge, so H lies in G', and H is G'.
-
-    Of two roots merged the lesser is kept, so every pointer leads to a
-    lesser element, and a class's root is its least element."""
-    successors = G._cayley_walk()[1]
-    parent = list(range(len(successors)))
-    joined = []  # pairs of roots merged, each followed along T in turn
-
-    def union(x, y):
-        while parent[x] != x:  # the roots, halving the paths to them
-            parent[x] = x = parent[parent[x]]
-        while parent[y] != y:
-            parent[y] = y = parent[parent[y]]
-        if x != y:
-            if x < y:
-                x, y = y, x
-            parent[x] = y
-            joined.append((x, y))
-
-    pairs = list(itertools.combinations(T, 2))
-    for row in successors:
-        for a, b in pairs:
-            union(successors[row[a]][b], successors[row[b]][a])
-    for x, y in joined:  # grows while it is read: a FIFO queue
-        for t in T:
-            union(successors[x][t], successors[y][t])
-    # a pointer leads to an element labelled already: one ascending pass
-    reps, label = [], []
-    for x, p in enumerate(parent):
-        if p == x:
-            label.append(len(reps))
-            reps.append(x)
-        else:
-            label.append(label[p])
-    return reps, label
 
 
 # ---------------------------------------------------------------------------

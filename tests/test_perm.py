@@ -534,9 +534,10 @@ class TestDerivedSubgroupOfSiftedGroups:
             G = sl23()
         else:
             S4, C2 = symmetric(4), cyclic(2)
-            sign = [C2.generators[0] if parity(g.images) else C2.identity
-                    for g in S4.generators]
+            sign = [C2.generators[0] if parity(g.images) == -1
+                    else C2.identity for g in S4.generators]
             G = kernel(hom(S4, C2, sign))
+            assert G.order() == 12
         calls = extend_chain_calls(monkeypatch)
         D = derived_subgroup(G)
         # one chain, opened and extended once per kept generator of G'

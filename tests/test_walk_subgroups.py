@@ -4,20 +4,24 @@ unbounded Schreier-Sims.
 ``kernel``, ``image`` and ``center`` sift against the order their keys
 give, and ``_sifted_at`` multiplies out a member only when it is sifted;
 each is held to an unbounded ``_sifted`` of the same candidates, whose
-generators and chain levels it must equal.  The fingerprint reads G' and
-G/G' off a union-find on the successor columns (``perm._derived_cosets``)
-over a generating subset of G's generators (``perm._generating_subset``);
-it is held to ``derived_subgroup`` and ``_quotient_group``, the normal
-closure of the generator commutators and the coset action it replaced.
+generators and chain levels it must equal.  Right cosets, of a subgroup
+and of G', are the classes of one right congruence on the successor
+columns (``perm._right_congruence``); they are held to the cosets that
+``support.product_right_cosets`` fills in by products.  The fingerprint
+reads G' and G/G' off that congruence over a generating subset of G's
+generators (``perm._generating_subset``); it is held to
+``derived_subgroup`` and ``_quotient_group``, the normal closure of the
+generator commutators and the coset action it replaced.
 """
 
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import chain_levels, parity, random_groups
+from support import chain_levels, parity, product_right_cosets, random_groups
 from xmodlab import perm
 from xmodlab.induce import induce
 from xmodlab.perm import (
@@ -25,8 +29,8 @@ from xmodlab.perm import (
     PermGroup,
     Permutation,
     _central,
-    _coset_labels,
     _quotient_group,
+    _right_cosets,
     _sifted,
     abelian_invariants,
     center,
@@ -74,6 +78,48 @@ def with_extras(spec, identity, repeat):
     return PermGroup(degree, gens)
 
 
+def product_classes(G, H):
+    """The right cosets of H in G filled in by products
+    (``support.product_right_cosets``), as ``_right_congruence`` gives
+    them: the index of each coset's least element, ascending, and each
+    element's coset number, in ``elements()`` order."""
+    elements = [g.images for g in G.elements()]
+    reps, coset_of = product_right_cosets(elements,
+                                          [h.images for h in H.elements()])
+    index = {x: i for i, x in enumerate(elements)}
+    return [index[r] for r in reps], [coset_of[x] for x in elements]
+
+
+# ---------------------------------------------------------------------------
+# right cosets of a subgroup on the walk, against products
+
+
+def check_right_cosets(G, H):
+    reps, coset_of = _right_cosets(G, H)
+    want_reps, want_label = product_classes(G, H)
+    assert reps == [G.elements()[i] for i in want_reps]
+    assert coset_of == dict(zip(G._cayley_walk()[0], want_label))
+
+
+class TestRightCosets:
+    @settings(max_examples=60, deadline=None)
+    @given(random_groups(max_gens=4), st.booleans(), st.booleans(),
+           st.data())
+    def test_random_subgroups(self, spec, identity, repeat, data):
+        G = with_extras(spec, identity, repeat)
+        one = G.identity
+        check_right_cosets(G, PermGroup(G.degree, []))
+        check_right_cosets(G, G)
+        # the identity and a repeated generator merge nothing new
+        x = data.draw(st.sampled_from(G.elements()))
+        check_right_cosets(G, PermGroup(G.degree, [one, x, one, x]))
+
+    def test_c5_m_over_ker_d(self, c5_xmod):
+        K = kernel(c5_xmod.boundary)
+        assert K.order() == 50
+        check_right_cosets(c5_xmod.M, K)
+
+
 # ---------------------------------------------------------------------------
 # G' and G/G' on the walk, against the chain they replaced
 
@@ -81,12 +127,19 @@ def with_extras(spec, identity, repeat):
 def check_derived(G):
     D = derived_subgroup(G)
     T = perm._generating_subset(G)
-    fp = perm._compute_fingerprint(G)
+    congruence, found = perm._right_congruence, []
+
+    def spy(*args):
+        found.append(congruence(*args))
+        return found[-1]
+
+    with mock.patch.object(perm, "_right_congruence", spy):
+        fp = perm._compute_fingerprint(G)
     assert fp.derived_order == D.order()
     assert list(fp.abelianization) == abelian_invariants(_quotient_group(G, D))
-    # the classes are the cosets of G', numbered as _coset_labels numbers
-    # them
-    assert perm._derived_cosets(G, T) == _coset_labels(G, D)
+    # the fingerprint's one congruence has the right cosets of G' for its
+    # classes, numbered as the products number them
+    assert found == [product_classes(G, D)]
     # T generates G, and each kept generator enlarges the kept ones
     gens = G.generators
     assert PermGroup(G.degree, [gens[t] for t in T]).order() == G.order()
@@ -106,7 +159,7 @@ class TestDerivedOnTheWalk:
 
     def test_row_7_keeps_its_six_generators(self, table_results):
         # none of row 7's six generators lies in the group of the ones
-        # before it, so its union-find merges along all 15 pairs
+        # before it, so its congruence merges along all 15 pairs
         M = table_results[6][0].M
         assert perm._generating_subset(M) == list(range(6))
 
@@ -137,6 +190,21 @@ class TestDerivedOnTheWalk:
         monkeypatch.setattr(Permutation, "commutator", refuse)
         fp = fingerprint(row6().M)
         assert (fp.derived_order, fp.abelianization) == (8, (3, 3))
+
+    def test_abelian_group_is_its_own_abelianization(self, monkeypatch):
+        # G' = 1, so the fingerprint reads G/G' off G's own histogram and
+        # builds no regular group of degree |G|
+        G = PermGroup(30, parse_generator_list(
+            "(1,2,3,4,5,6,7,8,9,10),(11,12,13,14,15,16,17,18,19,20),"
+            "(21,22,23,24,25,26,27,28,29,30)", 30))
+
+        def refuse(*args):
+            raise AssertionError("a group built by PermGroup._bounded")
+
+        monkeypatch.setattr(PermGroup, "_bounded", refuse)
+        fp = fingerprint(G)
+        assert (fp.order, fp.abelianization, fp.derived_order,
+                fp.center_order) == (1000, (10, 10, 10), 1, 1000)
 
 
 # ---------------------------------------------------------------------------
