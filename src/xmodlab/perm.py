@@ -25,9 +25,10 @@ relators present G on its generators (Schreier's lemma), and
 is a homomorphism exactly when each Schreier edge leads from its tail's
 value to its endpoint's (von Dyck's theorem), and that is all the walk
 rule checks.  Asked to prove the map, the same routine fills and proves
-in one pass over every edge in walk order: the walk is breadth first, so
-the first edge into an element is its tree edge, which sets the value,
-and every later one is a Schreier edge, which compares with it.  It proves
+keys in one pass over every edge in walk order: the walk is breadth first,
+so the first edge into an element is its tree edge, which sets the value,
+and every later one is a Schreier edge, which compares with it.  It reads
+a tail's k edges with one reader built for that tail's key.  It proves
 every map out of every group, so its cost grows with the number of
 generators: the groups the package builds from many candidates (the
 induced M, kernels, closures) keep only the ones that enlarge the group
@@ -42,10 +43,11 @@ and compare them by their base images, ``|base|`` lookups where a product
 costs ``degree``; the regular representation of a group has a base of one
 point.  Those ``degree`` lookups are gathered in C (``_gather``, one
 ``operator.itemgetter`` per product), as are the lookups of each step of
-the walk (one itemgetter per tail, applied to every generator), and the
-``|base|`` lookups of a homomorphism's keys and of the element orders,
-the compositions of a crossed module's action arrays and the renumbering of
-a coset table and of the Cayley walk.
+the walk and of each tail of a proved map, a homomorphism's keys and a
+crossed module's action keys (one reader per tail, applied to every
+generator: an itemgetter for two or more points), and the ``|base|`` lookups of the element orders, the
+compositions of a crossed module's action arrays and the renumbering of a
+coset table and of the Cayley walk.
 
 The walk forms no product.  It tracks each element by its images on S, the
 points up to the last base point that the group moves, which hold the
@@ -891,9 +893,10 @@ class GroupHom:
     keys in one pass over the edges of the source's Cayley walk (walked
     once per group, not once per homomorphism) in walk order
     (``_tree_values``): each key is set on its tree edge and checked on
-    every Schreier edge into it, one gather of ``|base|`` points per edge,
-    and ``RelationViolated`` is raised at the first Schreier edge that
-    does not lead to its endpoint's key, with that endpoint as the witness.
+    every Schreier edge into it, the k edges out of a tail read by one
+    reader of ``|base|`` points built for its key, and ``RelationViolated``
+    is raised at the first Schreier edge that does not lead to its
+    endpoint's key, with that endpoint as the witness.
 
     The values themselves are multiplied out only when ``element_map`` is
     first read, by the same fill with products in place of keys; the
@@ -920,11 +923,11 @@ class GroupHom:
         self.source = source
         self.target = target
         self.images = images
-        # the base images of ``v * im`` are im's images at v's: one gather
+        # the base images of ``v * im`` are im's images at v's: a gather
         self._keys = _tree_values(
             source, target._base(), [(0,) + im.images for im in images],
-            _gather,
-            "generator images do not respect the relations of the source",
+            violation="generator images do not respect the relations of "
+            "the source",
         )
 
     @cached_property
@@ -980,7 +983,8 @@ def _off_tree_edges(G: PermGroup) -> list:
             if c == 0 or tree[c - 1] != (a, s)]
 
 
-def _tree_values(G: PermGroup, start, images, step, violation=None) -> list:
+def _tree_values(G: PermGroup, start, images, step=None,
+                 violation=None) -> list:
     """Values of a map given on G's generators, in ``elements()`` order:
     ``start`` at the identity, and ``step(value(x), image(g))`` at the end
     of the edge ``x -> x*g`` of G's Cayley walk that first reaches it, its
@@ -988,34 +992,46 @@ def _tree_values(G: PermGroup, start, images, step, violation=None) -> list:
     the walk found them (``PermGroup._fill``), so each before its head.
     The one routine that fills values along the walk.
 
-    Without ``violation`` only the tree edges are stepped along.  With it,
-    the map is also proved a homomorphism, or ``RelationViolated`` is
-    raised: it is one exactly when each Schreier relator ``w_a s w_c^-1``
-    dies (von Dyck's theorem), that is when each Schreier edge ``(a, s,
-    c)`` (``_off_tree_edges``) leads from ``value(a)`` to ``value(c)``.
-    Every edge is then stepped along once, in walk order, tails as found
-    and generators in list order.  The walk is breadth first, so the first
-    edge that reaches an element is its tree edge: its step sets the value,
-    and every later edge into it, a Schreier edge, compares with it; the
-    identity's value is ``start``, so every edge into it compares.  The
-    first Schreier edge that disagrees raises, naming its endpoint, the one
-    element multiplied out here (``PermGroup._element``).
+    Given ``step``, only the tree edges are stepped along.  Given
+    ``violation`` instead, the values are keys, tuples of indices, the
+    step is the gather ``_gather(value(x), image(g))``, and the map is
+    also proved a homomorphism, or ``RelationViolated`` is raised: it is
+    one exactly when each Schreier relator ``w_a s w_c^-1`` dies (von
+    Dyck's theorem), that is when each Schreier edge ``(a, s, c)``
+    (``_off_tree_edges``) leads from ``value(a)`` to ``value(c)``.  Every
+    edge is then read once, in walk order, tails as found and generators
+    in list order: each tail's k successors by one reader built for its
+    key and applied to every image, an ``operator.itemgetter`` for a key
+    of two or more points and a tuple per image for one point or none, as
+    ``PermGroup._cayley_walk`` reads its steps.  The walk is breadth first,
+    so the first edge that reaches an element is its tree edge: it sets
+    the value, and every later edge into it, a Schreier edge, compares
+    with it; the identity's value is ``start``, so every edge into it
+    compares.  The first Schreier edge that disagrees raises, naming its
+    endpoint, the one element multiplied out here (``PermGroup._element``).
     """
     keys, successors = G._cayley_walk()
-    if violation is None:
+    if step is not None:
         tree = G._spanning_tree()
         values = [start] * len(keys)
         for c in G._fill[1:]:
             a, s = tree[c - 1]
             values[c] = step(values[a], images[s])
         return values
-    # None until reached: no step returns None
+    # None until reached: no key is None
     values = [None] * len(keys)
     values[0] = start
+    width = len(start)
     for a in G._fill:
-        value = values[a]
-        for c, im in zip(successors[a], images):
-            v = step(value, im)
+        key = values[a]
+        if width > 1:
+            row = map(itemgetter(*key), images)
+        elif width:
+            x = key[0]
+            row = [(im[x],) for im in images]
+        else:
+            row = [()] * len(images)
+        for c, v in zip(successors[a], row):
             if values[c] is None:
                 values[c] = v
             elif v != values[c]:

@@ -33,10 +33,19 @@ translate ``Square`` objects to indices (an edge or label outside its
 group raises ``NotInGroup``), call the kernel and translate back; the bulk
 callers (the interchange searches, ``DoubleGroupoidView.squares`` and
 ``gamma``) stay in indices and translate only what they return, so no
-square costs a permutation product or a membership test.  The random
-searches draw indices with ``rng.choice(range(n))``, which makes the same
-``_randbelow`` call as ``rng.choice`` on the n elements, so the draws, and
-the first failing block, are those of drawing elements.
+square costs a permutation product or a membership test.  The kernel
+hands squares back through ``Square``'s slots (``_Kernel.to_square``), as
+``perm._trusted`` hands back permutations: its index tuples satisfy the
+boundary condition by construction.
+
+The random searches take ``rng``, a ``random.Random`` or a subclass of it,
+and draw each index below n with ``rng._randbelow(n)``.  That is the one
+call ``rng.choice`` makes on a sequence of n elements (``choice(seq)`` is
+``seq[self._randbelow(len(seq))]``), and ``Random`` binds ``_randbelow``
+per class: through ``getrandbits``, or through ``random()`` for a subclass
+that overrides only ``random()``.  So the draws, and the first failing
+block, are those of ``rng.choice`` on the elements, for either kind of
+``rng``.
 
 The interchange law for 2x2 blocks reduces to CM2.  The block that
 ``_block_from_triple`` builds from (ma, md, u) interchanges exactly when
@@ -50,7 +59,7 @@ generator pairs.  Both searches prove the law that way first and build
 blocks only when a generator pair fails: ``interchange_exhaustive`` then
 scans the triples, and ``interchange_sampled`` draws and composes its
 random blocks.  When the law is proved, ``interchange_sampled`` builds no
-square and still makes every draw of its blocks (``_block_draws``), so the
+square and still makes every draw of its blocks (``_block_bounds``), so the
 caller's rng ends where the search would have left it.  ``gamma`` rebuilds a
 crossed module from squares alone and is the round-trip witness for the
 whole encoding.
@@ -67,12 +76,16 @@ from .xmod import CrossedModule, _cm2_failure
 MATERIALIZATION_BOUND = 1 << 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Square:
     """Oriented square: edges n, w, e, s in the base group, label m in M.
 
-    Prints as ``(n | w e | s; m)``.  Equality compares edges and label;
-    squares only compose over the same crossed module instance.
+    Prints as ``(n | w e | s; m)``.  Equality and the hash compare edges
+    and label, not ``xmod``; squares only compose over the same crossed
+    module instance.  Frozen and slotted: a square has no ``__dict__``, and
+    the kernel fills the slots of the squares it returns directly
+    (``_Kernel.to_square``).  No method calls ``super()`` without
+    arguments, which a slotted dataclass does not support.
     """
 
     n: Permutation
@@ -91,6 +104,11 @@ class Square:
     def boundary_holds(self) -> bool:
         k = _kernel(self.xmod)
         return k.boundary_holds(k.indices(self))
+
+
+# the slots of Square, set past its frozen __setattr__ (``_Kernel.to_square``)
+_set_n, _set_w, _set_e, _set_s, _set_m, _set_xmod = (
+    getattr(Square, f).__set__ for f in Square.__slots__)
 
 
 class _Kernel:
@@ -123,9 +141,19 @@ class _Kernel:
         return edge(sq.n), edge(sq.w), edge(sq.e), edge(sq.s), self.label(sq.m)
 
     def to_square(self, t) -> Square:
+        """The square of an index tuple, built as ``perm._trusted`` builds
+        a permutation: ``object.__new__`` and each slot's ``__set__``,
+        where ``Square(...)`` runs a Python ``__init__`` that sets each
+        field through ``object.__setattr__``."""
         q = self.qelems
-        return Square(q[t[0]], q[t[1]], q[t[2]], q[t[3]], self.melems[t[4]],
-                      self.xmod)
+        sq = object.__new__(Square)
+        _set_n(sq, q[t[0]])
+        _set_w(sq, q[t[1]])
+        _set_e(sq, q[t[2]])
+        _set_s(sq, q[t[3]])
+        _set_m(sq, self.melems[t[4]])
+        _set_xmod(sq, self.xmod)
+        return sq
 
     def square(self, n, w, e, m) -> tuple:
         qmul, qinv = self.qmul, self.qinv
@@ -394,20 +422,20 @@ def interchange_exhaustive(X: CrossedModule):
     return None
 
 
-def _block_draws(nq: int, nm: int, rng) -> list[int]:
-    """The 12 indices one random block draws, in draw order: a's n, w, e
-    and label, b's n, e and label, c's w, e and label, d's e and label.
-    Edges are drawn below nq and labels below nm."""
-    qs, ms = range(nq), range(nm)
-    choice = rng.choice
-    return [choice(r) for r in (qs, qs, qs, ms, qs, qs, ms, qs, qs, ms,
-                                qs, ms)]
+def _block_bounds(nq: int, nm: int) -> tuple[int, ...]:
+    """The bounds of the 12 indices one random block draws, in draw order:
+    a's n, w, e and label, b's n, e and label, c's w, e and label, d's e
+    and label.  Edges are drawn below nq and labels below nm."""
+    return nq, nq, nq, nm, nq, nq, nm, nq, nq, nm, nq, nm
 
 
 def _random_block(k: _Kernel, rng):
-    """Uniformly random composable 2x2 block (a b / c d), on indices."""
-    an, aw, ae, am, bn, be, bm, cw, ce, cm, de, dm = _block_draws(
-        len(k.qelems), len(k.melems), rng)
+    """Uniformly random composable 2x2 block (a b / c d), on indices: its
+    12 indices drawn in the order of ``_block_bounds``, each by
+    ``rng._randbelow``, the call ``rng.choice`` makes (module docstring);
+    ``rng`` is a ``random.Random`` or a subclass of it."""
+    an, aw, ae, am, bn, be, bm, cw, ce, cm, de, dm = map(
+        rng._randbelow, _block_bounds(len(k.qelems), len(k.melems)))
     a = k.square(an, aw, ae, am)
     b = k.square(bn, a[2], be, bm)
     c = k.square(a[3], cw, ce, cm)
@@ -424,20 +452,25 @@ def random_block(X: CrossedModule, rng):
 def interchange_sampled(X: CrossedModule, samples: int, rng):
     """First violating block among ``samples`` random ones, or None.
 
-    The law is proved first, as ``interchange_exhaustive`` proves it: when
-    CM2 holds on ``gens(M) x gens(M)`` no block violates it, so nothing is
-    searched, and neither the kernel nor any square is built.  The draws
-    are still made, ``_block_draws`` once per sample with the ranges and
-    in the order of the search, so the caller's rng ends where the search
+    ``rng`` is a ``random.Random`` or a subclass of it; each index is drawn
+    by ``rng._randbelow``, the call ``rng.choice`` makes (module
+    docstring).  The law is proved first, as ``interchange_exhaustive``
+    proves it: when CM2 holds on ``gens(M) x gens(M)`` no block violates
+    it, so nothing is searched, and neither the kernel nor any square is
+    built.  The draws are still made, the ``12·samples`` calls of the
+    search with its bounds and in its order (``_block_bounds``), and
+    nothing is kept of them, so the caller's rng ends where the search
     would have left it and a seeded caller sees the same stream whether or
     not the law was proved.  When a generator pair fails, the blocks are
     drawn and composed, and the first violating one is returned.
     """
     gens = X.M.generators
     if _cm2_failure(X, gens, gens) is None:
-        nq, nm = X.Q.order(), X.M.order()
+        draw, bounds = rng._randbelow, _block_bounds(X.Q.order(),
+                                                     X.M.order())
         for _ in range(samples):
-            _block_draws(nq, nm, rng)
+            for n in bounds:
+                draw(n)
         return None
     k = _kernel(X)
     for _ in range(samples):

@@ -106,11 +106,10 @@ class CrossedModule:
         An automorphism of M is fixed by its entries at M's generators, its
         key.  The keys alone are filled along Q's spanning tree and proved
         by the walk rule on the Schreier edges of Q's walk, in one pass
-        over its edges with one gather in C of a few entries per edge
-        (``perm._tree_values``, ``perm._gather``; Q is walked once per
-        group, not per module, and the walk refuses a Q too large to
-        enumerate), or the assignment does not factor through Q and is
-        refused.
+        over its edges that reads a tail's edges in C by one reader built
+        for its key (``perm._tree_values``; Q is walked once per group,
+        not per module, and the walk refuses a Q too large to enumerate),
+        or the assignment does not factor through Q and is refused.
         The index array over M.elements() of any other element of Q is
         composed from its tree parent's on first read (``act_array``).
         M's generators are looked up by their base images
@@ -118,8 +117,9 @@ class CrossedModule:
         """
         gens = tuple([self.M._rank(m) for m in self.M.generators])
         _tree_values(
-            self.Q, gens, arrays, _gather,
-            "action assignment does not respect the relations of Q",
+            self.Q, gens, arrays,
+            violation="action assignment does not respect the relations "
+            "of Q",
         )
         self._generator_arrays = arrays
         # by index in Q.elements(); None until composed
@@ -196,11 +196,11 @@ def validate(X: CrossedModule) -> ValidationReport:
     That is a proof, not a sample:
 
     - the boundary and the action entries are proved homomorphisms (by
-      ``perm.GroupHom``: on the relators of a presented M, as ``induce``
-      builds it, or along M's Cayley walk), the action entries are
-      bijective, and the action's keys (the images of M's generators),
-      filled along Q's spanning tree, are proved by the walk rule on the
-      Schreier edges of Q's walk (``perm._tree_values``), which proves that
+      ``perm.GroupHom``, along M's Cayley walk, ``perm._tree_values``),
+      the action entries are bijective, and the action's keys (the images
+      of M's generators), filled along Q's spanning tree, are proved by
+      the walk rule on the Schreier edges of Q's walk
+      (``perm._tree_values``), which proves that
       ``q -> (m -> m^q)`` is a right action of Q by automorphisms of M;
       the arrays it reads (``act_array``) are composed from those of Q's
       generators on demand, along the same tree;

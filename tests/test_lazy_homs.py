@@ -211,27 +211,36 @@ def test_walk_rule_matches_product_replay_on_induced_and_free_modules(
 
 def record_walks(monkeypatch):
     """(source, edges checked) of every map proved by the walk rule
-    (``_tree_values`` with a violation message) from now on.  Each element
-    but the identity takes its value from one step, along its tree edge, so
-    the steps past those ``|G| - 1`` are the edges checked."""
+    (``_tree_values`` with a violation message) from now on.  The proof
+    reads each edge's image once per point of its tail's key; each
+    element but the identity takes its key from one edge, its tree edge,
+    so the edges read past those ``|G| - 1`` are the edges checked."""
     walks = []
     fill = perm._tree_values
 
-    def recording(G, start, images, step, violation=None):
-        steps = [0]
-
-        def counted(*args):
-            steps[0] += 1
-            return step(*args)
-
-        if violation is None:
+    def recording(G, start, images, step=None, violation=None):
+        if step is not None:
             return fill(G, start, images, step)
-        values = fill(G, start, images, counted, violation)
-        walks.append((G, steps[0] - (G.order() - 1)))
+        assert start, "a key of no point reads no image"
+        reads = [0]
+        counted = [Counted(im, reads) for im in images]
+        values = fill(G, start, counted, violation=violation)
+        walks.append((G, reads[0] // len(start) - (G.order() - 1)))
         return values
 
     monkeypatch.setattr(perm, "_tree_values", recording)
     return walks
+
+
+class Counted:
+    """An image that counts its reads."""
+
+    def __init__(self, image, reads):
+        self.image, self.reads = image, reads
+
+    def __getitem__(self, i):
+        self.reads[0] += 1
+        return self.image[i]
 
 
 def s5_jobs():

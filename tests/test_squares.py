@@ -1,5 +1,6 @@
 """Squares over a crossed module: compositions, connections, interchange."""
 
+import dataclasses
 import hashlib
 import random
 from functools import cache
@@ -374,6 +375,48 @@ class TestView:
             view.squares()
 
 
+class TestSlottedSquare:
+    """``Square`` is a frozen, slotted dataclass; the kernel fills the slots
+    of the squares it returns directly (``_Kernel.to_square``)."""
+
+    def test_frozen(self):
+        X = identity_xmod(symmetric(3))
+        i = X.Q.identity
+        for sq in (squares.Square(i, i, i, i, i, X), h_unit(X, i)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                sq.n = i
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                sq.xmod = None
+
+    def test_no_dict(self):
+        X = identity_xmod(symmetric(3))
+        i = X.Q.identity
+        for sq in (squares.Square(i, i, i, i, i, X), h_unit(X, i)):
+            assert not hasattr(sq, "__dict__")
+        assert squares.Square.__slots__ == ("n", "w", "e", "s", "m", "xmod")
+
+    def test_equality_and_hash_ignore_xmod(self):
+        S3 = symmetric(3)
+        X, Y = identity_xmod(S3), identity_xmod(S3)
+        t = P("(1,2)", 3)
+        built = compose_h(h_unit(X, t), h_unit(X, t))
+        public = squares.Square(S3.identity, t, t, S3.identity,
+                                S3.identity, Y)
+        assert built.xmod is X and public.xmod is Y
+        assert built == public and hash(built) == hash(public)
+        assert built != squares.Square(S3.identity, t, t, S3.identity, t, X)
+
+    def test_view_equals_public_squares(self):
+        # the kernel's squares are those of the public constructor, in
+        # the order n, w, e, label
+        X = identity_xmod(dihedral(8))
+        qs, ms = X.Q.elements(), X.M.elements()
+        listed = DoubleGroupoidView(X).squares()
+        assert listed == [square(X, n, w, e, m)
+                          for n in qs for w in qs for e in qs for m in ms]
+        assert all(sq.xmod is X for sq in listed)
+
+
 class TestGamma:
     def test_round_trip_identity_s3(self):
         X = identity_xmod(symmetric(3))
@@ -512,6 +555,39 @@ class TestKernelOracle:
         assert (expected is None) == (name not in ("broken_cm2",
                                                    "cm1_and_cm2"))
         assert mine.random() == theirs.random()
+
+    def test_sampled_draws_of_a_subclass_overriding_random(self,
+                                                          monkeypatch):
+        # a Random subclass that overrides random() alone draws below n
+        # through random() (_randbelow_without_getrandbits), a stream unlike
+        # getrandbits'; the proved search replays the draws of rng.choice
+        # on that stream, calls no choice and builds no kernel
+        class RandomOnly(random.Random):
+            choices = 0
+
+            def random(self):
+                return super().random()
+
+            def choice(self, seq):
+                self.choices += 1
+                return super().choice(seq)
+
+        assert (RandomOnly._randbelow
+                is random.Random._randbelow_without_getrandbits)
+        built = []
+        monkeypatch.setattr(squares, "_Kernel", built.append)
+        X = xmod_from_json(ROW6.read_text())
+        oracle = module_and_oracle("row6")[1]
+        mine, theirs = RandomOnly(3), RandomOnly(3)
+        assert interchange_sampled(X, 500, mine) is None
+        assert oracle.sampled(500, theirs) is None
+        assert (mine.choices, theirs.choices) == (0, 12 * 500)
+        assert built == [] and X._square_kernel is None
+        following = mine.random()
+        assert following == theirs.random()
+        plain = random.Random(3)
+        assert interchange_sampled(X, 500, plain) is None
+        assert plain.random() != following
 
     def test_sampled_search_forms_no_product(self, monkeypatch):
         # once the kernel is built the sampled search runs on indices alone:
